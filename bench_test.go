@@ -41,38 +41,3 @@ func BenchmarkFig12StashSize(b *testing.B)          { benchExperiment(b, "fig12"
 func BenchmarkFig13ZValue(b *testing.B)             { benchExperiment(b, "fig13") }
 func BenchmarkFig14CachelineSize(b *testing.B)      { benchExperiment(b, "fig14") }
 func BenchmarkFig15Periodic(b *testing.B)           { benchExperiment(b, "fig15a") }
-
-// BenchmarkRAMRead measures the library-mode oblivious RAM: sequential
-// reads with the dynamic prefetcher (ns/op includes the full path access
-// bookkeeping).
-func BenchmarkRAMRead(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Blocks = 1 << 14
-	r, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Read(uint64(i) % r.Blocks()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRAMWrite measures oblivious writes.
-func BenchmarkRAMWrite(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Blocks = 1 << 14
-	r, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, cfg.BlockBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Write(uint64(i)%r.Blocks(), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

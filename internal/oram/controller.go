@@ -46,8 +46,8 @@ type Controller struct {
 	dev dram.Device
 
 	// hitBits holds the per-data-block hit bit: whether the block's last
-	// prefetch was used (paper §4.3). Keyed by data index; absent = false.
-	hitBits map[uint64]bool
+	// prefetch was used (paper §4.3). One bit per data index.
+	hitBits bitset
 
 	stats Stats
 	trace []TraceEvent
@@ -70,7 +70,7 @@ type Controller struct {
 	winStart    uint64
 
 	scratch []mem.BlockID // reusable path-read buffer
-	chain   []uint64      // reusable recursion-index buffer
+	chain   []uint64      // recursion-index buffer, one entry per hierarchy level
 }
 
 // New builds a controller. The tree is sized to hold the data blocks plus
@@ -100,7 +100,8 @@ func New(cfg Config) (*Controller, error) {
 		pm:      pm,
 		plb:     posmap.NewPLB(cfg.PLBBlocks),
 		rnd:     rng.New(cfg.Seed),
-		hitBits: make(map[uint64]bool),
+		hitBits: newBitset(cfg.NumBlocks),
+		chain:   make([]uint64, pm.Depth()+1),
 	}
 	c.pathLat = cfg.PathLatency(levels)
 	if cfg.Banked != nil {
@@ -380,15 +381,14 @@ func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 	// Recursion walk: find the deepest position-map level cached in the
 	// PLB, then access every level below it, top-down (§2.3, Unified ORAM).
 	depth := c.pm.Depth()
-	c.chain = c.chain[:0]
+	chain := c.chain
 	idx := index
-	for l := 0; l <= depth; l++ {
-		c.chain = append(c.chain, idx) //proram:allow allocdiscipline appends into a reusable buffer reset to length 0; capacity is retained across accesses
+	for l := range chain {
+		chain[l] = idx
 		idx /= uint64(c.cfg.Fanout)
 	}
-	// The build loop above ran depth+1 times, so chain[depth] pins the
-	// whole walk below in bounds.
-	chain := c.chain
+	// New sized chain to depth+1 entries, so chain[depth] pins the whole
+	// walk below in bounds.
 	_ = chain[depth]
 	startLvl := depth + 1 // no PLB hit: start from the on-chip table
 	for l := 1; l <= depth; l++ {
@@ -457,23 +457,54 @@ func (c *Controller) rollWindow() {
 
 // NotifyPrefetchUse records that a prefetched block was hit in the LLC:
 // the block's hit bit is set (paper: "In Processor: when block b is
-// accessed, b.hit = true") and the prefetch counts as a hit.
+// accessed, b.hit = true") and the prefetch counts as a hit. An index at
+// or past NumBlocks names no block and is ignored.
 //
 //proram:hotpath runs on every LLC hit of a prefetched line
 func (c *Controller) NotifyPrefetchUse(index uint64) {
-	if c.hitBits[index] {
+	if index >= c.cfg.NumBlocks || c.hitBits.get(index) {
 		return
 	}
-	c.hitBits[index] = true
+	c.hitBits.set(index)
 	c.stats.PrefetchHits++
 	c.winHits++
 }
 
 // NotifyPrefetchEvict records that a prefetched block left the LLC without
 // ever being used — a resolved prefetch miss for the Figure 9 metric and
-// the Equation 1 hit-rate window.
+// the Equation 1 hit-rate window. An index at or past NumBlocks names no
+// block and is ignored.
 func (c *Controller) NotifyPrefetchEvict(index uint64) {
+	if index >= c.cfg.NumBlocks {
+		return
+	}
 	c.stats.PrefetchUnused++
+}
+
+// bitset is a fixed-size set of block indices, one bit each. An index past
+// the end is in no set: get reports false, set and clear do nothing.
+type bitset []uint64
+
+func newBitset(n uint64) bitset { return make(bitset, (n+63)/64) }
+
+//proram:hotpath hit-bit probe inside the break algorithm
+func (b bitset) get(i uint64) bool {
+	w := int(i / 64)
+	return w < len(b) && b[w]&(1<<(i%64)) != 0
+}
+
+//proram:hotpath hit-bit update on every LLC hit of a prefetched line
+func (b bitset) set(i uint64) {
+	if w := int(i / 64); w < len(b) {
+		b[w] |= 1 << (i % 64)
+	}
+}
+
+//proram:hotpath hit-bit reset for every prefetched or reloaded block
+func (b bitset) clear(i uint64) {
+	if w := int(i / 64); w < len(b) {
+		b[w] &^= 1 << (i % 64)
+	}
 }
 
 // PosMapDepth returns the number of position-map levels above the data

@@ -552,3 +552,62 @@ func TestDynamicInvariantUnderChurn(t *testing.T) {
 	}
 	t.Logf("merges=%d breaks=%d bg=%d prefetchIssued=%d", s.Merges, s.Breaks, s.BackgroundEvictions, s.PrefetchIssued)
 }
+
+// An index at or past NumBlocks names no block: the prefetch notifications
+// must ignore it rather than index the hit bits out of range.
+func TestPrefetchNotificationsIgnoreOutOfRange(t *testing.T) {
+	c, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []uint64{c.cfg.NumBlocks, ^uint64(0)} {
+		c.NotifyPrefetchUse(index)
+		c.NotifyPrefetchEvict(index)
+	}
+	if s := c.Stats(); s.PrefetchHits != 0 || s.PrefetchUnused != 0 {
+		t.Fatalf("out-of-range notifications counted: hits %d unused %d", s.PrefetchHits, s.PrefetchUnused)
+	}
+	// The last valid index still works, and counts once.
+	c.NotifyPrefetchUse(c.cfg.NumBlocks - 1)
+	c.NotifyPrefetchUse(c.cfg.NumBlocks - 1)
+	if s := c.Stats(); s.PrefetchHits != 1 {
+		t.Fatalf("PrefetchHits = %d, want 1", s.PrefetchHits)
+	}
+}
+
+// A warmed, populated controller serves requests without allocating: the
+// stash, position map, hit bits and path buffers are all in place. Read may
+// allocate once, for the Prefetched slice it returns.
+func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
+	cfg := testConfig()
+	cfg.Super = superblock.Config{Scheme: superblock.Dynamic, MaxSize: 2,
+		CMerge: 1, CBreak: 1, Window: 1000}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	llc := newFakeLLC()
+	c.SetProber(llc)
+	for i := uint64(0); i < cfg.NumBlocks; i++ {
+		c.Write(c.lastEnd, i) // populate: every block gets a leaf
+		llc.add(i)            // and counts as cached, so neighbours merge
+	}
+	r := rng.New(3)
+	next := func() uint64 { return r.Uint64n(cfg.NumBlocks) }
+	for i := 0; i < 20000; i++ {
+		c.Read(c.lastEnd, next())
+		c.Write(c.lastEnd, next())
+	}
+	if c.Stats().Merges == 0 {
+		t.Fatal("warm-up formed no super block; Read would return no prefetches")
+	}
+	if avg := testing.AllocsPerRun(2000, func() { c.Write(c.lastEnd, next()) }); avg != 0 {
+		t.Errorf("Write allocates %.3f times per call", avg)
+	}
+	if avg := testing.AllocsPerRun(2000, func() { c.Read(c.lastEnd, next()) }); avg > 1 {
+		t.Errorf("Read allocates %.3f times per call, want at most 1", avg)
+	}
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -101,7 +101,7 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 			// the prefetch went unused (a used copy would have hit in the
 			// LLC instead of reaching the ORAM).
 			e.Prefetch = false
-			delete(c.hitBits, index)
+			c.hitBits.clear(index)
 			c.stats.ReloadedUnused++
 		}
 
@@ -127,7 +127,7 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 				continue
 			}
 			pb.Entries[i].Prefetch = true
-			delete(c.hitBits, gi)
+			c.hitBits.clear(gi)
 			c.stats.PrefetchIssued++
 			c.winIssued++
 			prefetched = append(prefetched, gi) //proram:allow allocdiscipline the result escapes to the caller, and install/evict re-enters Write while it is held, so the slice cannot be pooled
@@ -170,7 +170,7 @@ func (c *Controller) breakUpdate(g group) int {
 			continue
 		}
 		gi := base + uint64(i)
-		if c.hitBits[gi] {
+		if c.hitBits.get(gi) {
 			raw++
 			c.stats.ReloadedUsed++
 		} else {
@@ -178,7 +178,7 @@ func (c *Controller) breakUpdate(g group) int {
 			c.stats.ReloadedUnused++
 		}
 		ge.Prefetch = false
-		delete(c.hitBits, gi)
+		c.hitBits.clear(gi)
 	}
 	stored := raw
 	if stored < 0 {

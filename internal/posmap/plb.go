@@ -128,19 +128,6 @@ func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, dirty, ok bool) {
 	return victim, dirty, true
 }
 
-// Remove drops id from the PLB (e.g. after an explicit write-back),
-// reporting whether it was present and dirty.
-func (p *PLB) Remove(id mem.BlockID) (wasDirty, wasPresent bool) {
-	e, ok := p.index[id]
-	if !ok {
-		return false, false
-	}
-	ent := e.Value.(*plbEntry)
-	p.lru.Remove(e)
-	delete(p.index, id)
-	return ent.dirty, true
-}
-
 // Hits and Misses expose the lookup statistics.
 func (p *PLB) Hits() uint64   { return p.hits }
 func (p *PLB) Misses() uint64 { return p.misses }

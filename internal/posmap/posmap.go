@@ -105,31 +105,14 @@ func (b *Block) BreakCounter(o int) uint8 { return b.breakCtr[o] }
 // SetBreakCounter sets the break counter (used on merge: initialized to 2n).
 func (b *Block) SetBreakCounter(o int, v uint8) { b.breakCtr[o] = v }
 
-// AddBreakCounter adjusts the break counter by delta. It returns the
-// un-clamped new value so the caller can detect "would drop below zero"
-// (the paper's break condition with static thresholding) along with the
-// stored saturated value.
-func (b *Block) AddBreakCounter(o int, delta int) int {
-	v := int(b.breakCtr[o]) + delta
-	stored := v
-	if stored < 0 {
-		stored = 0
-	}
-	if stored > 255 {
-		stored = 255
-	}
-	b.breakCtr[o] = uint8(stored)
-	return v
-}
-
 // Hierarchy is the full recursive position map. Level 0 is the data; levels
 // 1..Depth() are position-map blocks living in the ORAM tree; the leaves of
 // the level-Depth blocks are held on-chip.
 type Hierarchy struct {
 	cfg    Config
-	counts []uint64            // counts[l] = number of blocks at level l (l=0 is data)
-	blocks []map[uint64]*Block // blocks[l] for l >= 1, lazily materialized
-	onChip map[uint64]mem.Leaf // leaves of the top-level (level Depth) blocks; absent = NoLeaf
+	counts []uint64   // counts[l] = number of blocks at level l (l=0 is data)
+	blocks [][]*Block // blocks[l][index] for l >= 1; nil until first touch
+	onChip []mem.Leaf // leaves of the top-level (level Depth) blocks; NoLeaf until assigned
 }
 
 // New builds the hierarchy. Position-map block contents are materialized
@@ -148,18 +131,25 @@ func New(cfg Config) (*Hierarchy, error) {
 		counts = append(counts, (n+uint64(cfg.Fanout)-1)/uint64(cfg.Fanout))
 	}
 	h := &Hierarchy{cfg: cfg, counts: counts}
-	h.blocks = make([]map[uint64]*Block, len(counts))
+	// One pointer per position-map block up front; the blocks themselves
+	// (entries and counters, ~80x the pointer) stay lazy, so a sparsely
+	// touched hierarchy stays small.
+	h.blocks = make([][]*Block, len(counts))
 	for l := 1; l < len(counts); l++ {
-		h.blocks[l] = make(map[uint64]*Block)
+		h.blocks[l] = make([]*Block, counts[l])
 	}
-	h.onChip = make(map[uint64]mem.Leaf)
+	h.onChip = make([]mem.Leaf, counts[len(counts)-1])
+	for i := range h.onChip {
+		h.onChip[i] = mem.NoLeaf
+	}
 	return h, nil
 }
 
 // materialize returns the block at (level, index), creating it with
-// unassigned entries on first touch.
+// unassigned entries on first touch. Callers pass 1 <= level <= Depth()
+// and index < Count(level).
 func (h *Hierarchy) materialize(level int, index uint64) *Block {
-	if b, ok := h.blocks[level][index]; ok {
+	if b := h.blocks[level][index]; b != nil {
 		return b
 	}
 	nChildren := h.cfg.Fanout
@@ -171,10 +161,9 @@ func (h *Hierarchy) materialize(level int, index uint64) *Block {
 		b.Entries[e] = Entry{Leaf: mem.NoLeaf, SBSize: 1}
 	}
 	if level == 1 {
-		//proram:allow allocdiscipline one-time per-block counter storage, allocated on first touch
-		b.mergeCtr = make([]uint8, nChildren)
-		//proram:allow allocdiscipline one-time per-block counter storage, allocated on first touch
-		b.breakCtr = make([]uint8, nChildren)
+		// Both counter arrays share one backing array.
+		ctrs := make([]uint8, 2*nChildren) //proram:allow allocdiscipline one-time per-block counter storage, allocated on first touch
+		b.mergeCtr, b.breakCtr = ctrs[:nChildren:nChildren], ctrs[nChildren:]
 	}
 	h.blocks[level][index] = b
 	return b
@@ -224,9 +213,14 @@ func (h *Hierarchy) Parent(level int, index uint64) (uint64, int) {
 //
 //proram:hotpath position lookup on every path read
 func (h *Hierarchy) EntryFor(level int, index uint64) *Entry {
-	if level >= h.Depth() {
+	counts := h.counts
+	if level < 0 || level >= len(counts)-1 {
 		//proram:invariant callers branch to TopLeaf for level == Depth() first; reaching here with one is a recursion bug, not an input error
 		panic(fmt.Sprintf("posmap: EntryFor level %d has no parent block (depth %d)", level, h.Depth()))
+	}
+	if index >= counts[level] {
+		//proram:invariant indices come from mem.BlockID values bounds-checked at construction; past the level's count there is no slab slot to materialize
+		panic(fmt.Sprintf("posmap: EntryFor index %d out of range at level %d", index, level))
 	}
 	pi, slot := h.Parent(level, index)
 	return &h.materialize(level+1, pi).Entries[slot] //proram:allow boundscheck slot = index mod Fanout and every materialized block carries Fanout entries; the container is a call result the prover cannot name
@@ -237,14 +231,22 @@ func (h *Hierarchy) EntryFor(level int, index uint64) *Entry {
 //
 //proram:hotpath on-chip table read for every recursion walk
 func (h *Hierarchy) TopLeaf(index uint64) mem.Leaf {
-	if leaf, ok := h.onChip[index]; ok {
-		return leaf
+	onChip := h.onChip
+	i := int(index)
+	if i < 0 || i >= len(onChip) {
+		return mem.NoLeaf // not a top-level block: never assigned
 	}
-	return mem.NoLeaf
+	return onChip[i]
 }
 
 // SetTopLeaf updates the on-chip mapping of a top-level block.
-func (h *Hierarchy) SetTopLeaf(index uint64, leaf mem.Leaf) { h.onChip[index] = leaf }
+func (h *Hierarchy) SetTopLeaf(index uint64, leaf mem.Leaf) {
+	if index >= uint64(len(h.onChip)) {
+		//proram:invariant indices come from mem.BlockID values the controller built against this hierarchy's top-level count
+		panic(fmt.Sprintf("posmap: SetTopLeaf index %d out of range (%d top-level blocks)", index, len(h.onChip)))
+	}
+	h.onChip[index] = leaf
+}
 
 // TotalBlocks returns the number of ORAM-resident blocks across all levels
 // (data + all position-map levels). This sizes the tree.

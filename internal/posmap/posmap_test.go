@@ -121,11 +121,8 @@ func TestCounters(t *testing.T) {
 	}
 
 	b.SetBreakCounter(4, 4)
-	if raw := b.AddBreakCounter(4, -6); raw != -2 {
-		t.Fatalf("AddBreakCounter raw = %d, want -2", raw)
-	}
-	if b.BreakCounter(4) != 0 {
-		t.Fatalf("break counter stored %d, want clamped 0", b.BreakCounter(4))
+	if b.BreakCounter(4) != 4 || b.BreakCounter(0) != 0 {
+		t.Fatalf("break counters = %d,%d, want 4,0", b.BreakCounter(4), b.BreakCounter(0))
 	}
 }
 
@@ -215,20 +212,6 @@ func TestPLBDisabled(t *testing.T) {
 	}
 	if p.Len() != 0 {
 		t.Fatal("disabled PLB cached a block")
-	}
-}
-
-func TestPLBRemove(t *testing.T) {
-	p := NewPLB(2)
-	a := mem.MakeID(1, 0)
-	p.Insert(a)
-	p.MarkDirty(a)
-	dirty, present := p.Remove(a)
-	if !present || !dirty {
-		t.Fatalf("Remove = %v,%v", dirty, present)
-	}
-	if _, present := p.Remove(a); present {
-		t.Fatal("double Remove reported present")
 	}
 }
 

@@ -26,13 +26,24 @@ func mustAdd(t *testing.T, s *Stash, id mem.BlockID, leaf mem.Leaf) {
 	}
 }
 
+// leafOf reads a stashed block's leaf the only way the package offers:
+// through ForEach.
+func leafOf(s *Stash, want mem.BlockID) (leaf mem.Leaf, ok bool) {
+	s.ForEach(func(id mem.BlockID, l mem.Leaf) {
+		if id == want {
+			leaf, ok = l, true
+		}
+	})
+	return leaf, ok
+}
+
 func TestAddRemoveContains(t *testing.T) {
 	s := mustNew(t, 10)
 	mustAdd(t, s, id(1), 5)
 	if !s.Contains(id(1)) || s.Size() != 1 {
 		t.Fatal("Add/Contains broken")
 	}
-	if leaf, ok := s.Leaf(id(1)); !ok || leaf != 5 {
+	if leaf, ok := leafOf(s, id(1)); !ok || leaf != 5 {
 		t.Fatalf("Leaf = %d,%v", leaf, ok)
 	}
 	if !s.Remove(id(1)) {
@@ -55,7 +66,7 @@ func TestDuplicateAddErrors(t *testing.T) {
 	if err := s.Add(mem.Nil, 0); err == nil {
 		t.Fatal("Add of nil block did not error")
 	}
-	if leaf, _ := s.Leaf(id(1)); leaf != 0 {
+	if leaf, _ := leafOf(s, id(1)); leaf != 0 {
 		t.Fatalf("failed Add changed leaf to %d", leaf)
 	}
 }
@@ -66,7 +77,7 @@ func TestSetLeaf(t *testing.T) {
 	if !s.SetLeaf(id(1), 9) {
 		t.Fatal("SetLeaf failed for present block")
 	}
-	if leaf, _ := s.Leaf(id(1)); leaf != 9 {
+	if leaf, _ := leafOf(s, id(1)); leaf != 9 {
 		t.Fatalf("leaf after SetLeaf = %d", leaf)
 	}
 	if s.SetLeaf(id(2), 0) {
@@ -258,5 +269,59 @@ func TestNewRejectsBadLimit(t *testing.T) {
 		if _, err := New(limit); err == nil {
 			t.Fatalf("New(%d) did not error", limit)
 		}
+	}
+}
+
+// The write-back path must not allocate once its buffers are warm: a
+// path's worth of Adds, a remap and the eviction reuse the order slice,
+// the table, the depth buckets and the carry list — also when the eviction
+// ends in a compaction. (Reslicing carry from the front, as this code once
+// did, gave its capacity away and reallocated it on almost every access.)
+func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	tr := tree.New(10, 3)
+	s := mustNew(t, 100)
+	r := rng.New(5)
+	// Half-fill the tree, every block on the path of its leaf.
+	leafOf := make([]mem.Leaf, tr.Capacity()/2)
+	for i := range leafOf {
+		leafOf[i] = mem.Leaf(r.Uint64n(tr.Leaves()))
+		for depth := tr.Levels(); depth >= 0; depth-- {
+			if tr.PlaceAt(leafOf[i], depth, id(uint64(i))) {
+				break
+			}
+		}
+	}
+	var buf []mem.BlockID
+	compactions := 0
+	access := func() {
+		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
+		buf = tr.RemovePath(leaf, buf[:0])
+		for _, b := range buf {
+			if err := s.Add(b, leafOf[b.Index()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(buf) > 0 {
+			victim := buf[r.Intn(len(buf))]
+			leafOf[victim.Index()] = mem.Leaf(r.Uint64n(tr.Leaves()))
+			if !s.SetLeaf(victim, leafOf[victim.Index()]) {
+				t.Fatalf("SetLeaf lost %v", victim)
+			}
+		}
+		before := len(s.order)
+		s.EvictToPath(tr, leaf)
+		if len(s.order) < before {
+			compactions++
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		access() // warm-up: buffers reach their steady capacity
+	}
+	compactions = 0
+	if avg := testing.AllocsPerRun(500, access); avg != 0 {
+		t.Fatalf("steady-state path access allocates %.2f times", avg)
+	}
+	if compactions == 0 {
+		t.Fatal("the measured accesses never compacted; the test lost its coverage")
 	}
 }

@@ -11,6 +11,7 @@ package tree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"proram/internal/mem"
 )
@@ -80,13 +81,8 @@ func (t *Tree) NodeAt(leaf mem.Leaf, depth int) uint64 {
 //
 //proram:hotpath eviction depth computation for every stashed block
 func (t *Tree) CommonDepth(a, b mem.Leaf) int {
-	x := uint64(a) ^ uint64(b)
-	d := t.levels
-	for x != 0 {
-		x >>= 1
-		d--
-	}
-	return d
+	// The paths diverge at the highest bit in which the labels differ.
+	return t.levels - bits.Len64(uint64(a)^uint64(b))
 }
 
 // slotBase returns the index of node's first slot in the flat slot array.
@@ -157,6 +153,36 @@ func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 		}
 	}
 	return false
+}
+
+// FillAt places ids, in order, into the free slots of the bucket at the
+// given depth on the path to leaf, first free slot first — exactly what
+// one PlaceAt per id would do — and returns how many it placed: min(free
+// slots, len(ids)). The write-back loop uses it so that each bucket is
+// located and scanned once per path access.
+//
+//proram:hotpath the write-back of one bucket on every path access
+func (t *Tree) FillAt(leaf mem.Leaf, depth int, ids []mem.BlockID) int {
+	base := t.slotBase(t.NodeAt(leaf, depth))
+	bucket := t.slots[base : base+uint64(t.z)]
+	n := 0
+	for i := range bucket {
+		if n >= len(ids) {
+			break
+		}
+		if !bucket[i].IsNil() {
+			continue
+		}
+		id := ids[n]
+		if id.IsNil() {
+			//proram:invariant placing Nil would corrupt the free-slot accounting silently; callers iterate live stash entries only
+			panic("tree: FillAt with nil block")
+		}
+		bucket[i] = id
+		n++
+	}
+	t.used += uint64(n)
+	return n
 }
 
 // FreeAt returns the number of free slots in the bucket at depth on path
