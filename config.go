@@ -50,7 +50,11 @@ type Config struct {
 	MaxSuperBlock int
 	// CacheBlocks sizes the client-side block cache that plays the LLC's
 	// role: it serves repeated reads locally and lets the dynamic scheme
-	// observe co-residency. Default 4096 blocks.
+	// observe co-residency. Default 4096 blocks; at least 16 and at least
+	// MaxSuperBlock (per partition under NewSharded, where each partition
+	// gets max(16, CacheBlocks/Partitions)): a cache smaller than one super
+	// block would evict a demand line under its own prefetched siblings, so
+	// New and NewSharded refuse it.
 	CacheBlocks int
 	// Z is the tree bucket size (default 3).
 	Z int
@@ -72,10 +76,10 @@ type Config struct {
 	// round shape is workload-independent. 0 picks 2×(MaxSuperBlock+1),
 	// the smallest round with headroom for two requests.
 	RoundSlots int
-	// DRAM selects the memory timing model behind the ORAM controller(s).
-	// Nil keeps the legacy flat serialized channel; a banked model schedules
-	// every tree bucket individually across channels and banks. Under
-	// NewSharded a banked model is ONE device all partitions contend for.
+	// DRAM selects the memory device behind the ORAM controller(s): nil is
+	// DRAMFlat, one serialized channel; a banked model schedules every tree
+	// bucket individually across channels and banks. Under NewSharded a
+	// banked model is ONE device all partitions contend for.
 	DRAM *DRAMConfig
 }
 
@@ -83,8 +87,8 @@ type Config struct {
 type DRAMModel int
 
 const (
-	// DRAMFlat is the legacy model: one serialized channel, every path
-	// access a bulk transfer that owns the whole device.
+	// DRAMFlat is one serialized channel: every path access is a bulk
+	// transfer that owns the whole device.
 	DRAMFlat DRAMModel = iota
 	// DRAMBanked is the multi-channel banked model with the tree stored in
 	// plain heap order (buckets scatter over rows).

@@ -91,8 +91,8 @@ func (c Config) Validate() error {
 }
 
 // PathTiming breaks one ORAM path access into its phase completion times.
-// The flat model collapses all four into a single serialized window; a
-// banked device overlaps them across channels.
+// The flat device collapses them into a single serialized window; a banked
+// device overlaps them across channels.
 type PathTiming struct {
 	// Start is the cycle the first bucket command was issued.
 	Start uint64
@@ -107,15 +107,26 @@ type PathTiming struct {
 
 // Device is a path-granular memory timing backend: the ORAM controller
 // hands it whole path accesses (identified by tree leaf) and consumes the
-// phase schedule it returns. internal/dram/banked implements it; the flat
-// analytic model in this package predates the interface and stays the
-// default when no Device is configured.
+// phase schedule it returns. Flat and internal/dram/banked implement it.
 type Device interface {
 	// Path schedules the full read+write-back of the path to leaf, with the
 	// first command issuing no earlier than now.
 	Path(now uint64, leaf uint64) PathTiming
-	// Reset clears device timing state and statistics.
-	Reset()
+}
+
+// Flat is the analytic device: one serialized channel that every path
+// access owns for Latency cycles, whatever the leaf, so nothing overlaps
+// and every phase completes at now + Latency.
+type Flat struct {
+	Latency uint64
+}
+
+// Path implements Device.
+//
+//proram:hotpath one call per ORAM path access on the flat model
+func (f Flat) Path(now uint64, _ uint64) PathTiming {
+	done := now + f.Latency
+	return PathTiming{Start: now, ReadDone: done, DataReady: done, Done: done}
 }
 
 // Stats aggregates what the device did over a run.

@@ -212,3 +212,15 @@ func TestResetKeepsObsCoherent(t *testing.T) {
 		t.Fatal("CheckObs missed a stats-vs-obs divergence")
 	}
 }
+
+// TestFlatDevice: the flat device ignores the leaf and completes every
+// phase of a path access Latency cycles after it was handed over.
+func TestFlatDevice(t *testing.T) {
+	var dev Device = Flat{Latency: 2364}
+	for _, leaf := range []uint64{0, 7, 1 << 20} {
+		pt := dev.Path(500, leaf)
+		if want := (PathTiming{Start: 500, ReadDone: 2864, DataReady: 2864, Done: 2864}); pt != want {
+			t.Fatalf("leaf %d: %+v, want %+v", leaf, pt, want)
+		}
+	}
+}

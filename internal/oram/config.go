@@ -47,13 +47,13 @@ type Config struct {
 	// eviction pressure.
 	TreeLevelsOverride int
 
-	// DRAM supplies channel latency/bandwidth for the flat timing model.
+	// DRAM supplies channel latency/bandwidth for the flat device.
 	DRAM dram.Config
-	// Banked, when non-nil, replaces the flat per-path latency with a banked
-	// multi-channel device: every bucket of every path is scheduled
+	// Banked, when non-nil, replaces the flat device with a banked
+	// multi-channel one: every bucket of every path is scheduled
 	// individually (row-buffer state, per-channel buses) through the layout
 	// in Banked.Layout, and the read and write-back phases of consecutive
-	// paths overlap. Nil keeps the legacy analytic model bit-identical.
+	// paths overlap.
 	Banked *banked.Config
 	// CryptoLatency is the fixed pipeline-fill cost charged per path
 	// access for decryption/encryption.

@@ -37,12 +37,11 @@ type Controller struct {
 	rnd    *rng.Source
 	prober CacheProber
 
-	pathLat uint64
 	lastEnd uint64
-	// dev, when non-nil, schedules path accesses bucket-by-bucket on a
-	// banked device instead of charging the flat pathLat. Dependent work
-	// chains at the device's data-ready time, so the write-back phase of one
-	// path overlaps the read phase of the next.
+	// dev times every path access: the flat analytic channel, or a banked
+	// device scheduling bucket by bucket. Dependent work chains at the
+	// device's data-ready time, so on a banked device the write-back phase
+	// of one path overlaps the read phase of the next.
 	dev dram.Device
 
 	// hitBits holds the per-data-block hit bit: whether the block's last
@@ -102,8 +101,8 @@ func New(cfg Config) (*Controller, error) {
 		rnd:     rng.New(cfg.Seed),
 		hitBits: newBitset(cfg.NumBlocks),
 		chain:   make([]uint64, pm.Depth()+1),
+		dev:     dram.Flat{Latency: cfg.PathLatency(levels)},
 	}
-	c.pathLat = cfg.PathLatency(levels)
 	if cfg.Banked != nil {
 		dev, err := banked.NewDevice(*cfg.Banked, levels, cfg.Z, cfg.BlockBytes, cfg.CryptoLatency)
 		if err != nil {
@@ -125,11 +124,15 @@ func (c *Controller) SetProber(p CacheProber) { c.prober = p }
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
+// MaxSuperBlock returns the largest super block the policy forms (1 under
+// the baseline scheme): one more than the most siblings a Read prefetches.
+func (c *Controller) MaxSuperBlock() int { return c.policy.MaxSize() }
+
 // TreeLevels returns the depth of the instantiated tree.
 func (c *Controller) TreeLevels() int { return c.tr.Levels() }
 
-// PathLatency returns the per-path-access latency in cycles.
-func (c *Controller) PathLatency() uint64 { return c.pathLat }
+// PathLatency returns the flat model's per-path-access latency in cycles.
+func (c *Controller) PathLatency() uint64 { return c.cfg.PathLatency(c.tr.Levels()) }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (c *Controller) Stats() Stats {
@@ -215,16 +218,12 @@ func (c *Controller) scheduleStart(ready uint64) uint64 {
 //
 //proram:hotpath the core path read+write of every ORAM access
 func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind, during func()) uint64 {
-	end := start + c.pathLat
-	busy := c.pathLat
-	if c.dev != nil {
-		// Banked device: dependent work resumes at data-ready (read phase +
-		// crypto drain); the write-back keeps draining underneath the next
-		// path's reads, charged as channel occupancy, not request latency.
-		pt := c.dev.Path(start, uint64(leaf))
-		end = pt.DataReady
-		busy = pt.Done - start
-	}
+	// Dependent work resumes at data-ready (read phase + crypto drain); on a
+	// banked device the write-back keeps draining underneath the next path's
+	// reads, charged as channel occupancy, not request latency.
+	pt := c.dev.Path(start, uint64(leaf))
+	end := pt.DataReady
+	busy := pt.Done - start
 	c.lastEnd = end
 	c.stats.PathAccesses++
 	c.stats.BusyCycles += busy
@@ -510,10 +509,6 @@ func (b bitset) clear(i uint64) {
 // PosMapDepth returns the number of position-map levels above the data
 // (the paper's hierarchy count minus one).
 func (c *Controller) PosMapDepth() int { return c.pm.Depth() }
-
-// Device returns the banked device driving the timing model, or nil when
-// the controller charges the flat analytic path latency.
-func (c *Controller) Device() dram.Device { return c.dev }
 
 // DeviceStats returns the banked device's statistics when one is attached.
 func (c *Controller) DeviceStats() (banked.Stats, bool) {

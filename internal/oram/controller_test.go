@@ -3,6 +3,7 @@ package oram
 import (
 	"testing"
 
+	"proram/internal/dram"
 	"proram/internal/rng"
 	"proram/internal/superblock"
 )
@@ -420,6 +421,41 @@ func TestPathLatencyOverride(t *testing.T) {
 	}
 	if c.PathLatency() != 2364 {
 		t.Fatalf("PathLatency = %d, want 2364", c.PathLatency())
+	}
+}
+
+// TestFlatDeviceTiming: without a banked configuration the controller's
+// one timing path runs on dram.Flat, and every path access starts where
+// the previous one ended and takes exactly cfg.PathLatency(levels) — for a
+// pinned latency and for the one derived from geometry and bandwidth.
+func TestFlatDeviceTiming(t *testing.T) {
+	for _, override := range []uint64{2364, 0} {
+		cfg := testConfig()
+		cfg.PathLatencyOverride = override
+		cfg.RecordTrace = true
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := cfg.PathLatency(c.TreeLevels())
+		if override != 0 && lat != override {
+			t.Fatalf("PathLatency = %d, want the override %d", lat, override)
+		}
+		if dev, ok := c.dev.(dram.Flat); !ok || dev.Latency != lat {
+			t.Fatalf("override %d: device %#v, want dram.Flat{%d}", override, c.dev, lat)
+		}
+		const start = 1000
+		res := c.Read(start, 42)
+		for i, ev := range c.Trace() {
+			if want := start + uint64(i)*lat; ev.Start != want {
+				t.Fatalf("override %d: path %d starts at %d, want %d", override, i, ev.Start, want)
+			}
+		}
+		n := uint64(len(c.Trace()))
+		if n == 0 || res.Done != start+n*lat || c.Stats().BusyCycles != n*lat {
+			t.Fatalf("override %d: %d paths, Done %d, busy %d, want Done %d and busy %d",
+				override, n, res.Done, c.Stats().BusyCycles, start+n*lat, n*lat)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,7 +31,8 @@ type Config struct {
 	Blocks     uint64
 	BlockBytes int
 	// CacheBlocks is the total client-side cache budget, split evenly
-	// across partitions (16 per partition minimum).
+	// across partitions (16 per partition minimum; NewCache refuses a share
+	// below the controller's MaxSuperBlock).
 	CacheBlocks int
 	// MaxSuperBlock bounds the per-partition prefetcher's super block size
 	// and with it the worst-case accesses one request can cost.
@@ -194,10 +194,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 	// granularity. A 25% margin plus a constant floor keeps the overflow
 	// probability negligible at any practical scale.
 	localBlocks := cfg.Blocks/p64 + cfg.Blocks/(4*p64) + 64
-	cacheBlocks := cfg.CacheBlocks / cfg.Partitions
-	if cacheBlocks < 16 {
-		cacheBlocks = 16
-	}
+	cacheBlocks := cfg.CacheBlocks / cfg.Partitions // >= 16 after normalize
 	// Shared-device arbitration replays each round's access sequence at the
 	// barrier, and the auditor tests the observed trace — both need the
 	// per-round traces even when the caller didn't ask for the access log.
@@ -225,7 +222,6 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 		p := &partition{
 			id:          i,
 			localBlocks: localBlocks,
-			cacheBlocks: cacheBlocks,
 			roundSlots:  cfg.RoundSlots,
 			maxCost:     cfg.MaxSuperBlock + 1,
 			record:      record,
@@ -235,12 +231,12 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			store:       NewStore(ctrl, sealer, cfg.BlockBytes),
 			dummyRnd:    rng.New(mix(seedP, 3)),
 			local:       make(map[uint64]uint64),
-			cache:       make(map[uint64]*list.Element),
-			lru:         list.New(),
 			work:        make(chan roundWork),
 			results:     f.results,
 		}
-		ctrl.SetProber(p)
+		if p.cache, err = NewCache(p.store, cacheBlocks, func() { p.mark(false) }); err != nil {
+			return nil, fmt.Errorf("shard: partition %d: %w", i, err)
+		}
 		f.parts[i] = p
 		go p.run()
 	}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/list"
 	"fmt"
 
 	"proram/internal/oram"
@@ -66,16 +65,6 @@ type roundResult struct {
 	servedArr []uint64   // arrival rounds of answered requests (latency only)
 }
 
-// cacheLine is one plaintext block in a partition's client-side cache
-// (the per-partition LLC stand-in the prefetcher feeds).
-type cacheLine struct {
-	local      uint64
-	data       []byte
-	dirty      bool
-	prefetched bool
-	used       bool
-}
-
 // partition is one independent Path ORAM shard plus its worker state.
 // Everything below is owned by the worker goroutine while a round is in
 // flight; the dispatcher may read counters and the store clock only
@@ -84,7 +73,6 @@ type cacheLine struct {
 type partition struct {
 	id          int
 	localBlocks uint64
-	cacheBlocks int
 	roundSlots  int
 	maxCost     int  // conservative accesses per demand request
 	record      bool // keep per-round traces
@@ -93,15 +81,13 @@ type partition struct {
 	dropDummies bool // LeakDropDummies negative control: lie about padding
 
 	store    *Store
+	cache    *Cache // client-side lines keyed by local slot; marks each access it issues
 	dummyRnd *rng.Source
 
 	// local maps global block index -> dense local slot, assigned in
 	// first-touch order. Only ever indexed, never iterated.
 	local     map[uint64]uint64
 	nextLocal uint64
-
-	cache map[uint64]*list.Element // local index -> cacheLine element
-	lru   *list.List
 
 	lastTraceLen int
 	curMarks     []slotMark // marks of the round in flight (markSlots only)
@@ -118,15 +104,6 @@ type partition struct {
 
 	work    chan roundWork
 	results chan<- roundResult
-}
-
-// Present implements oram.CacheProber over the partition cache, letting
-// the per-partition merge algorithm probe for co-resident blocks.
-//
-//proram:hotpath probed once per super-block candidate on every dynamic merge
-func (p *partition) Present(local uint64) bool {
-	_, ok := p.cache[local]
-	return ok
 }
 
 // run is the worker goroutine: one round in, one result out, until the
@@ -188,13 +165,17 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 	for _, req := range w.reqs {
 		local, err := p.localSlot(req.index)
 		if err != nil {
-			p.answer(req, response{err: err}, res)
-			res.errors++
-			p.requestErrors++
+			p.fail(req, err, res)
 			continue
 		}
-		if e, ok := p.cache[local]; ok {
-			p.serveCached(req, e, res)
+		// A hit costs no ORAM access. This is also how duplicate requests
+		// within a round coalesce — the first miss installs the line, the
+		// rest hit it.
+		//proram:public whether a slot is cached follows the public access sequence; the line is only container-tainted by its payload bytes
+		if line := p.cache.Lookup(local); line != nil {
+			p.cacheHits++
+			res.hits++
+			p.finish(req, line, res)
 			continue
 		}
 		if budget < p.maxCost {
@@ -229,75 +210,38 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 	}
 }
 
-// serveCached answers a request from the cache: no ORAM access. This is
-// also how duplicate requests within a round coalesce — the first miss
-// installs the line, the rest hit it.
-func (p *partition) serveCached(req *request, e *list.Element, res *roundResult) {
-	p.cacheHits++
-	res.hits++
-	p.lru.MoveToFront(e)
-	line := e.Value.(*cacheLine)
-	//proram:public prefetch bookkeeping flags track the public access sequence; the line is only container-tainted by its payload bytes
-	if line.prefetched && !line.used {
-		line.used = true
-		//proram:public the local slot index is public address metadata, assigned in first-touch order independent of payload bytes
-		p.store.Ctrl.NotifyPrefetchUse(line.local)
-	}
-	p.finish(req, line, res)
-}
-
-// demandAccess misses into the ORAM: one full recursive access for the
-// demand block, installs for it and its prefetched siblings, and a
-// write-back access per dirty line those installs evict. Returns the
-// number of ORAM accesses consumed.
+// demandAccess serves a miss with one Cache.Fetch — the demand access plus
+// a write-back per dirty line its installs evict, each marked as its slot
+// closes — and returns the number of ORAM accesses consumed.
 func (p *partition) demandAccess(req *request, local uint64, res *roundResult) int {
-	cost := 1
-	r := p.store.DemandRead(local)
-	p.mark(false)
-	res.real++
-	p.realAccesses++
-	line, evicted, err := p.install(local, false)
-	cost += evicted
-	res.real += evicted
-	p.realAccesses += uint64(evicted)
+	line, cost, err := p.cache.Fetch(local)
+	res.real += cost
+	p.realAccesses += uint64(cost)
 	if err != nil {
-		p.answer(req, response{err: err}, res)
-		res.errors++
-		p.requestErrors++
+		p.fail(req, fmt.Errorf("shard: partition %d: %w", p.id, err), res)
 		return cost
-	}
-	for _, pf := range r.Prefetched {
-		if _, ok := p.cache[pf]; ok {
-			continue
-		}
-		_, ev, err := p.install(pf, true)
-		cost += ev
-		res.real += ev
-		p.realAccesses += uint64(ev)
-		if err != nil {
-			// The demand request already has its line; a corrupt prefetch
-			// sibling only loses the prefetch.
-			continue
-		}
 	}
 	p.finish(req, line, res)
 	return cost
 }
 
 // finish applies the request to its cached line and answers it.
-func (p *partition) finish(req *request, line *cacheLine, res *roundResult) {
+func (p *partition) finish(req *request, line *Line, res *roundResult) {
 	if req.write {
 		p.writes++
-		clear(line.data)
-		copy(line.data, req.data)
-		line.dirty = true
+		line.Set(req.data)
 		p.answer(req, response{}, res)
 		return
 	}
 	p.reads++
-	out := make([]byte, len(line.data))
-	copy(out, line.data)
-	p.answer(req, response{data: out}, res)
+	p.answer(req, response{data: line.Bytes()}, res)
+}
+
+// fail answers a request with an error.
+func (p *partition) fail(req *request, err error, res *roundResult) {
+	res.errors++
+	p.requestErrors++
+	p.answer(req, response{err: err}, res)
 }
 
 // answer replies to a request (the response channel is buffered, so the
@@ -311,46 +255,6 @@ func (p *partition) answer(req *request, resp response, res *roundResult) {
 	req.resp <- resp
 }
 
-// install decrypts a block into the cache and evicts past capacity,
-// returning the line and how many ORAM write-back accesses the evictions
-// cost.
-func (p *partition) install(local uint64, prefetched bool) (*cacheLine, int, error) {
-	data, err := p.store.Load(local)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: partition %d: %w", p.id, err)
-	}
-	line := &cacheLine{local: local, data: data, prefetched: prefetched}
-	p.cache[local] = p.lru.PushFront(line)
-	evicted := 0
-	for p.lru.Len() > p.cacheBlocks {
-		n, err := p.evictLRU()
-		evicted += n
-		if err != nil {
-			return nil, evicted, err
-		}
-	}
-	return line, evicted, nil
-}
-
-// evictLRU drops the least-recently-used line, writing it back through
-// the shared Store helper when dirty. Returns the ORAM accesses spent
-// (0 for a clean victim, 1 for a dirty one).
-func (p *partition) evictLRU() (int, error) {
-	back := p.lru.Back()
-	line := back.Value.(*cacheLine)
-	p.lru.Remove(back)
-	delete(p.cache, line.local)
-	if line.prefetched && !line.used {
-		p.store.Ctrl.NotifyPrefetchEvict(line.local)
-	}
-	if !line.dirty {
-		return 0, nil
-	}
-	err := p.store.WriteBack(line.local, line.data)
-	p.mark(false)
-	return 1, err
-}
-
 // dummyAccess performs one padding access: a full recursive read of a
 // uniformly random local block, indistinguishable on the wire from a
 // demand access. The result is discarded — nothing enters the cache, so
@@ -361,25 +265,14 @@ func (p *partition) dummyAccess() {
 	p.store.DemandRead(p.dummyRnd.Uint64n(p.localBlocks))
 }
 
-// flushRound writes every dirty cached line back (front-to-back, a
-// deterministic order), counting the accesses so the dispatcher can pad
-// all partitions to the same flush length.
+// flushRound writes every dirty cached line back, counting the accesses
+// so the dispatcher can pad all partitions to the same flush length.
 func (p *partition) flushRound(res *roundResult) {
-	for e := p.lru.Front(); e != nil; e = e.Next() {
-		line := e.Value.(*cacheLine)
-		if !line.dirty {
-			continue
-		}
-		if err := p.store.WriteBack(line.local, line.data); err != nil {
-			res.errors++
-			p.requestErrors++
-			continue
-		}
-		p.mark(false)
-		line.dirty = false
-		res.real++
-		p.flushAccesses++
-	}
+	written, failed, _ := p.cache.Flush()
+	res.real += written
+	p.flushAccesses += uint64(written)
+	res.errors += failed
+	p.requestErrors += uint64(failed)
 }
 
 // padRound equalizes a flush round: padTo additional dummy accesses.

@@ -380,10 +380,14 @@ func TestStoreRoundtrip(t *testing.T) {
 		t.Fatal("Load did not return the written payload")
 	}
 	// Sealing is unauthenticated CTR (integrity is out of scope, as in the
-	// paper), so bit flips pass; structural damage must not.
-	st.Sealed[5] = st.Sealed[5][:4]
-	if _, err := st.Load(5); err == nil {
-		t.Fatal("Load accepted a truncated sealed block")
+	// paper), so bit flips pass; structural damage must not. 20 bytes still
+	// hold a whole nonce, so they would open as a 4-byte "block".
+	whole := st.Sealed[5]
+	for _, damaged := range [][]byte{whole[:4], whole[:20], append(whole[:len(whole):len(whole)], 0)} {
+		st.Sealed[5] = damaged
+		if got, err := st.Load(5); err == nil {
+			t.Fatalf("Load opened a %d-byte sealed block as %d plaintext bytes", len(damaged), len(got))
+		}
 	}
 }
 

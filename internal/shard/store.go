@@ -10,9 +10,7 @@ import (
 // Store binds one Path ORAM controller to its sealed payload storage and
 // its simulated clock: the complete "one oblivious block device" bundle.
 // The unified proram.RAM owns exactly one Store; the sharded frontend owns
-// one per partition. Factoring it here gives both frontends a single
-// seal-and-write-back implementation (and a single demand-read path)
-// instead of three hand-rolled copies.
+// one per partition, each under one Cache.
 //
 // A Store is not safe for concurrent use: the unified RAM serializes
 // callers, and each partition worker goroutine owns its Store exclusively.
@@ -70,11 +68,16 @@ func (s *Store) WriteBack(index uint64, data []byte) error {
 }
 
 // Load returns a fresh plaintext buffer for block index: the decrypted
-// payload when one is stored, an all-zero block otherwise. It performs no
-// ORAM access — callers pair it with DemandRead (or a prefetch result).
+// payload when one is stored, an all-zero block otherwise. A stored
+// ciphertext of any length but the sealed block size is corrupt — opened,
+// it would hand the caller a short (or long) block. Load performs no ORAM
+// access — callers pair it with DemandRead (or a prefetch result).
 func (s *Store) Load(index uint64) ([]byte, error) {
 	data := make([]byte, s.blockBytes)
 	if sealed, ok := s.Sealed[index]; ok {
+		if want := seal.SealedSize(s.blockBytes); len(sealed) != want {
+			return nil, fmt.Errorf("block %d corrupt: %d sealed bytes, want %d", index, len(sealed), want)
+		}
 		plain, err := s.Sealer.Open(data[:0], sealed)
 		if err != nil {
 			return nil, fmt.Errorf("block %d corrupt: %w", index, err)

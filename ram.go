@@ -1,7 +1,6 @@
 package proram
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 
@@ -26,21 +25,13 @@ import (
 type RAM struct {
 	cfg   Config
 	store *shard.Store
+	// cache is the client-side plaintext block cache (the LLC stand-in),
+	// the same one every ShardedRAM partition runs.
+	cache *shard.Cache
 
-	// cache is the client-side plaintext block cache (the LLC stand-in).
-	cache     map[uint64]*list.Element
-	lru       *list.List
 	reads     uint64
 	writes    uint64
 	cacheHits uint64
-}
-
-type cacheLine struct {
-	index      uint64
-	data       []byte
-	dirty      bool
-	prefetched bool
-	used       bool
 }
 
 // New builds an oblivious RAM.
@@ -53,14 +44,11 @@ func New(cfg Config) (*RAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &RAM{
-		cfg:   cfg,
-		store: store,
-		cache: make(map[uint64]*list.Element),
-		lru:   list.New(),
+	cache, err := shard.NewCache(store, cfg.CacheBlocks, nil)
+	if err != nil {
+		return nil, fmt.Errorf("proram: CacheBlocks: %w", err)
 	}
-	store.Ctrl.SetProber(ramProber{r})
-	return r, nil
+	return &RAM{cfg: cfg, store: store, cache: cache}, nil
 }
 
 // newStore assembles the controller + sealer + payload storage bundle the
@@ -75,14 +63,6 @@ func newStore(cfg Config) (*shard.Store, error) {
 		return nil, err
 	}
 	return shard.NewStore(ctrl, sealer, cfg.BlockBytes), nil
-}
-
-// ramProber lets the controller's merge algorithm see the client cache.
-type ramProber struct{ r *RAM }
-
-func (p ramProber) Present(index uint64) bool {
-	_, ok := p.r.cache[index]
-	return ok
 }
 
 // Blocks returns the capacity in blocks.
@@ -106,9 +86,7 @@ func (r *RAM) Read(index uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, r.cfg.BlockBytes)
-	copy(out, line.data)
-	return out, nil
+	return line.Bytes(), nil
 }
 
 // Write stores data (at most BlockBytes; shorter slices are zero-padded)
@@ -125,86 +103,29 @@ func (r *RAM) Write(index uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	for i := range line.data {
-		line.data[i] = 0
-	}
-	copy(line.data, data)
-	line.dirty = true
+	line.Set(data)
 	return nil
 }
 
 // fetch returns the cached line for index, loading it through the ORAM on
 // a miss (with whatever siblings the prefetcher returns).
-func (r *RAM) fetch(index uint64) (*cacheLine, error) {
-	if e, ok := r.cache[index]; ok {
+func (r *RAM) fetch(index uint64) (*shard.Line, error) {
+	if line := r.cache.Lookup(index); line != nil {
 		r.cacheHits++
-		r.lru.MoveToFront(e)
-		line := e.Value.(*cacheLine)
-		if line.prefetched && !line.used {
-			line.used = true
-			r.store.Ctrl.NotifyPrefetchUse(index)
-		}
 		return line, nil
 	}
-	res := r.store.DemandRead(index)
-	line, err := r.install(index, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range res.Prefetched {
-		if _, ok := r.cache[p]; ok {
-			continue
-		}
-		if _, err := r.install(p, true); err != nil {
-			return nil, err
-		}
-	}
-	return line, nil
-}
-
-// install decrypts a block into the cache, evicting as needed.
-func (r *RAM) install(index uint64, prefetched bool) (*cacheLine, error) {
-	data, err := r.store.Load(index)
+	line, _, err := r.cache.Fetch(index)
 	if err != nil {
 		return nil, fmt.Errorf("proram: %w", err)
 	}
-	line := &cacheLine{index: index, data: data, prefetched: prefetched}
-	r.cache[index] = r.lru.PushFront(line)
-	for r.lru.Len() > r.cfg.CacheBlocks {
-		if err := r.evictLRU(); err != nil {
-			return nil, err
-		}
-	}
 	return line, nil
-}
-
-// evictLRU writes the least-recently-used line back.
-func (r *RAM) evictLRU() error {
-	back := r.lru.Back()
-	line := back.Value.(*cacheLine)
-	r.lru.Remove(back)
-	delete(r.cache, line.index)
-	if line.prefetched && !line.used {
-		r.store.Ctrl.NotifyPrefetchEvict(line.index)
-	}
-	if !line.dirty {
-		return nil
-	}
-	return r.store.WriteBack(line.index, line.data)
 }
 
 // Flush writes every dirty cached block back to the ORAM. The cache stays
 // warm (lines remain cached, now clean).
 func (r *RAM) Flush() error {
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		line := e.Value.(*cacheLine)
-		if !line.dirty {
-			continue
-		}
-		if err := r.store.WriteBack(line.index, line.data); err != nil {
-			return err
-		}
-		line.dirty = false
+	if _, failed, err := r.cache.Flush(); err != nil {
+		return fmt.Errorf("proram: flush left %d blocks dirty: %w", failed, err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"proram/internal/obs/audit"
 	"proram/internal/shard"
@@ -30,6 +31,9 @@ type ShardedRAM struct {
 	aud        *audit.Auditor
 	auditOut   io.Writer
 	auditRep   *AuditReport
+
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // ShardedOptions tunes the concurrent frontend beyond Config.
@@ -117,8 +121,15 @@ func (s *ShardedRAM) Flush() error { return s.f.Flush() }
 // finalizes observability and audit outputs. Requests admitted after
 // Close fail. When an auditor was armed and its verdict is a failure,
 // Close writes the report, keeps it available via Audit, and returns the
-// failure as its error.
+// failure as its error. Only the first call does any of this; later calls
+// return its error and write nothing.
 func (s *ShardedRAM) Close() error {
+	s.closeOnce.Do(func() { s.closeErr = s.finish() })
+	return s.closeErr
+}
+
+// finish is the body of the first Close.
+func (s *ShardedRAM) finish() error {
 	err := s.f.Close()
 	if s.aud != nil {
 		rep, aerr := finishAudit(s.aud, s.auditOut)
@@ -228,19 +239,8 @@ type ShardedSimReport struct {
 // deterministic — it uses the replay scheduler, so the same workload,
 // configuration and client count always produce the same report.
 func SimulateSharded(cfg Config, w Workload, clients int) (ShardedSimReport, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return ShardedSimReport{}, err
-	}
-	rep, _, err := sim.RunSharded(cfg.shardConfig(), w.generator(), clients)
-	if err != nil {
-		return ShardedSimReport{}, err
-	}
-	r := ShardedSimReport{Ops: rep.Ops, Sched: schedStatsFrom(cfg.Partitions, rep.Stats)}
-	for _, p := range rep.Stats.Partitions {
-		r.PathAccesses += p.ORAM.PathAccesses
-	}
-	return r, nil
+	r, _, err := simulateSharded(cfg, w, clients, nil)
+	return r, err
 }
 
 // SimulateShardedAudited is SimulateSharded with the obliviousness
@@ -248,13 +248,23 @@ func SimulateSharded(cfg Config, w Workload, clients int) (ShardedSimReport, err
 // the audit fails — the error reports operational failures only, so
 // callers (the CLIs, CI) decide how a failed verdict exits.
 func SimulateShardedAudited(cfg Config, w Workload, clients int, ac AuditConfig) (ShardedSimReport, *AuditReport, error) {
+	return simulateSharded(cfg, w, clients, &ac)
+}
+
+// simulateSharded is the one sharded-simulation body; a nil ac runs
+// unaudited and returns a nil digest.
+func simulateSharded(cfg Config, w Workload, clients int, ac *AuditConfig) (ShardedSimReport, *AuditReport, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return ShardedSimReport{}, nil, err
 	}
 	scfg := cfg.shardConfig()
 	scfg.Audit = ac.auditor(scfg.Banked == nil, nil)
-	scfg.Leak = ac.Leak.internal()
+	var auditOut io.Writer
+	if ac != nil {
+		scfg.Leak = ac.Leak.internal()
+		auditOut = ac.Out
+	}
 	rep, _, err := sim.RunSharded(scfg, w.generator(), clients)
 	if err != nil {
 		return ShardedSimReport{}, nil, err
@@ -263,7 +273,7 @@ func SimulateShardedAudited(cfg Config, w Workload, clients int, ac AuditConfig)
 	for _, p := range rep.Stats.Partitions {
 		r.PathAccesses += p.ORAM.PathAccesses
 	}
-	pub, aerr := finishAudit(scfg.Audit, ac.Out)
+	pub, aerr := finishAudit(scfg.Audit, auditOut)
 	return r, pub, aerr
 }
 

@@ -132,3 +132,90 @@ func TestShardedMatchesUnifiedContents(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheBelowSuperBlockRefused: a client cache smaller than one super
+// block evicts the demand line under its own prefetched siblings before
+// the write reaches it, so Write(0, x) then Read(0) used to return zeros.
+// Both constructors now refuse the configuration, and the smallest cache
+// that holds a super block round-trips the bytes.
+func TestCacheBelowSuperBlockRefused(t *testing.T) {
+	open := map[string]func(Config) (blockDevice, error){
+		"RAM": func(c Config) (blockDevice, error) {
+			r, err := New(c)
+			if err != nil {
+				return nil, err
+			}
+			return r, nil
+		},
+		"ShardedRAM": func(c Config) (blockDevice, error) {
+			s, err := NewSharded(c, ShardedOptions{})
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { s.Close() })
+			return s, nil
+		},
+	}
+	for name, newDev := range open {
+		cfg := DefaultConfig()
+		cfg.Blocks = 1 << 12
+		cfg.Scheme = SchemeStatic
+		cfg.MaxSuperBlock = 32
+		cfg.Partitions = 1
+		cfg.CacheBlocks = 16
+		if _, err := newDev(cfg); err == nil {
+			t.Errorf("%s: CacheBlocks 16 under MaxSuperBlock 32 accepted", name)
+		}
+		cfg.CacheBlocks = 32
+		d, err := newDev(cfg)
+		if err != nil {
+			t.Fatalf("%s: CacheBlocks 32 refused: %v", name, err)
+		}
+		msg := []byte("kept")
+		if err := d.Write(0, msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Read(0)
+		if err != nil || !bytes.Equal(got[:len(msg)], msg) {
+			t.Fatalf("%s: wrote %q, read %q, %v", name, msg, got[:len(msg)], err)
+		}
+	}
+}
+
+// TestShardedCloseTwice: the usual deferred Close after an explicit one
+// must not append a second metrics document or audit report to the
+// configured writers, and returns what the first call returned.
+func TestShardedCloseTwice(t *testing.T) {
+	var metrics, report bytes.Buffer
+	cfg := DefaultConfig()
+	cfg.Blocks = 1 << 12
+	cfg.CacheBlocks = 512
+	cfg.Partitions = 2
+	s, err := NewSharded(cfg, ShardedOptions{
+		Obs:   &ObsConfig{MetricsOut: &metrics},
+		Audit: &AuditConfig{Out: &report, Leak: LeakDropDummies},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		if err := s.Write(i, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := s.Close()
+	if first == nil {
+		t.Fatal("leaky audited Close succeeded")
+	}
+	m, r := metrics.Len(), report.Len()
+	if m == 0 || r == 0 {
+		t.Fatalf("first Close wrote %d metrics bytes, %d report bytes", m, r)
+	}
+	if again := s.Close(); again != first {
+		t.Fatalf("second Close returned %v, first returned %v", again, first)
+	}
+	if metrics.Len() != m || report.Len() != r {
+		t.Fatalf("second Close wrote %d more metrics bytes, %d more report bytes",
+			metrics.Len()-m, report.Len()-r)
+	}
+}

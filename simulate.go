@@ -44,7 +44,7 @@ type SimConfig struct {
 	// BandwidthGBps overrides the 16 GB/s memory channel.
 	BandwidthGBps float64
 	// DRAM selects the device timing model behind the ORAM controller
-	// (ignored for MemoryDRAM). Nil keeps the legacy flat channel.
+	// (ignored for MemoryDRAM); nil is DRAMFlat.
 	DRAM *DRAMConfig
 	// Periodic enables timing-channel-protected (periodic) accesses with
 	// the public interval Oint (cycles).
