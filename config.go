@@ -40,7 +40,8 @@ func (s Scheme) String() string {
 // Config describes an oblivious RAM instance.
 type Config struct {
 	// Blocks is the capacity in blocks. Addresses passed to Read/Write
-	// must be below Blocks.
+	// must be below Blocks. The constructors refuse a capacity whose tree
+	// would be deeper than 31 levels (about 2^32 blocks per partition).
 	Blocks uint64
 	// BlockBytes is the block (cacheline) size; 128 by default.
 	BlockBytes int

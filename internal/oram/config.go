@@ -16,6 +16,7 @@ import (
 
 	"proram/internal/dram"
 	"proram/internal/dram/banked"
+	"proram/internal/posmap"
 	"proram/internal/superblock"
 )
 
@@ -41,11 +42,6 @@ type Config struct {
 	// PLBBlocks is the capacity of the position-map lookaside buffer in
 	// blocks; 0 disables it (every recursion level pays a path access).
 	PLBBlocks int
-	// TreeLevelsOverride, when nonzero, pins the tree depth L instead of
-	// deriving it from the block population. Deeper trees waste space and
-	// latency; shallower trees raise slot utilization and background-
-	// eviction pressure.
-	TreeLevelsOverride int
 
 	// DRAM supplies channel latency/bandwidth for the flat device.
 	DRAM dram.Config
@@ -86,8 +82,9 @@ type Config struct {
 	// Prefill populates the entire ORAM at construction (every data and
 	// position-map block assigned a leaf and placed in the tree), matching
 	// the paper's initialized ORAM: a full tree is what creates realistic
-	// stash pressure and background-eviction rates. When false, blocks
-	// materialize lazily on first touch (cheaper for small-footprint uses).
+	// stash pressure and background-eviction rates. When false, a block
+	// gets its first leaf when it is first touched (cheaper for
+	// small-footprint uses).
 	Prefill bool
 	// Seed drives all randomness (leaf assignment); runs are reproducible.
 	Seed uint64
@@ -124,7 +121,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// MaxTreeLevels bounds the derived tree depth: a position-map entry holds a
+// 32-bit leaf label.
+const MaxTreeLevels = 31
+
+// posMap returns the position-map hierarchy's configuration.
+func (c Config) posMap() posmap.Config {
+	return posmap.Config{NumBlocks: c.NumBlocks, Fanout: c.Fanout, OnChipMax: c.OnChipEntries}
+}
+
+// Validate reports whether the configuration is usable. The geometry is
+// checked by arithmetic: nothing is sized by the population asked for.
 func (c Config) Validate() error {
 	if c.NumBlocks < 2 {
 		return fmt.Errorf("oram: NumBlocks %d too small", c.NumBlocks)
@@ -146,6 +153,12 @@ func (c Config) Validate() error {
 	}
 	if c.PLBBlocks < 0 {
 		return fmt.Errorf("oram: PLBBlocks %d must be >= 0", c.PLBBlocks)
+	}
+	// Refused here, by arithmetic, before New sizes anything for it. The
+	// total is at least NumBlocks, so the first test already refuses every
+	// population whose level sum could overflow in the second.
+	if c.NumBlocks >= 1<<(MaxTreeLevels+2) || c.TreeLevels(c.posMap().TotalBlocks()) > MaxTreeLevels {
+		return fmt.Errorf("oram: NumBlocks %d needs a tree deeper than %d levels", c.NumBlocks, MaxTreeLevels)
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return err
@@ -180,9 +193,6 @@ func (c Config) Validate() error {
 // tree produces the background-eviction pressure the paper studies). The
 // paper's 8 GB configuration (2^26 blocks + position maps) lands at L=25.
 func (c Config) TreeLevels(totalBlocks uint64) int {
-	if c.TreeLevelsOverride != 0 {
-		return c.TreeLevelsOverride
-	}
 	// Choose L with 2^(L+1) <= total < 2^(L+2), i.e. leaves in
 	// [total/4, total/2].
 	levels := 0

@@ -78,11 +78,7 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pm, err := posmap.New(posmap.Config{
-		NumBlocks: cfg.NumBlocks,
-		Fanout:    cfg.Fanout,
-		OnChipMax: cfg.OnChipEntries,
-	})
+	pm, err := posmap.New(cfg.posMap())
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +182,7 @@ func (c *Controller) leafOf(id mem.BlockID) mem.Leaf {
 	if id.Level() == c.pm.Depth() {
 		return c.pm.TopLeaf(id.Index())
 	}
-	return c.pm.EntryFor(id.Level(), id.Index()).Leaf
+	return c.pm.EntryFor(id.Level(), id.Index()).Label()
 }
 
 // scheduleStart returns the start time of the next path access given that
@@ -320,8 +316,8 @@ func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID, kind Access
 		c.pm.SetTopLeaf(index, newLeaf)
 	} else {
 		e := c.pm.EntryFor(level, index)
-		oldLeaf = e.Leaf
-		e.Leaf = newLeaf
+		oldLeaf = e.Label()
+		e.SetLabel(newLeaf)
 		parentIdx, _ := c.pm.Parent(level, index)
 		c.plb.MarkDirty(mem.MakeID(level+1, parentIdx))
 	}

@@ -44,6 +44,36 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsTreeDepth walks the edge of the geometry check, which
+// is pure arithmetic: the largest population whose blocks, position map
+// included, still derive a 31-level tree passes, and one block more fails.
+func TestValidateBoundsTreeDepth(t *testing.T) {
+	cfg := DefaultConfig()
+	fits := func(n uint64) bool {
+		cfg.NumBlocks = n
+		return cfg.Validate() == nil
+	}
+	lo, hi := uint64(1)<<32, uint64(1)<<33 // fits(lo) && !fits(hi)
+	if !fits(lo) || fits(hi) || fits(^uint64(0)) {
+		t.Fatalf("2^32 blocks fit: %v, 2^33: %v, 2^64-1: %v; want true, false, false", fits(lo), fits(hi), fits(^uint64(0)))
+	}
+	for lo+1 < hi {
+		if mid := lo + (hi-lo)/2; fits(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	levels := func(n uint64) int {
+		cfg.NumBlocks = n
+		return cfg.TreeLevels(cfg.posMap().TotalBlocks())
+	}
+	if levels(lo) != MaxTreeLevels || levels(hi) != MaxTreeLevels+1 {
+		t.Fatalf("the check turns at %d blocks, where the tree goes from %d to %d levels; want %d to %d",
+			hi, levels(lo), levels(hi), MaxTreeLevels, MaxTreeLevels+1)
+	}
+}
+
 func TestBasicReadTiming(t *testing.T) {
 	c, err := New(testConfig())
 	if err != nil {
@@ -169,9 +199,9 @@ func TestStaticSchemeInitializesGroups(t *testing.T) {
 	}
 	// All four members share a leaf and size 4.
 	pb := c.pm.Block(1, 0)
-	leaf := pb.Entries[4].Leaf
+	leaf := pb.Entries[4].Label()
 	for i := 4; i < 8; i++ {
-		if pb.Entries[i].Leaf != leaf || pb.Entries[i].SBSize != 4 {
+		if pb.Entries[i].Label() != leaf || pb.Entries[i].Size() != 4 {
 			t.Fatalf("entry %d = %+v", i, pb.Entries[i])
 		}
 	}
@@ -230,10 +260,10 @@ func TestDynamicMergeHappens(t *testing.T) {
 		t.Fatalf("merge access prefetched %v", res.Prefetched)
 	}
 	pb := c.pm.Block(1, 0)
-	if pb.Entries[0].SBSize != 2 || pb.Entries[1].SBSize != 2 {
-		t.Fatalf("sizes after merge: %d %d", pb.Entries[0].SBSize, pb.Entries[1].SBSize)
+	if pb.Entries[0].Size() != 2 || pb.Entries[1].Size() != 2 {
+		t.Fatalf("sizes after merge: %d %d", pb.Entries[0].Size(), pb.Entries[1].Size())
 	}
-	if pb.Entries[0].Leaf != pb.Entries[1].Leaf {
+	if pb.Entries[0].Label() != pb.Entries[1].Label() {
 		t.Fatal("merged blocks on different leaves")
 	}
 	if err := c.CheckInvariant(); err != nil {
@@ -281,8 +311,8 @@ func TestDynamicBreakHappens(t *testing.T) {
 		t.Fatalf("Breaks = %d, want 1", c.Stats().Breaks)
 	}
 	pb := c.pm.Block(1, 0)
-	if pb.Entries[0].SBSize != 1 || pb.Entries[1].SBSize != 1 {
-		t.Fatalf("sizes after break: %d %d", pb.Entries[0].SBSize, pb.Entries[1].SBSize)
+	if pb.Entries[0].Size() != 1 || pb.Entries[1].Size() != 1 {
+		t.Fatalf("sizes after break: %d %d", pb.Entries[0].Size(), pb.Entries[1].Size())
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
@@ -335,9 +365,9 @@ func TestWritebackKeepsGroupTogether(t *testing.T) {
 		t.Fatal("writeback produced prefetches")
 	}
 	pb := c.pm.Block(1, 0)
-	leaf := pb.Entries[16].Leaf
+	leaf := pb.Entries[16].Label()
 	for i := 16; i < 20; i++ {
-		if pb.Entries[i].Leaf != leaf {
+		if pb.Entries[i].Label() != leaf {
 			t.Fatal("writeback split the super block across leaves")
 		}
 	}

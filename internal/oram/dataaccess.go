@@ -29,8 +29,9 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 	c.plb.MarkDirty(pb.ID())
 
 	e := &pb.Entries[slot] //proram:allow boundscheck slot = index mod Fanout and level-1 blocks carry Fanout entries; the relation lives in posmap construction, out of the prover's reach
-	isNew := e.Leaf == mem.NoLeaf
-	n := int(e.SBSize)
+	oldLeaf := e.Label()
+	isNew := oldLeaf == mem.NoLeaf
+	n := e.Size()
 	if isNew {
 		n = 1
 		if c.policy.Scheme() == superblock.Static {
@@ -41,15 +42,15 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 	}
 	c.obsSBSize.Observe(float64(n))
 	gStart := posmap.GroupStart(slot, n)
-	oldLeaf := e.Leaf
 	newLeaf := c.randLeaf()
 
 	// Remap the whole super block to one fresh leaf (steps 4 of §2.2
 	// generalized to super blocks, §3.2).
 	members := pb.Entries[gStart : gStart+n]
 	for i := range members {
-		members[i].Leaf = newLeaf
-		members[i].SBSize = uint8(n)
+		m := &members[i]
+		m.SetLabel(newLeaf)
+		m.SetSize(n)
 	}
 
 	readLeaf := oldLeaf
@@ -138,7 +139,7 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 
 // group identifies a super block within one level-1 position-map block.
 type group struct {
-	pb    *posmap.Block
+	pb    posmap.Block
 	pbIdx uint64
 	start int // child offset of the first member
 	size  int // number of members (power of two)
@@ -147,7 +148,7 @@ type group struct {
 // staticGroupSize returns the static scheme's merge granularity for the
 // group containing slot: the configured size, shrunk if the group would
 // fall off the end of a partial position-map block.
-func (c *Controller) staticGroupSize(pb *posmap.Block, slot int) int {
+func (c *Controller) staticGroupSize(pb posmap.Block, slot int) int {
 	n := c.policy.MaxSize()
 	for n > 1 && posmap.GroupStart(slot, n)+n > len(pb.Entries) {
 		n /= 2
@@ -205,13 +206,13 @@ func (c *Controller) breakGroup(g group, slot int, keepLeaf mem.Leaf) group {
 	base := g.pbIdx*uint64(c.cfg.Fanout) + uint64(g.start)
 	for i := range members {
 		ge := &members[i]
-		ge.SBSize = uint8(half)
+		ge.SetSize(half)
 		inLower := i < half
 		leaf := keepLeaf
 		if inLower != lowerHasSlot {
 			leaf = otherLeaf
 		}
-		ge.Leaf = leaf
+		ge.SetLabel(leaf)
 		id := mem.MakeID(0, base+uint64(i))
 		if !c.st.SetLeaf(id, leaf) {
 			//proram:invariant the path read that triggered the break stashed every super-block member first
@@ -261,10 +262,10 @@ func (c *Controller) mergeCheck(g group) {
 	neighborLeaf := mem.NoLeaf
 	for i := range neighbor {
 		ge := &neighbor[i]
-		if int(ge.SBSize) != n || ge.Leaf == mem.NoLeaf {
+		neighborLeaf = ge.Label()
+		if ge.Size() != n || neighborLeaf == mem.NoLeaf {
 			return
 		}
-		neighborLeaf = ge.Leaf
 	}
 	allInLLC := c.prober != nil
 	if allInLLC {
@@ -291,7 +292,8 @@ func (c *Controller) mergeCheck(g group) {
 	own := g.pb.Entries[g.start : g.start+n]
 	base := g.pbIdx*uint64(c.cfg.Fanout) + uint64(g.start)
 	for i := range own {
-		own[i].Leaf = neighborLeaf
+		m := &own[i]
+		m.SetLabel(neighborLeaf)
 		id := mem.MakeID(0, base+uint64(i))
 		if !c.st.SetLeaf(id, neighborLeaf) {
 			//proram:invariant merge runs inside the path read that stashed all of the merging block's members
@@ -301,7 +303,8 @@ func (c *Controller) mergeCheck(g group) {
 	merged := group{pb: g.pb, pbIdx: g.pbIdx, start: pair, size: 2 * n}
 	pairMembers := g.pb.Entries[merged.start : merged.start+merged.size]
 	for i := range pairMembers {
-		pairMembers[i].SBSize = uint8(merged.size)
+		m := &pairMembers[i]
+		m.SetSize(merged.size)
 	}
 	// Reconstruct counters for the new granularity.
 	g.pb.ResetMergeCounter(pair)

@@ -69,19 +69,19 @@ func (c *Controller) CheckInvariant() error {
 	for pbIdx := uint64(0); pbIdx < c.pm.Count(1); pbIdx++ {
 		pb := c.pm.Block(1, pbIdx)
 		for s := 0; s < len(pb.Entries); s++ {
-			e := pb.Entries[s]
+			e := &pb.Entries[s]
 			id := mem.MakeID(0, pbIdx*fanout+uint64(s))
-			if e.Leaf == mem.NoLeaf {
+			leaf, n := e.Label(), e.Size()
+			if leaf == mem.NoLeaf {
 				if inTree[id] || inStash[id] {
 					addf("untouched block %v is resident", id)
 				}
 				continue
 			}
 			if !inTree[id] && !inStash[id] {
-				addf("touched block %v (leaf %d) is nowhere", id, e.Leaf)
+				addf("touched block %v (leaf %d) is nowhere", id, leaf)
 			}
-			n := int(e.SBSize)
-			if n < 1 || n&(n-1) != 0 {
+			if n&(n-1) != 0 {
 				addf("block %v has bad super block size %d", id, n)
 				continue
 			}
@@ -91,10 +91,10 @@ func (c *Controller) CheckInvariant() error {
 				continue
 			}
 			for i := g; i < g+n; i++ {
-				m := pb.Entries[i]
-				if m.Leaf != e.Leaf || m.SBSize != e.SBSize {
+				m := &pb.Entries[i]
+				if m.Label() != leaf || m.Size() != n {
 					addf("super block of %v inconsistent at offset %d: leaf %d/%d size %d/%d",
-						id, i, m.Leaf, e.Leaf, m.SBSize, e.SBSize)
+						id, i, m.Label(), leaf, m.Size(), n)
 				}
 			}
 		}

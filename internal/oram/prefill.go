@@ -37,8 +37,8 @@ func (c *Controller) prefill() {
 				}
 			}
 			for i := s; i < s+n; i++ {
-				pb.Entries[i].Leaf = leaf
-				pb.Entries[i].SBSize = uint8(n)
+				pb.Entries[i].SetLabel(leaf)
+				pb.Entries[i].SetSize(n)
 				c.place(mem.MakeID(0, pbIdx*fanout+uint64(i)), leaf)
 			}
 			s += n
@@ -51,7 +51,7 @@ func (c *Controller) prefill() {
 			if level == c.pm.Depth() {
 				c.pm.SetTopLeaf(i, leaf)
 			} else {
-				c.pm.EntryFor(level, i).Leaf = leaf
+				c.pm.EntryFor(level, i).SetLabel(leaf)
 			}
 			c.place(mem.MakeID(level, i), leaf)
 		}

@@ -27,7 +27,7 @@ func mergePair(t *testing.T, c *Controller, llc *fakeLLC, a uint64) {
 		c.Read(c.Stats().LastEnd, a+1)
 		llc.add(a + 1)
 		pb := c.pm.Block(1, a/uint64(c.cfg.Fanout))
-		if pb.Entries[int(a)%c.cfg.Fanout].SBSize == 2 {
+		if pb.Entries[int(a)%c.cfg.Fanout].Size() == 2 {
 			return
 		}
 	}
@@ -52,18 +52,18 @@ func TestMergeToMaxSizeChain(t *testing.T) {
 		res = c.Read(c.Stats().LastEnd, 2)
 		llc.add(2)
 		llc.add(res.Prefetched...)
-		if c.pm.Block(1, 0).Entries[0].SBSize == 4 {
+		if c.pm.Block(1, 0).Entries[0].Size() == 4 {
 			break
 		}
 	}
 	pb := c.pm.Block(1, 0)
-	if pb.Entries[0].SBSize != 4 {
+	if pb.Entries[0].Size() != 4 {
 		t.Fatalf("size-4 merge never happened (size=%d, merges=%d)",
-			pb.Entries[0].SBSize, c.Stats().Merges)
+			pb.Entries[0].Size(), c.Stats().Merges)
 	}
-	leaf := pb.Entries[0].Leaf
+	leaf := pb.Entries[0].Label()
 	for i := 1; i < 4; i++ {
-		if pb.Entries[i].Leaf != leaf || pb.Entries[i].SBSize != 4 {
+		if pb.Entries[i].Label() != leaf || pb.Entries[i].Size() != 4 {
 			t.Fatalf("entry %d inconsistent after size-4 merge: %+v", i, pb.Entries[i])
 		}
 	}
@@ -92,7 +92,7 @@ func TestMergeNeverExceedsMaxSize(t *testing.T) {
 		llc.add(uint64(i % 4))
 	}
 	for i := 0; i < 4; i++ {
-		if s := c.pm.Block(1, 0).Entries[i].SBSize; s > 2 {
+		if s := c.pm.Block(1, 0).Entries[i].Size(); s > 2 {
 			t.Fatalf("entry %d grew to %d > MaxSize 2", i, s)
 		}
 	}
@@ -108,13 +108,13 @@ func TestBreakOfSize4YieldsSize2Halves(t *testing.T) {
 	c.SetProber(llc)
 	mergePair(t, c, llc, 0)
 	mergePair(t, c, llc, 2)
-	for i := 0; i < 30 && c.pm.Block(1, 0).Entries[0].SBSize != 4; i++ {
+	for i := 0; i < 30 && c.pm.Block(1, 0).Entries[0].Size() != 4; i++ {
 		c.Read(c.Stats().LastEnd, 0)
 		llc.add(0)
 		c.Read(c.Stats().LastEnd, 2)
 		llc.add(2)
 	}
-	if c.pm.Block(1, 0).Entries[0].SBSize != 4 {
+	if c.pm.Block(1, 0).Entries[0].Size() != 4 {
 		t.Skip("size-4 merge did not form; covered elsewhere")
 	}
 	// Starve the prefetches: only ever touch block 0, keep LLC empty.
@@ -127,11 +127,11 @@ func TestBreakOfSize4YieldsSize2Halves(t *testing.T) {
 		t.Fatal("size-4 super block never broke under pure misses")
 	}
 	pb := c.pm.Block(1, 0)
-	if pb.Entries[0].SBSize != 2 || pb.Entries[2].SBSize != 2 {
-		t.Fatalf("halves after break: %d/%d", pb.Entries[0].SBSize, pb.Entries[2].SBSize)
+	if pb.Entries[0].Size() != 2 || pb.Entries[2].Size() != 2 {
+		t.Fatalf("halves after break: %d/%d", pb.Entries[0].Size(), pb.Entries[2].Size())
 	}
 	// The two halves must now be on independent leaves.
-	if pb.Entries[0].Leaf == pb.Entries[2].Leaf {
+	if pb.Entries[0].Label() == pb.Entries[2].Label() {
 		t.Fatal("broken halves still share a leaf (linkable)")
 	}
 	if err := c.CheckInvariant(); err != nil {
@@ -155,10 +155,10 @@ func TestMergeAcrossPosMapBlockBoundaryRejected(t *testing.T) {
 		c.Read(c.Stats().LastEnd, 32)
 		llc.add(32)
 	}
-	if c.pm.Block(1, 0).Entries[31].SBSize != 1 {
+	if c.pm.Block(1, 0).Entries[31].Size() != 1 {
 		t.Fatal("block 31 merged across an alignment boundary")
 	}
-	if c.pm.Block(1, 1).Entries[0].SBSize != 1 {
+	if c.pm.Block(1, 1).Entries[0].Size() != 1 {
 		t.Fatal("block 32 merged across an alignment boundary")
 	}
 }
@@ -179,8 +179,8 @@ func TestUnalignedPairNeverMerges(t *testing.T) {
 		llc.add(4)
 	}
 	pb := c.pm.Block(1, 0)
-	if pb.Entries[3].SBSize != 1 || pb.Entries[4].SBSize != 1 {
-		t.Fatalf("unaligned pair merged: %d/%d", pb.Entries[3].SBSize, pb.Entries[4].SBSize)
+	if pb.Entries[3].Size() != 1 || pb.Entries[4].Size() != 1 {
+		t.Fatalf("unaligned pair merged: %d/%d", pb.Entries[3].Size(), pb.Entries[4].Size())
 	}
 }
 
@@ -200,7 +200,7 @@ func TestMergeRequiresEqualSizes(t *testing.T) {
 		llc.add(0)
 		llc.add(res.Prefetched...)
 	}
-	if s := c.pm.Block(1, 0).Entries[0].SBSize; s != 2 {
+	if s := c.pm.Block(1, 0).Entries[0].Size(); s != 2 {
 		t.Fatalf("merged with an unequal/untouched neighbor: size %d", s)
 	}
 }
@@ -295,8 +295,8 @@ func TestWritebackOfBrokenHalf(t *testing.T) {
 	}
 	c.Write(c.Stats().LastEnd, 5)
 	pb := c.pm.Block(1, 0)
-	if pb.Entries[4].SBSize != 1 || pb.Entries[5].SBSize != 1 {
-		t.Fatalf("sizes after writeback: %d/%d", pb.Entries[4].SBSize, pb.Entries[5].SBSize)
+	if pb.Entries[4].Size() != 1 || pb.Entries[5].Size() != 1 {
+		t.Fatalf("sizes after writeback: %d/%d", pb.Entries[4].Size(), pb.Entries[5].Size())
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestStaticSchemeNeverBreaks(t *testing.T) {
 	if c.Stats().Breaks != 0 {
 		t.Fatal("static scheme broke a super block")
 	}
-	if c.pm.Block(1, 0).Entries[6].SBSize != 2 {
+	if c.pm.Block(1, 0).Entries[6].Size() != 2 {
 		t.Fatal("static group lost")
 	}
 }
@@ -371,11 +371,11 @@ func TestGroupLeafSharedAfterEveryAccess(t *testing.T) {
 		llc.add(res.Prefetched...)
 		pb := c.pm.Block(1, idx/uint64(c.cfg.Fanout))
 		slot := int(idx % uint64(c.cfg.Fanout))
-		n := int(pb.Entries[slot].SBSize)
+		n := pb.Entries[slot].Size()
 		g := slot &^ (n - 1)
-		leaf := pb.Entries[g].Leaf
+		leaf := pb.Entries[g].Label()
 		for j := g; j < g+n; j++ {
-			if pb.Entries[j].Leaf != leaf {
+			if pb.Entries[j].Label() != leaf {
 				t.Fatalf("op %d: group [%d,%d) leaves diverged", i, g, g+n)
 			}
 		}

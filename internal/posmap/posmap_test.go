@@ -2,6 +2,7 @@ package posmap
 
 import (
 	"testing"
+	"unsafe"
 
 	"proram/internal/mem"
 )
@@ -64,13 +65,66 @@ func TestEntryForAndParent(t *testing.T) {
 		t.Fatalf("Parent(0,100) = %d,%d; want 3,4", pi, slot)
 	}
 	e := h.EntryFor(0, 100)
-	if e.Leaf != mem.NoLeaf || e.SBSize != 1 {
+	if e.Label() != mem.NoLeaf || e.Size() != 1 {
 		t.Fatalf("fresh entry = %+v", e)
 	}
-	e.Leaf = 42
-	if h.Block(1, 3).Entries[4].Leaf != 42 {
+	e.SetLabel(42)
+	if h.Block(1, 3).Entries[4].Label() != 42 {
 		t.Fatal("EntryFor did not return a pointer into the block")
 	}
+}
+
+// TestEntryLayout pins the packed encoding: 8 bytes, the zero Entry is the
+// never-touched child, and the widest label a 31-level tree draws fits.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 8 {
+		t.Fatalf("Entry is %d bytes, want 8", got)
+	}
+	b := Block{Entries: make([]Entry, 1)}
+	e := &b.Entries[0]
+	if e.Label() != mem.NoLeaf || e.Size() != 1 || e.Prefetch || b.MergeCounter(0) != 0 || b.BreakCounter(0) != 0 {
+		t.Fatalf("zero entry decodes as leaf %d size %d prefetch %v counters %d/%d",
+			e.Label(), e.Size(), e.Prefetch, b.MergeCounter(0), b.BreakCounter(0))
+	}
+	for _, leaf := range []mem.Leaf{0, 1, 1<<25 - 1, 1<<31 - 1} {
+		if e.SetLabel(leaf); e.Label() != leaf {
+			t.Fatalf("label %d reads back as %d", leaf, e.Label())
+		}
+	}
+	for _, n := range []int{1, 2, 32, 256} {
+		if e.SetSize(n); e.Size() != n {
+			t.Fatalf("size %d reads back as %d", n, e.Size())
+		}
+	}
+	e.SetSize(1)
+	if e.SetLabel(mem.NoLeaf); *e != (Entry{}) {
+		t.Fatalf("unmapped singleton is %+v, want the zero entry", *e)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a label wider than an entry was stored truncated")
+		}
+	}()
+	e.SetLabel(1 << 32)
+}
+
+// TestNoPerBlockObjects pins construction and lookup: New allocates a
+// handful of arrays whatever NumBlocks is, and the lookups allocate nothing.
+func TestNoPerBlockObjects(t *testing.T) {
+	cfg := Config{NumBlocks: 1 << 20, Fanout: 32, OnChipMax: 2048}
+	if n := testing.AllocsPerRun(3, func() { mustNew(t, cfg) }); n > 12 {
+		t.Errorf("New allocates %v objects for 2^20 blocks, want a constant handful", n)
+	}
+	h := mustNew(t, cfg)
+	var sink mem.Leaf
+	n := testing.AllocsPerRun(100, func() {
+		sink += h.EntryFor(0, 12345).Label() + h.EntryFor(1, 7).Label()
+		sink += h.Block(1, 385).Entries[25].Label() + h.TopLeaf(3)
+	})
+	if n != 0 {
+		t.Errorf("EntryFor/Block allocate %v objects per lookup, want 0", n)
+	}
+	_ = sink
 }
 
 func TestTopLeafRoundTrip(t *testing.T) {

@@ -57,7 +57,9 @@ func (s *Store) DemandRead(index uint64) oram.Result {
 // is the single seal-and-write-back path shared by the unified RAM's
 // eviction and flush and by the partition workers.
 func (s *Store) WriteBack(index uint64, data []byte) error {
-	sealed, err := s.Sealer.Seal(nil, data)
+	// Over the block's previous ciphertext: Seal draws its nonce before it
+	// touches dst, so a failed seal leaves the old one intact.
+	sealed, err := s.Sealer.Seal(s.Sealed[index][:0], data)
 	if err != nil {
 		return err
 	}

@@ -81,6 +81,15 @@ func DefaultConfig(tech Tech) Config {
 	}
 }
 
+// oramConfig returns the controller configuration a TechORAM system runs:
+// the ORAM field under the system's block size and DRAM channel.
+func (c Config) oramConfig() oram.Config {
+	o := c.ORAM
+	o.BlockBytes = c.BlockBytes
+	o.DRAM = c.DRAM
+	return o
+}
+
 // Validate reports whether the configuration is coherent.
 func (c Config) Validate() error {
 	if c.BlockBytes < 8 {
@@ -94,6 +103,11 @@ func (c Config) Validate() error {
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return err
+	}
+	if c.Tech == TechORAM {
+		if err := c.oramConfig().Validate(); err != nil {
+			return err
+		}
 	}
 	if c.Prefetch != nil {
 		if err := c.Prefetch.Validate(); err != nil {
@@ -189,9 +203,7 @@ func New(cfg Config) (*System, error) {
 		m.dram = dram.New(cfg.DRAM)
 		m.maxIndex = ^uint64(0)
 	case TechORAM:
-		ocfg := cfg.ORAM
-		ocfg.BlockBytes = cfg.BlockBytes
-		ocfg.DRAM = cfg.DRAM
+		ocfg := cfg.oramConfig()
 		ctrl, err := oram.New(ocfg)
 		if err != nil {
 			return nil, err

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"proram/internal/mem"
 	"proram/internal/obs"
@@ -53,10 +54,10 @@ type Stash struct {
 	used  int
 	shift uint // 64 - log2(len(table)): the hash keeps the product's top bits
 
-	limit     int             // configured capacity (soft: triggers background eviction)
-	highWater int             // max observed size
-	scratch   [][]mem.BlockID // reusable depth buckets for eviction
-	carry     []mem.BlockID   // reusable carry list
+	limit     int           // configured capacity (soft: triggers background eviction)
+	highWater int           // max observed size
+	ends      []int         // reusable per-height run bounds of eviction's counting sort
+	sorted    []mem.BlockID // reusable buffer the live blocks are sorted into
 
 	obsWritebacks *obs.Counter // blocks written back to the tree; nil when obs off
 	obsHighWater  *obs.Gauge   // peak occupancy; nil when obs off
@@ -295,38 +296,50 @@ func (s *Stash) ForEach(visit func(id mem.BlockID, leaf mem.Leaf)) {
 //proram:hotpath the write-back phase of every path access
 func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 	levels := t.Levels()
-	// Group live entries by the deepest bucket they may occupy on this
-	// path, indexed by its height above the leaf bucket so that the walk
-	// below runs up the slice.
-	if cap(s.scratch) < levels+1 {
-		s.scratch = make([][]mem.BlockID, levels+1) //proram:allow allocdiscipline one-time warm-up behind the capacity guard
+	// Counting sort of the live blocks by the deepest bucket they may
+	// occupy on this path, as its height above the leaf bucket, so that the
+	// walk below runs up the sorted slice. First the count per height.
+	if cap(s.ends) < levels+1 {
+		s.ends = make([]int, levels+1) //proram:allow allocdiscipline one-time warm-up behind the capacity guard
 	}
-	groups := s.scratch[:levels+1]
-	for i := range groups {
-		groups[i] = groups[i][:0]
-	}
+	ends := s.ends[:levels+1]
+	clear(ends)
 	for _, e := range s.order {
 		if e.id.IsNil() {
 			continue
 		}
 		h := levels - t.CommonDepth(accessLeaf, e.leaf)
-		if h < 0 || h >= len(groups) {
+		if h < 0 || h >= len(ends) {
 			//proram:invariant stashed leaves come from the position map, whose labels lie in [0, Leaves); a divergence above the root means a corrupt label
 			panic("stash: stashed block mapped outside the tree")
 		}
-		groups[h] = append(groups[h], e.id) //proram:allow allocdiscipline buckets reuse scratch capacity retained across evictions
+		ends[h]++
+	}
+	// Prefix sums turn each count into the start of its height's run, and
+	// the stable scatter advances each start to the run's end.
+	start := 0
+	for h, n := range ends {
+		ends[h] = start
+		start += n
+	}
+	s.sorted = slices.Grow(s.sorted[:0], s.live) // grows only past the previous peak occupancy
+	sorted := s.sorted[:s.live]
+	for _, e := range s.order {
+		if e.id.IsNil() {
+			continue
+		}
+		h := levels - t.CommonDepth(accessLeaf, e.leaf)
+		sorted[ends[h]] = e.id //proram:allow boundscheck the counting pass checked this h for this entry, and the runs it sized partition [0, live)
+		ends[h]++
 	}
 
-	// Walk the path leaf to root. carry[head:] is the FIFO of blocks that
-	// may go into the current bucket: what deeper buckets had no room for,
-	// then this depth's own group. Draining it by index rather than by
-	// reslicing keeps the buffer's capacity for the next access.
-	carry := s.carry[:0]
+	// Walk the path leaf to root. sorted[head:end] is the FIFO of blocks
+	// that may go into the current bucket: what deeper buckets had no room
+	// for, then this height's own run.
 	head := 0
-	for h, group := range groups {
-		carry = append(carry, group...) //proram:allow allocdiscipline appends into the reusable s.carry buffer
-		n := t.FillAt(accessLeaf, levels-h, carry[head:])
-		for _, id := range carry[head : head+n] {
+	for h, end := range ends {
+		n := t.FillAt(accessLeaf, levels-h, sorted[head:end])
+		for _, id := range sorted[head : head+n] {
 			if !s.remove(id) {
 				//proram:invariant the id was read from order a moment ago and nothing removes blocks in between
 				panic("stash: block to write back is not in the index")
@@ -334,7 +347,6 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 		}
 		head += n
 	}
-	s.carry = carry[:0]
 	s.maybeCompact()
 	s.obsWritebacks.Add(uint64(head))
 	return head

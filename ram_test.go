@@ -217,6 +217,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedCapacityRefused: a capacity whose tree would be deeper than
+// the 31 levels a position-map entry can label is an error from every
+// constructor — reported from arithmetic on the configuration, where sizing
+// the position map for it used to panic (2^60 blocks: makeslice) or kill the
+// process (2^45: out of memory), in NewSimulator's case only at Run.
+func TestOversizedCapacityRefused(t *testing.T) {
+	for _, blocks := range []uint64{1 << 45, 1 << 60, ^uint64(0)} {
+		cfg := DefaultConfig()
+		cfg.Blocks = blocks
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %d blocks", blocks)
+		}
+		cfg.Partitions = 2
+		if s, err := NewSharded(cfg, ShardedOptions{}); err == nil {
+			s.Close()
+			t.Errorf("NewSharded accepted %d blocks", blocks)
+		}
+		if _, err := NewSimulator(SimConfig{ORAMBlocks: blocks}); err == nil {
+			t.Errorf("NewSimulator accepted %d blocks", blocks)
+		}
+	}
+}
+
 func TestSchemeString(t *testing.T) {
 	if SchemeNone.String() != "none" || SchemeStatic.String() != "static" ||
 		SchemeDynamic.String() != "dynamic" {
