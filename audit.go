@@ -43,7 +43,7 @@ func (m LeakMode) internal() audit.Leak {
 // across runs and platforms.
 type AuditConfig struct {
 	// Out receives the full JSON report when the audited run finishes
-	// (ShardedRAM.Close, SimulateShardedAudited, or Simulator.Run); nil
+	// (ShardedRAM.Close, SimulateSharded, or Simulator.Run); nil
 	// keeps the report in memory only.
 	Out io.Writer
 	// CheckEvery is the online evaluation interval in observed accesses

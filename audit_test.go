@@ -95,13 +95,14 @@ func TestSimulateShardedAudited(t *testing.T) {
 	cfg.Partitions = 4
 	cfg.Scheme = SchemeDynamic
 
-	rep, aud, err := SimulateShardedAudited(cfg, w, 8, AuditConfig{})
+	rep, err := SimulateSharded(cfg, w, 8, ShardedOptions{Audit: &AuditConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Ops != 5000 || rep.PathAccesses == 0 {
 		t.Fatalf("empty digest: %+v", rep)
 	}
+	aud := rep.Audit
 	if aud == nil || !aud.Pass {
 		t.Fatalf("honest run flagged: %+v", aud)
 	}
@@ -109,10 +110,11 @@ func TestSimulateShardedAudited(t *testing.T) {
 		t.Fatalf("passing report has error: %v", err)
 	}
 
-	_, leaky, err := SimulateShardedAudited(cfg, w, 8, AuditConfig{Leak: LeakBiasLeaf})
+	rep, err = SimulateSharded(cfg, w, 8, ShardedOptions{Audit: &AuditConfig{Leak: LeakBiasLeaf}})
 	if err != nil {
 		t.Fatalf("leaky run has operational error: %v", err)
 	}
+	leaky := rep.Audit
 	if leaky == nil || leaky.Pass {
 		t.Fatalf("bias-leaf run passed: %+v", leaky)
 	}

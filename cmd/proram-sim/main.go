@@ -9,10 +9,12 @@
 //	proram-sim -workload ycsb -partitions 8 -clients 16
 //	proram-sim -workload ycsb -partitions 4 -audit -audit-out audit.json
 //	proram-sim -workload ycsb -partitions 4 -audit -leaky drop-dummies
+//	proram-sim -workload ycsb -partitions 4 -metrics-out m.json -trace-out t.json
 //
 // With -partitions > 1 the workload is replayed through the partitioned
 // frontend's closed-loop scheduler (see internal/shard) instead of the
 // core timing model: the report shows rounds, padding and the makespan.
+// The observability and audit flags apply to both modes.
 //
 // With -audit the obliviousness auditor (internal/obs/audit) taps the
 // physical access stream and the process exits nonzero when any
@@ -80,11 +82,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	ob, err := pickObs(*obsOn, *traceOut, *metricsOut, *sampleEvery)
+	if err != nil {
+		fatal(err)
+	}
 	if *parts > 1 {
 		if *memory != "oram" {
 			fatal(fmt.Errorf("-partitions needs -memory oram"))
 		}
-		runSharded(w, *parts, *clients, *slots, *scheme, *maxSB, *seed, dram, ac)
+		runSharded(w, *parts, *clients, *slots, *scheme, *maxSB, *seed, dram, ob, ac)
 		return
 	}
 	cfg := proram.SimConfig{
@@ -97,6 +103,7 @@ func main() {
 		WarmupOps:        *warmup,
 		Seed:             *seed,
 		DRAM:             dram,
+		Obs:              ob.cfg,
 	}
 	switch *memory {
 	case "oram":
@@ -117,27 +124,6 @@ func main() {
 		fatal(fmt.Errorf("unknown scheme %q", *scheme))
 	}
 
-	var obsFiles []*os.File
-	if *obsOn || *traceOut != "" || *metricsOut != "" {
-		oc := &proram.ObsConfig{SampleEvery: *sampleEvery, FlightOut: os.Stderr}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			oc.TraceOut = f
-			obsFiles = append(obsFiles, f)
-		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fatal(err)
-			}
-			oc.MetricsOut = f
-			obsFiles = append(obsFiles, f)
-		}
-		cfg.Obs = oc
-	}
 	if ac != nil {
 		cfg.Audit = ac.cfg
 	}
@@ -153,12 +139,7 @@ func main() {
 	if err := s.CloseObs(); err != nil {
 		fatal(err)
 	}
-	for _, f := range obsFiles {
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "# wrote %s\n", f.Name())
-	}
+	ob.finish()
 
 	fmt.Printf("workload         %s (%d ops)\n", w.Name, w.Ops)
 	fmt.Printf("memory           %s, scheme %s\n", *memory, *scheme)
@@ -180,6 +161,51 @@ func main() {
 		fmt.Printf("stream prefetches    %d (hits %d)\n", res.StreamIssued, res.StreamHits)
 	}
 	ac.finish(res.Audit)
+}
+
+// obsFlags holds the observability configuration the flags asked for (nil
+// when they asked for none) and the output files to close once the run has
+// finalized them. Both run modes share it.
+type obsFlags struct {
+	cfg   *proram.ObsConfig
+	files []*os.File
+}
+
+// pickObs maps -obs/-trace-out/-metrics-out/-sample-every to an
+// observability configuration.
+func pickObs(on bool, traceOut, metricsOut string, sampleEvery uint64) (*obsFlags, error) {
+	o := &obsFlags{}
+	if !on && traceOut == "" && metricsOut == "" {
+		return o, nil
+	}
+	o.cfg = &proram.ObsConfig{SampleEvery: sampleEvery, FlightOut: os.Stderr}
+	if traceOut != "" {
+		f, err := os.Create(traceOut)
+		if err != nil {
+			return nil, err
+		}
+		o.cfg.TraceOut = f
+		o.files = append(o.files, f)
+	}
+	if metricsOut != "" {
+		f, err := os.Create(metricsOut)
+		if err != nil {
+			return nil, err
+		}
+		o.cfg.MetricsOut = f
+		o.files = append(o.files, f)
+	}
+	return o, nil
+}
+
+// finish closes the output files; the run has written them by now.
+func (o *obsFlags) finish() {
+	for _, f := range o.files {
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "# wrote %s\n", f.Name())
+	}
 }
 
 // auditFlags holds the audit configuration the flags armed, plus the
@@ -244,7 +270,7 @@ func (a *auditFlags) finish(rep *proram.AuditReport) {
 
 // runSharded replays the workload through the partitioned frontend's
 // deterministic closed-loop scheduler and prints its report.
-func runSharded(w proram.Workload, parts, clients, slots int, scheme string, maxSB int, seed uint64, dram *proram.DRAMConfig, ac *auditFlags) {
+func runSharded(w proram.Workload, parts, clients, slots int, scheme string, maxSB int, seed uint64, dram *proram.DRAMConfig, ob *obsFlags, ac *auditFlags) {
 	cfg := proram.DefaultConfig()
 	cfg.Partitions = parts
 	cfg.RoundSlots = slots
@@ -261,19 +287,15 @@ func runSharded(w proram.Workload, parts, clients, slots int, scheme string, max
 	default:
 		fatal(fmt.Errorf("unknown scheme %q", scheme))
 	}
-	var (
-		rep  proram.ShardedSimReport
-		arep *proram.AuditReport
-		err  error
-	)
+	opt := proram.ShardedOptions{Obs: ob.cfg}
 	if ac != nil {
-		rep, arep, err = proram.SimulateShardedAudited(cfg, w, clients, *ac.cfg)
-	} else {
-		rep, err = proram.SimulateSharded(cfg, w, clients)
+		opt.Audit = ac.cfg
 	}
+	rep, err := proram.SimulateSharded(cfg, w, clients, opt)
 	if err != nil {
 		fatal(err)
 	}
+	ob.finish()
 	s := rep.Sched
 	fmt.Printf("workload         %s (%d ops)\n", w.Name, rep.Ops)
 	fmt.Printf("memory           oram, scheme %s, %d partitions, %d clients\n", scheme, parts, clients)
@@ -283,7 +305,7 @@ func runSharded(w proram.Workload, parts, clients, slots int, scheme string, max
 	fmt.Printf("real / pad accesses  %d / %d (fill %.3f)\n", s.RealAccesses, s.PadAccesses, s.FillRatio)
 	fmt.Printf("cache hits           %d\n", s.CacheHits)
 	fmt.Printf("carryovers           %d\n", s.Carryovers)
-	ac.finish(arep)
+	ac.finish(rep.Audit)
 }
 
 // pickDRAM maps the -dram flag to a public DRAM configuration; nil means

@@ -765,6 +765,18 @@ func (e *taintEnv) checkObsEmission(call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		m := e.exprMask(arg)
+		// A view (rec.Counter(name, func() uint64 {...})) emits what the
+		// literal returns, whenever the export runs.
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(x ast.Node) bool {
+				if ret, ok := x.(*ast.ReturnStmt); ok {
+					for _, r := range ret.Results {
+						m |= e.exprMask(r)
+					}
+				}
+				return true
+			})
+		}
 		if m == 0 || e.declassified(arg.Pos()) {
 			continue
 		}

@@ -1,8 +1,8 @@
 // Package obs is a proram-vet golden fixture for the observability
-// emission sink of the taint pass: a metric name or trace argument
-// derived from secret payload bytes lands in an exported file, so it
-// must be flagged; lengths, public counters and explicit declassifies
-// must not.
+// emission sink of the taint pass: a metric name, a trace argument or a
+// view's reading derived from secret payload bytes lands in an exported
+// file, so it must be flagged; lengths, public counters and explicit
+// declassifies must not.
 package obs
 
 import "proram/internal/obs"
@@ -15,7 +15,11 @@ type block struct {
 
 func secretMetricLabel(rec *obs.Recorder, b block) {
 	label := "oram.block." + string(b.data[:4])
-	rec.Counter(label).Inc() // want `observability emission argument depends on secret block payload bytes`
+	rec.Counter(label, func() uint64 { return b.leaf }) // want `observability emission argument depends on secret block payload bytes`
+}
+
+func secretView(rec *obs.Recorder, b block) {
+	rec.Counter("oram.peek", func() uint64 { return uint64(b.data[0]) }) // want `observability emission argument depends on secret block payload bytes`
 }
 
 func secretTraceArg(rec *obs.Recorder, b block, now uint64) {
@@ -24,7 +28,7 @@ func secretTraceArg(rec *obs.Recorder, b block, now uint64) {
 
 func publicEmission(rec *obs.Recorder, b block, now uint64) {
 	// Block geometry and the assigned leaf are public by construction.
-	rec.Counter("oram.path_accesses").Inc()
+	rec.Counter("oram.path_accesses", func() uint64 { return b.leaf })
 	rec.Instant("oram", "access", now, "leaf", b.leaf)
 	rec.Histogram("oram.block_len", nil).Observe(float64(len(b.data)))
 }

@@ -78,19 +78,10 @@ type Model struct {
 	bankUntil    []uint64 // per global bank (channel-major)
 	openRow      []uint64 // per global bank; rowClosed = none
 	chanBusy     []uint64 // per channel transfer occupancy
+	bankAccesses []uint64 // per global bank
 	stats        Stats
 
 	log []AccessRec // nil unless EnableLog
-
-	// Observability handles; all nil-safe no-ops until Instrument.
-	obsAccesses  *obs.Counter
-	obsBytes     *obs.Counter
-	obsRowHits   *obs.Counter
-	obsRowMiss   *obs.Counter
-	obsRowConfl  *obs.Counter
-	obsChanBusy  []*obs.Counter // per channel
-	obsBankAcc   []*obs.Counter // per global bank
-	bankAccesses []uint64       // per global bank, always tracked
 }
 
 // New builds a Model. It panics on an invalid configuration (configuration
@@ -210,20 +201,17 @@ func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 		rowLat = m.cfg.TCAS
 		outcome = RowHit
 		m.stats.RowHits++
-		m.obsRowHits.Inc()
 	case rowClosed:
 		start = max(now, bankUntil[gb])
 		rowLat = m.cfg.TRCD + m.cfg.TCAS
 		outcome = RowMiss
 		m.stats.RowMisses++
-		m.obsRowMiss.Inc()
 	default:
 		// Row change: the bank must drain its burst before precharge.
 		start = max(now, bankUntil[gb])
 		rowLat = m.cfg.TRP + m.cfg.TRCD + m.cfg.TCAS
 		outcome = RowConflict
 		m.stats.RowConflicts++
-		m.obsRowConfl.Inc()
 	}
 	transfer := (bytes*1024 + m.rate1024 - 1) / m.rate1024
 	if transfer == 0 {
@@ -245,14 +233,6 @@ func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 	} else {
 		m.stats.Reads++
 	}
-	m.obsAccesses.Inc()
-	m.obsBytes.Add(bytes)
-	if obsChanBusy, obsBankAcc := m.obsChanBusy, m.obsBankAcc; obsChanBusy != nil {
-		_ = obsChanBusy[ch]
-		_ = obsBankAcc[gb]
-		obsChanBusy[ch].Add(transfer)
-		obsBankAcc[gb].Inc()
-	}
 	if m.log != nil {
 		m.log = append(m.log, AccessRec{Addr: addr, Start: now, Done: done, Write: write, Outcome: outcome}) //proram:allow allocdiscipline timing log is opt-in debugging, off in measured runs
 	}
@@ -268,44 +248,24 @@ func (m *Model) NextFree() uint64 {
 	return free
 }
 
-// Reset clears device timing state and statistics, keeping configuration
-// and instrumentation. The timing log, if enabled, restarts empty.
-func (m *Model) Reset() {
-	for i := range m.busUntil {
-		m.busUntil[i] = 0
-		m.chanBusy[i] = 0
-	}
-	for i := range m.bankUntil {
-		m.bankUntil[i] = 0
-		m.openRow[i] = rowClosed
-		m.bankAccesses[i] = 0
-	}
-	m.stats = Stats{}
-	if m.log != nil {
-		m.log = m.log[:0]
-	}
-}
-
-// Instrument registers the device's observability metrics on rec:
-// aggregate counters, per-channel busy-cycle counters, per-bank access
-// counters, and sampled row-hit-rate / channel-utilization series.
-// Emissions stay nil-safe no-ops when rec is nil.
+// Instrument registers the device's observability metrics on rec: views
+// of the aggregate, per-channel busy-cycle and per-bank access statistics,
+// and sampled row-hit-rate / channel-utilization series. A nil rec
+// registers nothing.
 func (m *Model) Instrument(rec *obs.Recorder) {
 	if !rec.Enabled() {
 		return
 	}
-	m.obsAccesses = rec.Counter("dram.banked.accesses")
-	m.obsBytes = rec.Counter("dram.banked.bytes_moved")
-	m.obsRowHits = rec.Counter("dram.banked.row_hits")
-	m.obsRowMiss = rec.Counter("dram.banked.row_misses")
-	m.obsRowConfl = rec.Counter("dram.banked.row_conflicts")
-	m.obsChanBusy = make([]*obs.Counter, m.cfg.Channels)
-	for i := range m.obsChanBusy {
-		m.obsChanBusy[i] = rec.Counter(fmt.Sprintf("dram.banked.chan%d.busy_cycles", i))
+	rec.Counter("dram.banked.accesses", func() uint64 { return m.stats.Accesses })
+	rec.Counter("dram.banked.bytes_moved", func() uint64 { return m.stats.BytesMoved })
+	rec.Counter("dram.banked.row_hits", func() uint64 { return m.stats.RowHits })
+	rec.Counter("dram.banked.row_misses", func() uint64 { return m.stats.RowMisses })
+	rec.Counter("dram.banked.row_conflicts", func() uint64 { return m.stats.RowConflicts })
+	for i := range m.chanBusy {
+		rec.Counter(fmt.Sprintf("dram.banked.chan%d.busy_cycles", i), func() uint64 { return m.chanBusy[i] })
 	}
-	m.obsBankAcc = make([]*obs.Counter, len(m.bankUntil))
-	for i := range m.obsBankAcc {
-		m.obsBankAcc[i] = rec.Counter(fmt.Sprintf("dram.banked.bank%02d.accesses", i))
+	for i := range m.bankAccesses {
+		rec.Counter(fmt.Sprintf("dram.banked.bank%02d.accesses", i), func() uint64 { return m.bankAccesses[i] })
 	}
 	hitRate := rec.Series("dram.banked.row_hit_rate")
 	util := rec.Series("dram.banked.channel_utilization")

@@ -136,7 +136,6 @@ type Device struct {
 	m      *Model
 	t      *TreeMap
 	crypto uint64
-	shared bool // part of a Shared group: Reset leaves the model alone
 }
 
 var _ dram.Device = (*Device)(nil)
@@ -180,14 +179,6 @@ func (d *Device) Path(now uint64, leaf uint64) dram.PathTiming {
 	return dram.PathTiming{Start: now, ReadDone: readDone, DataReady: dataReady, Done: writeDone}
 }
 
-// Reset clears the device's timing state. A Device inside a Shared group
-// leaves the shared model to Shared.Reset.
-func (d *Device) Reset() {
-	if !d.shared {
-		d.m.Reset()
-	}
-}
-
 // Shared is one banked device contended by several ORAM partitions: every
 // partition's tree is laid out at its own channel-aligned offset of the
 // same physical device, and the sharded frontend arbitrates each round's
@@ -213,7 +204,7 @@ func NewShared(cfg Config, parts, levels, z, blockBytes int, crypto uint64) (*Sh
 		if err != nil {
 			return nil, err
 		}
-		s.devs[i] = &Device{m: m, t: tm, crypto: crypto, shared: true}
+		s.devs[i] = &Device{m: m, t: tm, crypto: crypto}
 		base += tm.SpanBytes()
 	}
 	return s, nil
@@ -221,9 +212,6 @@ func NewShared(cfg Config, parts, levels, z, blockBytes int, crypto uint64) (*Sh
 
 // Model exposes the shared timing model.
 func (s *Shared) Model() *Model { return s.m }
-
-// Reset clears the shared model's timing state and statistics.
-func (s *Shared) Reset() { s.m.Reset() }
 
 // CommitRound arbitrates one scheduling round: leaves[p] is partition p's
 // recorded path-access sequence for the round, in controller issue order.

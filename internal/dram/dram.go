@@ -8,11 +8,7 @@
 // computes completion times, it does not move data.
 package dram
 
-import (
-	"fmt"
-
-	"proram/internal/obs"
-)
+import "fmt"
 
 // Config describes a DRAM device and the channel connecting it to the chip.
 type Config struct {
@@ -145,55 +141,6 @@ type Model struct {
 	bankUntil []uint64 // per-bank next-free time
 	busUntil  uint64   // channel next-free time
 	stats     Stats
-
-	obsAccesses *obs.Counter // nil when obs off
-	obsBulk     *obs.Counter
-	obsBytes    *obs.Counter
-
-	// Obs-counter values captured at the last Instrument/Reset: the registry
-	// counters are cumulative across Resets, so stats-vs-obs identities hold
-	// on the deltas over these baselines (see CheckObs).
-	baseAccesses uint64
-	baseBulk     uint64
-	baseBytes    uint64
-}
-
-// Instrument attaches observability counters. Nil handles (the default)
-// keep every hook a single pointer check.
-func (m *Model) Instrument(accesses, bulk, bytes *obs.Counter) {
-	m.obsAccesses = accesses
-	m.obsBulk = bulk
-	m.obsBytes = bytes
-	m.captureObsBase()
-}
-
-// captureObsBase snapshots the obs counters so future CheckObs calls
-// compare like with like.
-func (m *Model) captureObsBase() {
-	m.baseAccesses = m.obsAccesses.Value()
-	m.baseBulk = m.obsBulk.Value()
-	m.baseBytes = m.obsBytes.Value()
-}
-
-// CheckObs cross-checks the Stats.Validate-style identities between the
-// model's stats and the attached obs counters: every stat field with a
-// counter must equal that counter's growth since the last Instrument or
-// Reset. A mismatch means an emission site and its stats update diverged.
-// With no counters attached it trivially passes.
-func (m *Model) CheckObs() error {
-	if m.obsAccesses == nil && m.obsBulk == nil && m.obsBytes == nil {
-		return nil
-	}
-	if got := m.obsAccesses.Value() - m.baseAccesses; m.obsAccesses != nil && got != m.stats.Accesses {
-		return fmt.Errorf("dram: obs accesses counter moved %d, stats say %d", got, m.stats.Accesses)
-	}
-	if got := m.obsBulk.Value() - m.baseBulk; m.obsBulk != nil && got != m.stats.BulkTransfers {
-		return fmt.Errorf("dram: obs bulk-transfer counter moved %d, stats say %d", got, m.stats.BulkTransfers)
-	}
-	if got := m.obsBytes.Value() - m.baseBytes; m.obsBytes != nil && got != m.stats.BytesMoved {
-		return fmt.Errorf("dram: obs bytes counter moved %d, stats say %d", got, m.stats.BytesMoved)
-	}
-	return nil
 }
 
 // New builds a Model from cfg. It panics on an invalid configuration
@@ -247,8 +194,6 @@ func (m *Model) Access(now, addr, bytes uint64) uint64 {
 	m.stats.Accesses++
 	m.stats.BytesMoved += bytes
 	m.stats.BusyCycles += transfer
-	m.obsAccesses.Inc()
-	m.obsBytes.Add(bytes)
 	return done
 }
 
@@ -271,25 +216,11 @@ func (m *Model) BulkTransfer(now, bytes, extraLatency uint64) uint64 {
 	m.stats.BulkTransfers++
 	m.stats.BytesMoved += bytes
 	m.stats.BusyCycles += done - start
-	m.obsBulk.Inc()
-	m.obsBytes.Add(bytes)
 	return done
 }
 
 // NextFree returns the earliest cycle at which the channel is idle.
 func (m *Model) NextFree() uint64 { return m.busUntil }
-
-// Reset clears device state and statistics, keeping the configuration. The
-// attached obs counters are registry-owned and keep counting across Resets;
-// Reset re-baselines them so the CheckObs identities hold mid-run.
-func (m *Model) Reset() {
-	for i := range m.bankUntil {
-		m.bankUntil[i] = 0
-	}
-	m.busUntil = 0
-	m.stats = Stats{}
-	m.captureObsBase()
-}
 
 // Sub returns the delta of s over an earlier snapshot (all fields are
 // monotone counters).

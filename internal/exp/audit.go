@@ -76,7 +76,7 @@ func audit2(opt Options) (*Table, error) {
 		// path than single-path dummies there by design (DESIGN.md §13).
 		aud := audit.New(audit.Config{Timing: tc.banked == nil})
 		cfg.Audit = aud
-		if _, _, err := sim.RunSharded(cfg, ycsbGen(ops, opt.Seed), shardWindow); err != nil {
+		if _, err := sim.RunSharded(cfg, ycsbGen(ops, opt.Seed), shardWindow); err != nil {
 			return nil, fmt.Errorf("audit2 %s: %w", tc.label, err)
 		}
 		rep := aud.Report()

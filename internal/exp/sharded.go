@@ -52,15 +52,6 @@ func ycsbGen(ops, seed uint64) trace.Generator {
 	return trace.NewYCSB(c)
 }
 
-// totalPaths sums the per-partition controllers' path accesses.
-func totalPaths(s shard.Stats) uint64 {
-	var t uint64
-	for _, p := range s.Partitions {
-		t += p.ORAM.PathAccesses
-	}
-	return t
-}
-
 // ablationShard sweeps the partition count on the YCSB trace. More
 // partitions shorten the makespan (rounds run P trees in parallel and
 // each tree is shallower) but burn more padding when the zipfian skew
@@ -72,21 +63,21 @@ func ablationShard(opt Options) (*Table, error) {
 		Columns: []string{"norm_time", "fill_ratio", "cache_hit_rate", "norm_paths", "carryovers"},
 	}
 	ops := opt.scale(ablationShardOps)
-	var base sim.ShardedReport
+	var base shard.Stats
 	for _, parts := range []int{1, 2, 4, 8} {
-		rep, _, err := sim.RunSharded(shardBase(parts, opt.Seed), ycsbGen(ops, opt.Seed), shardWindow)
+		st, err := sim.RunSharded(shardBase(parts, opt.Seed), ycsbGen(ops, opt.Seed), shardWindow)
 		if err != nil {
 			return nil, fmt.Errorf("ablation_shard P=%d: %w", parts, err)
 		}
 		if parts == 1 {
-			base = rep
+			base = st
 		}
 		t.AddRow(fmt.Sprintf("P=%d", parts),
-			float64(rep.Cycles)/float64(base.Cycles),
-			rep.Stats.FillRatio(),
-			float64(rep.CacheHits)/float64(rep.Ops),
-			float64(totalPaths(rep.Stats))/float64(totalPaths(base.Stats)),
-			float64(rep.Carryovers))
+			float64(st.Cycles)/float64(base.Cycles),
+			st.FillRatio(),
+			float64(st.CacheHits)/float64(st.Ops()),
+			float64(st.PathAccesses())/float64(base.PathAccesses()),
+			float64(st.Carryovers))
 	}
 	t.Notes = append(t.Notes,
 		"norm_time/norm_paths are relative to P=1 (the unified baseline on the same scheduler)",
@@ -112,23 +103,23 @@ func bench0(opt Options) (*Table, error) {
 		{"unified_p1", 1},
 		{"sharded_p8", 8},
 	} {
-		rep, _, err := sim.RunSharded(shardBase(tc.parts, opt.Seed), ycsbGen(ops, opt.Seed), shardWindow)
+		st, err := sim.RunSharded(shardBase(tc.parts, opt.Seed), ycsbGen(ops, opt.Seed), shardWindow)
 		if err != nil {
 			return nil, fmt.Errorf("bench0 %s: %w", tc.label, err)
 		}
-		if err := rep.Stats.Validate(); err != nil {
+		if err := st.Validate(); err != nil {
 			return nil, fmt.Errorf("bench0 %s: %w", tc.label, err)
 		}
 		t.AddRow(tc.label,
-			float64(rep.Ops),
-			float64(rep.Cycles),
-			float64(rep.Rounds),
-			float64(rep.RealAccesses),
-			float64(rep.PadAccesses),
-			float64(rep.CacheHits),
-			float64(rep.Carryovers),
-			float64(rep.FillPermille),
-			float64(totalPaths(rep.Stats)))
+			float64(st.Ops()),
+			float64(st.Cycles),
+			float64(st.Rounds),
+			float64(st.RealAccesses),
+			float64(st.PadAccesses()),
+			float64(st.CacheHits),
+			float64(st.Carryovers),
+			float64(st.FillPermille()),
+			float64(st.PathAccesses()))
 	}
 	t.Notes = append(t.Notes,
 		"every cell is a deterministic integer: two runs with the same scale and seed are byte-identical",

@@ -90,10 +90,10 @@ func writeMetricsJSON(w io.Writer, reg *Registry, sm *Sampler) error {
 		Series:     make([]seriesDump, 0, len(sm.series)),
 	}
 	for _, c := range reg.counters {
-		dump.Counters = append(dump.Counters, counterDump{Name: c.name, Value: c.v})
+		dump.Counters = append(dump.Counters, counterDump{Name: c.name, Value: c.Value()})
 	}
 	for _, g := range reg.gauges {
-		dump.Gauges = append(dump.Gauges, gaugeDump{Name: g.name, Value: g.v})
+		dump.Gauges = append(dump.Gauges, gaugeDump{Name: g.name, Value: g.Value()})
 	}
 	for _, h := range reg.hists {
 		bounds := h.bounds

@@ -10,16 +10,16 @@
 // cycles (no wall clock), and two runs with the same seed and flags
 // produce byte-identical dumps.
 //
-// The whole surface is nil-safe. A nil *Recorder — and every nil handle
-// it hands out — turns each emission site into a single pointer check, so
-// the un-instrumented path stays allocation-free and effectively free.
-// Instrumented components therefore keep handles unconditionally:
+// A counter is a view, not a second copy: the component that counts keeps
+// the number in its own statistics and registers how to read it,
 //
-//	type Stash struct {
-//		obsWritebacks *obs.Counter // nil when observability is off
-//	}
-//	...
-//	s.obsWritebacks.Add(uint64(placed)) // no-op on nil
+//	rec.Counter("plb.hits", plb.Hits)
+//
+// and WriteMetrics reads it at export, so no counter call sits on an
+// access path and none can drift from the statistic it reports. Events no
+// statistic holds — histograms, event gauges, series, spans — go through
+// handles, and that surface is nil-safe: a nil *Recorder and every nil
+// handle it hands out make an emission site one pointer check.
 //
 // Obliviousness stance: metric names, series values and trace-event
 // arguments must be derived from public protocol state only (leaf labels,
@@ -91,9 +91,10 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // BeginProcess starts a new logical process (one simulated system) in the
 // trace: subsequent events carry a fresh pid, a process_name metadata
-// record is emitted, and sampler callbacks registered by earlier
-// processes stop firing (their system is no longer running). It returns
-// the pid. The first system keeps pid 1.
+// record is emitted, and the earlier processes are finished — their
+// sampler callbacks stop firing and their view metrics are read one last
+// time and keep that value, so the recorder no longer holds on to their
+// systems. It returns the pid. The first system keeps pid 1.
 func (r *Recorder) BeginProcess(label string) int {
 	if r == nil {
 		return 0
@@ -102,6 +103,7 @@ func (r *Recorder) BeginProcess(label string) int {
 		r.pid++
 	}
 	r.label = label
+	r.reg.freeze()
 	r.sampler.beginProcess()
 	if r.tracer != nil {
 		r.tracer.Meta(r.pid, label)
@@ -126,21 +128,29 @@ func (r *Recorder) metricPrefix() string {
 	return fmt.Sprintf("p%d.", r.pid)
 }
 
-// Counter registers (or finds) the named counter. Nil Recorder → nil
-// handle, whose Add/Inc are no-ops.
-func (r *Recorder) Counter(name string) *Counter {
+// Counter registers the named counter as a view: read is called at every
+// export until the next BeginProcess. Nil Recorder → nil handle.
+func (r *Recorder) Counter(name string, read func() uint64) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.reg.Counter(r.metricPrefix() + name)
+	return r.reg.Counter(r.metricPrefix()+name, read)
 }
 
-// Gauge registers (or finds) the named gauge.
+// Gauge registers (or finds) the named event gauge, driven by Set and Max.
 func (r *Recorder) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.reg.Gauge(r.metricPrefix() + name)
+	return r.reg.Gauge(r.metricPrefix()+name, nil)
+}
+
+// GaugeView registers the named gauge as a view of read, like Counter.
+func (r *Recorder) GaugeView(name string, read func() float64) *Gauge {
+	if r == nil {
+		return nil
+	}
+	return r.reg.Gauge(r.metricPrefix()+name, read)
 }
 
 // Histogram registers (or finds) the named histogram with the given

@@ -9,13 +9,14 @@ import (
 
 // drive pushes a fixed emission sequence through a recorder.
 func drive(r *Recorder) {
-	paths := r.Counter("oram.path_accesses")
+	var paths uint64
+	r.Counter("oram.path_accesses", func() uint64 { return paths })
 	hw := r.Gauge("stash.high_water")
 	sb := r.Histogram("oram.sb_size", PowerOfTwoBounds(4))
 	occ := r.Series("stash_occupancy")
 	r.OnSample(func(cycle uint64) { occ.Record(cycle, float64(cycle/100)) })
 	for i := uint64(0); i < 10; i++ {
-		paths.Inc()
+		paths++
 		hw.Max(float64(i))
 		sb.Observe(float64(1 + i%4))
 		r.Span("oram", "data", i*1000, 900, "leaf", i)
@@ -45,16 +46,18 @@ func TestNilRecorderIsInert(t *testing.T) {
 
 func TestNilRecorderAllocationFree(t *testing.T) {
 	var r *Recorder
-	c := r.Counter("x")
+	c := r.Counter("x", func() uint64 { return 1 })
 	g := r.Gauge("y")
+	v := r.GaugeView("v", func() float64 { return 1 })
 	h := r.Histogram("z", nil)
 	s := r.Series("w")
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Add(1)
-		c.Inc()
 		g.Set(1)
 		g.Max(2)
 		h.Observe(3)
+		if c.Value() != 0 || g.Value() != 0 || v.Value() != 0 || h.Count() != 0 || h.Mean() != 0 || s.Len() != 0 {
+			t.Fatal("nil handle reports a value")
+		}
 		s.Record(4, 5)
 		r.MaybeSample(6)
 		r.Span("a", "b", 0, 1, "k", 2)
@@ -103,13 +106,16 @@ func TestDeterministicExport(t *testing.T) {
 
 func TestRegistryOrderAndDedup(t *testing.T) {
 	var reg Registry
-	a := reg.Counter("a")
-	b := reg.Counter("b")
-	if reg.Counter("a") != a || reg.Counter("b") != b {
+	three := func() uint64 { return 3 }
+	five := func() uint64 { return 5 }
+	a := reg.Counter("a", three)
+	b := reg.Counter("b", five)
+	if reg.Counter("a", five) != a || reg.Counter("b", three) != b {
 		t.Fatal("re-registration did not return the existing handle")
 	}
-	a.Add(3)
-	b.Add(5)
+	if a.Value() != 3 || b.Value() != 5 {
+		t.Fatalf("re-registration replaced the reader: a=%d b=%d", a.Value(), b.Value())
+	}
 	var sm Sampler
 	var out bytes.Buffer
 	if err := writeMetricsJSON(&out, &reg, &sm); err != nil {
@@ -218,7 +224,7 @@ func TestBeginProcessScopesCallbacksAndPids(t *testing.T) {
 		t.Fatalf("process 2 series has %d points", s2.Len())
 	}
 	// Metrics registered by a later process are namespaced by pid.
-	if got := r.Counter("c"); got != r.reg.Counter("p2.c") {
+	if got := r.Counter("c", nil); got != r.reg.Counter("p2.c", nil) {
 		t.Fatal("second-process counter not namespaced with its pid")
 	}
 	if err := r.CloseTrace(); err != nil {
@@ -226,6 +232,82 @@ func TestBeginProcessScopesCallbacksAndPids(t *testing.T) {
 	}
 	if !strings.Contains(tr.String(), `"process_name"`) {
 		t.Fatal("no process metadata emitted")
+	}
+}
+
+// exportedValues parses a metrics dump into name -> value for its counters
+// and gauges.
+func exportedValues(t *testing.T, r *Recorder) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Counters, Gauges []struct {
+			Name  string
+			Value float64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, m := range append(dump.Counters, dump.Gauges...) {
+		out[m.Name] = m.Value
+	}
+	return out
+}
+
+// TestViewsAreReadAtExport: a counter or view gauge holds no value of its
+// own — every WriteMetrics reports what the source says at that moment.
+func TestViewsAreReadAtExport(t *testing.T) {
+	r := New(Options{})
+	var paths uint64
+	highWater := 2
+	r.Counter("paths", func() uint64 { return paths })
+	r.GaugeView("high_water", func() float64 { return float64(highWater) })
+	for _, want := range []uint64{0, 7, 7, 100} {
+		paths = want
+		highWater = int(want) + 2
+		got := exportedValues(t, r)
+		if got["paths"] != float64(want) || got["high_water"] != float64(want+2) {
+			t.Fatalf("source at %d, export says paths=%v high_water=%v", want, got["paths"], got["high_water"])
+		}
+	}
+}
+
+// TestBeginProcessFreezesViews: starting the next process reads the
+// previous one's views for the last time. Its source may then change (or be
+// collected) without the export moving, and the next process's views under
+// the same names are separate metrics.
+func TestBeginProcessFreezesViews(t *testing.T) {
+	r := New(Options{})
+	r.BeginProcess("first")
+	first, firstHW := uint64(0), 0.0
+	c := r.Counter("paths", func() uint64 { return first })
+	g := r.GaugeView("high_water", func() float64 { return firstHW })
+	ev := r.Gauge("queue_depth")
+	first, firstHW = 41, 9
+	ev.Max(3)
+
+	r.BeginProcess("second")
+	if c.read != nil || g.read != nil {
+		t.Fatal("BeginProcess kept the finished process's readers")
+	}
+	first, firstHW = 1000, 1000 // the finished system moves on; the export must not
+	second := uint64(5)
+	r.Counter("paths", func() uint64 { return second })
+	second = 6
+
+	got := exportedValues(t, r)
+	for name, want := range map[string]float64{"paths": 41, "high_water": 9, "queue_depth": 3, "p2.paths": 6} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v (export: %v)", name, got[name], want, got)
+		}
+	}
+	if c.Value() != 41 || g.Value() != 9 {
+		t.Errorf("frozen handles read %d and %v, want 41 and 9", c.Value(), g.Value())
 	}
 }
 

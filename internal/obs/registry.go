@@ -10,39 +10,32 @@ type Registry struct {
 	hists    []*Histogram
 }
 
-// Counter is a monotonically increasing uint64 metric. All methods are
-// no-ops on a nil handle.
+// Counter is a named uint64 metric whose value lives in the component that
+// counts it: the registry keeps only how to read it, and reads at export.
+// A counter can therefore never disagree with the statistic it reports.
 type Counter struct {
 	name string
-	v    uint64
+	read func() uint64 // nil once frozen
+	v    uint64        // the last reading of a frozen counter
 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) {
-	if c != nil {
-		c.v += d
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Value returns the current count (0 on nil).
+// Value reads the counter (0 on nil).
 func (c *Counter) Value() uint64 {
-	if c == nil {
+	switch {
+	case c == nil:
 		return 0
+	case c.read != nil:
+		return c.read()
 	}
 	return c.v
 }
 
-// Gauge is a point-in-time float64 metric. All methods are no-ops on a
-// nil handle.
+// Gauge is a point-in-time float64 metric: either set by events (Set, Max)
+// or, when registered with a reader, a view read at export like a Counter.
+// All methods are no-ops on a nil handle.
 type Gauge struct {
 	name string
+	read func() float64 // view gauges only; nil once frozen
 	v    float64
 }
 
@@ -62,8 +55,11 @@ func (g *Gauge) Max(v float64) {
 
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
-	if g == nil {
+	switch {
+	case g == nil:
 		return 0
+	case g.read != nil:
+		return g.read()
 	}
 	return g.v
 }
@@ -109,28 +105,42 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Counter returns the named counter, registering it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// Counter returns the named counter, registering it on first use as a view
+// of read (the first registration of a name wins).
+func (r *Registry) Counter(name string, read func() uint64) *Counter {
 	for _, c := range r.counters {
 		if c.name == name {
 			return c
 		}
 	}
-	c := &Counter{name: name}
+	c := &Counter{name: name, read: read}
 	r.counters = append(r.counters, c)
 	return c
 }
 
-// Gauge returns the named gauge, registering it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+// Gauge returns the named gauge, registering it on first use. A non-nil
+// read makes it a view; nil leaves it to Set and Max.
+func (r *Registry) Gauge(name string, read func() float64) *Gauge {
 	for _, g := range r.gauges {
 		if g.name == name {
 			return g
 		}
 	}
-	g := &Gauge{name: name}
+	g := &Gauge{name: name, read: read}
 	r.gauges = append(r.gauges, g)
 	return g
+}
+
+// freeze reads every view one last time and drops its reader: the values
+// stay in the export, and the system they were read from is no longer
+// reachable from the registry.
+func (r *Registry) freeze() {
+	for _, c := range r.counters {
+		c.v, c.read = c.Value(), nil
+	}
+	for _, g := range r.gauges {
+		g.v, g.read = g.Value(), nil
+	}
 }
 
 // Histogram returns the named histogram, registering it on first use with

@@ -59,6 +59,7 @@ func (sm *Sampler) onSample(f func(cycle uint64)) {
 // state) and restarts the tick phase, since each system starts its clock
 // at cycle zero.
 func (sm *Sampler) beginProcess() {
+	clear(sm.callbacks) // the closures hold the finished system
 	sm.callbacks = sm.callbacks[:0]
 	sm.next = 0
 }

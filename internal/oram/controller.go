@@ -52,11 +52,10 @@ type Controller struct {
 	trace []TraceEvent
 	dyn   dynOint
 
-	// Observability (see observe.go). All handles are nil when no recorder
-	// is installed; every emission below is then a single pointer check.
+	// Observability (see observe.go): events only — every counter is a view
+	// of stats registered there. Both handles are nil when no recorder is
+	// installed; every emission below is then a single pointer check.
 	obs          *obs.Recorder
-	obsPaths     *obs.Counter
-	obsKindCtr   [KindPeriodicDummy + 1]*obs.Counter
 	obsSBSize    *obs.Histogram
 	obsSatDumped bool // stash-saturation flight dump emitted (once per run)
 
@@ -243,8 +242,6 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 	if c.cfg.RecordTrace {
 		c.trace = append(c.trace, TraceEvent{Leaf: uint64(leaf), Start: start, Kind: kind}) //proram:allow allocdiscipline trace recording is opt-in debugging, off in measured runs
 	}
-	c.obsPaths.Inc()
-	c.obsKindCtr[kind].Inc() //proram:allow boundscheck the array is sized KindPeriodicDummy+1 and every caller passes a declared Kind constant; the switch above would already be incomplete for anything else
 	c.obs.Span("oram", kind.String(), start, end-start, "leaf", uint64(leaf))
 
 	c.scratch = c.tr.RemovePath(leaf, c.scratch[:0])

@@ -20,18 +20,29 @@ func (c *Controller) SetRecorder(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
-	c.obsPaths = rec.Counter("oram.path_accesses")
-	for k := KindData; k <= KindPeriodicDummy; k++ {
-		c.obsKindCtr[k] = rec.Counter("oram.paths." + k.String())
-	}
+	// Counters are views of the statistics the controller and its
+	// components keep anyway, read at export; registration order is export
+	// order, and the per-kind counters follow AccessKind order.
+	st := &c.stats
+	rec.Counter("oram.path_accesses", func() uint64 { return st.PathAccesses })
+	rec.Counter("oram.paths."+KindData.String(), func() uint64 { return st.DataPaths })
+	rec.Counter("oram.paths."+KindPosMap.String(), func() uint64 { return st.PosMapPaths })
+	rec.Counter("oram.paths."+KindWriteback.String(), func() uint64 { return st.WritebackPaths })
+	rec.Counter("oram.paths."+KindPLBWriteback.String(), func() uint64 { return st.PLBWritebackPaths })
+	rec.Counter("oram.paths."+KindBackgroundEvict.String(), func() uint64 { return st.BackgroundEvictions })
+	rec.Counter("oram.paths."+KindPeriodicDummy.String(), func() uint64 { return st.DummyAccesses })
 	// Super block sizes are powers of two; bounds up to 64 cover every
 	// configuration the policy accepts.
 	c.obsSBSize = rec.Histogram("oram.sb_size", obs.PowerOfTwoBounds(7))
 
-	// Components.
-	c.st.Instrument(rec.Counter("stash.writebacks"), rec.Gauge("stash.high_water"))
-	c.plb.Instrument(rec.Counter("plb.hits"), rec.Counter("plb.misses"),
-		rec.Counter("plb.dirty_evictions"))
+	// Components. The initializer's untimed drain of an over-packed tree
+	// (prefill) is not part of the run, here as in the path counters.
+	prefilled := c.st.Writebacks()
+	rec.Counter("stash.writebacks", func() uint64 { return c.st.Writebacks() - prefilled })
+	rec.GaugeView("stash.high_water", func() float64 { return float64(c.st.HighWater()) })
+	rec.Counter("plb.hits", c.plb.Hits)
+	rec.Counter("plb.misses", c.plb.Misses)
+	rec.Counter("plb.dirty_evictions", c.plb.DirtyEvictions)
 	if d, ok := c.dev.(*banked.Device); ok {
 		d.Model().Instrument(rec)
 	}

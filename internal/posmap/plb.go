@@ -4,7 +4,6 @@ import (
 	"container/list"
 
 	"proram/internal/mem"
-	"proram/internal/obs"
 )
 
 // PLB is the Position-map Lookaside Buffer of Unified ORAM: a small LRU
@@ -20,20 +19,9 @@ type PLB struct {
 	lru      *list.List // front = most recent; values are plbEntry
 	index    map[mem.BlockID]*list.Element
 
-	hits   uint64
-	misses uint64
-
-	obsHits        *obs.Counter // nil when obs off
-	obsMisses      *obs.Counter
-	obsDirtyEvicts *obs.Counter
-}
-
-// Instrument attaches observability counters. Nil handles (the default)
-// keep every hook a single pointer check.
-func (p *PLB) Instrument(hits, misses, dirtyEvicts *obs.Counter) {
-	p.obsHits = hits
-	p.obsMisses = misses
-	p.obsDirtyEvicts = dirtyEvicts
+	hits           uint64
+	misses         uint64
+	dirtyEvictions uint64
 }
 
 type plbEntry struct {
@@ -65,11 +53,9 @@ func (p *PLB) Lookup(id mem.BlockID) bool {
 	if e, ok := p.index[id]; ok {
 		p.lru.MoveToFront(e)
 		p.hits++
-		p.obsHits.Inc()
 		return true
 	}
 	p.misses++
-	p.obsMisses.Inc()
 	return false
 }
 
@@ -123,14 +109,16 @@ func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, dirty, ok bool) {
 	p.lru.MoveToFront(back)
 	p.index[id] = back
 	if dirty {
-		p.obsDirtyEvicts.Inc()
+		p.dirtyEvictions++
 	}
 	return victim, dirty, true
 }
 
-// Hits and Misses expose the lookup statistics.
-func (p *PLB) Hits() uint64   { return p.hits }
-func (p *PLB) Misses() uint64 { return p.misses }
+// Hits and Misses expose the lookup statistics; DirtyEvictions counts the
+// victims Insert handed back for write-back.
+func (p *PLB) Hits() uint64           { return p.hits }
+func (p *PLB) Misses() uint64         { return p.misses }
+func (p *PLB) DirtyEvictions() uint64 { return p.dirtyEvictions }
 
 // HitRate returns hits/(hits+misses), or 0 when no lookups happened.
 func (p *PLB) HitRate() float64 {

@@ -5,11 +5,7 @@
 // saturated controller, which is exactly the effect Figure 5 demonstrates.
 package prefetch
 
-import (
-	"fmt"
-
-	"proram/internal/obs"
-)
+import "fmt"
 
 // Config parameterizes the prefetcher.
 type Config struct {
@@ -44,14 +40,8 @@ type Stream struct {
 	cfg     Config
 	streams []stream
 	tick    uint64
-
-	issued    uint64
-	obsIssued *obs.Counter // nil when obs off
+	issued  uint64
 }
-
-// Instrument attaches an observability counter for issued prefetches. A
-// nil handle (the default) keeps the hook a single pointer check.
-func (s *Stream) Instrument(issued *obs.Counter) { s.obsIssued = issued }
 
 // New builds the prefetcher; it panics on invalid configuration.
 func New(cfg Config) *Stream {
@@ -85,7 +75,6 @@ func (s *Stream) OnMiss(index uint64, dst []uint64) []uint64 {
 		for d := 1; d <= s.cfg.Degree; d++ {
 			dst = append(dst, index+uint64(d)) //proram:allow allocdiscipline appends into a caller-owned reusable buffer
 			s.issued++
-			s.obsIssued.Inc()
 		}
 		return dst
 	}

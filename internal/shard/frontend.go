@@ -186,7 +186,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 	if cfg.RecordAccesses {
 		f.log = &Log{}
 	}
-	f.met = newMetrics(cfg.Recorder, cfg.Partitions)
+	f.met = newMetrics(cfg.Recorder, f)
 
 	p64 := uint64(cfg.Partitions)
 	// Headroom over the expected Blocks/P load: the keyed hash spreads
@@ -366,12 +366,6 @@ func (f *Frontend) Arrivals() []Arrival {
 	return append([]Arrival(nil), f.arrivals...)
 }
 
-// Recorder returns the frontend's obs recorder (nil when none was
-// configured); callers use it to finalize metrics and trace outputs.
-func (f *Frontend) Recorder() *obs.Recorder {
-	return f.cfg.Recorder
-}
-
 // AccessLog returns the recorded global access sequence. Call it after
 // Close (or between rounds); the returned log is the live one, not a copy.
 func (f *Frontend) AccessLog() *Log {
@@ -545,7 +539,7 @@ func (f *Frontend) commit(round uint64, kind roundKind, floor uint64, byPart []r
 		sp = f.roundSpans(floor, byPart)
 	}
 	f.feedAudit(round, kind, byPart, sp)
-	f.met.onRound(f, kind, byPart, sp, leftovers, pending)
+	f.met.onRound(f, kind, byPart, sp, pending)
 }
 
 // arbitrate schedules the round's recorded accesses onto the shared banked
@@ -575,8 +569,10 @@ func (f *Frontend) arbitrate(floor uint64, byPart []roundResult) {
 	}
 }
 
-// computeStats rebuilds the stats snapshot from worker state. Callers
-// hold mu and run at the round barrier.
+// computeStats rebuilds the stats snapshot from worker state, refilling
+// its Partitions in place: nothing outside the mutex ever holds that slice
+// (Stats and Replay hand out clones). Callers hold mu and run at the round
+// barrier.
 func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 	s := f.snap
 	switch kind {
@@ -592,7 +588,9 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 	s.FlushAccesses, s.FlushPad = 0, 0
 	s.RequestErrors = 0
 	s.Cycles = 0
-	s.Partitions = make([]PartitionStats, len(f.parts))
+	if s.Partitions == nil {
+		s.Partitions = make([]PartitionStats, len(f.parts))
+	}
 	for i, p := range f.parts {
 		ps := PartitionStats{
 			Reads: p.reads, Writes: p.writes, CacheHits: p.cacheHits,

@@ -9,16 +9,10 @@ import (
 // metrics is the frontend's observability wiring. Every emission happens
 // on the round driver (dispatcher or replay loop) at a round barrier —
 // obs.Recorder is not concurrent-safe, and this is the one place worker
-// state is quiescent.
+// state is quiescent. The scheduler's counters are not here: they are
+// views of Stats, read at export.
 type metrics struct {
 	rec        *obs.Recorder
-	rounds     *obs.Counter
-	flushes    *obs.Counter
-	demand     *obs.Counter
-	dummy      *obs.Counter
-	hits       *obs.Counter
-	served     *obs.Counter
-	carryovers *obs.Counter
 	fill       *obs.Histogram // per-(round, partition) fill, percent
 	queueDepth *obs.Gauge     // high-water pending requests at a barrier
 	stash      []*obs.Gauge   // per-partition stash occupancy high-water
@@ -36,21 +30,28 @@ type metrics struct {
 // access (~thousands) up through heavily queued rounds.
 var latencyBounds = []float64{1_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000}
 
-// newMetrics registers the scheduler's metrics; nil recorder, nil metrics
-// (every method is then a no-op).
-func newMetrics(rec *obs.Recorder, parts int) *metrics {
+// newMetrics registers f's scheduler metrics on rec; nil recorder, nil
+// metrics (every method is then a no-op). The counters read the snapshot
+// through f.Stats, under the frontend's mutex.
+func newMetrics(rec *obs.Recorder, f *Frontend) *metrics {
 	if !rec.Enabled() {
 		return nil
 	}
+	parts := len(f.parts)
+	view := func(name string, read func(Stats) uint64) {
+		rec.Counter(name, func() uint64 { return read(f.Stats()) })
+	}
+	view("shard.rounds", func(s Stats) uint64 { return s.Rounds })
+	view("shard.flush_rounds", func(s Stats) uint64 { return s.FlushRounds })
+	view("shard.demand_accesses", func(s Stats) uint64 { return s.RealAccesses + s.FlushAccesses })
+	view("shard.dummy_accesses", Stats.PadAccesses)
+	view("shard.cache_hits", func(s Stats) uint64 { return s.CacheHits })
+	// Every request answered, failed ones included (RequestErrors also
+	// counts the blocks a flush could not write back).
+	view("shard.requests_served", func(s Stats) uint64 { return s.Reads + s.Writes + s.RequestErrors })
+	view("shard.carryovers", func(s Stats) uint64 { return s.Carryovers })
 	m := &metrics{
 		rec:        rec,
-		rounds:     rec.Counter("shard.rounds"),
-		flushes:    rec.Counter("shard.flush_rounds"),
-		demand:     rec.Counter("shard.demand_accesses"),
-		dummy:      rec.Counter("shard.dummy_accesses"),
-		hits:       rec.Counter("shard.cache_hits"),
-		served:     rec.Counter("shard.requests_served"),
-		carryovers: rec.Counter("shard.carryovers"),
 		fill:       rec.Histogram("shard.round_fill_pct", []float64{0, 10, 25, 50, 75, 90, 100}),
 		queueDepth: rec.Gauge("shard.queue_depth"),
 		stash:      make([]*obs.Gauge, parts),
@@ -71,24 +72,13 @@ func newMetrics(rec *obs.Recorder, parts int) *metrics {
 // onRound records one completed round (of any kind) from the barrier. For
 // demand rounds sp carries the per-partition latency decomposition (nil
 // for flush and pad rounds).
-func (m *metrics) onRound(f *Frontend, kind roundKind, byPart []roundResult, sp []spans, leftovers, pending int) {
+func (m *metrics) onRound(f *Frontend, kind roundKind, byPart []roundResult, sp []spans, pending int) {
 	if m == nil {
 		return
 	}
-	switch kind {
-	case roundDemand:
-		m.rounds.Inc()
-	case roundFlush:
-		m.flushes.Inc()
-	}
-	for i := range byPart {
-		r := &byPart[i]
-		m.demand.Add(uint64(r.real))
-		m.dummy.Add(uint64(r.dummy))
-		m.hits.Add(uint64(r.hits))
-		m.served.Add(uint64(r.served))
-		if kind == roundDemand {
-			m.fill.Observe(100 * float64(r.real) / float64(f.cfg.RoundSlots))
+	if kind == roundDemand {
+		for i := range byPart {
+			m.fill.Observe(100 * float64(byPart[i].real) / float64(f.cfg.RoundSlots))
 		}
 	}
 	if sp != nil {
@@ -110,7 +100,6 @@ func (m *metrics) onRound(f *Frontend, kind roundKind, byPart []roundResult, sp 
 			}
 		}
 	}
-	m.carryovers.Add(uint64(leftovers))
 	m.queueDepth.Max(float64(pending))
 	for i, p := range f.parts {
 		m.stash[i].Max(float64(p.store.Ctrl.StashSize()))

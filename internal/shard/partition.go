@@ -57,8 +57,6 @@ type roundResult struct {
 	leftovers []*request // unserved requests, original arrival order
 	real      int        // demand accesses issued this round
 	dummy     int        // dummy accesses issued this round
-	hits      int        // requests served from the partition cache
-	served    int        // requests answered (hits + demand-served + errored)
 	errors    int        // requests answered with an error
 	trace     []oram.TraceEvent
 	marks     []slotMark // per-slot trace boundaries (auditing only)
@@ -93,14 +91,13 @@ type partition struct {
 	curMarks     []slotMark // marks of the round in flight (markSlots only)
 
 	// Cumulative counters (see stats.go for the identities they obey).
-	reads, writes  uint64
-	cacheHits      uint64
-	realAccesses   uint64 // demand-round ORAM accesses
-	dummyAccesses  uint64 // demand-round padding accesses
-	flushAccesses  uint64 // flush-round write-backs
-	flushPad       uint64 // flush-round padding accesses
-	requestErrors  uint64
-	servedRequests uint64
+	reads, writes uint64
+	cacheHits     uint64
+	realAccesses  uint64 // demand-round ORAM accesses
+	dummyAccesses uint64 // demand-round padding accesses
+	flushAccesses uint64 // flush-round write-backs
+	flushPad      uint64 // flush-round padding accesses
+	requestErrors uint64
 
 	work    chan roundWork
 	results chan<- roundResult
@@ -174,7 +171,6 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		//proram:public whether a slot is cached follows the public access sequence; the line is only container-tainted by its payload bytes
 		if line := p.cache.Lookup(local); line != nil {
 			p.cacheHits++
-			res.hits++
 			p.finish(req, line, res)
 			continue
 		}
@@ -247,8 +243,6 @@ func (p *partition) fail(req *request, err error, res *roundResult) {
 // answer replies to a request (the response channel is buffered, so the
 // worker never blocks on a slow client).
 func (p *partition) answer(req *request, resp response, res *roundResult) {
-	res.served++
-	p.servedRequests++
 	if p.lat {
 		res.servedArr = append(res.servedArr, req.arr)
 	}

@@ -84,11 +84,12 @@ func (l *Log) Bytes() []byte {
 // deterministic budget rules, and records commit in (round, partition)
 // order — so under the same Config and seed, two Replays (and the
 // recording run itself) yield byte-identical Logs, partition concurrency
-// notwithstanding.
+// notwithstanding. A Recorder and an Audit in cfg observe the replay as
+// they would a live run: every emission is on this round driver, at a
+// commit barrier.
 func Replay(cfg Config, arrivals []Arrival) (*Log, Stats, error) {
 	cfg.RecordAccesses = true
 	cfg.RecordArrivals = false
-	cfg.Recorder = nil
 	f, err := build(cfg, true)
 	if err != nil {
 		return nil, Stats{}, err

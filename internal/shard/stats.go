@@ -83,6 +83,31 @@ func (s Stats) FillRatio() float64 {
 	return float64(s.RealAccesses) / float64(t)
 }
 
+// FillPermille is FillRatio in integer 1/1000ths, so that pinned reports
+// stay byte-stable.
+func (s Stats) FillPermille() uint64 {
+	t := s.RealAccesses + s.DummyAccesses
+	if t == 0 {
+		return 0
+	}
+	return s.RealAccesses * 1000 / t
+}
+
+// Ops is the number of requests served.
+func (s Stats) Ops() uint64 { return s.Reads + s.Writes }
+
+// PadAccesses is all padding: demand-round dummies plus flush padding.
+func (s Stats) PadAccesses() uint64 { return s.DummyAccesses + s.FlushPad }
+
+// PathAccesses sums the partition controllers' path accesses.
+func (s Stats) PathAccesses() uint64 {
+	var t uint64
+	for _, p := range s.Partitions {
+		t += p.ORAM.PathAccesses
+	}
+	return t
+}
+
 // Validate checks the scheduler's accounting identities:
 //
 //	per partition: RealAccesses+DummyAccesses == Rounds×RoundSlots

@@ -130,35 +130,3 @@ func TestObservedRunDeterministic(t *testing.T) {
 		t.Error("process label missing from trace")
 	}
 }
-
-// TestObsCountersMatchStats cross-checks the obs counters against the
-// independently maintained Stats structure: both views of one run must
-// agree exactly.
-func TestObsCountersMatchStats(t *testing.T) {
-	rec := obs.New(obs.Options{})
-	cfg := DefaultConfig(TechORAM)
-	smallORAM(&cfg)
-	cfg.ORAM.Super = superblock.DefaultConfig()
-	cfg.Obs = rec
-
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(synth(6000, 0.7, 3)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.ORAM().Stats()
-	if got := rec.Counter("oram.path_accesses").Value(); got != st.PathAccesses {
-		t.Errorf("obs counted %d path accesses, stats say %d", got, st.PathAccesses)
-	}
-	if got := rec.Counter("oram.paths.data").Value(); got != st.DataPaths {
-		t.Errorf("obs counted %d data paths, stats say %d", got, st.DataPaths)
-	}
-	if got := rec.Counter("plb.hits").Value(); got != st.PLBHits {
-		t.Errorf("obs counted %d PLB hits, stats say %d", got, st.PLBHits)
-	}
-	if got := rec.Counter("plb.misses").Value(); got != st.PLBMisses {
-		t.Errorf("obs counted %d PLB misses, stats say %d", got, st.PLBMisses)
-	}
-}

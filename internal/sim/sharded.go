@@ -7,41 +7,20 @@ import (
 	"proram/internal/trace"
 )
 
-// ShardedReport summarizes one sharded frontend run.
-type ShardedReport struct {
-	// Ops is the number of requests served.
-	Ops uint64
-	// Rounds is the number of demand scheduling rounds.
-	Rounds uint64
-	// Cycles is the simulated makespan: the slowest partition's clock.
-	Cycles uint64
-	// RealAccesses/PadAccesses split the fixed round bandwidth into demand
-	// work and padding.
-	RealAccesses uint64
-	PadAccesses  uint64
-	// CacheHits counts requests served without an ORAM access.
-	CacheHits uint64
-	// Carryovers counts requests that overflowed their round's budget.
-	Carryovers uint64
-	// FillPermille is the demand share of round bandwidth in 1/1000ths
-	// (integer so reports stay byte-stable).
-	FillPermille uint64
-	// Stats is the frontend's full snapshot.
-	Stats shard.Stats
-}
-
 // RunSharded drives a sharded frontend from a trace generator under a
 // closed-loop admission model: `window` clients each keep one request
 // outstanding, so every scheduling round admits the next `window`
-// operations of the stream. The model is deterministic — the arrival log
-// is a pure function of the trace — so two runs are byte-identical, and
-// the report's integers are safe to pin in benchmark baselines.
-func RunSharded(cfg shard.Config, g trace.Generator, window int) (ShardedReport, *shard.Log, error) {
+// operations of the stream. Trace addresses are folded onto the frontend's
+// capacity: an operation touches block (Addr / BlockBytes) mod Blocks. The
+// model is deterministic — the arrival log is a pure function of the
+// trace — so two runs are byte-identical, and the statistics' integers are
+// safe to pin in benchmark baselines.
+func RunSharded(cfg shard.Config, g trace.Generator, window int) (shard.Stats, error) {
 	if window < 1 {
-		return ShardedReport{}, nil, fmt.Errorf("sim: sharded window %d must be >= 1", window)
+		return shard.Stats{}, fmt.Errorf("sim: sharded window %d must be >= 1", window)
 	}
 	if cfg.BlockBytes <= 0 || cfg.Blocks == 0 {
-		return ShardedReport{}, nil, fmt.Errorf("sim: sharded config needs Blocks and BlockBytes")
+		return shard.Stats{}, fmt.Errorf("sim: sharded config needs Blocks and BlockBytes")
 	}
 	arrivals := make([]shard.Arrival, 0, g.Len())
 	var seq uint64
@@ -58,22 +37,6 @@ func RunSharded(cfg shard.Config, g trace.Generator, window int) (ShardedReport,
 		})
 		seq++
 	}
-	log, stats, err := shard.Replay(cfg, arrivals)
-	if err != nil {
-		return ShardedReport{}, nil, err
-	}
-	rep := ShardedReport{
-		Ops:          stats.Reads + stats.Writes,
-		Rounds:       stats.Rounds,
-		Cycles:       stats.Cycles,
-		RealAccesses: stats.RealAccesses,
-		PadAccesses:  stats.DummyAccesses + stats.FlushPad,
-		CacheHits:    stats.CacheHits,
-		Carryovers:   stats.Carryovers,
-		Stats:        stats,
-	}
-	if t := stats.RealAccesses + stats.DummyAccesses; t > 0 {
-		rep.FillPermille = stats.RealAccesses * 1000 / t
-	}
-	return rep, log, nil
+	_, stats, err := shard.Replay(cfg, arrivals)
+	return stats, err
 }

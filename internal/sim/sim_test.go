@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"proram/internal/oram"
@@ -62,6 +63,31 @@ func TestRunTwiceRejected(t *testing.T) {
 	if _, err := s.Run(synth(100, 0.5, 1)); err == nil {
 		t.Fatal("second Run accepted")
 	}
+}
+
+// TestWorkloadBeyondCapacityIsAnError: a trace that addresses a block the
+// ORAM does not hold ends the run with an error naming the address and the
+// capacity — the controller's own answer to such an index is a panic. The
+// same trace is fine on DRAM, which has no capacity.
+func TestWorkloadBeyondCapacityIsAnError(t *testing.T) {
+	cfg := DefaultConfig(TechORAM)
+	cfg.ORAM.NumBlocks = 1 << 12 // 512 KB; synth spans 2 MB
+	cfg.ORAM.OnChipEntries = 64
+	cfg.WarmupOps = 100
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run(synth(5000, 0.5, 1))
+	if err == nil {
+		t.Fatal("out-of-range workload ran to completion")
+	}
+	for _, want := range []string{"address 0x", "4096 blocks of 128 bytes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	run(t, DefaultConfig(TechDRAM), synth(5000, 0.5, 1))
 }
 
 func TestDRAMFasterThanORAM(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"proram/internal/mem"
-	"proram/internal/obs"
 	"proram/internal/tree"
 )
 
@@ -54,20 +53,11 @@ type Stash struct {
 	used  int
 	shift uint // 64 - log2(len(table)): the hash keeps the product's top bits
 
-	limit     int           // configured capacity (soft: triggers background eviction)
-	highWater int           // max observed size
-	ends      []int         // reusable per-height run bounds of eviction's counting sort
-	sorted    []mem.BlockID // reusable buffer the live blocks are sorted into
-
-	obsWritebacks *obs.Counter // blocks written back to the tree; nil when obs off
-	obsHighWater  *obs.Gauge   // peak occupancy; nil when obs off
-}
-
-// Instrument attaches observability handles. Nil handles (the default)
-// keep every hook a single pointer check.
-func (s *Stash) Instrument(writebacks *obs.Counter, highWater *obs.Gauge) {
-	s.obsWritebacks = writebacks
-	s.obsHighWater = highWater
+	limit      int           // configured capacity (soft: triggers background eviction)
+	highWater  int           // max observed size
+	writebacks uint64        // blocks written back to the tree
+	ends       []int         // reusable per-height run bounds of eviction's counting sort
+	sorted     []mem.BlockID // reusable buffer the live blocks are sorted into
 }
 
 // New returns an empty stash with the given soft capacity limit. It
@@ -102,6 +92,9 @@ func (s *Stash) Size() int { return s.live }
 
 // HighWater returns the maximum size ever observed.
 func (s *Stash) HighWater() int { return s.highWater }
+
+// Writebacks returns the number of blocks EvictToPath has written back.
+func (s *Stash) Writebacks() uint64 { return s.writebacks }
 
 // OverLimit reports whether the stash currently exceeds its soft capacity,
 // i.e. whether the controller must issue background evictions.
@@ -171,7 +164,6 @@ func (s *Stash) Add(id mem.BlockID, leaf mem.Leaf) error {
 	s.live++
 	if s.live > s.highWater {
 		s.highWater = s.live
-		s.obsHighWater.Max(float64(s.highWater))
 	}
 	return nil
 }
@@ -348,6 +340,6 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 		head += n
 	}
 	s.maybeCompact()
-	s.obsWritebacks.Add(uint64(head))
+	s.writebacks += uint64(head)
 	return head
 }

@@ -50,13 +50,19 @@ func (c *ObsConfig) recorder() *obs.Recorder {
 // the trace file is well-formed JSON. Call it once, after the last Run.
 // It is a no-op on a simulator built without ObsConfig.
 func (s *Simulator) CloseObs() error {
-	if s.rec == nil {
-		return nil
+	return finishObs(s.rec, s.metricsOut)
+}
+
+// finishObs writes rec's metrics dump to metricsOut (nil discards it) and
+// terminates its trace; the error is the first of the two to fail. A nil
+// rec has nothing to finish.
+func finishObs(rec *obs.Recorder, metricsOut io.Writer) error {
+	var err error
+	if metricsOut != nil {
+		err = rec.WriteMetrics(metricsOut)
 	}
-	if s.metricsOut != nil {
-		if err := s.rec.WriteMetrics(s.metricsOut); err != nil {
-			return err
-		}
+	if cerr := rec.CloseTrace(); err == nil {
+		err = cerr
 	}
-	return s.rec.CloseTrace()
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 
+	"proram/internal/obs"
 	"proram/internal/obs/audit"
 	"proram/internal/shard"
 	"proram/internal/sim"
@@ -25,30 +26,71 @@ import (
 // goroutine, the dispatcher alone forms rounds, and clients only ever
 // touch admission queues and reply channels.
 type ShardedRAM struct {
-	cfg        Config
-	f          *shard.Frontend
-	metricsOut io.Writer
-	aud        *audit.Auditor
-	auditOut   io.Writer
-	auditRep   *AuditReport
+	cfg      Config
+	f        *shard.Frontend
+	out      shardedOutputs
+	auditRep *AuditReport
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// ShardedOptions tunes the concurrent frontend beyond Config.
+// ShardedOptions tunes the concurrent frontend beyond Config, for
+// NewSharded and for SimulateSharded.
 type ShardedOptions struct {
 	// RecordArrivals keeps the admission log that makes the run
 	// replayable (see internal/shard.Replay).
 	RecordArrivals bool
-	// RecordAccesses keeps the canonical global access sequence.
+	// RecordAccesses keeps the canonical global access sequence. A
+	// simulation replays a log it derives from the workload, so both
+	// Record fields mean nothing to SimulateSharded.
 	RecordAccesses bool
 	// Obs enables scheduler metrics and tracing; outputs are finalized by
-	// Close.
+	// Close, or before SimulateSharded returns.
 	Obs *ObsConfig
 	// Audit arms the live obliviousness auditor; its report is finalized
-	// by Close, which then also fails when the audit does. See AuditConfig.
+	// by Close, which then also fails when the audit does, or returned in
+	// SimulateSharded's report. See AuditConfig.
 	Audit *AuditConfig
+}
+
+// shardedOutputs is what ShardedOptions asked of one frontend: the
+// recorder and auditor lowered into its shard.Config, and where their
+// artifacts go once the run is over.
+type shardedOutputs struct {
+	rec        *obs.Recorder
+	metricsOut io.Writer
+	aud        *audit.Auditor
+	auditOut   io.Writer
+}
+
+// lower installs the options into scfg and returns the outputs to finish.
+func (opt ShardedOptions) lower(scfg *shard.Config) shardedOutputs {
+	out := shardedOutputs{rec: opt.Obs.recorder()}
+	out.aud = opt.Audit.auditor(scfg.Banked == nil, out.rec)
+	scfg.RecordArrivals = opt.RecordArrivals
+	scfg.RecordAccesses = opt.RecordAccesses
+	scfg.Recorder = out.rec
+	scfg.Audit = out.aud
+	if opt.Obs != nil {
+		out.metricsOut = opt.Obs.MetricsOut
+	}
+	if opt.Audit != nil {
+		scfg.Leak = opt.Audit.Leak.internal()
+		out.auditOut = opt.Audit.Out
+	}
+	return out
+}
+
+// finish writes the audit report, the metrics dump and the end of the
+// trace. The error is the first failed write; the audit's verdict travels
+// in the digest (nil when no auditor was armed).
+func (o shardedOutputs) finish() (*AuditReport, error) {
+	rep, err := finishAudit(o.aud, o.auditOut)
+	if oerr := finishObs(o.rec, o.metricsOut); err == nil {
+		err = oerr
+	}
+	return rep, err
 }
 
 // NewSharded builds a partitioned oblivious RAM. Close it to stop the
@@ -59,25 +101,12 @@ func NewSharded(cfg Config, opt ShardedOptions) (*ShardedRAM, error) {
 		return nil, err
 	}
 	scfg := cfg.shardConfig()
-	scfg.RecordArrivals = opt.RecordArrivals
-	scfg.RecordAccesses = opt.RecordAccesses
-	scfg.Recorder = opt.Obs.recorder()
-	scfg.Audit = opt.Audit.auditor(scfg.Banked == nil, scfg.Recorder)
-	if opt.Audit != nil {
-		scfg.Leak = opt.Audit.Leak.internal()
-	}
+	out := opt.lower(&scfg)
 	f, err := shard.New(scfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedRAM{cfg: cfg, f: f, aud: scfg.Audit}
-	if opt.Obs != nil {
-		s.metricsOut = opt.Obs.MetricsOut
-	}
-	if opt.Audit != nil {
-		s.auditOut = opt.Audit.Out
-	}
-	return s, nil
+	return &ShardedRAM{cfg: cfg, f: f, out: out}, nil
 }
 
 // Blocks returns the capacity in blocks.
@@ -131,25 +160,13 @@ func (s *ShardedRAM) Close() error {
 // finish is the body of the first Close.
 func (s *ShardedRAM) finish() error {
 	err := s.f.Close()
-	if s.aud != nil {
-		rep, aerr := finishAudit(s.aud, s.auditOut)
-		s.auditRep = rep
-		if err == nil {
-			err = aerr
-		}
-		if err == nil {
-			err = rep.Err()
-		}
+	rep, oerr := s.out.finish()
+	s.auditRep = rep
+	if err == nil {
+		err = oerr
 	}
-	if rec := s.f.Recorder(); rec.Enabled() {
-		if s.metricsOut != nil {
-			if werr := rec.WriteMetrics(s.metricsOut); err == nil {
-				err = werr
-			}
-		}
-		if cerr := rec.CloseTrace(); err == nil {
-			err = cerr
-		}
+	if err == nil {
+		err = rep.Err()
 	}
 	return err
 }
@@ -167,9 +184,9 @@ func (s *ShardedRAM) Stats() Stats {
 	agg.Reads = sch.Reads
 	agg.Writes = sch.Writes
 	agg.CacheHits = sch.CacheHits
-	agg.DummyAccesses = sch.DummyAccesses + sch.FlushPad
+	agg.DummyAccesses = sch.PadAccesses()
+	agg.PathAccesses = sch.PathAccesses()
 	for _, p := range sch.Partitions {
-		agg.PathAccesses += p.ORAM.PathAccesses
 		agg.BackgroundEvictions += p.ORAM.BackgroundEvictions
 		agg.DummyAccesses += p.ORAM.DummyAccesses
 		agg.Merges += p.ORAM.Merges
@@ -213,7 +230,7 @@ func schedStatsFrom(parts int, sch shard.Stats) SchedStats {
 		Rounds:        sch.Rounds,
 		FlushRounds:   sch.FlushRounds,
 		RealAccesses:  sch.RealAccesses,
-		PadAccesses:   sch.DummyAccesses + sch.FlushPad,
+		PadAccesses:   sch.PadAccesses(),
 		Carryovers:    sch.Carryovers,
 		CacheHits:     sch.CacheHits,
 		Cycles:        sch.Cycles,
@@ -230,51 +247,39 @@ type ShardedSimReport struct {
 	PathAccesses uint64
 	// Sched is the scheduler's accounting (rounds, padding, makespan).
 	Sched SchedStats
+	// Audit is the obliviousness audit digest (nil unless
+	// ShardedOptions.Audit armed the auditor).
+	Audit *AuditReport
 }
 
 // SimulateSharded replays a workload's memory trace through a partitioned
 // frontend under a closed-loop admission model: `clients` concurrent
 // clients each keep one request outstanding, so every scheduling round
-// admits the next `clients` operations of the trace. The run is
-// deterministic — it uses the replay scheduler, so the same workload,
-// configuration and client count always produce the same report.
-func SimulateSharded(cfg Config, w Workload, clients int) (ShardedSimReport, error) {
-	r, _, err := simulateSharded(cfg, w, clients, nil)
-	return r, err
-}
-
-// SimulateShardedAudited is SimulateSharded with the obliviousness
-// auditor tapped into the run. The report digest is returned even when
-// the audit fails — the error reports operational failures only, so
-// callers (the CLIs, CI) decide how a failed verdict exits.
-func SimulateShardedAudited(cfg Config, w Workload, clients int, ac AuditConfig) (ShardedSimReport, *AuditReport, error) {
-	return simulateSharded(cfg, w, clients, &ac)
-}
-
-// simulateSharded is the one sharded-simulation body; a nil ac runs
-// unaudited and returns a nil digest.
-func simulateSharded(cfg Config, w Workload, clients int, ac *AuditConfig) (ShardedSimReport, *AuditReport, error) {
+// admits the next `clients` operations of the trace. Workload addresses
+// are folded onto the capacity: an operation touches block
+// (Addr / BlockBytes) mod Blocks. The run is deterministic — it uses the
+// replay scheduler, so the same workload, configuration and client count
+// always produce the same report.
+//
+// opt.Obs and opt.Audit observe the run as they would a ShardedRAM; the
+// metrics dump, the trace and the audit report are complete when
+// SimulateSharded returns. The audit digest is returned even when the
+// audit fails — the error reports operational failures only, so callers
+// (the CLIs, CI) decide how a failed verdict exits.
+func SimulateSharded(cfg Config, w Workload, clients int, opt ShardedOptions) (ShardedSimReport, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
-		return ShardedSimReport{}, nil, err
+		return ShardedSimReport{}, err
 	}
 	scfg := cfg.shardConfig()
-	scfg.Audit = ac.auditor(scfg.Banked == nil, nil)
-	var auditOut io.Writer
-	if ac != nil {
-		scfg.Leak = ac.Leak.internal()
-		auditOut = ac.Out
-	}
-	rep, _, err := sim.RunSharded(scfg, w.generator(), clients)
+	out := opt.lower(&scfg)
+	st, err := sim.RunSharded(scfg, w.generator(), clients)
 	if err != nil {
-		return ShardedSimReport{}, nil, err
+		return ShardedSimReport{}, err
 	}
-	r := ShardedSimReport{Ops: rep.Ops, Sched: schedStatsFrom(cfg.Partitions, rep.Stats)}
-	for _, p := range rep.Stats.Partitions {
-		r.PathAccesses += p.ORAM.PathAccesses
-	}
-	pub, aerr := finishAudit(scfg.Audit, auditOut)
-	return r, pub, aerr
+	r := ShardedSimReport{Ops: st.Ops(), PathAccesses: st.PathAccesses(), Sched: schedStatsFrom(cfg.Partitions, st)}
+	r.Audit, err = out.finish()
+	return r, err
 }
 
 // SchedStats summarizes what the sharded scheduler did: round counts, the

@@ -2,6 +2,7 @@ package proram
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -217,5 +218,47 @@ func TestShardedCloseTwice(t *testing.T) {
 	if metrics.Len() != m || report.Len() != r {
 		t.Fatalf("second Close wrote %d more metrics bytes, %d more report bytes",
 			metrics.Len()-m, report.Len()-r)
+	}
+}
+
+// TestSimulateShardedWritesObs: a sharded simulation honours
+// ShardedOptions.Obs — the metrics dump and the trace are complete when it
+// returns, and the dump's scheduler counters are the report's. It used to
+// run without a recorder, so proram-sim -partitions wrote neither file.
+func TestSimulateShardedWritesObs(t *testing.T) {
+	var metrics, trace bytes.Buffer
+	cfg := DefaultConfig()
+	cfg.Blocks = 1 << 12
+	cfg.CacheBlocks = 512
+	cfg.Partitions = 4
+	rep, err := SimulateSharded(cfg, YCSBWorkload(3000), 8, ShardedOptions{
+		Obs: &ObsConfig{MetricsOut: &metrics, TraceOut: &trace, SampleEvery: 50_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Counters []struct {
+			Name  string
+			Value uint64
+		}
+	}
+	if err := json.Unmarshal(metrics.Bytes(), &dump); err != nil {
+		t.Fatalf("metrics dump: %v", err)
+	}
+	got := map[string]uint64{}
+	for _, c := range dump.Counters {
+		got[c.Name] = c.Value
+	}
+	if rep.Sched.Rounds == 0 || got["shard.rounds"] != rep.Sched.Rounds {
+		t.Errorf("shard.rounds = %d, report says %d rounds", got["shard.rounds"], rep.Sched.Rounds)
+	}
+	if got["shard.requests_served"] != rep.Ops || got["shard.dummy_accesses"] != rep.Sched.PadAccesses {
+		t.Errorf("served %d / padding %d, report says %d / %d",
+			got["shard.requests_served"], got["shard.dummy_accesses"], rep.Ops, rep.Sched.PadAccesses)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(trace.Bytes(), &events); err != nil || len(events) == 0 {
+		t.Fatalf("trace is not a closed, non-empty JSON array: %d events, %v", len(events), err)
 	}
 }

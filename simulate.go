@@ -163,7 +163,9 @@ type Result struct {
 	Audit *AuditReport
 }
 
-// Run executes one workload and returns the measurements.
+// Run executes one workload and returns the measurements. A workload that
+// addresses memory beyond the ORAM's ORAMBlocks × CacheLineBytes is an
+// error (SimulateSharded folds addresses onto its capacity instead).
 func (s *Simulator) Run(w Workload) (Result, error) {
 	cfg := s.cfg
 	cfg.ObsLabel = w.Name

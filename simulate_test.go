@@ -1,6 +1,9 @@
 package proram
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSimulatorFacade(t *testing.T) {
 	w, err := Synthetic(SyntheticConfig{Ops: 20000, LocalityFraction: 0.9, Seed: 1})
@@ -31,6 +34,27 @@ func TestSimulatorFacade(t *testing.T) {
 	}
 	if baseRes.Cycles == 0 || dynRes.MemoryAccesses == 0 {
 		t.Fatal("empty result")
+	}
+}
+
+// TestSimulatorRejectsWorkloadBeyondCapacity: YCSB's 8 MB table does not
+// fit a 2 MB ORAM. Run must say so; it used to panic in the controller.
+func TestSimulatorRejectsWorkloadBeyondCapacity(t *testing.T) {
+	s, err := NewSimulator(SimConfig{Scheme: SchemeDynamic, ORAMBlocks: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run(YCSBWorkload(20000))
+	if err == nil || !strings.Contains(err.Error(), "16384 blocks of 128 bytes") {
+		t.Fatalf("out-of-range workload: got error %v, want one naming the capacity", err)
+	}
+	// The simulator is still good for a workload that fits.
+	w, err := Synthetic(SyntheticConfig{Ops: 2000, WorkingSetBytes: 1 << 20, LocalityFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(w); err != nil {
+		t.Fatal(err)
 	}
 }
 
