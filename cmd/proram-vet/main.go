@@ -1,20 +1,17 @@
 // Command proram-vet runs the repo-specific static-analysis suite: the
 // determinism, maporder, oblivious, panicdiscipline, seedplumbing,
-// allocdiscipline, goroutinediscipline, lockorder, concdeterminism,
-// fixedtrip, branchless, boundscheck and allowhygiene passes of
-// proram/internal/analysis.
+// allocdiscipline, concdeterminism, fixedtrip, branchless, boundscheck
+// and allowhygiene passes of proram/internal/analysis.
 //
 // Usage:
 //
 //	go run ./cmd/proram-vet ./...
-//	go run ./cmd/proram-vet -pass lockorder,goroutinediscipline ./internal/shard
-//	go run ./cmd/proram-vet -pass trip,ct,bce ./internal/shard
-//	go run ./cmd/proram-vet -list-passes
+//	go run ./cmd/proram-vet -checks fixedtrip,branchless,boundscheck ./internal/shard
+//	go run ./cmd/proram-vet -list
 //	go run ./cmd/proram-vet -timing -json ./... > vet.json
 //
-// Each pass also answers to a short alias (-list shows both); aliases
-// are accepted by -checks/-pass only — diagnostics, //proram:allow
-// directives and the JSON report always use canonical names. With
+// Every pass has one name (-list prints them): -checks, diagnostics,
+// //proram:allow directives and the JSON report all use it. With
 // -timing the per-pass wall-clock cost is printed to stderr after the
 // run; stdout (including the -json report) is unaffected, so timing
 // never perturbs byte-stable artifacts.
@@ -70,32 +67,19 @@ type jsonReport struct {
 
 func main() {
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	passFlag := flag.String("pass", "", "alias of -checks")
 	listFlag := flag.Bool("list", false, "list registered passes with their descriptions and exit")
-	listPasses := flag.Bool("list-passes", false, "alias of -list")
 	jsonFlag := flag.Bool("json", false, "emit a byte-stable JSON report on stdout instead of file:line:col lines")
 	timingFlag := flag.Bool("timing", false, "print per-pass wall-clock timing to stderr after the run")
 	flag.Parse()
 
-	if *listFlag || *listPasses {
+	if *listFlag {
 		for _, p := range analysis.DefaultPasses() {
-			name := p.Name
-			if len(p.Aliases) > 0 {
-				name += " (" + strings.Join(p.Aliases, ", ") + ")"
-			}
-			fmt.Printf("%-28s %s\n", name, p.Doc)
+			fmt.Printf("%-16s %s\n", p.Name, p.Doc)
 		}
 		return
 	}
 
-	selected := *checks
-	if *passFlag != "" {
-		if selected != "" && selected != *passFlag {
-			fatal(fmt.Errorf("proram-vet: -checks and -pass disagree; use one"))
-		}
-		selected = *passFlag
-	}
-	passes, err := analysis.SelectPasses(selected)
+	passes, err := analysis.SelectPasses(*checks)
 	if err != nil {
 		fatal(err)
 	}

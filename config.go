@@ -24,6 +24,15 @@ const (
 	SchemeDynamic
 )
 
+// validate rejects values outside the declared schemes.
+func (s Scheme) validate() error {
+	switch s {
+	case SchemeNone, SchemeStatic, SchemeDynamic:
+		return nil
+	}
+	return fmt.Errorf("proram: unknown scheme %d", int(s))
+}
+
 func (s Scheme) String() string {
 	switch s {
 	case SchemeNone:
@@ -227,12 +236,7 @@ func (c Config) normalize() (Config, error) {
 	if c.CacheBlocks < 16 {
 		return c, fmt.Errorf("proram: CacheBlocks %d too small (min 16)", c.CacheBlocks)
 	}
-	switch c.Scheme {
-	case SchemeNone, SchemeStatic, SchemeDynamic:
-	default:
-		return c, fmt.Errorf("proram: unknown scheme %d", int(c.Scheme))
-	}
-	return c, nil
+	return c, c.Scheme.validate()
 }
 
 // oramConfig converts to the internal controller configuration.

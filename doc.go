@@ -42,11 +42,11 @@
 //	//proram:allow <check>[,<check>...] <reason>
 //
 // suppresses the named checks (determinism, maporder, oblivious,
-// panicdiscipline, seedplumbing, allocdiscipline, goroutinediscipline,
-// lockorder, concdeterminism, fixedtrip, branchless, boundscheck,
-// allowhygiene) on the same line or the line directly below; written
-// before the package clause it covers the whole file. The reason is
-// mandatory in spirit and audited in review.
+// panicdiscipline, seedplumbing, allocdiscipline, concdeterminism,
+// fixedtrip, branchless, boundscheck, allowhygiene) on the same line or
+// the line directly below; written before the package clause it covers
+// the whole file. The reason is mandatory in spirit and audited in
+// review.
 //
 //	//proram:hotpath <reason>
 //

@@ -35,42 +35,24 @@ import (
 // caller.
 func AllocDiscipline() *Pass {
 	p := &Pass{
-		Name:    "allocdiscipline",
-		Aliases: []string{"alloc"},
-		Doc:     "functions marked //proram:hotpath must not allocate on the heap, directly or through module-local callees",
+		Name: "allocdiscipline",
+		Doc:  "functions marked //proram:hotpath must not allocate on the heap, directly or through module-local callees",
 	}
 	p.Run = func(u *Unit) {
-		cg := u.Prog.CallGraph()
 		as := u.Prog.allocSummaries()
 		attached := make(map[*Directive]bool)
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				d := u.Pkg.hotpathDirective(u.Prog.Fset, fn)
-				if d == nil {
-					continue
-				}
-				attached[d] = true
-				if fn.Body == nil {
-					continue
-				}
-				obj, ok := u.Pkg.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := cg.NodeOf(obj)
-				if node == nil {
-					continue
-				}
-				for _, fact := range as.scan(node, false) {
-					if fact.via == "" {
-						u.Reportf(fact.pos, "%s in //proram:hotpath function %s; the ORAM access path must stay allocation-free (restructure, or justify with //proram:allow allocdiscipline)", fact.desc, fn.Name.Name)
-					} else {
-						u.Reportf(fact.pos, "call to %s allocates (%s at %s) in //proram:hotpath function %s; the ORAM access path must stay allocation-free (restructure, or justify with //proram:allow allocdiscipline)", fact.via, fact.desc, u.Prog.relPosition(fact.ultimate), fn.Name.Name)
-					}
+		for _, node := range u.Funcs() {
+			d := node.marked(u.Prog, "hotpath")
+			if d == nil {
+				continue
+			}
+			attached[d] = true
+			name := node.Decl.Name.Name
+			for _, fact := range as.scan(node, false) {
+				if fact.via == "" {
+					u.Reportf(fact.pos, "%s in //proram:hotpath function %s; the ORAM access path must stay allocation-free (restructure, or justify with //proram:allow allocdiscipline)", fact.desc, name)
+				} else {
+					u.Reportf(fact.pos, "call to %s allocates (%s at %s) in //proram:hotpath function %s; the ORAM access path must stay allocation-free (restructure, or justify with //proram:allow allocdiscipline)", fact.via, fact.desc, u.Prog.relPosition(fact.ultimate), name)
 				}
 			}
 		}
@@ -96,26 +78,20 @@ type allocFact struct {
 // allocation fact (nil means the function provably performs none of the
 // flagged shapes outside doomed blocks).
 type allocSummaries struct {
-	prog    *Program
-	byFunc  map[*types.Func]*allocFact
-	hotpath map[*types.Func]bool
+	prog   *Program
+	byFunc map[*types.Func]*allocFact
 }
 
 func (p *Program) allocSummaries() *allocSummaries {
-	p.allocOne.Do(func() { p.allocs = computeAllocSummaries(p) })
+	if p.allocs == nil {
+		p.allocs = computeAllocSummaries(p)
+	}
 	return p.allocs
 }
 
 func computeAllocSummaries(prog *Program) *allocSummaries {
 	cg := prog.CallGraph()
-	a := &allocSummaries{
-		prog:    prog,
-		byFunc:  make(map[*types.Func]*allocFact, len(cg.Nodes)),
-		hotpath: make(map[*types.Func]bool, len(cg.Nodes)),
-	}
-	for _, n := range cg.Nodes {
-		a.hotpath[n.Fn] = n.Pkg.hotpathDirective(prog.Fset, n.Decl) != nil
-	}
+	a := &allocSummaries{prog: prog, byFunc: make(map[*types.Func]*allocFact, len(cg.Nodes))}
 	for _, comp := range cg.SCCs {
 		// A second round lets facts flow around recursion cycles.
 		rounds := 1
@@ -221,18 +197,14 @@ func (a *allocSummaries) scanNode(n *CGNode, nd ast.Node, filterAllowed bool, fa
 // says they allocate.
 func (a *allocSummaries) scanCall(n *CGNode, call *ast.CallExpr, add func(pos, ultimate token.Pos, desc, via string), direct func(pos token.Pos, desc string)) {
 	info := n.Pkg.Info
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				direct(call.Pos(), "make allocates")
-			case "new":
-				direct(call.Pos(), "new allocates")
-			case "append":
-				direct(call.Pos(), "append may grow its backing array")
-			}
-			return
+	if name := builtinName(info, call); name != "" {
+		switch name {
+		case "make", "new":
+			direct(call.Pos(), name+" allocates")
+		case "append":
+			direct(call.Pos(), "append may grow its backing array")
 		}
+		return
 	}
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		if conversionCopies(info, call) {
@@ -251,10 +223,8 @@ func (a *allocSummaries) scanCall(n *CGNode, call *ast.CallExpr, add func(pos, u
 	if callee.Pkg.Path == a.prog.ModulePath+"/internal/obs" {
 		return // nil-safe and allocation-free when disabled, by its own tests
 	}
-	if a.hotpath[callee.Fn] {
-		return // checked in its own right
-	}
-	if cf := a.byFunc[callee.Fn]; cf != nil {
+	// A callee that is itself marked hot is checked in its own right.
+	if cf := a.byFunc[callee.Fn]; cf != nil && callee.marked(a.prog, "hotpath") == nil {
 		via := callee.Name()
 		if cf.via != "" {
 			via += " → " + cf.via

@@ -13,9 +13,8 @@ import "strings"
 func AllowHygiene() *Pass {
 	known := map[string]bool{"allow": true, "invariant": true, "public": true, "secret": true, "hotpath": true, "detround": true, "fixedtrip": true, "branchless": true}
 	p := &Pass{
-		Name:    "allowhygiene",
-		Aliases: []string{"hygiene"},
-		Doc:     "flag unknown, malformed and stale //proram: directives",
+		Name: "allowhygiene",
+		Doc:  "flag unknown, malformed and stale //proram: directives",
 	}
 	p.Run = func(u *Unit) {
 		checks := make(map[string]bool)

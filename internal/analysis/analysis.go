@@ -49,14 +49,13 @@ func (d Diagnostic) String() string {
 // optional Finish hook runs after every package has been visited and may
 // consult cross-package state accumulated on the Runner (only the
 // allowhygiene pass uses it, to flag suppressions that suppressed
-// nothing). Aliases are accepted by SelectPasses as shorthand for the
-// canonical name; diagnostics and //proram:allow always use Name.
+// nothing). Name is the pass's only name: -checks, diagnostics and
+// //proram:allow all use it.
 type Pass struct {
-	Name    string
-	Aliases []string
-	Doc     string
-	Run     func(u *Unit)
-	Finish  func(r *Runner)
+	Name   string
+	Doc    string
+	Run    func(u *Unit)
+	Finish func(r *Runner)
 }
 
 // Unit is the context handed to a pass for one package.
@@ -164,8 +163,6 @@ func DefaultPasses() []*Pass {
 		PanicDiscipline(),
 		SeedPlumbing(),
 		AllocDiscipline(),
-		GoroutineDiscipline(),
-		LockOrder(),
 		ConcDeterminism(),
 		FixedTrip(),
 		Branchless(),
@@ -185,10 +182,8 @@ func PassNames() []string {
 }
 
 // SelectPasses filters DefaultPasses down to the named checks ("" keeps
-// everything). Aliases resolve to their canonical pass. Unknown and
-// duplicate names are errors — a duplicated check would run twice and
-// double every diagnostic it produces; naming a pass by both its name
-// and an alias counts as a duplicate.
+// everything). Unknown and duplicate names are errors — a duplicated
+// check would run twice and double every diagnostic it produces.
 func SelectPasses(checks string) ([]*Pass, error) {
 	all := DefaultPasses()
 	if checks == "" {
@@ -197,9 +192,6 @@ func SelectPasses(checks string) ([]*Pass, error) {
 	byName := make(map[string]*Pass, len(all))
 	for _, p := range all {
 		byName[p.Name] = p
-		for _, a := range p.Aliases {
-			byName[a] = p
-		}
 	}
 	seen := make(map[string]bool)
 	var out []*Pass
@@ -210,20 +202,12 @@ func SelectPasses(checks string) ([]*Pass, error) {
 		}
 		p, ok := byName[name]
 		if !ok {
-			var known []string
-			for _, q := range all {
-				s := q.Name
-				if len(q.Aliases) > 0 {
-					s += " (" + strings.Join(q.Aliases, ", ") + ")"
-				}
-				known = append(known, s)
-			}
-			return nil, fmt.Errorf("analysis: unknown check %q (known: %s)", name, strings.Join(known, ", "))
+			return nil, fmt.Errorf("analysis: unknown check %q (known: %s)", name, strings.Join(PassNames(), ", "))
 		}
-		if seen[p.Name] {
-			return nil, fmt.Errorf("analysis: check %q named twice in -checks (aliases resolve to the same pass)", p.Name)
+		if seen[name] {
+			return nil, fmt.Errorf("analysis: check %q named twice in -checks", name)
 		}
-		seen[p.Name] = true
+		seen[name] = true
 		out = append(out, p)
 	}
 	return out, nil

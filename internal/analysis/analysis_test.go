@@ -184,20 +184,6 @@ func TestSeedPlumbingFixture(t *testing.T) {
 	runFixture(t, []*Pass{SeedPlumbing()}, fixtureBase+"seedplumbing")
 }
 
-// TestGoroutineFixture exercises the goroutine-discipline pass:
-// captured-write races, loop self-races and call-spawn escapes, with
-// the channel-join, WaitGroup and common-lock shapes staying quiet.
-func TestGoroutineFixture(t *testing.T) {
-	runFixture(t, []*Pass{GoroutineDiscipline()}, fixtureBase+"goroutine")
-}
-
-// TestLockOrderFixture exercises the lock-discipline pass: path
-// imbalance, re-acquisition, bare Cond.Wait and AB/BA acquisition-order
-// cycles, locally and through a helper call.
-func TestLockOrderFixture(t *testing.T) {
-	runFixture(t, []*Pass{LockOrder()}, fixtureBase+"lockorder")
-}
-
 // TestConcDeterminismFixture exercises the concurrent-determinism pass
 // with the fixture's own round-driver root: scheduling-ordered shapes
 // report, and //proram:detround suppresses only under the driver, with
@@ -250,20 +236,8 @@ func TestSelectPasses(t *testing.T) {
 	if err != nil || len(all) != len(DefaultPasses()) {
 		t.Fatalf("empty selection: %v, %d passes", err, len(all))
 	}
-
-	// Aliases resolve to their pass and share its duplicate slot.
-	ps, err = SelectPasses("trip,ct,bce")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 3 || ps[0].Name != "fixedtrip" || ps[1].Name != "branchless" || ps[2].Name != "boundscheck" {
-		t.Fatalf("alias selection returned %v", ps)
-	}
-	if _, err := SelectPasses("fixedtrip,trip"); err == nil {
-		t.Fatal("alias+name duplicate did not error")
-	}
-	if _, err := SelectPasses("nosuch"); err == nil || !strings.Contains(err.Error(), "boundscheck (bce)") {
-		t.Fatalf("unknown-check error should list names with aliases, got: %v", err)
+	if _, err := SelectPasses("nosuch"); err == nil || !strings.Contains(err.Error(), strings.Join(PassNames(), ", ")) {
+		t.Fatalf("unknown-check error should list PassNames(), got: %v", err)
 	}
 }
 

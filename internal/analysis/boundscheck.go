@@ -24,29 +24,21 @@ import (
 // the index's range and the missing side of the proof.
 func BoundsCheck() *Pass {
 	p := &Pass{
-		Name:    "boundscheck",
-		Aliases: []string{"bce"},
-		Doc:     "prove every slice/array/string indexing in //proram:hotpath functions in-bounds from dominating checks, intervals and pins",
+		Name: "boundscheck",
+		Doc:  "prove every slice/array/string indexing in //proram:hotpath functions in-bounds from dominating checks, intervals and pins",
 	}
 	p.Run = func(u *Unit) {
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if u.Pkg.hotpathDirective(u.Prog.Fset, fn) == nil {
-					continue
-				}
-				checkFuncBounds(u, fn)
+		for _, node := range u.Funcs() {
+			if node.marked(u.Prog, "hotpath") != nil {
+				checkFuncBounds(u, node)
 			}
 		}
 	}
 	return p
 }
 
-func checkFuncBounds(u *Unit, fn *ast.FuncDecl) {
-	v := u.Prog.valueRange(u.Pkg, fn)
+func checkFuncBounds(u *Unit, node *CGNode) {
+	v := u.Prog.valueRange(node)
 	doomed := v.fn.cfg.doomed()
 	for _, b := range v.fn.cfg.blocks {
 		if !v.fn.reach[b.index] || doomed[b.index] {

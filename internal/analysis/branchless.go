@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 // Branchless verifies //proram:branchless functions: the constant-time
@@ -21,56 +20,14 @@ import (
 // a site; panic is accepted as the abort channel.
 func Branchless() *Pass {
 	p := &Pass{
-		Name:    "branchless",
-		Aliases: []string{"ct"},
-		Doc:     "verify //proram:branchless functions contain no data-dependent branch, select, short-circuit, map access or variable shift, transitively through calls",
+		Name: "branchless",
+		Doc:  "verify //proram:branchless functions contain no data-dependent branch, select, short-circuit, map access or variable shift, transitively through calls",
 	}
-
-	// The set of branchless-marked functions across the whole module,
-	// built once per run so callee checks see marks in any package.
-	var once sync.Once
-	var markedFns map[*types.Func]bool
-	markedSet := func(prog *Program) map[*types.Func]bool {
-		once.Do(func() {
-			markedFns = make(map[*types.Func]bool)
-			for _, pkg := range prog.Packages {
-				for _, f := range pkg.Files {
-					for _, decl := range f.Decls {
-						fn, ok := decl.(*ast.FuncDecl)
-						if !ok || fn.Body == nil {
-							continue
-						}
-						if pkg.funcDirective(prog.Fset, fn, "branchless") == nil {
-							continue
-						}
-						if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
-							markedFns[obj] = true
-						}
-					}
-				}
-			}
-		})
-		return markedFns
-	}
-
 	p.Run = func(u *Unit) {
-		marked := markedSet(u.Prog)
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := u.Pkg.Info.Defs[fn.Name].(*types.Func)
-				if !ok || !marked[obj] {
-					continue
-				}
-				node := u.Prog.CallGraph().NodeOf(obj)
-				if node == nil {
-					continue
-				}
+		for _, node := range u.Funcs() {
+			if node.marked(u.Prog, "branchless") != nil {
 				env := u.Prog.taintSummaries().maskEnv(node)
-				(&branchlessCheck{u: u, env: env, marked: marked}).check(fn)
+				(&branchlessCheck{u: u, env: env}).check(node.Decl)
 			}
 		}
 	}
@@ -78,9 +35,8 @@ func Branchless() *Pass {
 }
 
 type branchlessCheck struct {
-	u      *Unit
-	env    *taintEnv
-	marked map[*types.Func]bool
+	u   *Unit
+	env *taintEnv
 }
 
 // maskDesc names the origins in a mask for diagnostics.
@@ -196,31 +152,27 @@ func (c *branchlessCheck) constShift(e ast.Expr) bool {
 // on that parameter, conservatively when the callee is opaque.
 func (c *branchlessCheck) checkCall(fn *ast.FuncDecl, call *ast.CallExpr) {
 	info := c.env.info()
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "panic":
-				// The abort channel: a panic ends the trace.
-				return
-			case "len", "cap", "append", "copy", "make", "new", "delete", "clear", "print", "println":
-				return
-			case "min", "max":
-				for _, a := range call.Args {
-					if m, bad := c.derived(a); bad {
-						c.report(call.Pos(), "branchless function %s: min/max on %s may compile to a branch; use masked arithmetic", fn.Name.Name, maskDesc(m))
-						return
-					}
-				}
+	switch builtinName(info, call) {
+	case "panic":
+		// The abort channel: a panic ends the trace.
+		return
+	case "len", "cap", "append", "copy", "make", "new", "delete", "clear", "print", "println":
+		return
+	case "min", "max":
+		for _, a := range call.Args {
+			if m, bad := c.derived(a); bad {
+				c.report(call.Pos(), "branchless function %s: min/max on %s may compile to a branch; use masked arithmetic", fn.Name.Name, maskDesc(m))
 				return
 			}
 		}
+		return
 	}
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion, not a call
 	}
 	callee := c.env.resolveCallee(call)
 	if callee != nil {
-		if c.marked[callee.Fn] {
+		if callee.marked(c.u.Prog, "branchless") != nil {
 			return // the callee carries its own branchless proof
 		}
 		masks, _ := c.env.callArgs(callee, call)

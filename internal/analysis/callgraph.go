@@ -69,20 +69,28 @@ type CallGraph struct {
 	SCCs [][]*CGNode
 
 	byFunc map[*types.Func]*CGNode
+	byPkg  map[*Package][]*CGNode // each package's slice of Nodes
 }
 
 // NodeOf returns the node for a declared function, or nil for functions
 // outside the loaded module (or without bodies).
 func (g *CallGraph) NodeOf(fn *types.Func) *CGNode { return g.byFunc[fn] }
 
+// Funcs returns the functions and methods the unit's package declares
+// with a body, in file and declaration order: the one function
+// inventory every per-function pass iterates.
+func (u *Unit) Funcs() []*CGNode { return u.Prog.CallGraph().byPkg[u.Pkg] }
+
 // CallGraph builds (once) and returns the program's call graph.
 func (p *Program) CallGraph() *CallGraph {
-	p.cgOnce.Do(func() { p.cg = buildCallGraph(p) })
+	if p.cg == nil {
+		p.cg = buildCallGraph(p)
+	}
 	return p.cg
 }
 
 func buildCallGraph(prog *Program) *CallGraph {
-	g := &CallGraph{byFunc: make(map[*types.Func]*CGNode)}
+	g := &CallGraph{byFunc: make(map[*types.Func]*CGNode), byPkg: make(map[*Package][]*CGNode)}
 
 	// Collect the nodes first so edges can resolve forward references.
 	for _, pkg := range prog.Packages {
@@ -101,6 +109,7 @@ func buildCallGraph(prog *Program) *CallGraph {
 				node.Variadic = obj.Type().(*types.Signature).Variadic()
 				g.byFunc[obj] = node
 				g.Nodes = append(g.Nodes, node)
+				g.byPkg[pkg] = append(g.byPkg[pkg], node)
 			}
 		}
 	}

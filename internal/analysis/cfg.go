@@ -314,7 +314,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.ExprStmt:
 		b.emit(s)
-		if isPanicCall(b.info, s.X) {
+		if call, ok := s.X.(*ast.CallExpr); ok && builtinName(b.info, call) == "panic" {
 			b.cur.panics = true
 			b.cur = nil
 		}
@@ -405,17 +405,14 @@ func (b *cfgBuilder) frameTarget(s *ast.BranchStmt, isContinue bool) *cfgBlock {
 	return nil
 }
 
-// isPanicCall reports whether the expression is a direct call of the
-// panic builtin.
-func isPanicCall(info *types.Info, x ast.Expr) bool {
-	call, ok := x.(*ast.CallExpr)
-	if !ok {
-		return false
+// builtinName returns the name of the builtin a call invokes ("len",
+// "panic", ...), or "" when the callee is anything else — including a
+// user declaration that shadows a builtin's name.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
 	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
+	return ""
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 // ConcDeterminism extends the determinism discipline to concurrent
@@ -39,27 +38,17 @@ func ConcDeterminism(roots ...string) *Pass {
 	if len(roots) == 0 {
 		roots = []string{"internal/shard.Frontend.dispatch", "internal/shard.Replay"}
 	}
-	var once sync.Once
 	var reachable map[*CGNode]bool
 	p := &Pass{
-		Name:    "concdeterminism",
-		Aliases: []string{"concdet"},
-		Doc:     "flag scheduling-ordered concurrency (multi-case selects, fan-in receives, spawn-order results) outside the round-barrier protocol",
+		Name: "concdeterminism",
+		Doc:  "flag scheduling-ordered concurrency (multi-case selects, fan-in receives, spawn-order results) outside the round-barrier protocol",
 	}
 	p.Run = func(u *Unit) {
-		once.Do(func() { reachable = reachableFrom(u.Prog, roots) })
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				var node *CGNode
-				if obj, ok := u.Pkg.Info.Defs[fn.Name].(*types.Func); ok {
-					node = u.Prog.CallGraph().NodeOf(obj)
-				}
-				checkConcDet(u, node, fn, reachable)
-			}
+		if reachable == nil {
+			reachable = reachableFrom(u.Prog, roots)
+		}
+		for _, node := range u.Funcs() {
+			checkConcDet(u, node, reachable)
 		}
 		// A detround that marked no finding is stale — the code it
 		// justified is gone or was never flagged.
@@ -103,7 +92,7 @@ func reachableFrom(prog *Program, roots []string) map[*CGNode]bool {
 // checkConcDet scans one declaration for the three shapes. Nested
 // function literals count as part of the declaration: their code is
 // this function's concurrency.
-func checkConcDet(u *Unit, node *CGNode, fn *ast.FuncDecl, reachable map[*CGNode]bool) {
+func checkConcDet(u *Unit, node *CGNode, reachable map[*CGNode]bool) {
 	var loops int
 	var walk func(x ast.Node) bool
 	report := func(pos token.Pos, format string, args ...any) {
@@ -150,7 +139,7 @@ func checkConcDet(u *Unit, node *CGNode, fn *ast.FuncDecl, reachable map[*CGNode
 		}
 		return true
 	}
-	ast.Inspect(fn.Body, walk)
+	ast.Inspect(node.Decl.Body, walk)
 }
 
 // sendsOnOuterChan reports whether the literal sends on a channel it
@@ -182,12 +171,8 @@ func reportConcDet(u *Unit, node *CGNode, reachable map[*CGNode]bool, pos token.
 			u.Reportf(pos, "//proram:detround needs a one-line reason explaining how the round barrier orders this")
 			return
 		}
-		if node == nil || !reachable[node] {
-			name := "this function"
-			if node != nil {
-				name = node.Name()
-			}
-			u.Reportf(pos, "//proram:detround on code in %s, which is not reachable from a round driver; the round-barrier protocol cannot be what makes this deterministic", name)
+		if !reachable[node] {
+			u.Reportf(pos, "//proram:detround on code in %s, which is not reachable from a round driver; the round-barrier protocol cannot be what makes this deterministic", node.Name())
 		}
 		return
 	}

@@ -1,126 +1,33 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// This file holds the helpers the concurrency-discipline passes
-// (goroutinediscipline, lockorder, concdeterminism) share: classifying
-// calls on sync primitives, rendering stable lock identities, and
-// resolving expressions to their root objects.
+// This file holds the helpers the concurrency-aware passes share:
+// concdeterminism's channel shapes and the oblivious pass's scheduling
+// sinks. (rootIdent also serves the SSA builder's write tracking.)
 
-// syncOp classifies one call expression as a method call on a sync
-// package primitive (Mutex, RWMutex, Cond, WaitGroup, Once, ...).
-type syncOp struct {
-	recv   ast.Expr // the primitive operand (the selector base)
-	typ    string   // receiver type name: "Mutex", "RWMutex", "Cond", "WaitGroup", ...
-	method string   // "Lock", "RUnlock", "Wait", "Done", ...
-}
-
-// classifySyncOp recognizes calls of methods declared in package sync,
-// including calls through an embedded primitive (the method object still
-// belongs to sync).
-func classifySyncOp(info *types.Info, call *ast.CallExpr) (syncOp, bool) {
+// syncMethodCall recognizes a call of a method declared in package sync
+// (Mutex.Lock, Cond.Wait, ...), including a call through an embedded
+// primitive (the method object still belongs to sync), and returns the
+// primitive operand and the method name.
+func syncMethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return syncOp{}, false
+		return nil, "", false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return syncOp{}, false
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Type().(*types.Signature).Recv() == nil {
+		return nil, "", false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return syncOp{}, false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return syncOp{}, false
-	}
-	return syncOp{recv: sel.X, typ: named.Obj().Name(), method: fn.Name()}, true
+	return sel.X, fn.Name(), true
 }
 
-// lockIdentity renders the operand of a sync method call as a stable
-// cross-function identity. Field chains rooted in a named struct type
-// render as "Type.field" (so f.mu on any two *Frontend values unifies —
-// lock-order cycles are a property of the type's discipline, not of one
-// value), package-level variables as "pkg.name", and locals/parameters
-// by bare name. Expressions with no stable root (map/slice elements,
-// call results) fall back to a position-based identity, which keeps them
-// distinct from everything else.
-func lockIdentity(prog *Program, pkg *Package, x ast.Expr) string {
-	x = peelRefs(x)
-	switch x := x.(type) {
-	case *ast.SelectorExpr:
-		if t := namedTypeOf(pkg.Info, x.X); t != nil {
-			qual := t.Obj().Name()
-			if p := t.Obj().Pkg(); p != nil {
-				qual = p.Name() + "." + qual
-			}
-			return qual + "." + x.Sel.Name
-		}
-		return lockIdentity(prog, pkg, x.X) + "." + x.Sel.Name
-	case *ast.Ident:
-		obj := pkg.Info.Uses[x]
-		if obj == nil {
-			obj = pkg.Info.Defs[x]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			if v.Parent() == pkg.Types.Scope() {
-				return pkg.Name + "." + v.Name()
-			}
-			return v.Name()
-		}
-		return x.Name
-	default:
-		return fmt.Sprintf("<lock@%s>", prog.relPosition(x.Pos()))
-	}
-}
-
-// peelRefs strips parentheses, dereferences and address-of operators.
-func peelRefs(x ast.Expr) ast.Expr {
-	for {
-		switch e := x.(type) {
-		case *ast.ParenExpr:
-			x = e.X
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.UnaryExpr:
-			if e.Op != token.AND {
-				return x
-			}
-			x = e.X
-		default:
-			return x
-		}
-	}
-}
-
-// namedTypeOf returns the named type of an expression (through
-// pointers), or nil.
-func namedTypeOf(info *types.Info, x ast.Expr) *types.Named {
-	tv, ok := info.Types[x]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// rootObject peels an expression to the object at its base: the x in
-// x.f[i].g, *x, &x. Non-variable roots (calls, literals) return nil.
-func rootObject(info *types.Info, x ast.Expr) types.Object {
+// rootIdent peels an expression (x.f[i].g, *x, &x) to its base
+// identifier, or nil when the base is a call or a literal.
+func rootIdent(x ast.Expr) *ast.Ident {
 	for {
 		switch e := x.(type) {
 		case *ast.SelectorExpr:
@@ -134,18 +41,28 @@ func rootObject(info *types.Info, x ast.Expr) types.Object {
 		case *ast.UnaryExpr:
 			x = e.X
 		case *ast.Ident:
-			obj := info.Uses[e]
-			if obj == nil {
-				obj = info.Defs[e]
-			}
-			if v, ok := obj.(*types.Var); ok {
-				return v
-			}
-			return nil
+			return e
 		default:
 			return nil
 		}
 	}
+}
+
+// rootObject returns the variable at the base of an expression, or nil
+// for non-variable roots.
+func rootObject(info *types.Info, x ast.Expr) types.Object {
+	id := rootIdent(x)
+	if id == nil {
+		return nil
+	}
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	if v, ok := obj.(*types.Var); ok {
+		return v
+	}
+	return nil
 }
 
 // isChanType reports whether an expression has channel type.
@@ -156,15 +73,4 @@ func isChanType(info *types.Info, x ast.Expr) bool {
 	}
 	_, ok = tv.Type.Underlying().(*types.Chan)
 	return ok
-}
-
-// enclosingNode finds the declared function whose body contains pos, or
-// nil (package-level positions).
-func enclosingNode(prog *Program, pkg *Package, pos token.Pos) *CGNode {
-	for _, n := range prog.CallGraph().Nodes {
-		if n.Pkg == pkg && n.Decl.Pos() <= pos && pos <= n.Decl.End() {
-			return n
-		}
-	}
-	return nil
 }

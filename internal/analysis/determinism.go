@@ -28,9 +28,8 @@ var bannedTimeFuncs = map[string]bool{
 // inside internal packages, and RNGs constructed from hard-coded seeds.
 func Determinism() *Pass {
 	p := &Pass{
-		Name:    "determinism",
-		Aliases: []string{"det"},
-		Doc:     "forbid wall-clock reads, math/rand, racy selects and unseeded RNG construction",
+		Name: "determinism",
+		Doc:  "forbid wall-clock reads, math/rand, racy selects and unseeded RNG construction",
 	}
 	p.Run = func(u *Unit) {
 		internal := strings.HasPrefix(u.Pkg.Path, u.Prog.ModulePath+"/internal/")

@@ -99,26 +99,20 @@ func (p *Package) directiveAt(kind, file string, line int) *Directive {
 	return nil
 }
 
-// funcDirective returns the directive of the given kind attached to a
-// function declaration: anywhere in its doc comment, or on the line of
+// marked returns the directive of the given kind attached to the
+// node's declaration: anywhere in its doc comment, or on the line of
 // the func keyword itself. (gofmt folds a comment line directly above a
 // declaration into its doc comment, so "the line above" is covered.)
-func (p *Package) funcDirective(fset *token.FileSet, fn *ast.FuncDecl, kind string) *Directive {
-	declPos := fset.Position(fn.Pos())
+func (n *CGNode) marked(prog *Program, kind string) *Directive {
+	declPos := prog.Fset.Position(n.Decl.Pos())
 	start := declPos.Line
-	if fn.Doc != nil && len(fn.Doc.List) > 0 {
-		start = fset.Position(fn.Doc.Pos()).Line
+	if n.Decl.Doc != nil && len(n.Decl.Doc.List) > 0 {
+		start = prog.Fset.Position(n.Decl.Doc.Pos()).Line
 	}
-	for _, d := range p.Directives {
+	for _, d := range n.Pkg.Directives {
 		if d.Kind == kind && d.File == declPos.Filename && d.Line >= start && d.Line <= declPos.Line {
 			return d
 		}
 	}
 	return nil
-}
-
-// hotpathDirective returns the //proram:hotpath directive attached to a
-// function declaration.
-func (p *Package) hotpathDirective(fset *token.FileSet, fn *ast.FuncDecl) *Directive {
-	return p.funcDirective(fset, fn, "hotpath")
 }

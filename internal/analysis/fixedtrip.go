@@ -37,22 +37,15 @@ func FixedTrip(scopes ...string) *Pass {
 		scopes = []string{"internal/oram", "internal/stash", "internal/posmap", "internal/shard", "internal/dram/banked"}
 	}
 	p := &Pass{
-		Name:    "fixedtrip",
-		Aliases: []string{"trip"},
-		Doc:     "prove //proram:fixedtrip loops have a secret-independent trip count; flag secret-dependent loop conditions in the oblivious scope",
+		Name: "fixedtrip",
+		Doc:  "prove //proram:fixedtrip loops have a secret-independent trip count; flag secret-dependent loop conditions in the oblivious scope",
 	}
 	p.Run = func(u *Unit) {
 		if !inScope(u.Pkg.Rel, scopes) {
 			return
 		}
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				checkFuncLoops(u, fn)
-			}
+		for _, node := range u.Funcs() {
+			checkFuncLoops(u, node)
 		}
 	}
 	return p
@@ -73,8 +66,8 @@ func loopFor(s ast.Stmt) (token.Pos, string) {
 // checkFuncLoops analyzes every loop of one declared function. Loops
 // inside function literals are outside the SSA view; a fixedtrip mark
 // on one is itself a finding (move the loop into a named function).
-func checkFuncLoops(u *Unit, fn *ast.FuncDecl) {
-	v := u.Prog.valueRange(u.Pkg, fn)
+func checkFuncLoops(u *Unit, node *CGNode) {
+	v := u.Prog.valueRange(node)
 	doomed := v.fn.cfg.doomed()
 
 	marked := func(s ast.Stmt) *Directive {
@@ -104,7 +97,7 @@ func checkFuncLoops(u *Unit, fn *ast.FuncDecl) {
 			return true
 		})
 	}
-	walk(fn.Body, false)
+	walk(node.Decl.Body, false)
 }
 
 func checkLoop(u *Unit, v *vrangeFunc, doomed []bool, s ast.Stmt, marked bool) {
@@ -346,18 +339,14 @@ func loopInvariant(v *vrangeFunc, loop map[int]bool, e ast.Expr) string {
 				return check(x.X)
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "len", "cap", "min", "max":
-						for _, a := range x.Args {
-							if why := check(a); why != "" {
-								return why
-							}
-						}
-						return ""
+			switch builtinName(info, x) {
+			case "len", "cap", "min", "max":
+				for _, a := range x.Args {
+					if why := check(a); why != "" {
+						return why
 					}
 				}
+				return ""
 			}
 			return fmt.Sprintf("%s calls a function, which may return a different value each iteration", types.ExprString(e))
 		}

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed and type-checked package of the module.
@@ -47,23 +46,15 @@ type Program struct {
 
 	// Lazily built interprocedural state, shared by the passes that need
 	// whole-program views (the call graph and the function summaries
-	// derived from it).
-	cgOnce   sync.Once
-	cg       *CallGraph
-	sumOnce  sync.Once
-	sums     *summaries
-	allocOne sync.Once
-	allocs   *allocSummaries
-	lockOnce sync.Once
-	locks    *lockSummaries
-	goOnce   sync.Once
-	spawns   []*spawnSite
+	// derived from it). The analyzer runs on one goroutine, so "built
+	// once" is a nil check.
+	cg     *CallGraph
+	sums   *summaries
+	allocs *allocSummaries
 
-	// Per-function SSA and value-range views (ssa.go, vrange.go), built
-	// lazily the first time a pass asks about a function.
-	ssaMu   sync.Mutex
-	ssaMemo map[*ast.FuncDecl]*ssaFunc
-	vrMemo  map[*ast.FuncDecl]*vrangeFunc
+	// Per-function value-range views over SSA (ssa.go, vrange.go), built
+	// the first time a pass asks about a function.
+	vrMemo map[*CGNode]*vrangeFunc
 }
 
 // relPosition renders a position module-relative with forward slashes,

@@ -24,9 +24,8 @@ import (
 // maporder directive with a reason.
 func MapOrder() *Pass {
 	p := &Pass{
-		Name:    "maporder",
-		Aliases: []string{"maps"},
-		Doc:     "flag order-sensitive iteration over Go maps in library packages",
+		Name: "maporder",
+		Doc:  "flag order-sensitive iteration over Go maps in library packages",
 	}
 	p.Run = func(u *Unit) {
 		if u.Pkg.Name == "main" {
@@ -130,14 +129,8 @@ func (p *orderProver) insensitiveStmt(s ast.Stmt) bool {
 	case *ast.ExprStmt:
 		// delete(m, k) commutes across iteration order; no other call is
 		// assumed to.
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if b, ok := p.info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" {
-					return true
-				}
-			}
-		}
-		return false
+		call, ok := s.X.(*ast.CallExpr)
+		return ok && builtinName(p.info, call) == "delete"
 	case *ast.IfStmt:
 		if s.Init != nil && !p.insensitiveStmt(s.Init) {
 			return false
@@ -232,13 +225,9 @@ func (p *orderProver) pureExpr(e ast.Expr) bool {
 			if tv, ok := p.info.Types[n.Fun]; ok && tv.IsType() {
 				return true // conversion
 			}
-			if id, ok := n.Fun.(*ast.Ident); ok {
-				if b, ok := p.info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "len", "cap", "min", "max":
-						return true
-					}
-				}
+			switch builtinName(p.info, n) {
+			case "len", "cap", "min", "max":
+				return true
 			}
 			pure = false
 			return false

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "strings"
 
 // Oblivious is the interprocedural taint pass over the ORAM access
 // path. Sources are reads of struct fields declared with a
@@ -51,32 +47,17 @@ func Oblivious(scopes ...string) *Pass {
 		scopes = []string{"internal/oram", "internal/stash", "internal/shard", "internal/dram/banked"}
 	}
 	p := &Pass{
-		Name:    "oblivious",
-		Aliases: []string{"taint"},
-		Doc:     "flag branches, memory indexes and observability emissions that depend on secret block payload bytes (interprocedural)",
+		Name: "oblivious",
+		Doc:  "flag branches, memory indexes and observability emissions that depend on secret block payload bytes (interprocedural)",
 	}
 	p.Run = func(u *Unit) {
 		if !inScope(u.Pkg.Rel, scopes) {
 			return
 		}
 		sums := u.Prog.taintSummaries()
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := u.Pkg.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				sum := sums.byFunc[obj]
-				if sum == nil {
-					continue
-				}
-				for _, r := range sum.reports {
-					u.Reportf(r.pos, "%s", r.msg)
-				}
+		for _, node := range u.Funcs() {
+			for _, r := range sums.byFunc[node.Fn].reports {
+				u.Reportf(r.pos, "%s", r.msg)
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // PanicDiscipline reports panic calls in library (non-main) packages.
 // A panic in a library either crashes a long-running production process
@@ -14,9 +11,8 @@ import (
 // //proram:invariant directive with a one-line justification.
 func PanicDiscipline() *Pass {
 	p := &Pass{
-		Name:    "panicdiscipline",
-		Aliases: []string{"panics"},
-		Doc:     "require error returns or //proram:invariant justifications instead of library panics",
+		Name: "panicdiscipline",
+		Doc:  "require error returns or //proram:invariant justifications instead of library panics",
 	}
 	p.Run = func(u *Unit) {
 		if u.Pkg.Name == "main" {
@@ -25,14 +21,7 @@ func PanicDiscipline() *Pass {
 		for _, f := range u.Pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				id, ok := call.Fun.(*ast.Ident)
-				if !ok || id.Name != "panic" {
-					return true
-				}
-				if _, isBuiltin := u.Pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
+				if !ok || builtinName(u.Pkg.Info, call) != "panic" {
 					return true
 				}
 				pos := u.Prog.Fset.Position(call.Pos())

@@ -32,7 +32,7 @@ func TestRepositoryIsVetClean(t *testing.T) {
 // concdeterminism pass checks the reachability claim; this test makes
 // deleting the directive loud), detround never spreads outside
 // internal/shard where the round-barrier argument holds, and every
-// concurrency-pass suppression carries a reason.
+// concdeterminism suppression carries a reason.
 func TestConcurrencyAnnotationSweep(t *testing.T) {
 	prog := program(t)
 	detrounds := 0
@@ -49,7 +49,7 @@ func TestConcurrencyAnnotationSweep(t *testing.T) {
 				}
 			case "allow":
 				for _, c := range d.Checks {
-					if (c == "concdeterminism" || c == "goroutinediscipline" || c == "lockorder") && d.Reason == "" {
+					if c == "concdeterminism" && d.Reason == "" {
 						t.Errorf("%s:%d: //proram:allow %s without a reason", d.File, d.Line, c)
 					}
 				}

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // SeedPlumbing verifies that every exported constructor in the module
 // derives its generator's seed from a caller-supplied parameter instead
 // of defaulting one internally. A constructor that hard-codes its seed
@@ -24,9 +19,8 @@ import (
 // constructor, are not re-reported.
 func SeedPlumbing() *Pass {
 	p := &Pass{
-		Name:    "seedplumbing",
-		Aliases: []string{"seed"},
-		Doc:     "exported constructors must thread caller-supplied seeds into rng construction (call-graph reachability)",
+		Name: "seedplumbing",
+		Doc:  "exported constructors must thread caller-supplied seeds into rng construction (call-graph reachability)",
 	}
 	p.Run = func(u *Unit) {
 		rngPath := u.Prog.ModulePath + "/internal/rng"
@@ -34,29 +28,19 @@ func SeedPlumbing() *Pass {
 			return
 		}
 		sums := u.Prog.taintSummaries()
-		for _, f := range u.Pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
+		for _, node := range u.Funcs() {
+			if !isExportedConstructor(node) {
+				continue
+			}
+			name := node.Decl.Name.Name
+			for _, site := range sums.byFunc[node.Fn].rngSites {
+				if site.mask != 0 {
+					continue // caller-controlled (or untraceable) seed
 				}
-				obj, ok := u.Pkg.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				sum := sums.byFunc[obj]
-				if sum == nil || !isExportedConstructor(sum.node) {
-					continue
-				}
-				for _, site := range sum.rngSites {
-					if site.mask != 0 {
-						continue // caller-controlled (or untraceable) seed
-					}
-					if site.via == "" {
-						u.Reportf(site.pos, "%s seeds its RNG internally; take a seed (or a config with a Seed field) and pass it through so callers control reproducibility", fn.Name.Name)
-					} else {
-						u.Reportf(site.pos, "%s seeds its RNG internally (through %s); take a seed (or a config with a Seed field) and pass it through so callers control reproducibility", fn.Name.Name, site.via)
-					}
+				if site.via == "" {
+					u.Reportf(site.pos, "%s seeds its RNG internally; take a seed (or a config with a Seed field) and pass it through so callers control reproducibility", name)
+				} else {
+					u.Reportf(site.pos, "%s seeds its RNG internally (through %s); take a seed (or a config with a Seed field) and pass it through so callers control reproducibility", name, site.via)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 // This file computes bottom-up interprocedural function summaries over
@@ -91,7 +90,6 @@ type taintReport struct {
 }
 
 type funcSummary struct {
-	node       *CGNode
 	returnMask originMask
 	paramFlows []originMask
 	paramSinks [][]sinkRef
@@ -102,9 +100,7 @@ type funcSummary struct {
 type summaries struct {
 	prog   *Program
 	byFunc map[*types.Func]*funcSummary
-
-	envMu sync.Mutex
-	envs  map[*types.Func]*taintEnv
+	envs   map[*types.Func]*taintEnv
 }
 
 // maskEnv returns a taint environment whose object state sits at the
@@ -116,8 +112,6 @@ type summaries struct {
 // function; the underlying summaries are already final, so one
 // propagation fixpoint rebuilds the state exactly.
 func (s *summaries) maskEnv(n *CGNode) *taintEnv {
-	s.envMu.Lock()
-	defer s.envMu.Unlock()
 	if s.envs == nil {
 		s.envs = make(map[*types.Func]*taintEnv)
 	}
@@ -171,7 +165,9 @@ func (s *summaries) newEnv(n *CGNode) *taintEnv {
 // taintSummaries builds (once) the summaries for every declared
 // function, visiting SCCs bottom-up.
 func (p *Program) taintSummaries() *summaries {
-	p.sumOnce.Do(func() { p.sums = computeSummaries(p) })
+	if p.sums == nil {
+		p.sums = computeSummaries(p)
+	}
 	return p.sums
 }
 
@@ -180,7 +176,6 @@ func computeSummaries(prog *Program) *summaries {
 	s := &summaries{prog: prog, byFunc: make(map[*types.Func]*funcSummary, len(cg.Nodes))}
 	for _, n := range cg.Nodes {
 		s.byFunc[n.Fn] = &funcSummary{
-			node:       n,
 			paramFlows: make([]originMask, len(n.Params)),
 			paramSinks: make([][]sinkRef, len(n.Params)),
 		}
@@ -369,13 +364,11 @@ func (e *taintEnv) rangeKeyMask(x ast.Expr, m originMask) originMask {
 // applyCallEffects models the stores a call performs in the caller's
 // frame: the copy builtin, and the paramFlows of a resolved callee.
 func (e *taintEnv) applyCallEffects(call *ast.CallExpr) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := e.info().Uses[id].(*types.Builtin); ok {
-			if b.Name() == "copy" && len(call.Args) == 2 {
-				e.mark(call.Args[0], e.exprMask(call.Args[1]), call, true)
-			}
-			return
+	if name := builtinName(e.info(), call); name != "" {
+		if name == "copy" && len(call.Args) == 2 {
+			e.mark(call.Args[0], e.exprMask(call.Args[1]), call, true)
 		}
+		return
 	}
 	callee := e.resolveCallee(call)
 	if callee == nil || e.s.isObsPkg(callee.Fn.Pkg()) {
@@ -479,14 +472,10 @@ func (e *taintEnv) exprMask(x ast.Expr) originMask {
 }
 
 func (e *taintEnv) callMask(call *ast.CallExpr) originMask {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := e.info().Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "len", "cap":
-				// Block geometry is public by construction.
-				return 0
-			}
-		}
+	switch builtinName(e.info(), call) {
+	case "len", "cap":
+		// Block geometry is public by construction.
+		return 0
 	}
 	if callee := e.resolveCallee(call); callee != nil && !e.s.isObsPkg(callee.Fn.Pkg()) {
 		masks, _ := e.callArgs(callee, call)
@@ -683,10 +672,10 @@ func (e *taintEnv) checkCall(call *ast.CallExpr) {
 	e.checkObsEmission(call)
 	e.checkRNGSite(call)
 
-	if op, ok := classifySyncOp(e.info(), call); ok {
-		switch op.method {
+	if recv, method, ok := syncMethodCall(e.info(), call); ok {
+		switch method {
 		case "Lock", "RLock", "TryLock", "TryRLock":
-			e.checkSchedSink(e.exprMask(op.recv), op.recv.Pos(), "lock acquisition target")
+			e.checkSchedSink(e.exprMask(recv), recv.Pos(), "lock acquisition target")
 		}
 	}
 

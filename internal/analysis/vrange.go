@@ -295,67 +295,32 @@ func clampOrType(r interval, t types.Type) interval {
 type vrangeFunc struct {
 	prog *Program
 	fn   *ssaFunc
-	node *CGNode   // nil when the function is not in the call graph
-	env  *taintEnv // mask oracle; nil when node is nil
+	env  *taintEnv // mask oracle
 	iv   []interval
 
 	loopMemo map[int]map[int]bool // natural loop cache, per head
 	heads    []int                // blocks with an incoming back edge
 }
 
-// ssaOf returns (building and caching on first use) the SSA view of a
-// declared function.
-func (p *Program) ssaOf(pkg *Package, decl *ast.FuncDecl) *ssaFunc {
-	p.ssaMu.Lock()
-	defer p.ssaMu.Unlock()
-	if p.ssaMemo == nil {
-		p.ssaMemo = make(map[*ast.FuncDecl]*ssaFunc)
-	}
-	if f, ok := p.ssaMemo[decl]; ok {
-		return f
-	}
-	f := buildSSA(pkg, decl)
-	p.ssaMemo[decl] = f
-	return f
-}
-
 // valueRange returns (building and caching on first use) the
 // value-range view of a declared function.
-func (p *Program) valueRange(pkg *Package, decl *ast.FuncDecl) *vrangeFunc {
-	p.ssaMu.Lock()
-	if p.vrMemo == nil {
-		p.vrMemo = make(map[*ast.FuncDecl]*vrangeFunc)
-	}
-	if v, ok := p.vrMemo[decl]; ok {
-		p.ssaMu.Unlock()
+func (p *Program) valueRange(n *CGNode) *vrangeFunc {
+	if v, ok := p.vrMemo[n]; ok {
 		return v
 	}
-	p.ssaMu.Unlock()
-
-	v := &vrangeFunc{prog: p, fn: p.ssaOf(pkg, decl)}
-	if fn, ok := pkg.Info.Defs[decl.Name].(*types.Func); ok {
-		if node := p.CallGraph().NodeOf(fn); node != nil {
-			v.node = node
-			v.env = p.taintSummaries().maskEnv(node)
-		}
-	}
+	v := &vrangeFunc{prog: p, fn: buildSSA(n.Pkg, n.Decl), env: p.taintSummaries().maskEnv(n)}
 	v.compute()
 	v.findHeads()
-
-	p.ssaMu.Lock()
-	p.vrMemo[decl] = v
-	p.ssaMu.Unlock()
+	if p.vrMemo == nil {
+		p.vrMemo = make(map[*CGNode]*vrangeFunc)
+	}
+	p.vrMemo[n] = v
 	return v
 }
 
 // maskOf reports the origin mask of an expression (secret bit, opaque
-// bit, parameter bits), or opaque when no taint environment exists.
-func (v *vrangeFunc) maskOf(e ast.Expr) originMask {
-	if v.env == nil {
-		return opaqueOrigin
-	}
-	return v.env.exprMask(e)
-}
+// bit, parameter bits).
+func (v *vrangeFunc) maskOf(e ast.Expr) originMask { return v.env.exprMask(e) }
 
 // compute runs the interval fixpoint. Joins are monotone (new results
 // are joined with the old) and phis widen after a few rounds, so the
@@ -502,32 +467,28 @@ func (v *vrangeFunc) evalExpr(e ast.Expr) interval {
 
 func (v *vrangeFunc) evalCall(call *ast.CallExpr) interval {
 	info := v.fn.info()
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "len", "cap":
-				if len(call.Args) == 1 {
-					if arr, ok := deref(typeOf(info, call.Args[0])).(*types.Array); ok {
-						return interval{arr.Len(), arr.Len()}
-					}
-				}
-				return interval{0, posInf}
-			case "min", "max":
-				if len(call.Args) == 0 {
-					break
-				}
-				r := v.evalExpr(call.Args[0])
-				for _, a := range call.Args[1:] {
-					ai := v.evalExpr(a)
-					if b.Name() == "min" {
-						r = interval{min(r.lo, ai.lo), min(r.hi, ai.hi)}
-					} else {
-						r = interval{max(r.lo, ai.lo), max(r.hi, ai.hi)}
-					}
-				}
-				return r
+	switch name := builtinName(info, call); name {
+	case "len", "cap":
+		if len(call.Args) == 1 {
+			if arr, ok := deref(typeOf(info, call.Args[0])).(*types.Array); ok {
+				return interval{arr.Len(), arr.Len()}
 			}
 		}
+		return interval{0, posInf}
+	case "min", "max":
+		if len(call.Args) == 0 {
+			break
+		}
+		r := v.evalExpr(call.Args[0])
+		for _, a := range call.Args[1:] {
+			ai := v.evalExpr(a)
+			if name == "min" {
+				r = interval{min(r.lo, ai.lo), min(r.hi, ai.hi)}
+			} else {
+				r = interval{max(r.lo, ai.lo), max(r.hi, ai.hi)}
+			}
+		}
+		return r
 	}
 	// Conversion T(x): the result stays in T's range; when the operand
 	// provably fits, no wrap occurs and the operand's range carries over.
@@ -544,15 +505,6 @@ func (v *vrangeFunc) evalCall(call *ast.CallExpr) interval {
 
 func exactInt64(val constant.Value) (int64, bool) {
 	return constant.Int64Val(constant.ToInt(val))
-}
-
-func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
 }
 
 // --- Relational facts -------------------------------------------------
@@ -935,7 +887,7 @@ func (v *vrangeFunc) canon(e ast.Expr, depth int) (vterm, int64, bool) {
 			}
 		}
 	case *ast.CallExpr:
-		if isBuiltinCall(info, x, "len") && len(x.Args) == 1 {
+		if builtinName(info, x) == "len" && len(x.Args) == 1 {
 			if t, off, ok := v.canon(x.Args[0], depth+1); ok && off == 0 && !t.len && t.vid >= 0 {
 				return vterm{vid: t.vid, len: true, path: t.path}, 0, true
 			}
@@ -1127,7 +1079,7 @@ func (v *vrangeFunc) lenEqualities(t vterm) []vfact {
 	}
 	switch e := ast.Unparen(val.expr).(type) {
 	case *ast.CallExpr:
-		if isBuiltinCall(v.fn.info(), e, "make") && len(e.Args) >= 2 {
+		if builtinName(v.fn.info(), e) == "make" && len(e.Args) >= 2 {
 			if nt, noff, ok := v.canon(e.Args[1], 0); ok {
 				eq(nt, noff)
 			}

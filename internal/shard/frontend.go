@@ -336,7 +336,7 @@ func (f *Frontend) Flush() error {
 
 // Close drains queued requests, answers pending flushes, and stops the
 // dispatcher and workers. Requests admitted after Close fail with
-// ErrClosed. Safe to call once.
+// ErrClosed. A repeated Close waits for the first and returns nil.
 func (f *Frontend) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -522,7 +522,12 @@ func (f *Frontend) commit(round uint64, kind roundKind, floor uint64, byPart []r
 			}
 		}
 	}
-	f.snap = f.computeStats(kind, leftovers)
+	// A flush is one round with two barriers: its snapshot is published
+	// at the pad barrier, so no reader sees flush lengths that are not
+	// yet equalized.
+	if kind != roundFlush {
+		f.snap = f.computeStats(kind, leftovers)
+	}
 	pending := f.pending
 	f.mu.Unlock()
 	// Latency spans and the audit feed run after arbitration so start
@@ -578,7 +583,7 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 	switch kind {
 	case roundDemand:
 		s.Rounds++
-	case roundFlush:
+	case roundPad: // the second, closing barrier of a flush round
 		s.FlushRounds++
 	}
 	s.Carryovers += uint64(leftovers)

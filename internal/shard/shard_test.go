@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -338,6 +339,129 @@ func TestConcurrentConsistency(t *testing.T) {
 	}
 	if err := f.Stats().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLifecycleUnderLoad contends on Frontend.mu through every method
+// that takes it, all at once: six clients write and read their own
+// stripes while one goroutine polls Stats and Arrivals and another
+// flushes three times, then Close lands on a second wave of readers still arriving.
+// Every snapshot a reader can see must validate (a flush publishes only
+// once its lengths are equalized), every request completes or fails
+// with ErrClosed, and nothing hangs. Run with -race this is the
+// executed-code check on the frontend's locking and goroutine lifetimes.
+func TestLifecycleUnderLoad(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.RecordArrivals = true
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, span = 6, 32
+	payload := func(c int, i uint64) []byte { return []byte(fmt.Sprintf("c%d-%d", c, i)) }
+	readBack := func(c int, i uint64) error {
+		got, err := f.Read(uint64(c)*span + i)
+		if err != nil {
+			return err
+		}
+		if want := payload(c, i); !bytes.Equal(got[:len(want)], want) {
+			return fmt.Errorf("client %d block %d: got %q, want %q", c, i, got[:len(want)], want)
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var watcher sync.WaitGroup
+	watcher.Add(1)
+	go func() {
+		defer watcher.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := f.Stats().Validate(); err != nil {
+				t.Errorf("snapshot mid-run: %v", err)
+				return
+			}
+			f.Arrivals()
+			runtime.Gosched() // poll, but do not starve a single-P run
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := uint64(0); i < span; i++ {
+				if err := f.Write(uint64(c)*span+i, payload(c, i)); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				if err := readBack(c, i); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Each flush follows a write of the flusher's own, so no flush
+		// finds every partition clean (and the lengths trivially equal).
+		for i := uint64(0); i < 3; i++ {
+			if err := f.Write(clients*span+i, payload(clients, i)); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			if err := f.Flush(); err != nil {
+				t.Errorf("flush %d: %v", i, err)
+			}
+		}
+	}()
+	wg.Wait()
+
+	// Second wave: Close while readers are mid-stripe.
+	served := make(chan struct{}, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := uint64(0); i < span; i++ {
+				if err := readBack(c, i); err == ErrClosed {
+					return
+				} else if err != nil {
+					t.Errorf("second wave: %v", err)
+					return
+				}
+				if i == 0 {
+					served <- struct{}{}
+				}
+			}
+		}(c)
+	}
+	<-served
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(stop)
+	watcher.Wait()
+
+	if err := f.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := f.Flush(); err != ErrClosed {
+		t.Fatalf("flush after close: %v, want ErrClosed", err)
+	}
+	stats := f.Stats()
+	if err := stats.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if stats.FlushRounds != 3 {
+		t.Fatalf("FlushRounds = %d, want 3", stats.FlushRounds)
 	}
 }
 

@@ -271,9 +271,13 @@ func SimulateSharded(cfg Config, w Workload, clients int, opt ShardedOptions) (S
 	if err != nil {
 		return ShardedSimReport{}, err
 	}
+	gen, err := w.generator()
+	if err != nil {
+		return ShardedSimReport{}, err
+	}
 	scfg := cfg.shardConfig()
 	out := opt.lower(&scfg)
-	st, err := sim.RunSharded(scfg, w.generator(), clients)
+	st, err := sim.RunSharded(scfg, gen, clients)
 	if err != nil {
 		return ShardedSimReport{}, err
 	}

@@ -82,6 +82,11 @@ func NewSimulator(c SimConfig) (*Simulator, error) {
 	tech := sim.TechORAM
 	if c.Memory == MemoryDRAM {
 		tech = sim.TechDRAM
+	} else if c.Memory != MemoryORAM {
+		return nil, fmt.Errorf("proram: unknown memory %d", int(c.Memory))
+	}
+	if err := c.Scheme.validate(); err != nil {
+		return nil, err
 	}
 	cfg := sim.DefaultConfig(tech)
 	if c.CacheLineBytes != 0 {
@@ -167,13 +172,17 @@ type Result struct {
 // addresses memory beyond the ORAM's ORAMBlocks × CacheLineBytes is an
 // error (SimulateSharded folds addresses onto its capacity instead).
 func (s *Simulator) Run(w Workload) (Result, error) {
+	gen, err := w.generator()
+	if err != nil {
+		return Result{}, err
+	}
 	cfg := s.cfg
 	cfg.ObsLabel = w.Name
 	system, err := sim.New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	rep, err := system.Run(w.generator())
+	rep, err := system.Run(gen)
 	if err != nil {
 		return Result{}, err
 	}
@@ -231,12 +240,13 @@ type Workload struct {
 	factory func() trace.Generator
 }
 
-func (w Workload) generator() trace.Generator {
+// generator starts a fresh pass over the stream. The zero Workload, which
+// no constructor returns, has none.
+func (w Workload) generator() (trace.Generator, error) {
 	if w.factory == nil {
-		//proram:invariant a zero Workload is a compile-time misuse; every constructor sets the factory
-		panic("proram: zero Workload; use a workload constructor")
+		return nil, fmt.Errorf("proram: zero Workload; use a workload constructor")
 	}
-	return w.factory()
+	return w.factory(), nil
 }
 
 // SyntheticConfig parameterizes the paper's §5.3 microbenchmark.
@@ -322,9 +332,12 @@ type Op struct {
 }
 
 // ForEach streams the workload's operations through f (a fresh pass each
-// call; workloads are deterministic).
+// call; workloads are deterministic). The zero Workload streams nothing.
 func (w Workload) ForEach(f func(Op)) {
-	g := w.generator()
+	g, err := w.generator()
+	if err != nil {
+		return
+	}
 	for {
 		op, ok := g.Next()
 		if !ok {

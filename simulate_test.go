@@ -123,7 +123,10 @@ func TestWorkloadConstructors(t *testing.T) {
 		if w.Name == "" || w.Ops != 1000 {
 			t.Fatalf("bad workload %+v", w)
 		}
-		g := w.generator()
+		g, err := w.generator()
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
 		for {
 			if _, ok := g.Next(); !ok {
@@ -140,14 +143,44 @@ func TestWorkloadConstructors(t *testing.T) {
 	}
 }
 
-func TestZeroWorkloadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero Workload did not panic")
-		}
-	}()
-	var w Workload
-	w.generator()
+// TestSimulatorMisuseIsAnError: a zero Workload and out-of-range enum
+// values come back as errors from every entry point — no panic, and no
+// silent fallback to the baseline scheme or to ORAM.
+func TestSimulatorMisuseIsAnError(t *testing.T) {
+	const zero = "proram: zero Workload; use a workload constructor"
+	for _, tc := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"Run(zero Workload)", func() error {
+			s, err := NewSimulator(SimConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Run(Workload{})
+			return err
+		}, zero},
+		{"SimulateSharded(zero Workload)", func() error {
+			_, err := SimulateSharded(Config{Partitions: 2}, Workload{}, 2, ShardedOptions{})
+			return err
+		}, zero},
+		{"unknown Scheme", func() error {
+			_, err := NewSimulator(SimConfig{Scheme: Scheme(9)})
+			return err
+		}, "proram: unknown scheme 9"},
+		{"unknown Memory", func() error {
+			_, err := NewSimulator(SimConfig{Memory: Memory(9)})
+			return err
+		}, "proram: unknown memory 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(); err == nil || err.Error() != tc.want {
+				t.Fatalf("got %v, want %q", err, tc.want)
+			}
+		})
+	}
+	Workload{}.ForEach(func(Op) { t.Fatal("zero Workload streamed an op") })
 }
 
 func TestExperimentFacade(t *testing.T) {
