@@ -43,7 +43,7 @@
 //
 // suppresses the named checks (determinism, maporder, oblivious,
 // panicdiscipline, seedplumbing, allocdiscipline, concdeterminism,
-// fixedtrip, branchless, boundscheck, allowhygiene) on the same line or
+// fixedtrip, branchless, allowhygiene) on the same line or
 // the line directly below; written before the package clause it covers
 // the whole file. The reason is mandatory in spirit and audited in
 // review.
@@ -61,11 +61,9 @@
 // panics are exempt (failure handling, not steady state), as are callees
 // that are themselves marked hot (checked in their own right) and helper
 // allocations justified with //proram:allow allocdiscipline (exempt for
-// every hot caller at once). The boundscheck pass shares the mark: every
-// slice or array indexing in a hot function must be provable in-bounds
-// by the SSA value-range layer — by interval, by a dominating
-// comparison, or by the _ = s[max] pin idiom — so the compiler's
-// bounds-check elimination has the same facts the prover verified.
+// every hot caller at once). Whether a hot function's indexings stay in
+// bounds is not a vet question: Go checks them at run time and the API
+// fuzzers (FuzzOps, FuzzConfig, FuzzReplay) drive the public API to them.
 //
 //	//proram:fixedtrip <reason>
 //
@@ -103,8 +101,10 @@
 //
 //	//proram:secret
 //
-// on a struct field marks it as a taint source (the canonical one is
-// mem.Block.Data, the decrypted payload). Taint survives module-local
+// on a struct field marks it as a taint source: shard's request and
+// response payloads, and mem.Block.Data, the declared shape of a decrypted
+// payload (DESIGN.md §8 says what that covers and what it does not — the
+// client cache's plaintext is outside it). Taint survives module-local
 // calls: up to 62 parameters are tracked per function with per-parameter
 // origin bits, anything beyond that degrades soundly to an opaque origin
 // that never crosses a call boundary. Beyond branches and indexes, the

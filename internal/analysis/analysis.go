@@ -166,7 +166,6 @@ func DefaultPasses() []*Pass {
 		ConcDeterminism(),
 		FixedTrip(),
 		Branchless(),
-		BoundsCheck(),
 		AllowHygiene(),
 	}
 }

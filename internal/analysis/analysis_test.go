@@ -214,10 +214,6 @@ func TestBranchlessFixture(t *testing.T) {
 	runFixture(t, []*Pass{Branchless()}, fixtureBase+"branchless")
 }
 
-func TestBoundsCheckFixture(t *testing.T) {
-	runFixture(t, []*Pass{BoundsCheck()}, fixtureBase+"boundscheck")
-}
-
 func TestSelectPasses(t *testing.T) {
 	if _, err := SelectPasses("determinism,nosuch"); err == nil {
 		t.Fatal("unknown check did not error")

@@ -26,18 +26,14 @@ type cfgBlock struct {
 	succs  []*cfgBlock
 	panics bool
 
-	// Branch-edge roles for the value-range layer (ssa.go, vrange.go).
-	// When the block ends in a two-way conditional, branchCond is the
-	// condition (the same expression already present in nodes — these
-	// fields record edge roles only, so clients walking nodes still see
-	// every node exactly once) and branchTrue/branchFalse are the
-	// successors taken on each outcome. rangeLoop is set on the head
-	// block of a range statement, with rangeBody its body successor.
-	branchCond  ast.Expr
-	branchTrue  *cfgBlock
-	branchFalse *cfgBlock
-	rangeLoop   *ast.RangeStmt
-	rangeBody   *cfgBlock
+	// Edge roles of a loop head, for the SSA view and the fixedtrip
+	// proof. condExit is set on the head of a for loop that has a
+	// condition: the successor taken when it is false. rangeLoop is set
+	// on the head block of a range statement, with rangeBody its body
+	// successor.
+	condExit  *cfgBlock
+	rangeLoop *ast.RangeStmt
+	rangeBody *cfgBlock
 }
 
 // funcCFG is the control-flow graph of one function body.
@@ -194,17 +190,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = then
 		b.stmt(s.Body)
 		b.link(b.cur, join)
-		cond.branchCond, cond.branchTrue = s.Cond, then
 		if s.Else != nil {
 			els := b.newBlock()
 			b.link(cond, els)
 			b.cur = els
 			b.stmt(s.Else)
 			b.link(b.cur, join)
-			cond.branchFalse = els
 		} else {
 			b.link(cond, join)
-			cond.branchFalse = join
 		}
 		b.cur = join
 
@@ -223,7 +216,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.link(head, body)
 		if s.Cond != nil {
 			b.link(head, exit)
-			head.branchCond, head.branchTrue, head.branchFalse = s.Cond, body, exit
+			head.condExit = exit
 		}
 		cont := head
 		var post *cfgBlock

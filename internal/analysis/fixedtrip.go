@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -51,7 +52,59 @@ func FixedTrip(scopes ...string) *Pass {
 	return p
 }
 
-// loopPos returns the position and kind name used in fixedtrip
+// loopView is what the trip-count proof reads of one function: the SSA
+// view (ssa.go) that resolves each read of a local to one definition,
+// and the taint environment (summary.go) that answers whether an
+// expression derives from a secret.
+type loopView struct {
+	fn  *ssaFunc
+	env *taintEnv
+}
+
+// constOf returns the value of an integer constant expression.
+func (v *loopView) constOf(e ast.Expr) (int64, bool) {
+	if tv, ok := v.fn.info().Types[e]; ok && tv.Value != nil {
+		return constant.Int64Val(constant.ToInt(tv.Value))
+	}
+	return 0, false
+}
+
+// fieldPathRoot resolves a field chain a.b.c to the SSA value of its
+// root a, when a is a tracked local of value-struct type with no field
+// stores: with no pointers anywhere in the chain there is no aliasing,
+// so the path is as immutable as the root's SSA version.
+func (v *loopView) fieldPathRoot(sel *ast.SelectorExpr) (int, bool) {
+	info := v.fn.info()
+	e := ast.Expr(sel)
+	for {
+		s, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		ss, ok := info.Selections[s]
+		if !ok || ss.Kind() != types.FieldVal {
+			return 0, false
+		}
+		if _, ok := typeOf(info, s.X).Underlying().(*types.Struct); !ok {
+			return 0, false
+		}
+		e = ast.Unparen(s.X)
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return 0, false
+	}
+	vid, ok := v.fn.useOf[id]
+	if !ok {
+		return 0, false
+	}
+	if obj := info.Uses[id]; obj == nil || v.fn.written[obj] {
+		return 0, false
+	}
+	return vid, true
+}
+
+// loopFor returns the position and kind name used in fixedtrip
 // diagnostics for a loop statement.
 func loopFor(s ast.Stmt) (token.Pos, string) {
 	switch s := s.(type) {
@@ -67,7 +120,7 @@ func loopFor(s ast.Stmt) (token.Pos, string) {
 // inside function literals are outside the SSA view; a fixedtrip mark
 // on one is itself a finding (move the loop into a named function).
 func checkFuncLoops(u *Unit, node *CGNode) {
-	v := u.Prog.valueRange(node)
+	v := &loopView{fn: buildSSA(node.Pkg, node.Decl), env: u.Prog.taintSummaries().maskEnv(node)}
 	doomed := v.fn.cfg.doomed()
 
 	marked := func(s ast.Stmt) *Directive {
@@ -100,7 +153,7 @@ func checkFuncLoops(u *Unit, node *CGNode) {
 	walk(node.Decl.Body, false)
 }
 
-func checkLoop(u *Unit, v *vrangeFunc, doomed []bool, s ast.Stmt, marked bool) {
+func checkLoop(u *Unit, v *loopView, doomed []bool, s ast.Stmt, marked bool) {
 	pos, kind := loopFor(s)
 	head := v.fn.cfg.loops[s]
 	if head == nil || !v.fn.reach[head.index] {
@@ -110,13 +163,13 @@ func checkLoop(u *Unit, v *vrangeFunc, doomed []bool, s ast.Stmt, marked bool) {
 	// Generic obligation: a secret-derived loop condition leaks the trip
 	// count regardless of any directive.
 	if f, ok := s.(*ast.ForStmt); ok && f.Cond != nil {
-		if v.maskOf(f.Cond)&secretOrigin != 0 {
+		if v.env.exprMask(f.Cond)&secretOrigin != 0 {
 			u.Reportf(pos, "loop condition depends on secret data; the trip count leaks through trace length and timing")
 			return
 		}
 	}
 	if r, ok := s.(*ast.RangeStmt); ok {
-		if v.maskOf(r.X)&secretOrigin != 0 {
+		if v.env.exprMask(r.X)&secretOrigin != 0 {
 			u.Reportf(pos, "range loop iterates over a secret-derived container; the trip count leaks through trace length and timing")
 			return
 		}
@@ -132,16 +185,14 @@ func checkLoop(u *Unit, v *vrangeFunc, doomed []bool, s ast.Stmt, marked bool) {
 
 // fixedTripProof returns "" when the loop's trip count is proven fixed
 // before entry, or the reason the proof fails.
-func fixedTripProof(v *vrangeFunc, doomed []bool, s ast.Stmt, head *cfgBlock) string {
+func fixedTripProof(v *loopView, doomed []bool, s ast.Stmt, head *cfgBlock) string {
 	loop := v.fn.loopBlocks(head.index)
 
 	normalExit := -1
-	switch st := s.(type) {
-	case *ast.ForStmt:
-		if st.Cond != nil && head.branchFalse != nil {
-			normalExit = head.branchFalse.index
-		}
-	case *ast.RangeStmt:
+	if head.condExit != nil {
+		normalExit = head.condExit.index
+	}
+	if head.rangeLoop != nil {
 		for _, succ := range head.succs {
 			if succ != head.rangeBody {
 				normalExit = succ.index
@@ -185,7 +236,7 @@ func earlyExit(f *ssaFunc, doomed []bool, loop map[int]bool, head, normalExit in
 // value defined before the loop, the condition compares i against an
 // invariant non-secret bound, and the only write to i inside the loop
 // is the constant-step post statement.
-func countedLoopProof(v *vrangeFunc, loop map[int]bool, s *ast.ForStmt) string {
+func countedLoopProof(v *loopView, loop map[int]bool, s *ast.ForStmt) string {
 	if s.Cond == nil {
 		return "the loop has no condition, so no bound exists"
 	}
@@ -248,10 +299,10 @@ func countedLoopProof(v *vrangeFunc, loop map[int]bool, s *ast.ForStmt) string {
 		return fmt.Sprintf("the counter %s is stepped more than once per iteration", id.Name)
 	}
 
-	if v.maskOf(id)&secretOrigin != 0 {
+	if v.env.exprMask(id)&secretOrigin != 0 {
 		return fmt.Sprintf("the counter %s is derived from secret data", id.Name)
 	}
-	if v.maskOf(bound)&secretOrigin != 0 {
+	if v.env.exprMask(bound)&secretOrigin != 0 {
 		return "the bound is derived from secret data"
 	}
 	if why := loopInvariant(v, loop, bound); why != "" {
@@ -262,7 +313,7 @@ func countedLoopProof(v *vrangeFunc, loop map[int]bool, s *ast.ForStmt) string {
 
 // stepDirection validates the post statement as a constant step of the
 // counter and reports its direction.
-func stepDirection(v *vrangeFunc, post ast.Stmt, obj types.Object) (increasing bool, why string) {
+func stepDirection(v *loopView, post ast.Stmt, obj types.Object) (increasing bool, why string) {
 	target := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && v.fn.info().Uses[id] == obj
@@ -298,7 +349,7 @@ func stepDirection(v *vrangeFunc, post ast.Stmt, obj types.Object) (increasing b
 // the loop and nothing the analysis cannot pin down: tracked locals
 // defined outside, constants, value-struct field paths with no field
 // stores, and len/cap/min/max of such. Returns "" or the reason.
-func loopInvariant(v *vrangeFunc, loop map[int]bool, e ast.Expr) string {
+func loopInvariant(v *loopView, loop map[int]bool, e ast.Expr) string {
 	info := v.fn.info()
 	var check func(e ast.Expr) string
 	check = func(e ast.Expr) string {
@@ -321,11 +372,11 @@ func loopInvariant(v *vrangeFunc, loop map[int]bool, e ast.Expr) string {
 			}
 			return ""
 		case *ast.SelectorExpr:
-			t, off, ok := v.canonPath(x)
-			if !ok || off != 0 {
+			root, ok := v.fieldPathRoot(x)
+			if !ok {
 				return fmt.Sprintf("%s is not a field path the analysis can prove immutable; hoist it into a local before the loop", types.ExprString(x))
 			}
-			if loop[v.fn.vals[t.vid].block] {
+			if loop[v.fn.vals[root].block] {
 				return fmt.Sprintf("the base of %s is assigned inside the loop", types.ExprString(x))
 			}
 			return ""
@@ -358,7 +409,7 @@ func loopInvariant(v *vrangeFunc, loop map[int]bool, e ast.Expr) string {
 // rangeLoopProof proves a range loop fixed: the container is evaluated
 // once at entry, so it only needs a statically countable container kind
 // and no secret derivation (checked by the caller).
-func rangeLoopProof(v *vrangeFunc, s *ast.RangeStmt) string {
+func rangeLoopProof(v *loopView, s *ast.RangeStmt) string {
 	t := typeOf(v.fn.info(), s.X)
 	if t == nil {
 		return "the container's type is unknown"

@@ -51,10 +51,6 @@ type Program struct {
 	cg     *CallGraph
 	sums   *summaries
 	allocs *allocSummaries
-
-	// Per-function value-range views over SSA (ssa.go, vrange.go), built
-	// the first time a pass asks about a function.
-	vrMemo map[*CGNode]*vrangeFunc
 }
 
 // relPosition renders a position module-relative with forward slashes,

@@ -4,8 +4,9 @@ import "strings"
 
 // Oblivious is the interprocedural taint pass over the ORAM access
 // path. Sources are reads of struct fields declared with a
-// //proram:secret directive (the canonical one is mem.Block.Data, the
-// decrypted block payload). Taint propagates through assignments,
+// //proram:secret directive (mem.Block.Data, the declared shape of a
+// decrypted block payload, and the payload copies internal/shard moves
+// between clients and partitions). Taint propagates through assignments,
 // arithmetic, indexing and — via the bottom-up function summaries in
 // summary.go — through module-local calls: a helper that copies,
 // serializes or compares payload bytes carries the taint into its

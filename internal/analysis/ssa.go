@@ -9,10 +9,10 @@ import (
 // This file builds a per-function SSA-lite view over the CFG in cfg.go:
 // every read of a trackable local variable is resolved to a single
 // static definition (parameter, assignment, step, range binding or phi).
-// It exists so the value-range layer (vrange.go) can reason
-// flow-sensitively — "this i is the i bounded by the loop condition,
-// and order has not been reassigned since len(order) was taken" — which
-// is what the fixedtrip, branchless and boundscheck passes spend it on.
+// It exists so the fixedtrip pass can reason flow-sensitively — "this i
+// is the i the loop condition bounds, its only definition inside the
+// loop is the post step, and the bound was last assigned before the
+// loop".
 //
 // The construction is the textbook recipe: reachability and
 // predecessors over the CFG, an iterative dominator tree
@@ -31,10 +31,9 @@ import (
 
 // ssaValue kinds.
 const (
-	ssaOpaque   = iota // no statically known definition
-	ssaParam           // parameter or receiver, defined at entry
+	ssaParam    = iota // parameter or receiver, defined at entry
 	ssaZero            // var declaration without initializer
-	ssaExpr            // x = <expr> (resIdx selects one result of a multi-value rhs)
+	ssaExpr            // x = <expr>
 	ssaStep            // x++, x--, x op= <expr>: operand is the previous version
 	ssaPhi             // join of versions at a control-flow merge
 	ssaRangeKey        // key binding of a range loop
@@ -50,8 +49,6 @@ type ssaValue struct {
 	expr    ast.Expr    // ssaExpr: rhs; ssaStep: rhs operand (nil for ++/--); ssaRange*: the range container
 	op      token.Token // ssaStep: the arithmetic token (++ and -- normalize to ADD/SUB with nil expr)
 	operand int         // ssaStep: the previous version's id
-	resIdx  int         // ssaExpr: result index when the rhs is multi-valued
-	nres    int         // ssaExpr: number of values the rhs produces
 	phiArgs []int       // ssaPhi: incoming version per predecessor (-1: undefined on that path)
 }
 
@@ -67,12 +64,11 @@ type ssaFunc struct {
 	children [][]int // dominator-tree children
 	postnum  []int   // postorder number, for dominator intersection
 
-	vals     []*ssaValue
-	phis     [][]*ssaValue      // per block, in placement order
-	useOf    map[*ast.Ident]int // every resolved read of a tracked variable
-	rangeKey map[int]int        // range head block -> key binding value id
-	tracked  map[types.Object]bool
-	written  map[types.Object]bool // objects assigned through a selector/index path rooted at them
+	vals    []*ssaValue
+	phis    [][]*ssaValue      // per block, in placement order
+	useOf   map[*ast.Ident]int // every resolved read of a tracked variable
+	tracked map[types.Object]bool
+	written map[types.Object]bool // objects assigned through a selector/index path rooted at them
 
 	renameUses func(ast.Node) // installed during rename; closes over the version map
 }
@@ -82,11 +78,10 @@ func (f *ssaFunc) info() *types.Info { return f.pkg.Info }
 // buildSSA constructs the SSA view for one declared function body.
 func buildSSA(pkg *Package, decl *ast.FuncDecl) *ssaFunc {
 	f := &ssaFunc{
-		pkg:      pkg,
-		decl:     decl,
-		cfg:      buildCFG(pkg.Info, decl.Body),
-		useOf:    make(map[*ast.Ident]int),
-		rangeKey: make(map[int]int),
+		pkg:   pkg,
+		decl:  decl,
+		cfg:   buildCFG(pkg.Info, decl.Body),
+		useOf: make(map[*ast.Ident]int),
 	}
 	f.computeReach()
 	f.computePreds()
@@ -469,17 +464,15 @@ func (f *ssaFunc) nodeDefs(n ast.Node, block int) []ssaDef {
 				continue
 			}
 			var rhs ast.Expr
-			resIdx, nres := 0, 1
 			if multi {
-				rhs, resIdx, nres = x.Rhs[0], i, len(x.Lhs)
+				rhs = x.Rhs[0]
 			} else if i < len(x.Rhs) {
 				rhs = x.Rhs[i]
 			} else {
 				continue
 			}
-			idx, n := resIdx, nres
 			out = append(out, ssaDef{obj: obj, make: func(int) *ssaValue {
-				return &ssaValue{kind: ssaExpr, obj: obj, block: block, expr: rhs, resIdx: idx, nres: n}
+				return &ssaValue{kind: ssaExpr, obj: obj, block: block, expr: rhs}
 			}})
 		}
 	}
@@ -519,10 +512,9 @@ func (f *ssaFunc) nodeDefs(n ast.Node, block int) []ssaDef {
 					continue
 				}
 				var rhs ast.Expr
-				resIdx, nres := 0, 1
 				switch {
 				case multi:
-					rhs, resIdx, nres = vs.Values[0], i, len(vs.Names)
+					rhs = vs.Values[0]
 				case i < len(vs.Values):
 					rhs = vs.Values[i]
 				}
@@ -532,9 +524,8 @@ func (f *ssaFunc) nodeDefs(n ast.Node, block int) []ssaDef {
 					}})
 					continue
 				}
-				idx, nr := resIdx, nres
 				out = append(out, ssaDef{obj: obj, make: func(int) *ssaValue {
-					return &ssaValue{kind: ssaExpr, obj: obj, block: block, expr: rhs, resIdx: idx, nres: nr}
+					return &ssaValue{kind: ssaExpr, obj: obj, block: block, expr: rhs}
 				}})
 			}
 		}
@@ -726,9 +717,6 @@ func (f *ssaFunc) rename() {
 			for _, d := range f.rangeDefs(b.rangeLoop, bi) {
 				v := d.make(-1)
 				f.newValue(v)
-				if v.kind == ssaRangeKey {
-					f.rangeKey[bi] = v.id
-				}
 				undo = append(undo, set(d.obj, v.id))
 			}
 		}

@@ -180,17 +180,14 @@ func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
 //proram:hotpath one enqueue per bucket of every banked path access
 func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 	ch, gb, row := m.decompose(addr)
-	// Hoist the geometry-sized slices and pin both indexes once:
-	// decompose maps every address into [0, banks) and [0, channels) by
-	// construction, and the pins let the bounds checker (and the
-	// compiler) prove every indexing below.
+	// Hoist the geometry-sized slices; decompose maps every address into
+	// [0, banks) and [0, channels) by construction. bankUntil is indexed
+	// on three paths below, so one pin here saves the compiler two bounds
+	// checks; every other slice's first indexing already proves its later
+	// ones, and a pin would only move that check.
 	openRow, bankUntil, busUntil := m.openRow, m.bankUntil, m.busUntil
 	chanBusy, bankAccesses := m.chanBusy, m.bankAccesses
-	_ = openRow[gb]
 	_ = bankUntil[gb]
-	_ = bankAccesses[gb]
-	_ = busUntil[ch]
-	_ = chanBusy[ch]
 	var start uint64
 	var rowLat uint64
 	var outcome Outcome

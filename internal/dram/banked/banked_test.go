@@ -2,6 +2,7 @@ package banked
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"proram/internal/dram"
@@ -370,6 +371,17 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StripeBytes = 96 },
 		func(c *Config) { c.BandwidthGBps = 0 },
 		func(c *Config) { c.ClockGHz = 0 },
+		// NaN survives a `<= 0` test; none of these converts to uint64 portably.
+		func(c *Config) { c.BandwidthGBps = math.NaN() },
+		func(c *Config) { c.BandwidthGBps = math.Inf(1) },
+		func(c *Config) { c.ClockGHz = math.NaN() },
+		func(c *Config) { c.BandwidthGBps = 1e300 },
+		// Geometry New would size slices for: refused by arithmetic.
+		func(c *Config) { c.Banks = 1 << 30 },
+		func(c *Config) { c.Ranks = 1 << 30 },
+		func(c *Config) { c.Channels, c.Ranks, c.Banks = 64, 64, 64 },
+		func(c *Config) { c.RowBytes = 1 << 62 },
+		func(c *Config) { c.StripeBytes = 1 << 40 },
 		func(c *Config) { c.TCAS = 0 },
 		func(c *Config) { c.Layout = Layout(9) },
 	}

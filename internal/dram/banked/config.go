@@ -11,7 +11,11 @@
 // access sequence, so replayed runs are byte-identical.
 package banked
 
-import "fmt"
+import (
+	"fmt"
+
+	"proram/internal/dram"
+)
 
 // Layout selects how tree buckets map to physical addresses.
 type Layout int
@@ -101,10 +105,21 @@ func (c Config) normalized() Config {
 
 // RatePer1024 returns one channel's rate as bytes per 1024 cycles, the
 // fixed-point form all transfer timing uses (exact integer ceil division;
-// no float enters per-access arithmetic).
+// no float enters per-access arithmetic); 0 for a configuration Validate
+// refuses.
 func (c Config) RatePer1024() uint64 {
-	return uint64(c.BandwidthGBps/c.ClockGHz*1024 + 0.5)
+	r, _ := dram.Rate1024(c.BandwidthGBps, c.ClockGHz)
+	return r
 }
+
+// maxBanks caps Channels × Ranks × Banks. The model keeps three words of
+// state per bank, so an unbounded product is an allocation the process
+// does not survive; 2^16 is far past any real device.
+const maxBanks = 1 << 16
+
+// maxRowBytes caps RowBytes and StripeBytes, so that the channel-stripe
+// period (either times the bank count) stays far inside uint64.
+const maxRowBytes = 1 << 30
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -112,26 +127,26 @@ func (c Config) Validate() error {
 	if c.Channels < 1 || c.Channels > 64 {
 		return fmt.Errorf("banked: Channels %d out of range [1,64]", c.Channels)
 	}
-	if c.Ranks < 1 {
-		return fmt.Errorf("banked: Ranks %d must be positive", c.Ranks)
+	if c.Ranks < 1 || c.Ranks > maxBanks {
+		return fmt.Errorf("banked: Ranks %d out of range [1,%d]", c.Ranks, maxBanks)
 	}
-	if c.Banks < 1 {
-		return fmt.Errorf("banked: Banks %d must be positive", c.Banks)
+	if c.Banks < 1 || c.Banks > maxBanks {
+		return fmt.Errorf("banked: Banks %d out of range [1,%d]", c.Banks, maxBanks)
 	}
-	if c.RowBytes < 64 || c.RowBytes&(c.RowBytes-1) != 0 {
-		return fmt.Errorf("banked: RowBytes %d must be a power of two >= 64", c.RowBytes)
+	if total := int64(c.Channels) * int64(c.Ranks) * int64(c.Banks); total > maxBanks {
+		return fmt.Errorf("banked: Channels %d × Ranks %d × Banks %d is %d banks, more than %d", c.Channels, c.Ranks, c.Banks, total, maxBanks)
 	}
-	if c.StripeBytes < 64 || c.StripeBytes&(c.StripeBytes-1) != 0 {
-		return fmt.Errorf("banked: StripeBytes %d must be a power of two >= 64", c.StripeBytes)
+	if c.RowBytes < 64 || c.RowBytes > maxRowBytes || c.RowBytes&(c.RowBytes-1) != 0 {
+		return fmt.Errorf("banked: RowBytes %d must be a power of two in [64,%d]", c.RowBytes, maxRowBytes)
+	}
+	if c.StripeBytes < 64 || c.StripeBytes > maxRowBytes || c.StripeBytes&(c.StripeBytes-1) != 0 {
+		return fmt.Errorf("banked: StripeBytes %d must be a power of two in [64,%d]", c.StripeBytes, maxRowBytes)
 	}
 	if c.RowBytes%c.StripeBytes != 0 && c.StripeBytes%c.RowBytes != 0 {
 		return fmt.Errorf("banked: StripeBytes %d and RowBytes %d must divide one another", c.StripeBytes, c.RowBytes)
 	}
-	if c.BandwidthGBps <= 0 || c.ClockGHz <= 0 {
-		return fmt.Errorf("banked: bandwidth %v GB/s at %v GHz must be positive", c.BandwidthGBps, c.ClockGHz)
-	}
-	if c.RatePer1024() == 0 {
-		return fmt.Errorf("banked: bandwidth %v GB/s at %v GHz rounds to zero bytes per 1024 cycles", c.BandwidthGBps, c.ClockGHz)
+	if _, err := dram.Rate1024(c.BandwidthGBps, c.ClockGHz); err != nil {
+		return fmt.Errorf("banked: %w", err)
 	}
 	if c.TCAS == 0 {
 		return fmt.Errorf("banked: TCAS must be positive")

@@ -120,7 +120,8 @@ func (t *TreeMap) Addr(node uint64) uint64 {
 	q := d / t.subDepth
 	r := uint(d % t.subDepth)
 	root := node >> r
-	//proram:allow boundscheck q = depth(node)/subDepth < len(layerBase) for every node the map was built for; layerBase covers all ceil(levels/subDepth) layer groups
+	// q < len(layerBase) for every node the map was built for: layerBase
+	// covers all ceil(levels/subDepth) layer groups.
 	slot := t.layerBase[q] + (root - uint64(1)<<(q*t.subDepth))
 	local := uint64(1)<<r | (node & (uint64(1)<<r - 1))
 	return t.base + slot*t.slotBytes + (local-1)*t.bucketBytes

@@ -41,12 +41,32 @@ func (c Config) BytesPerCycle() float64 {
 	return c.BandwidthGBps / c.ClockGHz
 }
 
-// RatePer1024 returns the channel rate as bytes moved per 1024 cycles, the
-// fixed-point form all transfer timing is computed in. The float conversion
-// happens exactly once, at configuration time; every per-access division is
-// pure integer arithmetic, so timing can never drift across platforms.
+// maxRate1024 bounds the fixed-point rate: 2^40 bytes per 1024 cycles is a
+// petabyte per second at 1 GHz, and leaves bytes·1024 + rate far inside
+// uint64 for any transfer the simulator issues.
+const maxRate1024 = 1 << 40
+
+// Rate1024 converts a channel bandwidth into bytes moved per 1024 cycles,
+// the fixed-point form all transfer timing is computed in. It is the one
+// place a float becomes an integer, at configuration time; every
+// per-access division is pure integer arithmetic, so timing can never
+// drift across platforms. NaN, ±Inf, non-positive inputs and a rate
+// outside [1, 2^40] are errors: converting them to uint64 is
+// implementation-defined.
+func Rate1024(bandwidthGBps, clockGHz float64) (uint64, error) {
+	r := bandwidthGBps/clockGHz*1024 + 0.5
+	// One conjunction, negated, so that a NaN anywhere fails it.
+	if !(bandwidthGBps > 0 && clockGHz > 0 && r >= 1 && r <= maxRate1024) {
+		return 0, fmt.Errorf("BandwidthGBps %v at ClockGHz %v is not a finite rate of 1 to 2^40 bytes per 1024 cycles", bandwidthGBps, clockGHz)
+	}
+	return uint64(r), nil
+}
+
+// RatePer1024 returns the channel rate in the fixed-point form of
+// Rate1024, 0 for a configuration Validate refuses.
 func (c Config) RatePer1024() uint64 {
-	return uint64(c.BytesPerCycle()*1024 + 0.5)
+	r, _ := Rate1024(c.BandwidthGBps, c.ClockGHz)
+	return r
 }
 
 // TransferCycles returns the exact channel occupancy of moving bytes:
@@ -71,17 +91,11 @@ func (c Config) Validate() error {
 	if c.LatencyCycles == 0 {
 		return fmt.Errorf("dram: LatencyCycles must be positive")
 	}
-	if c.BandwidthGBps <= 0 {
-		return fmt.Errorf("dram: BandwidthGBps must be positive, got %v", c.BandwidthGBps)
-	}
-	if c.ClockGHz <= 0 {
-		return fmt.Errorf("dram: ClockGHz must be positive, got %v", c.ClockGHz)
+	if _, err := Rate1024(c.BandwidthGBps, c.ClockGHz); err != nil {
+		return fmt.Errorf("dram: %w", err)
 	}
 	if c.Banks <= 0 {
 		return fmt.Errorf("dram: Banks must be positive, got %d", c.Banks)
-	}
-	if c.RatePer1024() == 0 {
-		return fmt.Errorf("dram: bandwidth %v GB/s at %v GHz rounds to zero bytes per 1024 cycles", c.BandwidthGBps, c.ClockGHz)
 	}
 	return nil
 }
@@ -180,7 +194,6 @@ func (m *Model) transferCycles(bytes uint64) uint64 {
 func (m *Model) Access(now, addr, bytes uint64) uint64 {
 	bankUntil := m.bankUntil
 	bank := int((addr / 4096) % uint64(len(bankUntil))) // page-interleaved
-	_ = bankUntil[bank]
 	transfer := m.transferCycles(bytes)
 
 	start := max(now, bankUntil[bank])

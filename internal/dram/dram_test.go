@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,14 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{LatencyCycles: 100, BandwidthGBps: 0, ClockGHz: 1, Banks: 8},
 		{LatencyCycles: 100, BandwidthGBps: 16, ClockGHz: 0, Banks: 8},
 		{LatencyCycles: 100, BandwidthGBps: 16, ClockGHz: 1, Banks: 0},
+		// Non-finite and unrepresentable rates: NaN survives a `<= 0` test,
+		// and converting any of these to uint64 is implementation-defined.
+		{LatencyCycles: 100, BandwidthGBps: math.NaN(), ClockGHz: 1, Banks: 8},
+		{LatencyCycles: 100, BandwidthGBps: math.Inf(1), ClockGHz: 1, Banks: 8},
+		{LatencyCycles: 100, BandwidthGBps: 16, ClockGHz: math.NaN(), Banks: 8},
+		{LatencyCycles: 100, BandwidthGBps: 16, ClockGHz: math.Inf(1), Banks: 8},
+		{LatencyCycles: 100, BandwidthGBps: 1e300, ClockGHz: 1, Banks: 8},
+		{LatencyCycles: 100, BandwidthGBps: 16, ClockGHz: 1e-300, Banks: 8},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {

@@ -125,6 +125,15 @@ func DefaultConfig() Config {
 // 32-bit leaf label.
 const MaxTreeLevels = 31
 
+// maxZ and maxBlockBytes bound the two fields that multiply every bucket
+// and every cached line: past them a small capacity is still an allocation
+// the process does not survive. A bucket is one DRAM burst and a block one
+// cache line; 64 slots and 64 KiB are far past either.
+const (
+	maxZ          = 64
+	maxBlockBytes = 1 << 16
+)
+
 // posMap returns the position-map hierarchy's configuration.
 func (c Config) posMap() posmap.Config {
 	return posmap.Config{NumBlocks: c.NumBlocks, Fanout: c.Fanout, OnChipMax: c.OnChipEntries}
@@ -136,11 +145,11 @@ func (c Config) Validate() error {
 	if c.NumBlocks < 2 {
 		return fmt.Errorf("oram: NumBlocks %d too small", c.NumBlocks)
 	}
-	if c.BlockBytes < 8 {
-		return fmt.Errorf("oram: BlockBytes %d too small", c.BlockBytes)
+	if c.BlockBytes < 8 || c.BlockBytes > maxBlockBytes {
+		return fmt.Errorf("oram: BlockBytes %d out of range [8,%d]", c.BlockBytes, maxBlockBytes)
 	}
-	if c.Z < 1 {
-		return fmt.Errorf("oram: Z %d must be positive", c.Z)
+	if c.Z < 1 || c.Z > maxZ {
+		return fmt.Errorf("oram: Z %d out of range [1,%d]", c.Z, maxZ)
 	}
 	if c.StashLimit < 1 {
 		return fmt.Errorf("oram: StashLimit %d must be positive", c.StashLimit)

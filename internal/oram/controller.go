@@ -379,9 +379,6 @@ func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 		chain[l] = idx
 		idx /= uint64(c.cfg.Fanout)
 	}
-	// New sized chain to depth+1 entries, so chain[depth] pins the whole
-	// walk below in bounds.
-	_ = chain[depth]
 	startLvl := depth + 1 // no PLB hit: start from the on-chip table
 	for l := 1; l <= depth; l++ {
 		if c.plb.Lookup(mem.MakeID(l, chain[l])) {
@@ -390,7 +387,7 @@ func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 		}
 	}
 	for l := startLvl - 1; l >= 1; l-- {
-		id := mem.MakeID(l, chain[l]) //proram:allow boundscheck l < startLvl <= depth+1 = len(chain); the prover has no upper-bound facts for down-counting loops
+		id := mem.MakeID(l, chain[l])
 		c.accessPosMapBlock(now, id, KindPosMap)
 		if victim, dirty, ok := c.plb.Insert(id); ok && dirty {
 			c.accessPosMapBlock(c.lastEnd, victim, KindPLBWriteback)

@@ -28,7 +28,7 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 	// Remapping children dirties the level-1 block wherever it is cached.
 	c.plb.MarkDirty(pb.ID())
 
-	e := &pb.Entries[slot] //proram:allow boundscheck slot = index mod Fanout and level-1 blocks carry Fanout entries; the relation lives in posmap construction, out of the prover's reach
+	e := &pb.Entries[slot]
 	oldLeaf := e.Label()
 	isNew := oldLeaf == mem.NoLeaf
 	n := e.Size()

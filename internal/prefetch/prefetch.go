@@ -91,6 +91,6 @@ func (s *Stream) OnMiss(index uint64, dst []uint64) []uint64 {
 			victim, victimUse = i, st.lastUse
 		}
 	}
-	streams[victim] = stream{valid: true, expected: index + 1, lastUse: s.tick} //proram:allow boundscheck victim is 0 or a range index of the scan above, and Validate enforces Streams >= 1
+	streams[victim] = stream{valid: true, expected: index + 1, lastUse: s.tick}
 	return dst
 }

@@ -359,6 +359,19 @@ func (f *Frontend) Stats() Stats {
 	return f.snap.clone()
 }
 
+// CheckInvariant runs oram.Controller.CheckInvariant on every partition.
+// It reads live worker state, so it is for tests that know no round is in
+// flight: after Close, after a Flush nothing raced with, or once Stats
+// accounts for every request a single client was answered.
+func (f *Frontend) CheckInvariant() error {
+	for i, p := range f.parts {
+		if err := p.store.Ctrl.CheckInvariant(); err != nil {
+			return fmt.Errorf("shard: partition %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Arrivals returns a copy of the recorded admission log.
 func (f *Frontend) Arrivals() []Arrival {
 	f.mu.Lock()

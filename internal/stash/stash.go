@@ -119,7 +119,7 @@ func (s *Stash) probe(id mem.BlockID) (slot *int32, e *entry) {
 	mask := len(table) - 1
 	var free *int32
 	for i := s.home(id); ; i = (i + 1) & mask {
-		p := &table[i] //proram:allow boundscheck i is a hash shifted down to log2(len(table)) bits, then stepped under mask = len(table)-1; the prover does not model masks against len
+		p := &table[i]
 		v := *p
 		if v <= 0 { // empty or deleted: an insert may take it
 			if free == nil {
@@ -130,7 +130,8 @@ func (s *Stash) probe(id mem.BlockID) (slot *int32, e *entry) {
 			}
 			continue
 		}
-		//proram:allow boundscheck a positive slot is 1 + an order position; Add and compact write the two together
+		// A positive slot is 1 + an order position; Add and compact write the
+		// two together.
 		if c := &order[v-1]; c.id == id {
 			return p, c
 		}
@@ -321,7 +322,7 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 			continue
 		}
 		h := levels - t.CommonDepth(accessLeaf, e.leaf)
-		sorted[ends[h]] = e.id //proram:allow boundscheck the counting pass checked this h for this entry, and the runs it sized partition [0, live)
+		sorted[ends[h]] = e.id
 		ends[h]++
 	}
 

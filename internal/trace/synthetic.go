@@ -42,13 +42,14 @@ func (c SyntheticConfig) Validate() error {
 	if c.WorkingSetBytes < 4*Stride {
 		return fmt.Errorf("trace: working set %d too small", c.WorkingSetBytes)
 	}
-	if c.LocalityFraction < 0 || c.LocalityFraction > 1 {
+	// Negated conjunctions: NaN must fail them too.
+	if !(c.LocalityFraction >= 0 && c.LocalityFraction <= 1) {
 		return fmt.Errorf("trace: LocalityFraction %v out of [0,1]", c.LocalityFraction)
 	}
 	if c.RunLen < 1 {
 		return fmt.Errorf("trace: RunLen must be positive")
 	}
-	if c.WriteFraction < 0 || c.WriteFraction > 1 {
+	if !(c.WriteFraction >= 0 && c.WriteFraction <= 1) {
 		return fmt.Errorf("trace: WriteFraction %v out of [0,1]", c.WriteFraction)
 	}
 	return nil

@@ -2,6 +2,9 @@ package proram
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +239,62 @@ func TestOversizedCapacityRefused(t *testing.T) {
 		}
 		if _, err := NewSimulator(SimConfig{ORAMBlocks: blocks}); err == nil {
 			t.Errorf("NewSimulator accepted %d blocks", blocks)
+		}
+	}
+}
+
+// TestUnsurvivableGeometryRefused: field values that would reach an
+// allocation (a bank count, a bucket size, a block size — the process dies
+// in makeslice, which no recover catches), an overflow, or a
+// float-to-integer conversion with no defined result (NaN and ±Inf
+// bandwidth pass a `<= 0` test) are errors naming the field from every
+// constructor.
+func TestUnsurvivableGeometryRefused(t *testing.T) {
+	refused := func(ctor, field string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: got %v, want an error naming %s", ctor, err, field)
+		}
+	}
+	frontends := func(field string, cfg Config) {
+		t.Helper()
+		cfg.Blocks, cfg.Partitions = 64, 2
+		_, err := New(cfg)
+		refused("New", field, err)
+		s, err := NewSharded(cfg, ShardedOptions{})
+		if err == nil {
+			s.Close()
+		}
+		refused("NewSharded", field, err)
+	}
+	for _, tc := range []struct {
+		field string
+		d     DRAMConfig
+	}{
+		{"Banks", DRAMConfig{Banks: 1 << 30}},
+		{"Banks", DRAMConfig{Channels: 64, Banks: 1 << 12}},
+		{"RowBytes", DRAMConfig{Channels: 4, RowBytes: 1 << 62, StripeBytes: 1 << 62}}, // the stripe period wrapped to 0: a division by it
+		{"BandwidthGBps", DRAMConfig{BandwidthGBps: math.NaN()}},
+		{"BandwidthGBps", DRAMConfig{BandwidthGBps: math.Inf(1)}},
+		{"BandwidthGBps", DRAMConfig{BandwidthGBps: math.Inf(-1)}},
+		{"BandwidthGBps", DRAMConfig{BandwidthGBps: 1e300}},
+	} {
+		tc.d.Model = DRAMBanked
+		frontends(tc.field, Config{DRAM: &tc.d})
+		_, err := NewSimulator(SimConfig{ORAMBlocks: 64, DRAM: &tc.d})
+		refused("NewSimulator", tc.field, err)
+	}
+	frontends("Z", Config{Z: 1 << 30})
+	_, err := NewSimulator(SimConfig{ORAMBlocks: 64, Z: 1 << 30})
+	refused("NewSimulator", "Z", err)
+	// (The simulator's block size is its cache line, and the cache geometry
+	// has always refused a line the LLC cannot hold.)
+	frontends("BlockBytes", Config{BlockBytes: 1 << 40})
+	// The simulator's own channel, under both memories.
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		for _, m := range []Memory{MemoryORAM, MemoryDRAM} {
+			_, err := NewSimulator(SimConfig{Memory: m, ORAMBlocks: 64, BandwidthGBps: bw})
+			refused(fmt.Sprintf("NewSimulator(Memory %d, BandwidthGBps %v)", m, bw), "BandwidthGBps", err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package proram
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -138,8 +139,14 @@ func TestWorkloadConstructors(t *testing.T) {
 			t.Fatalf("%s yielded %d ops", w.Name, n)
 		}
 	}
-	if _, err := Synthetic(SyntheticConfig{Ops: 10, LocalityFraction: 2}); err == nil {
-		t.Fatal("bad locality accepted")
+	for _, c := range []SyntheticConfig{
+		{Ops: 10, LocalityFraction: 2},
+		{Ops: 10, LocalityFraction: math.NaN()},
+		{Ops: 10, WriteFraction: math.NaN()},
+	} {
+		if _, err := Synthetic(c); err == nil {
+			t.Fatalf("bad fraction accepted: %+v", c)
+		}
 	}
 }
 
