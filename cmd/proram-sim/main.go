@@ -10,6 +10,7 @@
 //	proram-sim -workload ycsb -partitions 4 -audit -audit-out audit.json
 //	proram-sim -workload ycsb -partitions 4 -audit -leaky drop-dummies
 //	proram-sim -workload ycsb -partitions 4 -metrics-out m.json -trace-out t.json
+//	proram-sim -workload ocean_c -scheme dynamic -explain
 //
 // With -partitions > 1 the workload is replayed through the partitioned
 // frontend's closed-loop scheduler (see internal/shard) instead of the
@@ -22,14 +23,23 @@
 // test-only leak (suppressed round padding or a biased leaf remap) that
 // the auditor must flag — the CI negative controls.
 //
+// With -explain the report ends with a table of where the ORAM's work
+// went: path accesses and busy cycles per cause (demand data, position-map
+// walk, LLC write-back, background eviction, periodic dummy), read from the
+// run's own metrics dump.
+//
 // Workloads: synthetic, ycsb, tpcc, or any Splash2/SPEC06 benchmark name
 // (water_ns ... ocean_nc, h264 ... mcf).
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"proram"
 )
@@ -64,6 +74,7 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "write the deterministic metrics JSON dump to this file (implies -obs)")
 		sampleEvery = flag.Uint64("sample-every", 50_000, "simulated cycles between time-series samples")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+		explain     = flag.Bool("explain", false, "print the ORAM's path accesses and busy cycles by cause (implies -obs; unified controller only)")
 	)
 	flag.Parse()
 	if *pprofAddr != "" {
@@ -82,9 +93,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ob, err := pickObs(*obsOn, *traceOut, *metricsOut, *sampleEvery)
+	ob, err := pickObs(*obsOn || *explain, *traceOut, *metricsOut, *sampleEvery)
 	if err != nil {
 		fatal(err)
+	}
+	if *explain {
+		if *parts > 1 || *memory != "oram" {
+			fatal(fmt.Errorf("-explain needs -memory oram and one partition: only the unified controller exports per-cause counters"))
+		}
+		ob.tapMetrics()
 	}
 	if *parts > 1 {
 		if *memory != "oram" {
@@ -160,6 +177,11 @@ func main() {
 	if *stream {
 		fmt.Printf("stream prefetches    %d (hits %d)\n", res.StreamIssued, res.StreamHits)
 	}
+	if *explain {
+		if err := printExplain(os.Stdout, ob.metrics.Bytes()); err != nil {
+			fatal(err)
+		}
+	}
 	ac.finish(res.Audit)
 }
 
@@ -167,8 +189,60 @@ func main() {
 // when they asked for none) and the output files to close once the run has
 // finalized them. Both run modes share it.
 type obsFlags struct {
-	cfg   *proram.ObsConfig
-	files []*os.File
+	cfg     *proram.ObsConfig
+	files   []*os.File
+	metrics bytes.Buffer // the metrics dump, kept for -explain (tapMetrics)
+}
+
+// tapMetrics keeps a copy of the metrics dump in o.metrics, beside the file
+// -metrics-out asked for, if any.
+func (o *obsFlags) tapMetrics() {
+	if o.cfg.MetricsOut == nil {
+		o.cfg.MetricsOut = &o.metrics
+		return
+	}
+	o.cfg.MetricsOut = io.MultiWriter(o.cfg.MetricsOut, &o.metrics)
+}
+
+// printExplain prints, from a metrics dump, the controller's path accesses
+// and busy cycles per cause: the oram.paths.* and oram.cycles.* counters,
+// in export order, with each one's share of the total. The counters cover
+// the whole run, warmup included.
+func printExplain(w io.Writer, dump []byte) error {
+	var m struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value uint64 `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(dump, &m); err != nil {
+		return fmt.Errorf("-explain: metrics dump: %w", err)
+	}
+	var kinds []string
+	paths, cycles := map[string]uint64{}, map[string]uint64{}
+	var totalPaths, totalCycles uint64
+	for _, c := range m.Counters {
+		if kind, ok := strings.CutPrefix(c.Name, "oram.paths."); ok {
+			kinds = append(kinds, kind)
+			paths[kind] = c.Value
+			totalPaths += c.Value
+		} else if kind, ok := strings.CutPrefix(c.Name, "oram.cycles."); ok {
+			cycles[kind] = c.Value
+			totalCycles += c.Value
+		}
+	}
+	share := func(part, whole uint64) float64 {
+		if whole == 0 {
+			return 0
+		}
+		return float64(part) / float64(whole)
+	}
+	fmt.Fprintf(w, "\n%-12s %12s %7s %16s %7s\n", "cause", "paths", "share", "busy cycles", "share")
+	for _, k := range kinds {
+		fmt.Fprintf(w, "%-12s %12d %7.3f %16d %7.3f\n", k, paths[k], share(paths[k], totalPaths), cycles[k], share(cycles[k], totalCycles))
+	}
+	fmt.Fprintf(w, "%-12s %12d %7.3f %16d %7.3f\n", "total", totalPaths, 1.0, totalCycles, 1.0)
+	return nil
 }
 
 // pickObs maps -obs/-trace-out/-metrics-out/-sample-every to an

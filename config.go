@@ -84,7 +84,8 @@ type Config struct {
 	// scheduling round in the sharded frontend (NewSharded only): demand
 	// accesses for queued requests, dummies for the rest, so the observable
 	// round shape is workload-independent. 0 picks 2×(MaxSuperBlock+1),
-	// the smallest round with headroom for two requests.
+	// the smallest round with headroom for two requests; values below
+	// MaxSuperBlock+2 or above 4096 are refused.
 	RoundSlots int
 	// DRAM selects the memory device behind the ORAM controller(s): nil is
 	// DRAMFlat, one serialized channel; a banked model schedules every tree

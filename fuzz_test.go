@@ -284,7 +284,7 @@ func runConfig(t *testing.T, data []byte) {
 		StashBlocks:   r.int(),
 		Seed:          r.raw(),
 		Partitions:    r.int(),
-		RoundSlots:    r.size(32),
+		RoundSlots:    r.int(),
 		DRAM:          r.dram(),
 	}
 	if n := r.byte() % 4; n > 0 {
@@ -366,8 +366,10 @@ func mixedOps(d fuzzDevice, seed uint64) {
 // are the defects it was written against and the ones its first probes
 // found: geometry that reached make() and killed the process (a bank
 // count, a bucket size, a block size), a row size that overflowed the
-// channel-stripe period to a division by zero, and non-finite bandwidths
-// that passed validation into an implementation-defined uint64 conversion.
+// channel-stripe period to a division by zero, non-finite bandwidths that
+// passed validation into an implementation-defined uint64 conversion, and
+// a RoundSlots so large that the first round — hence the first Read —
+// never ended.
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
 	for _, mutate := range []func(c *Config, simBW *float64){
@@ -378,6 +380,7 @@ func FuzzConfig(f *testing.F) {
 		func(c *Config, simBW *float64) { *simBW = math.Inf(1) },
 		func(c *Config, _ *float64) { c.Z = 1 << 30 },
 		func(c *Config, _ *float64) { c.BlockBytes = 1 << 40 },
+		func(c *Config, _ *float64) { c.RoundSlots = math.MaxInt },
 	} {
 		f.Add(configSeed(mutate))
 	}

@@ -2,6 +2,7 @@ package proram_test
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,15 +12,18 @@ import (
 
 // The golden metrics dumps pin what the observability export says about a
 // run, byte for byte: every counter name, its place in the export and its
-// value, every gauge, every histogram bucket. They were generated before
-// the obs counters became views of the components' statistics, so they are
-// what says the views report exactly what the increments they replaced
-// reported. The file uses the public API only — it must keep compiling
+// value, every gauge, every histogram bucket — so a refactor of the export
+// or of the access path that is meant to change no number changes no byte
+// here. The file uses the public API only — it must keep compiling
 // against any commit whose dumps it is asked to compare — and SampleEvery
 // stays 0 so each golden is a few KB of scalars.
 //
-// A legitimate change to the export (a new metric, a renamed one) updates
-// the files under testdata/metrics by hand from the test's failure output.
+// A legitimate change to the export (a new metric, a renamed one) or to the
+// protocol's work rewrites the files under testdata/metrics with
+// `go test -run Golden -update .`; scripts/regen-pins.sh runs that and the
+// other pins' commands.
+
+var update = flag.Bool("update", false, "rewrite testdata/metrics/* with what this commit exports")
 
 // goldenOps drives a deterministic single-client read/write mix: an LCG
 // picks the block, every third operation is a write, and runs of eight
@@ -129,7 +133,14 @@ func TestGoldenMetrics(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.dump(t)
-			want, err := os.ReadFile(filepath.Join("testdata", "metrics", tc.name+".json"))
+			path := filepath.Join("testdata", "metrics", tc.name+".json")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"proram/internal/sim"
 	"proram/internal/superblock"
 	"proram/internal/trace"
 )
@@ -29,30 +30,54 @@ func ablationPLB(opt Options) (*Table, error) {
 	p.Seed += opt.Seed
 	gf := modelFactory(p)
 
-	ref := withWarmup(baseORAM(), p.Ops)
-	ref.ORAM.PLBBlocks = 128
-	refRep, err := runSim(opt, ref, gf())
-	if err != nil {
-		return nil, err
+	// inclusive is norm_time as the inclusive PLB of the parent commit
+	// measured it: there a PLB victim stayed in the tree and cost a second
+	// path access to write back. The exclusive PLB cannot run that protocol
+	// any more, so the column is a record, not a measurement, and it is
+	// printed only for the run it was recorded at (scale 1, seed 0); at any
+	// other the two columns would not describe the same trace. The no-PLB
+	// row is the one system both protocols share bit for bit, which is why
+	// it is the unit of both columns (a column each relative to its own
+	// 128-block run could not be compared cell by cell); the 512-block row
+	// (no victim ever) coincides too.
+	recorded := opt.scale(fig8Ops) == fig8Ops && opt.Seed == 0
+	if recorded {
+		t.Columns = append(t.Columns, "inclusive (parent)")
 	}
-	for _, plb := range []int{0, 16, 64, 128, 512} {
+	var noPLB sim.Report
+	for _, row := range []struct {
+		plb       int
+		inclusive float64
+	}{{0, 1.0000}, {16, 0.7838}, {64, 0.6136}, {128, 0.5254}, {512, 0.3513}} {
+		plb := row.plb
 		cfg := withWarmup(baseORAM(), p.Ops)
 		cfg.ORAM.PLBBlocks = plb
 		rep, err := runSim(opt, cfg, gf())
 		if err != nil {
 			return nil, fmt.Errorf("ablation_plb %d: %w", plb, err)
 		}
-		share := float64(rep.ORAM.PosMapPaths+rep.ORAM.PLBWritebackPaths) /
-			float64(rep.ORAM.PathAccesses)
+		if plb == 0 {
+			noPLB = rep
+		}
+		share := float64(rep.ORAM.PosMapPaths) / float64(rep.ORAM.PathAccesses)
 		hits := float64(rep.ORAM.PLBHits)
 		total := hits + float64(rep.ORAM.PLBMisses)
 		hitRate := 0.0
 		if total > 0 {
 			hitRate = hits / total
 		}
-		t.AddRow(fmt.Sprintf("%d", plb), normTime(refRep, rep), share, hitRate)
+		cells := []float64{normTime(noPLB, rep), share, hitRate}
+		if recorded {
+			cells = append(cells, row.inclusive)
+		}
+		t.AddRow(fmt.Sprintf("%d", plb), cells...)
 	}
-	t.Notes = append(t.Notes, "ocean_c; norm_time is relative to the default PLB (128 blocks)")
+	t.Notes = append(t.Notes,
+		"ocean_c; norm_time is relative to no PLB, the configuration the inclusive and the exclusive PLB share (until PR 23: relative to 128 blocks)")
+	if recorded {
+		t.Notes = append(t.Notes,
+			"inclusive (parent) is this sweep at commit 24ad361, the last whose PLB wrote victims back (proram-bench -exp ablation_plb -scale 1, each row over its no-PLB row); printed at scale 1, seed 0 only")
+	}
 	return t, nil
 }
 

@@ -222,6 +222,7 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 	c.lastEnd = end
 	c.stats.PathAccesses++
 	c.stats.BusyCycles += busy
+	c.stats.KindCycles[kind] += busy
 	c.winBusy += busy
 	c.stats.BytesMoved += 2 * c.tr.PathBytes(c.cfg.BlockBytes)
 	switch kind {
@@ -231,8 +232,6 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 		c.stats.WritebackPaths++
 	case KindPosMap:
 		c.stats.PosMapPaths++
-	case KindPLBWriteback:
-		c.stats.PLBWritebackPaths++
 	case KindBackgroundEvict:
 		c.stats.BackgroundEvictions++
 		c.winBgEvicts++
@@ -295,12 +294,16 @@ func (c *Controller) backgroundEvictions() int {
 	return n
 }
 
-// accessPosMapBlock performs one recursion-level path access: remap the
-// position-map block, read its old path, write back. kind distinguishes
-// recursion walks from PLB victim write-backs for accounting.
+// accessPosMapBlock performs one recursion-level path access on a PLB miss:
+// remap the position-map block, read its old path, and move the block into
+// the PLB. The PLB is exclusive, so the fill takes the block out of the
+// stash (a first-touch block never enters it) and the LRU victim, if any,
+// goes back into the stash under the label drawn at its own last fetch —
+// recorded in its parent entry and not read since — to be written back by
+// this and later path accesses. A PLB eviction therefore costs no access.
 //
 //proram:hotpath one run per recursion level on every PLB miss
-func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID, kind AccessKind) {
+func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID) {
 	// Resolve the schedule first: in periodic mode this issues catch-up
 	// dummy accesses, which move blocks around and must therefore observe
 	// the pre-remap position map.
@@ -315,8 +318,6 @@ func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID, kind Access
 		e := c.pm.EntryFor(level, index)
 		oldLeaf = e.Label()
 		e.SetLabel(newLeaf)
-		parentIdx, _ := c.pm.Parent(level, index)
-		c.plb.MarkDirty(mem.MakeID(level+1, parentIdx))
 	}
 	isNew := oldLeaf == mem.NoLeaf
 	readLeaf := oldLeaf
@@ -327,15 +328,26 @@ func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID, kind Access
 		readLeaf = c.randLeaf()
 	}
 	//proram:allow allocdiscipline the during-path callback is one fixed closure per access, not per-block work
-	c.rawPathAccess(start, readLeaf, kind, func() {
-		switch {
-		case c.st.Contains(id):
-			c.st.SetLeaf(id, newLeaf)
-		case isNew:
-			c.mustAdd(id, newLeaf)
-		default:
+	c.rawPathAccess(start, readLeaf, KindPosMap, func() {
+		if c.cfg.PLBBlocks == 0 {
+			// No PLB: the block stays an ordinary stash resident.
+			switch {
+			case c.st.Contains(id):
+				c.st.SetLeaf(id, newLeaf)
+			case isNew:
+				c.mustAdd(id, newLeaf)
+			default:
+				//proram:invariant the position map said the block lives on readLeaf, which rawPathAccess just moved to the stash in full
+				panic(fmt.Sprintf("oram: position-map block %v not found on path %d", id, readLeaf))
+			}
+			return
+		}
+		if !c.st.Remove(id) && !isNew {
 			//proram:invariant the position map said the block lives on readLeaf, which rawPathAccess just moved to the stash in full
 			panic(fmt.Sprintf("oram: position-map block %v not found on path %d", id, readLeaf))
+		}
+		if victim, ok := c.plb.Insert(id); ok {
+			c.mustAdd(victim, c.leafOf(victim))
 		}
 	})
 }
@@ -387,11 +399,7 @@ func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 		}
 	}
 	for l := startLvl - 1; l >= 1; l-- {
-		id := mem.MakeID(l, chain[l])
-		c.accessPosMapBlock(now, id, KindPosMap)
-		if victim, dirty, ok := c.plb.Insert(id); ok && dirty {
-			c.accessPosMapBlock(c.lastEnd, victim, KindPLBWriteback)
-		}
+		c.accessPosMapBlock(now, mem.MakeID(l, chain[l]))
 	}
 
 	// Data access.

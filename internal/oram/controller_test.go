@@ -114,6 +114,31 @@ func TestPLBSavesRecursion(t *testing.T) {
 	}
 }
 
+// TestPLBVictimCostsNoPath fails on an inclusive PLB: uniform accesses on a
+// population far larger than the PLB covers miss at nearly every level, and
+// each miss used to pay a second path access to write the victim back. The
+// exclusive PLB pays one path per missed level and none per victim.
+func TestPLBVictimCostsNoPath(t *testing.T) {
+	c, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	const requests = 10_000
+	for i := 0; i < requests; i++ {
+		c.Read(c.Stats().LastEnd, r.Uint64n(c.cfg.NumBlocks))
+	}
+	s := c.Stats()
+	perRequest := float64(s.PathAccesses) / requests
+	missLevels := float64(s.PosMapPaths) / requests
+	if missLevels < 1 {
+		t.Fatalf("%.2f PLB-miss levels per request: the scenario does not stress the PLB", missLevels)
+	}
+	if bound := 1 + 1.1*missLevels; perRequest >= bound {
+		t.Fatalf("%.3f path accesses per request, want below 1 + 1.1 × %.3f miss levels = %.3f", perRequest, missLevels, bound)
+	}
+}
+
 func TestReadYourStructure(t *testing.T) {
 	// Repeated accesses to the same block must remap it every time and
 	// keep it resident exactly once.

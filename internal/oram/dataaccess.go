@@ -25,8 +25,6 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 	pbIdx := index / fanout
 	slot := int(index % fanout)
 	pb := c.pm.Block(1, pbIdx)
-	// Remapping children dirties the level-1 block wherever it is cached.
-	c.plb.MarkDirty(pb.ID())
 
 	e := &pb.Entries[slot]
 	oldLeaf := e.Label()

@@ -14,7 +14,11 @@ import (
 //
 //  1. Every block in the tree lies on the path of the leaf it is mapped to.
 //  2. No block is resident in both the tree and the stash.
-//  3. Every touched block (assigned leaf) is resident exactly once.
+//  3. Every touched block (assigned leaf) is resident exactly once: a data
+//     block in the tree or the stash, a position-map block in the tree,
+//     the stash or the PLB — the PLB is exclusive, so a block it holds is
+//     in neither of the other two, and it holds nothing but touched
+//     position-map blocks.
 //  4. No bucket holds more than Z blocks.
 //  5. All members of a super block share one leaf and one size, and the
 //     group is correctly aligned.
@@ -100,21 +104,32 @@ func (c *Controller) CheckInvariant() error {
 		}
 	}
 
-	// Residency for position-map blocks.
+	// Residency for position-map blocks: tree, stash or PLB, exactly one.
+	inPLB := 0
 	for level := 1; level <= c.pm.Depth(); level++ {
 		for i := uint64(0); i < c.pm.Count(level); i++ {
 			id := mem.MakeID(level, i)
 			leaf := c.leafOf(id)
+			cached := c.plb.Contains(id)
+			if cached {
+				inPLB++
+			}
 			if leaf == mem.NoLeaf {
-				if inTree[id] || inStash[id] {
+				if inTree[id] || inStash[id] || cached {
 					addf("untouched pos-map block %v is resident", id)
 				}
 				continue
 			}
-			if !inTree[id] && !inStash[id] {
+			if cached && (inTree[id] || inStash[id]) {
+				addf("pos-map block %v is in the PLB and also in the tree or stash", id)
+			}
+			if !inTree[id] && !inStash[id] && !cached {
 				addf("touched pos-map block %v (leaf %d) is nowhere", id, leaf)
 			}
 		}
+	}
+	if inPLB != c.plb.Len() {
+		addf("PLB holds %d blocks, %d of them position-map blocks", c.plb.Len(), inPLB)
 	}
 
 	if len(violations) == 0 {

@@ -28,9 +28,11 @@ func (c *Controller) SetRecorder(rec *obs.Recorder) {
 	rec.Counter("oram.paths."+KindData.String(), func() uint64 { return st.DataPaths })
 	rec.Counter("oram.paths."+KindPosMap.String(), func() uint64 { return st.PosMapPaths })
 	rec.Counter("oram.paths."+KindWriteback.String(), func() uint64 { return st.WritebackPaths })
-	rec.Counter("oram.paths."+KindPLBWriteback.String(), func() uint64 { return st.PLBWritebackPaths })
 	rec.Counter("oram.paths."+KindBackgroundEvict.String(), func() uint64 { return st.BackgroundEvictions })
 	rec.Counter("oram.paths."+KindPeriodicDummy.String(), func() uint64 { return st.DummyAccesses })
+	for k := range NumKinds {
+		rec.Counter("oram.cycles."+k.String(), func() uint64 { return st.KindCycles[k] })
+	}
 	// Super block sizes are powers of two; bounds up to 64 cover every
 	// configuration the policy accepts.
 	c.obsSBSize = rec.Histogram("oram.sb_size", obs.PowerOfTwoBounds(7))
@@ -42,7 +44,6 @@ func (c *Controller) SetRecorder(rec *obs.Recorder) {
 	rec.GaugeView("stash.high_water", func() float64 { return float64(c.st.HighWater()) })
 	rec.Counter("plb.hits", c.plb.Hits)
 	rec.Counter("plb.misses", c.plb.Misses)
-	rec.Counter("plb.dirty_evictions", c.plb.DirtyEvictions)
 	if d, ok := c.dev.(*banked.Device); ok {
 		d.Model().Instrument(rec)
 	}

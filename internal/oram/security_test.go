@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,6 +17,34 @@ func securityConfig() Config {
 	cfg.PLBBlocks = 8
 	cfg.RecordTrace = true
 	return cfg
+}
+
+// securityPLBs are the PLB capacities the leaf-distribution tests run at:
+// the configuration's own, and 2 — of 32 position-map blocks — so that
+// nearly every access evicts a victim into the stash and sooner or later
+// fetches it back by the label it re-entered under.
+var securityPLBs = []int{8, 2}
+
+// forEachPLB runs test once per capacity in securityPLBs.
+func forEachPLB(t *testing.T, test func(t *testing.T, cfg Config)) {
+	for _, plb := range securityPLBs {
+		t.Run(fmt.Sprintf("plb=%d", plb), func(t *testing.T) {
+			cfg := securityConfig()
+			cfg.PLBBlocks = plb
+			test(t, cfg)
+		})
+	}
+}
+
+// lagRepeats counts the positions at which leaves[i] == leaves[i-lag].
+func lagRepeats(leaves []uint64, lag int) int {
+	n := 0
+	for i := lag; i < len(leaves); i++ {
+		if leaves[i] == leaves[i-lag] {
+			n++
+		}
+	}
+	return n
 }
 
 // chiSquare computes the chi-square statistic of observed counts against a
@@ -45,71 +74,90 @@ func leafHistogram(c *Controller, nBins int) ([]uint64, uint64) {
 // The adversary observes only path (leaf) identities. Leaves must be
 // uniformly distributed regardless of the logical pattern.
 func TestLeafUniformity(t *testing.T) {
-	c, err := New(securityConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(21)
-	for i := 0; i < 5000; i++ {
-		c.Read(c.Stats().LastEnd, r.Uint64n(c.cfg.NumBlocks))
-	}
-	const bins = 16
-	counts, total := leafHistogram(c, bins)
-	// 15 dof, 99.9% critical value ~37.7.
-	if chi := chiSquare(counts, total); chi > 37.7 {
-		t.Fatalf("leaf distribution not uniform: chi2 = %.2f (counts %v)", chi, counts)
-	}
+	forEachPLB(t, func(t *testing.T, cfg Config) {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(21)
+		for i := 0; i < 5000; i++ {
+			c.Read(c.Stats().LastEnd, r.Uint64n(c.cfg.NumBlocks))
+		}
+		const bins = 16
+		counts, total := leafHistogram(c, bins)
+		// 15 dof, 99.9% critical value ~37.7.
+		if chi := chiSquare(counts, total); chi > 37.7 {
+			t.Fatalf("leaf distribution not uniform: chi2 = %.2f (counts %v)", chi, counts)
+		}
+	})
 }
 
 // Accessing the same logical block repeatedly must produce unlinkable
-// (fresh uniform) paths: this is step 4 of the protocol.
+// (fresh uniform) paths: this is step 4 of the protocol. The reads rotate
+// over block 7 and one block under each of two other level-1 position-map
+// blocks, so with a PLB of 2 every read misses, evicts the block fetched
+// two reads earlier into the stash, and reads the path of the one evicted
+// before that: a victim's label, drawn at its fetch and unseen since, must
+// be as fresh as a data block's.
 func TestRepeatedAccessUnlinkability(t *testing.T) {
-	c, err := New(securityConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4000; i++ {
-		c.Read(c.Stats().LastEnd, 7)
-	}
-	// Only the data paths matter here.
-	counts := make([]uint64, 16)
-	leaves := c.tr.Leaves()
-	var total uint64
-	for _, ev := range c.Trace() {
-		if ev.Kind == KindData {
-			counts[ev.Leaf*16/leaves]++
-			total++
+	forEachPLB(t, func(t *testing.T, cfg Config) {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if chi := chiSquare(counts, total); chi > 37.7 {
-		t.Fatalf("repeated-access leaves linkable: chi2 = %.2f", chi)
-	}
-	// Consecutive data-path leaves must not repeat more often than chance.
-	var prev uint64 = ^uint64(0)
-	repeats := 0
-	n := 0
-	for _, ev := range c.Trace() {
-		if ev.Kind != KindData {
-			continue
+		const rotation = 3
+		for i := 0; i < rotation*4000; i++ {
+			c.Read(c.Stats().LastEnd, 7+uint64(i%rotation*cfg.Fanout))
 		}
-		if ev.Leaf == prev {
-			repeats++
+		if s := c.Stats(); cfg.PLBBlocks < rotation && s.PLBHits != 0 {
+			t.Fatalf("%d PLB hits: the rotation should miss every time", s.PLBHits)
 		}
-		prev = ev.Leaf
-		n++
-	}
-	expected := float64(n) / float64(leaves)
-	if float64(repeats) > 5*expected+10 {
-		t.Fatalf("consecutive leaf repeats %d exceed chance (%.1f expected)", repeats, expected)
-	}
+		tree := c.tr.Leaves()
+		var all []uint64
+		byKind := map[AccessKind][]uint64{}
+		for _, ev := range c.Trace() {
+			all = append(all, ev.Leaf)
+			byKind[ev.Kind] = append(byKind[ev.Kind], ev.Leaf)
+		}
+		for _, kind := range []AccessKind{KindData, KindPosMap} {
+			leaves := byKind[kind]
+			if len(leaves) < 1000 {
+				continue // the first-touch walk of the larger PLB
+			}
+			counts := make([]uint64, 16)
+			for _, l := range leaves {
+				counts[l*16/tree]++
+			}
+			if chi := chiSquare(counts, uint64(len(leaves))); chi > 37.7 {
+				t.Errorf("%v leaves linkable: chi2 = %.2f", kind, chi)
+			}
+			// The same block's next access of this kind is one rotation later:
+			// its leaf must not repeat more often than chance.
+			expected := float64(len(leaves)) / float64(tree)
+			if got := lagRepeats(leaves, rotation); float64(got) > 5*expected+10 {
+				t.Errorf("%v: a block's consecutive leaves repeat %d times, %.1f expected by chance", kind, got, expected)
+			}
+		}
+		// Nor may any access repeat the path of a recent one of another kind —
+		// the path a victim's block was last read on, say.
+		for lag := 1; lag <= 4*rotation; lag++ {
+			expected := float64(len(all)) / float64(tree)
+			if got := lagRepeats(all, lag); float64(got) > 5*expected+10 {
+				t.Errorf("lag %d: %d repeated leaves, %.1f expected by chance", lag, got, expected)
+			}
+		}
+	})
 }
 
 // A sequential logical pattern and a random logical pattern must be
 // indistinguishable in the physical trace: compare binned leaf histograms
 // via total-variation distance.
 func TestPatternIndependence(t *testing.T) {
+	forEachPLB(t, func(t *testing.T, cfg Config) { testPatternIndependence(t, cfg) })
+}
+
+func testPatternIndependence(t *testing.T, cfg Config) {
 	run := func(sequential bool) []uint64 {
-		cfg := securityConfig()
 		cfg.Super = superblock.DefaultConfig() // PrORAM active: still oblivious
 		c, err := New(cfg)
 		if err != nil {

@@ -15,7 +15,7 @@ type Stats struct {
 	DataPaths           uint64 // demand data-tree paths
 	WritebackPaths      uint64 // data paths caused by LLC writebacks
 	PosMapPaths         uint64 // recursion (PLB-miss) paths
-	PLBWritebackPaths   uint64 // dirty PLB victim write-backs
+	PLBWritebackPaths   uint64 // always zero (the PLB is exclusive: a victim re-enters the stash); kept for the frozen benchmark, which reads it
 	BackgroundEvictions uint64 // stash-pressure dummies
 	DummyAccesses       uint64 // periodic-schedule dummies
 
@@ -35,6 +35,9 @@ type Stats struct {
 
 	// Timing.
 	BusyCycles uint64 // cycles the ORAM occupied the channel
+	// KindCycles splits BusyCycles by the cause of the path access,
+	// indexed by AccessKind; the entries sum to BusyCycles.
+	KindCycles [NumKinds]uint64
 	LastEnd    uint64 // completion time of the last path access
 	BytesMoved uint64
 
@@ -51,6 +54,7 @@ type Stats struct {
 //   - Every demand read issues exactly one data path, every LLC writeback
 //     exactly one writeback path.
 //   - Resolved prefetch outcomes (hits + unused) never exceed issues.
+//   - BusyCycles is exactly the sum of the per-kind cycles.
 //
 // It is called at the end of every simulation run, so a miscounted access
 // surfaces as a run error instead of silently skewing a figure. The
@@ -58,7 +62,7 @@ type Stats struct {
 // produced by Sub can resolve more prefetches than they issue.
 func (s Stats) Validate() error {
 	kinds := s.DataPaths + s.WritebackPaths + s.PosMapPaths +
-		s.PLBWritebackPaths + s.BackgroundEvictions + s.DummyAccesses
+		s.BackgroundEvictions + s.DummyAccesses
 	if kinds != s.PathAccesses {
 		return fmt.Errorf("oram: stats invariant: per-kind paths sum to %d, PathAccesses is %d", kinds, s.PathAccesses)
 	}
@@ -67,6 +71,13 @@ func (s Stats) Validate() error {
 	}
 	if s.WritebackPaths != s.Writebacks {
 		return fmt.Errorf("oram: stats invariant: %d writeback paths for %d writebacks", s.WritebackPaths, s.Writebacks)
+	}
+	var cycles uint64
+	for _, c := range s.KindCycles {
+		cycles += c
+	}
+	if cycles != s.BusyCycles {
+		return fmt.Errorf("oram: stats invariant: per-kind cycles sum to %d, BusyCycles is %d", cycles, s.BusyCycles)
 	}
 	if s.PrefetchHits+s.PrefetchUnused > s.PrefetchIssued {
 		return fmt.Errorf("oram: stats invariant: %d+%d prefetch outcomes exceed %d issues",
@@ -95,9 +106,9 @@ const (
 	KindData AccessKind = iota
 	KindPosMap
 	KindWriteback
-	KindPLBWriteback
 	KindBackgroundEvict
 	KindPeriodicDummy
+	NumKinds // the number of kinds, not a kind
 )
 
 func (k AccessKind) String() string {
@@ -108,8 +119,6 @@ func (k AccessKind) String() string {
 		return "posmap"
 	case KindWriteback:
 		return "writeback"
-	case KindPLBWriteback:
-		return "plb-writeback"
 	case KindBackgroundEvict:
 		return "bg-evict"
 	case KindPeriodicDummy:
@@ -137,7 +146,7 @@ type Result struct {
 	// demand block (super block siblings), in ascending order.
 	Prefetched []uint64
 	// PathCount is the number of path accesses this request triggered
-	// (recursion + data + victim write-backs + background evictions).
+	// (recursion + data + background evictions).
 	PathCount int
 }
 
@@ -152,7 +161,6 @@ func (s Stats) Sub(base Stats) Stats {
 	d.DataPaths -= base.DataPaths
 	d.WritebackPaths -= base.WritebackPaths
 	d.PosMapPaths -= base.PosMapPaths
-	d.PLBWritebackPaths -= base.PLBWritebackPaths
 	d.BackgroundEvictions -= base.BackgroundEvictions
 	d.DummyAccesses -= base.DummyAccesses
 	d.Merges -= base.Merges
@@ -165,6 +173,9 @@ func (s Stats) Sub(base Stats) Stats {
 	d.PLBHits -= base.PLBHits
 	d.PLBMisses -= base.PLBMisses
 	d.BusyCycles -= base.BusyCycles
+	for k := range d.KindCycles {
+		d.KindCycles[k] -= base.KindCycles[k]
+	}
 	d.BytesMoved -= base.BytesMoved
 	d.OintTransitions -= base.OintTransitions
 	return d

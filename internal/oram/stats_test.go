@@ -9,9 +9,11 @@ import (
 func validStats() Stats {
 	return Stats{
 		DemandReads: 10, Writebacks: 4,
-		PathAccesses: 30, DataPaths: 10, WritebackPaths: 4, PosMapPaths: 8,
-		PLBWritebackPaths: 2, BackgroundEvictions: 5, DummyAccesses: 1,
+		PathAccesses: 30, DataPaths: 10, WritebackPaths: 4, PosMapPaths: 10,
+		BackgroundEvictions: 5, DummyAccesses: 1,
 		PrefetchIssued: 6, PrefetchHits: 3, PrefetchUnused: 2,
+		BusyCycles: 3000,
+		KindCycles: [NumKinds]uint64{KindData: 1000, KindPosMap: 1000, KindWriteback: 400, KindBackgroundEvict: 500, KindPeriodicDummy: 100},
 	}
 }
 
@@ -33,6 +35,8 @@ func TestStatsValidate(t *testing.T) {
 		{"data paths", func(s *Stats) { s.DataPaths++; s.PathAccesses++ }, "demand reads"},
 		{"writeback paths", func(s *Stats) { s.Writebacks++ }, "writebacks"},
 		{"prefetch outcomes", func(s *Stats) { s.PrefetchHits = 5 }, "prefetch outcomes"},
+		{"kind cycles", func(s *Stats) { s.KindCycles[KindPosMap]++ }, "per-kind cycles"},
+		{"lost cycles", func(s *Stats) { s.BusyCycles-- }, "per-kind cycles"},
 	}
 	for _, b := range breakages {
 		s := validStats()

@@ -1,6 +1,7 @@
 package posmap
 
 import (
+	"slices"
 	"testing"
 
 	"proram/internal/mem"
@@ -179,4 +180,85 @@ func FuzzAgainstModel(f *testing.F) {
 	f.Add(modelOps(11, 300))
 	f.Add(modelOps(12, 1500))
 	f.Fuzz(func(t *testing.T, data []byte) { runModel(t, data) })
+}
+
+// runPLBModel decodes data as a PLB capacity (first byte, 0..4) and an
+// operation sequence (two bytes each: opcode, block) and applies it to a PLB
+// and to the reference LRU — a slice, most recent first. It checks what the
+// exclusive PLB promises its caller: a victim comes back exactly on
+// overflow and is the least recently used block, a re-insert only promotes,
+// and occupancy never passes the capacity.
+func runPLBModel(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	capacity := int(data[0]) % 5
+	p := NewPLB(capacity)
+	var lru []mem.BlockID
+	var hits, misses uint64
+	promote := func(i int) {
+		id := lru[i]
+		copy(lru[1:i+1], lru[:i])
+		lru[0] = id
+	}
+	for step := 1; step+2 <= len(data); step += 2 {
+		id := mem.MakeID(1+int(data[step+1])%2, uint64(data[step+1])%7)
+		at := slices.Index(lru, id)
+		switch data[step] % 3 {
+		case 0:
+			if got := p.Lookup(id); got != (at >= 0) {
+				t.Fatalf("step %d: Lookup(%v) = %v, model %v", step, id, got, at >= 0)
+			}
+			if at >= 0 {
+				hits++
+				promote(at)
+			} else {
+				misses++
+			}
+		case 1:
+			victim, ok := p.Insert(id)
+			wantVictim, wantOK := mem.Nil, false
+			switch {
+			case capacity == 0:
+			case at >= 0:
+				promote(at)
+			case len(lru) < capacity:
+				lru = append([]mem.BlockID{id}, lru...)
+			default:
+				wantVictim, wantOK = lru[len(lru)-1], true
+				copy(lru[1:], lru)
+				lru[0] = id
+			}
+			if victim != wantVictim || ok != wantOK {
+				t.Fatalf("step %d: Insert(%v) = %v, %v; model %v, %v", step, id, victim, ok, wantVictim, wantOK)
+			}
+		case 2:
+			if got := p.Contains(id); got != (at >= 0) {
+				t.Fatalf("step %d: Contains(%v) = %v, model %v", step, id, got, at >= 0)
+			}
+		}
+		if p.Len() != len(lru) || p.Len() > capacity {
+			t.Fatalf("step %d: Len = %d, model %d, capacity %d", step, p.Len(), len(lru), capacity)
+		}
+	}
+	if p.Hits() != hits || p.Misses() != misses {
+		t.Fatalf("hits/misses = %d/%d, model %d/%d", p.Hits(), p.Misses(), hits, misses)
+	}
+}
+
+// TestPLBAgainstModel drives seeded sequences through every capacity.
+func TestPLBAgainstModel(t *testing.T) {
+	for capacity := byte(0); capacity < 5; capacity++ {
+		runPLBModel(t, append([]byte{capacity}, modelOps(20+uint64(capacity), 1000)...))
+	}
+}
+
+// FuzzPLBAgainstModel is the same check over fuzzer-chosen sequences.
+func FuzzPLBAgainstModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 3, 0, 3})                   // disabled: insert, lookup
+	f.Add([]byte{2, 1, 0, 1, 1, 1, 0, 1, 2, 0, 1}) // fill, re-insert, overflow
+	f.Add(append([]byte{3}, modelOps(13, 200)...))
+	f.Fuzz(func(t *testing.T, data []byte) { runPLBModel(t, data) })
 }

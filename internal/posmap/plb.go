@@ -11,23 +11,24 @@ import (
 // at level i means the recursion walk can start below level i, saving one
 // ORAM path access per level skipped.
 //
-// Blocks in the PLB are the authoritative copies (they were removed from
-// the tree when loaded); evicting a dirty block therefore requires an ORAM
-// write-back access, which the controller performs.
+// Blocks in the PLB are the authoritative copies — the PLB is exclusive,
+// as in Freecursive ORAM: a fill removes the block from the tree and the
+// stash, and an eviction hands the victim back to the controller, which
+// appends it to the stash under the leaf its parent entry records. Neither
+// costs a path access, and since every copy is the only one there is no
+// dirty bit to keep.
 type PLB struct {
 	capacity int
-	lru      *list.List // front = most recent; values are plbEntry
+	lru      *list.List // front = most recent; values are *plbEntry
 	index    map[mem.BlockID]*list.Element
 
-	hits           uint64
-	misses         uint64
-	dirtyEvictions uint64
+	hits   uint64
+	misses uint64
 }
 
-type plbEntry struct {
-	id    mem.BlockID
-	dirty bool
-}
+// plbEntry is held by pointer so that Insert can recycle the LRU element in
+// place; storing the id itself would box a new value per insert.
+type plbEntry struct{ id mem.BlockID }
 
 // NewPLB returns an empty PLB holding up to capacity position-map blocks.
 // A capacity of 0 disables the PLB (every lookup misses).
@@ -65,60 +66,40 @@ func (p *PLB) Contains(id mem.BlockID) bool {
 	return ok
 }
 
-// MarkDirty flags a cached block as modified. It reports whether the block
-// was present.
-//
-//proram:hotpath runs on every remap
-func (p *PLB) MarkDirty(id mem.BlockID) bool {
-	e, ok := p.index[id]
-	if !ok {
-		return false
-	}
-	e.Value.(*plbEntry).dirty = true
-	return true
-}
-
-// Insert caches id (most recently used, clean). If the PLB overflows, the
-// least recently used block is evicted and returned with its dirty flag;
-// the caller must write dirty victims back to the ORAM. ok reports whether
-// a victim was produced.
+// Insert caches id (most recently used). If the PLB overflows, the least
+// recently used block is evicted and returned; the caller must put the
+// victim back into the stash. ok reports whether a victim was produced.
 //
 //proram:hotpath runs once per recursion level walked
-func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, dirty, ok bool) {
+func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, ok bool) {
 	if p.capacity == 0 {
 		// PLB disabled: nothing is cached and there is no victim — the
 		// accessed block simply stays in the stash/tree like any other.
-		return mem.Nil, false, false
+		return mem.Nil, false
 	}
 	if e, found := p.index[id]; found {
 		p.lru.MoveToFront(e)
-		return mem.Nil, false, false
+		return mem.Nil, false
 	}
 	if p.lru.Len() < p.capacity {
 		p.lru.PushFront(&plbEntry{id: id}) //proram:allow allocdiscipline warm-up below capacity only; at capacity the LRU entry is recycled in place
 		p.index[id] = p.lru.Front()
-		return mem.Nil, false, false
+		return mem.Nil, false
 	}
 	// At capacity: recycle the least recently used entry in place
 	// rather than allocating a new node and unlinking the victim's.
 	back := p.lru.Back()
 	ent := back.Value.(*plbEntry)
 	delete(p.index, ent.id)
-	victim, dirty = ent.id, ent.dirty
-	ent.id, ent.dirty = id, false
+	victim, ent.id = ent.id, id
 	p.lru.MoveToFront(back)
 	p.index[id] = back
-	if dirty {
-		p.dirtyEvictions++
-	}
-	return victim, dirty, true
+	return victim, true
 }
 
-// Hits and Misses expose the lookup statistics; DirtyEvictions counts the
-// victims Insert handed back for write-back.
-func (p *PLB) Hits() uint64           { return p.hits }
-func (p *PLB) Misses() uint64         { return p.misses }
-func (p *PLB) DirtyEvictions() uint64 { return p.dirtyEvictions }
+// Hits and Misses expose the lookup statistics.
+func (p *PLB) Hits() uint64   { return p.hits }
+func (p *PLB) Misses() uint64 { return p.misses }
 
 // HitRate returns hits/(hits+misses), or 0 when no lookups happened.
 func (p *PLB) HitRate() float64 {

@@ -220,23 +220,26 @@ func TestPLBBasics(t *testing.T) {
 	if p.Lookup(a) {
 		t.Fatal("empty PLB hit")
 	}
-	if _, _, ok := p.Insert(a); ok {
+	if _, ok := p.Insert(a); ok {
 		t.Fatal("insert into empty PLB evicted")
 	}
 	if !p.Lookup(a) {
 		t.Fatal("PLB missed cached block")
 	}
 	p.Insert(b) // order: b (MRU), a (LRU)
-	p.MarkDirty(a)
-	// Inserting c evicts the LRU, which is the dirty a.
-	victim, dirty, ok := p.Insert(c)
-	if !ok || victim != a || !dirty {
-		t.Fatalf("eviction = %v dirty=%v ok=%v, want a dirty", victim, dirty, ok)
+	// Inserting c overflows: the LRU, a, comes back to the caller.
+	victim, ok := p.Insert(c)
+	if !ok || victim != a {
+		t.Fatalf("eviction = %v ok=%v, want a", victim, ok)
 	}
-	// b is now LRU and clean.
-	victim, dirty, ok = p.Insert(mem.MakeID(1, 3))
-	if !ok || victim != b || dirty {
-		t.Fatalf("eviction = %v dirty=%v ok=%v, want b clean", victim, dirty, ok)
+	if p.Contains(a) || !p.Contains(b) || !p.Contains(c) || p.Len() != 2 {
+		t.Fatalf("after evicting a: a=%v b=%v c=%v len=%d", p.Contains(a), p.Contains(b), p.Contains(c), p.Len())
+	}
+	// A hit promotes: b becomes MRU, so the next victim is c.
+	p.Lookup(b)
+	victim, ok = p.Insert(mem.MakeID(1, 3))
+	if !ok || victim != c {
+		t.Fatalf("eviction = %v ok=%v, want c", victim, ok)
 	}
 }
 
@@ -257,8 +260,8 @@ func TestPLBStats(t *testing.T) {
 func TestPLBDisabled(t *testing.T) {
 	p := NewPLB(0)
 	a := mem.MakeID(1, 0)
-	victim, dirty, ok := p.Insert(a)
-	if ok || dirty || !victim.IsNil() {
+	victim, ok := p.Insert(a)
+	if ok || !victim.IsNil() {
 		t.Fatal("disabled PLB must ignore inserts without producing victims")
 	}
 	if p.Lookup(a) {
@@ -272,9 +275,14 @@ func TestPLBDisabled(t *testing.T) {
 func TestPLBReinsertDoesNotGrow(t *testing.T) {
 	p := NewPLB(2)
 	a := mem.MakeID(1, 0)
+	b := mem.MakeID(1, 1)
 	p.Insert(a)
-	p.Insert(a)
-	if p.Len() != 1 {
-		t.Fatalf("Len = %d after re-insert", p.Len())
+	p.Insert(b)
+	if victim, ok := p.Insert(a); ok || p.Len() != 2 {
+		t.Fatalf("re-insert at capacity: victim %v ok=%v, Len = %d", victim, ok, p.Len())
+	}
+	// The re-insert promoted a, so b is the next victim.
+	if victim, ok := p.Insert(mem.MakeID(1, 2)); !ok || victim != b {
+		t.Fatalf("eviction after re-insert = %v ok=%v, want b", victim, ok)
 	}
 }

@@ -33,7 +33,8 @@
 // the round's budget carry over to the next round. The adversary therefore
 // sees every partition perform the same number of indistinguishable
 // accesses every round, whatever the request skew; within a slot, the path
-// count still varies with PLB and stash behaviour, the same declared
+// count still varies with PLB and stash behaviour (one path per recursion
+// level the PLB misses; a PLB victim costs none), the same declared
 // recursion-level leak as the unified controller (DESIGN.md §10).
 //
 // # Determinism and replay

@@ -23,7 +23,8 @@ type Config struct {
 	Partitions int
 	// RoundSlots is the fixed ORAM access count every partition issues per
 	// scheduling round (R). Must be at least MaxSuperBlock+2 so one demand
-	// request — its access, its installs' dirty evictions — always fits.
+	// request — its access, its installs' dirty evictions — always fits,
+	// and at most 4096 (maxRoundSlots).
 	RoundSlots int
 	// Groups sizes the routing indirection table; 0 picks a default.
 	Groups int
@@ -75,6 +76,11 @@ type Config struct {
 	Leak audit.Leak
 }
 
+// maxRoundSlots caps RoundSlots. A round answers no request before its
+// last slot has run, so an unbounded value is a Read that never returns;
+// 2^12 is dozens of times the largest request the policy allows.
+const maxRoundSlots = 1 << 12
+
 // normalize fills defaults and validates.
 func (c Config) normalize() (Config, error) {
 	if c.Partitions < 1 {
@@ -96,6 +102,9 @@ func (c Config) normalize() (Config, error) {
 	if c.RoundSlots < maxCost+1 {
 		return c, fmt.Errorf("shard: RoundSlots %d cannot fit one request (max cost %d) plus padding headroom",
 			c.RoundSlots, maxCost)
+	}
+	if c.RoundSlots > maxRoundSlots {
+		return c, fmt.Errorf("shard: RoundSlots %d out of range [%d,%d]", c.RoundSlots, maxCost+1, maxRoundSlots)
 	}
 	if c.CacheBlocks < 16*c.Partitions {
 		c.CacheBlocks = 16 * c.Partitions
@@ -144,6 +153,13 @@ type Frontend struct {
 	manual bool // replay mode: the caller drives rounds, no dispatcher
 	done   chan struct{}
 
+	// take and byPart are the round driver's per-round scratch: the queues
+	// snapshotLocked hands a round, and the results collect gathers from
+	// it, both in partition order. One round is in flight at a time, so
+	// each is overwritten whole by the next round instead of reallocated.
+	take   [][]*request
+	byPart []roundResult
+
 	// floors maps a round number to the clock floor it started from, for
 	// queueing-delay spans. Only the round driver touches it, at commit
 	// barriers; entries are pruned a fixed horizon behind the commit.
@@ -178,6 +194,8 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 		parts:   make([]*partition, cfg.Partitions),
 		results: make(chan roundResult, cfg.Partitions),
 		queues:  make([][]*request, cfg.Partitions),
+		take:    make([][]*request, cfg.Partitions),
+		byPart:  make([]roundResult, cfg.Partitions),
 		manual:  manual,
 		done:    make(chan struct{}),
 		floors:  make(map[uint64]uint64),
@@ -398,9 +416,9 @@ func (f *Frontend) dispatch() {
 			f.cond.Wait()
 		}
 		if f.pending > 0 {
-			round, take := f.snapshotLocked()
+			round := f.snapshotLocked()
 			f.mu.Unlock()
-			f.runRound(round, take)
+			f.runRound(round)
 			continue
 		}
 		waiters := f.flushWaiters
@@ -422,17 +440,17 @@ func (f *Frontend) dispatch() {
 }
 
 // snapshotLocked claims the next round number and takes every queued
-// request. Arrivals admitted from here on are tagged with the next round.
-func (f *Frontend) snapshotLocked() (uint64, [][]*request) {
+// request into f.take. Arrivals admitted from here on are tagged with the
+// next round.
+func (f *Frontend) snapshotLocked() uint64 {
 	round := f.nextRound
 	f.nextRound++
-	take := make([][]*request, len(f.parts))
 	for i := range f.queues {
-		take[i] = f.queues[i]
+		f.take[i] = f.queues[i]
 		f.queues[i] = nil
 	}
 	f.pending = 0
-	return round, take
+	return round
 }
 
 // clockFloor returns the maximum partition clock: the round barrier's
@@ -447,15 +465,16 @@ func (f *Frontend) clockFloor() uint64 {
 	return floor
 }
 
-// runRound executes one demand round on every partition and commits the
-// results. Called with no round in flight (dispatcher or replay driver).
-func (f *Frontend) runRound(round uint64, take [][]*request) {
+// runRound executes one demand round on the requests snapshotLocked took,
+// on every partition, and commits the results. Called with no round in
+// flight (dispatcher or replay driver).
+func (f *Frontend) runRound(round uint64) {
 	floor := f.clockFloor()
 	for i, p := range f.parts {
-		p.work <- roundWork{kind: roundDemand, round: round, start: floor, reqs: take[i]}
+		p.work <- roundWork{kind: roundDemand, round: round, start: floor, reqs: f.take[i]}
 	}
-	byPart := f.collect()
-	f.commit(round, roundDemand, floor, byPart)
+	clear(f.take) // the workers own the requests now
+	f.commit(round, roundDemand, floor, f.collect())
 }
 
 // runFlush executes one flush round: every partition writes its dirty
@@ -484,6 +503,7 @@ func (f *Frontend) runFlush() error {
 	for i, p := range f.parts {
 		p.work <- roundWork{kind: roundPad, round: round, start: floor, padTo: longest - flushed[i].real}
 	}
+	// flushed has been read for the last time: collect reuses it.
 	f.commit(round, roundPad, floor, f.collect())
 	if failures > 0 {
 		return fmt.Errorf("shard: flush failed to write back %d blocks", failures)
@@ -492,15 +512,15 @@ func (f *Frontend) runFlush() error {
 }
 
 // collect gathers one result per partition from the shared barrier
-// channel, in partition order regardless of completion order.
+// channel, in partition order regardless of completion order. The slice is
+// the frontend's scratch: it is good until the next collect.
 func (f *Frontend) collect() []roundResult {
-	byPart := make([]roundResult, len(f.parts))
 	for range f.parts {
 		//proram:detround one result arrives per partition per round and byPart reindexes them into partition order, so completion order never escapes
 		r := <-f.results
-		byPart[r.part] = r
+		f.byPart[r.part] = r
 	}
-	return byPart
+	return f.byPart
 }
 
 // commit publishes a completed round: shared-device arbitration, access-log

@@ -115,10 +115,10 @@ func Replay(cfg Config, arrivals []Arrival) (*Log, Stats, error) {
 			i++
 		}
 		f.mu.Lock()
-		_, take := f.snapshotLocked()
+		f.snapshotLocked()
 		f.nextRound = round + 1
 		f.mu.Unlock()
-		f.runRound(round, take)
+		f.runRound(round)
 		round++
 	}
 	return f.log, f.snap.clone(), nil

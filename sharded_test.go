@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -131,6 +133,43 @@ func TestShardedMatchesUnifiedContents(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("block %d: unified %x, sharded %x", i*31%r.Blocks(), a[:8], b[:8])
 		}
+	}
+}
+
+// TestRoundSlotsBounded: a round answers nothing before its last slot, so
+// RoundSlots math.MaxInt used to be accepted and the first Read never
+// returned. Both entry points now refuse it by arithmetic, naming the
+// field, and still take a round far larger than the default.
+func TestRoundSlotsBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Blocks = 1 << 10
+	cfg.Partitions = 2
+	w, err := Synthetic(SyntheticConfig{Ops: 50, WorkingSetBytes: 1 << 14, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slots := range []int{math.MaxInt, 1<<12 + 1} {
+		cfg.RoundSlots = slots
+		s, err := NewSharded(cfg, ShardedOptions{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("NewSharded accepted RoundSlots %d", slots)
+		}
+		if !strings.Contains(err.Error(), "RoundSlots") {
+			t.Errorf("NewSharded error %q does not name RoundSlots", err)
+		}
+		if _, err := SimulateSharded(cfg, w, 2, ShardedOptions{}); err == nil || !strings.Contains(err.Error(), "RoundSlots") {
+			t.Errorf("SimulateSharded with RoundSlots %d: error %v, want one naming RoundSlots", slots, err)
+		}
+	}
+	cfg.RoundSlots = 1 << 12
+	s, err := NewSharded(cfg, ShardedOptions{})
+	if err != nil {
+		t.Fatalf("RoundSlots %d refused: %v", cfg.RoundSlots, err)
+	}
+	defer s.Close()
+	if _, err := s.Read(0); err != nil {
+		t.Fatal(err)
 	}
 }
 
