@@ -377,6 +377,7 @@ func runSharded(w proram.Workload, parts, clients, slots int, scheme string, max
 	fmt.Printf("rounds               %d × %d slots per partition\n", s.Rounds, s.RoundSlots)
 	fmt.Printf("path accesses        %d\n", rep.PathAccesses)
 	fmt.Printf("real / pad accesses  %d / %d (fill %.3f)\n", s.RealAccesses, s.PadAccesses, s.FillRatio)
+	fmt.Printf("pad-slot write-backs %d (of the real accesses)\n", s.PadWritebacks)
 	fmt.Printf("cache hits           %d\n", s.CacheHits)
 	fmt.Printf("carryovers           %d\n", s.Carryovers)
 	ac.finish(rep.Audit)

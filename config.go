@@ -81,11 +81,12 @@ type Config struct {
 	// New ignores it — the unified RAM is always one controller. Default 1.
 	Partitions int
 	// RoundSlots fixes the ORAM access count every partition issues per
-	// scheduling round in the sharded frontend (NewSharded only): demand
-	// accesses for queued requests, dummies for the rest, so the observable
-	// round shape is workload-independent. 0 picks 2×(MaxSuperBlock+1),
-	// the smallest round with headroom for two requests; values below
-	// MaxSuperBlock+2 or above 4096 are refused.
+	// scheduling round in the sharded frontend (NewSharded only): one
+	// access per cache miss, write-backs of evicted dirty blocks and then
+	// dummies for the rest, so the observable round shape is
+	// workload-independent. 0 picks 2, the floor: a miss costs one slot
+	// whatever it evicts (its dirty victims queue for later slots), so two
+	// slots fit one miss and one write-back. Values above 4096 are refused.
 	RoundSlots int
 	// DRAM selects the memory device behind the ORAM controller(s): nil is
 	// DRAMFlat, one serialized channel; a banked model schedules every tree
@@ -145,8 +146,12 @@ func (d *DRAMConfig) validate() error {
 		return nil
 	}
 	switch d.Model {
-	case DRAMFlat, DRAMBanked, DRAMBankedPacked:
+	case DRAMFlat:
 		return nil
+	case DRAMBanked, DRAMBankedPacked:
+		// Checked here, not only where a device is built: a simulator over
+		// plain DRAM never builds this one but must not accept it either.
+		return d.bankedConfig().Validate()
 	default:
 		return fmt.Errorf("proram: unknown DRAM model %d", int(d.Model))
 	}

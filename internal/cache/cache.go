@@ -26,6 +26,10 @@ func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache: all dimensions must be positive: %+v", c)
 	}
+	// Compared by division: ways*line can overflow to zero.
+	if c.LineBytes > c.SizeBytes/c.Ways {
+		return fmt.Errorf("cache: %d ways of %d-byte lines exceed size %d", c.Ways, c.LineBytes, c.SizeBytes)
+	}
 	if c.SizeBytes%(c.Ways*c.LineBytes) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by ways*line (%d*%d)", c.SizeBytes, c.Ways, c.LineBytes)
 	}

@@ -18,7 +18,13 @@ func init() {
 
 // audit2Ops is the full-scale operation count: enough accesses that every
 // statistical test clears its minimum-samples gate on every partition.
-const audit2Ops = 20_000
+// The timing test is the last to clear it: a two-slot round times two
+// slots where a six-slot one timed five, and at P=1 the 32 clients leave
+// no slot idle, so its padding population is the pad-slot victim
+// write-backs alone, which begin once the 4,096-line client cache is full.
+// Every partition clears the gate from about 30,000 operations; this is
+// twice that.
+const audit2Ops = 60_000
 
 // audit2Configs are the shipped frontend configurations the auditor must
 // clear: the unified-equivalent single partition, the default sharded

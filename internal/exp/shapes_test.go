@@ -358,6 +358,44 @@ func TestAblationOintShape(t *testing.T) {
 	}
 }
 
+// Sharded ablation: a narrower round pads less. At each partition count,
+// path accesses do not rise and fill does not fall as RoundSlots falls —
+// strictly at P=8, where idle partitions pad; at P=1 the 32 clients keep
+// every round full, so both are flat there. At P=8 the default width (2)
+// is no slower than the old default (6) at 32 arrivals per round, and
+// answers sooner at the old default's arrival rate per slot.
+func TestAblationShardShape(t *testing.T) {
+	tb := cached(t, "ablation_shard")
+	for _, p := range []string{"P=1", "P=8"} {
+		strict := p == "P=8"
+		prev := ""
+		for _, r := range []string{"R=6", "R=4", "R=2"} {
+			row := p + "/" + r
+			if prev != "" {
+				paths, prevPaths := tb.MustCell(row, "norm_paths"), tb.MustCell(prev, "norm_paths")
+				fill, prevFill := tb.MustCell(row, "fill_ratio"), tb.MustCell(prev, "fill_ratio")
+				if paths > prevPaths || strict && paths == prevPaths {
+					t.Errorf("%s: path accesses %.4f did not fall from %s's %.4f", row, paths, prev, prevPaths)
+				}
+				if fill < prevFill || strict && fill == prevFill {
+					t.Errorf("%s: fill %.4f did not rise from %s's %.4f", row, fill, prev, prevFill)
+				}
+			}
+			prev = row
+		}
+	}
+	if def, old := tb.MustCell("P=8/R=2", "norm_time"), tb.MustCell("P=8/R=6", "norm_time"); def > old {
+		t.Errorf("P=8: the default round width's makespan %.4f is worse than R=6's %.4f", def, old)
+	}
+	// At R=6's arrival rate per slot, the default's latency is lower at P=8,
+	// at the median and in the tail.
+	for _, col := range []string{"lat_p50", "lat_p99"} {
+		if def, old := tb.MustCell("P=8/R=2/w=11", col), tb.MustCell("P=8/R=6", col); def >= old {
+			t.Errorf("P=8 at R=6's load: the default round width's %s %.0f is not below R=6's %.0f", col, def, old)
+		}
+	}
+}
+
 // DRAM ablation: the banked device with the subtree-packed layout must
 // beat the flat serialized channel on cycles per ORAM access, on the
 // sequential and strided models (the acceptance bar), and packing must

@@ -19,7 +19,7 @@
 //     same observable number of accesses after padding.
 //   - timing_indistinguishability: a two-sample chi-square homogeneity
 //     test comparing the within-round inter-access gap distributions of
-//     real and dummy slots. If padding accesses are cheaper or slower
+//     demand and padding slots. If padding accesses are cheaper or slower
 //     than demand accesses, the round structure leaks the demand load.
 //
 // Everything is integer or fixed-point arithmetic: test statistics are
@@ -63,7 +63,9 @@ const (
 
 // AccessEvent is one wire-observable physical access: the tree leaf it
 // touched, its (arbitrated) start cycle, and whether the slot that issued
-// it was padding. The dummy bit is ground truth the observer of a real
+// it was padding — a dummy read, or work a padding slot was spent on (a
+// queued victim's write-back, a background eviction). The dummy bit is
+// ground truth the observer of a real
 // deployment would not have; the auditor uses it only for the two-sample
 // timing test, whose null hypothesis is exactly that the bit is
 // unobservable.
@@ -264,7 +266,20 @@ func (a *Auditor) Bound() bool { return a != nil && a.bound }
 // pairs accesses within a single call, so round boundaries never
 // contribute gaps (demand slots lead every round by construction, which
 // would otherwise fake a timing signal).
-func (a *Auditor) Accesses(part int, events []AccessEvent) {
+func (a *Auditor) Accesses(part int, events []AccessEvent) { a.feed(part, events, 0) }
+
+// AccessesUntil is Accesses for a chunk whose last access's data was ready
+// at end — a sharded round, closed by its partition's clock at the
+// barrier. That access's gap runs to end instead of being dropped, so the
+// timing test sees every slot of the round: a two-slot round would
+// otherwise time only its first, and never a padding slot behind a
+// demand one.
+func (a *Auditor) AccessesUntil(part int, events []AccessEvent, end uint64) {
+	a.feed(part, events, end)
+}
+
+// feed ingests one chunk; end closes its last gap, 0 leaves it open.
+func (a *Auditor) feed(part int, events []AccessEvent, end uint64) {
 	if a == nil || !a.bound || part < 0 || part >= a.parts || len(events) == 0 {
 		return
 	}
@@ -294,9 +309,12 @@ func (a *Auditor) Accesses(part int, events []AccessEvent) {
 		if ev.Start > a.lastCycle {
 			a.lastCycle = ev.Start
 		}
-		if a.cfg.Timing && i+1 < len(events) {
-			gap := events[i+1].Start - ev.Start
-			b := bits.Len64(gap)
+		next, timed := end, end != 0 && end >= ev.Start
+		if i+1 < len(events) {
+			next, timed = events[i+1].Start, true
+		}
+		if a.cfg.Timing && timed {
+			b := bits.Len64(next - ev.Start)
 			if ev.Dummy {
 				t.dummy[b]++
 				t.dummyN++

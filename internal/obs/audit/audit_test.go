@@ -188,6 +188,33 @@ func TestTimingLeakFlagged(t *testing.T) {
 	}
 }
 
+func TestTimingClosedChunkTimesLastAccess(t *testing.T) {
+	// Two-access chunks, real first and padding last: padding completes in
+	// 2000 cycles, real in 100. Open chunks never time the padding, so the
+	// test has no second population; chunks closed at their end do.
+	open := newBound(t, 1, 256, 0, Config{Timing: true})
+	closed := newBound(t, 1, 256, 0, Config{Timing: true})
+	g := &lcg{x: 5}
+	var ts uint64
+	for range 2_000 {
+		evs := []AccessEvent{
+			{Leaf: g.next() & 255, Start: ts},
+			{Leaf: g.next() & 255, Start: ts + 100, Dummy: true},
+		}
+		ts += 2100
+		open.Accesses(0, evs)
+		closed.AccessesUntil(0, evs, ts)
+	}
+	for _, tr := range open.Report().Tests {
+		if tr.Name == "timing_indistinguishability" && tr.Status != statusSkip {
+			t.Errorf("open chunks: timing test %s, want skip (no padding gap)", tr.Status)
+		}
+	}
+	if rep := closed.Report(); rep.Pass {
+		t.Fatal("closed chunks: padding-slot timing leak not flagged")
+	}
+}
+
 func TestTimingSameDistributionPasses(t *testing.T) {
 	// Gap alternates 100/2000 independently of the dummy bit (period-2
 	// dummy pattern, period-4 gap pattern): both populations see the same

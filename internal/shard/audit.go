@@ -6,12 +6,13 @@ import (
 
 // slotMark closes one issued access slot inside a partition round: end is
 // the round-relative trace index just past the slot's physical accesses,
-// and dummy records whether the slot was padding. The marks are the
-// wire-truth of the round's shape — the auditor counts them instead of
-// trusting the scheduler's real/dummy counters.
+// and pad records whether the slot was padding (a dummy or a pad-slot
+// victim write-back). The marks are the wire-truth of the round's shape —
+// the auditor counts them instead of trusting the scheduler's real/dummy
+// counters.
 type slotMark struct {
-	end   int
-	dummy bool
+	end int
+	pad bool
 }
 
 // floorHorizon bounds the floors map: queueing spans only resolve for
@@ -68,7 +69,8 @@ func (f *Frontend) roundSpans(floor uint64, byPart []roundResult) []spans {
 
 // feedAudit streams one committed round into the auditor: the observed
 // per-slot mark counts (round shape), every physical access with its
-// arbitrated start cycle (uniformity, serial independence, timing), and
+// arbitrated start cycle and the round's end (uniformity, serial
+// independence, timing), and
 // the latency spans. Runs on the round driver at the commit barrier, the
 // same discipline as the metrics emissions.
 func (f *Frontend) feedAudit(round uint64, kind roundKind, byPart []roundResult, sp []spans) {
@@ -96,10 +98,13 @@ func (f *Frontend) feedAudit(round uint64, kind roundKind, byPart []roundResult,
 				evs[j] = audit.AccessEvent{
 					Leaf:  ev.Leaf,
 					Start: ev.Start,
-					Dummy: mi < len(r.marks) && r.marks[mi].dummy,
+					Dummy: mi < len(r.marks) && r.marks[mi].pad,
 				}
 			}
-			a.Accesses(r.part, evs)
+			// The partition's controller clock is the round's last access's
+			// data-ready cycle (arbitrated, on the banked device): it times
+			// the round's last slot too.
+			a.AccessesUntil(r.part, evs, f.parts[r.part].store.Ctrl.Stats().LastEnd)
 		}
 		if sp != nil {
 			s := &sp[r.part]

@@ -69,6 +69,38 @@ func findingsHave(findings []string, name string) bool {
 	return false
 }
 
+// TestAuditTimesPadSlotWritebacks asserts the timing test still compares
+// padding with demand slots when a partition issues no dummy at all: a
+// write burst keeps every round's first slot on a miss and its second on a
+// queued victim's write-back. Those write-backs are the padding
+// population, and the round's end times them although they close it.
+func TestAuditTimesPadSlotWritebacks(t *testing.T) {
+	cfg := testConfig(1)
+	aud := audit.New(audit.Config{Timing: true, MinSamples: 256})
+	cfg.Audit = aud
+	arrivals := make([]Arrival, 200)
+	for i := range arrivals {
+		arrivals[i] = Arrival{Seq: uint64(i), Index: uint64(i), Write: true}
+	}
+	_, st, err := Replay(cfg, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DummyAccesses != 0 || st.PadWritebacks == 0 {
+		t.Fatalf("want a dummy-free run that drains in pad slots: %d dummies, %d pad write-backs",
+			st.DummyAccesses, st.PadWritebacks)
+	}
+	rep := aud.Report()
+	if !rep.Pass {
+		t.Fatalf("honest run flagged: %v", rep.Findings)
+	}
+	for _, tr := range rep.Tests {
+		if tr.Name == "timing_indistinguishability" && tr.Status != "pass" {
+			t.Fatalf("timing test %s over %d gaps, want pass", tr.Status, tr.N)
+		}
+	}
+}
+
 // TestAuditFlagsDropDummies asserts the suppressed-padding negative
 // control trips the round-shape test from wire evidence alone: the
 // leaky scheduler's own counters still claim full rounds, but the
@@ -97,13 +129,14 @@ func TestAuditFlagsDropDummies(t *testing.T) {
 // TestAuditFlagsBiasLeaf asserts the biased-remap negative control trips
 // the leaf-uniformity test: halving the leaf range concentrates the
 // physical access distribution in half the bins, which the chi-square
-// statistic catches within a few thousand accesses.
+// statistic catches within a few thousand accesses — which at two slots a
+// round takes a few hundred requests.
 func TestAuditFlagsBiasLeaf(t *testing.T) {
 	cfg := testConfig(4)
 	aud := audit.New(audit.Config{Timing: true})
 	cfg.Audit = aud
 	cfg.Leak = audit.LeakBiasLeaf
-	runLive(t, cfg, 4, 40)
+	runLive(t, cfg, 4, 160)
 	rep := aud.Report()
 	if rep.Pass {
 		t.Fatal("bias-leaf leak passed the audit")

@@ -46,17 +46,34 @@ func newTestCache(t *testing.T, capacity int, sb superblock.Config, accesses *in
 
 var noSuperBlocks = superblock.Config{Scheme: superblock.None, MaxSize: 1}
 
-// mustFetch misses index into the cache and returns the line and its cost.
-func mustFetch(t *testing.T, c *Cache, index uint64) (*Line, int) {
+// mustFetch misses index into the cache and returns the line.
+func mustFetch(t *testing.T, c *Cache, index uint64) *Line {
 	t.Helper()
 	if c.Present(index) {
 		t.Fatalf("block %d already cached", index)
 	}
-	line, spent, err := c.Fetch(index)
+	line, err := c.Fetch(index)
 	if err != nil {
 		t.Fatalf("Fetch(%d): %v", index, err)
 	}
-	return line, spent
+	return line
+}
+
+// drainAll writes the whole victim queue back and returns how many lines
+// it wrote.
+func drainAll(t *testing.T, c *Cache) int {
+	t.Helper()
+	n := 0
+	for {
+		wrote, err := c.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wrote {
+			return n
+		}
+		n++
+	}
 }
 
 func TestCacheStrictLRU(t *testing.T) {
@@ -76,28 +93,42 @@ func TestCacheStrictLRU(t *testing.T) {
 		if c.Present(victim) {
 			t.Fatalf("insert %d did not evict block %d", i, victim)
 		}
-		if c.lru.Len() != 4 || len(c.lines) != 4 {
-			t.Fatalf("cache holds %d/%d lines, capacity 4", c.lru.Len(), len(c.lines))
+		if c.order.Len() != 4 || len(c.lines) != 4 {
+			t.Fatalf("cache holds %d/%d lines, capacity 4", c.order.Len(), len(c.lines))
 		}
 	}
 }
 
+// TestCacheVictimCost: a miss costs one access whatever it evicts; a dirty
+// victim waits in the queue, still resident, until a Drain spends the
+// second access on it.
 func TestCacheVictimCost(t *testing.T) {
-	c := newTestCache(t, 2, noSuperBlocks, nil)
+	hooked := 0
+	c := newTestCache(t, 2, noSuperBlocks, &hooked)
 	mustFetch(t, c, 0)
-	line, _ := mustFetch(t, c, 1)
-	if _, spent := mustFetch(t, c, 2); spent != 1 {
-		t.Fatalf("miss over a clean victim cost %d accesses, want 1", spent)
+	line := mustFetch(t, c, 1)
+	mustFetch(t, c, 2)
+	if hooked != 3 || c.queued != 0 || c.Present(0) {
+		t.Fatalf("three misses over a clean victim: %d accesses, %d queued, victim cached=%v; want 3, 0, false",
+			hooked, c.queued, c.Present(0))
 	}
 	line.Set([]byte("dirty"))
-	if _, spent := mustFetch(t, c, 3); spent != 2 {
-		t.Fatalf("miss over a dirty victim cost %d accesses, want 2", spent)
+	mustFetch(t, c, 3)
+	if hooked != 4 || c.queued != 1 || !c.Present(1) {
+		t.Fatalf("miss over a dirty victim: %d accesses, %d queued, victim present=%v; want 4, 1, true",
+			hooked, c.queued, c.Present(1))
+	}
+	if got := c.store.Ctrl.Stats().Writebacks; got != 0 {
+		t.Fatalf("controller saw %d write-backs before any drain", got)
+	}
+	if n := drainAll(t, c); n != 1 || hooked != 5 || c.Present(1) {
+		t.Fatalf("drain wrote %d lines in %d accesses in all, victim present=%v; want 1, 5, false", n, hooked, c.Present(1))
 	}
 	if got := c.store.Ctrl.Stats().Writebacks; got != 1 {
 		t.Fatalf("controller saw %d write-backs, want 1", got)
 	}
 	// The victim's bytes went through the store, zero-padded.
-	back, _ := mustFetch(t, c, 1)
+	back := mustFetch(t, c, 1)
 	want := make([]byte, 64)
 	copy(want, "dirty")
 	if got := back.Bytes(); !bytes.Equal(got, want) {
@@ -108,7 +139,7 @@ func TestCacheVictimCost(t *testing.T) {
 func TestCacheFlushOrder(t *testing.T) {
 	c := newTestCache(t, 4, noSuperBlocks, nil)
 	for i := uint64(0); i < 4; i++ {
-		line, _ := mustFetch(t, c, i)
+		line := mustFetch(t, c, i)
 		if i != 2 {
 			line.Set([]byte{byte(i)})
 		}
@@ -155,9 +186,20 @@ func TestCacheHookCountsAccesses(t *testing.T) {
 		index := (rnd.Uint64n(32)*8 + uint64(op%8)) % 256
 		line := c.Lookup(index)
 		if line == nil {
-			var n int
-			line, n = mustFetch(t, c, index)
-			spent += n
+			if !c.canFetch() {
+				spent += drainAll(t, c)
+			}
+			line = mustFetch(t, c, index)
+			spent++ // a Fetch is one access; drains pay for its victims
+		}
+		if rnd.Uint64n(4) == 0 {
+			wrote, err := c.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrote {
+				spent++
+			}
 		}
 		if rnd.Uint64n(2) == 0 {
 			line.Set([]byte{byte(op)})
@@ -186,16 +228,19 @@ func TestCacheCorruptBlocks(t *testing.T) {
 	}
 	c := newTestCache(t, 4, static, nil)
 	// One demand miss brings in the whole aligned group; write it out.
-	line, _ := mustFetch(t, c, 0)
+	line := mustFetch(t, c, 0)
 	line.Set([]byte("zero"))
 	for i := uint64(1); i < 4; i++ {
 		c.Lookup(i).Set([]byte{byte(i)})
 	}
-	mustFetch(t, c, 16) // evicts blocks 0..3, all dirty
+	mustFetch(t, c, 16) // queues blocks 0..3, all dirty
+	if n := drainAll(t, c); n != 4 {
+		t.Fatalf("drained %d victims, want 4", n)
+	}
 	c.store.Sealed[1] = c.store.Sealed[1][:20]
 
 	// A corrupt sibling only loses the prefetch.
-	line, _ = mustFetch(t, c, 0)
+	line = mustFetch(t, c, 0)
 	if got := line.Bytes(); !bytes.HasPrefix(got, []byte("zero")) {
 		t.Fatalf("demand block read %q", got[:4])
 	}
@@ -205,11 +250,11 @@ func TestCacheCorruptBlocks(t *testing.T) {
 	// A corrupt demand block fails the fetch, after its one ORAM access.
 	mustFetch(t, c, 16)
 	before := c.store.Ctrl.Stats().DemandReads
-	line, spent, err := c.Fetch(1)
+	line, err := c.Fetch(1)
 	if err == nil || !strings.Contains(err.Error(), "block 1 corrupt") || line != nil {
 		t.Fatalf("Fetch of a corrupt block returned %v, %v", line, err)
 	}
-	if got := c.store.Ctrl.Stats().DemandReads - before; spent != 1 || got != 1 || c.Present(1) {
-		t.Fatalf("failed fetch reported %d accesses, controller served %d, cached=%v", spent, got, c.Present(1))
+	if got := c.store.Ctrl.Stats().DemandReads - before; got != 1 || c.Present(1) {
+		t.Fatalf("failed fetch: controller served %d accesses, cached=%v", got, c.Present(1))
 	}
 }

@@ -24,13 +24,16 @@
 //
 // Requests from any number of goroutines enter per-partition FIFO queues.
 // A single dispatcher forms scheduling rounds: each round, every partition
-// executes exactly RoundSlots full recursive ORAM accesses — demand
-// accesses for queued requests, then dummy accesses (reads of uniformly
-// random local blocks) up to the fixed count. Requests whose block already
-// sits in the partition's client-side cache are served without consuming a
-// slot (on-chip work is invisible to the adversary), which is also how
+// executes exactly RoundSlots full recursive ORAM accesses — one demand
+// access per missing request, then, up to the fixed count, write-backs of
+// the dirty lines those misses evicted into the cache's victim queue and
+// dummy accesses (reads of uniformly random local blocks) once the queue
+// is empty. Requests whose block already sits in the partition's
+// client-side cache, queued victims included, are served without consuming
+// a slot (on-chip work is invisible to the adversary), which is also how
 // duplicate requests in one round coalesce. Requests that do not fit in
-// the round's budget carry over to the next round. The adversary therefore
+// the round's budget, or whose evictions the queue has no room for, carry
+// over to the next round. The adversary therefore
 // sees every partition perform the same number of indistinguishable
 // accesses every round, whatever the request skew; within a slot, the path
 // count still varies with PLB and stash behaviour (one path per recursion

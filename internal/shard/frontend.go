@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"proram/internal/dram/banked"
@@ -22,9 +23,10 @@ type Config struct {
 	// Partitions is the number of independent Path ORAM shards (P).
 	Partitions int
 	// RoundSlots is the fixed ORAM access count every partition issues per
-	// scheduling round (R). Must be at least MaxSuperBlock+2 so one demand
-	// request — its access, its installs' dirty evictions — always fits,
-	// and at most 4096 (maxRoundSlots).
+	// scheduling round (R), 0 for the default of 2 (minRoundSlots), at most
+	// 4096 (maxRoundSlots). A miss costs one slot whatever it evicts — the
+	// dirty lines go to the cache's victim queue and are written back in
+	// pad slots — so two is one miss plus one write-back per round.
 	RoundSlots int
 	// Groups sizes the routing indirection table; 0 picks a default.
 	Groups int
@@ -76,10 +78,14 @@ type Config struct {
 	Leak audit.Leak
 }
 
-// maxRoundSlots caps RoundSlots. A round answers no request before its
-// last slot has run, so an unbounded value is a Read that never returns;
-// 2^12 is dozens of times the largest request the policy allows.
-const maxRoundSlots = 1 << 12
+// minRoundSlots is RoundSlots' floor and default: one slot for a miss and
+// one for a queued victim's write-back, so a round can both serve and
+// drain. maxRoundSlots caps it: a round answers no request before its last
+// slot has run, so an unbounded value is a Read that never returns.
+const (
+	minRoundSlots = 2
+	maxRoundSlots = 1 << 12
+)
 
 // normalize fills defaults and validates.
 func (c Config) normalize() (Config, error) {
@@ -95,16 +101,11 @@ func (c Config) normalize() (Config, error) {
 	if c.MaxSuperBlock < 1 {
 		c.MaxSuperBlock = 1
 	}
-	maxCost := c.MaxSuperBlock + 1
 	if c.RoundSlots == 0 {
-		c.RoundSlots = 2 * maxCost
+		c.RoundSlots = minRoundSlots
 	}
-	if c.RoundSlots < maxCost+1 {
-		return c, fmt.Errorf("shard: RoundSlots %d cannot fit one request (max cost %d) plus padding headroom",
-			c.RoundSlots, maxCost)
-	}
-	if c.RoundSlots > maxRoundSlots {
-		return c, fmt.Errorf("shard: RoundSlots %d out of range [%d,%d]", c.RoundSlots, maxCost+1, maxRoundSlots)
+	if c.RoundSlots < minRoundSlots || c.RoundSlots > maxRoundSlots {
+		return c, fmt.Errorf("shard: RoundSlots %d out of range [%d,%d]", c.RoundSlots, minRoundSlots, maxRoundSlots)
 	}
 	if c.CacheBlocks < 16*c.Partitions {
 		c.CacheBlocks = 16 * c.Partitions
@@ -156,7 +157,8 @@ type Frontend struct {
 	// take and byPart are the round driver's per-round scratch: the queues
 	// snapshotLocked hands a round, and the results collect gathers from
 	// it, both in partition order. One round is in flight at a time, so
-	// each is overwritten whole by the next round instead of reallocated.
+	// each is overwritten whole by the next round instead of reallocated;
+	// a take[i] the workers are done with becomes the next queues[i].
 	take   [][]*request
 	byPart []roundResult
 
@@ -241,7 +243,6 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			id:          i,
 			localBlocks: localBlocks,
 			roundSlots:  cfg.RoundSlots,
-			maxCost:     cfg.MaxSuperBlock + 1,
 			record:      record,
 			markSlots:   cfg.Audit != nil,
 			lat:         lat,
@@ -252,7 +253,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			work:        make(chan roundWork),
 			results:     f.results,
 		}
-		if p.cache, err = NewCache(p.store, cacheBlocks, func() { p.mark(false) }); err != nil {
+		if p.cache, err = NewCache(p.store, cacheBlocks, func() { p.mark(p.padding) }); err != nil {
 			return nil, fmt.Errorf("shard: partition %d: %w", i, err)
 		}
 		f.parts[i] = p
@@ -441,13 +442,16 @@ func (f *Frontend) dispatch() {
 
 // snapshotLocked claims the next round number and takes every queued
 // request into f.take. Arrivals admitted from here on are tagged with the
-// next round.
+// next round. The queues are double-buffered: the last committed round's
+// take[i], which its worker let go of at the barrier, is emptied and
+// collects the next arrivals.
 func (f *Frontend) snapshotLocked() uint64 {
 	round := f.nextRound
 	f.nextRound++
-	for i := range f.queues {
+	for i, spare := range f.take {
+		clear(spare)
 		f.take[i] = f.queues[i]
-		f.queues[i] = nil
+		f.queues[i] = spare[:0]
 	}
 	f.pending = 0
 	return round
@@ -473,7 +477,6 @@ func (f *Frontend) runRound(round uint64) {
 	for i, p := range f.parts {
 		p.work <- roundWork{kind: roundDemand, round: round, start: floor, reqs: f.take[i]}
 	}
-	clear(f.take) // the workers own the requests now
 	f.commit(round, roundDemand, floor, f.collect())
 }
 
@@ -536,7 +539,7 @@ func (f *Frontend) commit(round uint64, kind roundKind, floor uint64, byPart []r
 	leftovers := 0
 	for i, r := range byPart {
 		if len(r.leftovers) > 0 {
-			f.queues[i] = append(append([]*request(nil), r.leftovers...), f.queues[i]...)
+			f.queues[i] = slices.Insert(f.queues[i], 0, r.leftovers...)
 			f.pending += len(r.leftovers)
 			leftovers += len(r.leftovers)
 		}
@@ -622,7 +625,7 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 	s.Carryovers += uint64(leftovers)
 	s.RoundSlots = f.cfg.RoundSlots
 	s.Reads, s.Writes, s.CacheHits = 0, 0, 0
-	s.RealAccesses, s.DummyAccesses = 0, 0
+	s.RealAccesses, s.PadWritebacks, s.DummyAccesses = 0, 0, 0
 	s.FlushAccesses, s.FlushPad = 0, 0
 	s.RequestErrors = 0
 	s.Cycles = 0
@@ -632,7 +635,8 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 	for i, p := range f.parts {
 		ps := PartitionStats{
 			Reads: p.reads, Writes: p.writes, CacheHits: p.cacheHits,
-			RealAccesses: p.realAccesses, DummyAccesses: p.dummyAccesses,
+			RealAccesses: p.realAccesses, PadWritebacks: p.padWritebacks,
+			DummyAccesses: p.dummyAccesses,
 			FlushAccesses: p.flushAccesses, FlushPad: p.flushPad,
 			RequestErrors: p.requestErrors,
 			LocalBlocks:   p.nextLocal,
@@ -644,6 +648,7 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 		s.Writes += ps.Writes
 		s.CacheHits += ps.CacheHits
 		s.RealAccesses += ps.RealAccesses
+		s.PadWritebacks += ps.PadWritebacks
 		s.DummyAccesses += ps.DummyAccesses
 		s.FlushAccesses += ps.FlushAccesses
 		s.FlushPad += ps.FlushPad

@@ -78,5 +78,13 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0})        // index past capacity
 	f.Add([]byte{0, 4, 9, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})     // the last round there is
 	f.Add(append([]byte{6}, bytes.Repeat([]byte{1, 3, 0, 0, 0, 4, 0, 0}, 40)...)) // one hot pair, all in round 0: carry-overs
+	// One partition at the default two slots: 200 writes to distinct blocks
+	// in round 0 overflow its 64-line cache, the victim queue fills, and
+	// misses carry over while pad slots drain it.
+	burst := []byte{0}
+	for i := range 200 {
+		burst = append(burst, 1, byte(i), byte(i>>8), 0)
+	}
+	f.Add(burst)
 	f.Fuzz(runReplay)
 }

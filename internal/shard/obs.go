@@ -44,6 +44,7 @@ func newMetrics(rec *obs.Recorder, f *Frontend) *metrics {
 	view("shard.rounds", func(s Stats) uint64 { return s.Rounds })
 	view("shard.flush_rounds", func(s Stats) uint64 { return s.FlushRounds })
 	view("shard.demand_accesses", func(s Stats) uint64 { return s.RealAccesses + s.FlushAccesses })
+	view("shard.pad_writebacks", func(s Stats) uint64 { return s.PadWritebacks })
 	view("shard.dummy_accesses", Stats.PadAccesses)
 	view("shard.cache_hits", func(s Stats) uint64 { return s.CacheHits })
 	// Every request answered, failed ones included (RequestErrors also

@@ -31,10 +31,12 @@ type roundKind uint8
 
 const (
 	// roundDemand is a regular scheduling round: exactly roundSlots
-	// accesses per partition (demand + dummy padding).
+	// accesses per partition (misses, then victim write-backs and dummy
+	// padding).
 	roundDemand roundKind = iota
-	// roundFlush writes every dirty cached line back (variable count,
-	// reported to the dispatcher for the equalizing pad round).
+	// roundFlush writes the victim queue and every dirty cached line back
+	// (variable count, reported to the dispatcher for the equalizing pad
+	// round).
 	roundFlush
 	// roundPad appends work.padTo dummies to a flush round so every
 	// partition's flush has the same observable length.
@@ -72,7 +74,6 @@ type partition struct {
 	id          int
 	localBlocks uint64
 	roundSlots  int
-	maxCost     int  // conservative accesses per demand request
 	record      bool // keep per-round traces
 	markSlots   bool // auditing: mark each slot's trace boundary
 	lat         bool // latency spans: report served requests' arrival rounds
@@ -89,11 +90,13 @@ type partition struct {
 
 	lastTraceLen int
 	curMarks     []slotMark // marks of the round in flight (markSlots only)
+	padding      bool       // the pad loop is running: the cache's accesses fill pad slots
 
 	// Cumulative counters (see stats.go for the identities they obey).
 	reads, writes uint64
 	cacheHits     uint64
 	realAccesses  uint64 // demand-round ORAM accesses
+	padWritebacks uint64 // the victim write-backs among them, issued in pad slots
 	dummyAccesses uint64 // demand-round padding accesses
 	flushAccesses uint64 // flush-round write-backs
 	flushPad      uint64 // flush-round padding accesses
@@ -141,22 +144,26 @@ func (p *partition) execRound(w roundWork) roundResult {
 // mark closes one issued access slot for the auditor: the current trace
 // length (relative to the round's start) bounds the slot's physical
 // accesses. Callers mark exactly once per counted slot access, so the
-// observed mark count is the wire-truth the shape test checks.
-func (p *partition) mark(dummy bool) {
+// observed mark count is the wire-truth the shape test checks. pad says
+// the slot was padding — a dummy, or a queued victim's write-back — which
+// is the population the timing test compares with demand slots.
+func (p *partition) mark(pad bool) {
 	if !p.markSlots {
 		return
 	}
 	p.curMarks = append(p.curMarks, slotMark{
-		end:   len(p.store.Ctrl.Trace()) - p.lastTraceLen,
-		dummy: dummy,
+		end: len(p.store.Ctrl.Trace()) - p.lastTraceLen,
+		pad: pad,
 	})
 }
 
 // demandRound serves queued requests and pads to exactly roundSlots ORAM
 // accesses. Cache hits serve for free (on-chip work is invisible), each
-// miss costs one demand access plus any dirty evictions its installs
-// force, and dummies fill whatever budget remains. Requests that do not
-// fit the budget carry over.
+// miss costs exactly one access — the dirty lines its installs evict join
+// the cache's victim queue — and the remaining slots write queued victims
+// back, or issue dummies once the queue is empty. A miss starts while a
+// slot is left and the queue has room for its evictions; otherwise it
+// carries over.
 func (p *partition) demandRound(w roundWork, res *roundResult) {
 	budget := p.roundSlots
 	for _, req := range w.reqs {
@@ -174,18 +181,31 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 			p.finish(req, line, res)
 			continue
 		}
-		if budget < p.maxCost {
+		if budget < 1 || !p.cache.canFetch() {
 			res.leftovers = append(res.leftovers, req)
 			continue
 		}
-		budget -= p.demandAccess(req, local, res)
+		p.demandAccess(req, local, res)
+		budget--
 	}
 	// The pad count is fixed once demand service ends; a single counted
 	// loop (rather than draining budget in place) lets the fixedtrip pass
 	// prove the round always issues its full complement.
 	pad := budget
+	p.padding = true
 	//proram:fixedtrip pads the round to exactly roundSlots accesses — the obliviousness contract of §4
 	for i := 0; i < pad; i++ {
+		// A queued victim's write-back is a full recursive access, the same
+		// shape as the dummy it replaces: padding that does work. It counts
+		// as real; the cache hook marks its slot as padding. A failed seal
+		// issues nothing and leaves the line queued; the slot falls through
+		// to a dummy.
+		if wrote, _ := p.cache.Drain(); wrote {
+			res.real++
+			p.realAccesses++
+			p.padWritebacks++
+			continue
+		}
 		if p.dropDummies {
 			// Negative control: claim the padding without issuing it. Every
 			// counter and reported shape stays plausible — only the observed
@@ -199,6 +219,7 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		res.dummy++
 		p.dummyAccesses++
 	}
+	p.padding = false
 	if got := res.real + res.dummy; got != p.roundSlots {
 		//proram:invariant the fixed per-round access count is the scheduler's obliviousness contract; missing it is a budget-accounting bug
 		panic(fmt.Sprintf("shard: partition %d issued %d accesses in round %d, contract is %d",
@@ -206,19 +227,18 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 	}
 }
 
-// demandAccess serves a miss with one Cache.Fetch — the demand access plus
-// a write-back per dirty line its installs evict, each marked as its slot
-// closes — and returns the number of ORAM accesses consumed.
-func (p *partition) demandAccess(req *request, local uint64, res *roundResult) int {
-	line, cost, err := p.cache.Fetch(local)
-	res.real += cost
-	p.realAccesses += uint64(cost)
+// demandAccess serves a miss with one Cache.Fetch: one ORAM access, marked
+// by the cache hook as its slot closes. The caller has checked canFetch,
+// so the fetch issues its access even when it fails.
+func (p *partition) demandAccess(req *request, local uint64, res *roundResult) {
+	line, err := p.cache.Fetch(local)
+	res.real++
+	p.realAccesses++
 	if err != nil {
 		p.fail(req, fmt.Errorf("shard: partition %d: %w", p.id, err), res)
-		return cost
+		return
 	}
 	p.finish(req, line, res)
-	return cost
 }
 
 // finish applies the request to its cached line and answers it.
@@ -259,8 +279,9 @@ func (p *partition) dummyAccess() {
 	p.store.DemandRead(p.dummyRnd.Uint64n(p.localBlocks))
 }
 
-// flushRound writes every dirty cached line back, counting the accesses
-// so the dispatcher can pad all partitions to the same flush length.
+// flushRound writes the victim queue and every dirty cached line back,
+// counting the accesses so the dispatcher can pad all partitions to the
+// same flush length.
 func (p *partition) flushRound(res *roundResult) {
 	written, failed, _ := p.cache.Flush()
 	res.real += written

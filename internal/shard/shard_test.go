@@ -17,7 +17,7 @@ import (
 var testKey = []byte("0123456789abcdef")
 
 // testConfig is a small sharded frontend: 4096 blocks, dynamic prefetcher
-// with 2-block super blocks, default RoundSlots (6).
+// with 2-block super blocks, default RoundSlots (2).
 func testConfig(parts int) Config {
 	o := oram.DefaultConfig()
 	o.OnChipEntries = 256
@@ -237,20 +237,29 @@ func TestRoundPaddingUnderSkew(t *testing.T) {
 }
 
 // TestCarryoverUnderSkew: a single-round burst at one partition exceeds
-// its budget, so requests carry over across rounds yet all get served.
+// its two-slot budget, so requests carry over across rounds yet all get
+// served. The burst overflows the partition's cache, so dirty victims
+// queue and drain in pad slots: every real access is either a miss's one
+// read or a pad-slot write-back.
 func TestCarryoverUnderSkew(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.RoundSlots = 4 // maxCost is 3: one request per round fits
-	arrivals := skewedArrivals(t, cfg, 32)
+	cfg.CacheBlocks = 16 * cfg.Partitions
+	arrivals := skewedArrivals(t, cfg, 96)
 	_, stats, err := Replay(cfg, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Carryovers == 0 {
-		t.Fatal("expected carryovers with a one-request round budget and a 32-request burst")
+		t.Fatal("expected carryovers with a two-slot round budget and a 96-request burst")
 	}
-	if got := stats.Reads + stats.Writes; got != 32 {
-		t.Fatalf("served %d requests, want 32", got)
+	if got := stats.Reads + stats.Writes; got != 96 {
+		t.Fatalf("served %d requests, want 96", got)
+	}
+	if stats.PadWritebacks == 0 {
+		t.Fatal("the burst evicted no dirty line into a pad slot")
+	}
+	if misses := stats.Ops() - stats.CacheHits; stats.RealAccesses != misses+stats.PadWritebacks {
+		t.Fatalf("%d real accesses, want %d misses + %d pad-slot write-backs", stats.RealAccesses, misses, stats.PadWritebacks)
 	}
 	if err := stats.Validate(); err != nil {
 		t.Fatal(err)

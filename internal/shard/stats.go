@@ -14,10 +14,13 @@ type PartitionStats struct {
 	Reads, Writes uint64
 	CacheHits     uint64
 	// RealAccesses and DummyAccesses are demand-round slot accesses
-	// (demand reads plus eviction write-backs, and padding respectively);
+	// (demand reads plus victim write-backs, and padding respectively);
 	// together they always total rounds × RoundSlots.
 	RealAccesses  uint64
 	DummyAccesses uint64
+	// PadWritebacks is the part of RealAccesses that wrote a queued victim
+	// back in a slot the round's misses left over: padding that did work.
+	PadWritebacks uint64
 	// FlushAccesses and FlushPad are flush-round write-backs and the
 	// padding equalizing them across partitions.
 	FlushAccesses uint64
@@ -43,9 +46,10 @@ type Stats struct {
 	// Reads, Writes, CacheHits aggregate the partition totals.
 	Reads, Writes uint64
 	CacheHits     uint64
-	// RealAccesses/DummyAccesses/FlushAccesses/FlushPad aggregate the
-	// partition slot accounting.
+	// RealAccesses/PadWritebacks/DummyAccesses/FlushAccesses/FlushPad
+	// aggregate the partition slot accounting.
 	RealAccesses  uint64
+	PadWritebacks uint64
 	DummyAccesses uint64
 	FlushAccesses uint64
 	FlushPad      uint64
@@ -111,10 +115,12 @@ func (s Stats) PathAccesses() uint64 {
 // Validate checks the scheduler's accounting identities:
 //
 //	per partition: RealAccesses+DummyAccesses == Rounds×RoundSlots
+//	per partition: PadWritebacks <= RealAccesses
 //	across partitions: FlushAccesses+FlushPad all equal
 //
 // The first is the obliviousness contract (every partition issues the
-// fixed count every demand round); the second says flush rounds were
+// fixed count every demand round); the second says a pad-slot write-back
+// is counted as the real access it is; the third says flush rounds were
 // padded to a common length.
 func (s Stats) Validate() error {
 	want := s.Rounds * uint64(s.RoundSlots)
@@ -123,6 +129,10 @@ func (s Stats) Validate() error {
 		if got := p.RealAccesses + p.DummyAccesses; got != want {
 			return fmt.Errorf("partition %d issued %d demand-round accesses over %d rounds, contract is %d",
 				i, got, s.Rounds, want)
+		}
+		if p.PadWritebacks > p.RealAccesses {
+			return fmt.Errorf("partition %d counts %d pad-slot write-backs among %d real accesses",
+				i, p.PadWritebacks, p.RealAccesses)
 		}
 		fl := p.FlushAccesses + p.FlushPad
 		if i == 0 {

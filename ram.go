@@ -108,17 +108,28 @@ func (r *RAM) Write(index uint64, data []byte) error {
 }
 
 // fetch returns the cached line for index, loading it through the ORAM on
-// a miss (with whatever siblings the prefetcher returns).
+// a miss (with whatever siblings the prefetcher returns). A miss ends by
+// writing back the dirty lines its installs queued: with no rounds to
+// spread them over, the ORAM sees the read and then the write-backs, as if
+// each eviction had written its victim inline.
 func (r *RAM) fetch(index uint64) (*shard.Line, error) {
 	if line := r.cache.Lookup(index); line != nil {
 		r.cacheHits++
 		return line, nil
 	}
-	line, _, err := r.cache.Fetch(index)
+	line, err := r.cache.Fetch(index)
 	if err != nil {
 		return nil, fmt.Errorf("proram: %w", err)
 	}
-	return line, nil
+	for {
+		wrote, err := r.cache.Drain()
+		if err != nil {
+			return nil, fmt.Errorf("proram: %w", err)
+		}
+		if !wrote {
+			return line, nil
+		}
+	}
 }
 
 // Flush writes every dirty cached block back to the ORAM. The cache stays

@@ -19,7 +19,11 @@ import (
 // rounds. Every round, every partition performs exactly Config.RoundSlots
 // indistinguishable ORAM accesses — demand work plus dummy padding — so
 // the cross-partition access sequence leaks nothing about the request mix
-// beyond the total number of rounds.
+// beyond the total number of rounds. A miss takes one slot; the dirty
+// blocks its installs evict wait in a victim queue and are written back in
+// slots that would otherwise be dummies, which is why the default round
+// is two slots wide (one miss, one write-back) rather than wide enough for
+// a miss's worst-case evictions.
 //
 // ShardedRAM is safe for concurrent use. Safety comes from confinement,
 // not locking hot state: each partition's ORAM is owned by one worker
@@ -230,6 +234,7 @@ func schedStatsFrom(parts int, sch shard.Stats) SchedStats {
 		Rounds:        sch.Rounds,
 		FlushRounds:   sch.FlushRounds,
 		RealAccesses:  sch.RealAccesses,
+		PadWritebacks: sch.PadWritebacks,
 		PadAccesses:   sch.PadAccesses(),
 		Carryovers:    sch.Carryovers,
 		CacheHits:     sch.CacheHits,
@@ -288,13 +293,16 @@ func SimulateSharded(cfg Config, w Workload, clients int, opt ShardedOptions) (S
 
 // SchedStats summarizes what the sharded scheduler did: round counts, the
 // real/padding split of the fixed per-round bandwidth, and the simulated
-// makespan (the slowest partition's clock).
+// makespan (the slowest partition's clock). PadWritebacks is the part of
+// RealAccesses that wrote an evicted dirty block back in a slot the
+// round's misses left over.
 type SchedStats struct {
 	Partitions    int
 	RoundSlots    int
 	Rounds        uint64
 	FlushRounds   uint64
 	RealAccesses  uint64
+	PadWritebacks uint64
 	PadAccesses   uint64
 	Carryovers    uint64
 	CacheHits     uint64
