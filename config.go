@@ -49,8 +49,8 @@ func (s Scheme) String() string {
 // Config describes an oblivious RAM instance.
 type Config struct {
 	// Blocks is the capacity in blocks. Addresses passed to Read/Write
-	// must be below Blocks. The constructors refuse a capacity whose tree
-	// would be deeper than 31 levels (about 2^32 blocks per partition).
+	// must be below Blocks. The constructors refuse more than 2^32 blocks
+	// per partition, the most a tree slot can name (a 31-level tree).
 	Blocks uint64
 	// BlockBytes is the block (cacheline) size; 128 by default.
 	BlockBytes int

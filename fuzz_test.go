@@ -369,7 +369,11 @@ func mixedOps(d fuzzDevice, seed uint64) {
 // channel-stripe period to a division by zero, non-finite bandwidths that
 // passed validation into an implementation-defined uint64 conversion, and
 // a RoundSlots so large that the first round — hence the first Read —
-// never ended.
+// never ended. One more is the largest geometry the clamped sizes allow,
+// 1024 blocks in buckets of 64 slots, where every scan of a bucket's
+// occupied prefix can run its full width. (The slot encoding's own limit,
+// 2^32 blocks, lies far past the clamp; TestValidateBoundsTreeDepth and
+// TestOversizedCapacityRefused pin it.)
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
 	for _, mutate := range []func(c *Config, simBW *float64){
@@ -381,6 +385,7 @@ func FuzzConfig(f *testing.F) {
 		func(c *Config, _ *float64) { c.Z = 1 << 30 },
 		func(c *Config, _ *float64) { c.BlockBytes = 1 << 40 },
 		func(c *Config, _ *float64) { c.RoundSlots = math.MaxInt },
+		func(c *Config, _ *float64) { c.Blocks, c.Z = 1024, 64 },
 	} {
 		f.Add(configSeed(mutate))
 	}

@@ -24,15 +24,20 @@ const indexMask = (BlockID(1) << levelShift) - 1
 // It panics if index does not fit in 56 bits or level is 255 (reserved so
 // that Nil can never collide with a real block).
 func MakeID(level int, index uint64) BlockID {
+	if uint(level) >= 255 || index > uint64(indexMask) {
+		badID(level, index)
+	}
+	return BlockID(uint64(level)<<levelShift | index)
+}
+
+// badID panics for MakeID; kept out of it so that MakeID inlines.
+func badID(level int, index uint64) {
 	if level < 0 || level >= 255 {
 		//proram:invariant an out-of-range hierarchy level means the caller's geometry is corrupt; IDs must never encode it
 		panic(fmt.Sprintf("mem: hierarchy level %d out of range", level))
 	}
-	if index > uint64(indexMask) {
-		//proram:invariant an index over 56 bits cannot be encoded; configurations size hierarchies orders of magnitude below this
-		panic(fmt.Sprintf("mem: block index %d overflows 56 bits", index))
-	}
-	return BlockID(uint64(level)<<levelShift | index)
+	//proram:invariant an index over 56 bits cannot be encoded; configurations size hierarchies orders of magnitude below this
+	panic(fmt.Sprintf("mem: block index %d overflows 56 bits", index))
 }
 
 // Level returns the hierarchy level encoded in id (0 for data blocks).

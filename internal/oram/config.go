@@ -18,6 +18,7 @@ import (
 	"proram/internal/dram/banked"
 	"proram/internal/posmap"
 	"proram/internal/superblock"
+	"proram/internal/tree"
 )
 
 // Config describes one ORAM instance.
@@ -121,9 +122,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// MaxTreeLevels bounds the derived tree depth: a position-map entry holds a
-// 32-bit leaf label.
-const MaxTreeLevels = 31
+// MaxTreeLevels bounds the derived tree depth: a tree slot holds a 31-bit
+// leaf label (and a position-map entry a 32-bit one).
+const MaxTreeLevels = tree.MaxLevels
 
 // maxZ and maxBlockBytes bound the two fields that multiply every bucket
 // and every cached line: past them a small capacity is still an allocation
@@ -163,11 +164,12 @@ func (c Config) Validate() error {
 	if c.PLBBlocks < 0 {
 		return fmt.Errorf("oram: PLBBlocks %d must be >= 0", c.PLBBlocks)
 	}
-	// Refused here, by arithmetic, before New sizes anything for it. The
-	// total is at least NumBlocks, so the first test already refuses every
-	// population whose level sum could overflow in the second.
-	if c.NumBlocks >= 1<<(MaxTreeLevels+2) || c.TreeLevels(c.posMap().TotalBlocks()) > MaxTreeLevels {
-		return fmt.Errorf("oram: NumBlocks %d needs a tree deeper than %d levels", c.NumBlocks, MaxTreeLevels)
+	// Refused here, by arithmetic, before New sizes anything for it: a tree
+	// slot names at most tree.MaxBlocks data blocks. That also bounds the
+	// depth: 2^32 data blocks and their position map total under 2^33
+	// blocks, which derive at most MaxTreeLevels levels.
+	if c.NumBlocks > tree.MaxBlocks {
+		return fmt.Errorf("oram: NumBlocks %d exceeds the %d blocks a tree slot can name", c.NumBlocks, uint64(tree.MaxBlocks))
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return err

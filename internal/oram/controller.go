@@ -67,8 +67,8 @@ type Controller struct {
 	winBusy     uint64
 	winStart    uint64
 
-	scratch []mem.BlockID // reusable path-read buffer
-	chain   []uint64      // recursion-index buffer, one entry per hierarchy level
+	path  []tree.Labeled // reusable path-read buffer
+	chain []uint64       // recursion-index buffer, one entry per hierarchy level
 }
 
 // New builds a controller. The tree is sized to hold the data blocks plus
@@ -161,14 +161,26 @@ func (c *Controller) randLeaf() mem.Leaf {
 }
 
 // mustAdd stashes a block, converting a stash error into a controller
-// invariant failure: the controller only adds blocks it just removed from
-// the tree or proved absent from the stash, so a rejection means the
-// protocol state is corrupt.
+// invariant failure: the controller only adds blocks it proved absent from
+// the stash, so a rejection means the protocol state is corrupt.
 //
-//proram:hotpath runs once per block on every path read
+//proram:hotpath stashes first-touch blocks and PLB victims inside an access
 func (c *Controller) mustAdd(id mem.BlockID, leaf mem.Leaf) {
 	if err := c.st.Add(id, leaf); err != nil {
-		//proram:invariant callers add only blocks removed from the tree or proven absent, so a stash rejection is unrecoverable state corruption
+		//proram:invariant callers add only blocks proven absent from the stash, so a rejection is unrecoverable state corruption
+		panic("oram: " + err.Error())
+	}
+}
+
+// readPath is the read phase of a path access: every block on the path to
+// leaf moves to the stash under the label its tree slot holds, which is
+// the one the position map records, so no position-map entry is read.
+//
+//proram:hotpath the read phase of every path access
+func (c *Controller) readPath(leaf mem.Leaf) {
+	c.path = c.tr.RemovePathLabeled(leaf, c.path[:0])
+	if err := c.st.AddPath(c.path); err != nil {
+		//proram:invariant AddPath refuses only a stash past its table maximum, 2^28 blocks, which a Path ORAM stash bounded by background eviction never approaches
 		panic("oram: " + err.Error())
 	}
 }
@@ -176,7 +188,7 @@ func (c *Controller) mustAdd(id mem.BlockID, leaf mem.Leaf) {
 // leafOf returns the current mapping of any block, consulting the on-chip
 // table for top-level position-map blocks and parent entries otherwise.
 //
-//proram:hotpath position lookup for every block on a read path
+//proram:hotpath position lookup for every PLB victim
 func (c *Controller) leafOf(id mem.BlockID) mem.Leaf {
 	if id.Level() == c.pm.Depth() {
 		return c.pm.TopLeaf(id.Index())
@@ -243,10 +255,7 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 	}
 	c.obs.Span("oram", kind.String(), start, end-start, "leaf", uint64(leaf))
 
-	c.scratch = c.tr.RemovePath(leaf, c.scratch[:0])
-	for _, id := range c.scratch {
-		c.mustAdd(id, c.leafOf(id))
-	}
+	c.readPath(leaf)
 	if during != nil {
 		during()
 	}
@@ -330,10 +339,10 @@ func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID) {
 	//proram:allow allocdiscipline the during-path callback is one fixed closure per access, not per-block work
 	c.rawPathAccess(start, readLeaf, KindPosMap, func() {
 		if c.cfg.PLBBlocks == 0 {
-			// No PLB: the block stays an ordinary stash resident.
+			// No PLB: the block stays an ordinary stash resident, under
+			// its new leaf.
 			switch {
-			case c.st.Contains(id):
-				c.st.SetLeaf(id, newLeaf)
+			case c.st.SetLeaf(id, newLeaf):
 			case isNew:
 				c.mustAdd(id, newLeaf)
 			default:

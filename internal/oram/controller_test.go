@@ -6,6 +6,7 @@ import (
 	"proram/internal/dram"
 	"proram/internal/rng"
 	"proram/internal/superblock"
+	"proram/internal/tree"
 )
 
 // testConfig returns a small, fast configuration for functional tests.
@@ -45,32 +46,28 @@ func TestNewValidatesConfig(t *testing.T) {
 }
 
 // TestValidateBoundsTreeDepth walks the edge of the geometry check, which
-// is pure arithmetic: the largest population whose blocks, position map
-// included, still derive a 31-level tree passes, and one block more fails.
+// is pure arithmetic: the largest population a tree slot can name passes
+// and one block more fails, and that population, position map included,
+// derives no deeper a tree than a slot can label — also under the
+// smallest fanout and on-chip table, which make the position map largest.
 func TestValidateBoundsTreeDepth(t *testing.T) {
 	cfg := DefaultConfig()
 	fits := func(n uint64) bool {
 		cfg.NumBlocks = n
 		return cfg.Validate() == nil
 	}
-	lo, hi := uint64(1)<<32, uint64(1)<<33 // fits(lo) && !fits(hi)
-	if !fits(lo) || fits(hi) || fits(^uint64(0)) {
-		t.Fatalf("2^32 blocks fit: %v, 2^33: %v, 2^64-1: %v; want true, false, false", fits(lo), fits(hi), fits(^uint64(0)))
+	if n := uint64(tree.MaxBlocks); !fits(n) || fits(n+1) || fits(^uint64(0)) {
+		t.Fatalf("%d blocks fit: %v, one more: %v, 2^64-1: %v; want true, false, false", n, fits(n), fits(n+1), fits(^uint64(0)))
 	}
-	for lo+1 < hi {
-		if mid := lo + (hi-lo)/2; fits(mid) {
-			lo = mid
-		} else {
-			hi = mid
+	for _, geometry := range []struct {
+		fanout int
+		onChip uint64
+	}{{cfg.Fanout, cfg.OnChipEntries}, {2, 1}} {
+		cfg.NumBlocks, cfg.Fanout, cfg.OnChipEntries = tree.MaxBlocks, geometry.fanout, geometry.onChip
+		if levels := cfg.TreeLevels(cfg.posMap().TotalBlocks()); levels != MaxTreeLevels {
+			t.Errorf("fanout %d, %d on chip: %d blocks derive %d levels, want %d",
+				geometry.fanout, geometry.onChip, cfg.NumBlocks, levels, MaxTreeLevels)
 		}
-	}
-	levels := func(n uint64) int {
-		cfg.NumBlocks = n
-		return cfg.TreeLevels(cfg.posMap().TotalBlocks())
-	}
-	if levels(lo) != MaxTreeLevels || levels(hi) != MaxTreeLevels+1 {
-		t.Fatalf("the check turns at %d blocks, where the tree goes from %d to %d levels; want %d to %d",
-			hi, levels(lo), levels(hi), MaxTreeLevels, MaxTreeLevels+1)
 	}
 }
 
@@ -701,4 +698,34 @@ func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkPathAccess times Read on a warm controller at the geometry of
+// the repository benchmark's sim_locality workload: the Table 1 system
+// (1.5M blocks, prefilled, Z=3, PLB of 128) under the dynamic scheme with
+// super blocks of up to two, over uniformly random indices. It reports ns
+// per Read and path accesses per Read; with no LLC attached nothing
+// merges, so the number is the path accesses' host time. Run it with
+// `go test -run '^$' -bench PathAccess -benchtime 2000x ./internal/oram`.
+func BenchmarkPathAccess(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Prefill = true
+	sb := superblock.DefaultConfig()
+	sb.MaxSize = 2
+	cfg.Super = sb
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	for i := 0; i < 20000; i++ {
+		c.Read(c.lastEnd, r.Uint64n(cfg.NumBlocks))
+	}
+	before := c.Stats().PathAccesses
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(c.lastEnd, r.Uint64n(cfg.NumBlocks))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Stats().PathAccesses-before)/float64(b.N), "paths/op")
 }

@@ -70,12 +70,12 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 	//proram:allow allocdiscipline the during-path callback is one fixed closure per access, not per-block work
 	done := c.rawPathAccess(start, readLeaf, kind, func() {
 		// Gather: every member is now on-chip (path read moved tree
-		// residents to the stash; the rest were already stashed).
+		// residents to the stash; the rest were already stashed), and a
+		// stashed member takes the new leaf.
 		for i := gStart; i < gStart+n; i++ {
 			id := mem.MakeID(0, pbIdx*fanout+uint64(i))
 			switch {
-			case c.st.Contains(id):
-				c.st.SetLeaf(id, newLeaf)
+			case c.st.SetLeaf(id, newLeaf):
 			case isNew:
 				c.mustAdd(id, newLeaf)
 			default:

@@ -2,24 +2,27 @@ package oram
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
 	"proram/internal/mem"
 	"proram/internal/posmap"
+	"proram/internal/tree"
 )
 
 // CheckInvariant verifies the Path ORAM and super block invariants over
 // the whole functional state:
 //
-//  1. Every block in the tree lies on the path of the leaf it is mapped to.
+//  1. Every block in the tree lies on the path of the leaf it is mapped
+//     to, and its slot holds that leaf as its label.
 //  2. No block is resident in both the tree and the stash.
 //  3. Every touched block (assigned leaf) is resident exactly once: a data
 //     block in the tree or the stash, a position-map block in the tree,
 //     the stash or the PLB — the PLB is exclusive, so a block it holds is
 //     in neither of the other two, and it holds nothing but touched
 //     position-map blocks.
-//  4. No bucket holds more than Z blocks.
+//  4. The occupied slots of every bucket are a prefix of it.
 //  5. All members of a super block share one leaf and one size, and the
 //     group is correctly aligned.
 //
@@ -36,7 +39,17 @@ func (c *Controller) CheckInvariant() error {
 	}
 
 	inTree := make(map[mem.BlockID]bool)
-	c.tr.ForEach(func(node uint64, id mem.BlockID) {
+	var bucket uint64 // the bucket whose slots are being visited
+	next := 0         // the slot index its next occupied slot must have
+	c.tr.ForEach(func(node uint64, i int, b tree.Labeled) {
+		if node != bucket {
+			bucket, next = node, 0
+		}
+		if i != next {
+			addf("bucket %d has an empty slot before occupied slot %d", node, i)
+		}
+		next = i + 1
+		id := b.ID
 		if inTree[id] {
 			addf("block %v present twice in the tree", id)
 			return
@@ -47,15 +60,13 @@ func (c *Controller) CheckInvariant() error {
 			addf("tree holds untouched block %v", id)
 			return
 		}
-		if !c.tr.Contains(leaf, id) {
+		if b.Leaf != leaf {
+			addf("block %v slot label %d disagrees with position map %d", id, b.Leaf, leaf)
+		}
+		if c.tr.NodeAt(leaf, bits.Len64(node)-1) != node {
 			addf("block %v mapped to leaf %d is off its path", id, leaf)
 		}
 	})
-	for node := uint64(1); node <= c.tr.Buckets(); node++ {
-		if n := c.tr.BucketCount(node); n > c.cfg.Z {
-			addf("bucket %d holds %d > Z=%d blocks", node, n, c.cfg.Z)
-		}
-	}
 	inStash := make(map[mem.BlockID]bool)
 	c.st.ForEach(func(id mem.BlockID, leaf mem.Leaf) {
 		inStash[id] = true

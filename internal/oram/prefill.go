@@ -71,10 +71,7 @@ func (c *Controller) prefill() {
 		if before%2 == 0 { // alternate stash-guided and random paths
 			c.st.ForEach(func(_ mem.BlockID, l mem.Leaf) { leaf = l })
 		}
-		c.scratch = c.tr.RemovePath(leaf, c.scratch[:0])
-		for _, id := range c.scratch {
-			c.mustAdd(id, c.leafOf(id))
-		}
+		c.readPath(leaf)
 		c.st.EvictToPath(c.tr, leaf)
 		if c.st.Size() < before {
 			noProgress = 0

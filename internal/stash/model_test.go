@@ -11,9 +11,10 @@ import (
 // model is the reference the open-addressed stash is checked against: a
 // plain map for membership and a slice in insertion order, with the
 // write-back written as the protocol states it (FreeAt/PlaceAt per block,
-// the carry list resliced from the front).
+// the carry list resliced from the front) and a path read as one add per
+// block.
 type model struct {
-	order     []entry
+	order     []tree.Labeled
 	index     map[mem.BlockID]bool
 	highWater int
 }
@@ -23,15 +24,15 @@ func (m *model) add(id mem.BlockID, leaf mem.Leaf) bool {
 		return false
 	}
 	m.index[id] = true
-	m.order = append(m.order, entry{id: id, leaf: leaf})
+	m.order = append(m.order, tree.Labeled{ID: id, Leaf: leaf})
 	m.highWater = max(m.highWater, len(m.order))
 	return true
 }
 
 func (m *model) setLeaf(id mem.BlockID, leaf mem.Leaf) bool {
 	for i := range m.order {
-		if m.order[i].id == id {
-			m.order[i].leaf = leaf
+		if m.order[i].ID == id {
+			m.order[i].Leaf = leaf
 			return true
 		}
 	}
@@ -40,7 +41,7 @@ func (m *model) setLeaf(id mem.BlockID, leaf mem.Leaf) bool {
 
 func (m *model) remove(id mem.BlockID) bool {
 	for i := range m.order {
-		if m.order[i].id == id {
+		if m.order[i].ID == id {
 			m.order = append(m.order[:i], m.order[i+1:]...)
 			delete(m.index, id)
 			return true
@@ -50,22 +51,23 @@ func (m *model) remove(id mem.BlockID) bool {
 }
 
 func (m *model) evictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
-	groups := make([][]mem.BlockID, t.Levels()+1)
+	groups := make([][]tree.Labeled, t.Levels()+1)
 	for _, e := range m.order {
-		d := t.CommonDepth(accessLeaf, e.leaf)
-		groups[d] = append(groups[d], e.id)
+		d := t.CommonDepth(accessLeaf, e.Leaf)
+		groups[d] = append(groups[d], e)
 	}
 	placed := 0
-	var carry []mem.BlockID
+	var carry []tree.Labeled
 	for depth := t.Levels(); depth >= 0; depth-- {
 		carry = append(carry, groups[depth]...)
 		for t.FreeAt(accessLeaf, depth) > 0 && len(carry) > 0 {
-			id := carry[0]
+			e := carry[0]
 			carry = carry[1:]
-			if !t.PlaceAt(accessLeaf, depth, id) {
+			// The block's own path passes through this bucket too.
+			if !t.PlaceAt(e.Leaf, depth, e.ID) {
 				panic("model: PlaceAt failed with a free slot")
 			}
-			m.remove(id)
+			m.remove(e.ID)
 			placed++
 		}
 	}
@@ -83,13 +85,20 @@ const (
 	modelIDs    = 512
 )
 
-// coverage is what a differential run exercised of the table's life cycle.
+// coverage is what a differential run exercised of the table's life cycle
+// and of the open path segment's.
 type coverage struct {
-	maxLive       int
-	grown         bool // the table was reallocated larger
-	rebuilds      int  // an Add found the table half used
-	compactions   int  // a removal or eviction squeezed order
-	reusedDeleted int  // an Add took a deleted slot instead of an empty one
+	maxLive            int
+	grown              bool // the table was reallocated larger
+	rebuilds           int  // an Add found the table half used
+	compactions        int  // a removal or eviction compacted order
+	squeezes           int  // an eviction squeezed the open segment's written-back blocks out of order
+	addedBehind        int  // a squeeze that moved blocks added after the segment
+	reusedDeleted      int  // an Add took a deleted slot instead of an empty one
+	segmentHits        int  // a Contains, SetLeaf, Remove or Add found its block in the open segment
+	segmentCompactions int  // a Remove compacted order while a segment was open
+	segmentRebuilds    int  // an Add rebuilt the table while a segment was open, indexing it
+	rereads            int  // a path read came while the previous one's segment was still open
 }
 
 func (c *coverage) merge(o coverage) {
@@ -97,25 +106,40 @@ func (c *coverage) merge(o coverage) {
 	c.grown = c.grown || o.grown
 	c.rebuilds += o.rebuilds
 	c.compactions += o.compactions
+	c.squeezes += o.squeezes
+	c.addedBehind += o.addedBehind
 	c.reusedDeleted += o.reusedDeleted
+	c.segmentHits += o.segmentHits
+	c.segmentCompactions += o.segmentCompactions
+	c.segmentRebuilds += o.segmentRebuilds
+	c.rereads += o.rereads
 }
 
 // runModel decodes data as an operation sequence (three bytes each: opcode,
 // two operand bytes), applies it to a Stash and to the model over twin
-// trees, and fails on the first observable difference.
+// trees, and fails on the first observable difference. Opcodes 8–11 aim
+// at a block of the last path read, so they meet the open segment.
 func runModel(t *testing.T, data []byte) coverage {
 	t.Helper()
 	s := mustNew(t, modelLimit)
 	m := &model{index: map[mem.BlockID]bool{}}
 	ts, tm := tree.New(modelLevels, modelZ), tree.New(modelLevels, modelZ)
 	leaves := ts.Leaves()
-	leafOf := map[mem.BlockID]mem.Leaf{} // last leaf given to each id, for re-adds
 	initialTable := len(s.table)
 	var cov coverage
-	var buf []mem.BlockID
+	var buf, lastPath []tree.Labeled
+	segmentOpen := func() bool { return s.seg < s.segEnd }
+	hit := func(id mem.BlockID) {
+		if s.inSegment(id) >= 0 {
+			cov.segmentHits++
+		}
+	}
 
 	add := func(step int, id mem.BlockID, leaf mem.Leaf) {
 		rebuilds := !id.IsNil() && s.used >= len(s.table)/2
+		if rebuilds && segmentOpen() {
+			cov.segmentRebuilds++
+		}
 		reuses := false
 		if !rebuilds {
 			slot, _ := s.probe(id)
@@ -128,11 +152,7 @@ func runModel(t *testing.T, data []byte) coverage {
 		if rebuilds {
 			cov.rebuilds++
 		}
-		if err != nil {
-			return
-		}
-		leafOf[id] = leaf
-		if reuses {
+		if err == nil && reuses {
 			cov.reusedDeleted++
 		}
 	}
@@ -142,49 +162,95 @@ func runModel(t *testing.T, data []byte) coverage {
 		arg := uint64(a)<<8 | uint64(b)
 		id := mem.MakeID(int(a&1), arg%modelIDs)
 		leaf := mem.Leaf(arg % leaves)
-		switch op % 8 {
-		case 0, 1:
+		op %= 12
+		if op >= 8 {
+			if len(lastPath) == 0 {
+				continue
+			}
+			id = lastPath[arg%uint64(len(lastPath))].ID
+		}
+		switch op {
+		case 0, 1, 8:
+			hit(id)
 			add(step, id, leaf)
 		case 2:
 			// A burst of adds: the way occupancy gets past twice the limit.
 			for i := uint64(0); i < 1+arg%24; i++ {
 				add(step, mem.MakeID(0, (arg+i*7)%modelIDs), mem.Leaf((arg+i)%leaves))
 			}
-		case 3:
+		case 3, 9:
+			hit(id)
 			got, want := s.SetLeaf(id, leaf), m.setLeaf(id, leaf)
 			if got != want {
 				t.Fatalf("step %d: SetLeaf(%v) = %v, model %v", step, id, got, want)
 			}
-			if got {
-				leafOf[id] = leaf
-			}
-		case 4:
+		case 4, 10:
+			hit(id)
 			if got, want := s.Contains(id), m.index[id]; got != want {
 				t.Fatalf("step %d: Contains(%v) = %v, model %v", step, id, got, want)
 			}
 		case 5:
-			orderBefore := len(s.order)
+			// Only a compaction clears the removed entries ahead of the
+			// segment; the squeeze clears those from the segment on.
+			orderBefore, removedAhead := len(s.order), removed(s.order[:s.seg])
+			if !segmentOpen() {
+				removedAhead = removed(s.order)
+			}
+			behind := segmentOpen() && s.segEnd < len(s.order)
 			got, want := s.EvictToPath(ts, leaf), m.evictToPath(tm, leaf)
 			if got != want {
 				t.Fatalf("step %d: EvictToPath(%d) placed %d, model %d", step, leaf, got, want)
 			}
-			if len(s.order) < orderBefore {
+			switch {
+			case removedAhead > 0 && removed(s.order) == 0:
 				cov.compactions++
+			case len(s.order) < orderBefore:
+				cov.squeezes++
+				if behind {
+					cov.addedBehind++
+				}
+			}
+			if segmentOpen() {
+				t.Fatalf("step %d: EvictToPath left the segment [%d,%d) open", step, s.seg, s.segEnd)
 			}
 		case 6:
-			// The read phase of an access: the path's blocks come back.
-			buf = ts.RemovePath(leaf, buf[:0])
-			tm.RemovePath(leaf, nil)
-			for _, back := range buf {
-				add(step, back, leafOf[back])
+			// The read phase of an access: the path's blocks come back with
+			// the labels they were written back under. A block that is also
+			// stashed (re-added while in the tree) or a second copy on the
+			// path is dropped, as its failed Add once dropped it.
+			buf = ts.RemovePathLabeled(leaf, buf[:0])
+			mbuf := tm.RemovePathLabeled(leaf, nil)
+			if len(buf) != len(mbuf) {
+				t.Fatalf("step %d: twin paths hold %d and %d blocks", step, len(buf), len(mbuf))
 			}
-		case 7:
+			kept := buf[:0]
+			for i, back := range buf {
+				if back != mbuf[i] {
+					t.Fatalf("step %d: path block %d is %+v, twin %+v", step, i, back, mbuf[i])
+				}
+				if m.add(back.ID, back.Leaf) {
+					kept = append(kept, back)
+				}
+			}
+			if segmentOpen() {
+				cov.rereads++
+			}
+			if err := s.AddPath(kept); err != nil {
+				t.Fatalf("step %d: AddPath: %v", step, err)
+			}
+			lastPath = kept
+		case 7, 11:
+			hit(id)
+			open := segmentOpen()
 			orderBefore := len(s.order)
 			if got, want := s.Remove(id), m.remove(id); got != want {
 				t.Fatalf("step %d: Remove(%v) = %v, model %v", step, id, got, want)
 			}
 			if len(s.order) < orderBefore {
 				cov.compactions++
+				if open {
+					cov.segmentCompactions++
+				}
 			}
 		}
 
@@ -197,7 +263,7 @@ func runModel(t *testing.T, data []byte) coverage {
 		}
 		i := 0
 		s.ForEach(func(id mem.BlockID, leaf mem.Leaf) {
-			if i >= len(m.order) || m.order[i] != (entry{id: id, leaf: leaf}) {
+			if i >= len(m.order) || m.order[i] != (tree.Labeled{ID: id, Leaf: leaf}) {
 				t.Fatalf("step %d: ForEach entry %d = %v@%d, not the model's", step, i, id, leaf)
 			}
 			i++
@@ -212,14 +278,16 @@ func runModel(t *testing.T, data []byte) coverage {
 		cov.grown = cov.grown || len(s.table) > initialTable
 	}
 
-	// The twin trees received the same blocks in the same slots.
+	// The twin trees received the same blocks, under the same labels, in
+	// the same slots.
 	type resident struct {
 		node uint64
-		id   mem.BlockID
+		slot int
+		b    tree.Labeled
 	}
 	var inS, inM []resident
-	ts.ForEach(func(node uint64, id mem.BlockID) { inS = append(inS, resident{node, id}) })
-	tm.ForEach(func(node uint64, id mem.BlockID) { inM = append(inM, resident{node, id}) })
+	ts.ForEach(func(node uint64, i int, b tree.Labeled) { inS = append(inS, resident{node, i, b}) })
+	tm.ForEach(func(node uint64, i int, b tree.Labeled) { inM = append(inM, resident{node, i, b}) })
 	if len(inS) != len(inM) {
 		t.Fatalf("trees hold %d and %d blocks", len(inS), len(inM))
 	}
@@ -229,6 +297,17 @@ func runModel(t *testing.T, data []byte) coverage {
 		}
 	}
 	return cov
+}
+
+// removed counts the removed entries in order.
+func removed(order []tree.Labeled) int {
+	n := 0
+	for _, e := range order {
+		if e.ID.IsNil() {
+			n++
+		}
+	}
+	return n
 }
 
 // modelOps draws an operation sequence: n ops, three seeded bytes each.
@@ -241,14 +320,45 @@ func modelOps(seed uint64, n int) []byte {
 	return data
 }
 
+// op encodes one model operation: its opcode and a two-byte operand.
+func op(code byte, arg uint16) []byte { return []byte{code, byte(arg >> 8), byte(arg)} }
+
+// segmentOps is built to reach the open segment's rare cases. Three bursts
+// stash 72 blocks; evictions write some onto paths 0 and 15; path 0 is
+// read back and path 15 read before anything is written back; then the
+// first two bursts' blocks are removed one by one, which compacts order
+// while the second read's segment is still open.
+func segmentOps() []byte {
+	var data []byte
+	for _, arg := range []uint16{23, 47, 71} {
+		data = append(data, op(2, arg)...)
+	}
+	data = append(data, op(5, 0)...)
+	data = append(data, op(5, 15)...)
+	data = append(data, op(6, 0)...)
+	data = append(data, op(6, 15)...)
+	for _, first := range []uint16{23, 47} {
+		for i := uint16(0); i < 24; i++ {
+			data = append(data, op(7, first+7*i)...)
+		}
+	}
+	return data
+}
+
 // TestAgainstModel drives long seeded sequences through the stash and the
 // model, and checks that they went where the table is at risk: occupancy
-// past twice the limit, table growth, compaction, reuse of deleted slots.
+// past twice the limit, table growth, compaction, reuse of deleted slots,
+// lookups that meet the open segment, a Remove that compacts and an Add
+// that rebuilds while it is open, and a path read before the last one was
+// written back.
 func TestAgainstModel(t *testing.T) {
 	var total coverage
 	for seed := uint64(1); seed <= 4; seed++ {
 		total.merge(runModel(t, modelOps(seed, 6000)))
 	}
+	seg := runModel(t, segmentOps())
+	t.Logf("segmentOps coverage: %+v", seg)
+	total.merge(seg)
 	t.Logf("coverage: %+v", total)
 	if total.maxLive <= 2*modelLimit {
 		t.Errorf("occupancy peaked at %d, want past %d", total.maxLive, 2*modelLimit)
@@ -256,11 +366,16 @@ func TestAgainstModel(t *testing.T) {
 	if !total.grown {
 		t.Error("the table never grew")
 	}
-	if total.rebuilds == 0 || total.compactions == 0 {
-		t.Errorf("%d rebuilds on Add and %d compactions on removal, want both", total.rebuilds, total.compactions)
+	if total.rebuilds == 0 || total.compactions == 0 || total.squeezes == 0 || total.addedBehind == 0 {
+		t.Errorf("%d rebuilds on Add, %d compactions and %d squeezes on removal (%d past blocks added behind the segment), want all",
+			total.rebuilds, total.compactions, total.squeezes, total.addedBehind)
 	}
 	if total.reusedDeleted == 0 {
 		t.Error("no Add reused a deleted slot")
+	}
+	if total.segmentHits == 0 || total.segmentCompactions == 0 || total.segmentRebuilds == 0 || total.rereads == 0 {
+		t.Errorf("open segment: %d lookups met it, %d Removes compacted and %d Adds rebuilt while it was open, %d reads came before it closed; want all",
+			total.segmentHits, total.segmentCompactions, total.segmentRebuilds, total.rereads)
 	}
 }
 
@@ -272,5 +387,6 @@ func FuzzAgainstModel(f *testing.F) {
 	f.Add([]byte{2, 0, 23, 2, 1, 23, 2, 2, 23, 5, 0, 3, 6, 0, 3}) // bursts, evict, read back
 	f.Add(modelOps(11, 400))
 	f.Add(modelOps(12, 2000))
+	f.Add(segmentOps())
 	f.Fuzz(func(t *testing.T, data []byte) { runModel(t, data) })
 }

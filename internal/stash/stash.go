@@ -18,12 +18,6 @@ import (
 	"proram/internal/tree"
 )
 
-// entry is one stashed block with the leaf it is currently mapped to.
-type entry struct {
-	id   mem.BlockID
-	leaf mem.Leaf
-}
-
 var errNilBlock = errors.New("stash: Add with nil block")
 
 // Values of a table slot other than a position: a slot holds 0 when it was
@@ -43,21 +37,33 @@ const (
 // Stash holds blocks that could not yet be written back to the tree. The
 // zero value is unusable; construct with New.
 type Stash struct {
-	order []entry // insertion-ordered; a removed entry keeps its place with id Nil
-	live  int     // blocks currently stashed
+	order []tree.Labeled // insertion-ordered; a removed entry keeps its place with id Nil
+	live  int            // blocks currently stashed
+	// order[seg:segEnd] is the open path segment: the blocks the last
+	// AddPath read off a path, in order but not in the table. Lookups scan
+	// it before they probe; EvictToPath, a compaction or the next AddPath
+	// closes it. seg == segEnd when none is open.
+	seg, segEnd int
 	// table is the id -> order position index: open addressing with linear
 	// probing over a power-of-two number of slots. used counts the slots
-	// that are not empty (live and deleted); it stays at or below half the
-	// table, so every probe ends at an empty slot.
+	// that are not empty (live and deleted) plus one reserved for every live
+	// block of the open segment; it stays at or below half the table, so
+	// every probe ends at an empty slot and closing the segment never has
+	// to grow the table.
 	table []int32
 	used  int
 	shift uint // 64 - log2(len(table)): the hash keeps the product's top bits
 
-	limit      int           // configured capacity (soft: triggers background eviction)
-	highWater  int           // max observed size
-	writebacks uint64        // blocks written back to the tree
-	ends       []int         // reusable per-height run bounds of eviction's counting sort
-	sorted     []mem.BlockID // reusable buffer the live blocks are sorted into
+	limit      int    // configured capacity (soft: triggers background eviction)
+	highWater  int    // max observed size
+	writebacks uint64 // blocks written back to the tree
+	// Reusable buffers of eviction's counting sort: the per-height run
+	// bounds, each order position's height, and the live blocks sorted by
+	// height beside their positions in order.
+	ends    []int
+	heights []uint8
+	sorted  []tree.Labeled
+	pos     []int32
 }
 
 // New returns an empty stash with the given soft capacity limit. It
@@ -69,7 +75,7 @@ func New(limit int) (*Stash, error) {
 	// Four slots per block of the limit: a stash at its limit plus one
 	// path's worth of removals still sits below the half-full mark. The
 	// limit is caller-chosen and may be huge ("never evict"), so it sizes
-	// the table only up to initialTableMax; Add grows it from there.
+	// the table only up to initialTableMax; reserve grows it from there.
 	size := 16
 	for size < initialTableMax && size/4 < limit {
 		size *= 2
@@ -107,14 +113,14 @@ func (s *Stash) home(id mem.BlockID) int {
 	return int((uint64(id) * 0x9E3779B97F4A7C15) >> s.shift)
 }
 
-// probe walks the probe sequence of id. If id is stashed it returns its
-// table slot and its order entry. Otherwise the entry is nil and the slot
-// is where an insert of id belongs: the first deleted slot on the sequence,
-// or else the empty slot that ends it. Both pointers are good until the
-// next Add or compaction.
+// probe walks the probe sequence of id. If id is in the table it returns
+// its table slot and its order entry. Otherwise the entry is nil and the
+// slot is where an insert of id belongs: the first deleted slot on the
+// sequence, or else the empty slot that ends it. Both pointers are good
+// until the next Add, AddPath or compaction.
 //
 //proram:hotpath one probe sequence per insert, membership test, remap and removal
-func (s *Stash) probe(id mem.BlockID) (slot *int32, e *entry) {
+func (s *Stash) probe(id mem.BlockID) (slot *int32, e *tree.Labeled) {
 	table, order := s.table, s.order
 	mask := len(table) - 1
 	var free *int32
@@ -130,86 +136,178 @@ func (s *Stash) probe(id mem.BlockID) (slot *int32, e *entry) {
 			}
 			continue
 		}
-		// A positive slot is 1 + an order position; Add and compact write the
-		// two together.
-		if c := &order[v-1]; c.id == id {
+		// A positive slot is 1 + an order position; the inserts and compact
+		// write the two together.
+		if c := &order[v-1]; c.ID == id {
 			return p, c
 		}
 	}
+}
+
+// inSegment returns the order position of id in the open segment, or -1.
+//
+//proram:hotpath scanned by every lookup while a path's blocks are on-chip
+func (s *Stash) inSegment(id mem.BlockID) int {
+	for i, e := range s.order[s.seg:s.segEnd] {
+		if e.ID == id {
+			return s.seg + i
+		}
+	}
+	return -1
+}
+
+// reserve makes room in the table for n more used slots. A table that
+// would pass half use is rebuilt first.
+//
+//proram:hotpath one check per Add and per path read
+func (s *Stash) reserve(n int) error {
+	if s.used+n <= len(s.table)/2 {
+		return nil
+	}
+	//proram:allow allocdiscipline the table grows only when occupancy passes a quarter of it for the first time and never shrinks; otherwise the rebuild works in place
+	return s.rebuild(n)
 }
 
 // Add inserts a block mapped to leaf. It errors on a nil id and on a
 // block that is already stashed; both indicate a protocol bug in the
 // caller, which decides whether that is fatal.
 //
-//proram:hotpath one insert per block on every path read
+//proram:hotpath stashes first-touch blocks and PLB victims inside an access
 func (s *Stash) Add(id mem.BlockID, leaf mem.Leaf) error {
 	if id.IsNil() {
 		return errNilBlock
 	}
-	if s.used >= len(s.table)/2 {
-		//proram:allow allocdiscipline the table grows only when occupancy passes a quarter of it for the first time and never shrinks; otherwise the rebuild works in place
-		if err := s.rebuild(); err != nil {
-			return err
-		}
+	if err := s.reserve(1); err != nil {
+		return err
 	}
 	slot, dup := s.probe(id)
-	if dup != nil {
+	if dup != nil || s.inSegment(id) >= 0 {
 		return fmt.Errorf("stash: duplicate add of %v", id) //proram:allow allocdiscipline failure path for a caller protocol bug; never taken in a correct run
 	}
 	if *slot == 0 {
 		s.used++
 	}
-	s.order = append(s.order, entry{id: id, leaf: leaf}) //proram:allow allocdiscipline bounded by the occupancy invariant and reclaimed by maybeCompact; steady state reuses capacity
+	s.order = append(s.order, tree.Labeled{ID: id, Leaf: leaf}) //proram:allow allocdiscipline bounded by the occupancy invariant and reclaimed by maybeCompact; steady state reuses capacity
 	*slot = int32(len(s.order))
 	s.live++
-	if s.live > s.highWater {
-		s.highWater = s.live
-	}
+	s.highWater = max(s.highWater, s.live)
 	return nil
+}
+
+// AddPath stashes the blocks a path read returned, each under the label
+// its tree slot held. They join order exactly where one Add per block
+// would have put them, but not the table: the write-back of the same
+// access takes most of them straight back out, so they become the open
+// segment and EvictToPath indexes only the ones it leaves behind. A
+// segment still open from an earlier path is closed first. The blocks must
+// be real, distinct and not stashed yet, as a tree path's blocks are.
+//
+//proram:hotpath the read phase of every path access
+func (s *Stash) AddPath(path []tree.Labeled) error {
+	s.closeSegment()
+	if err := s.reserve(len(path)); err != nil {
+		return err
+	}
+	s.seg = len(s.order)
+	s.order = append(s.order, path...) //proram:allow allocdiscipline bounded by the occupancy invariant and reclaimed by maybeCompact; steady state reuses capacity
+	s.segEnd = len(s.order)
+	s.used += len(path)
+	s.live += len(path)
+	s.highWater = max(s.highWater, s.live)
+	return nil
+}
+
+// closeSegment closes the open segment: it squeezes the removed entries
+// out of order from the segment on, in place and without reordering, and
+// gives each live block of the segment its table slot at its new position
+// (one that lands on a deleted slot returns its reservation). The few
+// blocks added after the segment are re-pointed as they move. A write-back
+// thus leaves no removed entries behind for compact to clear.
+//
+//proram:hotpath runs after the write-back of every path access
+func (s *Stash) closeSegment() {
+	if s.seg == s.segEnd {
+		return
+	}
+	n, end := s.seg, s.segEnd
+	for i, e := range s.order[s.seg:] {
+		if e.ID.IsNil() {
+			continue
+		}
+		// Every slot points below n or at an entry not yet moved, so the
+		// probes see a consistent index.
+		switch p := s.seg + i; {
+		case p < end: // a segment block takes the slot it reserved
+			slot, _ := s.probe(e.ID)
+			if *slot != 0 {
+				s.used--
+			}
+			*slot = int32(n + 1)
+		case p != n: // a block added after the segment moves
+			slot, _ := s.probe(e.ID)
+			*slot = int32(n + 1)
+		}
+		s.order[n] = e
+		n++
+	}
+	s.order = s.order[:n]
+	s.seg, s.segEnd = 0, 0
+}
+
+// find returns id's order entry, from the open segment or the table, or
+// nil if id is not stashed.
+//
+//proram:hotpath membership test and remap of every gathered block
+func (s *Stash) find(id mem.BlockID) *tree.Labeled {
+	if i := s.inSegment(id); i >= 0 {
+		return &s.order[i]
+	}
+	_, e := s.probe(id)
+	return e
 }
 
 // Contains reports whether id is stashed.
 //
 //proram:hotpath membership probe for every gathered block
-func (s *Stash) Contains(id mem.BlockID) bool {
-	_, e := s.probe(id)
-	return e != nil
-}
+func (s *Stash) Contains(id mem.BlockID) bool { return s.find(id) != nil }
 
 // SetLeaf remaps a stashed block to a new leaf. It reports whether the
 // block was present.
 //
 //proram:hotpath remap of every super-block member
 func (s *Stash) SetLeaf(id mem.BlockID, leaf mem.Leaf) bool {
-	_, e := s.probe(id)
+	e := s.find(id)
 	if e == nil {
 		return false
 	}
-	e.leaf = leaf
+	e.Leaf = leaf
 	return true
 }
 
-// remove deletes id, reporting whether it was present: its table slot is
-// marked deleted and its order entry keeps its place with a Nil id.
+// drop deletes the live entry e: its table slot is marked deleted, or, for
+// a block of the open segment (slot nil), its reservation is returned. The
+// entry keeps its place in order with a Nil id.
 //
 //proram:hotpath one removal per block written back
-func (s *Stash) remove(id mem.BlockID) bool {
-	slot, e := s.probe(id)
-	if e == nil {
-		return false
+func (s *Stash) drop(e *tree.Labeled, slot *int32) {
+	if slot == nil {
+		s.used--
+	} else {
+		*slot = slotDeleted
 	}
-	e.id = mem.Nil
-	*slot = slotDeleted
+	e.ID = mem.Nil
 	s.live--
-	return true
 }
 
 // Remove deletes a block from the stash, reporting whether it was present.
 //
-//proram:hotpath runs during write-back
+//proram:hotpath runs inside the path access that fills the PLB
 func (s *Stash) Remove(id mem.BlockID) bool {
-	if !s.remove(id) {
+	if i := s.inSegment(id); i >= 0 {
+		s.drop(&s.order[i], nil)
+	} else if slot, e := s.probe(id); e != nil {
+		s.drop(e, slot)
+	} else {
 		return false
 	}
 	s.maybeCompact()
@@ -228,39 +326,41 @@ func (s *Stash) maybeCompact() {
 }
 
 // compact squeezes the removed entries out of order, in place and without
-// reordering, and refills the table with the new positions; every deleted
-// slot becomes empty again.
+// reordering, and refills the table with the new positions: every deleted
+// slot becomes empty again, and the open segment is indexed and closed.
 //
 //proram:hotpath amortized over the removals that made it necessary
 func (s *Stash) compact() {
 	clear(s.table)
-	live := s.order[:0]
+	n := 0
 	for _, e := range s.order {
-		if e.id.IsNil() {
+		if e.ID.IsNil() {
 			continue
 		}
-		// The table holds only positions below len(live), which are final,
-		// so probing it while order is half rewritten is sound.
-		slot, _ := s.probe(e.id)
-		live = append(live, e) //proram:allow allocdiscipline compacts in place: live aliases s.order[:0], so no new backing array is ever grown
-		*slot = int32(len(live))
+		// The table holds only positions below n, which are final, so
+		// probing it while order is half rewritten is sound.
+		slot, _ := s.probe(e.ID)
+		s.order[n] = e
+		n++
+		*slot = int32(n)
 	}
-	s.order = live
-	s.used = len(live)
+	s.order = s.order[:n]
+	s.used = n
+	s.seg, s.segEnd = 0, 0
 }
 
-// rebuild makes room in a table that is half used: it doubles the table
-// until the live blocks (and the one about to be added) fill at most a
-// quarter of it, then compacts, which also turns every deleted slot back
-// into an empty one. The stash limit is soft, so occupancy — and with it
-// the table — has no fixed bound; the table never shrinks.
-func (s *Stash) rebuild() error {
+// rebuild makes room for n more blocks in a table about to pass half use:
+// it doubles the table until the live blocks and the n new ones fill at
+// most a quarter of it, then compacts, which also turns every deleted slot
+// back into an empty one. The stash limit is soft, so occupancy — and with
+// it the table — has no fixed bound; the table never shrinks.
+func (s *Stash) rebuild(n int) error {
 	size := len(s.table)
-	for 4*(s.live+1) > size {
+	for 4*(s.live+n) > size {
 		size *= 2
 	}
 	if size > maxTable {
-		return fmt.Errorf("stash: %d blocks exceed the table maximum", s.live)
+		return fmt.Errorf("stash: %d blocks exceed the table maximum", s.live+n)
 	}
 	if size != len(s.table) {
 		s.setTable(make([]int32, size))
@@ -272,8 +372,8 @@ func (s *Stash) rebuild() error {
 // ForEach visits every stashed block in insertion order.
 func (s *Stash) ForEach(visit func(id mem.BlockID, leaf mem.Leaf)) {
 	for _, e := range s.order {
-		if !e.id.IsNil() {
-			visit(e.id, e.leaf)
+		if !e.ID.IsNil() {
+			visit(e.ID, e.Leaf)
 		}
 	}
 }
@@ -282,7 +382,8 @@ func (s *Stash) ForEach(visit func(id mem.BlockID, leaf mem.Leaf)) {
 // accessLeaf, filling buckets from the leaf up (deepest legal bucket
 // first), exactly as in Path ORAM's write-back phase. A block mapped to
 // leaf b may go into the bucket at depth d on the access path iff the two
-// paths share that bucket, i.e. d <= CommonDepth(accessLeaf, b).
+// paths share that bucket, i.e. d <= CommonDepth(accessLeaf, b). The
+// blocks of the open segment that stay behind are then indexed.
 //
 // It returns the number of blocks written back.
 //
@@ -291,21 +392,25 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 	levels := t.Levels()
 	// Counting sort of the live blocks by the deepest bucket they may
 	// occupy on this path, as its height above the leaf bucket, so that the
-	// walk below runs up the sorted slice. First the count per height.
+	// walk below runs up the sorted slice. First each block's height and
+	// the count per height.
 	if cap(s.ends) < levels+1 {
 		s.ends = make([]int, levels+1) //proram:allow allocdiscipline one-time warm-up behind the capacity guard
 	}
 	ends := s.ends[:levels+1]
 	clear(ends)
-	for _, e := range s.order {
-		if e.id.IsNil() {
+	s.heights = slices.Grow(s.heights[:0], len(s.order)) // grows only past the previous peak length
+	heights := s.heights[:len(s.order)]
+	for i, e := range s.order {
+		if e.ID.IsNil() {
 			continue
 		}
-		h := levels - t.CommonDepth(accessLeaf, e.leaf)
+		h := levels - t.CommonDepth(accessLeaf, e.Leaf)
 		if h < 0 || h >= len(ends) {
-			//proram:invariant stashed leaves come from the position map, whose labels lie in [0, Leaves); a divergence above the root means a corrupt label
+			//proram:invariant stashed leaves come from the position map and the tree's labels, which lie in [0, Leaves); a divergence above the root means a corrupt label
 			panic("stash: stashed block mapped outside the tree")
 		}
+		heights[i] = uint8(h)
 		ends[h]++
 	}
 	// Prefix sums turn each count into the start of its height's run, and
@@ -316,30 +421,44 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 		start += n
 	}
 	s.sorted = slices.Grow(s.sorted[:0], s.live) // grows only past the previous peak occupancy
-	sorted := s.sorted[:s.live]
-	for _, e := range s.order {
-		if e.id.IsNil() {
+	s.pos = slices.Grow(s.pos[:0], s.live)
+	sorted, pos := s.sorted[:s.live], s.pos[:s.live]
+	for i, e := range s.order {
+		if e.ID.IsNil() {
 			continue
 		}
-		h := levels - t.CommonDepth(accessLeaf, e.leaf)
-		sorted[ends[h]] = e.id
+		h := heights[i]
+		sorted[ends[h]] = e
+		pos[ends[h]] = int32(i)
 		ends[h]++
 	}
 
 	// Walk the path leaf to root. sorted[head:end] is the FIFO of blocks
 	// that may go into the current bucket: what deeper buckets had no room
-	// for, then this height's own run.
+	// for, then this height's own run. A placed block of the open segment
+	// is retired where it stands; any other is found in the table first.
 	head := 0
 	for h, end := range ends {
+		if head == end {
+			continue // nothing may go here: the bucket is not touched
+		}
 		n := t.FillAt(accessLeaf, levels-h, sorted[head:end])
-		for _, id := range sorted[head : head+n] {
-			if !s.remove(id) {
-				//proram:invariant the id was read from order a moment ago and nothing removes blocks in between
+		for _, p := range pos[head : head+n] {
+			e := &s.order[p]
+			if int(p) >= s.seg && int(p) < s.segEnd {
+				s.drop(e, nil)
+				continue
+			}
+			slot, found := s.probe(e.ID)
+			if found != e {
+				//proram:invariant a live entry outside the open segment sits in the table at its own position; anything else is a corrupt index
 				panic("stash: block to write back is not in the index")
 			}
+			s.drop(e, slot)
 		}
 		head += n
 	}
+	s.closeSegment()
 	s.maybeCompact()
 	s.writebacks += uint64(head)
 	return head

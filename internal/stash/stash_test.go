@@ -232,9 +232,9 @@ func TestEvictionInvariant(t *testing.T) {
 		}
 		access := mem.Leaf(r.Uint64n(tr.Leaves()))
 		s.EvictToPath(tr, access)
-		tr.ForEach(func(node uint64, b mem.BlockID) {
-			if !tr.Contains(leafOf[b], b) {
-				t.Fatalf("round %d: block %v mapped to %d not on its path", round, b, leafOf[b])
+		tr.ForEach(func(node uint64, _ int, b tree.Labeled) {
+			if b.Leaf != leafOf[b.ID] || !tr.Contains(b.Leaf, b.ID) {
+				t.Fatalf("round %d: block %v mapped to %d is not on its path under its label (%d)", round, b.ID, leafOf[b.ID], b.Leaf)
 			}
 		})
 		for n := uint64(1); n <= tr.Buckets(); n++ {
@@ -273,38 +273,35 @@ func TestNewRejectsBadLimit(t *testing.T) {
 }
 
 // The write-back path must not allocate once its buffers are warm: a
-// path's worth of Adds, a remap and the eviction reuse the order slice,
-// the table, the depth buckets and the carry list — also when the eviction
-// ends in a compaction. (Reslicing carry from the front, as this code once
-// did, gave its capacity away and reallocated it on almost every access.)
+// path read into the stash, a remap and the eviction reuse the order
+// slice, the table, the sort buffers and the path buffer — also when the
+// eviction ends in a compaction. (Reslicing carry from the front, as this
+// code once did, gave its capacity away and reallocated it on almost every
+// access.)
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	tr := tree.New(10, 3)
 	s := mustNew(t, 100)
 	r := rng.New(5)
 	// Half-fill the tree, every block on the path of its leaf.
-	leafOf := make([]mem.Leaf, tr.Capacity()/2)
-	for i := range leafOf {
-		leafOf[i] = mem.Leaf(r.Uint64n(tr.Leaves()))
+	for i := uint64(0); i < tr.Capacity()/2; i++ {
+		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
 		for depth := tr.Levels(); depth >= 0; depth-- {
-			if tr.PlaceAt(leafOf[i], depth, id(uint64(i))) {
+			if tr.PlaceAt(leaf, depth, id(i)) {
 				break
 			}
 		}
 	}
-	var buf []mem.BlockID
+	var buf []tree.Labeled
 	compactions := 0
 	access := func() {
 		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
-		buf = tr.RemovePath(leaf, buf[:0])
-		for _, b := range buf {
-			if err := s.Add(b, leafOf[b.Index()]); err != nil {
-				t.Fatal(err)
-			}
+		buf = tr.RemovePathLabeled(leaf, buf[:0])
+		if err := s.AddPath(buf); err != nil {
+			t.Fatal(err)
 		}
 		if len(buf) > 0 {
-			victim := buf[r.Intn(len(buf))]
-			leafOf[victim.Index()] = mem.Leaf(r.Uint64n(tr.Leaves()))
-			if !s.SetLeaf(victim, leafOf[victim.Index()]) {
+			victim := buf[r.Intn(len(buf))].ID
+			if !s.SetLeaf(victim, mem.Leaf(r.Uint64n(tr.Leaves()))) {
 				t.Fatalf("SetLeaf lost %v", victim)
 			}
 		}

@@ -2,11 +2,12 @@
 // binary tree of buckets, each holding up to Z block slots, addressed by
 // leaf labels exactly as in Stefanov et al.'s Path ORAM.
 //
-// The tree stores only block identifiers (occupancy); payloads live with
-// the controller. Buckets are heap-numbered starting at node 1 (the root),
-// so the children of node n are 2n and 2n+1 and the leaf labelled s lives
-// at node 2^L + s. Level 0 is the root and level L holds the leaves,
-// matching the paper's terminology.
+// The tree stores block identifiers with the leaf label each block is
+// mapped to, as a Path ORAM bucket does; payloads live with the
+// controller. Buckets are heap-numbered starting at node 1 (the root), so
+// the children of node n are 2n and 2n+1 and the leaf labelled s lives at
+// node 2^L + s. Level 0 is the root and level L holds the leaves, matching
+// the paper's terminology.
 package tree
 
 import (
@@ -16,32 +17,80 @@ import (
 	"proram/internal/mem"
 )
 
+// MaxLevels is the deepest tree a slot can label: a label has 31 bits.
+const MaxLevels = labelBits
+
+// MaxBlocks is the largest data population a slot can name. A slot names
+// the block at hierarchy level l by an index below 2^(32-l); every level of
+// a position map over at most MaxBlocks data blocks, with at least two
+// entries per position-map block, stays inside that.
+const MaxBlocks = 1 << (codeBits - 1)
+
+// A slot holds one resident in 8 bytes: the block's code in the high 33
+// bits and its leaf label in the low 31. The code of the block at level l
+// with index i is (2i+1)·2^l, whose trailing zeros are the level, so no
+// code is zero and the zero slot is the empty one.
+type slot uint64
+
+const (
+	labelBits = 31
+	codeBits  = 64 - labelBits
+)
+
+// pack encodes a block and its label. It panics on a block or label the
+// slot cannot hold; Nil is such a block.
+//
+//proram:hotpath encodes every block written back
+func pack(id mem.BlockID, leaf mem.Leaf) slot {
+	level, index := id.Level(), id.Index()
+	if bits.Len64(index)+level > codeBits-1 || leaf >= 1<<labelBits {
+		//proram:invariant trees are built for geometries Config.Validate bounds to MaxBlocks and MaxLevels, and callers place live stash entries only
+		panic(fmt.Sprintf("tree: block %v at leaf %d does not fit a slot", id, leaf))
+	}
+	return slot((2*index+1)<<level<<labelBits | uint64(leaf))
+}
+
+// block decodes an occupied slot.
+//
+//proram:hotpath decodes every block read off a path
+func (s slot) block() Labeled {
+	code := uint64(s) >> labelBits
+	level := bits.TrailingZeros64(code)
+	return Labeled{ID: mem.MakeID(level, code>>(level+1)), Leaf: mem.Leaf(s & (1<<labelBits - 1))}
+}
+
+// Labeled is a block together with the leaf label it is stored under.
+type Labeled struct {
+	ID   mem.BlockID
+	Leaf mem.Leaf
+}
+
 // Tree is the untrusted binary-tree storage. The zero value is unusable;
 // construct with New.
 type Tree struct {
 	levels int // L: leaves are at depth L, so there are L+1 bucket levels
 	z      int
-	slots  []mem.BlockID // node-major: slots[(node-1)*z + i]
-	used   uint64        // number of occupied slots, for diagnostics
+	// slots is node-major: slots[(node-1)*z + i]. The occupied slots of a
+	// bucket are always a prefix of it, since RemovePath empties whole
+	// buckets and placement takes the first free slot.
+	slots []slot
+	used  uint64 // number of occupied slots, for diagnostics
 }
 
 // New creates an empty tree with the given number of levels L (leaves =
 // 2^L) and bucket capacity z. It panics on nonsensical parameters.
 func New(levels, z int) *Tree {
-	if levels < 1 || levels > 40 {
+	if levels < 1 || levels > MaxLevels {
 		//proram:invariant tree geometry comes from Config.Validate-checked parameters; a bad level count is a wiring bug
-		panic(fmt.Sprintf("tree: levels %d out of range [1,40]", levels))
+		panic(fmt.Sprintf("tree: levels %d out of range [1,%d]", levels, MaxLevels))
 	}
 	if z < 1 {
 		//proram:invariant tree geometry comes from Config.Validate-checked parameters; a bad bucket size is a wiring bug
 		panic(fmt.Sprintf("tree: bucket size %d must be positive", z))
 	}
-	nodes := (uint64(1) << (levels + 1)) - 1
-	slots := make([]mem.BlockID, nodes*uint64(z))
-	for i := range slots {
-		slots[i] = mem.Nil
-	}
-	return &Tree{levels: levels, z: z, slots: slots}
+	t := &Tree{levels: levels, z: z}
+	t.slots = make([]slot, t.Capacity())
+	return t
 }
 
 // Levels returns L, the depth of the leaves.
@@ -85,101 +134,100 @@ func (t *Tree) CommonDepth(a, b mem.Leaf) int {
 	return t.levels - bits.Len64(uint64(a)^uint64(b))
 }
 
-// slotBase returns the index of node's first slot in the flat slot array.
-func (t *Tree) slotBase(node uint64) uint64 { return (node - 1) * uint64(t.z) }
-
-// BucketCount returns the number of real blocks currently in the bucket.
-func (t *Tree) BucketCount(node uint64) int {
-	base := t.slotBase(node)
-	n := 0
-	for i := 0; i < t.z; i++ {
-		if !t.slots[base+uint64(i)].IsNil() {
-			n++
-		}
-	}
-	return n
+// bucket returns the slots of the bucket at node.
+//
+//proram:hotpath locates every bucket touched
+func (t *Tree) bucket(node uint64) []slot {
+	base := (node - 1) * uint64(t.z)
+	return t.slots[base : base+uint64(t.z)]
 }
 
-// RemovePath removes every real block on the path to leaf and appends
-// their IDs to dst, returning the extended slice. This is the read phase
-// of a Path ORAM access (step 2): all real blocks move to the stash.
+// fill returns the number of blocks in bucket: the length of its occupied
+// prefix.
+//
+//proram:hotpath occupancy of every bucket touched
+func fill(bucket []slot) int {
+	for i, s := range bucket {
+		if s == 0 {
+			return i
+		}
+	}
+	return len(bucket)
+}
+
+// BucketCount returns the number of real blocks currently in the bucket.
+func (t *Tree) BucketCount(node uint64) int { return fill(t.bucket(node)) }
+
+// RemovePathLabeled removes every real block on the path to leaf, root
+// bucket first, and appends it, with its label, to dst, returning the
+// extended slice. This is the read phase of a Path ORAM access (step 2):
+// all real blocks move to the stash, and the labels spare the controller a
+// position-map lookup per block.
 //
 //proram:hotpath the read phase of every path access
-func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
+func (t *Tree) RemovePathLabeled(leaf mem.Leaf, dst []Labeled) []Labeled {
+	leafNode := t.Leaves() + uint64(leaf)
 	for depth := 0; depth <= t.levels; depth++ {
-		base := t.slotBase(t.NodeAt(leaf, depth))
-		bucket := t.slots[base : base+uint64(t.z)]
-		for i := range bucket {
-			if id := bucket[i]; !id.IsNil() {
-				dst = append(dst, id) //proram:allow allocdiscipline appends into the caller's reusable path buffer
-				bucket[i] = mem.Nil
-				t.used--
-			}
+		bucket := t.bucket(leafNode >> uint(t.levels-depth))
+		n := fill(bucket)
+		for _, s := range bucket[:n] {
+			dst = append(dst, s.block()) //proram:allow allocdiscipline appends into the caller's reusable path buffer
 		}
+		clear(bucket[:n])
+		t.used -= uint64(n)
 	}
 	return dst
 }
 
-// ScanPath calls visit for every real block on the path to leaf without
-// removing anything. Used by invariant checks and diagnostics.
-func (t *Tree) ScanPath(leaf mem.Leaf, visit func(depth int, id mem.BlockID)) {
+// RemovePath is RemovePathLabeled without the labels, for callers that
+// track labels themselves: it appends the IDs of the path's blocks to dst.
+func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
+	leafNode := t.Leaves() + uint64(leaf)
 	for depth := 0; depth <= t.levels; depth++ {
-		base := t.slotBase(t.NodeAt(leaf, depth))
-		for i := 0; i < t.z; i++ {
-			if id := t.slots[base+uint64(i)]; !id.IsNil() {
-				visit(depth, id)
-			}
+		bucket := t.bucket(leafNode >> uint(t.levels-depth))
+		n := fill(bucket)
+		for _, s := range bucket[:n] {
+			dst = append(dst, s.block().ID)
 		}
+		clear(bucket[:n])
+		t.used -= uint64(n)
 	}
+	return dst
 }
 
 // PlaceAt inserts id into the bucket at the given depth on the path to
-// leaf. It reports false if the bucket is full. This is the write-back
-// phase primitive (step 5).
+// leaf, under label leaf: leaf is the block's own label, and the bucket is
+// the one its path and any access path through that depth share. It
+// reports false if the bucket is full. This is the write-back phase
+// primitive (step 5).
 //
 //proram:hotpath the write-back primitive of every path access
 func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
-	if id.IsNil() {
-		//proram:invariant placing Nil would corrupt the free-slot accounting silently; callers iterate live stash entries only
-		panic("tree: PlaceAt with nil block")
+	s := pack(id, leaf)
+	bucket := t.bucket(t.NodeAt(leaf, depth))
+	n := fill(bucket)
+	if n == len(bucket) {
+		return false
 	}
-	base := t.slotBase(t.NodeAt(leaf, depth))
-	bucket := t.slots[base : base+uint64(t.z)]
-	for i := range bucket {
-		if bucket[i].IsNil() {
-			bucket[i] = id
-			t.used++
-			return true
-		}
-	}
-	return false
+	bucket[n] = s
+	t.used++
+	return true
 }
 
-// FillAt places ids, in order, into the free slots of the bucket at the
-// given depth on the path to leaf, first free slot first — exactly what
-// one PlaceAt per id would do — and returns how many it placed: min(free
-// slots, len(ids)). The write-back loop uses it so that each bucket is
-// located and scanned once per path access.
+// FillAt places blocks, in order and each under its own label, into the
+// free slots of the bucket at the given depth on the path to accessLeaf,
+// first free slot first — exactly what one PlaceAt per block would do —
+// and returns how many it placed: min(free slots, len(blocks)). Every
+// block's own path must pass through that bucket. The write-back loop uses
+// it so that each bucket is located and scanned once per path access.
 //
 //proram:hotpath the write-back of one bucket on every path access
-func (t *Tree) FillAt(leaf mem.Leaf, depth int, ids []mem.BlockID) int {
-	base := t.slotBase(t.NodeAt(leaf, depth))
-	bucket := t.slots[base : base+uint64(t.z)]
-	n := 0
-	for i := range bucket {
-		if n >= len(ids) {
-			break
-		}
-		if !bucket[i].IsNil() {
-			continue
-		}
-		id := ids[n]
-		if id.IsNil() {
-			//proram:invariant placing Nil would corrupt the free-slot accounting silently; callers iterate live stash entries only
-			panic("tree: FillAt with nil block")
-		}
-		bucket[i] = id
-		n++
+func (t *Tree) FillAt(accessLeaf mem.Leaf, depth int, blocks []Labeled) int {
+	bucket := t.bucket(t.NodeAt(accessLeaf, depth))
+	free := bucket[fill(bucket):]
+	n := min(len(free), len(blocks))
+	for i, b := range blocks[:n] {
+		free[i] = pack(b.ID, b.Leaf)
 	}
 	t.used += uint64(n)
 	return n
@@ -187,8 +235,6 @@ func (t *Tree) FillAt(leaf mem.Leaf, depth int, ids []mem.BlockID) int {
 
 // FreeAt returns the number of free slots in the bucket at depth on path
 // leaf.
-//
-//proram:hotpath bucket occupancy probe during write-back
 func (t *Tree) FreeAt(leaf mem.Leaf, depth int) int {
 	return t.z - t.BucketCount(t.NodeAt(leaf, depth))
 }
@@ -196,31 +242,34 @@ func (t *Tree) FreeAt(leaf mem.Leaf, depth int) int {
 // Contains reports whether id is somewhere on the path to leaf. Used by
 // tests to check the Path ORAM invariant.
 func (t *Tree) Contains(leaf mem.Leaf, id mem.BlockID) bool {
-	found := false
-	t.ScanPath(leaf, func(_ int, got mem.BlockID) {
-		if got == id {
-			found = true
+	for depth := 0; depth <= t.levels; depth++ {
+		for _, s := range t.bucket(t.NodeAt(leaf, depth)) {
+			if s != 0 && s.block().ID == id {
+				return true
+			}
 		}
-	})
-	return found
+	}
+	return false
 }
 
-// ForEach calls visit for every real block in the whole tree. Intended for
-// tests and invariant checks, not the hot path.
-func (t *Tree) ForEach(visit func(node uint64, id mem.BlockID)) {
+// ForEach calls visit for every occupied slot in the whole tree, in node
+// and slot order, with the slot's index in its bucket. It visits every
+// occupied slot, also one past an empty slot, so a bucket whose blocks are
+// not a prefix of it shows as a skipped index. Intended for tests and
+// invariant checks, not the hot path.
+func (t *Tree) ForEach(visit func(node uint64, i int, b Labeled)) {
 	for node := uint64(1); node <= t.Buckets(); node++ {
-		base := t.slotBase(node)
-		for i := 0; i < t.z; i++ {
-			if id := t.slots[base+uint64(i)]; !id.IsNil() {
-				visit(node, id)
+		for i, s := range t.bucket(node) {
+			if s != 0 {
+				visit(node, i, s.block())
 			}
 		}
 	}
 }
 
 // PathBytes returns the number of bytes moved by reading or writing one
-// full path when blocks (real or dummy) are blockBytes large: (L+1) buckets
-// of Z blocks each.
+// full path when blocks (real or dummy) are blockBytes large: (L+1)
+// buckets of Z blocks each.
 func (t *Tree) PathBytes(blockBytes int) uint64 {
 	return uint64(t.levels+1) * uint64(t.z) * uint64(blockBytes)
 }

@@ -179,7 +179,7 @@ func TestForEachVisitsEverything(t *testing.T) {
 		}
 	}
 	seen := map[mem.BlockID]bool{}
-	tr.ForEach(func(_ uint64, id mem.BlockID) { seen[id] = true })
+	tr.ForEach(func(_ uint64, _ int, b Labeled) { seen[b.ID] = true })
 	if len(seen) != len(placed) {
 		t.Fatalf("ForEach saw %d blocks, placed %d", len(seen), len(placed))
 	}
@@ -199,7 +199,7 @@ func TestPathBytes(t *testing.T) {
 }
 
 func TestNewPanicsOnBadParams(t *testing.T) {
-	for _, tc := range []struct{ levels, z int }{{0, 3}, {41, 3}, {3, 0}} {
+	for _, tc := range []struct{ levels, z int }{{0, 3}, {MaxLevels + 1, 3}, {3, 0}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -228,5 +228,112 @@ func TestGreedyPlacementProperty(t *testing.T) {
 			t.Fatalf("block placed at common depth %d not on its own path (access %d, block %d)",
 				d, accessLeaf, blockLeaf)
 		}
+	}
+}
+
+// A slot holds any block of a position map over at most MaxBlocks data
+// blocks, and any label of a MaxLevels-deep tree, and gives both back; it
+// refuses the first index and the first label past those bounds.
+func TestSlotEncodingBounds(t *testing.T) {
+	for level := 0; level <= 32; level++ {
+		top := uint64(MaxBlocks)>>level - 1 // the largest index level holds
+		for _, index := range []uint64{0, top / 3, top} {
+			for _, leaf := range []mem.Leaf{0, 1, 1<<MaxLevels - 1} {
+				b := Labeled{ID: mem.MakeID(level, index), Leaf: leaf}
+				s := pack(b.ID, b.Leaf)
+				if s == 0 || s.block() != b {
+					t.Fatalf("%v at leaf %d packs to %#x, unpacks to %+v", b.ID, leaf, uint64(s), s.block())
+				}
+			}
+		}
+	}
+	refused := func(id mem.BlockID, leaf mem.Leaf) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("pack(%v, %d) did not panic", id, leaf)
+			}
+		}()
+		pack(id, leaf)
+	}
+	refused(mem.MakeID(0, MaxBlocks), 0)
+	refused(mem.MakeID(1, MaxBlocks/2), 0)
+	refused(mem.MakeID(33, 0), 0)
+	refused(mem.MakeID(0, 0), 1<<MaxLevels)
+	refused(mem.Nil, 0)
+}
+
+// The read phase returns each block with the label it was placed under,
+// root bucket first, and empties the path.
+func TestRemovePathLabeled(t *testing.T) {
+	tr := New(4, 2)
+	want := []Labeled{
+		{mem.MakeID(2, 7), 0},  // root, under a label whose path is far from 9's
+		{mem.MakeID(0, 3), 8},  // depth 3, shared by leaves 8 and 9
+		{mem.MakeID(0, 4), 9},  // leaf bucket
+		{mem.MakeID(1, 12), 9}, // leaf bucket, second slot
+	}
+	for i, b := range want {
+		depth := tr.CommonDepth(9, b.Leaf)
+		if i == 0 {
+			depth = 0
+		}
+		if !tr.PlaceAt(b.Leaf, depth, b.ID) {
+			t.Fatalf("PlaceAt(%+v) failed", b)
+		}
+	}
+	got := tr.RemovePathLabeled(9, nil)
+	if len(got) != len(want) {
+		t.Fatalf("RemovePathLabeled = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("RemovePathLabeled[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if tr.Used() != 0 || len(tr.RemovePathLabeled(9, nil)) != 0 {
+		t.Fatal("the path is not empty after its read")
+	}
+}
+
+// Occupied slots stay a prefix of their bucket through placement, path
+// reads and refills, and ForEach reports a planted hole as a skipped index.
+func TestBucketsStayPrefixes(t *testing.T) {
+	tr := New(5, 4)
+	r := rng.New(3)
+	next := uint64(0)
+	for round := 0; round < 300; round++ {
+		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
+		if r.Intn(3) == 0 {
+			tr.RemovePathLabeled(leaf, nil)
+			continue
+		}
+		var blocks []Labeled
+		for i := 0; i < 1+r.Intn(4); i++ {
+			blocks = append(blocks, Labeled{mem.MakeID(0, next), leaf})
+			next++
+		}
+		tr.FillAt(leaf, r.Intn(tr.Levels()+1), blocks)
+	}
+	var bucket uint64
+	slot := 0
+	tr.ForEach(func(node uint64, i int, _ Labeled) {
+		if node != bucket {
+			bucket, slot = node, 0
+		}
+		if i != slot {
+			t.Fatalf("bucket %d: occupied slot %d follows an empty one", node, i)
+		}
+		slot++
+	})
+
+	tr = New(2, 3)
+	tr.PlaceAt(0, 0, mem.MakeID(0, 1))
+	tr.PlaceAt(0, 0, mem.MakeID(0, 2))
+	tr.slots[0] = 0 // plant a hole in the root bucket
+	var seen []int
+	tr.ForEach(func(_ uint64, i int, _ Labeled) { seen = append(seen, i) })
+	if len(seen) != 1 || seen[0] != 1 {
+		t.Fatalf("ForEach over a root with a hole at slot 0 visited slots %v, want [1]", seen)
 	}
 }

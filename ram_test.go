@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"proram/internal/rng"
+	"proram/internal/tree"
 )
 
 func testRAM(t *testing.T, mutate func(*Config)) *RAM {
@@ -220,11 +221,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOversizedCapacityRefused: a capacity whose tree would be deeper than
-// the 31 levels a position-map entry can label is an error from every
-// constructor — reported from arithmetic on the configuration, where sizing
-// the position map for it used to panic (2^60 blocks: makeslice) or kill the
-// process (2^45: out of memory), in NewSimulator's case only at Run.
+// TestOversizedCapacityRefused: a capacity past the 2^32 blocks a tree slot
+// can name (a 31-level tree) is an error from every constructor — reported
+// from arithmetic on the configuration, where sizing the position map for
+// it used to panic (2^60 blocks: makeslice) or kill the process (2^45: out
+// of memory), in NewSimulator's case only at Run.
 func TestOversizedCapacityRefused(t *testing.T) {
 	for _, blocks := range []uint64{1 << 45, 1 << 60, ^uint64(0)} {
 		cfg := DefaultConfig()
@@ -240,6 +241,16 @@ func TestOversizedCapacityRefused(t *testing.T) {
 		if _, err := NewSimulator(SimConfig{ORAMBlocks: blocks}); err == nil {
 			t.Errorf("NewSimulator accepted %d blocks", blocks)
 		}
+	}
+	// One block past the limit, where the unified constructors turn. (Split
+	// over partitions it would fit, so NewSharded is not asked.)
+	cfg := DefaultConfig()
+	cfg.Blocks = tree.MaxBlocks + 1
+	if _, err := New(cfg); err == nil {
+		t.Errorf("New accepted %d blocks", cfg.Blocks)
+	}
+	if _, err := NewSimulator(SimConfig{ORAMBlocks: cfg.Blocks}); err == nil {
+		t.Errorf("NewSimulator accepted %d blocks", cfg.Blocks)
 	}
 }
 
