@@ -1,12 +1,12 @@
 // Command proram-vet runs the repo-specific static-analysis suite: the
 // determinism, maporder, oblivious, panicdiscipline, seedplumbing,
-// allocdiscipline, concdeterminism, fixedtrip, branchless and
-// allowhygiene passes of proram/internal/analysis.
+// allocdiscipline, concdeterminism, branchless and allowhygiene passes
+// of proram/internal/analysis.
 //
 // Usage:
 //
 //	go run ./cmd/proram-vet ./...
-//	go run ./cmd/proram-vet -checks fixedtrip,branchless ./internal/shard
+//	go run ./cmd/proram-vet -checks oblivious,branchless ./internal/shard
 //	go run ./cmd/proram-vet -list
 //	go run ./cmd/proram-vet -timing -json ./... > vet.json
 //

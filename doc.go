@@ -43,7 +43,7 @@
 //
 // suppresses the named checks (determinism, maporder, oblivious,
 // panicdiscipline, seedplumbing, allocdiscipline, concdeterminism,
-// fixedtrip, branchless, allowhygiene) on the same line or
+// branchless, allowhygiene) on the same line or
 // the line directly below; written before the package clause it covers
 // the whole file. The reason is mandatory in spirit and audited in
 // review.
@@ -64,18 +64,6 @@
 // every hot caller at once). Whether a hot function's indexings stay in
 // bounds is not a vet question: Go checks them at run time and the API
 // fuzzers (FuzzOps, FuzzConfig, FuzzReplay) drive the public API to them.
-//
-//	//proram:fixedtrip <reason>
-//
-// on the line directly above a for or range statement claims the loop's
-// trip count is fixed before the loop starts and independent of secret
-// data — the padding loops the obliviousness contract rests on. The
-// fixedtrip pass verifies the claim statically: a counted loop must
-// compare its counter against a loop-invariant non-secret bound with a
-// single step per iteration and no early exit, and a range loop must
-// iterate a non-secret slice, array, string or integer (maps and
-// iterators are rejected). Unmarked loops in the oblivious scope are
-// still screened for secret-steered bounds and containers.
 //
 //	//proram:branchless <reason>
 //

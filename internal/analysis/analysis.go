@@ -164,7 +164,6 @@ func DefaultPasses() []*Pass {
 		SeedPlumbing(),
 		AllocDiscipline(),
 		ConcDeterminism(),
-		FixedTrip(),
 		Branchless(),
 		AllowHygiene(),
 	}

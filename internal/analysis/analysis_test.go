@@ -206,10 +206,6 @@ func TestAllowHygieneFixture(t *testing.T) {
 	runFixture(t, DefaultPasses(), fixtureBase+"allowhygiene")
 }
 
-func TestFixedTripFixture(t *testing.T) {
-	runFixture(t, []*Pass{FixedTrip(fixtureBase + "fixedtrip")}, fixtureBase+"fixedtrip")
-}
-
 func TestBranchlessFixture(t *testing.T) {
 	runFixture(t, []*Pass{Branchless()}, fixtureBase+"branchless")
 }

@@ -140,6 +140,19 @@ func (c *branchlessCheck) check(fn *ast.FuncDecl) {
 	})
 }
 
+// deref returns the underlying type of t, seen through one pointer, so a
+// map reached through a pointer is still recognized as a map.
+func deref(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	u := t.Underlying()
+	if p, ok := u.(*types.Pointer); ok {
+		return p.Elem().Underlying()
+	}
+	return u
+}
+
 func (c *branchlessCheck) constShift(e ast.Expr) bool {
 	tv, ok := c.env.info().Types[e]
 	return ok && tv.Value != nil

@@ -25,26 +25,12 @@ type cfgBlock struct {
 	nodes  []ast.Node
 	succs  []*cfgBlock
 	panics bool
-
-	// Edge roles of a loop head, for the SSA view and the fixedtrip
-	// proof. condExit is set on the head of a for loop that has a
-	// condition: the successor taken when it is false. rangeLoop is set
-	// on the head block of a range statement, with rangeBody its body
-	// successor.
-	condExit  *cfgBlock
-	rangeLoop *ast.RangeStmt
-	rangeBody *cfgBlock
 }
 
 // funcCFG is the control-flow graph of one function body.
 type funcCFG struct {
 	entry  *cfgBlock
 	blocks []*cfgBlock
-
-	// loops maps each for/range statement to its head block (the block
-	// holding the condition, or the per-iteration dispatch block of a
-	// range), so loop-oriented clients can find natural-loop membership.
-	loops map[ast.Stmt]*cfgBlock
 }
 
 // doomed returns, per block index, whether every path from the block
@@ -107,7 +93,7 @@ type cfgGoto struct {
 
 // buildCFG constructs the graph for one function or literal body.
 func buildCFG(info *types.Info, body *ast.BlockStmt) *funcCFG {
-	b := &cfgBuilder{info: info, g: &funcCFG{loops: make(map[ast.Stmt]*cfgBlock)}, labels: make(map[string]*cfgBlock)}
+	b := &cfgBuilder{info: info, g: &funcCFG{}, labels: make(map[string]*cfgBlock)}
 	b.cur = b.newBlock()
 	b.g.entry = b.cur
 	b.stmtList(body.List)
@@ -210,13 +196,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.link(b.ensure(), head)
 		b.cur = head
 		b.emit(s.Cond)
-		b.g.loops[s] = head
 		body := b.newBlock()
 		exit := b.newBlock()
 		b.link(head, body)
 		if s.Cond != nil {
 			b.link(head, exit)
-			head.condExit = exit
 		}
 		cont := head
 		var post *cfgBlock
@@ -243,12 +227,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.emit(s.X)
 		head := b.newBlock()
 		b.link(b.ensure(), head)
-		b.g.loops[s] = head
 		body := b.newBlock()
 		exit := b.newBlock()
 		b.link(head, body)
 		b.link(head, exit)
-		head.rangeLoop, head.rangeBody = s, body
 		b.frames = append(b.frames, cfgFrame{label: label, breakTgt: exit, contTgt: head})
 		b.cur = body
 		b.stmt(s.Body)

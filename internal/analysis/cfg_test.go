@@ -34,6 +34,42 @@ func buildTestCFG(t *testing.T, src string) *funcCFG {
 	return nil
 }
 
+// blockHolding returns the block that evaluates the expression written
+// as src: a for loop's head holds its condition, the block before a
+// range head holds the ranged-over operand.
+func blockHolding(t *testing.T, g *funcCFG, src string) *cfgBlock {
+	t.Helper()
+	for _, b := range g.blocks {
+		for _, n := range b.nodes {
+			if e, ok := n.(ast.Expr); ok && types.ExprString(e) == src {
+				return b
+			}
+		}
+	}
+	t.Fatalf("no block evaluates %s", src)
+	return nil
+}
+
+// reaches reports whether from can reach to along edges that skip the
+// avoid block (nil avoids nothing).
+func reaches(from, to, avoid *cfgBlock) bool {
+	seen := make(map[int]bool)
+	stack := []*cfgBlock{from}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cur == to {
+			return true
+		}
+		if cur == avoid || seen[cur.index] {
+			continue
+		}
+		seen[cur.index] = true
+		stack = append(stack, cur.succs...)
+	}
+	return false
+}
+
 func TestCFGDoomedPanicBranch(t *testing.T) {
 	g := buildTestCFG(t, `package p
 func f(x int) int {
@@ -159,26 +195,10 @@ loop:
 	return i
 }
 `)
+	label := blockHolding(t, g, "i < n")
 	cyclic := false
-	for _, b := range g.blocks {
-		seen := make(map[int]bool)
-		stack := []*cfgBlock{b}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range cur.succs {
-				if s == b {
-					cyclic = true
-				}
-				if !seen[s.index] {
-					seen[s.index] = true
-					stack = append(stack, s)
-				}
-			}
-		}
-		if cyclic {
-			break
-		}
+	for _, s := range label.succs {
+		cyclic = cyclic || reaches(s, label, nil)
 	}
 	if !cyclic {
 		t.Fatal("backward goto produced no cycle in the CFG")
@@ -188,9 +208,9 @@ loop:
 	}
 }
 
-// TestCFGLabeledBreakContinue exercises labeled frames: both loops
-// register in g.loops, continue outer adds a second edge into the outer
-// head, and break outer routes past it without dooming anything.
+// TestCFGLabeledBreakContinue exercises labeled frames: each loop gets
+// its own head, continue outer adds a second edge into the outer post
+// block, and break outer routes past the head without dooming anything.
 func TestCFGLabeledBreakContinue(t *testing.T) {
 	g := buildTestCFG(t, `package p
 func f(n int) int {
@@ -210,44 +230,9 @@ outer:
 	return s
 }
 `)
-	if len(g.loops) != 2 {
-		t.Fatalf("expected both loops registered, got %d", len(g.loops))
-	}
-	// Tell the loops apart by position: the outer for statement encloses
-	// the inner one.
-	var outerHead, innerHead *cfgBlock
-	var outerStmt ast.Stmt
-	for s, head := range g.loops {
-		if outerStmt == nil || s.Pos() < outerStmt.Pos() {
-			if outerHead != nil {
-				innerHead = outerHead
-			}
-			outerStmt, outerHead = s, head
-		} else {
-			innerHead = head
-		}
-	}
-	if outerHead == nil || innerHead == nil || outerHead == innerHead {
-		t.Fatal("could not tell the two loop heads apart")
-	}
-	// reaches reports whether from can reach to along edges that skip the
-	// avoid block.
-	reaches := func(from, to, avoid *cfgBlock) bool {
-		seen := make(map[int]bool)
-		stack := []*cfgBlock{from}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if cur == to {
-				return true
-			}
-			if cur == avoid || seen[cur.index] {
-				continue
-			}
-			seen[cur.index] = true
-			stack = append(stack, cur.succs...)
-		}
-		return false
+	outerHead := blockHolding(t, g, "i < n")
+	if innerHead := blockHolding(t, g, "j < n"); innerHead == outerHead {
+		t.Fatal("the two loops share a head block")
 	}
 	npreds := make(map[*cfgBlock]int)
 	for _, b := range g.blocks {
@@ -303,32 +288,20 @@ func f(n int) int {
 	return s
 }
 `)
-	if len(g.loops) != 1 {
-		t.Fatalf("expected one loop, got %d", len(g.loops))
+	pre := blockHolding(t, g, "n")
+	if len(pre.succs) != 1 {
+		t.Fatalf("the block evaluating the range operand has %d successors, want the head alone", len(pre.succs))
 	}
-	var head *cfgBlock
-	for _, b := range g.blocks {
-		if b.rangeLoop != nil {
-			if head != nil {
-				t.Fatal("more than one range head")
-			}
-			head = b
-		}
+	head := pre.succs[0]
+	if len(head.succs) != 2 {
+		t.Fatalf("range head has %d successors, want body and exit", len(head.succs))
 	}
-	if head == nil {
-		t.Fatal("no block carries the range statement")
+	body, exit := head.succs[0], head.succs[1]
+	if !reaches(body, head, nil) {
+		t.Fatal("the range body does not loop back to the head")
 	}
-	if head.rangeBody == nil {
-		t.Fatal("range head has no body successor")
-	}
-	bodyIsSucc := false
-	for _, s := range head.succs {
-		if s == head.rangeBody {
-			bodyIsSucc = true
-		}
-	}
-	if !bodyIsSucc {
-		t.Fatal("rangeBody is not among the head's successors")
+	if reaches(exit, head, nil) {
+		t.Fatal("the range exit loops back to the head")
 	}
 }
 
@@ -358,10 +331,7 @@ func f(n int) {
 	if d[g.entry.index] {
 		t.Fatal("entry doomed: the loop can run zero times")
 	}
-	for s, head := range g.loops {
-		_ = s
-		if d[head.index] {
-			t.Fatal("loop head doomed: the exit edge survives")
-		}
+	if d[blockHolding(t, g, "i < n").index] {
+		t.Fatal("loop head doomed: the exit edge survives")
 	}
 }

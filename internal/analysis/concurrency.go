@@ -7,7 +7,7 @@ import (
 
 // This file holds the helpers the concurrency-aware passes share:
 // concdeterminism's channel shapes and the oblivious pass's scheduling
-// sinks. (rootIdent also serves the SSA builder's write tracking.)
+// sinks.
 
 // syncMethodCall recognizes a call of a method declared in package sync
 // (Mutex.Lock, Cond.Wait, ...), including a call through an embedded

@@ -14,7 +14,6 @@ import (
 //	//proram:secret                                mark a struct field as secret
 //	//proram:hotpath <reason>                      demand an allocation-free function
 //	//proram:detround <reason>                     determinism guaranteed by the round barrier
-//	//proram:fixedtrip <reason>                    demand a provably fixed loop trip count
 //	//proram:branchless <reason>                   demand a secret-branch-free function
 //
 // An allow or public directive applies to the line it sits on and to the

@@ -37,15 +37,15 @@ import "strings"
 // secret-derived address.
 //
 // The default scope is the trusted controller surface: internal/oram,
-// internal/stash, plus the concurrent frontend internal/shard and the
-// memory model internal/dram/banked. Pass explicit module-relative
-// scopes to analyze other packages (the fixture tests do). Summaries
-// are computed over the whole program regardless of scope, so secrets
-// that leave a scoped package through a helper in another package are
-// still tracked back to the scoped caller.
+// internal/stash, internal/posmap, plus the concurrent frontend
+// internal/shard and the memory model internal/dram/banked. Pass
+// explicit module-relative scopes to analyze other packages (the
+// fixture tests do). Summaries are computed over the whole program
+// regardless of scope, so secrets that leave a scoped package through a
+// helper in another package are still tracked back to the scoped caller.
 func Oblivious(scopes ...string) *Pass {
 	if len(scopes) == 0 {
-		scopes = []string{"internal/oram", "internal/stash", "internal/shard", "internal/dram/banked"}
+		scopes = []string{"internal/oram", "internal/stash", "internal/posmap", "internal/shard", "internal/dram/banked"}
 	}
 	p := &Pass{
 		Name: "oblivious",

@@ -19,13 +19,6 @@ func TestRepositoryIsVetClean(t *testing.T) {
 	}
 }
 
-// TestHotPathAnnotationSweep pins the //proram:hotpath coverage of the
-// real ORAM access path: the controller's path access, the stash scan,
-// the PLB lookup, the position-map walk, the prefetch counter update and
-// the DRAM enqueue must all stay marked, so the allocdiscipline pass
-// (kept green by TestRepositoryIsVetClean) keeps guarding them. Dropping
-// a directive silently un-guards that function; this test makes the drop
-// loud.
 // TestConcurrencyAnnotationSweep pins the concurrency annotations of
 // the sharded frontend: the round-barrier receive in Frontend.collect
 // keeps its verified //proram:detround justification (the
@@ -61,6 +54,13 @@ func TestConcurrencyAnnotationSweep(t *testing.T) {
 	}
 }
 
+// TestHotPathAnnotationSweep pins the //proram:hotpath coverage of the
+// real ORAM access path: the controller's path access, the stash scan,
+// the PLB lookup, the position-map walk, the prefetch counter update and
+// the DRAM enqueue must all stay marked, so the allocdiscipline pass
+// (kept green by TestRepositoryIsVetClean) keeps guarding them. Dropping
+// a directive silently un-guards that function; this test makes the drop
+// loud.
 func TestHotPathAnnotationSweep(t *testing.T) {
 	prog := program(t)
 	perPkg := make(map[string]int)

@@ -106,8 +106,8 @@ type summaries struct {
 // maskEnv returns a taint environment whose object state sits at the
 // function's fixpoint — the same state analyze converges to — so
 // clients can evaluate exprMask at arbitrary expressions of the body.
-// The fixedtrip and branchless passes use it to ask "is this loop bound
-// or branch condition derived from a secret or a parameter?" without
+// The branchless pass uses it to ask "is this loop bound or branch
+// condition derived from a secret or a parameter?" without
 // re-deriving the propagation rules. Environments are cached per
 // function; the underlying summaries are already final, so one
 // propagation fixpoint rebuilds the state exactly.

@@ -5,7 +5,7 @@
 package allowhygiene
 
 /* want `unknown directive //proram:frobnicate` */ //proram:frobnicate whatever this means
-
+/* want `unknown directive //proram:fixedtrip` */ //proram:fixedtrip a retired directive is unknown, not silently accepted
 /* want `names no check` */ //proram:allow
 
 /* want `names unknown check "nosuchcheck"` */ //proram:allow nosuchcheck because reasons

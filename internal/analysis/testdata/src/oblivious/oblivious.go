@@ -70,3 +70,25 @@ func allowedBranch(b block) int {
 	}
 	return 0
 }
+
+// secretPadding steers a padding budget by payload bytes, so the trip
+// count leaks through trace length and timing.
+func secretPadding(b block, slots int) int {
+	pad := slots - int(b.data[0])
+	n := 0
+	for i := 0; i < pad; i++ { // want `loop bound depends on secret block payload bytes`
+		n++
+	}
+	return n
+}
+
+// secretBound hoists a payload-derived bound into a local first; the
+// taint follows it.
+func secretBound(b block) int {
+	n := 0
+	limit := int(b.data[0])
+	for i := 0; i < limit; i++ { // want `loop bound depends on secret block payload bytes`
+		n++
+	}
+	return n
+}

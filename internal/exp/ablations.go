@@ -155,7 +155,7 @@ func ablationOint(opt Options) (*Table, error) {
 
 	fixed := withWarmup(baseORAM(), p.Ops)
 	fixed.ORAM.Periodic = true
-	fixed.ORAM.Oint = 50
+	fixed.ORAM.Oint = scaledOint
 	fixedRep, err := runSim(opt, fixed, gf())
 	if err != nil {
 		return nil, err
@@ -165,9 +165,9 @@ func ablationOint(opt Options) (*Table, error) {
 	for _, ladder := range []uint64{4, 16, 64} {
 		cfg := withWarmup(baseORAM(), p.Ops)
 		cfg.ORAM.Periodic = true
-		cfg.ORAM.Oint = 50
+		cfg.ORAM.Oint = scaledOint
 		cfg.ORAM.DynamicOint = true
-		cfg.ORAM.OintMax = 50 * ladder
+		cfg.ORAM.OintMax = scaledOint * ladder
 		rep, err := runSim(opt, cfg, gf())
 		if err != nil {
 			return nil, fmt.Errorf("ablation_oint ladder=%d: %w", ladder, err)
@@ -180,7 +180,7 @@ func ablationOint(opt Options) (*Table, error) {
 			normTime(fixedRep, rep), normDummies, float64(rep.ORAM.OintTransitions))
 	}
 	t.Notes = append(t.Notes,
-		"fixed: Oint=50 throughout; ladder_xK adapts within [50, 50K] doubling per epoch",
+		fmt.Sprintf("fixed: Oint=%[1]d throughout (the paper's 100, scaled to path latency); ladder_xK adapts within [%[1]d, %[1]dK] doubling per epoch", scaledOint),
 		"leaked_bits = interval transitions (one bit each, the extension's declared leak)")
 	return t, nil
 }

@@ -188,12 +188,12 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		p.demandAccess(req, local, res)
 		budget--
 	}
-	// The pad count is fixed once demand service ends; a single counted
-	// loop (rather than draining budget in place) lets the fixedtrip pass
-	// prove the round always issues its full complement.
+	// The pad count is fixed once demand service ends: the loop pads the
+	// round to exactly roundSlots accesses, the obliviousness contract of
+	// §4. The invariant panic on got != p.roundSlots right below the loop
+	// holds it: a round one slot short or long panics.
 	pad := budget
 	p.padding = true
-	//proram:fixedtrip pads the round to exactly roundSlots accesses — the obliviousness contract of §4
 	for i := 0; i < pad; i++ {
 		// A queued victim's write-back is a full recursive access, the same
 		// shape as the dummy it replaces: padding that does work. It counts
@@ -290,9 +290,11 @@ func (p *partition) flushRound(res *roundResult) {
 	p.requestErrors += uint64(failed)
 }
 
-// padRound equalizes a flush round: padTo additional dummy accesses.
+// padRound equalizes a flush round: padTo additional dummy accesses, so
+// every partition's flush sub-round has the same length. Stats.Validate
+// holds the loop (FlushAccesses+FlushPad equal on every partition), and
+// so does the auditor's flush_equality test on the observed trace.
 func (p *partition) padRound(w roundWork, res *roundResult) {
-	//proram:fixedtrip equalizes the flush sub-round to the dispatcher's padTo, keeping every partition's flush length identical
 	for i := 0; i < w.padTo; i++ {
 		p.dummyAccess()
 		p.mark(true)
