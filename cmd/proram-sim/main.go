@@ -15,7 +15,9 @@
 // With -partitions > 1 the workload is replayed through the partitioned
 // frontend's closed-loop scheduler (see internal/shard) instead of the
 // core timing model: the report shows rounds, padding and the makespan.
-// The observability and audit flags apply to both modes.
+// The observability and audit flags, -z and -stash apply to both modes;
+// -periodic, -oint, -stream and -warmup belong to the unified controller
+// and the core model, and are refused with -partitions > 1.
 //
 // With -audit the obliviousness auditor (internal/obs/audit) taps the
 // physical access stream and the process exits nonzero when any
@@ -103,14 +105,25 @@ func main() {
 		}
 		ob.tapMetrics()
 	}
+	sch, err := pickScheme(*scheme)
+	if err != nil {
+		fatal(err)
+	}
 	if *parts > 1 {
 		if *memory != "oram" {
 			fatal(fmt.Errorf("-partitions needs -memory oram"))
 		}
-		runSharded(w, *parts, *clients, *slots, *scheme, *maxSB, *seed, dram, ob, ac)
+		set := make(map[string]bool)
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		cfg, err := shardedConfig(set, *parts, *slots, *z, *stash, sch, *maxSB, *seed, dram)
+		if err != nil {
+			fatal(err)
+		}
+		runSharded(w, cfg, *clients, ob, ac)
 		return
 	}
 	cfg := proram.SimConfig{
+		Scheme:           sch,
 		MaxSuperBlock:    *maxSB,
 		StreamPrefetcher: *stream,
 		Z:                *z,
@@ -129,16 +142,6 @@ func main() {
 		cfg.Memory = proram.MemoryDRAM
 	default:
 		fatal(fmt.Errorf("unknown memory %q", *memory))
-	}
-	switch *scheme {
-	case "none":
-		cfg.Scheme = proram.SchemeNone
-	case "static":
-		cfg.Scheme = proram.SchemeStatic
-	case "dynamic":
-		cfg.Scheme = proram.SchemeDynamic
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
 	}
 
 	if ac != nil {
@@ -342,25 +345,48 @@ func (a *auditFlags) finish(rep *proram.AuditReport) {
 	os.Exit(1)
 }
 
-// runSharded replays the workload through the partitioned frontend's
-// deterministic closed-loop scheduler and prints its report.
-func runSharded(w proram.Workload, parts, clients, slots int, scheme string, maxSB int, seed uint64, dram *proram.DRAMConfig, ob *obsFlags, ac *auditFlags) {
+// pickScheme maps the -scheme flag to a prefetch scheme.
+func pickScheme(name string) (proram.Scheme, error) {
+	switch name {
+	case "none":
+		return proram.SchemeNone, nil
+	case "static":
+		return proram.SchemeStatic, nil
+	case "dynamic":
+		return proram.SchemeDynamic, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q", name)
+}
+
+// unifiedOnly lists the flags the sharded frontend has no counterpart for:
+// the core timing model's stream prefetcher and warmup, and the unified
+// controller's periodic schedule.
+var unifiedOnly = []string{"periodic", "oint", "stream", "warmup"}
+
+// shardedConfig maps the flags to the sharded frontend's configuration.
+// set names the flags given on the command line: a unified-only one among
+// them is refused rather than silently ignored.
+func shardedConfig(set map[string]bool, parts, slots, z, stash int, scheme proram.Scheme, maxSB int, seed uint64, dram *proram.DRAMConfig) (proram.Config, error) {
+	for _, name := range unifiedOnly {
+		if set[name] {
+			return proram.Config{}, fmt.Errorf("-%s applies to the unified controller only; it has no effect with -partitions > 1", name)
+		}
+	}
 	cfg := proram.DefaultConfig()
 	cfg.Partitions = parts
 	cfg.RoundSlots = slots
+	cfg.Scheme = scheme
 	cfg.MaxSuperBlock = maxSB
+	cfg.Z = z
+	cfg.StashBlocks = stash
 	cfg.Seed = seed
 	cfg.DRAM = dram
-	switch scheme {
-	case "none":
-		cfg.Scheme = proram.SchemeNone
-	case "static":
-		cfg.Scheme = proram.SchemeStatic
-	case "dynamic":
-		cfg.Scheme = proram.SchemeDynamic
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", scheme))
-	}
+	return cfg, nil
+}
+
+// runSharded replays the workload through the partitioned frontend's
+// deterministic closed-loop scheduler and prints its report.
+func runSharded(w proram.Workload, cfg proram.Config, clients int, ob *obsFlags, ac *auditFlags) {
 	opt := proram.ShardedOptions{Obs: ob.cfg}
 	if ac != nil {
 		opt.Audit = ac.cfg
@@ -372,7 +398,7 @@ func runSharded(w proram.Workload, parts, clients, slots int, scheme string, max
 	ob.finish()
 	s := rep.Sched
 	fmt.Printf("workload         %s (%d ops)\n", w.Name, rep.Ops)
-	fmt.Printf("memory           oram, scheme %s, %d partitions, %d clients\n", scheme, parts, clients)
+	fmt.Printf("memory           oram, scheme %s, %d partitions, %d clients\n", cfg.Scheme, cfg.Partitions, clients)
 	fmt.Printf("cycles           %d (slowest partition's clock)\n", s.Cycles)
 	fmt.Printf("rounds               %d × %d slots per partition\n", s.Rounds, s.RoundSlots)
 	fmt.Printf("path accesses        %d\n", rep.PathAccesses)

@@ -1,7 +1,7 @@
 // Command proram-vet runs the repo-specific static-analysis suite: the
 // determinism, maporder, oblivious, panicdiscipline, seedplumbing,
-// allocdiscipline, concdeterminism, branchless and allowhygiene passes
-// of proram/internal/analysis.
+// concdeterminism, branchless and allowhygiene passes of
+// proram/internal/analysis.
 //
 // Usage:
 //

@@ -27,43 +27,24 @@
 //
 // The repository carries its own static-analysis suite (go run
 // ./cmd/proram-vet ./..., package proram/internal/analysis) that enforces
-// the three conventions the reproduction depends on: bit-for-bit
-// determinism from an explicit seed, obliviousness of the ORAM access
-// path, and an allocation-free access-path steady state. The oblivious
-// and seedplumbing passes are interprocedural: a module-local call graph
-// is condensed into strongly connected components and per-function taint
-// summaries are computed bottom-up, so a secret that crosses a return
-// value, an out-parameter or a helper chain (including recursion) is
-// still caught at the caller, and a secret-derived slice/array/map index
-// or slice bound is flagged even in straight-line code. Findings are
-// suppressed or annotated in the source itself with machine-readable
-// //proram: comments:
+// two conventions the reproduction depends on: bit-for-bit determinism
+// from an explicit seed and obliviousness of the ORAM access path. The
+// oblivious and seedplumbing passes are interprocedural: a module-local
+// call graph is condensed into strongly connected components and
+// per-function taint summaries are computed bottom-up, so a secret that
+// crosses a return value, an out-parameter or a helper chain (including
+// recursion) is still caught at the caller, and a secret-derived
+// slice/array/map index or slice bound is flagged even in straight-line
+// code. Findings are suppressed or annotated in the source itself with
+// machine-readable //proram: comments:
 //
 //	//proram:allow <check>[,<check>...] <reason>
 //
 // suppresses the named checks (determinism, maporder, oblivious,
-// panicdiscipline, seedplumbing, allocdiscipline, concdeterminism,
-// branchless, allowhygiene) on the same line or
-// the line directly below; written before the package clause it covers
-// the whole file. The reason is mandatory in spirit and audited in
-// review.
-//
-//	//proram:hotpath <reason>
-//
-// in a function's doc comment (or directly above a bare declaration)
-// marks it as part of the per-access critical path. The allocdiscipline
-// pass then reports every allocation inside it — make, new, append,
-// escaping composite literals and closures, slice/map literals, string
-// concatenation, string/byte conversions, fmt calls, go statements — and
-// follows module-local calls through the same call-graph summaries, so a
-// helper that allocates is reported at the hot call site with the chain
-// that reaches the allocation. Allocations on paths whose every exit
-// panics are exempt (failure handling, not steady state), as are callees
-// that are themselves marked hot (checked in their own right) and helper
-// allocations justified with //proram:allow allocdiscipline (exempt for
-// every hot caller at once). Whether a hot function's indexings stay in
-// bounds is not a vet question: Go checks them at run time and the API
-// fuzzers (FuzzOps, FuzzConfig, FuzzReplay) drive the public API to them.
+// panicdiscipline, seedplumbing, concdeterminism, branchless,
+// allowhygiene) on the same line or the line directly below; written
+// before the package clause it covers the whole file. The reason is
+// mandatory in spirit and audited in review.
 //
 //	//proram:branchless <reason>
 //
@@ -115,4 +96,12 @@
 // The allowhygiene pass keeps the vocabulary honest: unknown directives,
 // unknown check names, justification-free invariants and stale allows
 // that suppress nothing are themselves findings.
+//
+// Two properties of the access path are not vet questions, because they
+// are measured on the code that runs. Allocation-freedom: AllocsPerRun
+// tests in internal/oram, internal/stash, internal/shard, internal/dram
+// and internal/prefetch pin zero steady-state allocations, and the
+// repository benchmark bounds allocs_per_op end to end. Index safety: Go
+// checks every index at run time, and the API fuzzers (FuzzOps,
+// FuzzConfig, FuzzReplay) drive the public API to them.
 package proram

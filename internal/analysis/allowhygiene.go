@@ -11,7 +11,7 @@ import "strings"
 // when every check it names actually executed this run, so partial
 // -checks invocations never produce false alarms.)
 func AllowHygiene() *Pass {
-	known := map[string]bool{"allow": true, "invariant": true, "public": true, "secret": true, "hotpath": true, "detround": true, "branchless": true}
+	known := map[string]bool{"allow": true, "invariant": true, "public": true, "secret": true, "detround": true, "branchless": true}
 	p := &Pass{
 		Name: "allowhygiene",
 		Doc:  "flag unknown, malformed and stale //proram: directives",
@@ -25,7 +25,7 @@ func AllowHygiene() *Pass {
 			pos := d.Pos
 			switch {
 			case !known[d.Kind]:
-				u.Reportf(pos, "unknown directive //proram:%s (known: allow, invariant, public, secret, hotpath, detround, branchless)", d.Kind)
+				u.Reportf(pos, "unknown directive //proram:%s (known: allow, invariant, public, secret, detround, branchless)", d.Kind)
 			case d.Kind == "allow" && len(d.Checks) == 0:
 				u.Reportf(pos, "//proram:allow names no check; write //proram:allow <check> <reason>")
 			case d.Kind == "allow":

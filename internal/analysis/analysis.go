@@ -162,7 +162,6 @@ func DefaultPasses() []*Pass {
 		Oblivious(),
 		PanicDiscipline(),
 		SeedPlumbing(),
-		AllocDiscipline(),
 		ConcDeterminism(),
 		Branchless(),
 		AllowHygiene(),

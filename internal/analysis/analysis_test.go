@@ -169,13 +169,6 @@ func TestSecretIndexFixture(t *testing.T) {
 	runFixture(t, []*Pass{Oblivious(fixtureBase + "secretindex")}, fixtureBase+"secretindex")
 }
 
-// TestAllocDisciplineFixture exercises the //proram:hotpath allocation
-// pass, including the interprocedural helper-chain reports and the
-// doomed-path and justified-helper exemptions.
-func TestAllocDisciplineFixture(t *testing.T) {
-	runFixture(t, []*Pass{AllocDiscipline()}, fixtureBase+"allocdiscipline")
-}
-
 func TestPanicDisciplineFixture(t *testing.T) {
 	runFixture(t, []*Pass{PanicDiscipline()}, fixtureBase+"panicdiscipline")
 }

@@ -128,7 +128,7 @@ func (c *branchlessCheck) check(fn *ast.FuncDecl) {
 			if tv, ok := c.env.info().Types[x.Index]; ok && tv.IsType() {
 				return true
 			}
-			if _, isMap := deref(typeOf(c.env.info(), x.X)).(*types.Map); isMap {
+			if _, isMap := deref(c.env.info().TypeOf(x.X)).(*types.Map); isMap {
 				if m, bad := c.derived(x.Index); bad {
 					c.report(x.Pos(), "branchless function %s: map lookup keyed by %s has data-dependent latency", fn.Name.Name, maskDesc(m))
 				}

@@ -6,11 +6,11 @@ import (
 )
 
 // This file builds the module-local call graph that the interprocedural
-// passes (oblivious, seedplumbing, allocdiscipline) share. Nodes are the
-// functions and methods declared in loaded packages; edges are the
-// statically resolvable calls between them (direct calls and concrete
-// method calls — calls through interfaces, function values and the
-// standard library stay unresolved and are handled conservatively by
+// passes (oblivious, seedplumbing, concdeterminism, branchless) share.
+// Nodes are the functions and methods declared in loaded packages; edges
+// are the statically resolvable calls between them (direct calls and
+// concrete method calls — calls through interfaces, function values and
+// the standard library stay unresolved and are handled conservatively by
 // each client). Recursion is condensed into strongly connected
 // components so summary computation can run bottom-up: every SCC is
 // visited after all the SCCs it calls into.

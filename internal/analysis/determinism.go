@@ -89,3 +89,15 @@ func calleePackageFunc(info *types.Info, call *ast.CallExpr) (string, string) {
 	}
 	return pn.Imported().Path(), sel.Sel.Name
 }
+
+// builtinName returns the name of the builtin a call invokes ("len",
+// "panic", ...), or "" when the callee is anything else — including a
+// user declaration that shadows a builtin's name.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}

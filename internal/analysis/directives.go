@@ -12,7 +12,6 @@ import (
 //	//proram:invariant <justification>             justify a library panic
 //	//proram:public <reason>                       declassify a value
 //	//proram:secret                                mark a struct field as secret
-//	//proram:hotpath <reason>                      demand an allocation-free function
 //	//proram:detround <reason>                     determinism guaranteed by the round barrier
 //	//proram:branchless <reason>                   demand a secret-branch-free function
 //

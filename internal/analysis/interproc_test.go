@@ -82,7 +82,7 @@ func TestCallGraphSCC(t *testing.T) {
 
 func TestCallGraphMethodNode(t *testing.T) {
 	prog := program(t)
-	push := fixtureNode(t, prog, fixtureBase+"allocdiscipline", "push")
+	push := fixtureNode(t, prog, fixtureBase+"interproc", "push")
 	if got := push.Name(); got != "ring.push" {
 		t.Errorf("method node name = %q, want %q", got, "ring.push")
 	}

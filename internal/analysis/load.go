@@ -48,9 +48,8 @@ type Program struct {
 	// whole-program views (the call graph and the function summaries
 	// derived from it). The analyzer runs on one goroutine, so "built
 	// once" is a nil check.
-	cg     *CallGraph
-	sums   *summaries
-	allocs *allocSummaries
+	cg   *CallGraph
+	sums *summaries
 }
 
 // relPosition renders a position module-relative with forward slashes,

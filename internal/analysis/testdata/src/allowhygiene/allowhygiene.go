@@ -7,7 +7,7 @@ package allowhygiene
 /* want `unknown directive //proram:frobnicate` */ //proram:frobnicate whatever this means
 /* want `unknown directive //proram:fixedtrip` */ //proram:fixedtrip a retired directive is unknown, not silently accepted
 /* want `names no check` */ //proram:allow
-
+/* want `unknown directive //proram:hotpath` */ //proram:hotpath a retired directive is unknown, not silently accepted
 /* want `names unknown check "nosuchcheck"` */ //proram:allow nosuchcheck because reasons
 
 /* want `needs a one-line justification` */ //proram:invariant

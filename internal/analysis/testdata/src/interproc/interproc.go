@@ -97,3 +97,12 @@ func publicLenLoop(b block) int {
 func publicIntoHelper(b block) int {
 	return branchHelper(byte(b.id))
 }
+
+type ring struct {
+	buf []uint64
+}
+
+// push is a method node: its receiver is the first summary parameter.
+func (r *ring) push(v uint64) {
+	r.buf = append(r.buf, v)
+}

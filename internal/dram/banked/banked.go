@@ -154,8 +154,6 @@ func (m *Model) LogBytes() []byte {
 // decompose splits a physical address into channel, global bank and
 // bank-local row. Stripes of StripeBytes alternate channels; within a
 // channel, consecutive rows interleave across that channel's banks.
-//
-//proram:hotpath address decomposition for every bucket enqueue
 func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
 	stripeBytes := uint64(m.cfg.StripeBytes)
 	stripe := addr / stripeBytes
@@ -176,8 +174,6 @@ func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
 // stream at bus rate, paying the CAS latency in parallel with the burst in
 // flight, so only a row change (miss or conflict) waits for the bank to
 // drain before precharge/activate.
-//
-//proram:hotpath one enqueue per bucket of every banked path access
 func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 	ch, gb, row := m.decompose(addr)
 	// Hoist the geometry-sized slices; decompose maps every address into
@@ -231,7 +227,7 @@ func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 		m.stats.Reads++
 	}
 	if m.log != nil {
-		m.log = append(m.log, AccessRec{Addr: addr, Start: now, Done: done, Write: write, Outcome: outcome}) //proram:allow allocdiscipline timing log is opt-in debugging, off in measured runs
+		m.log = append(m.log, AccessRec{Addr: addr, Start: now, Done: done, Write: write, Outcome: outcome})
 	}
 	return done
 }

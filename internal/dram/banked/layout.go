@@ -106,8 +106,6 @@ func (t *TreeMap) BucketBytes() uint64 { return t.bucketBytes }
 
 // Addr returns the physical address of the bucket with the given heap node
 // number.
-//
-//proram:hotpath address arithmetic for every bucket of every banked path
 func (t *TreeMap) Addr(node uint64) uint64 {
 	if t.layout == LayoutLinear {
 		return t.base + (node-1)*t.bucketBytes
@@ -159,8 +157,6 @@ func (d *Device) Model() *Model { return d.m }
 // command issues no earlier than now; the returned schedule reports when
 // the reads drained, when the data is usable, and when the write-back
 // finished.
-//
-//proram:hotpath schedules every bucket read and write of every path access
 func (d *Device) Path(now uint64, leaf uint64) dram.PathTiming {
 	L := d.t.levels
 	leafNode := uint64(1)<<L + leaf

@@ -76,8 +76,6 @@ func (c Config) TransferCycles(bytes uint64) uint64 {
 }
 
 // transferCycles is the shared exact ceil division on the fixed-point rate.
-//
-//proram:hotpath timing arithmetic for every DRAM enqueue
 func transferCycles(bytes, rate1024 uint64) uint64 {
 	t := (bytes*1024 + rate1024 - 1) / rate1024
 	if t == 0 {
@@ -132,8 +130,6 @@ type Flat struct {
 }
 
 // Path implements Device.
-//
-//proram:hotpath one call per ORAM path access on the flat model
 func (f Flat) Path(now uint64, _ uint64) PathTiming {
 	done := now + f.Latency
 	return PathTiming{Start: now, ReadDone: done, DataReady: done, Done: done}
@@ -179,8 +175,6 @@ func (m *Model) Config() Config { return m.cfg }
 func (m *Model) Stats() Stats { return m.stats }
 
 // transferCycles is the channel occupancy of moving n bytes.
-//
-//proram:hotpath timing arithmetic for every DRAM enqueue
 func (m *Model) transferCycles(bytes uint64) uint64 {
 	return transferCycles(bytes, m.rate1024)
 }
@@ -189,8 +183,6 @@ func (m *Model) transferCycles(bytes uint64) uint64 {
 // address. Banks may overlap independent accesses, but the shared channel
 // serializes data transfer. It returns the cycle at which the data is
 // available.
-//
-//proram:hotpath one enqueue per baseline cache-line access
 func (m *Model) Access(now, addr, bytes uint64) uint64 {
 	bankUntil := m.bankUntil
 	bank := int((addr / 4096) % uint64(len(bankUntil))) // page-interleaved
@@ -214,8 +206,6 @@ func (m *Model) Access(now, addr, bytes uint64) uint64 {
 // read+write saturates the channel; nothing overlaps it). It returns the
 // completion time. extraLatency is added once up front (e.g. the first
 // DRAM access latency and crypto pipeline fill).
-//
-//proram:hotpath one enqueue per ORAM path transfer
 func (m *Model) BulkTransfer(now, bytes, extraLatency uint64) uint64 {
 	transfer := m.transferCycles(bytes)
 	start := max(now, m.busUntil)

@@ -190,3 +190,17 @@ func TestFlatDevice(t *testing.T) {
 		}
 	}
 }
+
+// Access runs once per baseline cache-line transfer, so it must not
+// allocate: the per-bank state is sized by New.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	m := New(DefaultConfig())
+	var now, addr uint64
+	access := func() {
+		now = m.Access(now, addr, 128)
+		addr += 4096 + 128 // walk the banks and the pages
+	}
+	if avg := testing.AllocsPerRun(1000, access); avg != 0 {
+		t.Fatalf("Access allocates %.2f times per call", avg)
+	}
+}

@@ -150,8 +150,6 @@ func (c *Controller) Leaves() uint64 { return c.tr.Leaves() }
 // randLeaf draws a fresh uniform leaf label. Under the LeakBiasLeaf
 // negative control the draw covers only the lower half of the range,
 // which the auditor's uniformity test must flag.
-//
-//proram:hotpath one draw per path access and per remap
 func (c *Controller) randLeaf() mem.Leaf {
 	n := c.tr.Leaves()
 	if c.cfg.LeakBiasLeaf {
@@ -163,8 +161,6 @@ func (c *Controller) randLeaf() mem.Leaf {
 // mustAdd stashes a block, converting a stash error into a controller
 // invariant failure: the controller only adds blocks it proved absent from
 // the stash, so a rejection means the protocol state is corrupt.
-//
-//proram:hotpath stashes first-touch blocks and PLB victims inside an access
 func (c *Controller) mustAdd(id mem.BlockID, leaf mem.Leaf) {
 	if err := c.st.Add(id, leaf); err != nil {
 		//proram:invariant callers add only blocks proven absent from the stash, so a rejection is unrecoverable state corruption
@@ -175,8 +171,6 @@ func (c *Controller) mustAdd(id mem.BlockID, leaf mem.Leaf) {
 // readPath is the read phase of a path access: every block on the path to
 // leaf moves to the stash under the label its tree slot holds, which is
 // the one the position map records, so no position-map entry is read.
-//
-//proram:hotpath the read phase of every path access
 func (c *Controller) readPath(leaf mem.Leaf) {
 	c.path = c.tr.RemovePathLabeled(leaf, c.path[:0])
 	if err := c.st.AddPath(c.path); err != nil {
@@ -187,8 +181,6 @@ func (c *Controller) readPath(leaf mem.Leaf) {
 
 // leafOf returns the current mapping of any block, consulting the on-chip
 // table for top-level position-map blocks and parent entries otherwise.
-//
-//proram:hotpath position lookup for every PLB victim
 func (c *Controller) leafOf(id mem.BlockID) mem.Leaf {
 	if id.Level() == c.pm.Depth() {
 		return c.pm.TopLeaf(id.Index())
@@ -201,8 +193,6 @@ func (c *Controller) leafOf(id mem.BlockID) mem.Leaf {
 // dummy accesses the public schedule demands for the idle gap and then
 // returns the next slot; otherwise the access starts as soon as both the
 // request and the controller are ready.
-//
-//proram:hotpath scheduling decision before every path access
 func (c *Controller) scheduleStart(ready uint64) uint64 {
 	if !c.cfg.Periodic {
 		return max(ready, c.lastEnd)
@@ -222,8 +212,6 @@ func (c *Controller) scheduleStart(ready uint64) uint64 {
 // runs while everything is on-chip (this is where remaps and the super
 // block algorithms act), and the stash is then greedily written back onto
 // the same path. Returns the completion cycle.
-//
-//proram:hotpath the core path read+write of every ORAM access
 func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind, during func()) uint64 {
 	// Dependent work resumes at data-ready (read phase + crypto drain); on a
 	// banked device the write-back keeps draining underneath the next path's
@@ -251,7 +239,7 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 		// counted by the caller
 	}
 	if c.cfg.RecordTrace {
-		c.trace = append(c.trace, TraceEvent{Leaf: uint64(leaf), Start: start, Kind: kind}) //proram:allow allocdiscipline trace recording is opt-in debugging, off in measured runs
+		c.trace = append(c.trace, TraceEvent{Leaf: uint64(leaf), Start: start, Kind: kind})
 	}
 	c.obs.Span("oram", kind.String(), start, end-start, "leaf", uint64(leaf))
 
@@ -267,8 +255,6 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 // backgroundEvictions drains stash pressure with dummy accesses: random
 // path read+writes with no remapping, after which stash occupancy cannot
 // have grown (§2.4). Returns the number issued.
-//
-//proram:hotpath runs after every demand access
 func (c *Controller) backgroundEvictions() int {
 	n := 0
 	noProgress := 0
@@ -310,8 +296,6 @@ func (c *Controller) backgroundEvictions() int {
 // goes back into the stash under the label drawn at its own last fetch —
 // recorded in its parent entry and not read since — to be written back by
 // this and later path accesses. A PLB eviction therefore costs no access.
-//
-//proram:hotpath one run per recursion level on every PLB miss
 func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID) {
 	// Resolve the schedule first: in periodic mode this issues catch-up
 	// dummy accesses, which move blocks around and must therefore observe
@@ -336,7 +320,6 @@ func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID) {
 		// this access to the block's next one (see dataAccess).
 		readLeaf = c.randLeaf()
 	}
-	//proram:allow allocdiscipline the during-path callback is one fixed closure per access, not per-block work
 	c.rawPathAccess(start, readLeaf, KindPosMap, func() {
 		if c.cfg.PLBBlocks == 0 {
 			// No PLB: the block stays an ordinary stash resident, under
@@ -365,20 +348,15 @@ func (c *Controller) accessPosMapBlock(ready uint64, id mem.BlockID) {
 // cycle now. Write serves a dirty LLC eviction. Both perform the full
 // recursive access; only Read returns prefetched siblings and exercises
 // the merge/break algorithms.
-//
-//proram:hotpath demand-miss entry point
 func (c *Controller) Read(now uint64, index uint64) Result {
 	return c.access(now, index, false)
 }
 
 // Write writes back a dirty data block evicted from the LLC.
-//
-//proram:hotpath dirty-eviction entry point
 func (c *Controller) Write(now uint64, index uint64) Result {
 	return c.access(now, index, true)
 }
 
-//proram:hotpath full recursive access, the per-request critical path
 func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 	if index >= c.cfg.NumBlocks {
 		//proram:invariant the access path deliberately has no error channel; an out-of-range index is a caller bug, not simulated input
@@ -465,8 +443,6 @@ func (c *Controller) rollWindow() {
 // the block's hit bit is set (paper: "In Processor: when block b is
 // accessed, b.hit = true") and the prefetch counts as a hit. An index at
 // or past NumBlocks names no block and is ignored.
-//
-//proram:hotpath runs on every LLC hit of a prefetched line
 func (c *Controller) NotifyPrefetchUse(index uint64) {
 	if index >= c.cfg.NumBlocks || c.hitBits.get(index) {
 		return
@@ -493,20 +469,17 @@ type bitset []uint64
 
 func newBitset(n uint64) bitset { return make(bitset, (n+63)/64) }
 
-//proram:hotpath hit-bit probe inside the break algorithm
 func (b bitset) get(i uint64) bool {
 	w := int(i / 64)
 	return w < len(b) && b[w]&(1<<(i%64)) != 0
 }
 
-//proram:hotpath hit-bit update on every LLC hit of a prefetched line
 func (b bitset) set(i uint64) {
 	if w := int(i / 64); w < len(b) {
 		b[w] |= 1 << (i % 64)
 	}
 }
 
-//proram:hotpath hit-bit reset for every prefetched or reloaded block
 func (b bitset) clear(i uint64) {
 	if w := int(i / 64); w < len(b) {
 		b[w] &^= 1 << (i % 64)

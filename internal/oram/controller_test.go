@@ -1,9 +1,11 @@
 package oram
 
 import (
+	"fmt"
 	"testing"
 
 	"proram/internal/dram"
+	"proram/internal/dram/banked"
 	"proram/internal/rng"
 	"proram/internal/superblock"
 	"proram/internal/tree"
@@ -663,40 +665,70 @@ func TestPrefetchNotificationsIgnoreOutOfRange(t *testing.T) {
 	}
 }
 
-// A warmed, populated controller serves requests without allocating: the
-// stash, position map, hit bits and path buffers are all in place. Read may
-// allocate once, for the Prefetched slice it returns.
+// A warmed, populated controller serves requests without allocating, on
+// every device and schedule: the stash, position map, hit bits, path
+// buffers and the banked device's bank state are all in place. Read may
+// allocate once, for the Prefetched slice it returns. In periodic mode each
+// request arrives after an idle gap, so it also pays catch-up dummies.
 func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
-	cfg := testConfig()
-	cfg.Super = superblock.Config{Scheme: superblock.Dynamic, MaxSize: 2,
-		CMerge: 1, CBreak: 1, Window: 1000}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	layout := func(l banked.Layout) *banked.Config {
+		b := banked.DefaultConfig()
+		b.Layout = l
+		return &b
 	}
-	llc := newFakeLLC()
-	c.SetProber(llc)
-	for i := uint64(0); i < cfg.NumBlocks; i++ {
-		c.Write(c.lastEnd, i) // populate: every block gets a leaf
-		llc.add(i)            // and counts as cached, so neighbours merge
+	devices := []struct {
+		name   string
+		banked *banked.Config
+	}{
+		{"flat", nil},
+		{"linear", layout(banked.LayoutLinear)},
+		{"packed", layout(banked.LayoutSubtreePacked)},
 	}
-	r := rng.New(3)
-	next := func() uint64 { return r.Uint64n(cfg.NumBlocks) }
-	for i := 0; i < 20000; i++ {
-		c.Read(c.lastEnd, next())
-		c.Write(c.lastEnd, next())
-	}
-	if c.Stats().Merges == 0 {
-		t.Fatal("warm-up formed no super block; Read would return no prefetches")
-	}
-	if avg := testing.AllocsPerRun(2000, func() { c.Write(c.lastEnd, next()) }); avg != 0 {
-		t.Errorf("Write allocates %.3f times per call", avg)
-	}
-	if avg := testing.AllocsPerRun(2000, func() { c.Read(c.lastEnd, next()) }); avg > 1 {
-		t.Errorf("Read allocates %.3f times per call, want at most 1", avg)
-	}
-	if err := c.CheckInvariant(); err != nil {
-		t.Fatal(err)
+	for _, dev := range devices {
+		for _, periodic := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/periodic=%v", dev.name, periodic), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Super = superblock.Config{Scheme: superblock.Dynamic, MaxSize: 2,
+					CMerge: 1, CBreak: 1, Window: 1000}
+				cfg.Banked = dev.banked
+				cfg.Periodic = periodic
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gap uint64
+				if periodic {
+					gap = 3 * (c.PathLatency() + cfg.Oint)
+				}
+				llc := newFakeLLC()
+				c.SetProber(llc)
+				for i := uint64(0); i < cfg.NumBlocks; i++ {
+					c.Write(c.lastEnd, i) // populate: every block gets a leaf
+					llc.add(i)            // and counts as cached, so neighbours merge
+				}
+				r := rng.New(3)
+				next := func() uint64 { return r.Uint64n(cfg.NumBlocks) }
+				for i := 0; i < 20000; i++ {
+					c.Read(c.lastEnd+gap, next())
+					c.Write(c.lastEnd+gap, next())
+				}
+				if c.Stats().Merges == 0 {
+					t.Fatal("warm-up formed no super block; Read would return no prefetches")
+				}
+				if periodic && c.Stats().DummyAccesses == 0 {
+					t.Fatal("warm-up issued no periodic dummies; the schedule's slot filling is not measured")
+				}
+				if avg := testing.AllocsPerRun(2000, func() { c.Write(c.lastEnd+gap, next()) }); avg != 0 {
+					t.Errorf("Write allocates %.3f times per call", avg)
+				}
+				if avg := testing.AllocsPerRun(2000, func() { c.Read(c.lastEnd+gap, next()) }); avg > 1 {
+					t.Errorf("Read allocates %.3f times per call, want at most 1", avg)
+				}
+				if err := c.CheckInvariant(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

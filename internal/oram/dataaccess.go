@@ -15,8 +15,6 @@ import (
 // members are returned as prefetches.
 //
 // It returns the completion cycle and the prefetched sibling indices.
-//
-//proram:hotpath the data-tree access of every demand request
 func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []uint64) {
 	fanout := uint64(c.cfg.Fanout)
 	// Resolve the schedule first: periodic catch-up dummies must run
@@ -67,7 +65,6 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 	}
 
 	var prefetched []uint64
-	//proram:allow allocdiscipline the during-path callback is one fixed closure per access, not per-block work
 	done := c.rawPathAccess(start, readLeaf, kind, func() {
 		// Gather: every member is now on-chip (path read moved tree
 		// residents to the stash; the rest were already stashed), and a
@@ -129,7 +126,9 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 			c.hitBits.clear(gi)
 			c.stats.PrefetchIssued++
 			c.winIssued++
-			prefetched = append(prefetched, gi) //proram:allow allocdiscipline the result escapes to the caller, and install/evict re-enters Write while it is held, so the slice cannot be pooled
+			// The result escapes to the caller, and install/evict re-enters
+			// Write while it is held, so the slice cannot be pooled.
+			prefetched = append(prefetched, gi)
 		}
 	})
 	return done, prefetched
@@ -157,8 +156,6 @@ func (c *Controller) staticGroupSize(pb posmap.Block, slot int) int {
 // breakUpdate implements the counter phase of Algorithm 2: every member's
 // prefetch/hit bits are folded into the break counter (hit: +1, miss: -1)
 // and cleared. It returns the raw (unclamped) counter value.
-//
-//proram:hotpath runs inside every dynamic-scheme super-block access
 func (c *Controller) breakUpdate(g group) int {
 	raw := int(g.pb.BreakCounter(g.start))
 	members := g.pb.Entries[g.start : g.start+g.size]
@@ -194,8 +191,6 @@ func (c *Controller) breakUpdate(g group) int {
 // splits into two halves mapped to independent fresh leaves; the half
 // containing the demand block keeps the leaf chosen for this access. It
 // returns the demand half.
-//
-//proram:hotpath runs inside the path access that triggers a break
 func (c *Controller) breakGroup(g group, slot int, keepLeaf mem.Leaf) group {
 	half := g.size / 2
 	otherLeaf := c.randLeaf()
@@ -242,8 +237,6 @@ func (c *Controller) breakGroup(g group, slot int, keepLeaf mem.Leaf) group {
 // on reaching the threshold the accessed super block B adopts the
 // neighbor's position ("changing the position map of B to the position map
 // of B'"), forming a super block of twice the size.
-//
-//proram:hotpath runs on every dynamic-scheme demand read
 func (c *Controller) mergeCheck(g group) {
 	n := g.size
 	if 2*n > c.policy.MaxSize() {

@@ -48,8 +48,6 @@ func (p *PLB) Len() int { return p.lru.Len() }
 
 // Lookup reports whether id is cached, promoting it on hit and recording
 // hit/miss statistics.
-//
-//proram:hotpath probed once per recursion level on every access
 func (p *PLB) Lookup(id mem.BlockID) bool {
 	if e, ok := p.index[id]; ok {
 		p.lru.MoveToFront(e)
@@ -69,8 +67,6 @@ func (p *PLB) Contains(id mem.BlockID) bool {
 // Insert caches id (most recently used). If the PLB overflows, the least
 // recently used block is evicted and returned; the caller must put the
 // victim back into the stash. ok reports whether a victim was produced.
-//
-//proram:hotpath runs once per recursion level walked
 func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, ok bool) {
 	if p.capacity == 0 {
 		// PLB disabled: nothing is cached and there is no victim — the
@@ -82,7 +78,7 @@ func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, ok bool) {
 		return mem.Nil, false
 	}
 	if p.lru.Len() < p.capacity {
-		p.lru.PushFront(&plbEntry{id: id}) //proram:allow allocdiscipline warm-up below capacity only; at capacity the LRU entry is recycled in place
+		p.lru.PushFront(&plbEntry{id: id})
 		p.index[id] = p.lru.Front()
 		return mem.Nil, false
 	}

@@ -207,8 +207,6 @@ func (h *Hierarchy) Count(level int) uint64 { return h.levels[level].count }
 func (h *Hierarchy) Fanout() int { return h.cfg.Fanout }
 
 // Block returns the position-map block at the given level (>= 1) and index.
-//
-//proram:hotpath fetched for every data access
 func (h *Hierarchy) Block(level int, index uint64) Block {
 	levels := h.levels
 	if level < 1 || level >= len(levels) {
@@ -237,8 +235,6 @@ func (h *Hierarchy) Parent(level int, index uint64) (uint64, int) {
 // EntryFor returns the position-map entry describing block (level, index).
 // For level == Depth() the mapping is on-chip and has no Entry; use
 // TopLeaf/SetTopLeaf instead.
-//
-//proram:hotpath position lookup on every path read
 func (h *Hierarchy) EntryFor(level int, index uint64) *Entry {
 	levels := h.levels
 	if level < 0 || level >= len(levels)-1 {
@@ -256,8 +252,6 @@ func (h *Hierarchy) EntryFor(level int, index uint64) *Entry {
 
 // TopLeaf returns the on-chip leaf of the top-level block at index, or
 // mem.NoLeaf if it was never assigned.
-//
-//proram:hotpath on-chip table read for every recursion walk
 func (h *Hierarchy) TopLeaf(index uint64) mem.Leaf {
 	onChip := h.onChip
 	i := int(index)

@@ -58,8 +58,6 @@ func (s *Stream) Issued() uint64 { return s.issued }
 // OnMiss observes a demand miss of the given block index and appends the
 // block indices to prefetch to dst. A stream must be confirmed by two
 // sequential misses before it issues prefetches.
-//
-//proram:hotpath runs on every simulated LLC miss
 func (s *Stream) OnMiss(index uint64, dst []uint64) []uint64 {
 	s.tick++
 	streams := s.streams
@@ -73,7 +71,7 @@ func (s *Stream) OnMiss(index uint64, dst []uint64) []uint64 {
 		st.confirmed = true
 		st.expected = index + 1
 		for d := 1; d <= s.cfg.Degree; d++ {
-			dst = append(dst, index+uint64(d)) //proram:allow allocdiscipline appends into a caller-owned reusable buffer
+			dst = append(dst, index+uint64(d))
 			s.issued++
 		}
 		return dst

@@ -76,3 +76,26 @@ func TestAppendSemantics(t *testing.T) {
 		t.Fatalf("append semantics broken: %v", got)
 	}
 }
+
+// OnMiss runs on every simulated LLC miss; appending into a buffer the
+// caller reuses, it must not allocate, whether the miss confirms a stream
+// and issues prefetches or replaces one.
+func TestOnMissIntoReusedBufferDoesNotAllocate(t *testing.T) {
+	p := New(DefaultConfig())
+	buf := make([]uint64, 0, 64)
+	var next uint64
+	miss := func() {
+		// Two sequential streams interleaved with a stray miss: the
+		// sequential ones confirm and issue, the stray ones replace.
+		for _, index := range []uint64{next, 1<<20 + next, 1<<40 + 7*next} {
+			buf = p.OnMiss(index, buf[:0])
+		}
+		next++
+	}
+	if avg := testing.AllocsPerRun(1000, miss); avg != 0 {
+		t.Fatalf("OnMiss allocates %.2f times per call", avg)
+	}
+	if p.Issued() == 0 {
+		t.Fatal("no stream confirmed; the prefetch-issuing branch went unmeasured")
+	}
+}

@@ -96,8 +96,6 @@ func (c *Cache) canFetch() bool { return c.victimCap()-c.queued >= c.maxSuper }
 // Present implements oram.CacheProber, letting the merge algorithm probe
 // for co-resident blocks. A queued victim is resident: it is the block's
 // current copy, still held on the client.
-//
-//proram:hotpath probed once per super-block candidate on every dynamic merge
 func (c *Cache) Present(index uint64) bool {
 	_, ok := c.lines[index]
 	return ok

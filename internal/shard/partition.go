@@ -273,8 +273,6 @@ func (p *partition) answer(req *request, resp response, res *roundResult) {
 // uniformly random local block, indistinguishable on the wire from a
 // demand access. The result is discarded — nothing enters the cache, so
 // padding never perturbs the prefetcher's locality signal.
-//
-//proram:hotpath fills every unused slot of every round on every partition
 func (p *partition) dummyAccess() {
 	p.store.DemandRead(p.dummyRnd.Uint64n(p.localBlocks))
 }

@@ -57,8 +57,6 @@ func (m *PartitionMap) Groups() int { return len(m.table) }
 // mix is a splitmix64-style keyed finalizer: a 64-bit permutation of
 // index under the key. Distinct seeds give effectively independent
 // spreads of the address space.
-//
-//proram:hotpath one hash per request admission
 func mix(key, index uint64) uint64 {
 	z := index + key + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -67,8 +65,6 @@ func mix(key, index uint64) uint64 {
 }
 
 // Group returns the indirection group of a block index.
-//
-//proram:hotpath runs on every request admission
 func (m *PartitionMap) Group(index uint64) int {
 	return int(mix(m.seed, index) & uint64(len(m.table)-1))
 }
@@ -78,7 +74,6 @@ func (m *PartitionMap) Group(index uint64) int {
 // arithmetically derived all-ones/all-zeros mask, so the scan's control
 // flow and touched addresses are identical for every index.
 //
-//proram:hotpath runs on every request admission; must stay branchless and allocation-free
 //proram:branchless the scan's control flow and touched addresses must be identical for every index
 func (m *PartitionMap) Lookup(index uint64) int {
 	g := uint64(m.Group(index))

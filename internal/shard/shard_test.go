@@ -524,6 +524,50 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 }
 
+// TestSteadyStateDoesNotAllocate measures the frontend's per-slot work on
+// a warmed partition: a pad slot's dummy access, the request router's
+// partition lookup and the merge algorithm's client-cache probe allocate
+// nothing. The dummies run before the cache holds any line, so no super
+// block merges and Read has no prefetch slice to return.
+func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	cfg := testConfig(1)
+	f, err := build(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.stopWorkers()
+	p := f.parts[0]
+	for i := 0; i < 20000; i++ {
+		p.dummyAccess()
+	}
+	if avg := testing.AllocsPerRun(1000, p.dummyAccess); avg != 0 {
+		t.Errorf("dummyAccess allocates %.2f times per call", avg)
+	}
+
+	var index uint64
+	lookup := func() {
+		f.pmap.Lookup(index)
+		index += 0x9e3779b97f4a7c15
+	}
+	if avg := testing.AllocsPerRun(1000, lookup); avg != 0 {
+		t.Errorf("PartitionMap.Lookup allocates %.2f times per call", avg)
+	}
+
+	for i := uint64(0); i < 32; i++ {
+		if _, err := p.cache.Fetch(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var probe uint64
+	present := func() {
+		p.cache.Present(probe % 64) // half resident, half not
+		probe++
+	}
+	if avg := testing.AllocsPerRun(1000, present); avg != 0 {
+		t.Errorf("Cache.Present allocates %.2f times per call", avg)
+	}
+}
+
 // TestBankedReplayByteIdentity is the shared-device acceptance test: with
 // all partitions contending for one banked DRAM device, the live global
 // access sequence (contended timings included) and two independent replays

@@ -44,8 +44,6 @@ func (s *Store) BlockBytes() int { return s.blockBytes }
 
 // DemandRead performs one full recursive ORAM read of index at the current
 // clock and advances it. The result carries prefetched sibling indices.
-//
-//proram:hotpath every real and dummy slot of every scheduling round enters here
 func (s *Store) DemandRead(index uint64) oram.Result {
 	res := s.Ctrl.Read(s.Now, index)
 	s.Now = res.Done

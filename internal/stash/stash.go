@@ -118,8 +118,6 @@ func (s *Stash) home(id mem.BlockID) int {
 // slot is where an insert of id belongs: the first deleted slot on the
 // sequence, or else the empty slot that ends it. Both pointers are good
 // until the next Add, AddPath or compaction.
-//
-//proram:hotpath one probe sequence per insert, membership test, remap and removal
 func (s *Stash) probe(id mem.BlockID) (slot *int32, e *tree.Labeled) {
 	table, order := s.table, s.order
 	mask := len(table) - 1
@@ -145,8 +143,6 @@ func (s *Stash) probe(id mem.BlockID) (slot *int32, e *tree.Labeled) {
 }
 
 // inSegment returns the order position of id in the open segment, or -1.
-//
-//proram:hotpath scanned by every lookup while a path's blocks are on-chip
 func (s *Stash) inSegment(id mem.BlockID) int {
 	for i, e := range s.order[s.seg:s.segEnd] {
 		if e.ID == id {
@@ -158,21 +154,16 @@ func (s *Stash) inSegment(id mem.BlockID) int {
 
 // reserve makes room in the table for n more used slots. A table that
 // would pass half use is rebuilt first.
-//
-//proram:hotpath one check per Add and per path read
 func (s *Stash) reserve(n int) error {
 	if s.used+n <= len(s.table)/2 {
 		return nil
 	}
-	//proram:allow allocdiscipline the table grows only when occupancy passes a quarter of it for the first time and never shrinks; otherwise the rebuild works in place
 	return s.rebuild(n)
 }
 
 // Add inserts a block mapped to leaf. It errors on a nil id and on a
 // block that is already stashed; both indicate a protocol bug in the
 // caller, which decides whether that is fatal.
-//
-//proram:hotpath stashes first-touch blocks and PLB victims inside an access
 func (s *Stash) Add(id mem.BlockID, leaf mem.Leaf) error {
 	if id.IsNil() {
 		return errNilBlock
@@ -182,12 +173,12 @@ func (s *Stash) Add(id mem.BlockID, leaf mem.Leaf) error {
 	}
 	slot, dup := s.probe(id)
 	if dup != nil || s.inSegment(id) >= 0 {
-		return fmt.Errorf("stash: duplicate add of %v", id) //proram:allow allocdiscipline failure path for a caller protocol bug; never taken in a correct run
+		return fmt.Errorf("stash: duplicate add of %v", id)
 	}
 	if *slot == 0 {
 		s.used++
 	}
-	s.order = append(s.order, tree.Labeled{ID: id, Leaf: leaf}) //proram:allow allocdiscipline bounded by the occupancy invariant and reclaimed by maybeCompact; steady state reuses capacity
+	s.order = append(s.order, tree.Labeled{ID: id, Leaf: leaf}) // maybeCompact bounds order, so the steady state reuses its capacity
 	*slot = int32(len(s.order))
 	s.live++
 	s.highWater = max(s.highWater, s.live)
@@ -201,15 +192,13 @@ func (s *Stash) Add(id mem.BlockID, leaf mem.Leaf) error {
 // segment and EvictToPath indexes only the ones it leaves behind. A
 // segment still open from an earlier path is closed first. The blocks must
 // be real, distinct and not stashed yet, as a tree path's blocks are.
-//
-//proram:hotpath the read phase of every path access
 func (s *Stash) AddPath(path []tree.Labeled) error {
 	s.closeSegment()
 	if err := s.reserve(len(path)); err != nil {
 		return err
 	}
 	s.seg = len(s.order)
-	s.order = append(s.order, path...) //proram:allow allocdiscipline bounded by the occupancy invariant and reclaimed by maybeCompact; steady state reuses capacity
+	s.order = append(s.order, path...) // maybeCompact bounds order, so the steady state reuses its capacity
 	s.segEnd = len(s.order)
 	s.used += len(path)
 	s.live += len(path)
@@ -223,8 +212,6 @@ func (s *Stash) AddPath(path []tree.Labeled) error {
 // (one that lands on a deleted slot returns its reservation). The few
 // blocks added after the segment are re-pointed as they move. A write-back
 // thus leaves no removed entries behind for compact to clear.
-//
-//proram:hotpath runs after the write-back of every path access
 func (s *Stash) closeSegment() {
 	if s.seg == s.segEnd {
 		return
@@ -256,8 +243,6 @@ func (s *Stash) closeSegment() {
 
 // find returns id's order entry, from the open segment or the table, or
 // nil if id is not stashed.
-//
-//proram:hotpath membership test and remap of every gathered block
 func (s *Stash) find(id mem.BlockID) *tree.Labeled {
 	if i := s.inSegment(id); i >= 0 {
 		return &s.order[i]
@@ -267,14 +252,10 @@ func (s *Stash) find(id mem.BlockID) *tree.Labeled {
 }
 
 // Contains reports whether id is stashed.
-//
-//proram:hotpath membership probe for every gathered block
 func (s *Stash) Contains(id mem.BlockID) bool { return s.find(id) != nil }
 
 // SetLeaf remaps a stashed block to a new leaf. It reports whether the
 // block was present.
-//
-//proram:hotpath remap of every super-block member
 func (s *Stash) SetLeaf(id mem.BlockID, leaf mem.Leaf) bool {
 	e := s.find(id)
 	if e == nil {
@@ -287,8 +268,6 @@ func (s *Stash) SetLeaf(id mem.BlockID, leaf mem.Leaf) bool {
 // drop deletes the live entry e: its table slot is marked deleted, or, for
 // a block of the open segment (slot nil), its reservation is returned. The
 // entry keeps its place in order with a Nil id.
-//
-//proram:hotpath one removal per block written back
 func (s *Stash) drop(e *tree.Labeled, slot *int32) {
 	if slot == nil {
 		s.used--
@@ -300,8 +279,6 @@ func (s *Stash) drop(e *tree.Labeled, slot *int32) {
 }
 
 // Remove deletes a block from the stash, reporting whether it was present.
-//
-//proram:hotpath runs inside the path access that fills the PLB
 func (s *Stash) Remove(id mem.BlockID) bool {
 	if i := s.inSegment(id); i >= 0 {
 		s.drop(&s.order[i], nil)
@@ -316,8 +293,6 @@ func (s *Stash) Remove(id mem.BlockID) bool {
 
 // maybeCompact rebuilds the order slice when tombstones dominate, so the
 // slice stays O(live entries) without changing iteration order.
-//
-//proram:hotpath amortized compaction inside removals and evictions
 func (s *Stash) maybeCompact() {
 	if len(s.order) < 64 || len(s.order) < 2*s.live {
 		return
@@ -328,8 +303,6 @@ func (s *Stash) maybeCompact() {
 // compact squeezes the removed entries out of order, in place and without
 // reordering, and refills the table with the new positions: every deleted
 // slot becomes empty again, and the open segment is indexed and closed.
-//
-//proram:hotpath amortized over the removals that made it necessary
 func (s *Stash) compact() {
 	clear(s.table)
 	n := 0
@@ -386,8 +359,6 @@ func (s *Stash) ForEach(visit func(id mem.BlockID, leaf mem.Leaf)) {
 // blocks of the open segment that stay behind are then indexed.
 //
 // It returns the number of blocks written back.
-//
-//proram:hotpath the write-back phase of every path access
 func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 	levels := t.Levels()
 	// Counting sort of the live blocks by the deepest bucket they may
@@ -395,7 +366,7 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 	// walk below runs up the sorted slice. First each block's height and
 	// the count per height.
 	if cap(s.ends) < levels+1 {
-		s.ends = make([]int, levels+1) //proram:allow allocdiscipline one-time warm-up behind the capacity guard
+		s.ends = make([]int, levels+1)
 	}
 	ends := s.ends[:levels+1]
 	clear(ends)

@@ -215,8 +215,6 @@ func (p *Policy) MergeThreshold(n int) float64 {
 
 // ShouldMerge reports whether a pair of size-n neighbors with the given
 // merge-counter value should merge now.
-//
-//proram:hotpath merge decision inside every dynamic-scheme read
 func (p *Policy) ShouldMerge(counter uint8, n int) bool {
 	if p.cfg.Scheme != Dynamic {
 		return false
@@ -251,8 +249,6 @@ func (p *Policy) BreakThreshold(n int) float64 {
 // ShouldBreak reports whether a size-n super block should break given the
 // raw (pre-saturation, possibly negative) counter value after the
 // Algorithm 2 update.
-//
-//proram:hotpath break decision inside every super-block access
 func (p *Policy) ShouldBreak(rawCounter int, n int) bool {
 	if p.cfg.Scheme != Dynamic || p.cfg.DisableBreak || n < 2 {
 		return false

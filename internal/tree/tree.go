@@ -39,8 +39,6 @@ const (
 
 // pack encodes a block and its label. It panics on a block or label the
 // slot cannot hold; Nil is such a block.
-//
-//proram:hotpath encodes every block written back
 func pack(id mem.BlockID, leaf mem.Leaf) slot {
 	level, index := id.Level(), id.Index()
 	if bits.Len64(index)+level > codeBits-1 || leaf >= 1<<labelBits {
@@ -51,8 +49,6 @@ func pack(id mem.BlockID, leaf mem.Leaf) slot {
 }
 
 // block decodes an occupied slot.
-//
-//proram:hotpath decodes every block read off a path
 func (s slot) block() Labeled {
 	code := uint64(s) >> labelBits
 	level := bits.TrailingZeros64(code)
@@ -113,8 +109,6 @@ func (t *Tree) Used() uint64 { return t.used }
 
 // NodeAt returns the heap index of the bucket at the given depth on the
 // path to leaf. Depth 0 is the root; depth L is the leaf bucket itself.
-//
-//proram:hotpath heap-index arithmetic on every bucket touch
 func (t *Tree) NodeAt(leaf mem.Leaf, depth int) uint64 {
 	if depth < 0 || depth > t.levels {
 		//proram:invariant depths are produced by loops bounded by t.levels; going past them is an algorithm bug
@@ -127,16 +121,12 @@ func (t *Tree) NodeAt(leaf mem.Leaf, depth int) uint64 {
 // CommonDepth returns the depth of the deepest bucket shared by the paths
 // to leaves a and b. A block mapped to leaf b may be written into any
 // bucket on path a at depth <= CommonDepth(a, b).
-//
-//proram:hotpath eviction depth computation for every stashed block
 func (t *Tree) CommonDepth(a, b mem.Leaf) int {
 	// The paths diverge at the highest bit in which the labels differ.
 	return t.levels - bits.Len64(uint64(a)^uint64(b))
 }
 
 // bucket returns the slots of the bucket at node.
-//
-//proram:hotpath locates every bucket touched
 func (t *Tree) bucket(node uint64) []slot {
 	base := (node - 1) * uint64(t.z)
 	return t.slots[base : base+uint64(t.z)]
@@ -144,8 +134,6 @@ func (t *Tree) bucket(node uint64) []slot {
 
 // fill returns the number of blocks in bucket: the length of its occupied
 // prefix.
-//
-//proram:hotpath occupancy of every bucket touched
 func fill(bucket []slot) int {
 	for i, s := range bucket {
 		if s == 0 {
@@ -163,15 +151,13 @@ func (t *Tree) BucketCount(node uint64) int { return fill(t.bucket(node)) }
 // extended slice. This is the read phase of a Path ORAM access (step 2):
 // all real blocks move to the stash, and the labels spare the controller a
 // position-map lookup per block.
-//
-//proram:hotpath the read phase of every path access
 func (t *Tree) RemovePathLabeled(leaf mem.Leaf, dst []Labeled) []Labeled {
 	leafNode := t.Leaves() + uint64(leaf)
 	for depth := 0; depth <= t.levels; depth++ {
 		bucket := t.bucket(leafNode >> uint(t.levels-depth))
 		n := fill(bucket)
 		for _, s := range bucket[:n] {
-			dst = append(dst, s.block()) //proram:allow allocdiscipline appends into the caller's reusable path buffer
+			dst = append(dst, s.block())
 		}
 		clear(bucket[:n])
 		t.used -= uint64(n)
@@ -200,8 +186,6 @@ func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
 // the one its path and any access path through that depth share. It
 // reports false if the bucket is full. This is the write-back phase
 // primitive (step 5).
-//
-//proram:hotpath the write-back primitive of every path access
 func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 	s := pack(id, leaf)
 	bucket := t.bucket(t.NodeAt(leaf, depth))
@@ -220,8 +204,6 @@ func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 // and returns how many it placed: min(free slots, len(blocks)). Every
 // block's own path must pass through that bucket. The write-back loop uses
 // it so that each bucket is located and scanned once per path access.
-//
-//proram:hotpath the write-back of one bucket on every path access
 func (t *Tree) FillAt(accessLeaf mem.Leaf, depth int, blocks []Labeled) int {
 	bucket := t.bucket(t.NodeAt(accessLeaf, depth))
 	free := bucket[fill(bucket):]
