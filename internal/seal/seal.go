@@ -20,11 +20,15 @@ import (
 // NonceSize is the number of bytes prepended to every sealed block.
 const NonceSize = aes.BlockSize
 
-// Sealer encrypts and decrypts blocks. It is safe for concurrent use if
-// the nonce source is.
+// Sealer encrypts and decrypts blocks. It is not safe for concurrent use,
+// and neither is the deterministic nonce source the library gives it:
+// Seal reads each nonce into the Sealer's own scratch array, because a
+// local array would escape through the io.Reader and cost an allocation
+// per seal. Each Store owns its own Sealer.
 type Sealer struct {
-	block cipher.Block
-	nonce io.Reader
+	block   cipher.Block
+	nonce   io.Reader
+	scratch [NonceSize]byte
 }
 
 // New builds a Sealer from a 16-, 24- or 32-byte AES key and a nonce
@@ -47,14 +51,14 @@ func SealedSize(n int) int { return NonceSize + n }
 // Seal encrypts plaintext under a fresh nonce and returns nonce||ct,
 // appended to dst.
 func (s *Sealer) Seal(dst, plaintext []byte) ([]byte, error) {
-	var nonce [NonceSize]byte
-	if _, err := io.ReadFull(s.nonce, nonce[:]); err != nil {
+	nonce := s.scratch[:]
+	if _, err := io.ReadFull(s.nonce, nonce); err != nil {
 		return nil, fmt.Errorf("seal: reading nonce: %w", err)
 	}
 	off := len(dst)
-	dst = append(dst, nonce[:]...)
+	dst = append(dst, nonce...)
 	dst = append(dst, plaintext...)
-	stream := cipher.NewCTR(s.block, nonce[:])
+	stream := cipher.NewCTR(s.block, nonce)
 	stream.XORKeyStream(dst[off+NonceSize:], dst[off+NonceSize:])
 	return dst, nil
 }

@@ -3,8 +3,11 @@ package seal
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"proram/internal/rng"
 )
 
 var testKey = []byte("0123456789abcdef")
@@ -120,5 +123,75 @@ func TestEmptyPlaintext(t *testing.T) {
 	}
 	if len(opened) != 0 {
 		t.Fatalf("empty round trip produced %d bytes", len(opened))
+	}
+}
+
+// TestFailedSealLeavesDst: a nonce source that runs dry fails the seal
+// before dst is touched, so a caller sealing over a block's previous
+// ciphertext keeps it.
+func TestFailedSealLeavesDst(t *testing.T) {
+	s, _ := New(testKey, bytes.NewReader(make([]byte, NonceSize+5)))
+	old, err := s.Seal(nil, []byte("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := append([]byte(nil), old...)
+	if _, err := s.Seal(old[:0], []byte("new")); err == nil {
+		t.Fatal("Seal succeeded on a short nonce source")
+	}
+	if !bytes.Equal(old, keep) {
+		t.Fatal("a failed Seal overwrote dst")
+	}
+}
+
+// benchSizes are the benchmark's block size and a page.
+var benchSizes = []int{128, 4096}
+
+// BenchmarkSeal seals a block into a reused buffer, as Store.WriteBack
+// does over a block's previous ciphertext, with the library's nonce source.
+func BenchmarkSeal(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s, err := New(testKey, rng.NewReader(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			plain := make([]byte, n)
+			buf := make([]byte, 0, SealedSize(n))
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if buf, err = s.Seal(buf[:0], plain); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpen opens a sealed block into a reused buffer, as
+// Store.LoadInto does into a cache line.
+func BenchmarkOpen(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s, err := New(testKey, rng.NewReader(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sealed, err := s.Seal(nil, make([]byte, n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, n)
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if buf, err = s.Open(buf[:0], sealed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

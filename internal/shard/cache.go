@@ -1,33 +1,48 @@
 package shard
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 )
 
-// Line is one plaintext block in a Cache.
-type Line struct {
+// none is the null line number: the end of a list, an empty queue or free
+// list.
+const none int32 = -1
+
+// line is one cache line's metadata. Its payload is window n of the
+// cache's slab, n being the line's position in Cache.lines; the two are
+// kept apart so that the plaintext shares no struct with the bookkeeping.
+type line struct {
 	index      uint64
-	data       []byte
+	prev, next int32 // the order list's neighbours (next also links the free list)
 	dirty      bool
 	prefetched bool
 	used       bool
 	queued     bool // evicted dirty, waiting in the victim queue
 }
 
+// Line is one plaintext block in a Cache: a line number, valid while its
+// block stays resident (until a Drain or clean eviction lets the number be
+// reused).
+type Line struct {
+	c *Cache
+	n int32
+}
+
 // Bytes returns a fresh copy of the block's plaintext.
-func (l *Line) Bytes() []byte {
-	out := make([]byte, len(l.data))
-	copy(out, l.data)
+func (l Line) Bytes() []byte {
+	data := l.c.payload(l.n)
+	out := make([]byte, len(data))
+	copy(out, data)
 	return out
 }
 
 // Set overwrites the block with data, zero-padded, and marks it dirty.
-func (l *Line) Set(data []byte) {
-	clear(l.data)
-	copy(l.data, data)
-	l.dirty = true
+func (l Line) Set(data []byte) {
+	p := l.c.payload(l.n)
+	clear(p)
+	copy(p, data)
+	l.c.lines[l.n].dirty = true
 }
 
 // errVictimsFull is Fetch's refusal when the victim queue cannot take the
@@ -45,19 +60,29 @@ var errVictimsFull = errors.New("shard: victim queue cannot take another miss's 
 // eviction work runs wherever the owner has an access to spare. A queued
 // line is still its block's only current copy: Present reports it, Lookup
 // and Fetch take it back instead of loading the block's stale ciphertext.
+//
+// Lines live in two slices indexed by line number, metadata in lines and
+// plaintext in slab, which grow together by one line per install that
+// finds the free list empty and never shrink. The cache never holds more
+// than capacity+victimCap() lines, so that is also the most the slices
+// reach; an unused capacity costs nothing.
 type Cache struct {
-	store    *Store
-	capacity int
-	maxSuper int // the controller's MaxSuperBlock: the most installs one Fetch makes
-	onAccess func()
-	lines    map[uint64]*list.Element // block index -> *Line element in order
-	// order holds every resident line: the cached ones, most recently used
-	// first, then the victim queue, newest first. The LRU's tail and the
-	// queue's newest entry are neighbours, so queueing a victim moves no
-	// element, only the boundary.
-	order  *list.List
-	queue  *list.Element // the newest queued line; nil when the queue is empty
-	queued int
+	store      *Store
+	capacity   int
+	maxSuper   int // the controller's MaxSuperBlock: the most installs one Fetch makes
+	blockBytes int
+	onAccess   func()
+	index      map[uint64]int32 // block index -> line number of every resident block
+	lines      []line
+	slab       []byte // plaintext: line n owns slab[n*blockBytes:(n+1)*blockBytes]
+	// head..tail is the order list of every resident line: the cached
+	// ones, most recently used first, then the victim queue, newest first.
+	// The LRU's tail and the queue's newest entry are neighbours, so
+	// queueing a victim moves no line, only the boundary.
+	head, tail int32
+	queue      int32 // the newest queued line; none when the queue is empty
+	queued     int
+	free       int32 // lines no block holds, linked through next
 }
 
 // NewCache binds a cache of capacity blocks to store and installs it as the
@@ -72,12 +97,16 @@ func NewCache(store *Store, capacity int, onAccess func()) (*Cache, error) {
 		return nil, fmt.Errorf("shard: client cache of %d blocks cannot hold a super block of MaxSuperBlock %d", capacity, sb)
 	}
 	c := &Cache{
-		store:    store,
-		capacity: capacity,
-		maxSuper: sb,
-		onAccess: onAccess,
-		lines:    make(map[uint64]*list.Element),
-		order:    list.New(),
+		store:      store,
+		capacity:   capacity,
+		maxSuper:   sb,
+		blockBytes: store.BlockBytes(),
+		onAccess:   onAccess,
+		index:      make(map[uint64]int32),
+		head:       none,
+		tail:       none,
+		queue:      none,
+		free:       none,
 	}
 	store.Ctrl.SetProber(c)
 	return c, nil
@@ -90,33 +119,35 @@ func NewCache(store *Store, capacity int, onAccess func()) (*Cache, error) {
 func (c *Cache) victimCap() int { return 2 * c.maxSuper }
 
 // canFetch reports whether the victim queue has room for the dirty lines a
-// Fetch may evict. Fetch refuses otherwise; Drain makes room.
+// Fetch may evict. Fetch refuses otherwise; Drain makes room. With the LRU
+// at most capacity long, room in the queue is also room in the line budget
+// of capacity+victimCap(): at least MaxSuperBlock lines are free, so each
+// of a Fetch's installs opens its block into a free line before it evicts.
 func (c *Cache) canFetch() bool { return c.victimCap()-c.queued >= c.maxSuper }
 
 // Present implements oram.CacheProber, letting the merge algorithm probe
 // for co-resident blocks. A queued victim is resident: it is the block's
 // current copy, still held on the client.
 func (c *Cache) Present(index uint64) bool {
-	_, ok := c.lines[index]
+	_, ok := c.index[index]
 	return ok
 }
 
-// Lookup returns the cached line of index, or nil on a miss. A hit costs
-// no ORAM access: it refreshes the line's LRU position — taking it back
-// out of the victim queue if it was there — and reports the first use of a
-// prefetched line to the controller.
-func (c *Cache) Lookup(index uint64) *Line {
-	e, ok := c.lines[index]
+// Lookup returns the cached line of index; ok is false on a miss. A hit
+// costs no ORAM access: it refreshes the line's LRU position — taking it
+// back out of the victim queue if it was there — and reports the first use
+// of a prefetched line to the controller.
+func (c *Cache) Lookup(index uint64) (Line, bool) {
+	n, ok := c.index[index]
 	if !ok {
-		return nil
+		return Line{}, false
 	}
-	line := e.Value.(*Line)
-	c.touch(e)
-	if line.prefetched && !line.used {
-		line.used = true
-		c.store.Ctrl.NotifyPrefetchUse(line.index)
+	c.touch(n)
+	if l := &c.lines[n]; l.prefetched && !l.used {
+		l.used = true
+		c.store.Ctrl.NotifyPrefetchUse(l.index)
 	}
-	return line
+	return Line{c, n}, true
 }
 
 // Fetch misses into the ORAM: one full recursive read of index, then an
@@ -127,79 +158,148 @@ func (c *Cache) Lookup(index uint64) *Line {
 // that fails to open only loses the prefetch; a corrupt demand block fails
 // the fetch after its access. Without room in the queue (canFetch) Fetch
 // refuses before issuing anything.
-func (c *Cache) Fetch(index uint64) (*Line, error) {
+func (c *Cache) Fetch(index uint64) (Line, error) {
 	if !c.canFetch() {
-		return nil, errVictimsFull
+		return Line{}, errVictimsFull
 	}
 	res := c.store.DemandRead(index)
 	c.accessed()
-	line := c.Lookup(index)
-	if line == nil {
-		data, err := c.store.Load(index)
+	demand, ok := c.Lookup(index)
+	if !ok {
+		n, err := c.install(index, false)
 		if err != nil {
-			return nil, err
+			return Line{}, err
 		}
-		line = &Line{index: index, data: data}
-		c.insert(line)
+		demand = Line{c, n}
 	}
 	for _, p := range res.Prefetched {
-		if e, ok := c.lines[p]; ok {
-			if e.Value.(*Line).queued {
-				c.touch(e)
+		if n, ok := c.index[p]; ok {
+			if c.lines[n].queued {
+				c.touch(n)
 			}
 			continue
 		}
-		data, err := c.store.Load(p)
-		if err != nil {
-			continue // the demand line is in; a corrupt sibling only loses the prefetch
-		}
-		c.insert(&Line{index: p, data: data, prefetched: true})
+		// The demand line is in; a corrupt sibling only loses the prefetch.
+		_, _ = c.install(p, true)
 	}
-	return line, nil
+	return demand, nil
+}
+
+// install opens block index into a free line, makes it the most recently
+// used and trims the LRU. A block that fails to open hands its line
+// straight back: the cache is as it was.
+func (c *Cache) install(index uint64, prefetched bool) (int32, error) {
+	n := c.alloc()
+	if err := c.store.LoadInto(c.payload(n), index); err != nil {
+		c.release(n)
+		return none, err
+	}
+	c.lines[n] = line{index: index, prefetched: prefetched}
+	c.index[index] = n
+	c.link(n, none, c.head)
+	c.evict()
+	return n, nil
+}
+
+// alloc takes a line off the free list, or grows lines and slab by one.
+// canFetch bounds the growth at capacity+victimCap() lines. Line numbers
+// are int32: 2^31 lines would be 48 GB of metadata before any slab.
+func (c *Cache) alloc() int32 {
+	if n := c.free; n != none {
+		c.free = c.lines[n].next
+		return n
+	}
+	c.lines = append(c.lines, line{})
+	c.slab = append(c.slab, make([]byte, c.blockBytes)...)
+	return int32(len(c.lines) - 1)
+}
+
+// release puts an unlinked, unindexed line on the free list.
+func (c *Cache) release(n int32) {
+	c.lines[n].next = c.free
+	c.free = n
+}
+
+// payload is line n's window of the slab, capped so that no append through
+// it reaches the next line.
+func (c *Cache) payload(n int32) []byte {
+	off := int(n) * c.blockBytes
+	return c.slab[off : off+c.blockBytes : off+c.blockBytes]
+}
+
+// link puts line n into the order list between prev and next, either of
+// which may be none (an end of the list).
+func (c *Cache) link(n, prev, next int32) {
+	c.lines[n].prev, c.lines[n].next = prev, next
+	if prev == none {
+		c.head = n
+	} else {
+		c.lines[prev].next = n
+	}
+	if next == none {
+		c.tail = n
+	} else {
+		c.lines[next].prev = n
+	}
+}
+
+// unlink takes line n out of the order list.
+func (c *Cache) unlink(n int32) {
+	prev, next := c.lines[n].prev, c.lines[n].next
+	if prev == none {
+		c.head = next
+	} else {
+		c.lines[prev].next = next
+	}
+	if next == none {
+		c.tail = prev
+	} else {
+		c.lines[next].prev = prev
+	}
 }
 
 // touch makes a resident line the most recently used, taking it back out
 // of the victim queue if it was queued.
-func (c *Cache) touch(e *list.Element) {
-	line := e.Value.(*Line)
-	if line.queued {
-		if e == c.queue {
-			c.queue = e.Next() // the next newest, or nil: e was the queue's last line
+func (c *Cache) touch(n int32) {
+	if l := &c.lines[n]; l.queued {
+		if n == c.queue {
+			c.queue = l.next // the next newest, or none: n was the queue's last line
 		}
-		line.queued = false
+		l.queued = false
 		c.queued--
 	}
-	c.order.MoveToFront(e)
-	c.evict()
-}
-
-// insert makes a new line the most recently used.
-func (c *Cache) insert(line *Line) {
-	c.lines[line.index] = c.order.PushFront(line)
+	c.unlink(n)
+	c.link(n, none, c.head)
 	c.evict()
 }
 
 // evict trims the LRU to capacity from its tail: a clean victim is
 // dropped, a dirty one becomes the victim queue's newest line.
 func (c *Cache) evict() {
-	for c.order.Len()-c.queued > c.capacity {
-		tail := c.order.Back()
-		if c.queue != nil {
-			tail = c.queue.Prev()
+	for len(c.index)-c.queued > c.capacity {
+		n := c.tail
+		if c.queue != none {
+			n = c.lines[c.queue].prev
 		}
-		victim := tail.Value.(*Line)
+		victim := &c.lines[n]
 		if victim.prefetched && !victim.used {
 			c.store.Ctrl.NotifyPrefetchEvict(victim.index)
 		}
 		if !victim.dirty {
-			c.order.Remove(tail)
-			delete(c.lines, victim.index)
+			c.drop(n)
 			continue
 		}
 		victim.queued = true
-		c.queue = tail
+		c.queue = n
 		c.queued++
 	}
+}
+
+// drop takes a resident line out of the cache and frees it.
+func (c *Cache) drop(n int32) {
+	c.unlink(n)
+	delete(c.index, c.lines[n].index)
+	c.release(n)
 }
 
 // Drain writes the oldest queued victim back: one ORAM access, then the
@@ -208,24 +308,23 @@ func (c *Cache) evict() {
 // stays queued, as the newest, so the next Drain tries the next one. Drain
 // is the only writer of queued lines.
 func (c *Cache) Drain() (bool, error) {
-	if c.queue == nil {
+	if c.queue == none {
 		return false, nil
 	}
-	e := c.order.Back()
-	line := e.Value.(*Line)
-	if err := c.store.WriteBack(line.index, line.data); err != nil {
-		if e != c.queue {
-			c.order.MoveBefore(e, c.queue)
-			c.queue = e
+	n := c.tail
+	if err := c.store.WriteBack(c.lines[n].index, c.payload(n)); err != nil {
+		if n != c.queue {
+			c.unlink(n)
+			c.link(n, c.lines[c.queue].prev, c.queue)
+			c.queue = n
 		}
 		return false, err
 	}
 	c.accessed()
-	if e == c.queue {
-		c.queue = nil
+	if n == c.queue {
+		c.queue = none
 	}
-	c.order.Remove(e)
-	delete(c.lines, line.index)
+	c.drop(n)
 	c.queued--
 	return true, nil
 }
@@ -248,17 +347,17 @@ func (c *Cache) Flush() (written, failed int, err error) {
 		}
 		written++
 	}
-	for e := c.order.Front(); e != nil && e != c.queue; e = e.Next() {
-		line := e.Value.(*Line)
-		if !line.dirty {
+	for n := c.head; n != none && n != c.queue; n = c.lines[n].next {
+		l := &c.lines[n]
+		if !l.dirty {
 			continue
 		}
-		if werr := c.store.WriteBack(line.index, line.data); werr != nil {
+		if werr := c.store.WriteBack(l.index, c.payload(n)); werr != nil {
 			note(werr)
 			continue
 		}
 		c.accessed()
-		line.dirty = false
+		l.dirty = false
 		written++
 	}
 	return written, failed, err

@@ -99,9 +99,9 @@ func (m *cacheModel) want(x uint64) []byte {
 // recent first, and the victim queue, oldest first.
 func lists(c *Cache) (lru, queue []uint64) {
 	inQueue := false
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		inQueue = inQueue || e == c.queue
-		if x := e.Value.(*Line).index; inQueue {
+	for n := c.head; n != none; n = c.lines[n].next {
+		inQueue = inQueue || n == c.queue
+		if x := c.lines[n].index; inQueue {
 			queue = append(queue, x)
 		} else {
 			lru = append(lru, x)
@@ -111,22 +111,68 @@ func lists(c *Cache) (lru, queue []uint64) {
 	return lru, queue
 }
 
-// checkCache compares the cache with the model after one step: both lists
-// in order, the line flags and the index, the capacities, every block's
-// bytes wherever the block lives, and the accesses issued.
+// checkLines checks the slab's bookkeeping: the order list's links are
+// symmetric and end at head and tail, every line number is in exactly one
+// of the order list (LRU or queue) and the free list, the index maps each
+// resident block to its line, and the lines stay within their bound.
+func checkLines(t *testing.T, step int, c *Cache) {
+	t.Helper()
+	seen := make([]string, len(c.lines))
+	mark := func(n int32, where string) {
+		if n < 0 || int(n) >= len(c.lines) {
+			t.Fatalf("step %d: line %d in the %s, %d lines allocated", step, n, where, len(c.lines))
+		}
+		if seen[n] != "" {
+			t.Fatalf("step %d: line %d in the %s and the %s", step, n, seen[n], where)
+		}
+		seen[n] = where
+	}
+	prev, resident := none, 0
+	for n := c.head; n != none; prev, n = n, c.lines[n].next {
+		mark(n, "order list")
+		resident++
+		if c.lines[n].prev != prev {
+			t.Fatalf("step %d: line %d links back to %d, follows %d", step, n, c.lines[n].prev, prev)
+		}
+		if i, ok := c.index[c.lines[n].index]; !ok || i != n {
+			t.Fatalf("step %d: line %d holds block %d, indexed at %d (%v)", step, n, c.lines[n].index, i, ok)
+		}
+	}
+	if c.tail != prev {
+		t.Fatalf("step %d: tail is line %d, the list ends at %d", step, c.tail, prev)
+	}
+	for n := c.free; n != none; n = c.lines[n].next {
+		mark(n, "free list")
+	}
+	if slices.Contains(seen, "") {
+		t.Fatalf("step %d: line %d is in no list", step, slices.Index(seen, ""))
+	}
+	if len(c.index) != resident {
+		t.Fatalf("step %d: %d blocks indexed, %d lines resident", step, len(c.index), resident)
+	}
+	if limit := c.capacity + c.victimCap(); len(c.lines) > limit || len(c.slab) != len(c.lines)*c.blockBytes {
+		t.Fatalf("step %d: %d lines and %d slab bytes, at most %d lines of %d bytes", step, len(c.lines), len(c.slab), limit, c.blockBytes)
+	}
+}
+
+// checkCache compares the cache with the model after one step: the slab's
+// bookkeeping, both lists in order, the line flags and the index, the
+// capacities, every block's bytes wherever the block lives, and the
+// accesses issued.
 func checkCache(t *testing.T, step int, c *Cache, m *cacheModel, hooked int) {
 	t.Helper()
+	checkLines(t, step, c)
 	lru, queue := lists(c)
 	if !slices.Equal(lru, m.lru) || !slices.Equal(queue, m.queue) {
 		t.Fatalf("step %d: LRU %v queue %v, model LRU %v queue %v", step, lru, queue, m.lru, m.queue)
 	}
-	if len(c.lines) != len(lru)+len(queue) || c.queued != len(queue) {
+	if len(c.index) != len(lru)+len(queue) || c.queued != len(queue) {
 		t.Fatalf("step %d: %d indexed lines and %d counted queued, %d in the LRU and %d queued",
-			step, len(c.lines), c.queued, len(lru), len(queue))
+			step, len(c.index), c.queued, len(lru), len(queue))
 	}
 	for _, l := range [][]uint64{lru, queue} {
 		for _, x := range l {
-			line := c.lines[x].Value.(*Line)
+			line := c.lines[c.index[x]]
 			inQueue := slices.Contains(queue, x)
 			if slices.Contains(lru, x) && inQueue {
 				t.Fatalf("step %d: block %d is in the LRU and the queue", step, x)
@@ -142,8 +188,8 @@ func checkCache(t *testing.T, step int, c *Cache, m *cacheModel, hooked int) {
 	}
 	for x := uint64(0); x < modelBlocks; x++ {
 		var got []byte
-		if e, ok := c.lines[x]; ok {
-			got = e.Value.(*Line).data
+		if n, ok := c.index[x]; ok {
+			got = c.payload(n)
 		} else {
 			var err error
 			if got, err = c.store.Load(x); err != nil {
@@ -183,14 +229,14 @@ func runCacheModel(t *testing.T, data []byte) {
 	m := &cacheModel{capacity: capacity, maxSuper: maxSuper, blockBytes: c.store.BlockBytes(),
 		dirty: map[uint64]bool{}, data: map[uint64][]byte{}}
 
-	fetch := func(step int, x uint64) *Line {
+	fetch := func(step int, x uint64) (Line, bool) {
 		can := m.canFetch()
 		line, err := c.Fetch(x)
 		if !can {
-			if err != errVictimsFull || line != nil {
+			if err != errVictimsFull || line != (Line{}) {
 				t.Fatalf("step %d: Fetch(%d) with %d queued = %v, %v; want the full-queue refusal", step, x, len(m.queue), line, err)
 			}
-			return nil
+			return Line{}, false
 		}
 		if err != nil {
 			t.Fatalf("step %d: Fetch(%d): %v", step, x, err)
@@ -199,8 +245,8 @@ func runCacheModel(t *testing.T, data []byte) {
 		// which went in first.
 		front, _ := lists(c)
 		j := slices.Index(front, x)
-		if j < 0 || line.index != x {
-			t.Fatalf("step %d: Fetch(%d) returned block %d; LRU %v", step, x, line.index, front)
+		if got := c.lines[line.n].index; j < 0 || got != x {
+			t.Fatalf("step %d: Fetch(%d) returned block %d; LRU %v", step, x, got, front)
 		}
 		m.accesses++
 		m.install(x)
@@ -210,28 +256,28 @@ func runCacheModel(t *testing.T, data []byte) {
 			}
 			m.install(front[i])
 		}
-		return line
+		return line, true
 	}
 
 	for step := 2; step+2 <= len(data); step += 2 {
 		x := uint64(data[step+1]) % modelBlocks
 		switch data[step] % 8 {
 		case 0, 1:
-			line := c.Lookup(x)
-			if hit := m.lookup(x); (line != nil) != hit {
-				t.Fatalf("step %d: Lookup(%d) hit=%v, model %v", step, x, line != nil, hit)
+			_, ok := c.Lookup(x)
+			if hit := m.lookup(x); ok != hit {
+				t.Fatalf("step %d: Lookup(%d) hit=%v, model %v", step, x, ok, hit)
 			}
 		case 2:
 			fetch(step, x)
 		case 3, 4, 5:
-			line := c.Lookup(x)
-			if hit := m.lookup(x); (line != nil) != hit {
-				t.Fatalf("step %d: Lookup(%d) hit=%v, model %v", step, x, line != nil, hit)
+			line, ok := c.Lookup(x)
+			if hit := m.lookup(x); ok != hit {
+				t.Fatalf("step %d: Lookup(%d) hit=%v, model %v", step, x, ok, hit)
 			}
-			if line == nil {
-				line = fetch(step, x)
+			if !ok {
+				line, ok = fetch(step, x)
 			}
-			if line != nil {
+			if ok {
 				payload := []byte{byte(step), byte(step >> 8), byte(x), 0xA5}
 				line.Set(payload)
 				m.data[x] = payload

@@ -47,7 +47,7 @@ func newTestCache(t *testing.T, capacity int, sb superblock.Config, accesses *in
 var noSuperBlocks = superblock.Config{Scheme: superblock.None, MaxSize: 1}
 
 // mustFetch misses index into the cache and returns the line.
-func mustFetch(t *testing.T, c *Cache, index uint64) *Line {
+func mustFetch(t *testing.T, c *Cache, index uint64) Line {
 	t.Helper()
 	if c.Present(index) {
 		t.Fatalf("block %d already cached", index)
@@ -81,11 +81,11 @@ func TestCacheStrictLRU(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		mustFetch(t, c, i)
 	}
-	if c.Lookup(9) != nil {
+	if _, ok := c.Lookup(9); ok {
 		t.Fatal("Lookup hit an uncached block")
 	}
 	// Touching 0 makes 1 the least recently used; Present must not touch.
-	if c.Lookup(0) == nil || !c.Present(1) {
+	if _, ok := c.Lookup(0); !ok || !c.Present(1) {
 		t.Fatal("resident blocks missing")
 	}
 	for i, victim := range []uint64{1, 2, 3, 0} {
@@ -93,8 +93,8 @@ func TestCacheStrictLRU(t *testing.T) {
 		if c.Present(victim) {
 			t.Fatalf("insert %d did not evict block %d", i, victim)
 		}
-		if c.order.Len() != 4 || len(c.lines) != 4 {
-			t.Fatalf("cache holds %d/%d lines, capacity 4", c.order.Len(), len(c.lines))
+		if lru, queue := lists(c); len(lru) != 4 || len(queue) != 0 || len(c.index) != 4 {
+			t.Fatalf("cache holds %d+%d/%d lines, capacity 4", len(lru), len(queue), len(c.index))
 		}
 	}
 }
@@ -165,8 +165,8 @@ func TestCacheFlushOrder(t *testing.T) {
 		t.Fatal("Flush wrote a clean line")
 	}
 	for i := uint64(0); i < 4; i++ {
-		if line := c.Lookup(i); line == nil || line.dirty {
-			t.Fatalf("after Flush block %d is cached=%v, want cached and clean", i, line != nil)
+		if line, ok := c.Lookup(i); !ok || c.lines[line.n].dirty {
+			t.Fatalf("after Flush block %d is cached=%v, want cached and clean", i, ok)
 		}
 	}
 	if written, _, _ := c.Flush(); written != 0 {
@@ -184,8 +184,8 @@ func TestCacheHookCountsAccesses(t *testing.T) {
 	for op := 0; op < 2000; op++ {
 		// Runs of neighbours give the dynamic scheme something to merge.
 		index := (rnd.Uint64n(32)*8 + uint64(op%8)) % 256
-		line := c.Lookup(index)
-		if line == nil {
+		line, ok := c.Lookup(index)
+		if !ok {
 			if !c.canFetch() {
 				spent += drainAll(t, c)
 			}
@@ -231,7 +231,8 @@ func TestCacheCorruptBlocks(t *testing.T) {
 	line := mustFetch(t, c, 0)
 	line.Set([]byte("zero"))
 	for i := uint64(1); i < 4; i++ {
-		c.Lookup(i).Set([]byte{byte(i)})
+		line, _ := c.Lookup(i)
+		line.Set([]byte{byte(i)})
 	}
 	mustFetch(t, c, 16) // queues blocks 0..3, all dirty
 	if n := drainAll(t, c); n != 4 {
@@ -247,14 +248,73 @@ func TestCacheCorruptBlocks(t *testing.T) {
 	if c.Present(1) || !c.Present(2) || !c.Present(3) {
 		t.Fatalf("siblings cached: 1=%v 2=%v 3=%v, want only 2 and 3", c.Present(1), c.Present(2), c.Present(3))
 	}
+	checkLines(t, 1, c) // the sibling's line went back to the free list
 	// A corrupt demand block fails the fetch, after its one ORAM access.
 	mustFetch(t, c, 16)
 	before := c.store.Ctrl.Stats().DemandReads
 	line, err := c.Fetch(1)
-	if err == nil || !strings.Contains(err.Error(), "block 1 corrupt") || line != nil {
+	if err == nil || !strings.Contains(err.Error(), "block 1 corrupt") || line != (Line{}) {
 		t.Fatalf("Fetch of a corrupt block returned %v, %v", line, err)
 	}
 	if got := c.store.Ctrl.Stats().DemandReads - before; got != 1 || c.Present(1) {
 		t.Fatalf("failed fetch: controller served %d accesses, cached=%v", got, c.Present(1))
+	}
+	checkLines(t, 2, c) // and so did the demand block's
+}
+
+// BenchmarkCacheMiss drives a full 4,096-line cache of 128-byte blocks the
+// way proram.RAM does under its default configuration (dynamic super
+// blocks of 2): uniform accesses over 16 times the capacity, so about 94 %
+// miss, half of them writes, each a Lookup, a Fetch on a miss and then a
+// drain of the victim queue. ns/op and allocs/op are per access, the ORAM
+// access, the open and the victims' seals included.
+func BenchmarkCacheMiss(b *testing.B) {
+	const lines, blocks = 4096, 16 * 4096
+	o := oram.DefaultConfig()
+	o.NumBlocks = blocks
+	o.Super = superblock.DefaultConfig()
+	o.Super.MaxSize = 2
+	ctrl, err := oram.New(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sealer, err := seal.New(testKey, rng.NewReader(cacheNonceSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := NewCache(NewStore(ctrl, sealer, o.BlockBytes), lines, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rnd := rng.New(1)
+	payload := make([]byte, o.BlockBytes)
+	access := func() {
+		x := rnd.Uint64n(blocks)
+		line, ok := c.Lookup(x)
+		if !ok {
+			if line, err = c.Fetch(x); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if rnd.Bool() {
+			line.Set(payload)
+		}
+		for {
+			wrote, err := c.Drain()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !wrote {
+				return
+			}
+		}
+	}
+	for range 4 * lines {
+		access()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		access()
 	}
 }

@@ -175,8 +175,8 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		// A hit costs no ORAM access. This is also how duplicate requests
 		// within a round coalesce — the first miss installs the line, the
 		// rest hit it.
-		//proram:public whether a slot is cached follows the public access sequence; the line is only container-tainted by its payload bytes
-		if line := p.cache.Lookup(local); line != nil {
+		//proram:public whether a slot is cached follows the public access sequence
+		if line, ok := p.cache.Lookup(local); ok {
 			p.cacheHits++
 			p.finish(req, line, res)
 			continue
@@ -242,7 +242,7 @@ func (p *partition) demandAccess(req *request, local uint64, res *roundResult) {
 }
 
 // finish applies the request to its cached line and answers it.
-func (p *partition) finish(req *request, line *Line, res *roundResult) {
+func (p *partition) finish(req *request, line Line, res *roundResult) {
 	if req.write {
 		p.writes++
 		line.Set(req.data)

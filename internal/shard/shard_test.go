@@ -528,7 +528,9 @@ func TestStoreRoundtrip(t *testing.T) {
 // a warmed partition: a pad slot's dummy access, the request router's
 // partition lookup and the merge algorithm's client-cache probe allocate
 // nothing. The dummies run before the cache holds any line, so no super
-// block merges and Read has no prefetch slice to return.
+// block merges and Read has no prefetch slice to return. Then the client
+// cache on its own, warmed and full: a miss, a hit and a write allocate
+// nothing, and a victim's write-back only what its Seal does.
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg := testConfig(1)
 	f, err := build(cfg, true)
@@ -566,6 +568,78 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, present); avg != 0 {
 		t.Errorf("Cache.Present allocates %.2f times per call", avg)
 	}
+
+	// A warmed, full cache of 64 lines over 1024 blocks, no prefetch: a miss
+	// on a never-sealed block, whose install evicts a clean line, a hit and
+	// a write reuse lines in place.
+	c := newTestCache(t, 64, noSuperBlocks, nil)
+	var next uint64
+	miss := func() {
+		if _, err := c.Fetch(next % 1024); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 4096 {
+		miss()
+	}
+	if avg := testing.AllocsPerRun(1000, miss); avg != 0 {
+		t.Errorf("Cache.Fetch allocates %.2f times per miss", avg)
+	}
+	line, _ := c.Lookup((next - 1) % 1024)
+	hit := func() { c.Lookup((next - 1) % 1024) }
+	if avg := testing.AllocsPerRun(1000, hit); avg != 0 {
+		t.Errorf("Cache.Lookup allocates %.2f times per hit", avg)
+	}
+	payload := []byte("payload")
+	if avg := testing.AllocsPerRun(1000, func() { line.Set(payload) }); avg != 0 {
+		t.Errorf("Line.Set allocates %.2f times per call", avg)
+	}
+
+	// Misses with a write over blocks 0..127, each evicting a dirty line
+	// that Drain writes back over its block's previous ciphertext: the
+	// Drain allocates what its Seal does and nothing more.
+	dirtyMiss := func() {
+		line, err := c.Fetch(next % 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line.Set(payload)
+		next++
+	}
+	for range 256 {
+		dirtyMiss()
+		drainAll(t, c)
+	}
+	var drainAllocs uint64
+	const drains = 200
+	for range drains {
+		dirtyMiss()
+		drainAllocs += mallocs(func() {
+			if wrote, err := c.Drain(); !wrote || err != nil {
+				t.Fatalf("Drain = %v, %v; want one write-back", wrote, err)
+			}
+		})
+	}
+	buf := make([]byte, 0, 128)
+	seal := func() {
+		var err error
+		if buf, err = c.store.Sealer.Seal(buf[:0], payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg, want := float64(drainAllocs/drains), testing.AllocsPerRun(1000, seal); avg > want {
+		t.Errorf("Cache.Drain allocates %.2f times per write-back, Seal %.2f", avg, want)
+	}
+}
+
+// mallocs counts the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestBankedReplayByteIdentity is the shared-device acceptance test: with

@@ -67,22 +67,32 @@ func (s *Store) WriteBack(index uint64, data []byte) error {
 	return nil
 }
 
-// Load returns a fresh plaintext buffer for block index: the decrypted
-// payload when one is stored, an all-zero block otherwise. A stored
-// ciphertext of any length but the sealed block size is corrupt — opened,
-// it would hand the caller a short (or long) block. Load performs no ORAM
-// access — callers pair it with DemandRead (or a prefetch result).
+// LoadInto opens block index into dst, which is BlockBytes long: the
+// decrypted payload when one is stored, an all-zero block otherwise. A
+// stored ciphertext of any length but the sealed block size is corrupt —
+// opened, it would hand the caller a short (or long) block — and leaves
+// dst untouched. LoadInto performs no ORAM access — callers pair it with
+// DemandRead (or a prefetch result).
+func (s *Store) LoadInto(dst []byte, index uint64) error {
+	sealed, ok := s.Sealed[index]
+	if !ok {
+		clear(dst)
+		return nil
+	}
+	if want := seal.SealedSize(s.blockBytes); len(sealed) != want {
+		return fmt.Errorf("block %d corrupt: %d sealed bytes, want %d", index, len(sealed), want)
+	}
+	if _, err := s.Sealer.Open(dst[:0], sealed); err != nil {
+		return fmt.Errorf("block %d corrupt: %w", index, err)
+	}
+	return nil
+}
+
+// Load returns block index as LoadInto opens it, in a fresh buffer.
 func (s *Store) Load(index uint64) ([]byte, error) {
 	data := make([]byte, s.blockBytes)
-	if sealed, ok := s.Sealed[index]; ok {
-		if want := seal.SealedSize(s.blockBytes); len(sealed) != want {
-			return nil, fmt.Errorf("block %d corrupt: %d sealed bytes, want %d", index, len(sealed), want)
-		}
-		plain, err := s.Sealer.Open(data[:0], sealed)
-		if err != nil {
-			return nil, fmt.Errorf("block %d corrupt: %w", index, err)
-		}
-		data = plain
+	if err := s.LoadInto(data, index); err != nil {
+		return nil, err
 	}
 	return data, nil
 }

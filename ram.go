@@ -112,19 +112,19 @@ func (r *RAM) Write(index uint64, data []byte) error {
 // writing back the dirty lines its installs queued: with no rounds to
 // spread them over, the ORAM sees the read and then the write-backs, as if
 // each eviction had written its victim inline.
-func (r *RAM) fetch(index uint64) (*shard.Line, error) {
-	if line := r.cache.Lookup(index); line != nil {
+func (r *RAM) fetch(index uint64) (shard.Line, error) {
+	if line, ok := r.cache.Lookup(index); ok {
 		r.cacheHits++
 		return line, nil
 	}
 	line, err := r.cache.Fetch(index)
 	if err != nil {
-		return nil, fmt.Errorf("proram: %w", err)
+		return shard.Line{}, fmt.Errorf("proram: %w", err)
 	}
 	for {
 		wrote, err := r.cache.Drain()
 		if err != nil {
-			return nil, fmt.Errorf("proram: %w", err)
+			return shard.Line{}, fmt.Errorf("proram: %w", err)
 		}
 		if !wrote {
 			return line, nil

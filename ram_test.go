@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -307,6 +308,35 @@ func TestUnsurvivableGeometryRefused(t *testing.T) {
 			_, err := NewSimulator(SimConfig{Memory: m, ORAMBlocks: 64, BandwidthGBps: bw})
 			refused(fmt.Sprintf("NewSimulator(Memory %d, BandwidthGBps %v)", m, bw), "BandwidthGBps", err)
 		}
+	}
+}
+
+// TestHugeCacheIsLazy: the client cache allocates its lines as blocks
+// arrive, so a CacheBlocks far past what the RAM can fill — 2^24 lines of
+// 4 KiB, 64 GiB up front — costs only the lines 64 blocks use.
+func TestHugeCacheIsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := testRAM(t, func(c *Config) { c.Blocks, c.BlockBytes, c.CacheBlocks = 64, 4096, 1<<24 })
+	rnd := rng.New(5)
+	for i := range 200 {
+		idx := rnd.Uint64n(r.Blocks())
+		var err error
+		if i%2 == 0 {
+			err = r.Write(idx, []byte{byte(i)})
+		} else {
+			_, err = r.Read(idx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 8<<20 {
+		t.Fatalf("a 64-block RAM under a 2^24-line cache holds %d MB", grown>>20)
 	}
 }
 
