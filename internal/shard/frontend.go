@@ -250,7 +250,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			store:       NewStore(ctrl, sealer, cfg.BlockBytes),
 			dummyRnd:    rng.New(mix(seedP, 3)),
 			local:       make(map[uint64]uint64),
-			work:        make(chan roundWork),
+			work:        make(chan roundWork, 1), // the driver's send never waits for a spinning worker
 			results:     f.results,
 		}
 		if p.cache, err = NewCache(p.store, cacheBlocks, func() { p.mark(p.padding) }); err != nil {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 
 	"proram/internal/oram"
 	"proram/internal/rng"
@@ -106,12 +107,31 @@ type partition struct {
 	results chan<- roundResult
 }
 
+// handoffYields bounds how long a worker stays hot after reporting a round:
+// it yields up to this many times while its work channel is empty, then
+// parks in the receive. Commit plus admission take ≈ 5–7 µs between two
+// rounds and one yield 120–460 ns on a 2-vCPU host, so the spin (50–180 µs)
+// outlasts that gap several times over and an idle worker still parks
+// soon. A parked worker whose vCPU is parked too wakes only after the
+// other partitions have run their rounds; a hot one starts as soon as its
+// work lands in the channel's buffer, so a round's partitions overlap.
+const handoffYields = 400
+
 // run is the worker goroutine: one round in, one result out, until the
-// work channel closes.
+// work channel closes. Between rounds it spins for at most handoffYields
+// yields before it parks: that changes when it blocks, never what a round
+// does.
 func (p *partition) run() {
-	//proram:allow concdeterminism p.work has a single sender (the round driver), so arrival order is the driver's send order
-	for w := range p.work {
+	for {
+		//proram:allow concdeterminism p.work has a single sender (the round driver), so arrival order is the driver's send order
+		w, ok := <-p.work
+		if !ok {
+			return
+		}
 		p.results <- p.execRound(w)
+		for i := 0; i < handoffYields && len(p.work) == 0; i++ {
+			runtime.Gosched()
+		}
 	}
 }
 

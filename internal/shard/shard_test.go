@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"proram/internal/dram/banked"
 	"proram/internal/oram"
@@ -472,6 +473,74 @@ func TestLifecycleUnderLoad(t *testing.T) {
 	if stats.FlushRounds != 3 {
 		t.Fatalf("FlushRounds = %d, want 3", stats.FlushRounds)
 	}
+}
+
+// TestIdleWorkersPark: a worker spins for a bounded number of yields after
+// each round, then must block in its work receive. After a burst of
+// concurrent requests stops, every partition worker reaches that receive
+// (polled on goroutine dumps, not slept on), and Close still returns. A
+// spin without its bound never parks and fails here.
+func TestIdleWorkersPark(t *testing.T) {
+	cfg := testConfig(4)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := uint64(0); i < 50; i++ {
+				if err := f.Write(uint64(c)*64+i, []byte{byte(c)}); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		parked, busy := workerStates()
+		if parked >= cfg.Partitions && busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers still busy after the burst: %d parked in their receive, %d not", parked, busy)
+		}
+		runtime.Gosched()
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// workerStates counts the live partition worker goroutines blocked in a
+// channel receive (the work receive is run's only one) and those in any
+// other state.
+func workerStates() (parked, busy int) {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if !bytes.Contains(g, []byte("proram/internal/shard.(*partition).run(")) {
+			continue
+		}
+		if bytes.Contains(g, []byte(" [chan receive")) {
+			parked++
+		} else {
+			busy++
+		}
+	}
+	return parked, busy
 }
 
 // TestStoreRoundtrip covers the shared seal-and-write-back helper: data
