@@ -1,7 +1,6 @@
 // Command proram-vet runs the repo-specific static-analysis suite: the
-// determinism, maporder, oblivious, panicdiscipline, seedplumbing,
-// concdeterminism, branchless and allowhygiene passes of
-// proram/internal/analysis.
+// determinism, oblivious, panicdiscipline, seedplumbing, branchless and
+// allowhygiene passes of proram/internal/analysis.
 //
 // Usage:
 //

@@ -40,9 +40,9 @@
 //
 //	//proram:allow <check>[,<check>...] <reason>
 //
-// suppresses the named checks (determinism, maporder, oblivious,
-// panicdiscipline, seedplumbing, concdeterminism, branchless,
-// allowhygiene) on the same line or the line directly below; written
+// suppresses the named checks (determinism, oblivious, panicdiscipline,
+// seedplumbing, branchless, allowhygiene) on the same line or the line
+// directly below; written
 // before the package clause it covers the whole file. The reason is
 // mandatory in spirit and audited in review.
 //
@@ -83,25 +83,19 @@
 // which partition, lock or goroutine a worker touches is as observable
 // as which address it reads.
 //
-//	//proram:detround <reason>
-//
-// attached to a statement the concdeterminism pass flags (a multi-case
-// select, a fan-in receive, a spawn-order collection loop) declares that
-// the sharded frontend's round barrier makes the outcome deterministic
-// anyway. The pass verifies the claim structurally: the annotated code
-// must be reachable on the module call graph from a round driver
-// (shard.Frontend.dispatch or shard.Replay), the reason is mandatory,
-// and a detround that suppresses nothing is itself a finding.
-//
 // The allowhygiene pass keeps the vocabulary honest: unknown directives,
 // unknown check names, justification-free invariants and stale allows
 // that suppress nothing are themselves findings.
 //
-// Two properties of the access path are not vet questions, because they
-// are measured on the code that runs. Allocation-freedom: AllocsPerRun
-// tests in internal/oram, internal/stash, internal/shard, internal/dram
-// and internal/prefetch pin zero steady-state allocations, and the
-// repository benchmark bounds allocs_per_op end to end. Index safety: Go
-// checks every index at run time, and the API fuzzers (FuzzOps,
-// FuzzConfig, FuzzReplay) drive the public API to them.
+// Three properties are not vet questions, because they are measured on
+// the code that runs. Allocation-freedom: AllocsPerRun tests in
+// internal/oram, internal/stash, internal/shard, internal/dram and
+// internal/prefetch pin zero steady-state allocations, and the repository
+// benchmark bounds allocs_per_op end to end. Index safety: Go checks every
+// index at run time, and the API fuzzers (FuzzOps, FuzzConfig, FuzzReplay)
+// drive the public API to them. Order independence of map iteration and
+// goroutine scheduling: repeated runs must give the same bytes
+// (TestDeterministicReports, the pinned baselines and goldens), and a live
+// sharded run must match its own Replay (the Replay byte-identity tests,
+// FuzzReplay).
 package proram

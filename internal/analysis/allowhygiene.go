@@ -1,6 +1,12 @@
 package analysis
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
+
+// directiveKinds is the //proram: vocabulary: every other kind is a finding.
+var directiveKinds = []string{"allow", "invariant", "public", "secret", "branchless"}
 
 // AllowHygiene keeps the //proram: directive vocabulary honest: unknown
 // directive kinds, allow directives naming unknown checks, empty
@@ -11,7 +17,6 @@ import "strings"
 // when every check it names actually executed this run, so partial
 // -checks invocations never produce false alarms.)
 func AllowHygiene() *Pass {
-	known := map[string]bool{"allow": true, "invariant": true, "public": true, "secret": true, "detround": true, "branchless": true}
 	p := &Pass{
 		Name: "allowhygiene",
 		Doc:  "flag unknown, malformed and stale //proram: directives",
@@ -24,8 +29,8 @@ func AllowHygiene() *Pass {
 		for _, d := range u.Pkg.Directives {
 			pos := d.Pos
 			switch {
-			case !known[d.Kind]:
-				u.Reportf(pos, "unknown directive //proram:%s (known: allow, invariant, public, secret, detround, branchless)", d.Kind)
+			case !slices.Contains(directiveKinds, d.Kind):
+				u.Reportf(pos, "unknown directive //proram:%s (known: %s)", d.Kind, strings.Join(directiveKinds, ", "))
 			case d.Kind == "allow" && len(d.Checks) == 0:
 				u.Reportf(pos, "//proram:allow names no check; write //proram:allow <check> <reason>")
 			case d.Kind == "allow":

@@ -158,11 +158,9 @@ func (r *Runner) Timings() []PassTiming { return r.timings }
 func DefaultPasses() []*Pass {
 	return []*Pass{
 		Determinism(),
-		MapOrder(),
 		Oblivious(),
 		PanicDiscipline(),
 		SeedPlumbing(),
-		ConcDeterminism(),
 		Branchless(),
 		AllowHygiene(),
 	}

@@ -139,10 +139,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, []*Pass{Determinism()}, fixtureBase+"determinism")
 }
 
-func TestMapOrderFixture(t *testing.T) {
-	runFixture(t, []*Pass{MapOrder()}, fixtureBase+"maporder")
-}
-
 func TestObliviousFixture(t *testing.T) {
 	runFixture(t, []*Pass{Oblivious(fixtureBase + "oblivious")}, fixtureBase+"oblivious")
 }
@@ -177,14 +173,6 @@ func TestSeedPlumbingFixture(t *testing.T) {
 	runFixture(t, []*Pass{SeedPlumbing()}, fixtureBase+"seedplumbing")
 }
 
-// TestConcDeterminismFixture exercises the concurrent-determinism pass
-// with the fixture's own round-driver root: scheduling-ordered shapes
-// report, and //proram:detround suppresses only under the driver, with
-// a reason, and only when it marks something.
-func TestConcDeterminismFixture(t *testing.T) {
-	runFixture(t, []*Pass{ConcDeterminism(fixtureBase + "concdet.driver")}, fixtureBase+"concdet")
-}
-
 // TestSchedSinkFixture exercises the oblivious pass's scheduling sinks
 // (channel send/receive targets, goroutine spawn targets, lock
 // acquisition targets) and the range-key geometry refinement.
@@ -207,14 +195,14 @@ func TestSelectPasses(t *testing.T) {
 	if _, err := SelectPasses("determinism,nosuch"); err == nil {
 		t.Fatal("unknown check did not error")
 	}
-	if _, err := SelectPasses("determinism,maporder,determinism"); err == nil {
+	if _, err := SelectPasses("determinism,branchless,determinism"); err == nil {
 		t.Fatal("duplicate check did not error")
 	}
-	ps, err := SelectPasses("maporder, determinism")
+	ps, err := SelectPasses("branchless, determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != 2 || ps[0].Name != "maporder" || ps[1].Name != "determinism" {
+	if len(ps) != 2 || ps[0].Name != "branchless" || ps[1].Name != "determinism" {
 		t.Fatalf("SelectPasses returned %v", ps)
 	}
 	all, err := SelectPasses("")

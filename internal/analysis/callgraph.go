@@ -6,7 +6,7 @@ import (
 )
 
 // This file builds the module-local call graph that the interprocedural
-// passes (oblivious, seedplumbing, concdeterminism, branchless) share.
+// passes (oblivious, seedplumbing, branchless) share.
 // Nodes are the functions and methods declared in loaded packages; edges
 // are the statically resolvable calls between them (direct calls and
 // concrete method calls — calls through interfaces, function values and

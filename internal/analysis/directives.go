@@ -12,7 +12,6 @@ import (
 //	//proram:invariant <justification>             justify a library panic
 //	//proram:public <reason>                       declassify a value
 //	//proram:secret                                mark a struct field as secret
-//	//proram:detround <reason>                     determinism guaranteed by the round barrier
 //	//proram:branchless <reason>                   demand a secret-branch-free function
 //
 // An allow or public directive applies to the line it sits on and to the

@@ -664,6 +664,22 @@ func (e *taintEnv) checkSchedSink(m originMask, pos token.Pos, what string) {
 	e.addParamSink(m, what, pos, "")
 }
 
+// syncMethodCall recognizes a call of a method declared in package sync
+// (Mutex.Lock, Cond.Wait, ...), including a call through an embedded
+// primitive (the method object still belongs to sync), and returns the
+// primitive operand and the method name.
+func syncMethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, "", false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Type().(*types.Signature).Recv() == nil {
+		return nil, "", false
+	}
+	return sel.X, fn.Name(), true
+}
+
 // checkCall handles the call-shaped sinks: observability emissions,
 // sinks inherited from a resolved callee's summary, lock-acquisition
 // scheduling sinks, and rng construction sites for the seedplumbing

@@ -4,10 +4,13 @@
 // in block comments on the same line.
 package allowhygiene
 
+import "time"
+
 /* want `unknown directive //proram:frobnicate` */ //proram:frobnicate whatever this means
 /* want `unknown directive //proram:fixedtrip` */ //proram:fixedtrip a retired directive is unknown, not silently accepted
 /* want `names no check` */ //proram:allow
 /* want `unknown directive //proram:hotpath` */ //proram:hotpath a retired directive is unknown, not silently accepted
+/* want `unknown directive //proram:detround \(known: allow, invariant, public, secret, branchless\)` */ //proram:detround a retired directive is unknown, not silently accepted
 /* want `names unknown check "nosuchcheck"` */ //proram:allow nosuchcheck because reasons
 
 /* want `needs a one-line justification` */ //proram:invariant
@@ -19,13 +22,9 @@ func fine() int {
 	panic("unreachable")
 }
 
-func usedAllow(m map[string]int) []string {
-	var keys []string
-	//proram:allow maporder fixture: a used allow must not be reported stale
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
+func usedAllow() time.Time {
+	//proram:allow determinism fixture: a used allow must not be reported stale
+	return time.Now()
 }
 
 var _ = fine

@@ -191,7 +191,8 @@ func register(id, title string, r Runner) {
 // IDs returns every registered experiment id, sorted.
 func IDs() []string {
 	ids := make([]string, 0, len(registry))
-	//proram:allow maporder keys are collected then sorted before use
+	// Map order is random: the keys are sorted below, and
+	// TestRegistryComplete fails if they are not.
 	for id := range registry {
 		ids = append(ids, id)
 	}

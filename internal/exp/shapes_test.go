@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -42,7 +43,13 @@ func cached(t *testing.T, id string) *Table {
 	return tb
 }
 
+// TestRegistryComplete also holds IDs' order: the registry is a map, and
+// proram-bench -list and -all walk IDs() in the order it returns, so an
+// IDs without its sort would print a different order on every run.
 func TestRegistryComplete(t *testing.T) {
+	if ids := IDs(); !slices.IsSorted(ids) {
+		t.Errorf("IDs() is not sorted: %v", ids)
+	}
 	want := []string{"table1", "fig5", "fig6a", "fig6b", "fig7", "fig8a", "fig8b",
 		"fig8c", "fig9a", "fig9b", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15a", "fig15b", "fig15c",

@@ -408,7 +408,8 @@ func (f *Frontend) AccessLog() *Log {
 
 // dispatch is the round-forming loop: snapshot the queues into a round
 // whenever work is pending, run flushes when asked, exit when closed and
-// drained.
+// drained. Pending work always goes before a waiting flush, never by
+// scheduling; TestFlushRunsBehindQueuedRequests holds that order.
 func (f *Frontend) dispatch() {
 	defer close(f.done)
 	for {
@@ -519,7 +520,10 @@ func (f *Frontend) runFlush() error {
 // the frontend's scratch: it is good until the next collect.
 func (f *Frontend) collect() []roundResult {
 	for range f.parts {
-		//proram:detround one result arrives per partition per round and byPart reindexes them into partition order, so completion order never escapes
+		// Results arrive in completion order; one per partition per round,
+		// and byPart reindexes them by partition, so that order never
+		// escapes. The Replay byte-identity tests and FuzzReplay hold this
+		// line: stored in arrival order, live runs stop matching replays.
 		r := <-f.results
 		f.byPart[r.part] = r
 	}

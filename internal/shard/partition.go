@@ -123,7 +123,9 @@ const handoffYields = 400
 // does.
 func (p *partition) run() {
 	for {
-		//proram:allow concdeterminism p.work has a single sender (the round driver), so arrival order is the driver's send order
+		// p.work has a single sender, the round driver, so work arrives in
+		// the driver's send order. The Replay byte-identity tests hold the
+		// round protocol around it.
 		w, ok := <-p.work
 		if !ok {
 			return

@@ -116,12 +116,13 @@ func TestReplayByteIdentity(t *testing.T) {
 	}
 }
 
-// TestReplayByteIdentityEdgePartitions backs the //proram:detround
-// justification on Frontend.collect at the partition counts where the
-// round barrier degenerates: a single partition (one receive per round,
-// nothing to reorder) and non-power-of-two counts whose seeded
+// TestReplayByteIdentityEdgePartitions holds Frontend.collect's
+// reindexing of results into partition order at the partition counts
+// where the round barrier degenerates: a single partition (one receive per
+// round, nothing to reorder) and non-power-of-two counts whose seeded
 // partition maps distribute unevenly. Live run and two independent
-// replays must stay byte-identical in every configuration.
+// replays must stay byte-identical in every configuration; a collect that
+// kept completion order fails here.
 func TestReplayByteIdentityEdgePartitions(t *testing.T) {
 	for _, parts := range []int{1, 3, 5} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
@@ -303,6 +304,41 @@ func TestFlushEqualizesPartitions(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlushRunsBehindQueuedRequests: Flush waits for the queues to drain,
+// so a dispatcher that finds a queued write and a waiting flush at once
+// runs the demand round first, and the flush writes back the line that
+// round dirtied. The dispatcher starts only once both are in place, so
+// every trial puts that choice to it; one that chose by scheduling (a
+// select over two ready cases) would flush a clean cache in about half of
+// the trials.
+func TestFlushRunsBehindQueuedRequests(t *testing.T) {
+	for trial := 0; trial < 16; trial++ {
+		f, err := build(testConfig(2), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := f.enqueue(5, true, []byte{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushed := make(chan error, 1)
+		f.flushWaiters = append(f.flushWaiters, flushed)
+		go f.dispatch()
+		if r := <-resp; r.err != nil {
+			t.Fatal(r.err)
+		}
+		if err := <-flushed; err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Stats().FlushAccesses; got == 0 {
+			t.Fatalf("trial %d: the flush ran ahead of the queued write and wrote nothing back", trial)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
