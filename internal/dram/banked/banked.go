@@ -3,6 +3,7 @@ package banked
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"proram/internal/obs"
 )
@@ -81,6 +82,9 @@ type Model struct {
 	bankAccesses []uint64 // per global bank
 	stats        Stats
 
+	// stripeShift and rowShift are log2 of StripeBytes and RowBytes.
+	stripeShift, rowShift uint
+
 	log []AccessRec // nil unless EnableLog
 }
 
@@ -98,6 +102,8 @@ func New(cfg Config) *Model {
 		cfg:          cfg,
 		rate1024:     cfg.RatePer1024(),
 		banksPerChan: banksPerChan,
+		stripeShift:  uint(bits.TrailingZeros(uint(cfg.StripeBytes))),
+		rowShift:     uint(bits.TrailingZeros(uint(cfg.RowBytes))),
 		busUntil:     make([]uint64, cfg.Channels),
 		bankUntil:    make([]uint64, nBanks),
 		openRow:      make([]uint64, nBanks),
@@ -153,17 +159,20 @@ func (m *Model) LogBytes() []byte {
 
 // decompose splits a physical address into channel, global bank and
 // bank-local row. Stripes of StripeBytes alternate channels; within a
-// channel, consecutive rows interleave across that channel's banks.
+// channel, consecutive rows interleave across that channel's banks. The
+// stripe and row sizes are powers of two, so they shift and mask; the
+// channel and bank counts need not be, so each costs one division, with
+// its remainder by multiply and subtract.
 func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
-	stripeBytes := uint64(m.cfg.StripeBytes)
-	stripe := addr / stripeBytes
+	stripe := addr >> m.stripeShift
 	channels := uint64(m.cfg.Channels)
-	ch = int(stripe % channels)
-	inChan := (stripe/channels)*stripeBytes + addr%stripeBytes
-	crow := inChan / uint64(m.cfg.RowBytes)
+	q := stripe / channels
+	ch = int(stripe - q*channels)
+	inChan := q<<m.stripeShift | addr&(1<<m.stripeShift-1)
+	crow := inChan >> m.rowShift
 	bpc := uint64(m.banksPerChan)
-	gb = ch*m.banksPerChan + int(crow%bpc)
 	row = crow / bpc
+	gb = ch*m.banksPerChan + int(crow-row*bpc)
 	return ch, gb, row
 }
 

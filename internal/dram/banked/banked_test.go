@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"proram/internal/dram"
+	"proram/internal/rng"
 )
 
 // testCfg is a small geometry with easy arithmetic: 2 channels × 2 banks,
@@ -53,6 +54,48 @@ func TestDecompose(t *testing.T) {
 		if ch != c.ch || gb != c.gb || row != c.row {
 			t.Errorf("decompose(%d) = ch%d gb%d row%d, want ch%d gb%d row%d",
 				c.addr, ch, gb, row, c.ch, c.gb, c.row)
+		}
+	}
+}
+
+// decomposeByDivision is decompose written with a division per quotient
+// and remainder, the form the shift-and-multiply one must reproduce.
+func decomposeByDivision(cfg Config, addr uint64) (ch int, gb int, row uint64) {
+	stripeBytes, channels := uint64(cfg.StripeBytes), uint64(cfg.Channels)
+	bpc := uint64(cfg.Ranks * cfg.Banks)
+	stripe := addr / stripeBytes
+	ch = int(stripe % channels)
+	inChan := (stripe/channels)*stripeBytes + addr%stripeBytes
+	crow := inChan / uint64(cfg.RowBytes)
+	return ch, ch*int(bpc) + int(crow%bpc), crow / bpc
+}
+
+func TestDecomposeMatchesDivision(t *testing.T) {
+	cases := []struct{ channels, ranks, banks, rowBytes, stripeBytes int }{
+		{2, 1, 8, 4096, 4096},
+		{3, 1, 6, 4096, 4096},
+		{3, 2, 3, 2048, 512},
+		{1, 1, 1, 64, 64},
+		{5, 1, 7, 256, 8192},
+		{64, 4, 6, 1 << 30, 64},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.Channels, cfg.Ranks, cfg.Banks = c.channels, c.ranks, c.banks
+		cfg.RowBytes, cfg.StripeBytes = c.rowBytes, c.stripeBytes
+		m := New(cfg)
+		r := rng.New(uint64(c.channels*100 + c.banks))
+		addrs := []uint64{0, 1, 63, 64, uint64(c.stripeBytes) - 1, uint64(c.stripeBytes), 1<<40 + 12345, math.MaxUint64}
+		for range 2000 {
+			addrs = append(addrs, r.Uint64n(1<<36), r.Uint64())
+		}
+		for _, addr := range addrs {
+			ch, gb, row := m.decompose(addr)
+			wch, wgb, wrow := decomposeByDivision(cfg, addr)
+			if ch != wch || gb != wgb || row != wrow {
+				t.Fatalf("%+v: decompose(%#x) = ch%d gb%d row%d, division gives ch%d gb%d row%d",
+					c, addr, ch, gb, row, wch, wgb, wrow)
+			}
 		}
 	}
 }

@@ -5,55 +5,45 @@ import (
 	"proram/internal/superblock"
 )
 
+// prefillBatch is how many blocks prefill places as one batch: one
+// position-map block's children at the paper's fanout of 32.
+const prefillBatch = 32
+
 // prefill initializes the whole ORAM: every data block and position-map
 // block gets a uniform random leaf, recorded in the position map, and is
 // placed into the deepest free bucket on its path (overflow goes to the
 // stash, as in a real initialization). Under the Static scheme, aligned
 // groups are merged here — "in the initialization stage of Path ORAM,
 // blocks are merged into super blocks" (§3.3).
+//
+// Blocks are placed in index order, level by level, in batches of
+// consecutive blocks: the batch draws its leaves, loads the bottom buckets
+// of their paths (tree.Load) and then places its blocks one by one. That
+// overlaps the batch's cache misses instead of waiting on each, and decides
+// nothing: place draws no randomness, so every leaf is drawn in the same
+// order and every block lands where placing it alone would put it.
 func (c *Controller) prefill() {
-	fanout := uint64(c.cfg.Fanout)
-	staticSize := 1
-	if c.policy.Scheme() == superblock.Static {
-		staticSize = c.policy.MaxSize()
-	}
-
-	// Data blocks, group by group. Groups (static super blocks) need n
-	// slots along a single path; retry a few leaves to avoid pathological
-	// overflow before falling back to the stash.
-	for pbIdx := uint64(0); pbIdx < c.pm.Count(1); pbIdx++ {
-		pb := c.pm.Block(1, pbIdx)
-		for s := 0; s < len(pb.Entries); {
-			n := staticSize
-			for n > 1 && s+n > len(pb.Entries) {
-				n /= 2
-			}
-			leaf := c.randLeaf()
-			for try := 0; n > 1 && try < 8; try++ {
-				cand := c.randLeaf()
-				if c.pathFree(cand) >= n {
-					leaf = cand
-					break
+	var batch [prefillBatch]mem.Leaf
+	for level := 0; level <= c.pm.Depth(); level++ {
+		if level == 0 && c.policy.Scheme() == superblock.Static {
+			c.prefillStatic(c.policy.MaxSize())
+			continue
+		}
+		count := c.pm.Count(level)
+		for first := uint64(0); first < count; first += prefillBatch {
+			leaves := batch[:min(prefillBatch, count-first)]
+			for i := range leaves {
+				leaves[i] = c.randLeaf()
+				if index := first + uint64(i); level == c.pm.Depth() {
+					c.pm.SetTopLeaf(index, leaves[i])
+				} else {
+					c.pm.EntryFor(level, index).SetLabel(leaves[i])
 				}
 			}
-			for i := s; i < s+n; i++ {
-				pb.Entries[i].SetLabel(leaf)
-				pb.Entries[i].SetSize(n)
-				c.place(mem.MakeID(0, pbIdx*fanout+uint64(i)), leaf)
+			c.tr.Load(leaves)
+			for i, leaf := range leaves {
+				c.place(mem.MakeID(level, first+uint64(i)), leaf)
 			}
-			s += n
-		}
-	}
-	// Position-map blocks (never super blocks).
-	for level := 1; level <= c.pm.Depth(); level++ {
-		for i := uint64(0); i < c.pm.Count(level); i++ {
-			leaf := c.randLeaf()
-			if level == c.pm.Depth() {
-				c.pm.SetTopLeaf(i, leaf)
-			} else {
-				c.pm.EntryFor(level, i).SetLabel(leaf)
-			}
-			c.place(mem.MakeID(level, i), leaf)
 		}
 	}
 	// At ~50% slot utilization some placements overflow to the stash; the
@@ -81,13 +71,48 @@ func (c *Controller) prefill() {
 	}
 }
 
-// pathFree returns the total free slots along the path to leaf.
-func (c *Controller) pathFree(leaf mem.Leaf) int {
+// prefillStatic places the data blocks as aligned static super blocks of
+// size, group by group. A group needs its size in free slots along one
+// path, so it retries a few leaves before falling back to the stash; that
+// choice reads the tree the previous groups filled, which is why groups
+// are not batched. Each candidate path is loaded before it is counted.
+func (c *Controller) prefillStatic(size int) {
+	fanout := uint64(c.cfg.Fanout)
+	for pbIdx := uint64(0); pbIdx < c.pm.Count(1); pbIdx++ {
+		pb := c.pm.Block(1, pbIdx)
+		for s := 0; s < len(pb.Entries); {
+			n := size
+			for n > 1 && s+n > len(pb.Entries) {
+				n /= 2
+			}
+			leaf := c.randLeaf()
+			for try := 0; n > 1 && try < 8; try++ {
+				cand := [1]mem.Leaf{c.randLeaf()}
+				c.tr.Load(cand[:])
+				if c.pathHolds(cand[0], n) {
+					leaf = cand[0]
+					break
+				}
+			}
+			for i := s; i < s+n; i++ {
+				pb.Entries[i].SetLabel(leaf)
+				pb.Entries[i].SetSize(n)
+				c.place(mem.MakeID(0, pbIdx*fanout+uint64(i)), leaf)
+			}
+			s += n
+		}
+	}
+}
+
+// pathHolds reports whether the path to leaf has n free slots in all. It
+// counts from the leaf bucket up and stops at n, so a path with room in
+// its loaded bottom buckets is not read further.
+func (c *Controller) pathHolds(leaf mem.Leaf, n int) bool {
 	free := 0
-	for depth := 0; depth <= c.tr.Levels(); depth++ {
+	for depth := c.tr.Levels(); depth >= 0 && free < n; depth-- {
 		free += c.tr.FreeAt(leaf, depth)
 	}
-	return free
+	return free >= n
 }
 
 // place puts id into the deepest free bucket on path leaf, falling back to

@@ -71,6 +71,9 @@ type Tree struct {
 	// buckets and placement takes the first free slot.
 	slots []slot
 	used  uint64 // number of occupied slots, for diagnostics
+	// loaded keeps the reads of Load and of RemovePathLabeled's look-ahead
+	// live: it is written and never read.
+	loaded slot
 }
 
 // New creates an empty tree with the given number of levels L (leaves =
@@ -153,6 +156,15 @@ func (t *Tree) BucketCount(node uint64) int { return fill(t.bucket(node)) }
 // position-map lookup per block.
 func (t *Tree) RemovePathLabeled(leaf mem.Leaf, dst []Labeled) []Labeled {
 	leafNode := t.Leaves() + uint64(leaf)
+	// Load every bucket's first slot ahead of the scan, as Load does for
+	// prefill: the scan branches on what it reads, these loads do not, so
+	// the path's cache misses overlap (DESIGN §3 has the measurement).
+	z := uint64(t.z)
+	var acc slot
+	for depth := 0; depth <= t.levels; depth++ {
+		acc ^= t.slots[(leafNode>>uint(t.levels-depth)-1)*z]
+	}
+	t.loaded = acc
 	for depth := 0; depth <= t.levels; depth++ {
 		bucket := t.bucket(leafNode >> uint(t.levels-depth))
 		n := fill(bucket)
@@ -213,6 +225,26 @@ func (t *Tree) FillAt(accessLeaf mem.Leaf, depth int, blocks []Labeled) int {
 	}
 	t.used += uint64(n)
 	return n
+}
+
+// Load reads, for every path in leaves, the leaf bucket and the two
+// buckets above it, and changes nothing. A placement scans a bucket with
+// branches on what it reads, so it waits out each cache miss before the
+// next one starts; these loads decide nothing, so the processor keeps the
+// misses of a whole batch in flight, and the placements that follow along
+// the same paths find their deepest buckets in cache. Each bucket's first
+// and last slot are read, since a bucket of several slots may straddle a
+// cache line.
+func (t *Tree) Load(leaves []mem.Leaf) {
+	z, slots := uint64(t.z), t.slots
+	var acc slot
+	for _, leaf := range leaves {
+		node := t.Leaves() + uint64(leaf)
+		// A one-level tree has no grandparent; the root stands in.
+		b0, b1, b2 := (node-1)*z, (node>>1-1)*z, (max(node>>2, 1)-1)*z
+		acc ^= slots[b0] ^ slots[b0+z-1] ^ slots[b1] ^ slots[b1+z-1] ^ slots[b2] ^ slots[b2+z-1]
+	}
+	t.loaded = acc
 }
 
 // FreeAt returns the number of free slots in the bucket at depth on path

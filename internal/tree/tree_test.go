@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -335,5 +336,32 @@ func TestBucketsStayPrefixes(t *testing.T) {
 	tr.ForEach(func(_ uint64, i int, _ Labeled) { seen = append(seen, i) })
 	if len(seen) != 1 || seen[0] != 1 {
 		t.Fatalf("ForEach over a root with a hole at slot 0 visited slots %v, want [1]", seen)
+	}
+}
+
+// Load reads every leaf of every geometry, down to a one-level tree with no
+// grandparent and single-slot buckets, and changes nothing.
+func TestLoadChangesNothing(t *testing.T) {
+	for _, g := range []struct{ levels, z int }{{1, 1}, {1, 3}, {2, 1}, {4, 3}} {
+		tr := New(g.levels, g.z)
+		r := rng.New(uint64(g.levels*10 + g.z))
+		for i := uint64(0); i < tr.Capacity()/2; i++ {
+			leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
+			for d := g.levels; d >= 0; d-- {
+				if tr.PlaceAt(leaf, d, mem.MakeID(0, i)) {
+					break
+				}
+			}
+		}
+		before, used := append([]slot(nil), tr.slots...), tr.Used()
+		leaves := make([]mem.Leaf, tr.Leaves())
+		for i := range leaves {
+			leaves[i] = mem.Leaf(i)
+		}
+		tr.Load(leaves)
+		tr.Load(nil)
+		if tr.Used() != used || !slices.Equal(tr.slots, before) {
+			t.Errorf("levels %d z %d: Load changed the tree", g.levels, g.z)
+		}
 	}
 }
