@@ -40,7 +40,7 @@ func (c *Controller) prefill() {
 					c.pm.EntryFor(level, index).SetLabel(leaves[i])
 				}
 			}
-			c.tr.Load(leaves)
+			c.tr.Load(leaves...)
 			for i, leaf := range leaves {
 				c.place(mem.MakeID(level, first+uint64(i)), leaf)
 			}
@@ -87,10 +87,10 @@ func (c *Controller) prefillStatic(size int) {
 			}
 			leaf := c.randLeaf()
 			for try := 0; n > 1 && try < 8; try++ {
-				cand := [1]mem.Leaf{c.randLeaf()}
-				c.tr.Load(cand[:])
-				if c.pathHolds(cand[0], n) {
-					leaf = cand[0]
+				cand := c.randLeaf()
+				c.tr.Load(cand)
+				if c.pathHolds(cand, n) {
+					leaf = cand
 					break
 				}
 			}

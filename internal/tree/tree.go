@@ -235,7 +235,7 @@ func (t *Tree) FillAt(accessLeaf mem.Leaf, depth int, blocks []Labeled) int {
 // the same paths find their deepest buckets in cache. Each bucket's first
 // and last slot are read, since a bucket of several slots may straddle a
 // cache line.
-func (t *Tree) Load(leaves []mem.Leaf) {
+func (t *Tree) Load(leaves ...mem.Leaf) {
 	z, slots := uint64(t.z), t.slots
 	var acc slot
 	for _, leaf := range leaves {

@@ -358,8 +358,8 @@ func TestLoadChangesNothing(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = mem.Leaf(i)
 		}
-		tr.Load(leaves)
-		tr.Load(nil)
+		tr.Load(leaves...)
+		tr.Load()
 		if tr.Used() != used || !slices.Equal(tr.slots, before) {
 			t.Errorf("levels %d z %d: Load changed the tree", g.levels, g.z)
 		}
