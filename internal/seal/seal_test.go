@@ -2,6 +2,8 @@ package seal
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
 	"testing"
@@ -141,6 +143,110 @@ func TestFailedSealLeavesDst(t *testing.T) {
 	}
 	if !bytes.Equal(old, keep) {
 		t.Fatal("a failed Seal overwrote dst")
+	}
+}
+
+// TestFormatIsTextbookCTR pins the sealed format: Seal's output is its
+// IV followed by the plaintext under cipher.NewCTR from that IV, and a
+// block sealed that way under a nonce‖00000002 IV opens with Open. The
+// all-0xff nonce puts every bit above the counter word at one, so a carry
+// out of the low 32 bits would show.
+func TestFormatIsTextbookCTR(t *testing.T) {
+	block, err := aes.NewCipher(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := []int{4096}
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, fill := range []byte{0x00, 0x5a, 0xff} {
+		for _, n := range lengths {
+			s, err := New(testKey, bytes.NewReader(bytes.Repeat([]byte{fill}, NonceSize)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := make([]byte, n)
+			if _, err := rand.Read(plain); err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := s.Seal(nil, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iv := append(bytes.Repeat([]byte{fill}, NonceSize), 0, 0, 0, 2)
+			if !bytes.Equal(sealed[:IVSize], iv) {
+				t.Fatalf("fill %#x, %d bytes: IV %x, want %x", fill, n, sealed[:IVSize], iv)
+			}
+			opened := make([]byte, n)
+			cipher.NewCTR(block, iv).XORKeyStream(opened, sealed[IVSize:])
+			if !bytes.Equal(opened, plain) {
+				t.Fatalf("fill %#x, %d bytes: Seal's output does not open with cipher.NewCTR", fill, n)
+			}
+
+			ctr := append(append([]byte(nil), iv...), make([]byte, n)...)
+			cipher.NewCTR(block, iv).XORKeyStream(ctr[IVSize:], plain)
+			opened, err = s.Open(nil, ctr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(opened, plain) {
+				t.Fatalf("fill %#x, %d bytes: cipher.NewCTR's output does not open with Open", fill, n)
+			}
+		}
+	}
+}
+
+// TestOpenRejectsBadCounter: an IV whose counter word is not the one Seal
+// stores is an error, and no damage to the IV makes Open panic.
+func TestOpenRejectsBadCounter(t *testing.T) {
+	s, _ := New(testKey, rand.Reader)
+	sealed, err := s.Seal(nil, make([]byte, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := NonceSize; i < IVSize; i++ {
+		for _, flip := range []byte{0x01, 0x02, 0x80, 0xff} {
+			bad := append([]byte(nil), sealed...)
+			bad[i] ^= flip
+			if got, err := s.Open(nil, bad); err == nil {
+				t.Fatalf("counter byte %d ^ %#x: opened %d bytes", i, flip, len(got))
+			}
+		}
+	}
+	for n := 0; n <= IVSize; n++ {
+		if _, err := s.Open(nil, bytes.Repeat([]byte{0xff}, n)); err == nil {
+			t.Fatalf("a %d-byte all-0xff block opened", n)
+		}
+	}
+}
+
+// TestSealOpenDoNotAllocate: Seal into a buffer with room and Open into a
+// sized dst allocate nothing once the Sealer's buffer has grown.
+func TestSealOpenDoNotAllocate(t *testing.T) {
+	for _, n := range benchSizes {
+		s, err := New(testKey, rng.NewReader(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := make([]byte, n)
+		sealed := make([]byte, 0, SealedSize(n))
+		seal := func() {
+			if sealed, err = s.Seal(sealed[:0], plain); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(1000, seal); avg != 0 {
+			t.Errorf("%d B: Seal allocates %.2f times per call", n, avg)
+		}
+		open := func() {
+			if plain, err = s.Open(plain[:0], sealed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(1000, open); avg != 0 {
+			t.Errorf("%d B: Open allocates %.2f times per call", n, avg)
+		}
 	}
 }
 

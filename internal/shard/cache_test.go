@@ -149,8 +149,9 @@ func TestCacheFlushOrder(t *testing.T) {
 	if written != 3 || failed != 0 || err != nil {
 		t.Fatalf("Flush = %d written, %d failed, %v", written, failed, err)
 	}
-	// Every write-back draws the sealer's next nonce, so the nonce prefixed
-	// to each sealed block gives the order the lines were written in.
+	// Every write-back draws the sealer's next 12-byte nonce, so the nonce
+	// leading each sealed block's IV gives the order the lines were written
+	// in.
 	nonces := rng.NewReader(cacheNonceSeed)
 	for _, index := range []uint64{1, 3, 0} {
 		nonce := make([]byte, seal.NonceSize)

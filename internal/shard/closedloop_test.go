@@ -15,9 +15,9 @@ import (
 // clients, each issuing its next request as soon as the last returns:
 // Zipf-skewed (0.99) over the 2^12 blocks with the ranks scattered by an
 // odd multiplier, half of them writes. Besides ns/op it reports rounds and
-// path accesses per op, and cpu-ns/op, the process's user plus system time
-// over the timed loop: what the workers' spin between rounds costs. Run it
-// at -cpu 1,2.
+// path accesses per op, cpu-ns/op, the process's user plus system time
+// over the timed loop (what the workers' spin between rounds costs), and
+// allocations per op. Run it at -cpu 1,2.
 func BenchmarkClosedLoop(b *testing.B) {
 	cfg := testConfig(2)
 	f, err := New(cfg)
@@ -66,6 +66,7 @@ func BenchmarkClosedLoop(b *testing.B) {
 	drive(4096)
 	before := f.Stats()
 	cpu := cpuTime(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	drive(b.N)
 	b.StopTimer()

@@ -168,6 +168,16 @@ type Frontend struct {
 	floors map[uint64]uint64
 }
 
+// requests recycles requests with their reply channels and payload
+// buffers. Read and Write put theirs back once the reply is in: answer is
+// a request's last use on the worker side, and the round driver reads no
+// request a worker has answered (snapshotLocked clears the spent take
+// slices without reading them). The pool is package-level because the
+// runtime keeps every pool with cached items reachable until two
+// collections have passed: a pool inside Frontend would keep a closed
+// frontend, its trees and its caches on the heap that long.
+var requests = sync.Pool{New: func() any { return &request{resp: make(chan response, 1)} }}
+
 // New builds a frontend and starts its dispatcher and workers. Callers
 // must Close it to stop the goroutines.
 func New(cfg Config) (*Frontend, error) {
@@ -283,27 +293,31 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 
 // Read returns a copy of the block's contents. Safe for concurrent use.
 func (f *Frontend) Read(index uint64) ([]byte, error) {
-	ch, err := f.enqueue(index, false, nil)
+	req, err := f.enqueue(index, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	r := <-ch
+	r := <-req.resp
+	requests.Put(req)
 	return r.data, r.err
 }
 
 // Write stores data (zero-padded to a full block). Safe for concurrent use.
 func (f *Frontend) Write(index uint64, data []byte) error {
-	ch, err := f.enqueue(index, true, data)
+	req, err := f.enqueue(index, true, data)
 	if err != nil {
 		return err
 	}
-	return (<-ch).err
+	r := <-req.resp
+	requests.Put(req)
+	return r.err
 }
 
 // enqueue admits one request: sequence number, arrival record, and the
 // routed partition queue, all under one lock so the admission order is a
-// total order the replay can reproduce.
-func (f *Frontend) enqueue(index uint64, write bool, data []byte) (chan response, error) {
+// total order the replay can reproduce. The request comes from requests;
+// the caller puts it back once its reply is received.
+func (f *Frontend) enqueue(index uint64, write bool, data []byte) (*request, error) {
 	if index >= f.cfg.Blocks {
 		return nil, fmt.Errorf("shard: index %d out of range (%d blocks)", index, f.cfg.Blocks)
 	}
@@ -311,13 +325,18 @@ func (f *Frontend) enqueue(index uint64, write bool, data []byte) (chan response
 		return nil, fmt.Errorf("shard: write of %d bytes exceeds block size %d", len(data), f.cfg.BlockBytes)
 	}
 	part := f.pmap.Lookup(index)
-	req := &request{index: index, write: write, resp: make(chan response, 1)}
+	req := requests.Get().(*request)
+	req.index, req.write = index, write
 	if write {
-		req.data = append([]byte(nil), data...)
+		// A read never looks at data, so only a write refills it.
+		//proram:public an emptied buffer: its capacity is reused, its old bytes are never read
+		buf := req.data[:0]
+		req.data = append(buf, data...)
 	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
+		requests.Put(req)
 		return nil, ErrClosed
 	}
 	req.seq = f.nextSeq
@@ -330,7 +349,7 @@ func (f *Frontend) enqueue(index uint64, write bool, data []byte) (chan response
 	f.pending++
 	f.cond.Signal()
 	f.mu.Unlock()
-	return req.resp, nil
+	return req, nil
 }
 
 // Flush writes every dirty cached block back through the ORAMs, padded so

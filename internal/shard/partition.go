@@ -9,7 +9,9 @@ import (
 )
 
 // request is one client operation routed to a partition. The payload is
-// copied at admission, so workers never share buffers with clients.
+// copied at admission, so workers never share buffers with clients. The
+// frontend recycles requests: once answer has sent the reply, the worker
+// must not touch the request again.
 type request struct {
 	seq   uint64
 	index uint64 // global block index
@@ -283,7 +285,8 @@ func (p *partition) fail(req *request, err error, res *roundResult) {
 }
 
 // answer replies to a request (the response channel is buffered, so the
-// worker never blocks on a slow client).
+// worker never blocks on a slow client). The send is the request's last
+// use: the client recycles it as soon as the reply is received.
 func (p *partition) answer(req *request, resp response, res *roundResult) {
 	if p.lat {
 		res.servedArr = append(res.servedArr, req.arr)

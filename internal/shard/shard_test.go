@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"proram/internal/dram/banked"
 	"proram/internal/oram"
 	"proram/internal/rng"
+	"proram/internal/seal"
 	"proram/internal/superblock"
 )
 
@@ -320,14 +322,14 @@ func TestFlushRunsBehindQueuedRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := f.enqueue(5, true, []byte{1})
+		req, err := f.enqueue(5, true, []byte{1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		flushed := make(chan error, 1)
 		f.flushWaiters = append(f.flushWaiters, flushed)
 		go f.dispatch()
-		if r := <-resp; r.err != nil {
+		if r := <-req.resp; r.err != nil {
 			t.Fatal(r.err)
 		}
 		if err := <-flushed; err != nil {
@@ -618,14 +620,27 @@ func TestStoreRoundtrip(t *testing.T) {
 		t.Fatal("Load did not return the written payload")
 	}
 	// Sealing is unauthenticated CTR (integrity is out of scope, as in the
-	// paper), so bit flips pass; structural damage must not. 20 bytes still
-	// hold a whole nonce, so they would open as a 4-byte "block".
+	// paper), so bit flips in the nonce or the ciphertext pass; structural
+	// damage must not. 20 bytes still hold a whole IV, so they would open as
+	// a 4-byte "block".
 	whole := st.Sealed[5]
 	for _, damaged := range [][]byte{whole[:4], whole[:20], append(whole[:len(whole):len(whole)], 0)} {
 		st.Sealed[5] = damaged
 		if got, err := st.Load(5); err == nil {
 			t.Fatalf("Load opened a %d-byte sealed block as %d plaintext bytes", len(damaged), len(got))
 		}
+	}
+	// An IV whose counter word is not the one Seal stores is corrupt too,
+	// and leaves dst untouched.
+	badIV := append([]byte(nil), whole...)
+	badIV[seal.IVSize-1] ^= 1
+	st.Sealed[5] = badIV
+	dst := bytes.Repeat([]byte{0xee}, cfg.BlockBytes)
+	if err := st.LoadInto(dst, 5); err == nil || !strings.Contains(err.Error(), "block 5 corrupt") {
+		t.Fatalf("LoadInto of a block with a bad IV counter returned %v", err)
+	}
+	if !bytes.Equal(dst, bytes.Repeat([]byte{0xee}, cfg.BlockBytes)) {
+		t.Fatal("LoadInto of a block with a bad IV counter wrote dst")
 	}
 }
 
@@ -634,8 +649,8 @@ func TestStoreRoundtrip(t *testing.T) {
 // partition lookup and the merge algorithm's client-cache probe allocate
 // nothing. The dummies run before the cache holds any line, so no super
 // block merges and Read has no prefetch slice to return. Then the client
-// cache on its own, warmed and full: a miss, a hit and a write allocate
-// nothing, and a victim's write-back only what its Seal does.
+// cache on its own, warmed and full: a miss, on a never-sealed block or a
+// sealed one, a hit, a write and a victim's write-back allocate nothing.
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg := testConfig(1)
 	f, err := build(cfg, true)
@@ -703,7 +718,7 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 
 	// Misses with a write over blocks 0..127, each evicting a dirty line
 	// that Drain writes back over its block's previous ciphertext: the
-	// Drain allocates what its Seal does and nothing more.
+	// Drain's seal allocates nothing.
 	dirtyMiss := func() {
 		line, err := c.Fetch(next % 128)
 		if err != nil {
@@ -726,15 +741,25 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
-	buf := make([]byte, 0, 128)
-	seal := func() {
-		var err error
-		if buf, err = c.store.Sealer.Seal(buf[:0], payload); err != nil {
+	if drainAllocs != 0 {
+		t.Errorf("Cache.Drain allocates %.2f times per write-back", float64(drainAllocs)/drains)
+	}
+
+	// Blocks 0..127 are all sealed now, so a miss over them opens its
+	// block: the clean evictions of a read-only pass, and the Open,
+	// allocate nothing.
+	openMiss := func() {
+		if _, err := c.Fetch(next % 128); err != nil {
 			t.Fatal(err)
 		}
+		next++
 	}
-	if avg, want := float64(drainAllocs/drains), testing.AllocsPerRun(1000, seal); avg > want {
-		t.Errorf("Cache.Drain allocates %.2f times per write-back, Seal %.2f", avg, want)
+	for range 256 {
+		openMiss()
+		drainAll(t, c) // the dirty lines the first misses evict
+	}
+	if avg := testing.AllocsPerRun(1000, openMiss); avg != 0 {
+		t.Errorf("Cache.Fetch allocates %.2f times per miss on a sealed block", avg)
 	}
 }
 
