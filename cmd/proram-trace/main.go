@@ -35,27 +35,12 @@ func main() {
 }
 
 func pickWorkload(name string, ops uint64, locality float64, seed uint64) (proram.Workload, error) {
-	switch name {
-	case "synthetic":
+	if name == "synthetic" {
 		return proram.Synthetic(proram.SyntheticConfig{
 			Ops: ops, LocalityFraction: locality, WriteFraction: 0.25, Seed: seed,
 		})
-	case "ycsb":
-		return proram.YCSBWorkload(ops), nil
-	case "tpcc":
-		return proram.TPCCWorkload(ops), nil
 	}
-	for _, w := range proram.Splash2Workloads(ops) {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	for _, w := range proram.SPEC06Workloads(ops) {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	return proram.Workload{}, fmt.Errorf("unknown workload %q", name)
+	return proram.NamedWorkload(name, ops)
 }
 
 func profile(w proram.Workload, dump int) {

@@ -7,9 +7,9 @@ import (
 )
 
 // Branchless verifies //proram:branchless functions: the constant-time
-// kernels of the frontend (the PartitionMap scan, the masked compares
-// feeding it) promise that no branch, select, short-circuit, map
-// lookup or variable-latency shift depends on any input-derived value.
+// kernels of the frontend (the PartitionMap lookup's hash, mask and
+// fastmod) promise that no branch, select, short-circuit, map lookup or
+// variable-latency shift depends on any input-derived value.
 // Lengths are public by construction (the taint layer sanitizes
 // len/cap), so counted loops over public geometry pass; anything whose
 // condition or key carries a parameter, secret or unanalyzable origin

@@ -61,12 +61,11 @@ type Victim struct {
 // Cache is one set-associative level. The zero value is unusable;
 // construct with New.
 type Cache struct {
-	cfg   Config
-	sets  [][]line // each set is LRU-ordered: front = MRU
-	mask  uint64
-	hits  uint64
-	miss  uint64
-	evict uint64
+	cfg  Config
+	sets [][]line // each set is LRU-ordered: front = MRU
+	mask uint64
+	hits uint64
+	miss uint64
 }
 
 // New builds an empty cache.
@@ -87,10 +86,9 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Hits, Misses and Evictions expose the access statistics.
-func (c *Cache) Hits() uint64      { return c.hits }
-func (c *Cache) Misses() uint64    { return c.miss }
-func (c *Cache) Evictions() uint64 { return c.evict }
+// Hits and Misses expose the access statistics.
+func (c *Cache) Hits() uint64   { return c.hits }
+func (c *Cache) Misses() uint64 { return c.miss }
 
 func (c *Cache) set(index uint64) []line { return c.sets[index&c.mask] }
 
@@ -169,7 +167,6 @@ func (c *Cache) Insert(index uint64, dirty, prefetched bool) Victim {
 		old := set[victimWay]
 		v = Victim{Index: old.index, Valid: true, Dirty: old.dirty,
 			Prefetched: old.prefetched, Used: old.used}
-		c.evict++
 	}
 	set[victimWay] = line{index: index, valid: true, dirty: dirty, prefetched: prefetched}
 	promote(set, victimWay)

@@ -127,12 +127,6 @@ func (m *Model) ChannelBusy() []uint64 {
 	return append([]uint64(nil), m.chanBusy...)
 }
 
-// BankAccesses returns a copy of the per-bank access counts (channel-major
-// global bank index).
-func (m *Model) BankAccesses() []uint64 {
-	return append([]uint64(nil), m.bankAccesses...)
-}
-
 // EnableLog turns on the per-access timing log (testing/debugging only —
 // it allocates per access).
 func (m *Model) EnableLog() { m.log = make([]AccessRec, 0, 1024) }

@@ -143,6 +143,15 @@ func (c *Controller) Stats() Stats {
 // Trace returns the recorded physical access trace (RecordTrace only).
 func (c *Controller) Trace() []TraceEvent { return c.trace }
 
+// SwapTrace returns the trace recorded so far and records on into
+// buf[:0], so a caller that takes the trace in pieces can hand a spent
+// piece back instead of letting the trace grow.
+func (c *Controller) SwapTrace(buf []TraceEvent) []TraceEvent {
+	tr := c.trace
+	c.trace = buf[:0]
+	return tr
+}
+
 // Leaves returns the number of leaves of the instantiated tree (a power
 // of two) — the leaf-label range the obliviousness auditor tests against.
 func (c *Controller) Leaves() uint64 { return c.tr.Leaves() }

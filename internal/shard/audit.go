@@ -15,25 +15,21 @@ type slotMark struct {
 	pad bool
 }
 
-// floorHorizon bounds the floors map: queueing spans only resolve for
-// requests whose arrival round committed within this many rounds, which
-// is far beyond any carryover the budget rules allow.
-const floorHorizon = 4096
-
 // spans is one (round, partition) latency decomposition in cycles, built
 // at the commit barrier from round-driver-owned state.
 type spans struct {
 	service uint64   // round clock floor -> partition data ready
 	dram    uint64   // first physical issue -> partition data ready
 	ready   uint64   // the partition's post-round clock
-	queue   []uint64 // per served request: arrival-round floor -> this floor
-	total   []uint64 // per served request: arrival-round floor -> data ready
+	queue   []uint64 // per served request: since -> this floor
+	total   []uint64 // per served request: since -> data ready
 }
 
 // roundSpans decomposes a committed demand round's latency per partition.
 // Completion is each partition's post-arbitration clock; queueing delay is
-// measured from the clock floor of the request's arrival round to this
-// round's floor. Runs on the round driver with workers quiescent.
+// measured from the clock floor of the first round that took the request
+// (its since) to this round's floor. Runs on the round driver with workers
+// quiescent.
 func (f *Frontend) roundSpans(floor uint64, byPart []roundResult) []spans {
 	out := make([]spans, len(byPart))
 	for i := range byPart {
@@ -46,17 +42,13 @@ func (f *Frontend) roundSpans(floor uint64, byPart []roundResult) []spans {
 		if len(r.trace) > 0 && sp.ready > r.trace[0].Start {
 			sp.dram = sp.ready - r.trace[0].Start
 		}
-		if len(r.servedArr) > 0 {
-			sp.queue = make([]uint64, len(r.servedArr))
-			sp.total = make([]uint64, len(r.servedArr))
-			for j, arr := range r.servedArr {
-				af, ok := f.floors[arr]
-				if !ok {
-					af = floor
-				}
+		if len(r.servedSince) > 0 {
+			sp.queue = make([]uint64, len(r.servedSince))
+			sp.total = make([]uint64, len(r.servedSince))
+			for j, since := range r.servedSince {
 				var q uint64
-				if floor > af {
-					q = floor - af
+				if floor > since {
+					q = floor - since
 				}
 				sp.queue[j] = q
 				sp.total[j] = q + sp.service

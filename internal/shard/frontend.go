@@ -28,8 +28,6 @@ type Config struct {
 	// dirty lines go to the cache's victim queue and are written back in
 	// pad slots — so two is one miss plus one write-back per round.
 	RoundSlots int
-	// Groups sizes the routing indirection table; 0 picks a default.
-	Groups int
 	// Blocks is the global logical capacity; BlockBytes the block size.
 	Blocks     uint64
 	BlockBytes int
@@ -161,11 +159,6 @@ type Frontend struct {
 	// a take[i] the workers are done with becomes the next queues[i].
 	take   [][]*request
 	byPart []roundResult
-
-	// floors maps a round number to the clock floor it started from, for
-	// queueing-delay spans. Only the round driver touches it, at commit
-	// barriers; entries are pruned a fixed horizon behind the commit.
-	floors map[uint64]uint64
 }
 
 // requests recycles requests with their reply channels and payload
@@ -196,7 +189,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 	if err != nil {
 		return nil, err
 	}
-	pmap, err := NewPartitionMap(cfg.Partitions, cfg.Groups, mix(cfg.Seed, 0x726f757465))
+	pmap, err := NewPartitionMap(cfg.Partitions, 0, mix(cfg.Seed, 0x726f757465))
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +203,6 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 		byPart:  make([]roundResult, cfg.Partitions),
 		manual:  manual,
 		done:    make(chan struct{}),
-		floors:  make(map[uint64]uint64),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	if cfg.RecordAccesses {
@@ -326,7 +318,7 @@ func (f *Frontend) enqueue(index uint64, write bool, data []byte) (*request, err
 	}
 	part := f.pmap.Lookup(index)
 	req := requests.Get().(*request)
-	req.index, req.write = index, write
+	req.index, req.write, req.since = index, write, notTaken
 	if write {
 		// A read never looks at data, so only a write refills it.
 		//proram:public an emptied buffer: its capacity is reused, its old bytes are never read
@@ -339,12 +331,10 @@ func (f *Frontend) enqueue(index uint64, write bool, data []byte) (*request, err
 		requests.Put(req)
 		return nil, ErrClosed
 	}
-	req.seq = f.nextSeq
-	f.nextSeq++
-	req.arr = f.nextRound
 	if f.cfg.RecordArrivals {
-		f.arrivals = append(f.arrivals, Arrival{Seq: req.seq, Index: index, Write: write, Round: f.nextRound})
+		f.arrivals = append(f.arrivals, Arrival{Seq: f.nextSeq, Index: index, Write: write, Round: f.nextRound})
 	}
+	f.nextSeq++
 	f.queues[part] = append(f.queues[part], req)
 	f.pending++
 	f.cond.Signal()
@@ -591,13 +581,7 @@ func (f *Frontend) commit(round uint64, kind roundKind, floor uint64, byPart []r
 	f.mu.Unlock()
 	// Latency spans and the audit feed run after arbitration so start
 	// cycles are the contended ones the wire would show. Both touch only
-	// round-driver-owned state (floors, auditor, recorder).
-	if _, ok := f.floors[round]; !ok {
-		f.floors[round] = floor
-	}
-	if round >= floorHorizon {
-		delete(f.floors, round-floorHorizon)
-	}
+	// round-driver-owned state (auditor, recorder).
 	var sp []spans
 	if kind == roundDemand && (f.cfg.Audit != nil || f.met != nil) {
 		sp = f.roundSpans(floor, byPart)
@@ -656,16 +640,10 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 		s.Partitions = make([]PartitionStats, len(f.parts))
 	}
 	for i, p := range f.parts {
-		ps := PartitionStats{
-			Reads: p.reads, Writes: p.writes, CacheHits: p.cacheHits,
-			RealAccesses: p.realAccesses, PadWritebacks: p.padWritebacks,
-			DummyAccesses: p.dummyAccesses,
-			FlushAccesses: p.flushAccesses, FlushPad: p.flushPad,
-			RequestErrors: p.requestErrors,
-			LocalBlocks:   p.nextLocal,
-			StashSize:     p.store.Ctrl.StashSize(),
-			ORAM:          p.store.Ctrl.Stats(),
-		}
+		ps := p.st
+		ps.LocalBlocks = p.nextLocal
+		ps.StashSize = p.store.Ctrl.StashSize()
+		ps.ORAM = p.store.Ctrl.Stats()
 		s.Partitions[i] = ps
 		s.Reads += ps.Reads
 		s.Writes += ps.Writes

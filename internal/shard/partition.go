@@ -13,14 +13,19 @@ import (
 // frontend recycles requests: once answer has sent the reply, the worker
 // must not touch the request again.
 type request struct {
-	seq   uint64
 	index uint64 // global block index
 	write bool
-	arr   uint64 // arrival round (latency spans measure from its clock floor)
+	// since is the clock floor of the first round that took the request
+	// (notTaken until then); latency spans measure queueing from it.
+	since uint64
 	//proram:secret write payload bytes (admission-owned copy)
 	data []byte
 	resp chan response
 }
+
+// notTaken is a request's since before a round takes it: above every
+// clock floor, so the first round's floor replaces it.
+const notTaken = ^uint64(0)
 
 // response answers one request. Data is a fresh copy for reads.
 type response struct {
@@ -57,15 +62,14 @@ type roundWork struct {
 
 // roundResult is what a worker reports back at the round barrier.
 type roundResult struct {
-	part      int
-	round     uint64
-	leftovers []*request // unserved requests, original arrival order
-	real      int        // demand accesses issued this round
-	dummy     int        // dummy accesses issued this round
-	errors    int        // requests answered with an error
-	trace     []oram.TraceEvent
-	marks     []slotMark // per-slot trace boundaries (auditing only)
-	servedArr []uint64   // arrival rounds of answered requests (latency only)
+	part        int
+	leftovers   []*request // unserved requests, original arrival order
+	real        int        // demand accesses issued this round
+	dummy       int        // dummy accesses issued this round
+	errors      int        // requests answered with an error
+	trace       []oram.TraceEvent
+	marks       []slotMark // per-slot trace boundaries (auditing only)
+	servedSince []uint64   // since of each answered request (latency only)
 }
 
 // partition is one independent Path ORAM shard plus its worker state.
@@ -91,19 +95,16 @@ type partition struct {
 	local     map[uint64]uint64
 	nextLocal uint64
 
-	lastTraceLen int
-	curMarks     []slotMark // marks of the round in flight (markSlots only)
-	padding      bool       // the pad loop is running: the cache's accesses fill pad slots
+	// spare is the trace buffer the previous round's result carried. The
+	// driver is done with it once it sends the next round, so the
+	// controller records into it after this round's hand-off.
+	spare    []oram.TraceEvent
+	curMarks []slotMark // marks of the round in flight (markSlots only)
+	padding  bool       // the pad loop is running: the cache's accesses fill pad slots
 
-	// Cumulative counters (see stats.go for the identities they obey).
-	reads, writes uint64
-	cacheHits     uint64
-	realAccesses  uint64 // demand-round ORAM accesses
-	padWritebacks uint64 // the victim write-backs among them, issued in pad slots
-	dummyAccesses uint64 // demand-round padding accesses
-	flushAccesses uint64 // flush-round write-backs
-	flushPad      uint64 // flush-round padding accesses
-	requestErrors uint64
+	// st holds the cumulative counters (see stats.go for the identities
+	// they obey); computeStats fills in the rest.
+	st PartitionStats
 
 	work    chan roundWork
 	results chan<- roundResult
@@ -144,7 +145,7 @@ func (p *partition) execRound(w roundWork) roundResult {
 	if w.start > p.store.Now {
 		p.store.Now = w.start
 	}
-	res := roundResult{part: p.id, round: w.round}
+	res := roundResult{part: p.id}
 	switch w.kind {
 	case roundDemand:
 		p.demandRound(w, &res)
@@ -154,9 +155,8 @@ func (p *partition) execRound(w roundWork) roundResult {
 		p.padRound(w, &res)
 	}
 	if p.record {
-		tr := p.store.Ctrl.Trace()
-		res.trace = append([]oram.TraceEvent(nil), tr[p.lastTraceLen:]...)
-		p.lastTraceLen = len(tr)
+		res.trace = p.store.Ctrl.SwapTrace(p.spare)
+		p.spare = res.trace
 	}
 	if p.markSlots {
 		res.marks = p.curMarks
@@ -166,17 +166,17 @@ func (p *partition) execRound(w roundWork) roundResult {
 }
 
 // mark closes one issued access slot for the auditor: the current trace
-// length (relative to the round's start) bounds the slot's physical
-// accesses. Callers mark exactly once per counted slot access, so the
-// observed mark count is the wire-truth the shape test checks. pad says
-// the slot was padding — a dummy, or a queued victim's write-back — which
-// is the population the timing test compares with demand slots.
+// length (the controller's trace starts with the round) bounds the slot's
+// physical accesses. Callers mark exactly once per counted slot access,
+// so the observed mark count is the wire-truth the shape test checks. pad
+// says the slot was padding — a dummy, or a queued victim's write-back —
+// which is the population the timing test compares with demand slots.
 func (p *partition) mark(pad bool) {
 	if !p.markSlots {
 		return
 	}
 	p.curMarks = append(p.curMarks, slotMark{
-		end: len(p.store.Ctrl.Trace()) - p.lastTraceLen,
+		end: len(p.store.Ctrl.Trace()),
 		pad: pad,
 	})
 }
@@ -191,6 +191,9 @@ func (p *partition) mark(pad bool) {
 func (p *partition) demandRound(w roundWork, res *roundResult) {
 	budget := p.roundSlots
 	for _, req := range w.reqs {
+		// A floor is the largest partition clock, and clocks never fall,
+		// so the minimum is the floor of the first round that took req.
+		req.since = min(req.since, w.start)
 		local, err := p.localSlot(req.index)
 		if err != nil {
 			p.fail(req, err, res)
@@ -201,7 +204,7 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		// rest hit it.
 		//proram:public whether a slot is cached follows the public access sequence
 		if line, ok := p.cache.Lookup(local); ok {
-			p.cacheHits++
+			p.st.CacheHits++
 			p.finish(req, line, res)
 			continue
 		}
@@ -226,8 +229,8 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		// to a dummy.
 		if wrote, _ := p.cache.Drain(); wrote {
 			res.real++
-			p.realAccesses++
-			p.padWritebacks++
+			p.st.RealAccesses++
+			p.st.PadWritebacks++
 			continue
 		}
 		if p.dropDummies {
@@ -235,13 +238,13 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 			// counter and reported shape stays plausible — only the observed
 			// trace (and the auditor watching it) knows.
 			res.dummy++
-			p.dummyAccesses++
+			p.st.DummyAccesses++
 			continue
 		}
 		p.dummyAccess()
 		p.mark(true)
 		res.dummy++
-		p.dummyAccesses++
+		p.st.DummyAccesses++
 	}
 	p.padding = false
 	if got := res.real + res.dummy; got != p.roundSlots {
@@ -257,7 +260,7 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 func (p *partition) demandAccess(req *request, local uint64, res *roundResult) {
 	line, err := p.cache.Fetch(local)
 	res.real++
-	p.realAccesses++
+	p.st.RealAccesses++
 	if err != nil {
 		p.fail(req, fmt.Errorf("shard: partition %d: %w", p.id, err), res)
 		return
@@ -268,19 +271,19 @@ func (p *partition) demandAccess(req *request, local uint64, res *roundResult) {
 // finish applies the request to its cached line and answers it.
 func (p *partition) finish(req *request, line Line, res *roundResult) {
 	if req.write {
-		p.writes++
+		p.st.Writes++
 		line.Set(req.data)
 		p.answer(req, response{}, res)
 		return
 	}
-	p.reads++
+	p.st.Reads++
 	p.answer(req, response{data: line.Bytes()}, res)
 }
 
 // fail answers a request with an error.
 func (p *partition) fail(req *request, err error, res *roundResult) {
 	res.errors++
-	p.requestErrors++
+	p.st.RequestErrors++
 	p.answer(req, response{err: err}, res)
 }
 
@@ -289,7 +292,7 @@ func (p *partition) fail(req *request, err error, res *roundResult) {
 // use: the client recycles it as soon as the reply is received.
 func (p *partition) answer(req *request, resp response, res *roundResult) {
 	if p.lat {
-		res.servedArr = append(res.servedArr, req.arr)
+		res.servedSince = append(res.servedSince, req.since)
 	}
 	req.resp <- resp
 }
@@ -308,9 +311,9 @@ func (p *partition) dummyAccess() {
 func (p *partition) flushRound(res *roundResult) {
 	written, failed, _ := p.cache.Flush()
 	res.real += written
-	p.flushAccesses += uint64(written)
+	p.st.FlushAccesses += uint64(written)
 	res.errors += failed
-	p.requestErrors += uint64(failed)
+	p.st.RequestErrors += uint64(failed)
 }
 
 // padRound equalizes a flush round: padTo additional dummy accesses, so
@@ -322,7 +325,7 @@ func (p *partition) padRound(w roundWork, res *roundResult) {
 		p.dummyAccess()
 		p.mark(true)
 		res.dummy++
-		p.flushPad++
+		p.st.FlushPad++
 	}
 }
 

@@ -1,32 +1,37 @@
 package shard
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PartitionMap routes global block indices to partitions: a seeded keyed
-// hash spreads blocks over Groups indirection groups, and a small
-// group→partition table assigns each group a home partition. Routing is
-// deterministic in (seed, index), and the table scan is oblivious: every
-// lookup reads all Groups entries with branchless selection, so neither
-// timing nor the memory trace of the map itself depends on the index.
-//
-// The indirection level exists for the future background shuffler:
-// re-homing a group is one table write, no re-hash of the address space.
+// hash spreads blocks over Groups indirection groups, and group g lives on
+// partition g mod P, so every partition starts with an equal share of the
+// address space. Routing is deterministic in (seed, index), and Lookup is
+// oblivious: a hash, a mask and two multiplications, with no table load,
+// division or branch, so neither timing nor the memory trace of the map
+// depends on the index.
 type PartitionMap struct {
-	partitions int
+	partitions uint64
 	seed       uint64
-	table      []uint16 // group -> partition
+	mask       uint64 // Groups-1
+	fastmod    uint64 // ⌈2^64/partitions⌉ mod 2^64, Lemire's fastmod constant
 }
 
+// maxPartitions bounds the partition count; with the default of 8 groups
+// per partition it keeps Groups at most 2^19, far inside the 2^32 over
+// which fastmod is exact.
+const maxPartitions = 1 << 16
+
 // NewPartitionMap builds a map over the given partition count. groups is
-// rounded up to a power of two and defaults to max(64, 8×partitions);
-// groups are assigned round-robin so every partition starts with an equal
-// share of the address space.
+// rounded up to a power of two and defaults to max(64, 8×partitions).
 func NewPartitionMap(partitions, groups int, seed uint64) (*PartitionMap, error) {
 	if partitions < 1 {
 		return nil, fmt.Errorf("shard: partitions %d must be >= 1", partitions)
 	}
-	if partitions > 1<<16 {
-		return nil, fmt.Errorf("shard: partitions %d exceed the 65536 the table encodes", partitions)
+	if partitions > maxPartitions {
+		return nil, fmt.Errorf("shard: partitions %d exceed %d", partitions, maxPartitions)
 	}
 	if groups <= 0 {
 		groups = 8 * partitions
@@ -37,22 +42,19 @@ func NewPartitionMap(partitions, groups int, seed uint64) (*PartitionMap, error)
 	if groups < partitions {
 		return nil, fmt.Errorf("shard: %d groups cannot cover %d partitions", groups, partitions)
 	}
+	if groups > 8*maxPartitions {
+		return nil, fmt.Errorf("shard: %d groups exceed %d", groups, 8*maxPartitions)
+	}
 	g := 1
 	for g < groups {
 		g <<= 1
 	}
-	m := &PartitionMap{partitions: partitions, seed: seed, table: make([]uint16, g)}
-	for i := range m.table {
-		m.table[i] = uint16(i % partitions)
-	}
-	return m, nil
+	p := uint64(partitions)
+	return &PartitionMap{partitions: p, seed: seed, mask: uint64(g - 1), fastmod: ^uint64(0)/p + 1}, nil
 }
 
-// Partitions returns the partition count.
-func (m *PartitionMap) Partitions() int { return m.partitions }
-
-// Groups returns the indirection-table size.
-func (m *PartitionMap) Groups() int { return len(m.table) }
+// Groups returns the number of indirection groups.
+func (m *PartitionMap) Groups() int { return int(m.mask + 1) }
 
 // mix is a splitmix64-style keyed finalizer: a 64-bit permutation of
 // index under the key. Distinct seeds give effectively independent
@@ -64,42 +66,14 @@ func mix(key, index uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Group returns the indirection group of a block index.
-func (m *PartitionMap) Group(index uint64) int {
-	return int(mix(m.seed, index) & uint64(len(m.table)-1))
-}
-
-// Lookup returns the partition of a block index. The table scan is
-// fixed-length and branchless: entry i contributes iff i == group, via an
-// arithmetically derived all-ones/all-zeros mask, so the scan's control
-// flow and touched addresses are identical for every index.
+// Lookup returns the partition of a block index: its group mod P, by
+// Lemire's fastmod (the high word of (fastmod×group mod 2^64)×P), which
+// is exact for group and P below 2^32. For P = 1 the constant wraps to 0
+// and so does the result.
 //
-//proram:branchless the scan's control flow and touched addresses must be identical for every index
+//proram:branchless the lookup's control flow and touched addresses must be identical for every index
 func (m *PartitionMap) Lookup(index uint64) int {
-	g := uint64(m.Group(index))
-	var p uint16
-	table := m.table
-	for i := range table {
-		// (d|-d)>>63 is 1 for any nonzero d, 0 for d == 0, so eq is 1
-		// exactly when i == g; mask is then 0xffff or 0x0000.
-		d := uint64(i) ^ g
-		eq := ((d | -d) >> 63) ^ 1
-		mask := uint16(0) - uint16(eq)
-		p |= table[i] & mask
-	}
-	return int(p)
-}
-
-// Rehome reassigns an indirection group to a new partition. It is the
-// repartitioning hook for a future background shuffler; the caller owns
-// migrating the group's resident blocks before routing flips.
-func (m *PartitionMap) Rehome(group, partition int) error {
-	if group < 0 || group >= len(m.table) {
-		return fmt.Errorf("shard: group %d out of range (%d groups)", group, len(m.table))
-	}
-	if partition < 0 || partition >= m.partitions {
-		return fmt.Errorf("shard: partition %d out of range (%d partitions)", partition, m.partitions)
-	}
-	m.table[group] = uint16(partition)
-	return nil
+	g := mix(m.seed, index) & m.mask
+	hi, _ := bits.Mul64(m.fastmod*g, m.partitions)
+	return int(hi)
 }

@@ -45,27 +45,55 @@ func TestPartitionMapSpread(t *testing.T) {
 	}
 }
 
-func TestPartitionMapRehome(t *testing.T) {
-	m, err := NewPartitionMap(4, 64, 1)
+// tableScan is the routing Lookup replaced: a group→partition table with
+// table[i] = i mod P, read in full by a masked scan. It stays here as the
+// reference the arithmetic must reproduce.
+func tableScan(table []uint16, g uint64) int {
+	var p uint16
+	for i := range table {
+		d := uint64(i) ^ g
+		eq := ((d | -d) >> 63) ^ 1
+		p |= table[i] & (uint16(0) - uint16(eq))
+	}
+	return int(p)
+}
+
+func TestLookupMatchesTableScan(t *testing.T) {
+	for _, parts := range []int{1, 2, 3, 5, 8, 64, 65, 1000, 65535, 65536} {
+		for _, groups := range []int{0, parts, 4 * parts} {
+			m, err := NewPartitionMap(parts, groups, 0x5eed)
+			if err != nil {
+				t.Fatalf("P=%d groups=%d: %v", parts, groups, err)
+			}
+			table := make([]uint16, m.Groups())
+			for i := range table {
+				table[i] = uint16(i % parts)
+			}
+			// The scan costs Groups steps per index: sample fewer indices
+			// at large Groups so the whole test stays well under a second.
+			n := min(4096, max(8, (1<<21)/len(table)))
+			for i := 0; i < n; i++ {
+				idx := uint64(i) * 0x9e3779b97f4a7c15
+				want := tableScan(table, mix(0x5eed, idx)&uint64(len(table)-1))
+				if got := m.Lookup(idx); got != want {
+					t.Fatalf("P=%d groups=%d: Lookup(%#x) = %d, table scan %d", parts, groups, idx, got, want)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkLookup(b *testing.B) {
+	m, err := NewPartitionMap(2, 0, 1)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	// Find a block, move its group, and watch routing follow the table.
-	idx := uint64(12345)
-	g := m.Group(idx)
-	was := m.Lookup(idx)
-	next := (was + 1) % m.Partitions()
-	if err := m.Rehome(g, next); err != nil {
-		t.Fatal(err)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += m.Lookup(uint64(i))
 	}
-	if got := m.Lookup(idx); got != next {
-		t.Fatalf("after Rehome, Lookup = %d, want %d", got, next)
-	}
-	if err := m.Rehome(-1, 0); err == nil {
-		t.Fatal("Rehome accepted an out-of-range group")
-	}
-	if err := m.Rehome(0, 99); err == nil {
-		t.Fatal("Rehome accepted an out-of-range partition")
+	if sink < 0 {
+		b.Fatal("negative partition")
 	}
 }
 
@@ -75,5 +103,11 @@ func TestNewPartitionMapRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := NewPartitionMap(128, 16, 1); err == nil {
 		t.Fatal("accepted fewer groups than partitions")
+	}
+	if _, err := NewPartitionMap(maxPartitions+1, 0, 1); err == nil {
+		t.Fatal("accepted more than maxPartitions partitions")
+	}
+	if _, err := NewPartitionMap(2, 8*maxPartitions+1, 1); err == nil {
+		t.Fatal("accepted more groups than fastmod is checked for")
 	}
 }

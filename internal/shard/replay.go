@@ -131,7 +131,7 @@ func (f *Frontend) replayEnqueue(a Arrival) error {
 	if a.Index >= f.cfg.Blocks {
 		return fmt.Errorf("shard: arrival %d index %d out of range (%d blocks)", a.Seq, a.Index, f.cfg.Blocks)
 	}
-	req := &request{seq: a.Seq, index: a.Index, write: a.Write, arr: a.Round, resp: make(chan response, 1)}
+	req := &request{index: a.Index, write: a.Write, since: notTaken, resp: make(chan response, 1)}
 	part := f.pmap.Lookup(a.Index)
 	f.queues[part] = append(f.queues[part], req)
 	f.pending++

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"proram/internal/dram/banked"
+	"proram/internal/obs/audit"
 	"proram/internal/oram"
 	"proram/internal/rng"
 	"proram/internal/seal"
@@ -167,7 +168,7 @@ func skewedArrivals(t *testing.T, cfg Config, n int) []Arrival {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pmap, err := NewPartitionMap(norm.Partitions, norm.Groups, mix(norm.Seed, 0x726f757465))
+	pmap, err := NewPartitionMap(norm.Partitions, 0, mix(norm.Seed, 0x726f757465))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,5 +822,45 @@ func TestBankedReplayByteIdentity(t *testing.T) {
 				p.Round, p.Part, p.Start, prev)
 		}
 		last[k] = p.Start
+	}
+}
+
+// TestTraceHandedOffPerRound runs a live frontend that records traces —
+// on a shared banked device, and under an auditor — for thousands of
+// rounds. Each round's trace is handed to the driver and its buffer comes
+// back, so after Close no controller holds any trace: a trace kept whole
+// would grow by one event per path access for the frontend's lifetime.
+func TestTraceHandedOffPerRound(t *testing.T) {
+	const rounds = 2000
+	bc := banked.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"banked", func(c *Config) { c.Banked = &bc }},
+		{"audited", func(c *Config) { c.Audit = audit.New(audit.Config{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(2)
+			tc.set(&cfg)
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(5)
+			for f.Stats().Rounds < rounds {
+				if _, err := f.Read(r.Uint64n(cfg.Blocks)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range f.parts {
+				if n := len(p.store.Ctrl.Trace()); n != 0 {
+					t.Errorf("partition %d controller holds %d trace events after %d rounds", i, n, f.Stats().Rounds)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package proram
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"proram/internal/obs"
 	"proram/internal/obs/audit"
@@ -321,6 +322,26 @@ func TPCCWorkload(ops uint64) Workload {
 	p := trace.TPCC(ops)
 	return Workload{Name: "TPCC", Ops: ops,
 		factory: func() trace.Generator { return trace.NewModel(p) }}
+}
+
+// NamedWorkload returns the modeled workload of the given name: "ycsb",
+// "tpcc", or a Splash2 or SPEC06 program by its Name. The error for any
+// other name lists the valid ones.
+func NamedWorkload(name string, ops uint64) (Workload, error) {
+	switch name {
+	case "ycsb":
+		return YCSBWorkload(ops), nil
+	case "tpcc":
+		return TPCCWorkload(ops), nil
+	}
+	names := []string{"ycsb", "tpcc"}
+	for _, w := range append(Splash2Workloads(ops), SPEC06Workloads(ops)...) {
+		if w.Name == name {
+			return w, nil
+		}
+		names = append(names, w.Name)
+	}
+	return Workload{}, fmt.Errorf("proram: unknown workload %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Op is one memory reference of a workload: Gap compute cycles followed by

@@ -150,6 +150,36 @@ func TestWorkloadConstructors(t *testing.T) {
 	}
 }
 
+// TestNamedWorkload resolves every name the commands accept besides
+// synthetic, and rejects an unknown one with an error naming the valid ones.
+func TestNamedWorkload(t *testing.T) {
+	want := map[string]string{"ycsb": "YCSB", "tpcc": "TPCC"}
+	for _, w := range append(Splash2Workloads(1000), SPEC06Workloads(1000)...) {
+		want[w.Name] = w.Name
+	}
+	if len(want) != 2+14+10 {
+		t.Fatalf("%d distinct names, want 26", len(want))
+	}
+	for name, wName := range want {
+		w, err := NamedWorkload(name, 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w.Name != wName || w.Ops != 1000 {
+			t.Fatalf("%s resolved to %s with %d ops", name, w.Name, w.Ops)
+		}
+	}
+	_, err := NamedWorkload("nosuch", 1000)
+	if err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	for name := range want {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not list %s", err, name)
+		}
+	}
+}
+
 // TestSimulatorMisuseIsAnError: a zero Workload and out-of-range enum
 // values come back as errors from every entry point — no panic, and no
 // silent fallback to the baseline scheme or to ORAM.
