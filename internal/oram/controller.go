@@ -67,8 +67,7 @@ type Controller struct {
 	winBusy     uint64
 	winStart    uint64
 
-	path  []tree.Labeled // reusable path-read buffer
-	chain []uint64       // recursion-index buffer, one entry per hierarchy level
+	chain []uint64 // recursion-index buffer, one entry per hierarchy level
 }
 
 // New builds a controller. The tree is sized to hold the data blocks plus
@@ -181,9 +180,8 @@ func (c *Controller) mustAdd(id mem.BlockID, leaf mem.Leaf) {
 // leaf moves to the stash under the label its tree slot holds, which is
 // the one the position map records, so no position-map entry is read.
 func (c *Controller) readPath(leaf mem.Leaf) {
-	c.path = c.tr.RemovePathLabeled(leaf, c.path[:0])
-	if err := c.st.AddPath(c.path); err != nil {
-		//proram:invariant AddPath refuses only a stash past its table maximum, 2^28 blocks, which a Path ORAM stash bounded by background eviction never approaches
+	if err := c.st.ReadPath(c.tr, leaf); err != nil {
+		//proram:invariant ReadPath refuses only a stash past its table maximum, 2^28 blocks, which a Path ORAM stash bounded by background eviction never approaches
 		panic("oram: " + err.Error())
 	}
 }

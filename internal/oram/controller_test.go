@@ -732,32 +732,43 @@ func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkPathAccess times Read on a warm controller at the geometry of
-// the repository benchmark's sim_locality workload: the Table 1 system
-// (1.5M blocks, prefilled, Z=3, PLB of 128) under the dynamic scheme with
-// super blocks of up to two, over uniformly random indices. It reports ns
-// per Read and path accesses per Read; with no LLC attached nothing
-// merges, so the number is the path accesses' host time. Run it with
+// BenchmarkPathAccess times Read on a warm, prefilled controller under the
+// dynamic scheme with super blocks of up to two, over uniformly random
+// indices, at the geometries of two of the repository benchmark's
+// workloads: sim_locality's Table 1 system (1.5M blocks, a 24 MB tree) and
+// ram_uniform_rw's RAM (2^16 blocks of 128 B, a 1 MB tree). Both keep
+// Z=3, a stash limit of 100 and a PLB of 128. It reports ns per Read and
+// path accesses per Read; with no LLC attached nothing merges, so the
+// number is the path accesses' host time. Run it with
 // `go test -run '^$' -bench PathAccess -benchtime 2000x ./internal/oram`.
 func BenchmarkPathAccess(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Prefill = true
 	sb := superblock.DefaultConfig()
 	sb.MaxSize = 2
-	cfg.Super = sb
-	c, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
+	table1 := DefaultConfig()
+	table1.Prefill = true
+	table1.Super = sb
+	ram := table1
+	ram.NumBlocks = 1 << 16
+	for _, g := range []struct {
+		name string
+		cfg  Config
+	}{{"sim_locality", table1}, {"ram_uniform_rw", ram}} {
+		b.Run(g.name, func(b *testing.B) {
+			c, err := New(g.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rng.New(1)
+			for i := 0; i < 20000; i++ {
+				c.Read(c.lastEnd, r.Uint64n(g.cfg.NumBlocks))
+			}
+			before := c.Stats().PathAccesses
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Read(c.lastEnd, r.Uint64n(g.cfg.NumBlocks))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(c.Stats().PathAccesses-before)/float64(b.N), "paths/op")
+		})
 	}
-	r := rng.New(1)
-	for i := 0; i < 20000; i++ {
-		c.Read(c.lastEnd, r.Uint64n(cfg.NumBlocks))
-	}
-	before := c.Stats().PathAccesses
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Read(c.lastEnd, r.Uint64n(cfg.NumBlocks))
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(c.Stats().PathAccesses-before)/float64(b.N), "paths/op")
 }

@@ -12,10 +12,12 @@ import (
 // plain map for membership and a slice in insertion order, with the
 // write-back written as the protocol states it (FreeAt/PlaceAt per block,
 // the carry list resliced from the front) and a path read as one add per
-// block.
+// block. inTree holds the blocks the model wrote back and no path read
+// has taken out since.
 type model struct {
 	order     []tree.Labeled
 	index     map[mem.BlockID]bool
+	inTree    map[mem.BlockID]bool
 	highWater int
 }
 
@@ -68,6 +70,7 @@ func (m *model) evictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 				panic("model: PlaceAt failed with a free slot")
 			}
 			m.remove(e.ID)
+			m.inTree[e.ID] = true
 			placed++
 		}
 	}
@@ -99,6 +102,7 @@ type coverage struct {
 	segmentCompactions int  // a Remove compacted order while a segment was open
 	segmentRebuilds    int  // an Add rebuilt the table while a segment was open, indexing it
 	rereads            int  // a path read came while the previous one's segment was still open
+	rebuildingReads    int  // a path read's reservation rebuilt the table
 }
 
 func (c *coverage) merge(o coverage) {
@@ -113,36 +117,42 @@ func (c *coverage) merge(o coverage) {
 	c.segmentCompactions += o.segmentCompactions
 	c.segmentRebuilds += o.segmentRebuilds
 	c.rereads += o.rereads
+	c.rebuildingReads += o.rebuildingReads
 }
 
 // runModel decodes data as an operation sequence (three bytes each: opcode,
 // two operand bytes), applies it to a Stash and to the model over twin
 // trees, and fails on the first observable difference. Opcodes 8–11 aim
-// at a block of the last path read, so they meet the open segment.
+// at a block of the last path read, so they meet the open segment. An add
+// of a block that sits in the tree is skipped: a Path ORAM block is in the
+// tree or in the stash, never both, and ReadPath relies on it.
 func runModel(t *testing.T, data []byte) coverage {
 	t.Helper()
 	s := mustNew(t, modelLimit)
-	m := &model{index: map[mem.BlockID]bool{}}
+	m := &model{index: map[mem.BlockID]bool{}, inTree: map[mem.BlockID]bool{}}
 	ts, tm := tree.New(modelLevels, modelZ), tree.New(modelLevels, modelZ)
 	leaves := ts.Leaves()
 	initialTable := len(s.table)
 	var cov coverage
-	var buf, lastPath []tree.Labeled
+	var lastPath []mem.BlockID
 	segmentOpen := func() bool { return s.seg < s.segEnd }
 	hit := func(id mem.BlockID) {
-		if s.inSegment(id) >= 0 {
+		if c, ok := code(id); ok && s.inSegment(c) >= 0 {
 			cov.segmentHits++
 		}
 	}
 
 	add := func(step int, id mem.BlockID, leaf mem.Leaf) {
+		if m.inTree[id] {
+			return
+		}
 		rebuilds := !id.IsNil() && s.used >= len(s.table)/2
 		if rebuilds && segmentOpen() {
 			cov.segmentRebuilds++
 		}
 		reuses := false
-		if !rebuilds {
-			slot, _ := s.probe(id)
+		if c, ok := code(id); ok && !rebuilds {
+			slot, _ := s.probe(c)
 			reuses = *slot == slotDeleted
 		}
 		err := s.Add(id, leaf)
@@ -167,7 +177,7 @@ func runModel(t *testing.T, data []byte) coverage {
 			if len(lastPath) == 0 {
 				continue
 			}
-			id = lastPath[arg%uint64(len(lastPath))].ID
+			id = lastPath[arg%uint64(len(lastPath))]
 		}
 		switch op {
 		case 0, 1, 8:
@@ -215,30 +225,36 @@ func runModel(t *testing.T, data []byte) coverage {
 			}
 		case 6:
 			// The read phase of an access: the path's blocks come back with
-			// the labels they were written back under. A block that is also
-			// stashed (re-added while in the tree) or a second copy on the
-			// path is dropped, as its failed Add once dropped it.
-			buf = ts.RemovePathLabeled(leaf, buf[:0])
-			mbuf := tm.RemovePathLabeled(leaf, nil)
-			if len(buf) != len(mbuf) {
-				t.Fatalf("step %d: twin paths hold %d and %d blocks", step, len(buf), len(mbuf))
-			}
-			kept := buf[:0]
-			for i, back := range buf {
-				if back != mbuf[i] {
-					t.Fatalf("step %d: path block %d is %+v, twin %+v", step, i, back, mbuf[i])
-				}
-				if m.add(back.ID, back.Leaf) {
-					kept = append(kept, back)
-				}
-			}
+			// the labels they were written back under, as the open segment.
 			if segmentOpen() {
 				cov.rereads++
 			}
-			if err := s.AddPath(kept); err != nil {
-				t.Fatalf("step %d: AddPath: %v", step, err)
+			// Counted only with no segment open: closing one can return
+			// reservations, and the count must not claim a rebuild that
+			// did not happen.
+			if !segmentOpen() && s.used+ts.Z()*(ts.Levels()+1) > len(s.table)/2 {
+				cov.rebuildingReads++
 			}
-			lastPath = kept
+			if err := s.ReadPath(ts, leaf); err != nil {
+				t.Fatalf("step %d: ReadPath: %v", step, err)
+			}
+			path := s.order[s.seg:s.segEnd]
+			mpath := tm.RemovePathSlots(leaf, nil)
+			if len(path) != len(mpath) {
+				t.Fatalf("step %d: twin paths hold %d and %d blocks", step, len(path), len(mpath))
+			}
+			lastPath = lastPath[:0]
+			for i, back := range mpath {
+				if path[i] != back {
+					t.Fatalf("step %d: path block %d is %v@%d, twin %v@%d",
+						step, i, path[i].Block(), path[i].Leaf(), back.Block(), back.Leaf())
+				}
+				delete(m.inTree, back.Block())
+				if !m.add(back.Block(), back.Leaf()) {
+					t.Fatalf("step %d: path block %v is stashed already", step, back.Block())
+				}
+				lastPath = append(lastPath, back.Block())
+			}
 		case 7, 11:
 			hit(id)
 			open := segmentOpen()
@@ -300,10 +316,10 @@ func runModel(t *testing.T, data []byte) coverage {
 }
 
 // removed counts the removed entries in order.
-func removed(order []tree.Labeled) int {
+func removed(order []tree.Slot) int {
 	n := 0
 	for _, e := range order {
-		if e.ID.IsNil() {
+		if e == 0 {
 			n++
 		}
 	}
@@ -349,8 +365,8 @@ func segmentOps() []byte {
 // model, and checks that they went where the table is at risk: occupancy
 // past twice the limit, table growth, compaction, reuse of deleted slots,
 // lookups that meet the open segment, a Remove that compacts and an Add
-// that rebuilds while it is open, and a path read before the last one was
-// written back.
+// that rebuilds while it is open, a path read before the last one was
+// written back, and a path read whose reservation rebuilds the table.
 func TestAgainstModel(t *testing.T) {
 	var total coverage
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -373,9 +389,9 @@ func TestAgainstModel(t *testing.T) {
 	if total.reusedDeleted == 0 {
 		t.Error("no Add reused a deleted slot")
 	}
-	if total.segmentHits == 0 || total.segmentCompactions == 0 || total.segmentRebuilds == 0 || total.rereads == 0 {
-		t.Errorf("open segment: %d lookups met it, %d Removes compacted and %d Adds rebuilt while it was open, %d reads came before it closed; want all",
-			total.segmentHits, total.segmentCompactions, total.segmentRebuilds, total.rereads)
+	if total.segmentHits == 0 || total.segmentCompactions == 0 || total.segmentRebuilds == 0 || total.rereads == 0 || total.rebuildingReads == 0 {
+		t.Errorf("open segment: %d lookups met it, %d Removes compacted and %d Adds rebuilt while it was open, %d reads came before it closed, %d reads rebuilt the table; want all",
+			total.segmentHits, total.segmentCompactions, total.segmentRebuilds, total.rereads, total.rebuildingReads)
 	}
 }
 

@@ -9,7 +9,6 @@
 package stash
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -17,8 +16,6 @@ import (
 	"proram/internal/mem"
 	"proram/internal/tree"
 )
-
-var errNilBlock = errors.New("stash: Add with nil block")
 
 // Values of a table slot other than a position: a slot holds 0 when it was
 // never used since the last rebuild, slotDeleted when its block was removed
@@ -37,14 +34,17 @@ const (
 // Stash holds blocks that could not yet be written back to the tree. The
 // zero value is unusable; construct with New.
 type Stash struct {
-	order []tree.Labeled // insertion-ordered; a removed entry keeps its place with id Nil
-	live  int            // blocks currently stashed
+	// order holds the blocks in insertion order, each in its tree slot
+	// encoding; a removed entry keeps its place as the zero slot, which is
+	// the tree's empty one.
+	order []tree.Slot
+	live  int // blocks currently stashed
 	// order[seg:segEnd] is the open path segment: the blocks the last
-	// AddPath read off a path, in order but not in the table. Lookups scan
-	// it before they probe; EvictToPath, a compaction or the next AddPath
+	// ReadPath read off a path, in order but not in the table. Lookups scan
+	// it before they probe; EvictToPath, a compaction or the next ReadPath
 	// closes it. seg == segEnd when none is open.
 	seg, segEnd int
-	// table is the id -> order position index: open addressing with linear
+	// table is the code -> order position index: open addressing with linear
 	// probing over a power-of-two number of slots. used counts the slots
 	// that are not empty (live and deleted) plus one reserved for every live
 	// block of the open segment; it stays at or below half the table, so
@@ -62,7 +62,7 @@ type Stash struct {
 	// height beside their positions in order.
 	ends    []int
 	heights []uint8
-	sorted  []tree.Labeled
+	sorted  []tree.Slot
 	pos     []int32
 }
 
@@ -106,23 +106,31 @@ func (s *Stash) Writebacks() uint64 { return s.writebacks }
 // i.e. whether the controller must issue background evictions.
 func (s *Stash) OverLimit() bool { return s.live > s.limit }
 
-// home returns the slot at which the probe sequence of id starts: the top
-// bits of a Fibonacci hash, which spreads block ids (small consecutive
-// integers under a level tag) over the table.
-func (s *Stash) home(id mem.BlockID) int {
-	return int((uint64(id) * 0x9E3779B97F4A7C15) >> s.shift)
+// code returns the tree slot code of id, which is what the table and the
+// open segment are searched by, or false for an id no slot can hold and
+// the stash therefore never holds.
+func code(id mem.BlockID) (uint64, bool) {
+	e, ok := tree.Pack(id, 0)
+	return e.Code(), ok
 }
 
-// probe walks the probe sequence of id. If id is in the table it returns
-// its table slot and its order entry. Otherwise the entry is nil and the
-// slot is where an insert of id belongs: the first deleted slot on the
-// sequence, or else the empty slot that ends it. Both pointers are good
-// until the next Add, AddPath or compaction.
-func (s *Stash) probe(id mem.BlockID) (slot *int32, e *tree.Labeled) {
+// home returns the slot at which the probe sequence of a block code
+// starts: the top bits of a Fibonacci hash, which spreads the codes (small
+// consecutive indices under a level tag) over the table.
+func (s *Stash) home(code uint64) int {
+	return int((code * 0x9E3779B97F4A7C15) >> s.shift)
+}
+
+// probe walks the probe sequence of a block code. If the block is in the
+// table it returns its table slot and its order entry. Otherwise the entry
+// is nil and the slot is where an insert of the block belongs: the first
+// deleted slot on the sequence, or else the empty slot that ends it. Both
+// pointers are good until the next Add, ReadPath or compaction.
+func (s *Stash) probe(code uint64) (slot *int32, e *tree.Slot) {
 	table, order := s.table, s.order
 	mask := len(table) - 1
 	var free *int32
-	for i := s.home(id); ; i = (i + 1) & mask {
+	for i := s.home(code); ; i = (i + 1) & mask {
 		p := &table[i]
 		v := *p
 		if v <= 0 { // empty or deleted: an insert may take it
@@ -136,16 +144,17 @@ func (s *Stash) probe(id mem.BlockID) (slot *int32, e *tree.Labeled) {
 		}
 		// A positive slot is 1 + an order position; the inserts and compact
 		// write the two together.
-		if c := &order[v-1]; c.ID == id {
+		if c := &order[v-1]; c.Code() == code {
 			return p, c
 		}
 	}
 }
 
-// inSegment returns the order position of id in the open segment, or -1.
-func (s *Stash) inSegment(id mem.BlockID) int {
+// inSegment returns the order position of the block with the given code
+// in the open segment, or -1.
+func (s *Stash) inSegment(code uint64) int {
 	for i, e := range s.order[s.seg:s.segEnd] {
-		if e.ID == id {
+		if e.Code() == code {
 			return s.seg + i
 		}
 	}
@@ -161,47 +170,51 @@ func (s *Stash) reserve(n int) error {
 	return s.rebuild(n)
 }
 
-// Add inserts a block mapped to leaf. It errors on a nil id and on a
-// block that is already stashed; both indicate a protocol bug in the
-// caller, which decides whether that is fatal.
+// Add inserts a block mapped to leaf. It errors on a block or label no
+// tree slot can hold (a nil id, mem.NoLeaf) and on a block that is already
+// stashed; each indicates a protocol bug in the caller, which decides
+// whether that is fatal.
 func (s *Stash) Add(id mem.BlockID, leaf mem.Leaf) error {
-	if id.IsNil() {
-		return errNilBlock
+	e, ok := tree.Pack(id, leaf)
+	if !ok {
+		return fmt.Errorf("stash: block %v at leaf %d does not fit a tree slot", id, leaf)
 	}
 	if err := s.reserve(1); err != nil {
 		return err
 	}
-	slot, dup := s.probe(id)
-	if dup != nil || s.inSegment(id) >= 0 {
+	slot, dup := s.probe(e.Code())
+	if dup != nil || s.inSegment(e.Code()) >= 0 {
 		return fmt.Errorf("stash: duplicate add of %v", id)
 	}
 	if *slot == 0 {
 		s.used++
 	}
-	s.order = append(s.order, tree.Labeled{ID: id, Leaf: leaf}) // maybeCompact bounds order, so the steady state reuses its capacity
+	s.order = append(s.order, e) // maybeCompact bounds order, so the steady state reuses its capacity
 	*slot = int32(len(s.order))
 	s.live++
 	s.highWater = max(s.highWater, s.live)
 	return nil
 }
 
-// AddPath stashes the blocks a path read returned, each under the label
-// its tree slot held. They join order exactly where one Add per block
+// ReadPath is the read phase of a path access: it takes every block off
+// the path to leaf, root bucket first, and stashes it under the label its
+// tree slot held. The slots join order exactly where one Add per block
 // would have put them, but not the table: the write-back of the same
 // access takes most of them straight back out, so they become the open
 // segment and EvictToPath indexes only the ones it leaves behind. A
-// segment still open from an earlier path is closed first. The blocks must
-// be real, distinct and not stashed yet, as a tree path's blocks are.
-func (s *Stash) AddPath(path []tree.Labeled) error {
+// segment still open from an earlier path is closed first. The path's
+// blocks must not be stashed already, as a Path ORAM tree's never are.
+func (s *Stash) ReadPath(t *tree.Tree, leaf mem.Leaf) error {
 	s.closeSegment()
-	if err := s.reserve(len(path)); err != nil {
+	if err := s.reserve(t.Z() * (t.Levels() + 1)); err != nil {
 		return err
 	}
 	s.seg = len(s.order)
-	s.order = append(s.order, path...) // maybeCompact bounds order, so the steady state reuses its capacity
+	s.order = t.RemovePathSlots(leaf, s.order) // maybeCompact bounds order, so the steady state reuses its capacity
 	s.segEnd = len(s.order)
-	s.used += len(path)
-	s.live += len(path)
+	n := s.segEnd - s.seg
+	s.used += n
+	s.live += n
 	s.highWater = max(s.highWater, s.live)
 	return nil
 }
@@ -218,20 +231,20 @@ func (s *Stash) closeSegment() {
 	}
 	n, end := s.seg, s.segEnd
 	for i, e := range s.order[s.seg:] {
-		if e.ID.IsNil() {
+		if e == 0 {
 			continue
 		}
 		// Every slot points below n or at an entry not yet moved, so the
 		// probes see a consistent index.
 		switch p := s.seg + i; {
 		case p < end: // a segment block takes the slot it reserved
-			slot, _ := s.probe(e.ID)
+			slot, _ := s.probe(e.Code())
 			if *slot != 0 {
 				s.used--
 			}
 			*slot = int32(n + 1)
 		case p != n: // a block added after the segment moves
-			slot, _ := s.probe(e.ID)
+			slot, _ := s.probe(e.Code())
 			*slot = int32(n + 1)
 		}
 		s.order[n] = e
@@ -243,11 +256,15 @@ func (s *Stash) closeSegment() {
 
 // find returns id's order entry, from the open segment or the table, or
 // nil if id is not stashed.
-func (s *Stash) find(id mem.BlockID) *tree.Labeled {
-	if i := s.inSegment(id); i >= 0 {
+func (s *Stash) find(id mem.BlockID) *tree.Slot {
+	c, ok := code(id)
+	if !ok {
+		return nil
+	}
+	if i := s.inSegment(c); i >= 0 {
 		return &s.order[i]
 	}
-	_, e := s.probe(id)
+	_, e := s.probe(c)
 	return e
 }
 
@@ -261,28 +278,32 @@ func (s *Stash) SetLeaf(id mem.BlockID, leaf mem.Leaf) bool {
 	if e == nil {
 		return false
 	}
-	e.Leaf = leaf
+	*e = e.Relabel(leaf)
 	return true
 }
 
 // drop deletes the live entry e: its table slot is marked deleted, or, for
 // a block of the open segment (slot nil), its reservation is returned. The
-// entry keeps its place in order with a Nil id.
-func (s *Stash) drop(e *tree.Labeled, slot *int32) {
+// entry keeps its place in order as the zero slot.
+func (s *Stash) drop(e *tree.Slot, slot *int32) {
 	if slot == nil {
 		s.used--
 	} else {
 		*slot = slotDeleted
 	}
-	e.ID = mem.Nil
+	*e = 0
 	s.live--
 }
 
 // Remove deletes a block from the stash, reporting whether it was present.
 func (s *Stash) Remove(id mem.BlockID) bool {
-	if i := s.inSegment(id); i >= 0 {
+	c, ok := code(id)
+	if !ok {
+		return false
+	}
+	if i := s.inSegment(c); i >= 0 {
 		s.drop(&s.order[i], nil)
-	} else if slot, e := s.probe(id); e != nil {
+	} else if slot, e := s.probe(c); e != nil {
 		s.drop(e, slot)
 	} else {
 		return false
@@ -307,12 +328,12 @@ func (s *Stash) compact() {
 	clear(s.table)
 	n := 0
 	for _, e := range s.order {
-		if e.ID.IsNil() {
+		if e == 0 {
 			continue
 		}
 		// The table holds only positions below n, which are final, so
 		// probing it while order is half rewritten is sound.
-		slot, _ := s.probe(e.ID)
+		slot, _ := s.probe(e.Code())
 		s.order[n] = e
 		n++
 		*slot = int32(n)
@@ -345,8 +366,8 @@ func (s *Stash) rebuild(n int) error {
 // ForEach visits every stashed block in insertion order.
 func (s *Stash) ForEach(visit func(id mem.BlockID, leaf mem.Leaf)) {
 	for _, e := range s.order {
-		if !e.ID.IsNil() {
-			visit(e.ID, e.Leaf)
+		if e != 0 {
+			visit(e.Block(), e.Leaf())
 		}
 	}
 }
@@ -373,11 +394,14 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 	s.heights = slices.Grow(s.heights[:0], len(s.order)) // grows only past the previous peak length
 	heights := s.heights[:len(s.order)]
 	for i, e := range s.order {
-		if e.ID.IsNil() {
+		if e == 0 {
 			continue
 		}
-		h := levels - t.CommonDepth(accessLeaf, e.Leaf)
-		if h < 0 || h >= len(ends) {
+		// Two paths part at the highest bit in which their labels differ,
+		// so the bit length of the XOR is the height, above the leaf
+		// bucket, of the deepest bucket they share.
+		h := bits.Len64(uint64(e.Leaf() ^ accessLeaf))
+		if h >= len(ends) {
 			//proram:invariant stashed leaves come from the position map and the tree's labels, which lie in [0, Leaves); a divergence above the root means a corrupt label
 			panic("stash: stashed block mapped outside the tree")
 		}
@@ -395,7 +419,7 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 	s.pos = slices.Grow(s.pos[:0], s.live)
 	sorted, pos := s.sorted[:s.live], s.pos[:s.live]
 	for i, e := range s.order {
-		if e.ID.IsNil() {
+		if e == 0 {
 			continue
 		}
 		h := heights[i]
@@ -404,33 +428,28 @@ func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
 		ends[h]++
 	}
 
-	// Walk the path leaf to root. sorted[head:end] is the FIFO of blocks
-	// that may go into the current bucket: what deeper buckets had no room
-	// for, then this height's own run. A placed block of the open segment
-	// is retired where it stands; any other is found in the table first.
-	head := 0
-	for h, end := range ends {
-		if head == end {
-			continue // nothing may go here: the bucket is not touched
+	// The tree walks the path leaf to root, each bucket taking from the
+	// FIFO of blocks that may go there: what deeper buckets had no room
+	// for, then its own height's run. The FIFO's head only moves forward,
+	// so the placed blocks are sorted[:placed]. A placed block of the open
+	// segment is retired where it stands; any other is found in the table
+	// first.
+	placed := t.FillPath(accessLeaf, sorted, ends)
+	for _, p := range pos[:placed] {
+		e := &s.order[p]
+		if int(p) >= s.seg && int(p) < s.segEnd {
+			s.drop(e, nil)
+			continue
 		}
-		n := t.FillAt(accessLeaf, levels-h, sorted[head:end])
-		for _, p := range pos[head : head+n] {
-			e := &s.order[p]
-			if int(p) >= s.seg && int(p) < s.segEnd {
-				s.drop(e, nil)
-				continue
-			}
-			slot, found := s.probe(e.ID)
-			if found != e {
-				//proram:invariant a live entry outside the open segment sits in the table at its own position; anything else is a corrupt index
-				panic("stash: block to write back is not in the index")
-			}
-			s.drop(e, slot)
+		slot, found := s.probe(e.Code())
+		if found != e {
+			//proram:invariant a live entry outside the open segment sits in the table at its own position; anything else is a corrupt index
+			panic("stash: block to write back is not in the index")
 		}
-		head += n
+		s.drop(e, slot)
 	}
 	s.closeSegment()
 	s.maybeCompact()
-	s.writebacks += uint64(head)
-	return head
+	s.writebacks += uint64(placed)
+	return placed
 }

@@ -71,6 +71,38 @@ func TestDuplicateAddErrors(t *testing.T) {
 	}
 }
 
+// Add refuses, at the call, every block and label a tree slot cannot hold,
+// which the write-back would otherwise meet on a later path, and a refused
+// block leaves no trace.
+func TestAddRefusesWhatASlotCannotHold(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		id   mem.BlockID
+		leaf mem.Leaf
+	}{
+		{"nil block", mem.Nil, 0},
+		{"unassigned leaf", id(1), mem.NoLeaf},
+		{"label past 31 bits", id(1), 1 << tree.MaxLevels},
+		{"index past MaxBlocks", mem.MakeID(0, tree.MaxBlocks), 0},
+		{"level-1 index past its share", mem.MakeID(1, tree.MaxBlocks/2), 0},
+		{"level past the code", mem.MakeID(33, 0), 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustNew(t, 10)
+			if err := s.Add(c.id, c.leaf); err == nil {
+				t.Fatalf("Add(%v, %d) did not error", c.id, c.leaf)
+			}
+			if s.Size() != 0 || s.HighWater() != 0 || s.Contains(c.id) || s.Remove(c.id) || s.SetLeaf(c.id, 0) {
+				t.Fatal("a refused block left a trace")
+			}
+			mustAdd(t, s, mem.MakeID(1, tree.MaxBlocks/2-1), 1<<tree.MaxLevels-1)
+			if s.Size() != 1 {
+				t.Fatal("the largest block a slot holds was not stashed")
+			}
+		})
+	}
+}
+
 func TestSetLeaf(t *testing.T) {
 	s := mustNew(t, 10)
 	mustAdd(t, s, id(1), 5)
@@ -274,10 +306,9 @@ func TestNewRejectsBadLimit(t *testing.T) {
 
 // The write-back path must not allocate once its buffers are warm: a
 // path read into the stash, a remap and the eviction reuse the order
-// slice, the table, the sort buffers and the path buffer — also when the
-// eviction ends in a compaction. (Reslicing carry from the front, as this
-// code once did, gave its capacity away and reallocated it on almost every
-// access.)
+// slice, the table and the sort buffers — also when the eviction ends in a
+// compaction. (Reslicing carry from the front, as this code once did, gave
+// its capacity away and reallocated it on almost every access.)
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	tr := tree.New(10, 3)
 	s := mustNew(t, 100)
@@ -291,16 +322,14 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	var buf []tree.Labeled
 	compactions := 0
 	access := func() {
 		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
-		buf = tr.RemovePathLabeled(leaf, buf[:0])
-		if err := s.AddPath(buf); err != nil {
+		if err := s.ReadPath(tr, leaf); err != nil {
 			t.Fatal(err)
 		}
-		if len(buf) > 0 {
-			victim := buf[r.Intn(len(buf))].ID
+		if n := s.segEnd - s.seg; n > 0 {
+			victim := s.order[s.seg+r.Intn(n)].Block()
 			if !s.SetLeaf(victim, mem.Leaf(r.Uint64n(tr.Leaves()))) {
 				t.Fatalf("SetLeaf lost %v", victim)
 			}

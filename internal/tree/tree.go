@@ -26,33 +26,52 @@ const MaxLevels = labelBits
 // entries per position-map block, stays inside that.
 const MaxBlocks = 1 << (codeBits - 1)
 
-// A slot holds one resident in 8 bytes: the block's code in the high 33
+// A Slot holds one resident in 8 bytes: the block's code in the high 33
 // bits and its leaf label in the low 31. The code of the block at level l
 // with index i is (2i+1)·2^l, whose trailing zeros are the level, so no
-// code is zero and the zero slot is the empty one.
-type slot uint64
+// code is zero and the zero slot is the empty one. The stash keeps its
+// blocks in the same encoding, so a block moves between tree and stash as
+// one word.
+type Slot uint64
 
 const (
 	labelBits = 31
 	codeBits  = 64 - labelBits
+	labelMask = 1<<labelBits - 1
 )
 
-// pack encodes a block and its label. It panics on a block or label the
-// slot cannot hold; Nil is such a block.
-func pack(id mem.BlockID, leaf mem.Leaf) slot {
+// Pack encodes a block and its label. It reports false for a block or
+// label a slot cannot hold; Nil is such a block.
+func Pack(id mem.BlockID, leaf mem.Leaf) (Slot, bool) {
 	level, index := id.Level(), id.Index()
-	if bits.Len64(index)+level > codeBits-1 || leaf >= 1<<labelBits {
-		//proram:invariant trees are built for geometries Config.Validate bounds to MaxBlocks and MaxLevels, and callers place live stash entries only
-		panic(fmt.Sprintf("tree: block %v at leaf %d does not fit a slot", id, leaf))
+	if bits.Len64(index)+level > codeBits-1 || leaf > labelMask {
+		return 0, false
 	}
-	return slot((2*index+1)<<level<<labelBits | uint64(leaf))
+	return Slot((2*index+1)<<level<<labelBits | uint64(leaf)), true
 }
 
-// block decodes an occupied slot.
-func (s slot) block() Labeled {
-	code := uint64(s) >> labelBits
+// Code returns the block's code: the slot's high 33 bits, the same under
+// every label and never zero for an occupied slot.
+func (s Slot) Code() uint64 { return uint64(s) >> labelBits }
+
+// Block decodes the block of an occupied slot.
+func (s Slot) Block() mem.BlockID {
+	code := s.Code()
 	level := bits.TrailingZeros64(code)
-	return Labeled{ID: mem.MakeID(level, code>>(level+1)), Leaf: mem.Leaf(s & (1<<labelBits - 1))}
+	return mem.MakeID(level, code>>(level+1))
+}
+
+// Leaf returns the slot's label.
+func (s Slot) Leaf() mem.Leaf { return mem.Leaf(s & labelMask) }
+
+// Relabel returns the slot with its label replaced by leaf. It panics on
+// a label a slot cannot hold.
+func (s Slot) Relabel(leaf mem.Leaf) Slot {
+	if leaf > labelMask {
+		//proram:invariant labels come from leaf draws over trees Config.Validate bounds to MaxLevels
+		panic(fmt.Sprintf("tree: leaf %d does not fit a slot", leaf))
+	}
+	return s&^labelMask | Slot(leaf)
 }
 
 // Labeled is a block together with the leaf label it is stored under.
@@ -69,11 +88,11 @@ type Tree struct {
 	// slots is node-major: slots[(node-1)*z + i]. The occupied slots of a
 	// bucket are always a prefix of it, since RemovePath empties whole
 	// buckets and placement takes the first free slot.
-	slots []slot
+	slots []Slot
 	used  uint64 // number of occupied slots, for diagnostics
-	// loaded keeps the reads of Load and of RemovePathLabeled's look-ahead
+	// loaded keeps the reads of Load and of RemovePathSlots' look-ahead
 	// live: it is written and never read.
-	loaded slot
+	loaded Slot
 }
 
 // New creates an empty tree with the given number of levels L (leaves =
@@ -88,7 +107,7 @@ func New(levels, z int) *Tree {
 		panic(fmt.Sprintf("tree: bucket size %d must be positive", z))
 	}
 	t := &Tree{levels: levels, z: z}
-	t.slots = make([]slot, t.Capacity())
+	t.slots = make([]Slot, t.Capacity())
 	return t
 }
 
@@ -130,14 +149,14 @@ func (t *Tree) CommonDepth(a, b mem.Leaf) int {
 }
 
 // bucket returns the slots of the bucket at node.
-func (t *Tree) bucket(node uint64) []slot {
+func (t *Tree) bucket(node uint64) []Slot {
 	base := (node - 1) * uint64(t.z)
 	return t.slots[base : base+uint64(t.z)]
 }
 
 // fill returns the number of blocks in bucket: the length of its occupied
 // prefix.
-func fill(bucket []slot) int {
+func fill(bucket []Slot) int {
 	for i, s := range bucket {
 		if s == 0 {
 			return i
@@ -149,43 +168,48 @@ func fill(bucket []slot) int {
 // BucketCount returns the number of real blocks currently in the bucket.
 func (t *Tree) BucketCount(node uint64) int { return fill(t.bucket(node)) }
 
-// RemovePathLabeled removes every real block on the path to leaf, root
-// bucket first, and appends it, with its label, to dst, returning the
+// RemovePathSlots removes every real block on the path to leaf, root
+// bucket first, and appends its slot, unchanged, to dst, returning the
 // extended slice. This is the read phase of a Path ORAM access (step 2):
-// all real blocks move to the stash, and the labels spare the controller a
-// position-map lookup per block.
-func (t *Tree) RemovePathLabeled(leaf mem.Leaf, dst []Labeled) []Labeled {
+// all real blocks move to the stash, and their labels come with them, so
+// the controller looks up no position-map entry per block.
+func (t *Tree) RemovePathSlots(leaf mem.Leaf, dst []Slot) []Slot {
 	leafNode := t.Leaves() + uint64(leaf)
 	// Load every bucket's first slot ahead of the scan, as Load does for
 	// prefill: the scan branches on what it reads, these loads do not, so
 	// the path's cache misses overlap (DESIGN §3 has the measurement).
 	z := uint64(t.z)
-	var acc slot
+	var acc Slot
 	for depth := 0; depth <= t.levels; depth++ {
 		acc ^= t.slots[(leafNode>>uint(t.levels-depth)-1)*z]
 	}
 	t.loaded = acc
+	n := len(dst)
 	for depth := 0; depth <= t.levels; depth++ {
+		// A bucket holds a word or three: a loop moves them for less than
+		// append's memmove would.
 		bucket := t.bucket(leafNode >> uint(t.levels-depth))
-		n := fill(bucket)
-		for _, s := range bucket[:n] {
-			dst = append(dst, s.block())
+		for i, s := range bucket {
+			if s == 0 {
+				break
+			}
+			dst = append(dst, s)
+			bucket[i] = 0
 		}
-		clear(bucket[:n])
-		t.used -= uint64(n)
 	}
+	t.used -= uint64(len(dst) - n)
 	return dst
 }
 
-// RemovePath is RemovePathLabeled without the labels, for callers that
-// track labels themselves: it appends the IDs of the path's blocks to dst.
+// RemovePath is RemovePathSlots for callers that track labels themselves:
+// it appends the IDs of the path's blocks to dst.
 func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
 	leafNode := t.Leaves() + uint64(leaf)
 	for depth := 0; depth <= t.levels; depth++ {
 		bucket := t.bucket(leafNode >> uint(t.levels-depth))
 		n := fill(bucket)
 		for _, s := range bucket[:n] {
-			dst = append(dst, s.block().ID)
+			dst = append(dst, s.Block())
 		}
 		clear(bucket[:n])
 		t.used -= uint64(n)
@@ -196,10 +220,14 @@ func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
 // PlaceAt inserts id into the bucket at the given depth on the path to
 // leaf, under label leaf: leaf is the block's own label, and the bucket is
 // the one its path and any access path through that depth share. It
-// reports false if the bucket is full. This is the write-back phase
-// primitive (step 5).
+// reports false if the bucket is full. Prefill places blocks with it; the
+// write-back of a path access uses FillPath.
 func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
-	s := pack(id, leaf)
+	s, ok := Pack(id, leaf)
+	if !ok {
+		//proram:invariant trees are built for geometries Config.Validate bounds to MaxBlocks and MaxLevels, and callers place live blocks only
+		panic(fmt.Sprintf("tree: block %v at leaf %d does not fit a slot", id, leaf))
+	}
 	bucket := t.bucket(t.NodeAt(leaf, depth))
 	n := fill(bucket)
 	if n == len(bucket) {
@@ -210,21 +238,35 @@ func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 	return true
 }
 
-// FillAt places blocks, in order and each under its own label, into the
-// free slots of the bucket at the given depth on the path to accessLeaf,
-// first free slot first — exactly what one PlaceAt per block would do —
-// and returns how many it placed: min(free slots, len(blocks)). Every
-// block's own path must pass through that bucket. The write-back loop uses
-// it so that each bucket is located and scanned once per path access.
-func (t *Tree) FillAt(accessLeaf mem.Leaf, depth int, blocks []Labeled) int {
-	bucket := t.bucket(t.NodeAt(accessLeaf, depth))
-	free := bucket[fill(bucket):]
-	n := min(len(free), len(blocks))
-	for i, b := range blocks[:n] {
-		free[i] = pack(b.ID, b.Leaf)
+// FillPath is the write-back phase of a path access (step 5) in one call.
+// It fills the buckets on the path to accessLeaf from the leaf bucket up,
+// first free slot first, with the blocks of sorted in order, each slot
+// copied unchanged. ends holds one entry per bucket level, leaf bucket
+// first: the blocks of sorted[:ends[h]] may go into the bucket h levels
+// above the leaf bucket, so each bucket takes what the buckets below it
+// had no room for before its own run. It returns how many blocks it
+// placed; since the blocks go in order, they are sorted[:placed]. A
+// bucket with nothing to take is not touched.
+func (t *Tree) FillPath(accessLeaf mem.Leaf, sorted []Slot, ends []int) int {
+	node := t.Leaves() + uint64(accessLeaf)
+	head := 0
+	for _, end := range ends {
+		if head < end {
+			bucket := t.bucket(node)
+			for i, s := range bucket {
+				if head == end {
+					break
+				}
+				if s == 0 {
+					bucket[i] = sorted[head]
+					head++
+				}
+			}
+		}
+		node >>= 1
 	}
-	t.used += uint64(n)
-	return n
+	t.used += uint64(head)
+	return head
 }
 
 // Load reads, for every path in leaves, the leaf bucket and the two
@@ -237,7 +279,7 @@ func (t *Tree) FillAt(accessLeaf mem.Leaf, depth int, blocks []Labeled) int {
 // cache line.
 func (t *Tree) Load(leaves ...mem.Leaf) {
 	z, slots := uint64(t.z), t.slots
-	var acc slot
+	var acc Slot
 	for _, leaf := range leaves {
 		node := t.Leaves() + uint64(leaf)
 		// A one-level tree has no grandparent; the root stands in.
@@ -258,7 +300,7 @@ func (t *Tree) FreeAt(leaf mem.Leaf, depth int) int {
 func (t *Tree) Contains(leaf mem.Leaf, id mem.BlockID) bool {
 	for depth := 0; depth <= t.levels; depth++ {
 		for _, s := range t.bucket(t.NodeAt(leaf, depth)) {
-			if s != 0 && s.block().ID == id {
+			if s != 0 && s.Block() == id {
 				return true
 			}
 		}
@@ -275,7 +317,7 @@ func (t *Tree) ForEach(visit func(node uint64, i int, b Labeled)) {
 	for node := uint64(1); node <= t.Buckets(); node++ {
 		for i, s := range t.bucket(node) {
 			if s != 0 {
-				visit(node, i, s.block())
+				visit(node, i, Labeled{ID: s.Block(), Leaf: s.Leaf()})
 			}
 		}
 	}

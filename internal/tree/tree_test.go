@@ -240,33 +240,49 @@ func TestSlotEncodingBounds(t *testing.T) {
 		top := uint64(MaxBlocks)>>level - 1 // the largest index level holds
 		for _, index := range []uint64{0, top / 3, top} {
 			for _, leaf := range []mem.Leaf{0, 1, 1<<MaxLevels - 1} {
-				b := Labeled{ID: mem.MakeID(level, index), Leaf: leaf}
-				s := pack(b.ID, b.Leaf)
-				if s == 0 || s.block() != b {
-					t.Fatalf("%v at leaf %d packs to %#x, unpacks to %+v", b.ID, leaf, uint64(s), s.block())
+				id := mem.MakeID(level, index)
+				s, ok := Pack(id, leaf)
+				if !ok || s == 0 || s.Block() != id || s.Leaf() != leaf {
+					t.Fatalf("%v at leaf %d packs to %#x (%v), unpacks to %v at %d", id, leaf, uint64(s), ok, s.Block(), s.Leaf())
+				}
+				other, _ := Pack(id, leaf^1)
+				if s.Code() != other.Code() || s.Relabel(leaf^1) != other {
+					t.Fatalf("%v: relabelling %d to %d changed the code", id, leaf, leaf^1)
 				}
 			}
 		}
 	}
-	refused := func(id mem.BlockID, leaf mem.Leaf) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("pack(%v, %d) did not panic", id, leaf)
-			}
-		}()
-		pack(id, leaf)
+	for _, c := range []struct {
+		id   mem.BlockID
+		leaf mem.Leaf
+	}{
+		{mem.MakeID(0, MaxBlocks), 0},
+		{mem.MakeID(1, MaxBlocks/2), 0},
+		{mem.MakeID(33, 0), 0},
+		{mem.MakeID(0, 0), 1 << MaxLevels},
+		{mem.MakeID(0, 0), mem.NoLeaf},
+		{mem.Nil, 0},
+	} {
+		if s, ok := Pack(c.id, c.leaf); ok {
+			t.Errorf("Pack(%v, %d) = %#x, want refused", c.id, c.leaf, uint64(s))
+		}
 	}
-	refused(mem.MakeID(0, MaxBlocks), 0)
-	refused(mem.MakeID(1, MaxBlocks/2), 0)
-	refused(mem.MakeID(33, 0), 0)
-	refused(mem.MakeID(0, 0), 1<<MaxLevels)
-	refused(mem.Nil, 0)
+	s, _ := Pack(mem.MakeID(0, 0), 0)
+	for _, leaf := range []mem.Leaf{1 << MaxLevels, mem.NoLeaf} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Relabel(%d) did not panic", leaf)
+				}
+			}()
+			s.Relabel(leaf)
+		}()
+	}
 }
 
-// The read phase returns each block with the label it was placed under,
-// root bucket first, and empties the path.
-func TestRemovePathLabeled(t *testing.T) {
+// The read phase returns each block's slot as it was placed, label
+// included, root bucket first, and empties the path.
+func TestRemovePathSlots(t *testing.T) {
 	tr := New(4, 2)
 	want := []Labeled{
 		{mem.MakeID(2, 7), 0},  // root, under a label whose path is far from 9's
@@ -283,38 +299,123 @@ func TestRemovePathLabeled(t *testing.T) {
 			t.Fatalf("PlaceAt(%+v) failed", b)
 		}
 	}
-	got := tr.RemovePathLabeled(9, nil)
-	if len(got) != len(want) {
-		t.Fatalf("RemovePathLabeled = %+v, want %+v", got, want)
+	head := []Slot{1} // the read appends
+	got := tr.RemovePathSlots(9, head)
+	if len(got) != 1+len(want) || got[0] != 1 {
+		t.Fatalf("RemovePathSlots = %v, want %+v after the head", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RemovePathLabeled[%d] = %+v, want %+v", i, got[i], want[i])
+	for i, b := range want {
+		if s := got[1+i]; s.Block() != b.ID || s.Leaf() != b.Leaf {
+			t.Fatalf("RemovePathSlots[%d] = %v at %d, want %+v", i, s.Block(), s.Leaf(), b)
 		}
 	}
-	if tr.Used() != 0 || len(tr.RemovePathLabeled(9, nil)) != 0 {
+	if tr.Used() != 0 || len(tr.RemovePathSlots(9, nil)) != 0 {
 		t.Fatal("the path is not empty after its read")
 	}
 }
 
+// fillAt is the write-back primitive FillPath replaced, kept as its
+// reference: it places blocks, in order, into the free slots of the one
+// bucket at depth on the path to accessLeaf, first free slot first, and
+// returns how many it placed.
+func fillAt(t *Tree, accessLeaf mem.Leaf, depth int, blocks []Slot) int {
+	bucket := t.bucket(t.NodeAt(accessLeaf, depth))
+	free := bucket[fill(bucket):]
+	n := min(len(free), len(blocks))
+	copy(free, blocks[:n])
+	t.used += uint64(n)
+	return n
+}
+
+// randomTree fills a tree of the given geometry to about half its slots,
+// each block in the deepest free bucket on the path of a random leaf.
+func randomTree(levels, z int, r *rng.Source) *Tree {
+	tr := New(levels, z)
+	for i := uint64(0); i < tr.Capacity()/2; i++ {
+		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
+		for d := levels; d >= 0; d-- {
+			if tr.PlaceAt(leaf, d, mem.MakeID(0, i)) {
+				break
+			}
+		}
+	}
+	return tr
+}
+
+// FillPath leaves every slot of the tree as the per-height FillAt loop it
+// replaced did, and returns the same placed prefix, on random trees and
+// random stashes: stashes small and large, trees shallow and deep, with
+// heights that have no run of their own below and between those that do.
+func TestFillPathMatchesFillAt(t *testing.T) {
+	r := rng.New(9)
+	for trial := 0; trial < 400; trial++ {
+		levels, z := 1+r.Intn(7), 1+r.Intn(4)
+		seed := r.Uint64()
+		got, want := randomTree(levels, z, rng.New(seed)), randomTree(levels, z, rng.New(seed))
+		accessLeaf := mem.Leaf(r.Uint64n(got.Leaves()))
+		// A stash of fresh blocks at random leaves, in the counting sort
+		// EvictToPath gives FillPath: by height above the leaf bucket.
+		runs := make([][]Slot, levels+1)
+		for i := range r.Intn(4 * levels * z) {
+			leaf := mem.Leaf(r.Uint64n(got.Leaves()))
+			s, _ := Pack(mem.MakeID(1, uint64(i)), leaf)
+			h := levels - got.CommonDepth(accessLeaf, leaf)
+			runs[h] = append(runs[h], s)
+		}
+		var sorted []Slot
+		ends := make([]int, levels+1)
+		for h, run := range runs {
+			sorted = append(sorted, run...)
+			ends[h] = len(sorted)
+		}
+
+		placed := got.FillPath(accessLeaf, sorted, ends)
+		head := 0
+		for h, end := range ends {
+			if head == end {
+				continue
+			}
+			head += fillAt(want, accessLeaf, levels-h, sorted[head:end])
+		}
+		if placed != head {
+			t.Fatalf("trial %d: FillPath placed %d blocks, FillAt %d", trial, placed, head)
+		}
+		if !slices.Equal(got.slots, want.slots) || got.Used() != want.Used() {
+			t.Fatalf("trial %d (L=%d Z=%d, leaf %d, ends %v): FillPath left a different tree", trial, levels, z, accessLeaf, ends)
+		}
+	}
+}
+
 // Occupied slots stay a prefix of their bucket through placement, path
-// reads and refills, and ForEach reports a planted hole as a skipped index.
+// reads and write-backs, and ForEach reports a planted hole as a skipped
+// index.
 func TestBucketsStayPrefixes(t *testing.T) {
 	tr := New(5, 4)
 	r := rng.New(3)
 	next := uint64(0)
+	ends := make([]int, tr.Levels()+1)
 	for round := 0; round < 300; round++ {
 		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
 		if r.Intn(3) == 0 {
-			tr.RemovePathLabeled(leaf, nil)
+			tr.RemovePathSlots(leaf, nil)
 			continue
 		}
-		var blocks []Labeled
+		var blocks []Slot
 		for i := 0; i < 1+r.Intn(4); i++ {
-			blocks = append(blocks, Labeled{mem.MakeID(0, next), leaf})
+			s, _ := Pack(mem.MakeID(0, next), leaf)
+			blocks = append(blocks, s)
 			next++
 		}
-		tr.FillAt(leaf, r.Intn(tr.Levels()+1), blocks)
+		// The blocks may go into the bucket at a random height or any
+		// above it.
+		lowest := r.Intn(tr.Levels() + 1)
+		for h := range ends {
+			ends[h] = 0
+			if h >= lowest {
+				ends[h] = len(blocks)
+			}
+		}
+		tr.FillPath(leaf, blocks, ends)
 	}
 	var bucket uint64
 	slot := 0
@@ -353,7 +454,7 @@ func TestLoadChangesNothing(t *testing.T) {
 				}
 			}
 		}
-		before, used := append([]slot(nil), tr.slots...), tr.Used()
+		before, used := append([]Slot(nil), tr.slots...), tr.Used()
 		leaves := make([]mem.Leaf, tr.Leaves())
 		for i := range leaves {
 			leaves[i] = mem.Leaf(i)
