@@ -29,9 +29,9 @@
 // ./cmd/proram-vet ./..., package proram/internal/analysis) that enforces
 // two conventions the reproduction depends on: bit-for-bit determinism
 // from an explicit seed and obliviousness of the ORAM access path. The
-// oblivious and seedplumbing passes are interprocedural: a module-local
-// call graph is condensed into strongly connected components and
-// per-function taint summaries are computed bottom-up, so a secret that
+// oblivious pass is interprocedural: a module-local call graph is
+// condensed into strongly connected components and per-function taint
+// summaries are computed bottom-up, so a secret that
 // crosses a return value, an out-parameter or a helper chain (including
 // recursion) is still caught at the caller, and a secret-derived
 // slice/array/map index or slice bound is flagged even in straight-line
@@ -41,20 +41,9 @@
 //	//proram:allow <check>[,<check>...] <reason>
 //
 // suppresses the named checks (determinism, oblivious, panicdiscipline,
-// seedplumbing, branchless, allowhygiene) on the same line or the line
-// directly below; written
+// allowhygiene) on the same line or the line directly below; written
 // before the package clause it covers the whole file. The reason is
 // mandatory in spirit and audited in review.
-//
-//	//proram:branchless <reason>
-//
-// in a function's doc comment requires the function — and everything it
-// calls — to be free of data-dependent control flow: no if/switch/select
-// on values derived from the function's inputs or secret payload bytes,
-// no short-circuit &&/||, no map probes, no variable shifts, no min/max
-// builtins that may compile to a branch. math/bits and crypto/subtle
-// are trusted primitives; a marked
-// callee is checked in its own right; //proram:public declassifies.
 //
 //	//proram:invariant <justification>
 //

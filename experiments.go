@@ -39,7 +39,7 @@ func ExperimentTitle(id string) (string, bool) { return exp.Title(id) }
 
 // Experiment regenerates the identified table/figure. scale multiplies
 // the workload sizes: 1.0 is the full-size run (minutes for the suite
-// figures), smaller values trade fidelity for speed. scale <= 0 means 1.0.
+// figures), smaller values trade fidelity for speed. scale <= 0 or NaN means 1.0.
 func Experiment(id string, scale float64) (*ExperimentTable, error) {
 	tb, err := exp.Run(id, exp.Options{Scale: scale})
 	if err != nil {

@@ -160,8 +160,6 @@ func DefaultPasses() []*Pass {
 		Determinism(),
 		Oblivious(),
 		PanicDiscipline(),
-		SeedPlumbing(),
-		Branchless(),
 		AllowHygiene(),
 	}
 }

@@ -169,10 +169,6 @@ func TestPanicDisciplineFixture(t *testing.T) {
 	runFixture(t, []*Pass{PanicDiscipline()}, fixtureBase+"panicdiscipline")
 }
 
-func TestSeedPlumbingFixture(t *testing.T) {
-	runFixture(t, []*Pass{SeedPlumbing()}, fixtureBase+"seedplumbing")
-}
-
 // TestSchedSinkFixture exercises the oblivious pass's scheduling sinks
 // (channel send/receive targets, goroutine spawn targets, lock
 // acquisition targets) and the range-key geometry refinement.
@@ -187,22 +183,22 @@ func TestAllowHygieneFixture(t *testing.T) {
 	runFixture(t, DefaultPasses(), fixtureBase+"allowhygiene")
 }
 
-func TestBranchlessFixture(t *testing.T) {
-	runFixture(t, []*Pass{Branchless()}, fixtureBase+"branchless")
-}
-
 func TestSelectPasses(t *testing.T) {
-	if _, err := SelectPasses("determinism,nosuch"); err == nil {
-		t.Fatal("unknown check did not error")
+	// branchless and seedplumbing are retired passes: naming one is an
+	// unknown check, not a silent no-op.
+	for _, checks := range []string{"determinism,nosuch", "branchless", "seedplumbing"} {
+		if _, err := SelectPasses(checks); err == nil || !strings.Contains(err.Error(), "unknown check") {
+			t.Fatalf("SelectPasses(%q) = %v, want an unknown-check error", checks, err)
+		}
 	}
-	if _, err := SelectPasses("determinism,branchless,determinism"); err == nil {
+	if _, err := SelectPasses("determinism,panicdiscipline,determinism"); err == nil {
 		t.Fatal("duplicate check did not error")
 	}
-	ps, err := SelectPasses("branchless, determinism")
+	ps, err := SelectPasses("panicdiscipline, determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != 2 || ps[0].Name != "branchless" || ps[1].Name != "determinism" {
+	if len(ps) != 2 || ps[0].Name != "panicdiscipline" || ps[1].Name != "determinism" {
 		t.Fatalf("SelectPasses returned %v", ps)
 	}
 	all, err := SelectPasses("")

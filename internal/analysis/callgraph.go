@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// This file builds the module-local call graph that the interprocedural
-// passes (oblivious, seedplumbing, branchless) share.
+// This file builds the module-local call graph that the oblivious pass's
+// interprocedural taint summaries run on.
 // Nodes are the functions and methods declared in loaded packages; edges
 // are the statically resolvable calls between them (direct calls and
 // concrete method calls — calls through interfaces, function values and

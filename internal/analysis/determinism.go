@@ -58,10 +58,8 @@ func Determinism() *Pass {
 					case pkgPath == "time" && bannedTimeFuncs[fn]:
 						u.Reportf(n.Pos(), "time.%s reads the clock; simulator output must be a pure function of the seed", fn)
 					case pkgPath == u.Prog.ModulePath+"/internal/rng" && fn == "New" && internal:
-						if len(n.Args) == 1 {
-							if _, lit := n.Args[0].(*ast.BasicLit); lit {
-								u.Reportf(n.Pos(), "rng.New with a hard-coded seed: thread the seed from the caller so whole runs stay reproducible from one knob")
-							}
+						if len(n.Args) == 1 && u.Pkg.Info.Types[n.Args[0]].Value != nil {
+							u.Reportf(n.Pos(), "rng.New with a hard-coded seed: thread the seed from the caller so whole runs stay reproducible from one knob")
 						}
 					}
 				}

@@ -12,7 +12,6 @@ import (
 //	//proram:invariant <justification>             justify a library panic
 //	//proram:public <reason>                       declassify a value
 //	//proram:secret                                mark a struct field as secret
-//	//proram:branchless <reason>                   demand a secret-branch-free function
 //
 // An allow or public directive applies to the line it sits on and to the
 // line immediately below it (so it can be written either as a trailing
@@ -90,24 +89,6 @@ func (p *Package) allowDirectiveFor(check, file string, line int) *Directive {
 func (p *Package) directiveAt(kind, file string, line int) *Directive {
 	for _, d := range p.Directives {
 		if d.Kind == kind && d.File == file && (d.Line == line || d.Line == line-1) {
-			return d
-		}
-	}
-	return nil
-}
-
-// marked returns the directive of the given kind attached to the
-// node's declaration: anywhere in its doc comment, or on the line of
-// the func keyword itself. (gofmt folds a comment line directly above a
-// declaration into its doc comment, so "the line above" is covered.)
-func (n *CGNode) marked(prog *Program, kind string) *Directive {
-	declPos := prog.Fset.Position(n.Decl.Pos())
-	start := declPos.Line
-	if n.Decl.Doc != nil && len(n.Decl.Doc.List) > 0 {
-		start = prog.Fset.Position(n.Decl.Doc.Pos()).Line
-	}
-	for _, d := range n.Pkg.Directives {
-		if d.Kind == kind && d.File == declPos.Filename && d.Line >= start && d.Line <= declPos.Line {
 			return d
 		}
 	}

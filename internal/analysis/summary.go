@@ -18,8 +18,6 @@ import (
 //   - paramSinks: which secret-sensitive sinks (branch conditions,
 //     memory indexes, observability emissions) a parameter's value can
 //     reach, directly or through further calls;
-//   - rngSites: where it constructs an RNG and which parameters feed the
-//     seed (the seedplumbing pass's reachability facts);
 //   - reports: the secret-origin findings to emit when the oblivious
 //     pass covers the package.
 //
@@ -75,15 +73,6 @@ type sinkRef struct {
 	via  string    // call chain from the summarized function, "" when local
 }
 
-// rngSite is one RNG construction reachable from a function: a direct
-// rng.New call, or a call into a helper that constructs one. mask holds
-// the parameters whose values feed the seed; 0 means internally seeded.
-type rngSite struct {
-	pos  token.Pos // the call in this function (rng.New or the helper call)
-	mask originMask
-	via  string // helper chain, "" for a direct rng.New call
-}
-
 type taintReport struct {
 	pos token.Pos
 	msg string
@@ -93,39 +82,12 @@ type funcSummary struct {
 	returnMask originMask
 	paramFlows []originMask
 	paramSinks [][]sinkRef
-	rngSites   []rngSite
 	reports    []taintReport
 }
 
 type summaries struct {
 	prog   *Program
 	byFunc map[*types.Func]*funcSummary
-	envs   map[*types.Func]*taintEnv
-}
-
-// maskEnv returns a taint environment whose object state sits at the
-// function's fixpoint — the same state analyze converges to — so
-// clients can evaluate exprMask at arbitrary expressions of the body.
-// The branchless pass uses it to ask "is this loop bound or branch
-// condition derived from a secret or a parameter?" without
-// re-deriving the propagation rules. Environments are cached per
-// function; the underlying summaries are already final, so one
-// propagation fixpoint rebuilds the state exactly.
-func (s *summaries) maskEnv(n *CGNode) *taintEnv {
-	if s.envs == nil {
-		s.envs = make(map[*types.Func]*taintEnv)
-	}
-	if e, ok := s.envs[n.Fn]; ok {
-		return e
-	}
-	e := s.newEnv(n)
-	for i := 0; i < 64; i++ {
-		if !e.propagate() {
-			break
-		}
-	}
-	s.envs[n.Fn] = e
-	return e
 }
 
 // newEnv builds the initial per-function taint state: parameters carry
@@ -491,7 +453,7 @@ func (e *taintEnv) callMask(call *ast.CallExpr) originMask {
 }
 
 // collect runs the sink scan over the final state: local reports,
-// parameter sink sets, return masks and rng construction sites.
+// parameter sink sets and return masks.
 func (e *taintEnv) collect() {
 	e.reports = e.reports[:0]
 	e.seen = make(map[string]bool)
@@ -604,20 +566,6 @@ func (e *taintEnv) addParamSink(m originMask, what string, pos token.Pos, via st
 	}
 }
 
-func (e *taintEnv) addRngSite(pos token.Pos, m originMask, via string) {
-	for i := range e.sum.rngSites {
-		if e.sum.rngSites[i].pos == pos && e.sum.rngSites[i].via == via {
-			if old := e.sum.rngSites[i].mask; old|m != old {
-				e.sum.rngSites[i].mask |= m
-				e.grew = true
-			}
-			return
-		}
-	}
-	e.sum.rngSites = append(e.sum.rngSites, rngSite{pos: pos, mask: m, via: via})
-	e.grew = true
-}
-
 // declassified reports whether a //proram:public directive covers the
 // position.
 func (e *taintEnv) declassified(pos token.Pos) bool {
@@ -681,12 +629,10 @@ func syncMethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method
 }
 
 // checkCall handles the call-shaped sinks: observability emissions,
-// sinks inherited from a resolved callee's summary, lock-acquisition
-// scheduling sinks, and rng construction sites for the seedplumbing
-// pass.
+// sinks inherited from a resolved callee's summary, and lock-acquisition
+// scheduling sinks.
 func (e *taintEnv) checkCall(call *ast.CallExpr) {
 	e.checkObsEmission(call)
-	e.checkRNGSite(call)
 
 	if recv, method, ok := syncMethodCall(e.info(), call); ok {
 		switch method {
@@ -700,7 +646,7 @@ func (e *taintEnv) checkCall(call *ast.CallExpr) {
 		return
 	}
 	cs := e.s.byFunc[callee.Fn]
-	masks, exprs := e.callArgs(callee, call)
+	_, exprs := e.callArgs(callee, call)
 	for i := range cs.paramSinks {
 		if len(cs.paramSinks[i]) == 0 {
 			continue
@@ -724,26 +670,6 @@ func (e *taintEnv) checkCall(call *ast.CallExpr) {
 			}
 		}
 	}
-
-	// Inherit the callee's rng sites. Sites already reported at an
-	// exported constructor are not re-reported at its callers; opaque
-	// derivations stop here (they cannot be traced further up).
-	for _, site := range cs.rngSites {
-		if site.mask == 0 && isExportedConstructor(callee) {
-			continue
-		}
-		if site.mask&opaqueOrigin != 0 {
-			continue
-		}
-		if callee.SCC == e.n.SCC {
-			continue // recursion: the cycle already owns the site
-		}
-		via := callee.Name()
-		if site.via != "" {
-			via += " → " + site.via
-		}
-		e.addRngSite(call.Pos(), translateMask(site.mask, masks), via)
-	}
 }
 
 func paramName(n *CGNode, i int) string {
@@ -751,12 +677,6 @@ func paramName(n *CGNode, i int) string {
 		return n.Params[i].Name()
 	}
 	return fmt.Sprintf("#%d", i)
-}
-
-// isExportedConstructor mirrors the seedplumbing reporting gate.
-func isExportedConstructor(n *CGNode) bool {
-	name := n.Fn.Name()
-	return n.Fn.Type().(*types.Signature).Recv() == nil && ast.IsExported(name) && len(name) >= 3 && name[:3] == "New"
 }
 
 func (e *taintEnv) checkObsEmission(call *ast.CallExpr) {
@@ -790,20 +710,4 @@ func (e *taintEnv) checkObsEmission(call *ast.CallExpr) {
 		}
 		e.addParamSink(m, "observability emission", arg.Pos(), "")
 	}
-}
-
-// checkRNGSite records direct rng.New construction. A site suppressed
-// by //proram:allow seedplumbing at the call is consumed here so the
-// suppression is honored even when the site would surface in a caller.
-func (e *taintEnv) checkRNGSite(call *ast.CallExpr) {
-	pkgPath, fname := calleePackageFunc(e.info(), call)
-	if pkgPath != e.s.prog.ModulePath+"/internal/rng" || fname != "New" || len(call.Args) != 1 {
-		return
-	}
-	p := e.pos(call.Pos())
-	if d := e.n.Pkg.allowDirectiveFor("seedplumbing", p.Filename, p.Line); d != nil {
-		d.used = true
-		return
-	}
-	e.addRngSite(call.Pos(), e.exprMask(call.Args[0]), "")
 }

@@ -10,9 +10,9 @@ import "time"
 /* want `unknown directive //proram:fixedtrip` */ //proram:fixedtrip a retired directive is unknown, not silently accepted
 /* want `names no check` */ //proram:allow
 /* want `unknown directive //proram:hotpath` */ //proram:hotpath a retired directive is unknown, not silently accepted
-/* want `unknown directive //proram:detround \(known: allow, invariant, public, secret, branchless\)` */ //proram:detround a retired directive is unknown, not silently accepted
+/* want `unknown directive //proram:detround \(known: allow, invariant, public, secret\)` */ //proram:detround a retired directive is unknown, not silently accepted
 /* want `names unknown check "nosuchcheck"` */ //proram:allow nosuchcheck because reasons
-
+/* want `unknown directive //proram:branchless` */ //proram:branchless a retired directive is unknown, not silently accepted
 /* want `needs a one-line justification` */ //proram:invariant
 
 /* want `suppresses nothing` */ //proram:allow panicdiscipline fixture: nothing on the next line panics

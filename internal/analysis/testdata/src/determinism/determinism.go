@@ -47,3 +47,11 @@ func allowedSleep() {
 	//proram:allow determinism fixture: operator-facing pacing, not simulated time
 	time.Sleep(time.Nanosecond)
 }
+
+// A constant seed is hard-coded however it is spelled: the check asks the
+// type checker for the argument's constant value, not for a literal.
+const fixedSeed = 7
+
+func constSeed() *rng.Source {
+	return rng.New(fixedSeed * 2) // want `rng\.New with a hard-coded seed`
+}

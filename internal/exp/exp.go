@@ -21,7 +21,8 @@ import (
 // Options scales an experiment.
 type Options struct {
 	// Scale multiplies every workload's operation count. 1.0 reproduces
-	// the full-size runs; bench_test.go uses smaller scales. 0 means 1.0.
+	// the full-size runs; bench_test.go uses smaller scales. Zero,
+	// negative and NaN values mean 1.0.
 	Scale float64
 	// Seed offsets the workload seeds, for variance studies.
 	Seed uint64
@@ -37,7 +38,7 @@ type Options struct {
 
 func (o Options) scale(ops uint64) uint64 {
 	s := o.Scale
-	if s == 0 {
+	if !(s > 0) {
 		s = 1
 	}
 	n := uint64(float64(ops) * s)

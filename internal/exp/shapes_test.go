@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -75,6 +76,26 @@ func TestRegistryComplete(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run("nope", Options{}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestOptionsScale pins the scale mapping: zero, negative and NaN mean
+// 1.0, so a bad scale runs the full-size experiment instead of wrapping
+// the operation count past 2^63.
+func TestOptionsScale(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		want  uint64
+	}{
+		{0, 800000},
+		{-1, 800000},
+		{-0.5, 800000},
+		{math.NaN(), 800000},
+		{0.5, 400000},
+	} {
+		if got := (Options{Scale: c.scale}).scale(800000); got != c.want {
+			t.Errorf("Options{Scale: %v}.scale(800000) = %d, want %d", c.scale, got, c.want)
+		}
 	}
 }
 

@@ -209,15 +209,6 @@ func (r *Recorder) Instant(cat, name string, ts uint64, argKey string, argVal ui
 	r.emit(Event{Ph: 'i', Cat: cat, Name: name, TS: ts, Pid: r.pid, ArgKey: argKey, ArgVal: argVal})
 }
 
-// CounterEvent records a counter-track sample ('C' in the trace format):
-// Perfetto renders these as a stepped value track named name.
-func (r *Recorder) CounterEvent(cat, name string, ts uint64, argKey string, argVal uint64) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{Ph: 'C', Cat: cat, Name: name, TS: ts, Pid: r.pid, ArgKey: argKey, ArgVal: argVal})
-}
-
 // emit routes one event to the flight ring and, when tracing, the writer.
 func (r *Recorder) emit(e Event) {
 	r.ring.add(e)

@@ -23,7 +23,6 @@ func drive(r *Recorder) {
 		r.MaybeSample(i * 1000)
 	}
 	r.Instant("oram", "merge", 5000, "size", 4)
-	r.CounterEvent("oram", "stash", 6000, "blocks", 42)
 }
 
 func TestNilRecorderIsInert(t *testing.T) {

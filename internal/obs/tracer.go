@@ -7,8 +7,7 @@ import (
 )
 
 // Event is one structured trace record in the Chrome trace-event model:
-// a phase ('X' complete span, 'i' instant, 'C' counter sample, 'M'
-// metadata), a category, a name, a timestamp and duration in simulated
+// a phase ('X' complete span, 'i' instant, 'M' metadata), a category, a name, a timestamp and duration in simulated
 // cycles (written as microseconds, the unit the viewers expect), the
 // logical process id, and at most one integer argument. One small fixed
 // argument keeps emission allocation-free; sites needing more context

@@ -12,11 +12,10 @@
 // # Routing
 //
 // A block is routed by a seeded keyed hash to one of G indirection groups,
-// and a tiny group→partition table maps the group to its partition. The
-// table is read with a fixed-length branchless scan (every lookup touches
-// every entry), so the lookup itself is oblivious; the table exists so a
-// later background shuffler can re-home whole groups without changing the
-// hash. Within a partition, global block indices get dense local slots in
+// and group g lives on partition g mod P. The lookup is straight-line
+// arithmetic — a hash, a mask and a fastmod, with no branch, table load or
+// division — so it is oblivious; TestLookupIsStraightLine holds that shape.
+// Within a partition, global block indices get dense local slots in
 // first-touch order, which preserves temporal adjacency — the locality the
 // per-partition prefetcher feeds on.
 //

@@ -70,8 +70,6 @@ func mix(key, index uint64) uint64 {
 // Lemire's fastmod (the high word of (fastmod×group mod 2^64)×P), which
 // is exact for group and P below 2^32. For P = 1 the constant wraps to 0
 // and so does the result.
-//
-//proram:branchless the lookup's control flow and touched addresses must be identical for every index
 func (m *PartitionMap) Lookup(index uint64) int {
 	g := mix(m.seed, index) & m.mask
 	hi, _ := bits.Mul64(m.fastmod*g, m.partitions)

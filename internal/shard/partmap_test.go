@@ -1,6 +1,11 @@
 package shard
 
-import "testing"
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"testing"
+)
 
 func TestPartitionMapDeterministicAndInRange(t *testing.T) {
 	m, err := NewPartitionMap(8, 0, 42)
@@ -110,4 +115,81 @@ func TestNewPartitionMapRejectsBadShapes(t *testing.T) {
 	if _, err := NewPartitionMap(2, 8*maxPartitions+1, 1); err == nil {
 		t.Fatal("accepted more groups than fastmod is checked for")
 	}
+}
+
+// TestLookupIsStraightLine holds the routing obligation of DESIGN §8: the
+// partition of a block must not show in the timing or the memory trace of
+// the lookup. Lookup and mix are parsed from source and must be straight
+// line: no branch of any kind, no short-circuit, no table load, no
+// division (variable latency on common targets), no shift by a variable
+// amount, and no call beyond mix, bits.Mul64 and the int conversion.
+func TestLookupIsStraightLine(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "partmap.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := map[string]bool{}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || (fn.Name.Name != "Lookup" && fn.Name.Name != "mix") {
+			continue
+		}
+		checked[fn.Name.Name] = true
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if why := notStraightLine(n); why != "" {
+				t.Errorf("%s: %s: %s", fset.Position(n.Pos()), fn.Name.Name, why)
+			}
+			return true
+		})
+	}
+	for _, name := range []string{"Lookup", "mix"} {
+		if !checked[name] {
+			t.Errorf("partmap.go declares no %s", name)
+		}
+	}
+}
+
+// notStraightLine names what disqualifies n, or returns "".
+func notStraightLine(n ast.Node) string {
+	switch x := n.(type) {
+	case *ast.IfStmt, *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt,
+		*ast.TypeSwitchStmt, *ast.SelectStmt, *ast.BranchStmt:
+		return "branch statement"
+	case *ast.IndexExpr, *ast.IndexListExpr, *ast.SliceExpr:
+		return "index or slice expression (a table load)"
+	case *ast.BinaryExpr:
+		return opFault(x.Op, x.Y)
+	case *ast.AssignStmt:
+		return opFault(x.Tok, x.Rhs[0])
+	case *ast.CallExpr:
+		switch fun := x.Fun.(type) {
+		case *ast.Ident:
+			if fun.Name == "mix" || fun.Name == "int" {
+				return ""
+			}
+		case *ast.SelectorExpr:
+			if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "bits" && fun.Sel.Name == "Mul64" {
+				return ""
+			}
+		}
+		return "call outside mix, bits.Mul64 and int(...)"
+	}
+	return ""
+}
+
+// opFault judges a binary operator, or its assignment form, with right
+// operand y.
+func opFault(op token.Token, y ast.Expr) string {
+	switch op {
+	case token.LAND, token.LOR:
+		return "short-circuit " + op.String()
+	case token.QUO, token.REM, token.QUO_ASSIGN, token.REM_ASSIGN:
+		return "division " + op.String()
+	case token.SHL, token.SHR, token.SHL_ASSIGN, token.SHR_ASSIGN:
+		if _, lit := y.(*ast.BasicLit); !lit {
+			return "shift by a non-literal amount"
+		}
+	}
+	return ""
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -862,5 +863,36 @@ func TestTraceHandedOffPerRound(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSeedSteersDummyDraws holds the seed rule for the padding draws:
+// every partition's dummy generator derives from Config.Seed, so one seed
+// gives each partition one stream and seeds 1 and 2 give two.
+func TestSeedSteersDummyDraws(t *testing.T) {
+	draws := func(seed uint64) [][]uint64 {
+		cfg := testConfig(2)
+		cfg.Seed = seed
+		f, err := build(cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.stopWorkers()
+		out := make([][]uint64, len(f.parts))
+		for i, p := range f.parts {
+			for range 32 {
+				out[i] = append(out[i], p.dummyRnd.Uint64())
+			}
+		}
+		return out
+	}
+	a, again, b := draws(1), draws(1), draws(2)
+	for i := range a {
+		if !slices.Equal(a[i], again[i]) {
+			t.Errorf("partition %d: seed 1 gave two different dummy streams", i)
+		}
+		if slices.Equal(a[i], b[i]) {
+			t.Errorf("partition %d: seeds 1 and 2 gave the same dummy stream", i)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -324,5 +325,39 @@ func TestTake(t *testing.T) {
 	})
 	if got := len(collect(Take(g2, 50))); got != 10 {
 		t.Fatalf("oversized Take yielded %d ops", got)
+	}
+}
+
+// TestSeedSteersEveryGenerator holds the seed rule for the trace package:
+// each generator draws from the caller's seed, so one seed gives one
+// stream and two seeds give two. A generator seeded internally makes
+// seeds 1 and 2 agree.
+func TestSeedSteersEveryGenerator(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  func(seed uint64) Generator
+	}{
+		{"NewModel", func(seed uint64) Generator {
+			p := ByName(Splash2(2000), "ocean_c")[0]
+			p.Seed = seed
+			return NewModel(p)
+		}},
+		{"NewSynthetic", func(seed uint64) Generator {
+			return NewSynthetic(SyntheticConfig{Ops: 2000, WorkingSetBytes: 1 << 20,
+				LocalityFraction: 0.5, RunLen: 8, Gap: 10, WriteFraction: 0.3, Seed: seed})
+		}},
+		{"NewYCSB", func(seed uint64) Generator {
+			cfg := DefaultYCSB(2000)
+			cfg.Seed = seed
+			return NewYCSB(cfg)
+		}},
+	} {
+		a, again, b := collect(c.gen(1)), collect(c.gen(1)), collect(c.gen(2))
+		if !slices.Equal(a, again) {
+			t.Errorf("%s: seed 1 gave two different streams", c.name)
+		}
+		if slices.Equal(a, b) {
+			t.Errorf("%s: seeds 1 and 2 gave the same stream", c.name)
+		}
 	}
 }
