@@ -1,11 +1,11 @@
 // Command proram-vet runs the repo-specific static-analysis suite: the
-// determinism, oblivious, panicdiscipline and allowhygiene passes of
+// determinism, panicdiscipline and allowhygiene passes of
 // proram/internal/analysis.
 //
 // Usage:
 //
 //	go run ./cmd/proram-vet ./...
-//	go run ./cmd/proram-vet -checks oblivious,determinism ./internal/shard
+//	go run ./cmd/proram-vet -checks panicdiscipline,determinism ./internal/shard
 //	go run ./cmd/proram-vet -list
 //	go run ./cmd/proram-vet -timing -json ./... > vet.json
 //

@@ -27,20 +27,14 @@
 //
 // The repository carries its own static-analysis suite (go run
 // ./cmd/proram-vet ./..., package proram/internal/analysis) that enforces
-// two conventions the reproduction depends on: bit-for-bit determinism
-// from an explicit seed and obliviousness of the ORAM access path. The
-// oblivious pass is interprocedural: a module-local call graph is
-// condensed into strongly connected components and per-function taint
-// summaries are computed bottom-up, so a secret that
-// crosses a return value, an out-parameter or a helper chain (including
-// recursion) is still caught at the caller, and a secret-derived
-// slice/array/map index or slice bound is flagged even in straight-line
+// two source conventions the reproduction depends on: bit-for-bit
+// determinism from an explicit seed, and panic discipline in library
 // code. Findings are suppressed or annotated in the source itself with
 // machine-readable //proram: comments:
 //
 //	//proram:allow <check>[,<check>...] <reason>
 //
-// suppresses the named checks (determinism, oblivious, panicdiscipline,
+// suppresses the named checks (determinism, panicdiscipline,
 // allowhygiene) on the same line or the line directly below; written
 // before the package clause it covers the whole file. The reason is
 // mandatory in spirit and audited in review.
@@ -51,33 +45,18 @@
 // panic an internal invariant — unreachable unless the program itself is
 // buggy — and must say why in one line.
 //
-//	//proram:public <reason>
-//
-// attached to an assignment or condition declassifies a value the
-// oblivious taint pass would otherwise treat as secret; use only for
-// values that are public by protocol.
-//
-//	//proram:secret
-//
-// on a struct field marks it as a taint source: shard's request and
-// response payloads, and mem.Block.Data, the declared shape of a decrypted
-// payload (DESIGN.md §8 says what that covers and what it does not — the
-// client cache's plaintext is outside it). Taint survives module-local
-// calls: up to 62 parameters are tracked per function with per-parameter
-// origin bits, anything beyond that degrades soundly to an opaque origin
-// that never crosses a call boundary. Beyond branches and indexes, the
-// oblivious pass treats scheduling choices as sinks: a secret reaching
-// the target of a channel send or receive, the callee expression of a go
-// statement, or the receiver of a mutex Lock/RLock is flagged, because
-// which partition, lock or goroutine a worker touches is as observable
-// as which address it reads.
-//
 // The allowhygiene pass keeps the vocabulary honest: unknown directives,
 // unknown check names, justification-free invariants and stale allows
 // that suppress nothing are themselves findings.
 //
-// Three properties are not vet questions, because they are measured on
-// the code that runs. Allocation-freedom: AllocsPerRun tests in
+// Four properties are not vet questions, because they are measured on
+// the code that runs. Payload independence: the same seeded op stream
+// with zero, 0xFF, one-byte and random payloads must give the same
+// access trace and counters, through the unified RAM
+// (TestRAMPayloadsDoNotSteerAccesses) and the sharded frontend
+// (TestPayloadsDoNotSteerAccesses), and TestPayloadFieldsStayContained
+// keeps the sharded frontend's payload fields to the few lines where
+// bytes enter and leave it. Allocation-freedom: AllocsPerRun tests in
 // internal/oram, internal/stash, internal/shard, internal/dram and
 // internal/prefetch pin zero steady-state allocations, and the repository
 // benchmark bounds allocs_per_op end to end. Index safety: Go checks every

@@ -6,7 +6,7 @@ import (
 )
 
 // directiveKinds is the //proram: vocabulary: every other kind is a finding.
-var directiveKinds = []string{"allow", "invariant", "public", "secret"}
+var directiveKinds = []string{"allow", "invariant"}
 
 // AllowHygiene keeps the //proram: directive vocabulary honest: unknown
 // directive kinds, allow directives naming unknown checks, empty

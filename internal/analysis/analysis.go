@@ -1,16 +1,17 @@
 // Package analysis is a small, stdlib-only static-analysis framework plus
-// the repo-specific passes that enforce PrORAM's two non-negotiable
-// conventions:
+// the repo-specific passes that enforce PrORAM's source conventions:
 //
 //   - Determinism: every simulation is bit-reproducible from an explicit
 //     seed. Wall-clock reads, the global math/rand generator, scheduling
 //     races and Go map iteration order must never influence simulator
 //     output (DESIGN.md §7).
 //
-//   - Obliviousness: the ORAM access path must not branch on secret block
-//     payload bytes. Path ORAM's guarantee is about *which* paths are
-//     touched; a data-dependent branch in the controller would reintroduce
-//     exactly the leakage the scheme exists to remove.
+//   - Panic discipline: library code returns errors; a panic is allowed
+//     only on an invariant justified in a //proram:invariant directive.
+//
+// Obliviousness — payload bytes never steer which accesses happen — has
+// no pass here: executed payload-independence tests on the code that runs
+// hold it (DESIGN.md §8).
 //
 // The framework is deliberately minimal: it loads and type-checks every
 // package of the enclosing module with go/parser and go/types (resolving
@@ -158,7 +159,6 @@ func (r *Runner) Timings() []PassTiming { return r.timings }
 func DefaultPasses() []*Pass {
 	return []*Pass{
 		Determinism(),
-		Oblivious(),
 		PanicDiscipline(),
 		AllowHygiene(),
 	}

@@ -139,41 +139,8 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, []*Pass{Determinism()}, fixtureBase+"determinism")
 }
 
-func TestObliviousFixture(t *testing.T) {
-	runFixture(t, []*Pass{Oblivious(fixtureBase + "oblivious")}, fixtureBase+"oblivious")
-}
-
-// TestObsFixture proves the taint pass catches secret-derived data
-// flowing into the observability layer (metric labels, trace arguments)
-// and leaves public and declassified emissions alone.
-func TestObsFixture(t *testing.T) {
-	runFixture(t, []*Pass{Oblivious(fixtureBase + "obs")}, fixtureBase+"obs")
-}
-
-// TestInterprocFixture exercises the call-graph taint summaries:
-// secrets crossing return values, out-parameters and helper sinks —
-// including around a recursion cycle — are flagged in the caller, and
-// interprocedural sanitization (a helper returning len) stays quiet.
-func TestInterprocFixture(t *testing.T) {
-	runFixture(t, []*Pass{Oblivious(fixtureBase + "interproc")}, fixtureBase+"interproc")
-}
-
-// TestSecretIndexFixture exercises the secret-index sink: secret-derived
-// slice/array/map indexes and slice bounds leak which addresses are
-// touched even in straight-line code.
-func TestSecretIndexFixture(t *testing.T) {
-	runFixture(t, []*Pass{Oblivious(fixtureBase + "secretindex")}, fixtureBase+"secretindex")
-}
-
 func TestPanicDisciplineFixture(t *testing.T) {
 	runFixture(t, []*Pass{PanicDiscipline()}, fixtureBase+"panicdiscipline")
-}
-
-// TestSchedSinkFixture exercises the oblivious pass's scheduling sinks
-// (channel send/receive targets, goroutine spawn targets, lock
-// acquisition targets) and the range-key geometry refinement.
-func TestSchedSinkFixture(t *testing.T) {
-	runFixture(t, []*Pass{Oblivious(fixtureBase + "schedsink")}, fixtureBase+"schedsink")
 }
 
 // The hygiene fixture runs under every default pass so named checks count
@@ -184,9 +151,9 @@ func TestAllowHygieneFixture(t *testing.T) {
 }
 
 func TestSelectPasses(t *testing.T) {
-	// branchless and seedplumbing are retired passes: naming one is an
-	// unknown check, not a silent no-op.
-	for _, checks := range []string{"determinism,nosuch", "branchless", "seedplumbing"} {
+	// branchless, seedplumbing and oblivious are retired passes: naming
+	// one is an unknown check, not a silent no-op.
+	for _, checks := range []string{"determinism,nosuch", "branchless", "seedplumbing", "oblivious"} {
 		if _, err := SelectPasses(checks); err == nil || !strings.Contains(err.Error(), "unknown check") {
 			t.Fatalf("SelectPasses(%q) = %v, want an unknown-check error", checks, err)
 		}
@@ -207,20 +174,6 @@ func TestSelectPasses(t *testing.T) {
 	}
 	if _, err := SelectPasses("nosuch"); err == nil || !strings.Contains(err.Error(), strings.Join(PassNames(), ", ")) {
 		t.Fatalf("unknown-check error should list PassNames(), got: %v", err)
-	}
-}
-
-func TestSecretFieldsHarvested(t *testing.T) {
-	prog := program(t)
-	// The canonical payload field plus the fixture's local one.
-	found := 0
-	for obj := range prog.SecretFields {
-		if obj.Name() == "Data" || obj.Name() == "data" {
-			found++
-		}
-	}
-	if found < 2 {
-		t.Fatalf("expected mem.Block.Data and the fixture field to be harvested, found %d secret fields", found)
 	}
 }
 

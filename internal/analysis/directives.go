@@ -10,15 +10,13 @@ import (
 //
 //	//proram:allow <check>[,<check>...] <reason>   suppress findings
 //	//proram:invariant <justification>             justify a library panic
-//	//proram:public <reason>                       declassify a value
-//	//proram:secret                                mark a struct field as secret
 //
-// An allow or public directive applies to the line it sits on and to the
-// line immediately below it (so it can be written either as a trailing
-// comment or on its own line above the flagged statement). Directives
+// An allow directive applies to the line it sits on and to the line
+// immediately below it (so it can be written either as a trailing comment
+// or on its own line above the flagged statement). Directives
 // written before the package clause apply to the whole file.
 type Directive struct {
-	Kind   string   // "allow", "invariant", "public", "secret", or unrecognized text
+	Kind   string   // "allow", "invariant", or unrecognized text
 	Checks []string // allow only: the checks being suppressed
 	Reason string   // free-text justification
 

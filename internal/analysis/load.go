@@ -37,31 +37,7 @@ type Program struct {
 	Root       string
 	Packages   []*Package // dependency order
 
-	// SecretFields records every struct field declared with a
-	// //proram:secret directive, across all loaded packages. The oblivious
-	// pass treats reads of these fields as taint sources.
-	SecretFields map[types.Object]bool
-
 	byPath map[string]*Package
-
-	// Lazily built interprocedural state, shared by the passes that need
-	// whole-program views (the call graph and the function summaries
-	// derived from it). The analyzer runs on one goroutine, so "built
-	// once" is a nil check.
-	cg   *CallGraph
-	sums *summaries
-}
-
-// relPosition renders a position module-relative with forward slashes,
-// so diagnostic messages referring to other files are byte-identical
-// across checkouts and operating systems.
-func (p *Program) relPosition(pos token.Pos) string {
-	pp := p.Fset.Position(pos)
-	name := pp.Filename
-	if rel, err := filepath.Rel(p.Root, name); err == nil && !strings.HasPrefix(rel, "..") {
-		name = filepath.ToSlash(rel)
-	}
-	return fmt.Sprintf("%s:%d", name, pp.Line)
 }
 
 // ModulePackages returns the packages that belong to the module proper,
@@ -115,11 +91,10 @@ func Load(root string, extraDirs ...string) (*Program, error) {
 	seen := make(map[string]bool)
 
 	prog := &Program{
-		Fset:         token.NewFileSet(),
-		ModulePath:   modPath,
-		Root:         root,
-		SecretFields: make(map[types.Object]bool),
-		byPath:       make(map[string]*Package),
+		Fset:       token.NewFileSet(),
+		ModulePath: modPath,
+		Root:       root,
+		byPath:     make(map[string]*Package),
 	}
 	var parsed []*Package
 	for _, dir := range dirs {
@@ -311,15 +286,11 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// typeCheck runs go/types over one parsed package and harvests its
-// //proram:secret field markers.
+// typeCheck runs go/types over one parsed package.
 func (p *Program) typeCheck(pkg *Package, std types.Importer) error {
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: &moduleImporter{prog: p, std: std}}
 	tpkg, err := conf.Check(pkg.Path, p.Fset, pkg.Files, info)
@@ -328,45 +299,5 @@ func (p *Program) typeCheck(pkg *Package, std types.Importer) error {
 	}
 	pkg.Types = tpkg
 	pkg.Info = info
-	p.collectSecretFields(pkg)
 	return nil
-}
-
-// collectSecretFields records struct fields annotated //proram:secret.
-func (p *Program) collectSecretFields(pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !fieldMarkedSecret(field) {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pkg.Info.Defs[name]; obj != nil {
-						p.SecretFields[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// fieldMarkedSecret reports whether a //proram:secret directive is
-// attached to the field as a doc or trailing comment.
-func fieldMarkedSecret(field *ast.Field) bool {
-	for _, g := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if strings.HasPrefix(c.Text, DirectivePrefix+"secret") {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -10,7 +10,7 @@ import "time"
 /* want `unknown directive //proram:fixedtrip` */ //proram:fixedtrip a retired directive is unknown, not silently accepted
 /* want `names no check` */ //proram:allow
 /* want `unknown directive //proram:hotpath` */ //proram:hotpath a retired directive is unknown, not silently accepted
-/* want `unknown directive //proram:detround \(known: allow, invariant, public, secret\)` */ //proram:detround a retired directive is unknown, not silently accepted
+/* want `unknown directive //proram:detround \(known: allow, invariant\)` */ //proram:detround a retired directive is unknown, not silently accepted
 /* want `names unknown check "nosuchcheck"` */ //proram:allow nosuchcheck because reasons
 /* want `unknown directive //proram:branchless` */ //proram:branchless a retired directive is unknown, not silently accepted
 /* want `needs a one-line justification` */ //proram:invariant
@@ -29,3 +29,6 @@ func usedAllow() time.Time {
 
 var _ = fine
 var _ = usedAllow
+
+/* want `unknown directive //proram:secret` */ //proram:secret a retired directive is unknown, not silently accepted
+/* want `unknown directive //proram:public` */ //proram:public a retired directive is unknown, not silently accepted

@@ -235,15 +235,6 @@ func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 	return done
 }
 
-// NextFree returns the earliest cycle at which every channel is idle.
-func (m *Model) NextFree() uint64 {
-	var free uint64
-	for _, b := range m.busUntil {
-		free = max(free, b)
-	}
-	return free
-}
-
 // Instrument registers the device's observability metrics on rec: views
 // of the aggregate, per-channel busy-cycle and per-bank access statistics,
 // and sampled row-hit-rate / channel-utilization series. A nil rec

@@ -35,12 +35,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// BytesPerCycle converts the configured bandwidth into channel bytes per
-// core cycle.
-func (c Config) BytesPerCycle() float64 {
-	return c.BandwidthGBps / c.ClockGHz
-}
-
 // maxRate1024 bounds the fixed-point rate: 2^40 bytes per 1024 cycles is a
 // petabyte per second at 1 GHz, and leaves bytes·1024 + rate far inside
 // uint64 for any transfer the simulator issues.
@@ -221,9 +215,6 @@ func (m *Model) BulkTransfer(now, bytes, extraLatency uint64) uint64 {
 	m.stats.BusyCycles += done - start
 	return done
 }
-
-// NextFree returns the earliest cycle at which the channel is idle.
-func (m *Model) NextFree() uint64 { return m.busUntil }
 
 // Sub returns the delta of s over an earlier snapshot (all fields are
 // monotone counters).

@@ -34,17 +34,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestBytesPerCycle(t *testing.T) {
-	c := DefaultConfig()
-	if got := c.BytesPerCycle(); got != 16 {
-		t.Fatalf("BytesPerCycle = %v, want 16", got)
-	}
-	c.ClockGHz = 2
-	if got := c.BytesPerCycle(); got != 8 {
-		t.Fatalf("BytesPerCycle at 2GHz = %v, want 8", got)
-	}
-}
-
 func TestSingleAccessLatency(t *testing.T) {
 	m := New(DefaultConfig())
 	done := m.Access(0, 0, 128)

@@ -57,21 +57,6 @@ func (id BlockID) String() string {
 	return fmt.Sprintf("blk<L%d:%d>", id.Level(), id.Index())
 }
 
-// Block is the canonical payload record: one ORAM block as the trusted
-// controller sees it when a functional (data-carrying) mode is layered on
-// top of the timing model. The payload is secret in the obliviousness
-// sense — branching on it correlates the access trace with the data that
-// ORAM exists to hide — so the static-analysis suite (proram-vet's
-// oblivious pass) tracks reads of Data and flags control flow conditioned
-// on them. Lengths and identifiers are public.
-type Block struct {
-	// ID names the block; levels and indices are public metadata.
-	ID BlockID
-	// Data holds the payload bytes.
-	//proram:secret payload bytes must never steer control flow
-	Data []byte
-}
-
 // Leaf is a leaf label of the ORAM binary tree, in [0, 2^L).
 type Leaf uint64
 

@@ -23,9 +23,9 @@
 //
 // Obliviousness stance: metric names, series values and trace-event
 // arguments must be derived from public protocol state only (leaf labels,
-// cycle counts, structure occupancies). The proram-vet oblivious pass
-// enforces this mechanically: any argument of an obs emission call that
-// is tainted by secret block payload bytes is reported as a leak.
+// cycle counts, structure occupancies). Payload bytes never reach the
+// controller, and the sharded frontend reads them at a few fixed sites
+// (TestPayloadFieldsStayContained in internal/shard), none an emission.
 package obs
 
 import (
@@ -59,8 +59,6 @@ type Options struct {
 	// SampleEvery is the simulated-cycle interval between time-series
 	// samples; 0 disables the sampler.
 	SampleEvery uint64
-	// FlightSize is the flight-recorder capacity in events (default 256).
-	FlightSize int
 	// TraceOut receives the Chrome trace-event stream; nil disables trace
 	// emission (the flight ring still records).
 	TraceOut io.Writer
@@ -68,14 +66,13 @@ type Options struct {
 	FlightOut io.Writer
 }
 
+// flightSize is the flight recorder's capacity in events.
+const flightSize = 256
+
 // New builds an enabled Recorder.
 func New(o Options) *Recorder {
-	size := o.FlightSize
-	if size <= 0 {
-		size = 256
-	}
 	r := &Recorder{
-		ring:      newRing(size),
+		ring:      newRing(flightSize),
 		flightOut: o.FlightOut,
 		pid:       1,
 	}

@@ -147,7 +147,8 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := New(Options{FlightSize: 4})
+	r := New(Options{})
+	r.ring = newRing(4)
 	for i := uint64(0); i < 10; i++ {
 		r.Instant("c", "e", i, "i", i)
 	}
@@ -164,7 +165,8 @@ func TestRingWraparound(t *testing.T) {
 
 func TestFlightDump(t *testing.T) {
 	var sink bytes.Buffer
-	r := New(Options{FlightSize: 8, FlightOut: &sink})
+	r := New(Options{FlightOut: &sink})
+	r.ring = newRing(8)
 	r.Span("oram", "bg-evict", 100, 50, "leaf", 7)
 	r.Flight("stash-overflow", 150)
 	out := sink.String()

@@ -13,8 +13,8 @@ import (
 //
 // Everything registered here is public protocol state — leaf labels,
 // occupancies, counters of indistinguishable path accesses — never block
-// payload bytes. The proram-vet oblivious pass enforces that mechanically
-// at every emission site.
+// payload bytes, which never reach the controller: the tree holds block
+// ids and shard.Store holds the sealed payloads.
 func (c *Controller) SetRecorder(rec *obs.Recorder) {
 	c.obs = rec
 	if rec == nil {

@@ -37,7 +37,9 @@
 // accesses every round, whatever the request skew; within a slot, the path
 // count still varies with PLB and stash behaviour (one path per recursion
 // level the PLB misses; a PLB victim costs none), the same declared
-// recursion-level leak as the unified controller (DESIGN.md §10).
+// recursion-level leak as the unified controller (DESIGN.md §10). Payload
+// bytes steer none of it: TestPayloadsDoNotSteerAccesses runs one op
+// stream under four payload families and wants the same access log.
 //
 // # Determinism and replay
 //

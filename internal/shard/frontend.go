@@ -320,8 +320,8 @@ func (f *Frontend) enqueue(index uint64, write bool, data []byte) (*request, err
 	req := requests.Get().(*request)
 	req.index, req.write, req.since = index, write, notTaken
 	if write {
-		// A read never looks at data, so only a write refills it.
-		//proram:public an emptied buffer: its capacity is reused, its old bytes are never read
+		// A read never looks at data, so only a write refills it. The
+		// emptied buffer's capacity is reused; its old bytes are never read.
 		buf := req.data[:0]
 		req.data = append(buf, data...)
 	}

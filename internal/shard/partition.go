@@ -18,9 +18,8 @@ type request struct {
 	// since is the clock floor of the first round that took the request
 	// (notTaken until then); latency spans measure queueing from it.
 	since uint64
-	//proram:secret write payload bytes (admission-owned copy)
-	data []byte
-	resp chan response
+	data  []byte // write payload bytes (admission-owned copy)
+	resp  chan response
 }
 
 // notTaken is a request's since before a round takes it: above every
@@ -29,8 +28,7 @@ const notTaken = ^uint64(0)
 
 // response answers one request. Data is a fresh copy for reads.
 type response struct {
-	//proram:secret plaintext block bytes returned to the caller
-	data []byte
+	data []byte // plaintext block bytes returned to the caller
 	err  error
 }
 
@@ -201,8 +199,8 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 		}
 		// A hit costs no ORAM access. This is also how duplicate requests
 		// within a round coalesce — the first miss installs the line, the
-		// rest hit it.
-		//proram:public whether a slot is cached follows the public access sequence
+		// rest hit it. Whether a slot is cached follows the public access
+		// sequence.
 		if line, ok := p.cache.Lookup(local); ok {
 			p.st.CacheHits++
 			p.finish(req, line, res)

@@ -28,8 +28,6 @@ type ObsConfig struct {
 	// SampleEvery is the simulated-cycle interval between time-series
 	// samples; 0 disables the sampler.
 	SampleEvery uint64
-	// FlightSize is the flight-recorder capacity in events (0 = 256).
-	FlightSize int
 }
 
 // recorder builds the internal recorder for a configured simulator.
@@ -39,7 +37,6 @@ func (c *ObsConfig) recorder() *obs.Recorder {
 	}
 	return obs.New(obs.Options{
 		SampleEvery: c.SampleEvery,
-		FlightSize:  c.FlightSize,
 		TraceOut:    c.TraceOut,
 		FlightOut:   c.FlightOut,
 	})
