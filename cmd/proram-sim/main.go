@@ -17,7 +17,8 @@
 // core timing model: the report shows rounds, padding and the makespan.
 // The observability and audit flags, -z and -stash apply to both modes;
 // -periodic, -oint, -stream and -warmup belong to the unified controller
-// and the core model, and are refused with -partitions > 1.
+// and the core model, and are refused with -partitions > 1; -clients and
+// -round-slots belong to the scheduler, and are refused without it.
 //
 // With -audit the obliviousness auditor (internal/obs/audit) taps the
 // physical access stream and the process exits nonzero when any
@@ -79,6 +80,11 @@ func main() {
 		explain     = flag.Bool("explain", false, "print the ORAM's path accesses and busy cycles by cause (implies -obs; unified controller only)")
 	)
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkPartitions(set, *parts); err != nil {
+		fatal(err)
+	}
 	if *pprofAddr != "" {
 		servePprof(*pprofAddr)
 	}
@@ -113,8 +119,6 @@ func main() {
 		if *memory != "oram" {
 			fatal(fmt.Errorf("-partitions needs -memory oram"))
 		}
-		set := make(map[string]bool)
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		cfg, err := shardedConfig(set, *parts, *slots, *z, *stash, sch, *maxSB, *seed, dram)
 		if err != nil {
 			fatal(err)
@@ -362,6 +366,27 @@ func pickScheme(name string) (proram.Scheme, error) {
 // the core timing model's stream prefetcher and warmup, and the unified
 // controller's periodic schedule.
 var unifiedOnly = []string{"periodic", "oint", "stream", "warmup"}
+
+// shardedOnly lists the flags only the sharded frontend reads.
+var shardedOnly = []string{"clients", "round-slots"}
+
+// checkPartitions refuses a partition count below one and, on a unified
+// run (-partitions 1), any sharded-only flag among set, the flags given on
+// the command line.
+func checkPartitions(set map[string]bool, parts int) error {
+	if parts < 1 {
+		return fmt.Errorf("-partitions %d: need at least 1", parts)
+	}
+	if parts > 1 {
+		return nil
+	}
+	for _, name := range shardedOnly {
+		if set[name] {
+			return fmt.Errorf("-%s applies to the sharded frontend only; it has no effect without -partitions > 1", name)
+		}
+	}
+	return nil
+}
 
 // shardedConfig maps the flags to the sharded frontend's configuration.
 // set names the flags given on the command line: a unified-only one among

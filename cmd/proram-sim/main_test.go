@@ -28,3 +28,26 @@ func TestShardedConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckPartitions covers the other direction: a partition count below
+// one and each flag only the sharded frontend reads are refused on a
+// unified run instead of dropped.
+func TestCheckPartitions(t *testing.T) {
+	for _, parts := range []int{0, -3} {
+		if err := checkPartitions(nil, parts); err == nil || !strings.Contains(err.Error(), "-partitions") {
+			t.Errorf("-partitions %d: err = %v, want a refusal", parts, err)
+		}
+	}
+	for _, name := range shardedOnly {
+		set := map[string]bool{name: true}
+		if err := checkPartitions(set, 1); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s without -partitions: err = %v, want a refusal naming the flag", name, err)
+		}
+		if err := checkPartitions(set, 2); err != nil {
+			t.Errorf("-%s with -partitions 2: %v", name, err)
+		}
+	}
+	if err := checkPartitions(map[string]bool{"partitions": true, "z": true}, 1); err != nil {
+		t.Errorf("-partitions 1 -z: %v", err)
+	}
+}

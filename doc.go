@@ -23,34 +23,32 @@
 // proprietary substrates; EXPERIMENTS.md records reproduced-vs-paper
 // results for every figure.
 //
-// # Static analysis directives
+// # Source convention directives
 //
-// The repository carries its own static-analysis suite (go run
-// ./cmd/proram-vet ./..., package proram/internal/analysis) that enforces
-// two source conventions the reproduction depends on: bit-for-bit
-// determinism from an explicit seed, and panic discipline in library
-// code. Findings are suppressed or annotated in the source itself with
-// machine-readable //proram: comments:
+// TestSourceConventions (conventions_test.go) parses every non-test Go
+// file and holds two source conventions the reproduction depends on:
+// bit-for-bit determinism from an explicit seed, and panic discipline in
+// library code. No math/rand import, no crypto/rand under internal/, no
+// select with a default clause, and no rng.New seeded from literals and
+// constants are excused at all. Two machine-read comments excuse the rest,
+// each on the site's own line or the line above:
 //
-//	//proram:allow <check>[,<check>...] <reason>
+//	//proram:allow determinism <reason>
 //
-// suppresses the named checks (determinism, panicdiscipline,
-// allowhygiene) on the same line or the line directly below; written
-// before the package clause it covers the whole file. The reason is
-// mandatory in spirit and audited in review.
+// excuses a clock read (time.Now, time.Since, time.Sleep, ...): the
+// reason says why no simulated result depends on it.
 //
-//	//proram:invariant <justification>
+//	//proram:invariant <reason>
 //
-// attached to a panic call (same line or the line above) declares the
-// panic an internal invariant — unreachable unless the program itself is
-// buggy — and must say why in one line.
+// excuses a panic outside package main: it declares the panic an internal
+// invariant — unreachable unless the program itself is buggy — and says
+// why in one line.
 //
-// The allowhygiene pass keeps the vocabulary honest: unknown directives,
-// unknown check names, justification-free invariants and stale allows
-// that suppress nothing are themselves findings.
+// Any other //proram: comment, a directive without a reason, and a
+// directive that excuses no site on its line or the next fail the test.
 //
-// Four properties are not vet questions, because they are measured on
-// the code that runs. Payload independence: the same seeded op stream
+// Four properties are not source questions, because they are measured
+// on the code that runs. Payload independence: the same seeded op stream
 // with zero, 0xFF, one-byte and random payloads must give the same
 // access trace and counters, through the unified RAM
 // (TestRAMPayloadsDoNotSteerAccesses) and the sharded frontend

@@ -129,6 +129,11 @@ func runOps(t *testing.T, data []byte) {
 				if got != want {
 					t.Fatalf("step %d: %T %s moved %d bytes (%v), oracle %d", step, d, what, got, err, want)
 				}
+				// io.ReaderAt: a read the end of the device cuts short
+				// says io.EOF; a negative offset is an error of its own.
+				if kind < 25 && !down && (err == io.EOF) != (off >= 0 && want < len(p)) {
+					t.Fatalf("step %d: %T %s returned %v; io.EOF is for a read cut short by capacity", step, d, what, err)
+				}
 			case kind == 30:
 				what = "Flush()"
 				err = d.Flush()

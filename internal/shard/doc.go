@@ -52,6 +52,6 @@
 // round barrier resynchronizes the simulated clocks. Replay re-runs an
 // arrival log and returns the canonical byte encoding of the sequence;
 // two replays of the same log and seed are byte-for-byte identical, which
-// is what keeps proram-vet's determinism discipline and the obs
+// is what keeps the repository's seed-determinism convention and the obs
 // byte-stable dumps meaningful on concurrent code.
 package shard

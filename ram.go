@@ -142,6 +142,7 @@ func (r *RAM) Flush() error {
 }
 
 // ReadAt implements random byte-granular reads across block boundaries.
+// A read cut short by the end of the device returns io.EOF.
 func (r *RAM) ReadAt(p []byte, off int64) (int, error) {
 	return readAt(r, r.cfg, p, off)
 }

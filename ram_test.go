@@ -3,6 +3,7 @@ package proram
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -173,8 +174,49 @@ func TestRAMReadWriteAt(t *testing.T) {
 	if _, err := r.ReadAt(make([]byte, 1), -1); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := r.ReadAt(make([]byte, 1), int64(r.Blocks())*int64(r.BlockBytes())); err == nil {
-		t.Fatal("offset beyond capacity accepted")
+	if _, err := r.ReadAt(make([]byte, 1), int64(r.Blocks())*int64(r.BlockBytes())); err != io.EOF {
+		t.Fatalf("ReadAt at capacity: err = %v, want io.EOF", err)
+	}
+}
+
+// TestReadAllThroughSectionReader reads a whole device the way io does:
+// an unbounded SectionReader stops at the first io.EOF, so a frontend that
+// ends a read at capacity with any other error fails ReadAll.
+func TestReadAllThroughSectionReader(t *testing.T) {
+	small := func(c *Config) {
+		c.Blocks = 64
+		c.BlockBytes = 16
+		c.CacheBlocks = 16
+	}
+	sharded := testSharded(t, func(c *Config) {
+		small(c)
+		c.Partitions = 2
+	})
+	defer sharded.Close()
+	for _, d := range []interface {
+		io.ReaderAt
+		io.WriterAt
+	}{testRAM(t, small), sharded} {
+		want := make([]byte, 64*16)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		if _, err := d.WriteAt(want, 0); err != nil {
+			t.Fatalf("%T: WriteAt: %v", d, err)
+		}
+		got, err := io.ReadAll(io.NewSectionReader(d, 0, math.MaxInt64))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%T: ReadAll = %d bytes, %v; want %d bytes, nil", d, len(got), err, len(want))
+		}
+		if n, err := d.ReadAt(make([]byte, 32), int64(len(want))-16); n != 16 || err != io.EOF {
+			t.Fatalf("%T: ReadAt across the end = %d, %v; want 16, io.EOF", d, n, err)
+		}
+		if _, err := d.ReadAt(make([]byte, 1), int64(len(want))+5); err != io.EOF {
+			t.Fatalf("%T: ReadAt past the end: err = %v, want io.EOF", d, err)
+		}
+		if _, err := d.WriteAt(make([]byte, 1), int64(len(want))); err == nil || err == io.EOF {
+			t.Fatalf("%T: WriteAt at capacity: err = %v, want a capacity error", d, err)
+		}
 	}
 }
 

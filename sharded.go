@@ -132,7 +132,8 @@ func (s *ShardedRAM) Write(index uint64, data []byte) error {
 
 // ReadAt implements byte-granular reads across block boundaries. Each
 // block is read through the scheduler individually; a concurrent writer
-// can interleave between blocks.
+// can interleave between blocks. A read cut short by the end of the
+// device returns io.EOF.
 func (s *ShardedRAM) ReadAt(p []byte, off int64) (int, error) {
 	return readAt(s, s.cfg, p, off)
 }
@@ -324,7 +325,8 @@ func errBeyondCapacity(off int64) error {
 	return fmt.Errorf("proram: offset %d beyond capacity", off)
 }
 
-// readAt implements byte-granular reads over any block device.
+// readAt implements byte-granular reads over any block device. A read
+// the end of the device cuts short returns io.EOF, as io.ReaderAt asks.
 func readAt(d blockDevice, cfg Config, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errNegativeOffset
@@ -335,7 +337,7 @@ func readAt(d blockDevice, cfg Config, p []byte, off int64) (int, error) {
 		block := uint64((off + int64(n)) / bb)
 		inner := (off + int64(n)) % bb
 		if block >= cfg.Blocks {
-			return n, errBeyondCapacity(off + int64(n))
+			return n, io.EOF
 		}
 		data, err := d.Read(block)
 		if err != nil {
