@@ -38,21 +38,16 @@ func (m LeakMode) internal() audit.Leak {
 // AuditConfig arms the live obliviousness auditor: deterministic
 // statistical tests (leaf uniformity, serial independence, round shape,
 // flush equality, real-vs-dummy timing) over the wire-observable access
-// stream, plus end-to-end latency spans with streaming tail quantiles.
-// All statistics are integer/fixed-point, so the report is byte-stable
-// across runs and platforms.
+// stream. All statistics are integer/fixed-point, so the report is
+// byte-stable across runs and platforms. The online check runs every
+// 16,384 observed accesses, and its first failure latches and dumps the
+// obs flight ring; scopes with fewer than 1,024 observations report
+// "skip".
 type AuditConfig struct {
 	// Out receives the full JSON report when the audited run finishes
 	// (ShardedRAM.Close, SimulateSharded, or Simulator.Run); nil
 	// keeps the report in memory only.
 	Out io.Writer
-	// CheckEvery is the online evaluation interval in observed accesses
-	// (0 = 16384). The first mid-run failure latches and dumps the obs
-	// flight ring.
-	CheckEvery uint64
-	// MinSamples gates each test: scopes with fewer observations report
-	// "skip" (0 = 1024).
-	MinSamples uint64
 	// Leak arms a negative control the auditor must flag. Test-only: it
 	// deliberately breaks the obliviousness the rest of the system
 	// guarantees.
@@ -80,12 +75,7 @@ func (c *AuditConfig) auditor(timing bool, rec *obs.Recorder) *audit.Auditor {
 	if c == nil {
 		return nil
 	}
-	return audit.New(audit.Config{
-		Timing:     timing,
-		CheckEvery: c.CheckEvery,
-		MinSamples: c.MinSamples,
-		Recorder:   rec,
-	})
+	return audit.New(audit.Config{Timing: timing, Recorder: rec})
 }
 
 // Err returns nil for a passing (or absent) report and a descriptive

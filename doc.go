@@ -15,8 +15,7 @@
 //     SPEC06, YCSB, TPCC).
 //
 //   - Experiments: every table and figure of the paper's evaluation,
-//     regenerable via Experiment and ExperimentIDs (also exposed by
-//     cmd/proram-bench and bench_test.go).
+//     regenerable with cmd/proram-bench (and bench_test.go).
 //
 // The implementation is pure Go, standard library only. DESIGN.md
 // documents the architecture and the substitutions made for the paper's

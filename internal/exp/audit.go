@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"proram/internal/dram/banked"
+	"proram/internal/obs"
 	"proram/internal/obs/audit"
 	"proram/internal/sim"
 	"proram/internal/superblock"
@@ -53,9 +54,10 @@ func audit2Configs() []struct {
 // audit2 audits every shipped configuration on the YCSB zipfian trace and
 // tabulates the verdicts: worst test statistics against their critical
 // values (exact milli-units), observed shape violations, and the
-// end-to-end latency tail. Every cell is a deterministic integer, so the
-// committed artifact is byte-stable. A failed audit is an experiment
-// error — the artifact only ever pins passing baselines.
+// end-to-end latency tail, read from the run's shard.latency_e2e
+// histogram. Every cell is a deterministic integer, so the committed
+// artifact is byte-stable. A failed audit is an experiment error — the
+// artifact only ever pins passing baselines.
 func audit2(opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "audit2",
@@ -80,15 +82,13 @@ func audit2(opt Options) (*Table, error) {
 		// bank conflicts), and the frontend equalizes timing at the round
 		// barrier, not per access — real superblock bursts are faster per
 		// path than single-path dummies there by design (DESIGN.md §13).
-		aud := audit.New(audit.Config{Timing: tc.banked == nil})
-		cfg.Audit = aud
+		cfg.Audit = audit.New(audit.Config{Timing: tc.banked == nil})
+		cfg.Recorder = obs.New(obs.Options{})
 		if _, err := sim.RunSharded(cfg, ycsbGen(ops, opt.Seed), shardWindow); err != nil {
 			return nil, fmt.Errorf("audit2 %s: %w", tc.label, err)
 		}
-		rep := aud.Report()
-		if opt.Audit != nil {
-			opt.Audit.Add(tc.label, rep)
-		}
+		rep := cfg.Audit.Report()
+		opt.Audit.Add(tc.label, rep)
 		if !rep.Pass {
 			detail := "no findings recorded"
 			if len(rep.Findings) > 0 {
@@ -99,7 +99,7 @@ func audit2(opt Options) (*Table, error) {
 		uniStat, uniCrit := rep.Worst("leaf_uniformity")
 		serStat, serCrit := rep.Worst("serial_independence")
 		timStat, timCrit := rep.Worst("timing_indistinguishability")
-		lat := rep.LatencyFor("all")
+		lat := cfg.Recorder.Histogram("shard.latency_e2e") // registered by the frontend
 		t.AddRow(tc.label,
 			1,
 			float64(rep.Accesses),
@@ -107,7 +107,7 @@ func audit2(opt Options) (*Table, error) {
 			float64(serStat), float64(serCrit),
 			float64(timStat), float64(timCrit),
 			float64(rep.Violations("round_shape")+rep.Violations("flush_equality")),
-			float64(lat.P50), float64(lat.P99), float64(lat.P999))
+			float64(lat.Quantile(50, 100)), float64(lat.Quantile(99, 100)), float64(lat.Quantile(999, 1000)))
 	}
 	t.Notes = append(t.Notes,
 		"stat/crit are exact milli-unit chi-square statistics vs their alpha=1e-5 critical values (worst scope per test)",

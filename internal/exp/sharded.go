@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"proram/internal/obs/audit"
+	"proram/internal/obs"
 	"proram/internal/oram"
 	"proram/internal/shard"
 	"proram/internal/sim"
@@ -88,8 +88,7 @@ func ablationShard(opt Options) (*Table, error) {
 				}
 				cfg := shardBase(parts, opt.Seed)
 				cfg.RoundSlots = slots
-				aud := audit.New(audit.Config{}) // for its latency digest
-				cfg.Audit = aud
+				cfg.Recorder = obs.New(obs.Options{})
 				st, err := sim.RunSharded(cfg, ycsbGen(ops, opt.Seed), window)
 				if err != nil {
 					return nil, fmt.Errorf("ablation_shard %s: %w", row, err)
@@ -97,7 +96,7 @@ func ablationShard(opt Options) (*Table, error) {
 				if parts == 1 && slots == 6 {
 					base = st
 				}
-				lat := aud.Report().LatencyFor("all")
+				lat := cfg.Recorder.Histogram("shard.latency_e2e") // registered by the frontend
 				t.AddRow(row,
 					float64(slots),
 					float64(window),
@@ -106,7 +105,7 @@ func ablationShard(opt Options) (*Table, error) {
 					float64(st.CacheHits)/float64(st.Ops()),
 					float64(st.PathAccesses())/float64(base.PathAccesses()),
 					float64(st.Carryovers),
-					float64(lat.P50), float64(lat.P99))
+					float64(lat.Quantile(50, 100)), float64(lat.Quantile(99, 100)))
 			}
 		}
 	}

@@ -23,11 +23,13 @@
 //     than demand accesses, the round structure leaks the demand load.
 //
 // Everything is integer or fixed-point arithmetic: test statistics are
-// exact milli-unit integers (big.Int intermediates, floored once), the
-// critical values come from an integer Wilson–Hilferty approximation, and
-// the latency digests interpolate quantiles with integer math. Two runs
-// that feed identical streams produce byte-identical reports — no float
-// accumulation order, no FMA, no platform variance.
+// exact milli-unit integers (big.Int intermediates, floored once) and the
+// critical values come from an integer Wilson–Hilferty approximation. Two
+// runs that feed identical streams produce byte-identical reports — no
+// float accumulation order, no FMA, no platform variance.
+//
+// Latency is a performance number, not an adversary-observable property:
+// the sharded frontend records it in obs histograms (shard.latency_*).
 //
 // An Auditor is not safe for concurrent use. The sharded frontend feeds
 // it from the round driver at the commit barrier (the same discipline as
@@ -144,12 +146,6 @@ type Auditor struct {
 	serial  []*serialState
 	timing  []*timingState
 	shape   shapeState
-
-	latAll     *Digest
-	latPart    []*Digest
-	latQueue   *Digest
-	latService *Digest
-	latDRAM    *Digest
 }
 
 // serialState is one partition's consecutive-leaf contingency table.
@@ -242,18 +238,12 @@ func (a *Auditor) Bind(parts int, leaves uint64, roundSlots int) error {
 	a.partN = make([]uint64, parts)
 	a.serial = make([]*serialState, parts)
 	a.timing = make([]*timingState, parts)
-	a.latPart = make([]*Digest, parts)
 	for i := 0; i < parts; i++ {
 		a.part[i] = make([]uint64, a.bins)
 		a.serial[i] = &serialState{prev: -1, cells: make([]uint64, a.serialBins*a.serialBins)}
 		a.timing[i] = &timingState{}
-		a.latPart[i] = &Digest{}
 	}
 	a.shape.flushLens = make([]int, parts)
-	a.latAll = &Digest{}
-	a.latQueue = &Digest{}
-	a.latService = &Digest{}
-	a.latDRAM = &Digest{}
 	return nil
 }
 
@@ -395,20 +385,6 @@ func (a *Auditor) finishFlushRound() {
 			return
 		}
 	}
-}
-
-// Latency feeds one served request's span decomposition, all in simulated
-// cycles: queueing delay before its serving round, the serving round's
-// service time, the round's DRAM residency, and the end-to-end total.
-func (a *Auditor) Latency(part int, queue, service, dram, total uint64) {
-	if a == nil || !a.bound || part < 0 || part >= a.parts {
-		return
-	}
-	a.latAll.Observe(total)
-	a.latPart[part].Observe(total)
-	a.latQueue.Observe(queue)
-	a.latService.Observe(service)
-	a.latDRAM.Observe(dram)
 }
 
 // Failed reports whether any online check has latched a failure.

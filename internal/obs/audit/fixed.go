@@ -7,21 +7,6 @@ import "math/bits"
 // order and (with FMA contraction) on the platform, and the reports are
 // pinned byte-for-byte in CI.
 
-// mulDiv returns a*b/c using a 128-bit intermediate, saturating to
-// MaxUint64 when the quotient would overflow (callers keep ratios below
-// one, so saturation only guards degenerate inputs).
-func mulDiv(a, b, c uint64) uint64 {
-	if c == 0 {
-		return 0
-	}
-	hi, lo := bits.Mul64(a, b)
-	if hi >= c {
-		return ^uint64(0)
-	}
-	q, _ := bits.Div64(hi, lo, c)
-	return q
-}
-
 // isqrt returns floor(sqrt(x)).
 func isqrt(x uint64) uint64 {
 	if x == 0 {

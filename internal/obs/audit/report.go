@@ -6,49 +6,25 @@ import (
 	"io"
 )
 
-// LatencySummary is one scope's deterministic latency tail: streaming
-// p50/p99/p999 from the digest plus the exact count and maximum. All
-// values are simulated cycles.
-type LatencySummary struct {
-	Scope string `json:"scope"`
-	Count uint64 `json:"count"`
-	P50   uint64 `json:"p50"`
-	P99   uint64 `json:"p99"`
-	P999  uint64 `json:"p999"`
-	Max   uint64 `json:"max"`
-}
-
-func summarize(scope string, d *Digest) LatencySummary {
-	return LatencySummary{
-		Scope: scope,
-		Count: d.Count(),
-		P50:   d.Quantile(50, 100),
-		P99:   d.Quantile(99, 100),
-		P999:  d.Quantile(999, 1000),
-		Max:   d.Max(),
-	}
-}
-
 // Report is the auditor's final verdict: the configuration echo, every
-// test result in a fixed order, the failure findings (empty when green),
-// and the latency summaries. Field order and integer-only statistics make
-// the JSON byte-stable across runs and platforms.
+// test result in a fixed order, and the failure findings (empty when
+// green). Field order and integer-only statistics make the JSON
+// byte-stable across runs and platforms.
 type Report struct {
-	Partitions int              `json:"partitions"`
-	Leaves     uint64           `json:"leaves"`
-	RoundSlots int              `json:"round_slots"`
-	Accesses   uint64           `json:"accesses"`
-	Pass       bool             `json:"pass"`
-	Findings   []string         `json:"findings"`
-	Tests      []TestResult     `json:"tests"`
-	Latency    []LatencySummary `json:"latency"`
+	Partitions int          `json:"partitions"`
+	Leaves     uint64       `json:"leaves"`
+	RoundSlots int          `json:"round_slots"`
+	Accesses   uint64       `json:"accesses"`
+	Pass       bool         `json:"pass"`
+	Findings   []string     `json:"findings"`
+	Tests      []TestResult `json:"tests"`
 }
 
 // Report evaluates the full suite and returns the verdict. It finalizes
 // any in-flight flush round first. Call it once the fed run is complete;
 // further feeding and a later re-Report are allowed (online use).
 func (a *Auditor) Report() *Report {
-	r := &Report{Findings: []string{}, Tests: []TestResult{}, Latency: []LatencySummary{}}
+	r := &Report{Findings: []string{}, Tests: []TestResult{}}
 	if a == nil || !a.bound {
 		return r
 	}
@@ -72,14 +48,6 @@ func (a *Auditor) Report() *Report {
 	if a.failed {
 		r.Pass = false
 		r.Findings = append(r.Findings, fmt.Sprintf("online check tripped at access %d: %s", a.failedAt, a.firstFailure))
-	}
-	r.Latency = append(r.Latency,
-		summarize("all", a.latAll),
-		summarize("queue", a.latQueue),
-		summarize("service", a.latService),
-		summarize("dram", a.latDRAM))
-	for i, d := range a.latPart {
-		r.Latency = append(r.Latency, summarize(scopePart(i), d))
 	}
 	return r
 }
@@ -121,16 +89,6 @@ func (r *Report) Violations(name string) uint64 {
 	return v
 }
 
-// LatencyFor returns the named scope's latency summary (zero if absent).
-func (r *Report) LatencyFor(scope string) LatencySummary {
-	for _, l := range r.Latency {
-		if l.Scope == scope {
-			return l
-		}
-	}
-	return LatencySummary{Scope: scope}
-}
-
 // Suite is an ordered collection of named audit reports — one per audited
 // configuration — serialized as the pinned AUDIT artifact.
 type Suite struct {
@@ -143,9 +101,11 @@ type Section struct {
 	Report *Report `json:"report"`
 }
 
-// Add appends one configuration's report.
+// Add appends one configuration's report; on a nil suite it does nothing.
 func (s *Suite) Add(name string, r *Report) {
-	s.Sections = append(s.Sections, Section{Name: name, Report: r})
+	if s != nil {
+		s.Sections = append(s.Sections, Section{Name: name, Report: r})
+	}
 }
 
 // Pass reports whether every section passed (an empty suite passes).

@@ -28,48 +28,15 @@ type gaugeDump struct {
 	Value float64 `json:"value"`
 }
 
+// histogramDump is a histogram's integer digest: the exact count and
+// maximum, and the interpolated p50, p99 and p999.
 type histogramDump struct {
-	Name   string    `json:"name"`
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Count  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-	P50    float64   `json:"p50"`
-	P95    float64   `json:"p95"`
-	P99    float64   `json:"p99"`
-}
-
-// histQuantile estimates the q-quantile (0 < q <= 1) of a bucketed
-// histogram by linear interpolation inside the bucket holding the target
-// rank. The first bucket interpolates from zero; the overflow bucket has
-// no upper bound and reports the largest finite bound (the standard
-// bucketed-quantile convention). The arithmetic is a fixed left-to-right
-// walk, so equal inputs yield bit-equal outputs.
-func histQuantile(bounds []float64, counts []uint64, total uint64, q float64) float64 {
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		fc := float64(c)
-		if rank > cum+fc {
-			cum += fc
-			continue
-		}
-		if i >= len(bounds) {
-			return bounds[len(bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		return lo + (bounds[i]-lo)*((rank-cum)/fc)
-	}
-	return bounds[len(bounds)-1]
+	Name  string `json:"name"`
+	Count uint64 `json:"count"`
+	Max   uint64 `json:"max"`
+	P50   uint64 `json:"p50"`
+	P99   uint64 `json:"p99"`
+	P999  uint64 `json:"p999"`
 }
 
 type seriesDump struct {
@@ -96,15 +63,9 @@ func writeMetricsJSON(w io.Writer, reg *Registry, sm *Sampler) error {
 		dump.Gauges = append(dump.Gauges, gaugeDump{Name: g.name, Value: g.Value()})
 	}
 	for _, h := range reg.hists {
-		bounds := h.bounds
-		if bounds == nil {
-			bounds = []float64{}
-		}
 		dump.Histograms = append(dump.Histograms, histogramDump{
-			Name: h.name, Bounds: bounds, Counts: h.counts, Count: h.count, Sum: h.sum,
-			P50: histQuantile(h.bounds, h.counts, h.count, 0.50),
-			P95: histQuantile(h.bounds, h.counts, h.count, 0.95),
-			P99: histQuantile(h.bounds, h.counts, h.count, 0.99),
+			Name: h.name, Count: h.n, Max: h.max,
+			P50: h.Quantile(50, 100), P99: h.Quantile(99, 100), P999: h.Quantile(999, 1000),
 		})
 	}
 	for _, s := range sm.series {

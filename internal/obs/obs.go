@@ -150,13 +150,12 @@ func (r *Recorder) GaugeView(name string, read func() float64) *Gauge {
 	return r.reg.Gauge(r.metricPrefix()+name, read)
 }
 
-// Histogram registers (or finds) the named histogram with the given
-// ascending upper bucket bounds (an implicit +Inf bucket is added).
-func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
+// Histogram registers (or finds) the named histogram.
+func (r *Recorder) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.reg.Histogram(r.metricPrefix()+name, bounds)
+	return r.reg.Histogram(r.metricPrefix() + name)
 }
 
 // Series registers a fresh time series under the current process.

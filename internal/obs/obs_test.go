@@ -12,13 +12,13 @@ func drive(r *Recorder) {
 	var paths uint64
 	r.Counter("oram.path_accesses", func() uint64 { return paths })
 	hw := r.Gauge("stash.high_water")
-	sb := r.Histogram("oram.sb_size", PowerOfTwoBounds(4))
+	sb := r.Histogram("oram.sb_size")
 	occ := r.Series("stash_occupancy")
 	r.OnSample(func(cycle uint64) { occ.Record(cycle, float64(cycle/100)) })
 	for i := uint64(0); i < 10; i++ {
 		paths++
 		hw.Max(float64(i))
-		sb.Observe(float64(1 + i%4))
+		sb.Observe(1 + i%4)
 		r.Span("oram", "data", i*1000, 900, "leaf", i)
 		r.MaybeSample(i * 1000)
 	}
@@ -48,13 +48,13 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 	c := r.Counter("x", func() uint64 { return 1 })
 	g := r.Gauge("y")
 	v := r.GaugeView("v", func() float64 { return 1 })
-	h := r.Histogram("z", nil)
+	h := r.Histogram("z")
 	s := r.Series("w")
 	allocs := testing.AllocsPerRun(100, func() {
 		g.Set(1)
 		g.Max(2)
 		h.Observe(3)
-		if c.Value() != 0 || g.Value() != 0 || v.Value() != 0 || h.Count() != 0 || h.Mean() != 0 || s.Len() != 0 {
+		if c.Value() != 0 || g.Value() != 0 || v.Value() != 0 || h.Quantile(1, 2) != 0 || s.Len() != 0 {
 			t.Fatal("nil handle reports a value")
 		}
 		s.Record(4, 5)
@@ -126,23 +126,30 @@ func TestRegistryOrderAndDedup(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets: bin b holds the values of bit length b, the top
+// bin included, and its interpolation does not overflow there.
 func TestHistogramBuckets(t *testing.T) {
 	var reg Registry
-	h := reg.Histogram("h", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 100} {
+	h := reg.Histogram("h")
+	for _, v := range []uint64{0, 1, 2, 3, 4, 7, 8, 1 << 63, ^uint64(0)} {
 		h.Observe(v)
 	}
-	want := []uint64{2, 2, 2, 1} // ≤1, ≤2, ≤4, +Inf
-	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("bucket %d: got %d want %d (counts %v)", i, h.counts[i], w, h.counts)
+	want := map[int]uint64{0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 64: 2}
+	for b, got := range h.counts {
+		if got != want[b] {
+			t.Fatalf("bin %d holds %d, want %d (counts %v)", b, got, want[b], h.counts)
 		}
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count %d", h.Count())
+	if h.n != 9 || h.max != ^uint64(0) {
+		t.Fatalf("count %d max %d", h.n, h.max)
 	}
-	if m := h.Mean(); m < 16.0 || m > 16.1 {
-		t.Fatalf("mean %v", m)
+	// Ranks 8 and 9 are the top bin's two values: the midpoints of its
+	// lower and upper half.
+	if got := h.Quantile(8, 9); got != 11529215046068469759 {
+		t.Errorf("rank 8 = %d", got)
+	}
+	if got := h.Quantile(1, 1); got != 16140901064495857663 {
+		t.Errorf("rank 9 = %d", got)
 	}
 }
 
@@ -312,42 +319,57 @@ func TestBeginProcessFreezesViews(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles pins the integer interpolation: the midpoint of
+// the rank's slice of its bin, the bin's top clamped to the maximum.
 func TestHistogramQuantiles(t *testing.T) {
-	// 100 observations spread evenly across (0,10], (10,20], (20,40]:
-	// linear interpolation inside the selected bucket is exact for the
-	// mid-bucket ranks and clamps to the top bound in the overflow bucket.
-	bounds := []float64{10, 20, 40}
-	counts := []uint64{50, 40, 10, 0}
-	if q := histQuantile(bounds, counts, 100, 0.50); q != 10 {
-		t.Fatalf("p50 = %v, want 10", q)
-	}
-	if q := histQuantile(bounds, counts, 100, 0.25); q != 5 {
-		t.Fatalf("p25 = %v, want 5", q)
-	}
-	if q := histQuantile(bounds, counts, 100, 0.95); q != 30 {
-		t.Fatalf("p95 = %v, want 30", q)
-	}
-	if q := histQuantile(bounds, counts, 100, 1.0); q != 40 {
-		t.Fatalf("p100 = %v, want 40", q)
-	}
-	// Overflow-bucket mass reports the largest finite bound.
-	if q := histQuantile(bounds, []uint64{0, 0, 0, 5}, 5, 0.5); q != 40 {
-		t.Fatalf("overflow p50 = %v, want 40", q)
-	}
-	if q := histQuantile(bounds, counts, 0, 0.5); q != 0 {
-		t.Fatalf("empty histogram p50 = %v, want 0", q)
-	}
-	// The export carries the quantiles.
 	var reg Registry
-	h := reg.Histogram("h", bounds)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%40) + 0.5)
+	h := reg.Histogram("h")
+	for v := uint64(1); v <= 1000; v++ {
+		h.Observe(v)
 	}
+	// p50 is rank 500, the 245th of bin 9's 256 values in [256, 511];
+	// p99, p999 and the last rank are ranks 990, 999 and 1000 among bin
+	// 10's 489 in [512, 1000]: a slice's midpoint, never the maximum.
+	for _, tc := range []struct{ num, den, want uint64 }{
+		{50, 100, 499}, {99, 100, 989}, {999, 1000, 998}, {1, 1, 999}, {1, 1000, 1},
+	} {
+		if got := h.Quantile(tc.num, tc.den); got != tc.want {
+			t.Errorf("Quantile(%d, %d) = %d, want %d", tc.num, tc.den, got, tc.want)
+		}
+	}
+	if h.n != 1000 || h.max != 1000 {
+		t.Errorf("count %d max %d", h.n, h.max)
+	}
+	var empty Histogram
+	if empty.Quantile(50, 100) != 0 {
+		t.Error("empty histogram has a median")
+	}
+	var one Histogram
+	one.Observe(42)
+	if got := one.Quantile(50, 100); got != 37 { // the middle of [32, 42]
+		t.Errorf("single-value p50 = %d, want 37", got)
+	}
+	var none *Histogram
+	none.Observe(42)
+	if none.Quantile(50, 100) != 0 {
+		t.Error("nil histogram has a median")
+	}
+
+	// The export is the integer digest.
 	var buf bytes.Buffer
 	if err := writeMetricsJSON(&buf, &reg, &Sampler{}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"p50"`) || !strings.Contains(buf.String(), `"p99"`) {
-		t.Fatalf("export missing quantile fields:\n%s", buf.String())
+	var dump struct{ Histograms []json.RawMessage }
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, dump.Histograms[0]); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"name":"h","count":1000,"max":1000,"p50":499,"p99":989,"p999":998}`
+	if compact.String() != want {
+		t.Errorf("export %s, want %s", compact.String(), want)
 	}
 }

@@ -1,5 +1,7 @@
 package obs
 
+import "math/bits"
+
 // Registry holds named metrics in registration order. Lookups are linear
 // scans: registration happens a handful of times per simulated system,
 // never on the per-access hot path, and avoiding maps keeps every export
@@ -64,45 +66,67 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram counts observations into buckets with ascending upper-bound
-// edges plus an implicit +Inf bucket. All methods are no-ops on a nil
-// handle.
+// Histogram is a streaming integer histogram with deterministic
+// quantiles: fixed power-of-two bins (bin b holds the values of bit length
+// b, i.e. [2^(b-1), 2^b) for b ≥ 1 and {0} for b = 0) and integer
+// interpolation inside the selected bin. Its memory is fixed whatever the
+// stream length, and two histograms fed the same stream report the same
+// quantiles on every platform. All methods are no-ops on a nil handle.
 type Histogram struct {
 	name   string
-	bounds []float64 // ascending upper bounds; counts has len(bounds)+1
-	counts []uint64
-	count  uint64
-	sum    float64
+	counts [histBins]uint64
+	n      uint64
+	max    uint64
 }
 
+// histBins is bits.Len64's range.
+const histBins = 65
+
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.count++
-	h.sum += v
+	h.counts[bits.Len64(v)]++
+	h.n++
+	h.max = max(h.max, v)
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
+// Quantile returns the num/den quantile (e.g. 99/100 for p99): the value
+// at rank ceil(n·num/den), estimated by spreading a bin's count evenly
+// across its range. Integer arithmetic throughout; an empty histogram
+// returns 0.
+func (h *Histogram) Quantile(num, den uint64) uint64 {
+	if h == nil || h.n == 0 || den == 0 {
 		return 0
 	}
-	return h.count
+	rank := min(max((h.n*num+den-1)/den, 1), h.n)
+	var cum uint64
+	for b, cnt := range h.counts {
+		if rank > cum+cnt {
+			cum += cnt
+			continue
+		}
+		lo, hi := binRange(b)
+		hi = min(hi, h.max)
+		// The midpoint of the pos-th of cnt equal slices of [lo, hi],
+		// monotone in pos. The product is below 2·cnt·2^64, so the
+		// 128-bit division cannot overflow.
+		pos := rank - cum // 1..cnt
+		ph, pl := bits.Mul64(hi-lo, 2*pos-1)
+		q, _ := bits.Div64(ph, pl, 2*cnt)
+		return lo + q
+	}
+	return h.max
 }
 
-// Mean returns the running mean of observations (0 before the first).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
+// binRange returns the value range [lo, hi] bin b covers.
+func binRange(b int) (lo, hi uint64) {
+	if b == 0 {
+		return 0, 0
 	}
-	return h.sum / float64(h.count)
+	lo = uint64(1) << (b - 1)
+	return lo, lo<<1 - 1 // at b = 64 the shift wraps to 0 and hi to MaxUint64
 }
 
 // Counter returns the named counter, registering it on first use as a view
@@ -143,30 +167,14 @@ func (r *Registry) freeze() {
 	}
 }
 
-// Histogram returns the named histogram, registering it on first use with
-// the given bucket bounds (bounds are ignored on a rediscovered name: the
-// first registration wins).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, registering it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	for _, h := range r.hists {
 		if h.name == name {
 			return h
 		}
 	}
-	h := &Histogram{
-		name:   name,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
+	h := &Histogram{name: name}
 	r.hists = append(r.hists, h)
 	return h
-}
-
-// PowerOfTwoBounds returns histogram bounds 1, 2, 4, ... 2^(n-1) —
-// the natural scale for super block sizes and occupancy counts.
-func PowerOfTwoBounds(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(uint64(1) << i)
-	}
-	return out
 }

@@ -36,7 +36,7 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 			n = c.staticGroupSize(pb, slot)
 		}
 	}
-	c.obsSBSize.Observe(float64(n))
+	c.obsSBSize.Observe(uint64(n))
 	gStart := posmap.GroupStart(slot, n)
 	newLeaf := c.randLeaf()
 

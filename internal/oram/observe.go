@@ -33,9 +33,8 @@ func (c *Controller) SetRecorder(rec *obs.Recorder) {
 	for k := range NumKinds {
 		rec.Counter("oram.cycles."+k.String(), func() uint64 { return st.KindCycles[k] })
 	}
-	// Super block sizes are powers of two; bounds up to 64 cover every
-	// configuration the policy accepts.
-	c.obsSBSize = rec.Histogram("oram.sb_size", obs.PowerOfTwoBounds(7))
+	// Super block sizes are powers of two: each fills its own bin.
+	c.obsSBSize = rec.Histogram("oram.sb_size")
 
 	// Components. The initializer's untimed drain of an over-packed tree
 	// (prefill) is not part of the run, here as in the path counters.

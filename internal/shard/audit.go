@@ -15,57 +15,12 @@ type slotMark struct {
 	pad bool
 }
 
-// spans is one (round, partition) latency decomposition in cycles, built
-// at the commit barrier from round-driver-owned state.
-type spans struct {
-	service uint64   // round clock floor -> partition data ready
-	dram    uint64   // first physical issue -> partition data ready
-	ready   uint64   // the partition's post-round clock
-	queue   []uint64 // per served request: since -> this floor
-	total   []uint64 // per served request: since -> data ready
-}
-
-// roundSpans decomposes a committed demand round's latency per partition.
-// Completion is each partition's post-arbitration clock; queueing delay is
-// measured from the clock floor of the first round that took the request
-// (its since) to this round's floor. Runs on the round driver with workers
-// quiescent.
-func (f *Frontend) roundSpans(floor uint64, byPart []roundResult) []spans {
-	out := make([]spans, len(byPart))
-	for i := range byPart {
-		r := &byPart[i]
-		p := f.parts[r.part]
-		sp := spans{ready: p.store.Now}
-		if sp.ready > floor {
-			sp.service = sp.ready - floor
-		}
-		if len(r.trace) > 0 && sp.ready > r.trace[0].Start {
-			sp.dram = sp.ready - r.trace[0].Start
-		}
-		if len(r.servedSince) > 0 {
-			sp.queue = make([]uint64, len(r.servedSince))
-			sp.total = make([]uint64, len(r.servedSince))
-			for j, since := range r.servedSince {
-				var q uint64
-				if floor > since {
-					q = floor - since
-				}
-				sp.queue[j] = q
-				sp.total[j] = q + sp.service
-			}
-		}
-		out[r.part] = sp
-	}
-	return out
-}
-
 // feedAudit streams one committed round into the auditor: the observed
-// per-slot mark counts (round shape), every physical access with its
+// per-slot mark counts (round shape), and every physical access with its
 // arbitrated start cycle and the round's end (uniformity, serial
-// independence, timing), and
-// the latency spans. Runs on the round driver at the commit barrier, the
-// same discipline as the metrics emissions.
-func (f *Frontend) feedAudit(round uint64, kind roundKind, byPart []roundResult, sp []spans) {
+// independence, timing). Runs on the round driver at the commit barrier,
+// the same discipline as the metrics emissions.
+func (f *Frontend) feedAudit(round uint64, kind roundKind, byPart []roundResult) {
 	a := f.cfg.Audit
 	if a == nil {
 		return
@@ -97,12 +52,6 @@ func (f *Frontend) feedAudit(round uint64, kind roundKind, byPart []roundResult,
 			// data-ready cycle (arbitrated, on the banked device): it times
 			// the round's last slot too.
 			a.AccessesUntil(r.part, evs, f.parts[r.part].store.Ctrl.Stats().LastEnd)
-		}
-		if sp != nil {
-			s := &sp[r.part]
-			for j := range s.total {
-				a.Latency(r.part, s.queue[j], s.service, s.dram, s.total[j])
-			}
 		}
 	}
 }

@@ -66,8 +66,8 @@ type Config struct {
 	// all emissions happen on the dispatcher goroutine.
 	Recorder *obs.Recorder
 	// Audit, when non-nil, receives the wire-observable streams — per-slot
-	// trace marks, arbitrated physical accesses, latency spans — at every
-	// commit barrier. The frontend Binds it to its own shape; like the
+	// trace marks and arbitrated physical accesses — at every commit
+	// barrier. The frontend Binds it to its own shape; like the
 	// Recorder it must be dedicated to this frontend (all feeds happen on
 	// the round driver). Setting it forces per-round trace recording.
 	Audit *audit.Auditor
@@ -221,7 +221,6 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 	// barrier, and the auditor tests the observed trace — both need the
 	// per-round traces even when the caller didn't ask for the access log.
 	record := cfg.RecordAccesses || cfg.Banked != nil || cfg.Audit != nil
-	lat := cfg.Audit != nil || cfg.Recorder.Enabled()
 	for i := range f.parts {
 		seedP := mix(cfg.Seed, 0x70617274<<8|uint64(i))
 		ocfg := cfg.ORAM
@@ -247,7 +246,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			roundSlots:  cfg.RoundSlots,
 			record:      record,
 			markSlots:   cfg.Audit != nil,
-			lat:         lat,
+			lat:         cfg.Recorder.Enabled(),
 			dropDummies: cfg.Leak == audit.LeakDropDummies,
 			store:       NewStore(ctrl, sealer, cfg.BlockBytes),
 			dummyRnd:    rng.New(mix(seedP, 3)),
@@ -579,23 +578,20 @@ func (f *Frontend) commit(round uint64, kind roundKind, floor uint64, byPart []r
 	}
 	pending := f.pending
 	f.mu.Unlock()
-	// Latency spans and the audit feed run after arbitration so start
-	// cycles are the contended ones the wire would show. Both touch only
+	// The audit feed and the metrics run after arbitration so start cycles
+	// are the contended ones the wire would show. Both touch only
 	// round-driver-owned state (auditor, recorder).
-	var sp []spans
-	if kind == roundDemand && (f.cfg.Audit != nil || f.met != nil) {
-		sp = f.roundSpans(floor, byPart)
-	}
-	f.feedAudit(round, kind, byPart, sp)
-	f.met.onRound(f, kind, byPart, sp, pending)
+	f.feedAudit(round, kind, byPart)
+	f.met.onRound(f, kind, floor, byPart, pending)
 }
 
 // arbitrate schedules the round's recorded accesses onto the shared banked
 // device, slot-major across partitions from the round's clock floor, then
 // installs the contended times: each trace event's provisional start is
-// rewritten to its arbitrated issue cycle (before the log sees it), and
-// each partition's clock — store and controller — moves to its last
-// access's data-ready time. Callers hold mu with all workers idle.
+// rewritten to its arbitrated issue cycle (before the log sees it), as is
+// the round's first issue, and each partition's clock — store and
+// controller — moves to its last access's data-ready time. Callers hold mu
+// with all workers idle.
 func (f *Frontend) arbitrate(floor uint64, byPart []roundResult) {
 	lanes := make([][]uint64, len(f.parts))
 	for _, r := range byPart {
@@ -610,6 +606,9 @@ func (f *Frontend) arbitrate(floor uint64, byPart []roundResult) {
 		r := &byPart[i]
 		for j := range r.trace {
 			r.trace[j].Start = starts[r.part][j]
+		}
+		if len(r.trace) > 0 {
+			r.issue = r.trace[0].Start
 		}
 		p := f.parts[r.part]
 		p.store.Now = ready[r.part]

@@ -17,18 +17,17 @@ type metrics struct {
 	queueDepth *obs.Gauge     // high-water pending requests at a barrier
 	stash      []*obs.Gauge   // per-partition stash occupancy high-water
 
-	// End-to-end latency decomposition, in simulated cycles: per-request
-	// totals per partition, plus the global queue/service/DRAM components.
-	latE2E     []*obs.Histogram
+	// Latency decomposition of demand rounds, in simulated cycles (see
+	// onRound): per served request its end-to-end total, over all
+	// partitions and per partition, and its queueing delay; per (round,
+	// partition) the service time and the DRAM residency.
+	latE2E     *obs.Histogram
+	latPart    []*obs.Histogram
 	latQueue   *obs.Histogram
 	latService *obs.Histogram
 	latDRAM    *obs.Histogram
 	spanNames  []string // per-partition trace lane names, preallocated
 }
-
-// latencyBounds bucket simulated-cycle latencies from a single path
-// access (~thousands) up through heavily queued rounds.
-var latencyBounds = []float64{1_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000}
 
 // newMetrics registers f's scheduler metrics on rec; nil recorder, nil
 // metrics (every method is then a no-op). The counters read the snapshot
@@ -53,51 +52,60 @@ func newMetrics(rec *obs.Recorder, f *Frontend) *metrics {
 	view("shard.carryovers", func(s Stats) uint64 { return s.Carryovers })
 	m := &metrics{
 		rec:        rec,
-		fill:       rec.Histogram("shard.round_fill_pct", []float64{0, 10, 25, 50, 75, 90, 100}),
+		fill:       rec.Histogram("shard.round_fill_pct"),
 		queueDepth: rec.Gauge("shard.queue_depth"),
 		stash:      make([]*obs.Gauge, parts),
-		latE2E:     make([]*obs.Histogram, parts),
-		latQueue:   rec.Histogram("shard.latency_queue", latencyBounds),
-		latService: rec.Histogram("shard.latency_service", latencyBounds),
-		latDRAM:    rec.Histogram("shard.latency_dram", latencyBounds),
+		latE2E:     rec.Histogram("shard.latency_e2e"),
+		latPart:    make([]*obs.Histogram, parts),
+		latQueue:   rec.Histogram("shard.latency_queue"),
+		latService: rec.Histogram("shard.latency_service"),
+		latDRAM:    rec.Histogram("shard.latency_dram"),
 		spanNames:  make([]string, parts),
 	}
 	for i := range m.stash {
 		m.stash[i] = rec.Gauge(fmt.Sprintf("shard.p%d.stash_occupancy", i))
-		m.latE2E[i] = rec.Histogram(fmt.Sprintf("shard.p%d.latency_e2e", i), latencyBounds)
+		m.latPart[i] = rec.Histogram(fmt.Sprintf("shard.p%d.latency_e2e", i))
 		m.spanNames[i] = fmt.Sprintf("p%d.service", i)
 	}
 	return m
 }
 
-// onRound records one completed round (of any kind) from the barrier. For
-// demand rounds sp carries the per-partition latency decomposition (nil
-// for flush and pad rounds).
-func (m *metrics) onRound(f *Frontend, kind roundKind, byPart []roundResult, sp []spans, pending int) {
+// onRound records one completed round (of any kind) from the barrier,
+// after arbitration, so every cycle is the contended one the wire shows.
+// A demand round's latency decomposes per partition against the round's
+// clock floor: service runs from the floor to the partition's data-ready
+// clock, DRAM residency from its first physical issue to that clock, and
+// a served request queued from the floor of the first round that took it
+// (its since) to this one's.
+func (m *metrics) onRound(f *Frontend, kind roundKind, floor uint64, byPart []roundResult, pending int) {
 	if m == nil {
 		return
 	}
 	if kind == roundDemand {
 		for i := range byPart {
-			m.fill.Observe(100 * float64(byPart[i].real) / float64(f.cfg.RoundSlots))
-		}
-	}
-	if sp != nil {
-		for i := range sp {
-			s := &sp[i]
-			if s.service > 0 {
+			r := &byPart[i]
+			m.fill.Observe(uint64(100 * r.real / f.cfg.RoundSlots))
+			ready := f.parts[i].store.Now
+			var service uint64
+			if ready > floor {
+				service = ready - floor
 				// One "service" lane per partition: Perfetto renders each
-				// partition's round execution as a bar from the round's clock
-				// floor to the partition's data-ready cycle.
-				m.rec.Span("latency", m.spanNames[i], s.ready-s.service, s.service, "part", uint64(i))
-				m.latService.Observe(float64(s.service))
+				// partition's round execution as a bar from the round's
+				// clock floor to the partition's data-ready cycle.
+				m.rec.Span("latency", m.spanNames[i], floor, service, "part", uint64(i))
+				m.latService.Observe(service)
 			}
-			if s.dram > 0 {
-				m.latDRAM.Observe(float64(s.dram))
+			if ready > r.issue {
+				m.latDRAM.Observe(ready - r.issue)
 			}
-			for j := range s.total {
-				m.latQueue.Observe(float64(s.queue[j]))
-				m.latE2E[i].Observe(float64(s.total[j]))
+			for _, since := range r.servedSince {
+				var queue uint64
+				if floor > since {
+					queue = floor - since
+				}
+				m.latQueue.Observe(queue)
+				m.latE2E.Observe(queue + service)
+				m.latPart[i].Observe(queue + service)
 			}
 		}
 	}

@@ -67,6 +67,7 @@ type roundResult struct {
 	errors      int        // requests answered with an error
 	trace       []oram.TraceEvent
 	marks       []slotMark // per-slot trace boundaries (auditing only)
+	issue       uint64     // demand rounds: first physical access's start (latency only)
 	servedSince []uint64   // since of each answered request (latency only)
 }
 
@@ -81,7 +82,7 @@ type partition struct {
 	roundSlots  int
 	record      bool // keep per-round traces
 	markSlots   bool // auditing: mark each slot's trace boundary
-	lat         bool // latency spans: report served requests' arrival rounds
+	lat         bool // latency spans: report the first issue and served requests' floors
 	dropDummies bool // LeakDropDummies negative control: lie about padding
 
 	store    *Store
@@ -187,6 +188,15 @@ func (p *partition) mark(pad bool) {
 // slot is left and the queue has room for its evictions; otherwise it
 // carries over.
 func (p *partition) demandRound(w roundWork, res *roundResult) {
+	if p.lat {
+		// Every access starts once both its request and the controller
+		// are ready, so a round's first starts at the clock or at the end
+		// of the last round's background work, whichever is later (the
+		// partitions run without Periodic's fixed-interval schedule). On a
+		// shared banked device arbitrate replaces it with the contended
+		// issue cycle.
+		res.issue = max(p.store.Now, p.store.Ctrl.Stats().LastEnd)
+	}
 	budget := p.roundSlots
 	for _, req := range w.reqs {
 		// A floor is the largest partition clock, and clocks never fall,

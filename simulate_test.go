@@ -219,26 +219,3 @@ func TestSimulatorMisuseIsAnError(t *testing.T) {
 	}
 	Workload{}.ForEach(func(Op) { t.Fatal("zero Workload streamed an op") })
 }
-
-func TestExperimentFacade(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 27 { // 18 paper tables/figures + 6 ablations + bench0 + bench1 + audit2
-		t.Fatalf("ExperimentIDs = %d", len(ids))
-	}
-	if _, ok := ExperimentTitle("fig8a"); !ok {
-		t.Fatal("missing title")
-	}
-	tb, err := Experiment("table1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.ID != "table1" || len(tb.Rows) == 0 || tb.Format() == "" || tb.CSV() == "" {
-		t.Fatalf("bad table: %+v", tb)
-	}
-	if v, ok := tb.Cell("Z", "paper"); !ok || v != 3 {
-		t.Fatalf("Cell(Z, paper) = %v, %v", v, ok)
-	}
-	if _, err := Experiment("nope", 1); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
