@@ -170,6 +170,24 @@ func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
 	return ch, gb, row
 }
 
+// loc is an address together with its decomposition, so that a caller
+// issuing the same address twice decomposes it once.
+type loc struct {
+	addr, row uint64
+	ch, gb    int
+}
+
+func (m *Model) locate(addr uint64) loc {
+	ch, gb, row := m.decompose(addr)
+	return loc{addr: addr, row: row, ch: ch, gb: gb}
+}
+
+// transferCycles returns the channel cycles a transfer of the given size
+// occupies: the exact ceiling at the configured rate, and never zero.
+func (m *Model) transferCycles(bytes uint64) uint64 {
+	return max((bytes*1024+m.rate1024-1)/m.rate1024, 1)
+}
+
 // Access schedules one bucket-granular access issued at time now and
 // returns the cycle its data is off the channel. The bank's row-buffer
 // state decides the activation cost, and the channel bus serializes
@@ -178,7 +196,13 @@ func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
 // flight, so only a row change (miss or conflict) waits for the bank to
 // drain before precharge/activate.
 func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
-	ch, gb, row := m.decompose(addr)
+	return m.access(now, m.locate(addr), bytes, m.transferCycles(bytes), write)
+}
+
+// access is Access on a located address whose transfer cycles the caller
+// has computed.
+func (m *Model) access(now uint64, at loc, bytes, transfer uint64, write bool) uint64 {
+	ch, gb, row := at.ch, at.gb, at.row
 	// Hoist the geometry-sized slices; decompose maps every address into
 	// [0, banks) and [0, channels) by construction. bankUntil is indexed
 	// on three paths below, so one pin here saves the compiler two bounds
@@ -209,10 +233,6 @@ func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 		outcome = RowConflict
 		m.stats.RowConflicts++
 	}
-	transfer := (bytes*1024 + m.rate1024 - 1) / m.rate1024
-	if transfer == 0 {
-		transfer = 1
-	}
 	dataStart := max(start+rowLat, busUntil[ch])
 	done := dataStart + transfer
 
@@ -230,7 +250,7 @@ func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
 		m.stats.Reads++
 	}
 	if m.log != nil {
-		m.log = append(m.log, AccessRec{Addr: addr, Start: now, Done: done, Write: write, Outcome: outcome})
+		m.log = append(m.log, AccessRec{Addr: at.addr, Start: now, Done: done, Write: write, Outcome: outcome})
 	}
 	return done
 }

@@ -314,6 +314,141 @@ func TestPackedLayoutBeatsLinear(t *testing.T) {
 	}
 }
 
+// refPath is Device.Path as a sequence of Model.Access calls, one per
+// bucket and phase, each decomposing its address afresh.
+func refPath(m *Model, tm *TreeMap, crypto, now, leaf uint64) dram.PathTiming {
+	L := tm.Levels()
+	leafNode := uint64(1)<<L + leaf
+	var readDone, writeDone uint64
+	for depth := 0; depth <= L; depth++ {
+		readDone = max(readDone, m.Access(now, tm.Addr(leafNode>>(L-depth)), tm.BucketBytes(), false))
+	}
+	dataReady := readDone + crypto
+	for depth := L; depth >= 0; depth-- {
+		writeDone = max(writeDone, m.Access(dataReady, tm.Addr(leafNode>>(L-depth)), tm.BucketBytes(), true))
+	}
+	return dram.PathTiming{Start: now, ReadDone: readDone, DataReady: dataReady, Done: writeDone}
+}
+
+// Device.Path locates each bucket once and computes one transfer time per
+// device; its schedule, its timing log and its statistics must be those
+// of the bucket-by-bucket Model.Access calls it replaces, on either layout,
+// on a geometry whose channel and per-channel bank counts are not powers
+// of two (so decompose divides) and whose bucket transfer rounds up, and
+// through a Shared device's CommitRound.
+func TestDevicePathMatchesAccess(t *testing.T) {
+	odd := testCfg()
+	odd.Channels, odd.Ranks, odd.Banks = 3, 2, 3
+	odd.RowBytes, odd.StripeBytes = 2048, 512
+	odd.BandwidthGBps = 12.8
+	type geom struct{ levels, z, blockBytes int }
+	cases := []struct {
+		name string
+		cfg  Config
+		g    geom
+	}{
+		{"packed", testCfg(), geom{12, 4, 64}},
+		{"linear", func() Config { c := testCfg(); c.Layout = LayoutLinear; return c }(), geom{12, 4, 64}},
+		{"default", DefaultConfig(), geom{14, 3, 128}},
+		{"odd/packed", odd, geom{11, 3, 72}},
+		{"odd/linear", func() Config { c := odd; c.Layout = LayoutLinear; return c }(), geom{11, 3, 72}},
+	}
+	const crypto, paths = 21, 2000
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dev, err := NewDevice(c.cfg, c.g.levels, c.g.z, c.g.blockBytes, crypto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm, err := NewTreeMap(c.cfg, c.g.levels, c.g.z, c.g.blockBytes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := New(c.cfg)
+			dev.Model().EnableLog()
+			ref.EnableLog()
+			r := rng.New(uint64(i + 1))
+			var now uint64
+			for range paths {
+				leaf := r.Uint64n(uint64(1) << c.g.levels)
+				got, want := dev.Path(now, leaf), refPath(ref, tm, crypto, now, leaf)
+				if got != want {
+					t.Fatalf("leaf %d at %d: Path = %+v, Access calls give %+v", leaf, now, got, want)
+				}
+				now += r.Uint64n(300) // sometimes behind the last path, sometimes past it
+			}
+			if !bytes.Equal(dev.Model().LogBytes(), ref.LogBytes()) {
+				t.Error("timing logs differ")
+			}
+			if dev.Model().Stats() != ref.Stats() {
+				t.Errorf("stats %+v, Access calls give %+v", dev.Model().Stats(), ref.Stats())
+			}
+		})
+	}
+
+	t.Run("shared", func(t *testing.T) {
+		const parts, levels, z, blockBytes = 3, 11, 3, 72
+		sh, err := NewShared(odd, parts, levels, z, blockBytes, crypto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := New(odd)
+		var tms []*TreeMap
+		var base uint64
+		for range parts {
+			tm, err := NewTreeMap(odd, levels, z, blockBytes, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tms = append(tms, tm)
+			base += tm.SpanBytes()
+		}
+		sh.Model().EnableLog()
+		ref.EnableLog()
+		r := rng.New(9)
+		var floor uint64
+		for done := 0; done < paths; {
+			lanes := make([][]uint64, parts)
+			for p := range lanes {
+				for range r.Intn(5) {
+					lanes[p] = append(lanes[p], r.Uint64n(1<<levels))
+					done++
+				}
+			}
+			starts, ready := sh.CommitRound(floor, lanes)
+			// CommitRound's order, slot-major, on the reference; a lane
+			// holds at most four paths.
+			wantReady := make([]uint64, parts)
+			for p := range wantReady {
+				wantReady[p] = floor
+			}
+			for j := 0; j < 4; j++ {
+				for p, lane := range lanes {
+					if j >= len(lane) {
+						continue
+					}
+					if starts[p][j] != wantReady[p] {
+						t.Fatalf("partition %d slot %d starts at %d, want %d", p, j, starts[p][j], wantReady[p])
+					}
+					wantReady[p] = refPath(ref, tms[p], crypto, wantReady[p], lane[j]).DataReady
+				}
+			}
+			for p := range ready {
+				if ready[p] != wantReady[p] {
+					t.Fatalf("partition %d ready at %d, want %d", p, ready[p], wantReady[p])
+				}
+				floor = max(floor, ready[p])
+			}
+		}
+		if !bytes.Equal(sh.Model().LogBytes(), ref.LogBytes()) {
+			t.Error("timing logs differ")
+		}
+		if sh.Model().Stats() != ref.Stats() {
+			t.Errorf("stats %+v, Access calls give %+v", sh.Model().Stats(), ref.Stats())
+		}
+	})
+}
+
 // Shared arbitration is deterministic: identical lanes produce identical
 // schedules and timing logs across independent instances.
 func TestSharedCommitRoundDeterminism(t *testing.T) {

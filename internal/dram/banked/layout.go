@@ -132,9 +132,13 @@ func (t *TreeMap) Addr(node uint64) uint64 {
 // buckets — whose rows the read phase left open — while the next path's
 // reads may already be streaming on other banks.
 type Device struct {
-	m      *Model
-	t      *TreeMap
-	crypto uint64
+	m        *Model
+	t        *TreeMap
+	crypto   uint64
+	transfer uint64 // channel cycles of one bucket
+	// path holds the buckets of the path being scheduled, root first,
+	// each located once for both phases.
+	path []loc
 }
 
 var _ dram.Device = (*Device)(nil)
@@ -147,7 +151,11 @@ func NewDevice(cfg Config, levels, z, blockBytes int, crypto uint64) (*Device, e
 	if err != nil {
 		return nil, err
 	}
-	return &Device{m: New(cfg), t: tm, crypto: crypto}, nil
+	return newDevice(New(cfg), tm, crypto), nil
+}
+
+func newDevice(m *Model, t *TreeMap, crypto uint64) *Device {
+	return &Device{m: m, t: t, crypto: crypto, transfer: m.transferCycles(t.bucketBytes), path: make([]loc, t.levels+1)}
 }
 
 // Model exposes the underlying timing model (stats, instrumentation).
@@ -160,18 +168,16 @@ func (d *Device) Model() *Model { return d.m }
 func (d *Device) Path(now uint64, leaf uint64) dram.PathTiming {
 	L := d.t.levels
 	leafNode := uint64(1)<<L + leaf
+	path, bytes := d.path, d.t.bucketBytes
 	var readDone uint64
-	for depth := 0; depth <= L; depth++ {
-		node := leafNode >> (L - depth)
-		done := d.m.Access(now, d.t.Addr(node), d.t.bucketBytes, false)
-		readDone = max(readDone, done)
+	for depth := range path {
+		path[depth] = d.m.locate(d.t.Addr(leafNode >> (L - depth)))
+		readDone = max(readDone, d.m.access(now, path[depth], bytes, d.transfer, false))
 	}
 	dataReady := readDone + d.crypto
 	var writeDone uint64
-	for depth := L; depth >= 0; depth-- {
-		node := leafNode >> (L - depth)
-		done := d.m.Access(dataReady, d.t.Addr(node), d.t.bucketBytes, true)
-		writeDone = max(writeDone, done)
+	for depth := len(path) - 1; depth >= 0; depth-- {
+		writeDone = max(writeDone, d.m.access(dataReady, path[depth], bytes, d.transfer, true))
 	}
 	return dram.PathTiming{Start: now, ReadDone: readDone, DataReady: dataReady, Done: writeDone}
 }
@@ -201,7 +207,7 @@ func NewShared(cfg Config, parts, levels, z, blockBytes int, crypto uint64) (*Sh
 		if err != nil {
 			return nil, err
 		}
-		s.devs[i] = &Device{m: m, t: tm, crypto: crypto}
+		s.devs[i] = newDevice(m, tm, crypto)
 		base += tm.SpanBytes()
 	}
 	return s, nil

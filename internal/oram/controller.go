@@ -176,16 +176,6 @@ func (c *Controller) mustAdd(id mem.BlockID, leaf mem.Leaf) {
 	}
 }
 
-// readPath is the read phase of a path access: every block on the path to
-// leaf moves to the stash under the label its tree slot holds, which is
-// the one the position map records, so no position-map entry is read.
-func (c *Controller) readPath(leaf mem.Leaf) {
-	if err := c.st.ReadPath(c.tr, leaf); err != nil {
-		//proram:invariant ReadPath refuses only a stash past its table maximum, 2^28 blocks, which a Path ORAM stash bounded by background eviction never approaches
-		panic("oram: " + err.Error())
-	}
-}
-
 // leafOf returns the current mapping of any block, consulting the on-chip
 // table for top-level position-map blocks and parent entries otherwise.
 func (c *Controller) leafOf(id mem.BlockID) mem.Leaf {
@@ -250,7 +240,10 @@ func (c *Controller) rawPathAccess(start uint64, leaf mem.Leaf, kind AccessKind,
 	}
 	c.obs.Span("oram", kind.String(), start, end-start, "leaf", uint64(leaf))
 
-	c.readPath(leaf)
+	// The read phase: every block on the path moves to the stash under the
+	// label its tree slot holds, which is the one the position map records,
+	// so no position-map entry is read.
+	c.st.ReadPath(c.tr, leaf)
 	if during != nil {
 		during()
 	}

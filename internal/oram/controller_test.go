@@ -735,10 +735,12 @@ func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
 
 // BenchmarkPathAccess times Read on a warm, prefilled controller under the
 // dynamic scheme with super blocks of up to two, over uniformly random
-// indices, at the geometries of two of the repository benchmark's
-// workloads: sim_locality's Table 1 system (1.5M blocks, a 24 MB tree) and
-// ram_uniform_rw's RAM (2^16 blocks of 128 B, a 1 MB tree). Both keep
-// Z=3, a stash limit of 100 and a PLB of 128. It reports ns per Read and
+// indices, at the geometries of three of the repository benchmark's
+// workloads: sim_locality's Table 1 system (1.5M blocks, a 24 MB tree),
+// sim_ycsb_packed's (the same system on the subtree-packed banked device,
+// so each path is also scheduled bucket by bucket) and ram_uniform_rw's
+// RAM (2^16 blocks of 128 B, a 1 MB tree). All keep Z=3, a stash limit of
+// 100 and a PLB of 128. It reports ns per Read and
 // path accesses per Read; with no LLC attached nothing merges, so the
 // number is the path accesses' host time. Run it with
 // `go test -run '^$' -bench PathAccess -benchtime 2000x ./internal/oram`.
@@ -748,12 +750,16 @@ func BenchmarkPathAccess(b *testing.B) {
 	table1 := DefaultConfig()
 	table1.Prefill = true
 	table1.Super = sb
+	packed := table1
+	packedDev := banked.DefaultConfig()
+	packedDev.Layout = banked.LayoutSubtreePacked
+	packed.Banked = &packedDev
 	ram := table1
 	ram.NumBlocks = 1 << 16
 	for _, g := range []struct {
 		name string
 		cfg  Config
-	}{{"sim_locality", table1}, {"ram_uniform_rw", ram}} {
+	}{{"sim_locality", table1}, {"sim_ycsb_packed", packed}, {"ram_uniform_rw", ram}} {
 		b.Run(g.name, func(b *testing.B) {
 			c, err := New(g.cfg)
 			if err != nil {

@@ -38,7 +38,7 @@ func TestCheckInvariantReportsCorruptSlots(t *testing.T) {
 	id := mem.MakeID(0, 42)
 	leaf := c.leafOf(id)
 	wrong := leaf ^ mem.Leaf(c.tr.Leaves()/2)
-	c.readPath(leaf)
+	c.st.ReadPath(c.tr, leaf)
 	if !c.st.SetLeaf(id, wrong) {
 		t.Fatalf("%v is neither on its path nor stashed", id)
 	}

@@ -61,7 +61,7 @@ func (c *Controller) prefill() {
 		if before%2 == 0 { // alternate stash-guided and random paths
 			c.st.ForEach(func(_ mem.BlockID, l mem.Leaf) { leaf = l })
 		}
-		c.readPath(leaf)
+		c.st.ReadPath(c.tr, leaf)
 		c.st.EvictToPath(c.tr, leaf)
 		if c.st.Size() < before {
 			noProgress = 0

@@ -8,12 +8,12 @@ import (
 	"proram/internal/tree"
 )
 
-// model is the reference the open-addressed stash is checked against: a
-// plain map for membership and a slice in insertion order, with the
-// write-back written as the protocol states it (FreeAt/PlaceAt per block,
-// the carry list resliced from the front) and a path read as one add per
-// block. inTree holds the blocks the model wrote back and no path read
-// has taken out since.
+// model is the reference the stash is checked against: a plain map for
+// membership and a slice in insertion order, with the write-back written
+// as the protocol states it (FreeAt/PlaceAt per block, the carry list
+// resliced from the front) and a path read as one add per block. inTree
+// holds the blocks the model wrote back and no path read has taken out
+// since.
 type model struct {
 	order     []tree.Labeled
 	index     map[mem.BlockID]bool
@@ -88,82 +88,45 @@ const (
 	modelIDs    = 512
 )
 
-// coverage is what a differential run exercised of the table's life cycle
-// and of the open path segment's.
+// coverage is what a differential run exercised of the stash's order.
 type coverage struct {
-	maxLive            int
-	grown              bool // the table was reallocated larger
-	rebuilds           int  // an Add found the table half used
-	compactions        int  // a removal or eviction compacted order
-	squeezes           int  // an eviction squeezed the open segment's written-back blocks out of order
-	addedBehind        int  // a squeeze that moved blocks added after the segment
-	reusedDeleted      int  // an Add took a deleted slot instead of an empty one
-	segmentHits        int  // a Contains, SetLeaf, Remove or Add found its block in the open segment
-	segmentCompactions int  // a Remove compacted order while a segment was open
-	segmentRebuilds    int  // an Add rebuilt the table while a segment was open, indexing it
-	rereads            int  // a path read came while the previous one's segment was still open
-	rebuildingReads    int  // a path read's reservation rebuilt the table
+	maxLive        int
+	middleRemovals int // a Remove took a block with others stashed behind it
+	addsInPath     int // an Add came between a ReadPath and its eviction
 }
 
 func (c *coverage) merge(o coverage) {
 	c.maxLive = max(c.maxLive, o.maxLive)
-	c.grown = c.grown || o.grown
-	c.rebuilds += o.rebuilds
-	c.compactions += o.compactions
-	c.squeezes += o.squeezes
-	c.addedBehind += o.addedBehind
-	c.reusedDeleted += o.reusedDeleted
-	c.segmentHits += o.segmentHits
-	c.segmentCompactions += o.segmentCompactions
-	c.segmentRebuilds += o.segmentRebuilds
-	c.rereads += o.rereads
-	c.rebuildingReads += o.rebuildingReads
+	c.middleRemovals += o.middleRemovals
+	c.addsInPath += o.addsInPath
 }
 
 // runModel decodes data as an operation sequence (three bytes each: opcode,
 // two operand bytes), applies it to a Stash and to the model over twin
 // trees, and fails on the first observable difference. Opcodes 8–11 aim
-// at a block of the last path read, so they meet the open segment. An add
-// of a block that sits in the tree is skipped: a Path ORAM block is in the
-// tree or in the stash, never both, and ReadPath relies on it.
+// at a block of the last path read. An add of a block that sits in the
+// tree is skipped: a Path ORAM block is in the tree or in the stash, never
+// both, and ReadPath relies on it.
 func runModel(t *testing.T, data []byte) coverage {
 	t.Helper()
 	s := mustNew(t, modelLimit)
 	m := &model{index: map[mem.BlockID]bool{}, inTree: map[mem.BlockID]bool{}}
 	ts, tm := tree.New(modelLevels, modelZ), tree.New(modelLevels, modelZ)
 	leaves := ts.Leaves()
-	initialTable := len(s.table)
 	var cov coverage
 	var lastPath []mem.BlockID
-	segmentOpen := func() bool { return s.seg < s.segEnd }
-	hit := func(id mem.BlockID) {
-		if c, ok := code(id); ok && s.inSegment(c) >= 0 {
-			cov.segmentHits++
-		}
-	}
+	pathRead := false // a ReadPath has come since the last eviction
 
 	add := func(step int, id mem.BlockID, leaf mem.Leaf) {
 		if m.inTree[id] {
 			return
 		}
-		rebuilds := !id.IsNil() && s.used >= len(s.table)/2
-		if rebuilds && segmentOpen() {
-			cov.segmentRebuilds++
-		}
-		reuses := false
-		if c, ok := code(id); ok && !rebuilds {
-			slot, _ := s.probe(c)
-			reuses = *slot == slotDeleted
-		}
 		err := s.Add(id, leaf)
 		if ok := m.add(id, leaf); ok != (err == nil) {
 			t.Fatalf("step %d: Add(%v) error %v, model accepted=%v", step, id, err, ok)
 		}
-		if rebuilds {
-			cov.rebuilds++
-		}
-		if err == nil && reuses {
-			cov.reusedDeleted++
+		if err == nil && pathRead {
+			cov.addsInPath++
 		}
 	}
 
@@ -181,7 +144,6 @@ func runModel(t *testing.T, data []byte) coverage {
 		}
 		switch op {
 		case 0, 1, 8:
-			hit(id)
 			add(step, id, leaf)
 		case 2:
 			// A burst of adds: the way occupancy gets past twice the limit.
@@ -189,56 +151,27 @@ func runModel(t *testing.T, data []byte) coverage {
 				add(step, mem.MakeID(0, (arg+i*7)%modelIDs), mem.Leaf((arg+i)%leaves))
 			}
 		case 3, 9:
-			hit(id)
 			got, want := s.SetLeaf(id, leaf), m.setLeaf(id, leaf)
 			if got != want {
 				t.Fatalf("step %d: SetLeaf(%v) = %v, model %v", step, id, got, want)
 			}
 		case 4, 10:
-			hit(id)
 			if got, want := s.Contains(id), m.index[id]; got != want {
 				t.Fatalf("step %d: Contains(%v) = %v, model %v", step, id, got, want)
 			}
 		case 5:
-			// Only a compaction clears the removed entries ahead of the
-			// segment; the squeeze clears those from the segment on.
-			orderBefore, removedAhead := len(s.order), removed(s.order[:s.seg])
-			if !segmentOpen() {
-				removedAhead = removed(s.order)
-			}
-			behind := segmentOpen() && s.segEnd < len(s.order)
 			got, want := s.EvictToPath(ts, leaf), m.evictToPath(tm, leaf)
 			if got != want {
 				t.Fatalf("step %d: EvictToPath(%d) placed %d, model %d", step, leaf, got, want)
 			}
-			switch {
-			case removedAhead > 0 && removed(s.order) == 0:
-				cov.compactions++
-			case len(s.order) < orderBefore:
-				cov.squeezes++
-				if behind {
-					cov.addedBehind++
-				}
-			}
-			if segmentOpen() {
-				t.Fatalf("step %d: EvictToPath left the segment [%d,%d) open", step, s.seg, s.segEnd)
-			}
+			pathRead = false
 		case 6:
 			// The read phase of an access: the path's blocks come back with
-			// the labels they were written back under, as the open segment.
-			if segmentOpen() {
-				cov.rereads++
-			}
-			// Counted only with no segment open: closing one can return
-			// reservations, and the count must not claim a rebuild that
-			// did not happen.
-			if !segmentOpen() && s.used+ts.Z()*(ts.Levels()+1) > len(s.table)/2 {
-				cov.rebuildingReads++
-			}
-			if err := s.ReadPath(ts, leaf); err != nil {
-				t.Fatalf("step %d: ReadPath: %v", step, err)
-			}
-			path := s.order[s.seg:s.segEnd]
+			// the labels they were written back under, behind the blocks
+			// already stashed.
+			before := len(s.order)
+			s.ReadPath(ts, leaf)
+			path := s.order[before:]
 			mpath := tm.RemovePathSlots(leaf, nil)
 			if len(path) != len(mpath) {
 				t.Fatalf("step %d: twin paths hold %d and %d blocks", step, len(path), len(mpath))
@@ -255,18 +188,13 @@ func runModel(t *testing.T, data []byte) coverage {
 				}
 				lastPath = append(lastPath, back.Block())
 			}
+			pathRead = true
 		case 7, 11:
-			hit(id)
-			open := segmentOpen()
-			orderBefore := len(s.order)
+			if i := s.find(id); i >= 0 && i < len(s.order)-1 {
+				cov.middleRemovals++
+			}
 			if got, want := s.Remove(id), m.remove(id); got != want {
 				t.Fatalf("step %d: Remove(%v) = %v, model %v", step, id, got, want)
-			}
-			if len(s.order) < orderBefore {
-				cov.compactions++
-				if open {
-					cov.segmentCompactions++
-				}
 			}
 		}
 
@@ -287,11 +215,7 @@ func runModel(t *testing.T, data []byte) coverage {
 		if i != len(m.order) {
 			t.Fatalf("step %d: ForEach visited %d blocks, model holds %d", step, i, len(m.order))
 		}
-		if s.used < s.live || s.used > len(s.table)/2 {
-			t.Fatalf("step %d: %d slots used for %d live in a table of %d", step, s.used, s.live, len(s.table))
-		}
 		cov.maxLive = max(cov.maxLive, s.Size())
-		cov.grown = cov.grown || len(s.table) > initialTable
 	}
 
 	// The twin trees received the same blocks, under the same labels, in
@@ -315,17 +239,6 @@ func runModel(t *testing.T, data []byte) coverage {
 	return cov
 }
 
-// removed counts the removed entries in order.
-func removed(order []tree.Slot) int {
-	n := 0
-	for _, e := range order {
-		if e == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // modelOps draws an operation sequence: n ops, three seeded bytes each.
 func modelOps(seed uint64, n int) []byte {
 	r := rng.New(seed)
@@ -339,12 +252,12 @@ func modelOps(seed uint64, n int) []byte {
 // op encodes one model operation: its opcode and a two-byte operand.
 func op(code byte, arg uint16) []byte { return []byte{code, byte(arg >> 8), byte(arg)} }
 
-// segmentOps is built to reach the open segment's rare cases. Three bursts
-// stash 72 blocks; evictions write some onto paths 0 and 15; path 0 is
-// read back and path 15 read before anything is written back; then the
-// first two bursts' blocks are removed one by one, which compacts order
-// while the second read's segment is still open.
-func segmentOps() []byte {
+// readBackOps is built to remove blocks from the middle of order while a
+// path read's blocks are stashed. Three bursts stash 72 blocks; evictions
+// write some onto paths 0 and 15; path 0 is read back and path 15 read
+// before anything is written back; then the first two bursts' blocks are
+// removed one by one, ahead of both paths' blocks.
+func readBackOps() []byte {
 	var data []byte
 	for _, arg := range []uint16{23, 47, 71} {
 		data = append(data, op(2, arg)...)
@@ -362,36 +275,25 @@ func segmentOps() []byte {
 }
 
 // TestAgainstModel drives long seeded sequences through the stash and the
-// model, and checks that they went where the table is at risk: occupancy
-// past twice the limit, table growth, compaction, reuse of deleted slots,
-// lookups that meet the open segment, a Remove that compacts and an Add
-// that rebuilds while it is open, a path read before the last one was
-// written back, and a path read whose reservation rebuilds the table.
+// model, and checks that they went where the order is at risk: occupancy
+// past twice the limit, removals from the middle of order, and adds
+// between a path read and its write-back, whose blocks then sit behind
+// the path's.
 func TestAgainstModel(t *testing.T) {
 	var total coverage
 	for seed := uint64(1); seed <= 4; seed++ {
 		total.merge(runModel(t, modelOps(seed, 6000)))
 	}
-	seg := runModel(t, segmentOps())
-	t.Logf("segmentOps coverage: %+v", seg)
-	total.merge(seg)
+	total.merge(runModel(t, readBackOps()))
 	t.Logf("coverage: %+v", total)
 	if total.maxLive <= 2*modelLimit {
 		t.Errorf("occupancy peaked at %d, want past %d", total.maxLive, 2*modelLimit)
 	}
-	if !total.grown {
-		t.Error("the table never grew")
+	if total.middleRemovals == 0 {
+		t.Error("no Remove took a block from the middle of order")
 	}
-	if total.rebuilds == 0 || total.compactions == 0 || total.squeezes == 0 || total.addedBehind == 0 {
-		t.Errorf("%d rebuilds on Add, %d compactions and %d squeezes on removal (%d past blocks added behind the segment), want all",
-			total.rebuilds, total.compactions, total.squeezes, total.addedBehind)
-	}
-	if total.reusedDeleted == 0 {
-		t.Error("no Add reused a deleted slot")
-	}
-	if total.segmentHits == 0 || total.segmentCompactions == 0 || total.segmentRebuilds == 0 || total.rereads == 0 || total.rebuildingReads == 0 {
-		t.Errorf("open segment: %d lookups met it, %d Removes compacted and %d Adds rebuilt while it was open, %d reads came before it closed, %d reads rebuilt the table; want all",
-			total.segmentHits, total.segmentCompactions, total.segmentRebuilds, total.rereads, total.rebuildingReads)
+	if total.addsInPath == 0 {
+		t.Error("no Add came between a path read and its eviction")
 	}
 }
 
@@ -403,6 +305,6 @@ func FuzzAgainstModel(f *testing.F) {
 	f.Add([]byte{2, 0, 23, 2, 1, 23, 2, 2, 23, 5, 0, 3, 6, 0, 3}) // bursts, evict, read back
 	f.Add(modelOps(11, 400))
 	f.Add(modelOps(12, 2000))
-	f.Add(segmentOps())
+	f.Add(readBackOps())
 	f.Fuzz(func(t *testing.T, data []byte) { runModel(t, data) })
 }
