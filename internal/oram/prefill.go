@@ -1,13 +1,13 @@
 package oram
 
 import (
+	"fmt"
+	"slices"
+
 	"proram/internal/mem"
 	"proram/internal/superblock"
+	"proram/internal/tree"
 )
-
-// prefillBatch is how many blocks prefill places as one batch: one
-// position-map block's children at the paper's fanout of 32.
-const prefillBatch = 32
 
 // prefill initializes the whole ORAM: every data block and position-map
 // block gets a uniform random leaf, recorded in the position map, and is
@@ -16,34 +16,36 @@ const prefillBatch = 32
 // groups are merged here — "in the initialization stage of Path ORAM,
 // blocks are merged into super blocks" (§3.3).
 //
-// Blocks are placed in index order, level by level, in batches of
-// consecutive blocks: the batch draws its leaves, loads the bottom buckets
-// of their paths (tree.Load) and then places its blocks one by one. That
-// overlaps the batch's cache misses instead of waiting on each, and decides
-// nothing: place draws no randomness, so every leaf is drawn in the same
-// order and every block lands where placing it alone would put it.
+// Each level draws and records its blocks' leaves in index order, then
+// tree.PlaceAll places them a subtree at a time: the tree and the stash are
+// the ones placing each block in turn would leave, and each subtree's
+// buckets stay in cache while its blocks go in (DESIGN §3, prefill).
 func (c *Controller) prefill() {
-	var batch [prefillBatch]mem.Leaf
+	var slots, buf, over []tree.Slot
 	for level := 0; level <= c.pm.Depth(); level++ {
 		if level == 0 && c.policy.Scheme() == superblock.Static {
 			c.prefillStatic(c.policy.MaxSize())
 			continue
 		}
-		count := c.pm.Count(level)
-		for first := uint64(0); first < count; first += prefillBatch {
-			leaves := batch[:min(prefillBatch, count-first)]
-			for i := range leaves {
-				leaves[i] = c.randLeaf()
-				if index := first + uint64(i); level == c.pm.Depth() {
-					c.pm.SetTopLeaf(index, leaves[i])
-				} else {
-					c.pm.EntryFor(level, index).SetLabel(leaves[i])
-				}
+		count, top := c.pm.Count(level), level == c.pm.Depth()
+		slots = slices.Grow(slots[:0], int(count))
+		for index := uint64(0); index < count; index++ {
+			leaf := c.randLeaf()
+			if top {
+				c.pm.SetTopLeaf(index, leaf)
+			} else {
+				c.pm.EntryFor(level, index).SetLabel(leaf)
 			}
-			c.tr.Load(leaves...)
-			for i, leaf := range leaves {
-				c.place(mem.MakeID(level, first+uint64(i)), leaf)
+			s, ok := tree.Pack(mem.MakeID(level, index), leaf)
+			if !ok {
+				//proram:invariant Config.Validate bounds the blocks to tree.MaxBlocks and the tree to tree.MaxLevels, so every block and leaf fits a slot
+				panic(fmt.Sprintf("oram: block %d at level %d, leaf %d, does not fit a tree slot", index, level, leaf))
 			}
+			slots = append(slots, s)
+		}
+		over, buf = c.tr.PlaceAll(slots, over[:0], buf)
+		for _, s := range over {
+			c.mustAdd(s.Block(), s.Leaf())
 		}
 	}
 	// At ~50% slot utilization some placements overflow to the stash; the

@@ -24,9 +24,9 @@ type prefillCase struct {
 // blocks; static super blocks of 8 leave blocks in the stash) and the
 // Table 1 system of the repository benchmark's sim_locality workload (1.5M
 // blocks, a 24 MB tree) under the dynamic and the static scheme. The hashes
-// were recorded from the one-block-at-a-time prefill the batched one
-// replaced: batching changes when a bucket is loaded, never which leaf a
-// block draws or where it lands.
+// were recorded from the one-block-at-a-time prefill: placing a level a
+// subtree at a time (tree.PlaceAll) changes the order in which buckets are
+// filled, never which leaf a block draws or where it lands.
 func prefillCases() []prefillCase {
 	small := func(sb superblock.Config) Config {
 		cfg := DefaultConfig()

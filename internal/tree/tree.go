@@ -13,6 +13,7 @@ package tree
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"proram/internal/mem"
 )
@@ -175,9 +176,9 @@ func (t *Tree) BucketCount(node uint64) int { return fill(t.bucket(node)) }
 // the controller looks up no position-map entry per block.
 func (t *Tree) RemovePathSlots(leaf mem.Leaf, dst []Slot) []Slot {
 	leafNode := t.Leaves() + uint64(leaf)
-	// Load every bucket's first slot ahead of the scan, as Load does for
-	// prefill: the scan branches on what it reads, these loads do not, so
-	// the path's cache misses overlap (DESIGN §3 has the measurement).
+	// Load every bucket's first slot ahead of the scan: the scan branches
+	// on what it reads, these loads do not, so the path's cache misses
+	// overlap (DESIGN §3 has the measurement).
 	z := uint64(t.z)
 	var acc Slot
 	for depth := 0; depth <= t.levels; depth++ {
@@ -220,7 +221,8 @@ func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
 // PlaceAt inserts id into the bucket at the given depth on the path to
 // leaf, under label leaf: leaf is the block's own label, and the bucket is
 // the one its path and any access path through that depth share. It
-// reports false if the bucket is full. Prefill places blocks with it; the
+// reports false if the bucket is full. The static scheme's prefill places
+// its data blocks with it; every other prefill level uses PlaceAll, and the
 // write-back of a path access uses FillPath.
 func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 	s, ok := Pack(id, leaf)
@@ -269,14 +271,101 @@ func (t *Tree) FillPath(accessLeaf mem.Leaf, sorted []Slot, ends []int) int {
 	return head
 }
 
+// splitBits is how many top bits of a leaf PlaceAll groups its blocks by:
+// 2^8 subtrees, each ≈ 100 KB of buckets at the sim_locality geometry
+// (L = 19, Z = 3), so a subtree stays in cache while its blocks go in.
+const splitBits = 8
+
+// PlaceAll places blocks by Path ORAM's greedy rule, each into the deepest
+// bucket on its path with a free slot, and appends the blocks no bucket on
+// their path takes to dst, in input order, returning the extended slice as
+// over. blocks must be one hierarchy level's, each under its own label, in
+// increasing Code order (index order); buf is scratch, returned for reuse.
+//
+// The tree it leaves is, slot for slot, the one PlaceAt leaves when each
+// block in turn goes to the deepest depth that takes it, but it is built one
+// subtree at a time. A block reaches a bucket only after every deeper bucket
+// on its path was full, and a bucket below the top splitBits levels lies on
+// the paths of one subtree's leaves only. So one stable counting pass splits
+// the blocks by their leaf's top bits, each group fills its subtree in
+// order, and the blocks the subtrees refused go into the top levels in Code
+// order, as they would have arrived there one at a time: a block placed in
+// the top levels takes no slot a later block could have had below them.
+func (t *Tree) PlaceAll(blocks, dst, buf []Slot) (over, _ []Slot) {
+	split := min(splitBits, t.levels)
+	shift := t.levels - split
+	var next [1<<splitBits + 1]int
+	prev := uint64(0)
+	for _, s := range blocks {
+		if s.Code() <= prev || uint64(s.Leaf()) >= t.Leaves() {
+			//proram:invariant prefill packs each level's blocks in index order under leaves it drew from this tree
+			panic(fmt.Sprintf("tree: PlaceAll block %#x after code %#x, or past the last leaf", uint64(s), prev))
+		}
+		prev = s.Code()
+		next[s.Leaf()>>shift+1]++
+	}
+	for g := 1; g < len(next); g++ {
+		next[g] += next[g-1]
+	}
+	buf = slices.Grow(buf[:0], len(blocks))[:len(blocks)]
+	for _, s := range blocks {
+		g := s.Leaf() >> shift
+		buf[next[g]] = s
+		next[g]++
+	}
+	// Below the top levels: depth L up to each subtree's root at depth
+	// split. The refused blocks keep their group's order at buf's head.
+	deep, n := t.levels-split+1, 0
+	for _, s := range buf {
+		if !t.placeUp(s, t.Leaves()+uint64(s.Leaf()), deep) {
+			buf[n] = s
+			n++
+		}
+	}
+	// A code is a slot's high bits and no two blocks share one, so sorting
+	// the slots restores Code order.
+	left := buf[:n]
+	slices.Sort(left)
+	for _, s := range left {
+		if !t.placeUp(s, (t.Leaves()+uint64(s.Leaf()))>>deep, split) {
+			dst = append(dst, s)
+		}
+	}
+	return dst, buf
+}
+
+// placeUp puts s into the first free slot of the first bucket with one
+// among the n buckets from node up toward the root, and reports whether a
+// bucket took it. Occupied slots are a prefix, so their count is the first
+// free slot. Counting takes the same steps in every bucket, where fill's
+// scan stops at a slot that depends on the data and so mispredicts its exit
+// (DESIGN §3, prefill).
+func (t *Tree) placeUp(s Slot, node uint64, n int) bool {
+	for ; n > 0; n-- {
+		bucket := t.bucket(node)
+		used := 0
+		for _, b := range bucket {
+			if b != 0 {
+				used++
+			}
+		}
+		if used < len(bucket) {
+			bucket[used] = s
+			t.used++
+			return true
+		}
+		node >>= 1
+	}
+	return false
+}
+
 // Load reads, for every path in leaves, the leaf bucket and the two
-// buckets above it, and changes nothing. A placement scans a bucket with
-// branches on what it reads, so it waits out each cache miss before the
-// next one starts; these loads decide nothing, so the processor keeps the
-// misses of a whole batch in flight, and the placements that follow along
-// the same paths find their deepest buckets in cache. Each bucket's first
-// and last slot are read, since a bucket of several slots may straddle a
-// cache line.
+// buckets above it, and changes nothing. The static scheme's prefill loads
+// each candidate path of a super block group before it counts the path's
+// free slots: that count branches on what it reads, so it would wait out
+// each cache miss in turn, while these loads decide nothing and keep the
+// misses in flight together. Each bucket's first and last slot are read,
+// since a bucket of several slots may straddle a cache line.
 func (t *Tree) Load(leaves ...mem.Leaf) {
 	z, slots := uint64(t.z), t.slots
 	var acc Slot

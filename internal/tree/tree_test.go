@@ -466,3 +466,170 @@ func TestLoadChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// placeOneAtATime is PlaceAll's reference: each block in turn goes into the
+// deepest bucket on its path that takes it (PlaceAt from the leaf depth
+// up), and the blocks no bucket takes are collected in input order.
+func placeOneAtATime(t *Tree, blocks []Slot) (over []Slot) {
+	for _, s := range blocks {
+		placed := false
+		for d := t.levels; d >= 0 && !placed; d-- {
+			placed = t.PlaceAt(s.Leaf(), d, s.Block())
+		}
+		if !placed {
+			over = append(over, s)
+		}
+	}
+	return over
+}
+
+// levelBlocks packs the blocks of hierarchy level level with indices 0, 1,
+// ... under the given leaves: PlaceAll's input, in increasing Code order.
+func levelBlocks(level int, leaves []mem.Leaf) []Slot {
+	blocks := make([]Slot, len(leaves))
+	for i, leaf := range leaves {
+		blocks[i], _ = Pack(mem.MakeID(level, uint64(i)), leaf)
+	}
+	return blocks
+}
+
+type visited struct {
+	node uint64
+	i    int
+	b    Labeled
+}
+
+func forEachStream(t *Tree) []visited {
+	var out []visited
+	t.ForEach(func(node uint64, i int, b Labeled) { out = append(out, visited{node, i, b}) })
+	return out
+}
+
+// checkPlaceAll places each call's blocks, one call per hierarchy level,
+// into a tree of the given geometry with PlaceAll and into another with
+// the one-at-a-time reference, and fails unless both leave the same tree,
+// the same slot count and the same leftovers after every call.
+func checkPlaceAll(t *testing.T, levels, z int, calls [][]Slot) {
+	t.Helper()
+	got, want := New(levels, z), New(levels, z)
+	var buf []Slot
+	head := Slot(1) // PlaceAll appends to dst
+	for call, blocks := range calls {
+		in := slices.Clone(blocks)
+		var over []Slot
+		over, buf = got.PlaceAll(blocks, []Slot{head}, buf)
+		wantOver := placeOneAtATime(want, blocks)
+		if !slices.Equal(blocks, in) {
+			t.Fatalf("L=%d Z=%d call %d: PlaceAll changed its input", levels, z, call)
+		}
+		if len(over) == 0 || over[0] != head || !slices.Equal(over[1:], wantOver) {
+			t.Fatalf("L=%d Z=%d call %d (%d blocks): leftovers %v, want %v after the head", levels, z, call, len(blocks), over, wantOver)
+		}
+		if got.Used() != want.Used() {
+			t.Fatalf("L=%d Z=%d call %d: Used = %d, want %d", levels, z, call, got.Used(), want.Used())
+		}
+		if g, w := forEachStream(got), forEachStream(want); !slices.Equal(g, w) {
+			t.Fatalf("L=%d Z=%d call %d (%d blocks): PlaceAll left a different tree", levels, z, call, len(blocks))
+		}
+	}
+}
+
+// PlaceAll leaves the tree, the slot count and the leftovers of placing
+// each block in turn: on trees shallower than the split (where it covers
+// the whole tree) and deeper, at every bucket size, from an eighth of the
+// tree's capacity to twice it (so leftovers compete for the top levels and
+// spill), on a tree an earlier level already partly filled, and with every
+// block on one leaf.
+func TestPlaceAllMatchesOneAtATime(t *testing.T) {
+	r := rng.New(42)
+	randLeaves := func(n uint64, leaves uint64) []mem.Leaf {
+		out := make([]mem.Leaf, n)
+		for i := range out {
+			out[i] = mem.Leaf(r.Uint64n(leaves))
+		}
+		return out
+	}
+	for levels := 1; levels <= 12; levels++ {
+		for z := 1; z <= 4; z++ {
+			capacity := New(levels, z).Capacity()
+			leaves := uint64(1) << levels
+			for _, eighths := range []uint64{1, 2, 4, 8, 12, 16} {
+				n := max(capacity*eighths/8, 1)
+				// The data level, then a position-map level of a quarter
+				// as many blocks on the tree it left.
+				checkPlaceAll(t, levels, z, [][]Slot{
+					levelBlocks(0, randLeaves(n, leaves)),
+					levelBlocks(1, randLeaves(n/4+1, leaves)),
+				})
+			}
+			one := make([]mem.Leaf, 2*(levels+1)*z)
+			for i := range one {
+				one[i] = mem.Leaf(leaves - 1)
+			}
+			checkPlaceAll(t, levels, z, [][]Slot{
+				levelBlocks(0, randLeaves(capacity/2, leaves)),
+				levelBlocks(1, one),
+			})
+		}
+	}
+	checkPlaceAll(t, 3, 2, [][]Slot{nil, levelBlocks(1, []mem.Leaf{5})})
+}
+
+// PlaceAll refuses blocks out of Code order and labels past the last leaf.
+func TestPlaceAllPanicsOnBadInput(t *testing.T) {
+	a, _ := Pack(mem.MakeID(0, 1), 0)
+	b, _ := Pack(mem.MakeID(0, 2), 3)
+	far, _ := Pack(mem.MakeID(0, 3), 8)
+	for name, blocks := range map[string][]Slot{
+		"descending": {b, a},
+		"duplicate":  {a, a},
+		"empty slot": {0},
+		"past leaf":  {a, far},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PlaceAll did not panic", name)
+				}
+			}()
+			New(3, 2).PlaceAll(blocks, nil, nil)
+		}()
+	}
+}
+
+// FuzzPlaceAll holds PlaceAll to the one-at-a-time reference on trees of
+// up to 12 levels and bucket sizes 1 to 4. The first call places n blocks
+// at leaves drawn from seed; then data is read in triples (leaf high byte,
+// leaf low byte, count): a count of 255 starts the next call, at the next
+// hierarchy level, and any other count adds count%8+1 blocks on that leaf.
+func FuzzPlaceAll(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint64(1), uint16(9), []byte{})
+	f.Add(uint8(3), uint8(2), uint64(2), uint16(40), []byte{0, 5, 7, 0, 0, 255, 0, 5, 7, 0, 1, 3})
+	f.Add(uint8(9), uint8(3), uint64(3), uint16(3000), []byte{1, 2, 7, 1, 2, 7, 255, 0, 0, 0, 255, 9, 9, 9})
+	f.Add(uint8(11), uint8(0), uint64(4), uint16(60000), []byte{7, 255, 6, 0, 0, 255})
+	f.Fuzz(func(t *testing.T, levels, z uint8, seed uint64, n uint16, data []byte) {
+		L, Z := 1+int(levels%12), 1+int(z%4)
+		tr := New(L, Z)
+		n %= uint16(min(2*tr.Capacity()+1, 1<<16-1))
+		r := rng.New(seed)
+		first := make([]mem.Leaf, n)
+		for i := range first {
+			first[i] = mem.Leaf(r.Uint64n(tr.Leaves()))
+		}
+		calls := [][]Slot{levelBlocks(0, first)}
+		var leaves []mem.Leaf
+		for i := 0; i+2 < len(data) && len(calls) < 8; i += 3 {
+			if data[i+2] == 255 {
+				calls = append(calls, levelBlocks(len(calls), leaves))
+				leaves = leaves[:0]
+				continue
+			}
+			leaf := mem.Leaf((uint64(data[i])<<8 | uint64(data[i+1])) % tr.Leaves())
+			for range data[i+2]%8 + 1 {
+				leaves = append(leaves, leaf)
+			}
+		}
+		calls = append(calls, levelBlocks(len(calls), leaves))
+		checkPlaceAll(t, L, Z, calls)
+	})
+}
