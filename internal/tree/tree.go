@@ -336,20 +336,11 @@ func (t *Tree) PlaceAll(blocks, dst, buf []Slot) (over, _ []Slot) {
 
 // placeUp puts s into the first free slot of the first bucket with one
 // among the n buckets from node up toward the root, and reports whether a
-// bucket took it. Occupied slots are a prefix, so their count is the first
-// free slot. Counting takes the same steps in every bucket, where fill's
-// scan stops at a slot that depends on the data and so mispredicts its exit
-// (DESIGN §3, prefill).
+// bucket took it.
 func (t *Tree) placeUp(s Slot, node uint64, n int) bool {
 	for ; n > 0; n-- {
 		bucket := t.bucket(node)
-		used := 0
-		for _, b := range bucket {
-			if b != 0 {
-				used++
-			}
-		}
-		if used < len(bucket) {
+		if used := fill(bucket); used < len(bucket) {
 			bucket[used] = s
 			t.used++
 			return true
