@@ -8,33 +8,6 @@ import (
 	"proram/internal/obs/audit"
 )
 
-// LeakMode selects a test-only negative control: a deliberately broken
-// scheduler or controller the obliviousness auditor must flag. The modes
-// exist so CI can prove the audit has statistical power; production code
-// never sets one.
-type LeakMode int
-
-const (
-	// LeakNone is the honest system.
-	LeakNone LeakMode = iota
-	// LeakDropDummies makes the sharded scheduler claim its round padding
-	// without issuing it (sharded frontends only).
-	LeakDropDummies
-	// LeakBiasLeaf makes the ORAM controllers draw remap leaves from only
-	// the lower half of the leaf space.
-	LeakBiasLeaf
-)
-
-func (m LeakMode) internal() audit.Leak {
-	switch m {
-	case LeakDropDummies:
-		return audit.LeakDropDummies
-	case LeakBiasLeaf:
-		return audit.LeakBiasLeaf
-	}
-	return audit.LeakNone
-}
-
 // AuditConfig arms the live obliviousness auditor: deterministic
 // statistical tests (leaf uniformity, serial independence, round shape,
 // flush equality, real-vs-dummy timing) over the wire-observable access
@@ -48,10 +21,6 @@ type AuditConfig struct {
 	// (ShardedRAM.Close, SimulateSharded, or Simulator.Run); nil
 	// keeps the report in memory only.
 	Out io.Writer
-	// Leak arms a negative control the auditor must flag. Test-only: it
-	// deliberately breaks the obliviousness the rest of the system
-	// guarantees.
-	Leak LeakMode
 }
 
 // AuditReport is the public digest of an audit: the verdict, the stream

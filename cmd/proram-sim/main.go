@@ -8,7 +8,6 @@
 //	proram-sim -workload ycsb -scheme static -z 4 -stash 50
 //	proram-sim -workload ycsb -partitions 8 -clients 16
 //	proram-sim -workload ycsb -partitions 4 -audit -audit-out audit.json
-//	proram-sim -workload ycsb -partitions 4 -audit -leaky drop-dummies
 //	proram-sim -workload ycsb -partitions 4 -metrics-out m.json -trace-out t.json
 //	proram-sim -workload ocean_c -scheme dynamic -explain
 //
@@ -22,9 +21,7 @@
 //
 // With -audit the obliviousness auditor (internal/obs/audit) taps the
 // physical access stream and the process exits nonzero when any
-// statistical leak test fails. -leaky injects a deliberate,
-// test-only leak (suppressed round padding or a biased leaf remap) that
-// the auditor must flag — the CI negative controls.
+// statistical leak test fails.
 //
 // With -explain the report ends with a table of where the ORAM's work
 // went: path accesses and busy cycles per cause (demand data, position-map
@@ -70,7 +67,6 @@ func main() {
 
 		auditOn  = flag.Bool("audit", false, "run the obliviousness auditor over the simulated access stream; a failed audit exits nonzero")
 		auditOut = flag.String("audit-out", "", "write the full audit report as deterministic JSON to this file (implies -audit)")
-		leaky    = flag.String("leaky", "", "NEGATIVE CONTROL: inject a deliberate leak the auditor must flag: drop-dummies or bias-leaf (implies -audit)")
 
 		obsOn       = flag.Bool("obs", false, "enable observability (metrics, time series, flight recorder)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file (implies -obs; load in chrome://tracing or Perfetto)")
@@ -97,7 +93,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ac, err := pickAudit(*auditOn, *auditOut, *leaky)
+	ac, err := pickAudit(*auditOn, *auditOut)
 	if err != nil {
 		fatal(err)
 	}
@@ -296,22 +292,13 @@ type auditFlags struct {
 	file *os.File
 }
 
-// pickAudit maps the -audit/-audit-out/-leaky flags to an audit
-// configuration; nil means the auditor stays off.
-func pickAudit(on bool, out, leaky string) (*auditFlags, error) {
-	if !on && out == "" && leaky == "" {
+// pickAudit maps the -audit/-audit-out flags to an audit configuration;
+// nil means the auditor stays off.
+func pickAudit(on bool, out string) (*auditFlags, error) {
+	if !on && out == "" {
 		return nil, nil
 	}
 	a := &auditFlags{cfg: &proram.AuditConfig{}}
-	switch leaky {
-	case "":
-	case "drop-dummies":
-		a.cfg.Leak = proram.LeakDropDummies
-	case "bias-leaf":
-		a.cfg.Leak = proram.LeakBiasLeaf
-	default:
-		return nil, fmt.Errorf("unknown -leaky mode %q (drop-dummies, bias-leaf)", leaky)
-	}
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {

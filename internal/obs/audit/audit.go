@@ -31,6 +31,11 @@
 // Latency is a performance number, not an adversary-observable property:
 // the sharded frontend records it in obs histograms (shard.latency_*).
 //
+// The tests' power is shown on leaks planted into copies of the real
+// code, never switched on in it: a remap leaf drawn from half the tree
+// (leaf_uniformity) and a demand round whose dummy accesses are dropped
+// (round_shape).
+//
 // An Auditor is not safe for concurrent use. The sharded frontend feeds
 // it from the round driver at the commit barrier (the same discipline as
 // obs.Recorder); the unified simulator feeds it a recorded trace after
@@ -42,25 +47,6 @@ import (
 	"math/bits"
 
 	"proram/internal/obs"
-)
-
-// Leak selects a test-only negative control: a deliberately broken
-// scheduler or controller the auditor must flag. Production code never
-// sets one; the CLIs expose them behind -leaky so CI can prove the tests
-// have statistical power.
-type Leak uint8
-
-const (
-	// LeakNone is the honest system.
-	LeakNone Leak = iota
-	// LeakDropDummies makes the sharded scheduler claim its round padding
-	// (counters and reported shapes stay plausible) without issuing the
-	// dummy accesses — a scheduler that lies about its padding. The
-	// round_shape test catches it from the observed trace.
-	LeakDropDummies
-	// LeakBiasLeaf makes the ORAM controller draw remap leaves from the
-	// lower half of the leaf space. The leaf_uniformity test catches it.
-	LeakBiasLeaf
 )
 
 // AccessEvent is one wire-observable physical access: the tree leaf it
@@ -398,8 +384,8 @@ func (a *Auditor) Failed() bool { return a != nil && a.failed }
 // looks crosses a single-look threshold far more often than alpha
 // suggests (an honest run can transiently sit a few percent over crit
 // and regress as the stream grows). Doubling the bar makes an honest
-// excursion a z≈9 event while the deliberate-leak canaries still
-// overshoot by 10–500x, so online detection stays immediate for real
+// excursion a z≈9 event while a leaf draw from half the tree still
+// overshoots by 80–400x, so online detection stays immediate for real
 // leaks. Finalization applies the exact threshold.
 const onlineMargin = 2
 

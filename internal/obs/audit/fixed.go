@@ -39,9 +39,9 @@ func isqrt(x uint64) uint64 {
 // Alpha is deliberately far below the conventional 0.001: one audited run
 // evaluates dozens of (test, scope) pairs, so a per-test alpha of 1e-3
 // gives the whole suite a few-percent false-alarm rate on an honest
-// system, while the negative-control leaks exceed these thresholds by
-// one to two orders of magnitude. 1e-5 keeps the family-wise false-alarm
-// rate well under 0.1% at full power against the canaries.
+// system, while a leaf draw from half the tree exceeds these thresholds
+// by two orders of magnitude. 1e-5 keeps the family-wise false-alarm rate
+// well under 0.1% at full power against such leaks.
 func critMilli(df int) uint64 {
 	if df < 1 {
 		df = 1

@@ -92,11 +92,6 @@ type Config struct {
 	// RecordTrace keeps the physical access trace (leaf sequence) for
 	// security analysis. Costs memory proportional to path accesses.
 	RecordTrace bool
-	// LeakBiasLeaf is a NEGATIVE CONTROL for the obliviousness auditor:
-	// it deliberately breaks the uniform-leaf invariant by drawing remap
-	// leaves from only the lower half of the leaf range. Never set it
-	// outside auditor validation runs — it voids the security argument.
-	LeakBiasLeaf bool
 }
 
 // DefaultConfig returns the paper's Table 1 configuration scaled to the

@@ -155,15 +155,9 @@ func (c *Controller) SwapTrace(buf []TraceEvent) []TraceEvent {
 // of two) — the leaf-label range the obliviousness auditor tests against.
 func (c *Controller) Leaves() uint64 { return c.tr.Leaves() }
 
-// randLeaf draws a fresh uniform leaf label. Under the LeakBiasLeaf
-// negative control the draw covers only the lower half of the range,
-// which the auditor's uniformity test must flag.
+// randLeaf draws a fresh uniform leaf label.
 func (c *Controller) randLeaf() mem.Leaf {
-	n := c.tr.Leaves()
-	if c.cfg.LeakBiasLeaf {
-		n /= 2
-	}
-	return mem.Leaf(c.rnd.Uint64n(n))
+	return mem.Leaf(c.rnd.Uint64n(c.tr.Leaves()))
 }
 
 // mustAdd stashes a block, converting a stash error into a controller

@@ -71,9 +71,6 @@ type Config struct {
 	// Recorder it must be dedicated to this frontend (all feeds happen on
 	// the round driver). Setting it forces per-round trace recording.
 	Audit *audit.Auditor
-	// Leak arms a test-only negative control (see audit.Leak). Never set
-	// it outside auditor validation: it deliberately breaks obliviousness.
-	Leak audit.Leak
 }
 
 // minRoundSlots is RoundSlots' floor and default: one slot for a miss and
@@ -228,7 +225,6 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 		ocfg.BlockBytes = cfg.BlockBytes
 		ocfg.Seed = mix(seedP, 1)
 		ocfg.RecordTrace = record
-		ocfg.LeakBiasLeaf = cfg.Leak == audit.LeakBiasLeaf
 		// Workers run on provisional flat clocks; the shared device (below)
 		// owns the banked timing, so partitions never build private ones.
 		ocfg.Banked = nil
@@ -247,7 +243,6 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			record:      record,
 			markSlots:   cfg.Audit != nil,
 			lat:         cfg.Recorder.Enabled(),
-			dropDummies: cfg.Leak == audit.LeakDropDummies,
 			store:       NewStore(ctrl, sealer, cfg.BlockBytes),
 			dummyRnd:    rng.New(mix(seedP, 3)),
 			local:       make(map[uint64]uint64),

@@ -83,7 +83,6 @@ type partition struct {
 	record      bool // keep per-round traces
 	markSlots   bool // auditing: mark each slot's trace boundary
 	lat         bool // latency spans: report the first issue and served requests' floors
-	dropDummies bool // LeakDropDummies negative control: lie about padding
 
 	store    *Store
 	cache    *Cache // client-side lines keyed by local slot; marks each access it issues
@@ -239,14 +238,6 @@ func (p *partition) demandRound(w roundWork, res *roundResult) {
 			res.real++
 			p.st.RealAccesses++
 			p.st.PadWritebacks++
-			continue
-		}
-		if p.dropDummies {
-			// Negative control: claim the padding without issuing it. Every
-			// counter and reported shape stays plausible — only the observed
-			// trace (and the auditor watching it) knows.
-			res.dummy++
-			p.st.DummyAccesses++
 			continue
 		}
 		p.dummyAccess()

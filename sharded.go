@@ -80,7 +80,6 @@ func (opt ShardedOptions) lower(scfg *shard.Config) shardedOutputs {
 		out.metricsOut = opt.Obs.MetricsOut
 	}
 	if opt.Audit != nil {
-		scfg.Leak = opt.Audit.Leak.internal()
 		out.auditOut = opt.Audit.Out
 	}
 	return out

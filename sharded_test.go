@@ -233,11 +233,12 @@ func TestShardedCloseTwice(t *testing.T) {
 	cfg.Partitions = 2
 	s, err := NewSharded(cfg, ShardedOptions{
 		Obs:   &ObsConfig{MetricsOut: &metrics},
-		Audit: &AuditConfig{Out: &report, Leak: LeakDropDummies},
+		Audit: &AuditConfig{Out: &report},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	failRoundShape(s.out.aud)
 	for i := uint64(0); i < 64; i++ {
 		if err := s.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -245,7 +246,7 @@ func TestShardedCloseTwice(t *testing.T) {
 	}
 	first := s.Close()
 	if first == nil {
-		t.Fatal("leaky audited Close succeeded")
+		t.Fatal("Close succeeded on a failed audit")
 	}
 	m, r := metrics.Len(), report.Len()
 	if m == 0 || r == 0 {

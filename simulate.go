@@ -62,8 +62,7 @@ type SimConfig struct {
 	// Audit arms the obliviousness auditor over the recorded physical
 	// trace of every Run (forces trace recording). Requires MemoryORAM;
 	// the timing test arms only with Periodic (without it, completion
-	// times are legitimately data-dependent). LeakDropDummies is a sharded
-	// scheduler control and is rejected here. See AuditConfig.
+	// times are legitimately data-dependent). See AuditConfig.
 	Audit *AuditConfig
 }
 
@@ -132,11 +131,7 @@ func NewSimulator(c SimConfig) (*Simulator, error) {
 		if c.Memory == MemoryDRAM {
 			return nil, fmt.Errorf("proram: Audit requires MemoryORAM (DRAM has no obliviousness to audit)")
 		}
-		if c.Audit.Leak == LeakDropDummies {
-			return nil, fmt.Errorf("proram: LeakDropDummies is a sharded scheduler control; the unified simulator has no round padding to drop")
-		}
 		cfg.ORAM.RecordTrace = true
-		cfg.ORAM.LeakBiasLeaf = c.Audit.Leak == LeakBiasLeaf
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
