@@ -2,6 +2,7 @@ package proram
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -150,11 +151,15 @@ func TestSimulateShardedAudited(t *testing.T) {
 }
 
 // TestSimulatorAudit covers the unified facade: an honest dynamic-scheme
-// run passes, and DRAM is rejected at construction. A leaf bias on the
-// unified controller is one of CI's audit plants.
+// run passes, and DRAM is rejected at construction. The run is long
+// enough (6,000 YCSB operations, about 2,200 audited accesses) that the
+// tests clear the auditor's minimum-samples gate: the JSON report must
+// say pass, not skip. A leaf bias on the unified controller is one of
+// CI's audit plants.
 func TestSimulatorAudit(t *testing.T) {
-	w := YCSBWorkload(2000)
-	s, err := NewSimulator(SimConfig{Memory: MemoryORAM, Scheme: SchemeDynamic, Audit: &AuditConfig{}})
+	var out bytes.Buffer
+	w := YCSBWorkload(6000)
+	s, err := NewSimulator(SimConfig{Memory: MemoryORAM, Scheme: SchemeDynamic, Audit: &AuditConfig{Out: &out}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +169,21 @@ func TestSimulatorAudit(t *testing.T) {
 	}
 	if res.Audit == nil || !res.Audit.Pass {
 		t.Fatalf("honest unified run flagged: %+v", res.Audit)
+	}
+	var rep struct {
+		Tests []struct{ Name, Scope, Status string }
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("audit report: %v", err)
+	}
+	status := map[string]string{}
+	for _, tc := range rep.Tests {
+		status[tc.Name+"["+tc.Scope+"]"] = tc.Status
+	}
+	for _, test := range []string{"leaf_uniformity[global]", "leaf_uniformity[p0]", "serial_independence[p0]"} {
+		if status[test] != "pass" {
+			t.Errorf("%s: status %q, want pass (%d accesses audited)", test, status[test], res.Audit.Accesses)
+		}
 	}
 
 	if _, err := NewSimulator(SimConfig{Memory: MemoryDRAM, Audit: &AuditConfig{}}); err == nil {

@@ -65,12 +65,13 @@ func runOps(t *testing.T, data []byte) {
 	scfg := cfg
 	scfg.Partitions = 3
 	scfg.CacheBlocks = 3 * cfg.CacheBlocks
-	sharded, err := NewSharded(scfg, ShardedOptions{RecordArrivals: true})
+	sharded, err := NewSharded(scfg, ShardedOptions{})
 	if err != nil {
 		t.Fatalf("NewSharded(%+v): %v", scfg, err)
 	}
 	defer sharded.Close()
 	closed := false // the sharded frontend; RAM has no Close
+	var sent uint64 // requests the sharded frontend has admitted
 
 	bb := cfg.BlockBytes
 	capBytes := int64(cfg.Blocks) * int64(bb)
@@ -92,12 +93,16 @@ func runOps(t *testing.T, data []byte) {
 			var what string
 			var err error
 			var wantErr bool
+			var reqs uint64 // block requests the step admits
 			switch {
 			case kind < 10:
 				what = fmt.Sprintf("Read(%d)", index)
 				var got []byte
 				got, err = d.Read(index)
 				wantErr = index >= cfg.Blocks || down
+				if !wantErr {
+					reqs = 1
+				}
 				if want := oracle[(index%cfg.Blocks)*uint64(bb):][:bb]; err == nil && !bytes.Equal(got, want) {
 					t.Fatalf("step %d: %T %s = %x, oracle %x", step, d, what, got, want)
 				}
@@ -106,6 +111,9 @@ func runOps(t *testing.T, data []byte) {
 				what = fmt.Sprintf("Write(%d, %d bytes)", index, len(p))
 				err = d.Write(index, p)
 				wantErr = index >= cfg.Blocks || len(p) > bb || down
+				if !wantErr {
+					reqs = 1
+				}
 			case kind < 30:
 				p := payload(n % (3*bb + 2))
 				// The oracle's count: what fits below capacity, and nothing
@@ -115,6 +123,12 @@ func runOps(t *testing.T, data []byte) {
 					want = int(min(int64(len(p)), max(0, capBytes-off)))
 				}
 				wantErr = off < 0 || want < len(p)
+				if want > 0 { // a Read per block moved, and a WriteAt's Write
+					reqs = uint64((off+int64(want)-1)/int64(bb) - off/int64(bb) + 1)
+					if kind >= 25 {
+						reqs *= 2
+					}
+				}
 				var got int
 				if kind < 25 {
 					what = fmt.Sprintf("ReadAt(%d bytes, %d)", len(p), off)
@@ -150,7 +164,8 @@ func runOps(t *testing.T, data []byte) {
 				t.Fatalf("step %d: %T %s returned %v, oracle expects an error: %v", step, d, what, err, wantErr)
 			}
 			if onSharded {
-				err = settleSharded(sharded)
+				sent += reqs
+				err = settleSharded(sharded, sent)
 			} else {
 				err = settleRAM(ram)
 			}
@@ -182,15 +197,15 @@ func settleRAM(r *RAM) error {
 	return r.store.Ctrl.CheckInvariant()
 }
 
-// settleSharded waits until the scheduler's snapshot accounts for every
-// admitted request — the round that answered the last one has then
-// committed and, with this one client, every worker is idle — and checks
-// the accounting identities and every partition's ORAM invariant.
-func settleSharded(s *ShardedRAM) error {
-	admitted := uint64(len(s.f.Arrivals()))
+// settleSharded waits until the scheduler's snapshot accounts for exactly
+// the admitted requests the test counted — the round that answered the
+// last one has then committed and, with this one client, every worker is
+// idle — and checks the accounting identities and every partition's ORAM
+// invariant. A count off in either direction fails at the deadline.
+func settleSharded(s *ShardedRAM, admitted uint64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	st := s.f.Stats()
-	for st.Ops()+st.RequestErrors < admitted {
+	for st.Ops()+st.RequestErrors != admitted {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("snapshot accounts for %d of %d admitted requests", st.Ops()+st.RequestErrors, admitted)
 		}

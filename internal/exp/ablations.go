@@ -26,9 +26,7 @@ func ablationPLB(opt Options) (*Table, error) {
 		Title:   "Baseline ORAM completion time and recursion share vs PLB capacity",
 		Columns: []string{"norm_time", "posmap_path_share", "plb_hit_rate"},
 	}
-	p := trace.ByName(trace.Splash2(opt.scale(fig8Ops)), "ocean_c")[0]
-	p.Seed += opt.Seed
-	gf := modelFactory(p)
+	w := splash2Named(opt, "ocean_c")[0]
 
 	// inclusive is norm_time as the inclusive PLB of the parent commit
 	// measured it: there a PLB victim stayed in the tree and cost a second
@@ -44,21 +42,18 @@ func ablationPLB(opt Options) (*Table, error) {
 	if recorded {
 		t.Columns = append(t.Columns, "inclusive (parent)")
 	}
-	var noPLB sim.Report
-	for _, row := range []struct {
-		plb       int
-		inclusive float64
-	}{{0, 1.0000}, {16, 0.7838}, {64, 0.6136}, {128, 0.5254}, {512, 0.3513}} {
-		plb := row.plb
-		cfg := withWarmup(baseORAM(), p.Ops)
-		cfg.ORAM.PLBBlocks = plb
-		rep, err := runSim(opt, cfg, gf())
-		if err != nil {
-			return nil, fmt.Errorf("ablation_plb %d: %w", plb, err)
-		}
-		if plb == 0 {
-			noPLB = rep
-		}
+	plbs := []int{0, 16, 64, 128, 512}
+	inclusive := []float64{1.0000, 0.7838, 0.6136, 0.5254, 0.3513}
+	cfgs := make([]sim.Config, len(plbs))
+	for i, plb := range plbs {
+		cfgs[i] = baseORAM()
+		cfgs[i].ORAM.PLBBlocks = plb
+	}
+	r, err := runEach(opt, w.ops, w.gf, cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation_plb: %w", err)
+	}
+	for i, rep := range r {
 		share := float64(rep.ORAM.PosMapPaths) / float64(rep.ORAM.PathAccesses)
 		hits := float64(rep.ORAM.PLBHits)
 		total := hits + float64(rep.ORAM.PLBMisses)
@@ -66,11 +61,11 @@ func ablationPLB(opt Options) (*Table, error) {
 		if total > 0 {
 			hitRate = hits / total
 		}
-		cells := []float64{normTime(noPLB, rep), share, hitRate}
+		cells := []float64{normTime(r[0], rep), share, hitRate}
 		if recorded {
-			cells = append(cells, row.inclusive)
+			cells = append(cells, inclusive[i])
 		}
-		t.AddRow(fmt.Sprintf("%d", plb), cells...)
+		t.AddRow(fmt.Sprintf("%d", plbs[i]), cells...)
 	}
 	t.Notes = append(t.Notes,
 		"ocean_c; norm_time is relative to no PLB, the configuration the inclusive and the exclusive PLB share (until PR 23: relative to 128 blocks)")
@@ -93,41 +88,15 @@ func ablationThreshold(opt Options) (*Table, error) {
 	staticT := superblock.Config{Scheme: superblock.Dynamic, MaxSize: 2,
 		MergeMode: superblock.ThresholdStatic, BreakMode: superblock.ThresholdStatic,
 		CMerge: 1, CBreak: 1, Window: 1000}
-	cases := []struct {
-		name string
-		gf   genFactory
-		ops  uint64
-	}{}
-	for _, name := range []string{"ocean_c", "radix"} {
-		p := trace.ByName(trace.Splash2(opt.scale(fig8Ops)), name)[0]
-		p.Seed += opt.Seed
-		cases = append(cases, struct {
-			name string
-			gf   genFactory
-			ops  uint64
-		}{name, modelFactory(p), p.Ops})
-	}
 	ops := opt.scale(fig67Ops)
-	cases = append(cases, struct {
-		name string
-		gf   genFactory
-		ops  uint64
-	}{"phase_synth", syntheticFactory(ops, 0.5, ops/8, opt.Seed), ops})
-
+	cases := append(splash2Named(opt, "ocean_c", "radix"),
+		workload{"phase_synth", ops, syntheticFactory(ops, 0.5, ops/8, opt.Seed), false})
 	for _, c := range cases {
-		base, err := runSim(opt, withWarmup(baseORAM(), c.ops), c.gf())
+		r, err := runEach(opt, c.ops, c.gf, baseORAM(), withScheme(baseORAM(), staticT), withScheme(baseORAM(), dynScheme()))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ablation_threshold %s: %w", c.name, err)
 		}
-		st, err := runSim(opt, withWarmup(withScheme(baseORAM(), staticT), c.ops), c.gf())
-		if err != nil {
-			return nil, err
-		}
-		ad, err := runSim(opt, withWarmup(withScheme(baseORAM(), dynScheme()), c.ops), c.gf())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.name, speedup(base, st), speedup(base, ad))
+		t.AddRow(c.name, speedup(r[0], r[1]), speedup(r[0], r[2]))
 	}
 	t.Notes = append(t.Notes,
 		"static thresholding merges at counter >= 2n; adaptive uses Equation 1 feedback")
@@ -151,33 +120,27 @@ func ablationOint(opt Options) (*Table, error) {
 		HotFraction: 0.9, SeqFraction: 0.5, RunLen: 8, Gap: 600,
 		WriteFraction: 0.25, Seed: 901 + opt.Seed,
 	}
-	gf := modelFactory(p)
-
-	fixed := withWarmup(baseORAM(), p.Ops)
-	fixed.ORAM.Periodic = true
-	fixed.ORAM.Oint = scaledOint
-	fixedRep, err := runSim(opt, fixed, gf())
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("fixed", 1, 1, 0)
-
-	for _, ladder := range []uint64{4, 16, 64} {
-		cfg := withWarmup(baseORAM(), p.Ops)
-		cfg.ORAM.Periodic = true
-		cfg.ORAM.Oint = scaledOint
+	ladders := []uint64{4, 16, 64}
+	cfgs := []sim.Config{periodic(baseORAM())}
+	for _, ladder := range ladders {
+		cfg := periodic(baseORAM())
 		cfg.ORAM.DynamicOint = true
 		cfg.ORAM.OintMax = scaledOint * ladder
-		rep, err := runSim(opt, cfg, gf())
-		if err != nil {
-			return nil, fmt.Errorf("ablation_oint ladder=%d: %w", ladder, err)
-		}
+		cfgs = append(cfgs, cfg)
+	}
+	r, err := runEach(opt, p.Ops, modelFactory(p), cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation_oint: %w", err)
+	}
+	fixed := r[0]
+	t.AddRow("fixed", 1, 1, 0)
+	for i, rep := range r[1:] {
 		normDummies := 0.0
-		if fixedRep.ORAM.DummyAccesses > 0 {
-			normDummies = float64(rep.ORAM.DummyAccesses) / float64(fixedRep.ORAM.DummyAccesses)
+		if fixed.ORAM.DummyAccesses > 0 {
+			normDummies = float64(rep.ORAM.DummyAccesses) / float64(fixed.ORAM.DummyAccesses)
 		}
-		t.AddRow(fmt.Sprintf("ladder_x%d", ladder),
-			normTime(fixedRep, rep), normDummies, float64(rep.ORAM.OintTransitions))
+		t.AddRow(fmt.Sprintf("ladder_x%d", ladders[i]),
+			normTime(fixed, rep), normDummies, float64(rep.ORAM.OintTransitions))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("fixed: Oint=%[1]d throughout (the paper's 100, scaled to path latency); ladder_xK adapts within [%[1]d, %[1]dK] doubling per epoch", scaledOint),
@@ -193,23 +156,17 @@ func ablationPrefill(opt Options) (*Table, error) {
 		Title:   "Initialized vs lazily-populated tree (baseline ORAM, ocean_c)",
 		Columns: []string{"cycles", "stash_high_water", "tree_used_fraction"},
 	}
-	p := trace.ByName(trace.Splash2(opt.scale(fig8Ops)), "ocean_c")[0]
-	p.Seed += opt.Seed
-	for _, prefill := range []bool{true, false} {
-		cfg := withWarmup(baseORAM(), p.Ops)
-		cfg.ORAM.Prefill = prefill
-		rep, err := runSim(opt, cfg, modelFactory(p)())
-		if err != nil {
-			return nil, err
-		}
-		label := "prefilled"
-		used := 0.49 // by construction: ~50% slot utilization
-		if !prefill {
-			label = "lazy"
-			used = 0 // only touched blocks exist; see note
-		}
-		t.AddRow(label, float64(rep.Cycles), float64(rep.ORAM.StashHighWater), used)
+	w := splash2Named(opt, "ocean_c")[0]
+	lazy := baseORAM()
+	lazy.ORAM.Prefill = false
+	r, err := runEach(opt, w.ops, w.gf, baseORAM(), lazy)
+	if err != nil {
+		return nil, fmt.Errorf("ablation_prefill: %w", err)
 	}
+	// A prefilled tree is ~49% full by construction; a lazy one holds only
+	// the blocks touched (see note).
+	t.AddRow("prefilled", float64(r[0].Cycles), float64(r[0].ORAM.StashHighWater), 0.49)
+	t.AddRow("lazy", float64(r[1].Cycles), float64(r[1].ORAM.StashHighWater), 0)
 	t.Notes = append(t.Notes,
 		"a lazy tree holds only touched blocks, so stash/eviction pressure is unrealistically low;",
 		"experiments therefore default to the initialized (prefilled) tree")

@@ -27,23 +27,21 @@ func init() {
 // twice that.
 const audit2Ops = 60_000
 
-// audit2Configs are the shipped frontend configurations the auditor must
-// clear: the unified-equivalent single partition, the default sharded
-// spread, the banked subtree-packed device under shared-channel
-// contention, and the prior static prefetcher scheme.
-func audit2Configs() []struct {
+// auditCase is one shipped frontend configuration.
+type auditCase struct {
 	label  string
 	parts  int
 	banked *banked.Config
 	scheme superblock.Config
-} {
+}
+
+// audit2Configs are the shipped frontend configurations the auditor must
+// clear: the unified-equivalent single partition, the default sharded
+// spread, the banked subtree-packed device under shared-channel
+// contention, and the prior static prefetcher scheme.
+func audit2Configs() []auditCase {
 	packed := banked.DefaultConfig()
-	return []struct {
-		label  string
-		parts  int
-		banked *banked.Config
-		scheme superblock.Config
-	}{
+	return []auditCase{
 		{"p1_flat_dyn", 1, nil, dynScheme()},
 		{"p4_flat_dyn", 4, nil, dynScheme()},
 		{"p8_packed_dyn", 8, &packed, dynScheme()},
@@ -75,7 +73,6 @@ func audit2(opt Options) (*Table, error) {
 	for _, tc := range audit2Configs() {
 		cfg := shardBase(tc.parts, opt.Seed)
 		cfg.ORAM.Super = tc.scheme
-		cfg.MaxSuperBlock = tc.scheme.MaxSize
 		cfg.Banked = tc.banked
 		// The per-access timing test applies to flat-latency devices only:
 		// the banked model exists to expose per-access variance (row hits,

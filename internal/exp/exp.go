@@ -172,10 +172,13 @@ func (t *Table) JSON() ([]byte, error) {
 // Runner regenerates one table/figure.
 type Runner func(Options) (*Table, error)
 
-var registry = map[string]struct {
+// entry is one registered experiment.
+type entry struct {
 	title  string
 	runner Runner
-}{}
+}
+
+var registry = map[string]entry{}
 
 // register wires an experiment id to its runner; called from init().
 func register(id, title string, r Runner) {
@@ -183,10 +186,7 @@ func register(id, title string, r Runner) {
 		//proram:invariant duplicate registration is an init-time wiring mistake that must stop the binary
 		panic("exp: duplicate experiment " + id)
 	}
-	registry[id] = struct {
-		title  string
-		runner Runner
-	}{title, r}
+	registry[id] = entry{title, r}
 }
 
 // IDs returns every registered experiment id, sorted.
@@ -284,10 +284,94 @@ func runSim(opt Options, cfg sim.Config, g trace.Generator) (sim.Report, error) 
 	return s.Run(g)
 }
 
+// runEach runs each configuration, with the standard warmup for a workload
+// of ops operations, on a fresh generator from gf, in the order given (the
+// order the systems appear in an -obs trace).
+func runEach(opt Options, ops uint64, gf genFactory, cfgs ...sim.Config) ([]sim.Report, error) {
+	reps := make([]sim.Report, len(cfgs))
+	for i, cfg := range cfgs {
+		rep, err := runSim(opt, withWarmup(cfg, ops), gf())
+		if err != nil {
+			return nil, fmt.Errorf("run %d of %d: %w", i+1, len(cfgs), err)
+		}
+		reps[i] = rep
+	}
+	return reps, nil
+}
+
+// addAverages appends an avg row: for each of the first k columns the
+// mean over the rows so far, summed in row order, and zero in the columns
+// after them. Row i is workload ws[i]'s; when any of ws is
+// memory-intensive, a mem_avg row follows, the same over those rows alone.
+func (t *Table) addAverages(k int, ws []workload) {
+	rows := t.Rows
+	mean := func(label string, keep func(i int) bool) {
+		cells := make([]float64, len(t.Columns))
+		n := 0
+		for i, r := range rows {
+			if keep(i) {
+				for c := range k {
+					cells[c] += r.Cells[c]
+				}
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		for c := range k {
+			cells[c] /= float64(n)
+		}
+		t.AddRow(label, cells...)
+	}
+	mean("avg", func(int) bool { return true })
+	mean("mem_avg", func(i int) bool { return i < len(ws) && ws[i].mem })
+}
+
 // genFactory builds fresh generators for repeated runs of one workload.
 type genFactory func() trace.Generator
 
 // modelFactory adapts a benchmark profile.
 func modelFactory(p trace.ModelParams) genFactory {
 	return func() trace.Generator { return trace.NewModel(p) }
+}
+
+// workload is one benchmark of a suite: a row of the suite's figures.
+type workload struct {
+	name string
+	ops  uint64
+	gf   genFactory
+	mem  bool // memory-intensive: counted in the mem_avg row
+}
+
+// models lists benchmark profiles as workloads, each seed offset by
+// opt.Seed; mem, when non-nil, classifies them by name.
+func models(opt Options, ps []trace.ModelParams, mem func(string) bool) []workload {
+	ws := make([]workload, len(ps))
+	for i, p := range ps {
+		p.Seed += opt.Seed
+		ws[i] = workload{p.Name, p.Ops, modelFactory(p), mem != nil && mem(p.Name)}
+	}
+	return ws
+}
+
+// splash2, spec06 and dbms are the paper's three suites at full size.
+func splash2(opt Options) []workload {
+	return models(opt, trace.Splash2(opt.scale(fig8Ops)), trace.Splash2MemoryIntensive)
+}
+
+func spec06(opt Options) []workload {
+	return models(opt, trace.SPEC06(opt.scale(fig8Ops)), trace.SPEC06MemoryIntensive)
+}
+
+func dbms(opt Options) []workload {
+	y := trace.DefaultYCSB(opt.scale(fig8Ops))
+	y.Seed += opt.Seed
+	ycsb := workload{"YCSB", y.Ops, func() trace.Generator { return trace.NewYCSB(y) }, true}
+	return append([]workload{ycsb}, models(opt, []trace.ModelParams{trace.TPCC(opt.scale(fig8Ops))}, nil)...)
+}
+
+// splash2Named picks Splash2 benchmarks by name, in the order given.
+func splash2Named(opt Options, names ...string) []workload {
+	return models(opt, trace.ByName(trace.Splash2(opt.scale(fig8Ops)), names...), nil)
 }

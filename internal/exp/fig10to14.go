@@ -3,9 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"proram/internal/cache"
 	"proram/internal/sim"
-	"proram/internal/trace"
 )
 
 func init() {
@@ -16,97 +14,49 @@ func init() {
 	register("fig14", "Cacheline size sweep", fig14)
 }
 
-// sensitivityBenchmarks picks the paper's sensitivity-study pair: one
-// benchmark with good spatial locality and one with bad.
-func sensitivityBenchmarks(opt Options, names ...string) []trace.ModelParams {
-	suite := trace.Splash2(opt.scale(fig8Ops))
-	ps := trace.ByName(suite, names...)
-	for i := range ps {
-		ps[i].Seed += opt.Seed
-	}
-	return ps
-}
-
 // fig10 sweeps CMerge/CBreak as in §5.5.1 (m{x}b{y} labels).
 func fig10(opt Options) (*Table, error) {
-	benches := sensitivityBenchmarks(opt, "ocean_c", "ocean_nc", "fft", "volrend")
-	combos := []struct {
-		label          string
-		cMerge, cBreak float64
-	}{
-		{"m1b1", 1, 1}, {"m2b2", 2, 2}, {"m4b1", 4, 1}, {"m4b4", 4, 4}, {"m8b8", 8, 8},
-	}
 	t := &Table{ID: "fig10", Title: "Dynamic-scheme speedup per merge/break coefficient"}
-	for _, c := range combos {
-		t.Columns = append(t.Columns, c.label)
+	cfgs := []sim.Config{baseORAM()}
+	for _, c := range [][2]float64{{1, 1}, {2, 2}, {4, 1}, {4, 4}, {8, 8}} {
+		t.Columns = append(t.Columns, fmt.Sprintf("m%gb%g", c[0], c[1]))
+		sb := dynScheme()
+		sb.CMerge, sb.CBreak = c[0], c[1]
+		cfgs = append(cfgs, withScheme(baseORAM(), sb))
 	}
-	for _, p := range benches {
-		gf := modelFactory(p)
-		base, err := runSim(opt, withWarmup(baseORAM(), p.Ops), gf())
+	for _, w := range splash2Named(opt, "ocean_c", "ocean_nc", "fft", "volrend") {
+		r, err := runEach(opt, w.ops, w.gf, cfgs...)
 		if err != nil {
-			return nil, fmt.Errorf("fig10 %s: %w", p.Name, err)
+			return nil, fmt.Errorf("fig10 %s: %w", w.name, err)
 		}
-		cells := make([]float64, 0, len(combos))
-		for _, c := range combos {
-			sb := dynScheme()
-			sb.CMerge = c.cMerge
-			sb.CBreak = c.cBreak
-			rep, err := runSim(opt, withWarmup(withScheme(baseORAM(), sb), p.Ops), gf())
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s %s: %w", p.Name, c.label, err)
-			}
-			cells = append(cells, speedup(base, rep))
+		cells := make([]float64, 0, len(cfgs)-1)
+		for _, rep := range r[1:] {
+			cells = append(cells, speedup(r[0], rep))
 		}
-		t.AddRow(p.Name, cells...)
+		t.AddRow(w.name, cells...)
 	}
 	t.Notes = append(t.Notes, "mXbY: CMerge=X, CBreak=Y in Equation 1; speedup over baseline ORAM")
 	return t, nil
 }
 
-// sweepTriple runs oram/stat/dyn for one workload and one config mutation,
-// reporting completion time normalized to the insecure DRAM system.
-func sweepTriple(opt Options, p trace.ModelParams, mutate func(*sim.Config)) (oramT, statT, dynT float64, err error) {
-	gf := modelFactory(p)
-	dramCfg := withWarmup(baseDRAM(), p.Ops)
-	mutate(&dramCfg)
-	dramRep, err := runSim(opt, dramCfg, gf())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	run := func(cfg sim.Config) (float64, error) {
-		cfg = withWarmup(cfg, p.Ops)
-		mutate(&cfg)
-		rep, err := runSim(opt, cfg, gf())
-		if err != nil {
-			return 0, err
-		}
-		return normTime(dramRep, rep), nil
-	}
-	if oramT, err = run(baseORAM()); err != nil {
-		return 0, 0, 0, err
-	}
-	if statT, err = run(withScheme(baseORAM(), statScheme(2))); err != nil {
-		return 0, 0, 0, err
-	}
-	if dynT, err = run(withScheme(baseORAM(), dynScheme())); err != nil {
-		return 0, 0, 0, err
-	}
-	return oramT, statT, dynT, nil
-}
-
 // sweepFigure builds a fig11/12/13/14-style table: rows are
 // benchmark/sweep-point combinations, columns are oram/stat/dyn completion
-// times normalized to DRAM.
-func sweepFigure(opt Options, id, title string, benches []trace.ModelParams,
+// times normalized to the insecure DRAM system under the same mutation.
+func sweepFigure(opt Options, id, title string, benches []workload,
 	points []string, mutate func(point string, cfg *sim.Config)) (*Table, error) {
 	t := &Table{ID: id, Title: title, Columns: []string{"oram", "stat", "dyn"}}
-	for _, p := range benches {
+	for _, w := range benches {
 		for _, pt := range points {
-			o, s, d, err := sweepTriple(opt, p, func(cfg *sim.Config) { mutate(pt, cfg) })
-			if err != nil {
-				return nil, fmt.Errorf("%s %s@%s: %w", id, p.Name, pt, err)
+			cfgs := []sim.Config{baseDRAM(), baseORAM(),
+				withScheme(baseORAM(), statScheme(2)), withScheme(baseORAM(), dynScheme())}
+			for i := range cfgs {
+				mutate(pt, &cfgs[i])
 			}
-			t.AddRow(p.Name+"/"+pt, o, s, d)
+			r, err := runEach(opt, w.ops, w.gf, cfgs...)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s@%s: %w", id, w.name, pt, err)
+			}
+			t.AddRow(w.name+"/"+pt, normTime(r[0], r[1]), normTime(r[0], r[2]), normTime(r[0], r[3]))
 		}
 	}
 	t.Notes = append(t.Notes, "completion time normalized to the insecure DRAM system (lower is better)")
@@ -115,7 +65,7 @@ func sweepFigure(opt Options, id, title string, benches []trace.ModelParams,
 
 func fig11(opt Options) (*Table, error) {
 	return sweepFigure(opt, "fig11", "Completion time vs. DRAM bandwidth (GB/s)",
-		sensitivityBenchmarks(opt, "ocean_c", "volrend"),
+		splash2Named(opt, "ocean_c", "volrend"),
 		[]string{"4", "8", "16"},
 		func(pt string, cfg *sim.Config) {
 			var bw float64
@@ -126,7 +76,7 @@ func fig11(opt Options) (*Table, error) {
 
 func fig12(opt Options) (*Table, error) {
 	return sweepFigure(opt, "fig12", "Completion time vs. stash size (blocks)",
-		sensitivityBenchmarks(opt, "ocean_c", "volrend"),
+		splash2Named(opt, "ocean_c", "volrend"),
 		[]string{"25", "50", "100", "200", "400"},
 		func(pt string, cfg *sim.Config) {
 			var n int
@@ -137,7 +87,7 @@ func fig12(opt Options) (*Table, error) {
 
 func fig13(opt Options) (*Table, error) {
 	return sweepFigure(opt, "fig13", "Completion time vs. Z",
-		sensitivityBenchmarks(opt, "fft", "ocean_c", "ocean_nc", "volrend"),
+		splash2Named(opt, "fft", "ocean_c", "ocean_nc", "volrend"),
 		[]string{"Z3", "Z4"},
 		func(pt string, cfg *sim.Config) {
 			if pt == "Z3" {
@@ -150,7 +100,7 @@ func fig13(opt Options) (*Table, error) {
 
 func fig14(opt Options) (*Table, error) {
 	return sweepFigure(opt, "fig14", "Completion time vs. cacheline size (bytes)",
-		sensitivityBenchmarks(opt, "ocean_c", "volrend"),
+		splash2Named(opt, "ocean_c", "volrend"),
 		[]string{"64", "128", "256"},
 		func(pt string, cfg *sim.Config) {
 			var b int
@@ -160,5 +110,3 @@ func fig14(opt Options) (*Table, error) {
 			cfg.Hier.L2.LineBytes = b
 		})
 }
-
-var _ = cache.Config{} // cacheline sweep touches hierarchy config types

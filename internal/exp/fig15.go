@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"proram/internal/sim"
-	"proram/internal/trace"
 )
 
 // scaledOint is the periodic-access interval, in cycles, that every
@@ -18,15 +17,9 @@ const scaledOint = 50
 var ointLabel = fmt.Sprintf("paper Oint = 100, run at %d scaled to path latency", scaledOint)
 
 func init() {
-	register("fig15a", "Periodic ORAM accesses on Splash2 ("+ointLabel+")", func(o Options) (*Table, error) {
-		return fig15Suite("fig15a", "Periodic ORAM, Splash2", trace.Splash2(o.scale(fig8Ops)), o,
-			trace.Splash2MemoryIntensive)
-	})
-	register("fig15b", "Periodic ORAM accesses on SPEC06 ("+ointLabel+")", func(o Options) (*Table, error) {
-		return fig15Suite("fig15b", "Periodic ORAM, SPEC06", trace.SPEC06(o.scale(fig8Ops)), o,
-			trace.SPEC06MemoryIntensive)
-	})
-	register("fig15c", "Periodic ORAM accesses on DBMS ("+ointLabel+")", fig15c)
+	register("fig15a", "Periodic ORAM accesses on Splash2 ("+ointLabel+")", fig15("fig15a", "Periodic ORAM, Splash2", splash2, true))
+	register("fig15b", "Periodic ORAM accesses on SPEC06 ("+ointLabel+")", fig15("fig15b", "Periodic ORAM, SPEC06", spec06, true))
+	register("fig15c", "Periodic ORAM accesses on DBMS ("+ointLabel+")", fig15("fig15c", "Periodic ORAM, DBMS", dbms, false))
 }
 
 // periodic turns on timing-channel protection at scaledOint.
@@ -36,80 +29,27 @@ func periodic(cfg sim.Config) sim.Config {
 	return cfg
 }
 
-// fig15Row measures one workload: speedups of non-periodic baseline ORAM,
-// periodic static, and periodic dynamic — all relative to the periodic
-// baseline ORAM, exactly as Figure 15 plots.
-func fig15Row(opt Options, name string, ops uint64, gf genFactory) (oramS, statS, dynS float64, err error) {
-	periodicBase, err := runSim(opt, withWarmup(periodic(baseORAM()), ops), gf())
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("%s/periodic: %w", name, err)
-	}
-	plain, err := runSim(opt, withWarmup(baseORAM(), ops), gf())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	statRep, err := runSim(opt, withWarmup(periodic(withScheme(baseORAM(), statScheme(2))), ops), gf())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dynRep, err := runSim(opt, withWarmup(periodic(withScheme(baseORAM(), dynScheme())), ops), gf())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return speedup(periodicBase, plain), speedup(periodicBase, statRep), speedup(periodicBase, dynRep), nil
-}
-
-func fig15Suite(id, title string, suite []trace.ModelParams, opt Options,
-	memIntensive func(string) bool) (*Table, error) {
-	t := &Table{ID: id, Title: title, Columns: []string{"oram", "stat_intvl", "dyn_intvl"}}
-	var sa, sb, sc float64
-	var ma, mb, mc float64
-	memN := 0
-	for _, p := range suite {
-		p.Seed += opt.Seed
-		o, s, d, err := fig15Row(opt, p.Name, p.Ops, modelFactory(p))
-		if err != nil {
-			return nil, err
+// fig15 builds a Figure 15 table: per workload, the speedups of
+// non-periodic baseline ORAM, periodic static and periodic dynamic, all
+// relative to the periodic baseline ORAM, exactly as Figure 15 plots;
+// averaged, it adds the avg and mem_avg rows.
+func fig15(id, title string, suite func(Options) []workload, averaged bool) Runner {
+	return func(opt Options) (*Table, error) {
+		t := &Table{ID: id, Title: title, Columns: []string{"oram", "stat_intvl", "dyn_intvl"}}
+		ws := suite(opt)
+		for _, w := range ws {
+			r, err := runEach(opt, w.ops, w.gf, periodic(baseORAM()), baseORAM(),
+				periodic(withScheme(baseORAM(), statScheme(2))), periodic(withScheme(baseORAM(), dynScheme())))
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", id, w.name, err)
+			}
+			t.AddRow(w.name, speedup(r[0], r[1]), speedup(r[0], r[2]), speedup(r[0], r[3]))
 		}
-		t.AddRow(p.Name, o, s, d)
-		sa += o
-		sb += s
-		sc += d
-		if memIntensive(p.Name) {
-			ma += o
-			mb += s
-			mc += d
-			memN++
+		t.Notes = append(t.Notes, "speedup relative to the baseline ORAM with periodic accesses ("+ointLabel+")")
+		if averaged {
+			t.addAverages(3, ws)
+			t.Notes = append(t.Notes, "oram = non-periodic baseline; stat_intvl/dyn_intvl = schemes under periodicity")
 		}
+		return t, nil
 	}
-	n := float64(len(suite))
-	t.AddRow("avg", sa/n, sb/n, sc/n)
-	if memN > 0 {
-		m := float64(memN)
-		t.AddRow("mem_avg", ma/m, mb/m, mc/m)
-	}
-	t.Notes = append(t.Notes,
-		"speedup relative to the baseline ORAM with periodic accesses ("+ointLabel+")",
-		"oram = non-periodic baseline; stat_intvl/dyn_intvl = schemes under periodicity")
-	return t, nil
-}
-
-func fig15c(opt Options) (*Table, error) {
-	t := &Table{ID: "fig15c", Title: "Periodic ORAM, DBMS", Columns: []string{"oram", "stat_intvl", "dyn_intvl"}}
-	ycsbCfg := trace.DefaultYCSB(opt.scale(fig8Ops))
-	ycsbCfg.Seed += opt.Seed
-	o, s, d, err := fig15Row(opt, "YCSB", ycsbCfg.Ops, func() trace.Generator { return trace.NewYCSB(ycsbCfg) })
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("YCSB", o, s, d)
-	tp := trace.TPCC(opt.scale(fig8Ops))
-	tp.Seed += opt.Seed
-	o, s, d, err = fig15Row(opt, "TPCC", tp.Ops, modelFactory(tp))
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("TPCC", o, s, d)
-	t.Notes = append(t.Notes, "speedup relative to the baseline ORAM with periodic accesses ("+ointLabel+")")
-	return t, nil
 }

@@ -21,42 +21,16 @@ func fig5(opt Options) (*Table, error) {
 		Columns: []string{"dram_pre", "oram_pre"},
 	}
 	pf := prefetch.DefaultConfig()
-	var sumD, sumO float64
-	suite := trace.Splash2(opt.scale(fig8Ops))
-	rows := trace.ByName(suite, trace.Fig5Splash2Names...)
-	for _, p := range rows {
-		p.Seed += opt.Seed
-		gf := modelFactory(p)
-
-		dram, err := runSim(opt, withWarmup(baseDRAM(), p.Ops), gf())
+	dramPre, oramPre := baseDRAM(), baseORAM()
+	dramPre.Prefetch, oramPre.Prefetch = &pf, &pf
+	for _, w := range splash2Named(opt, trace.Fig5Splash2Names...) {
+		r, err := runEach(opt, w.ops, w.gf, baseDRAM(), dramPre, baseORAM(), oramPre)
 		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", p.Name, err)
+			return nil, fmt.Errorf("fig5 %s: %w", w.name, err)
 		}
-		dramPre := withWarmup(baseDRAM(), p.Ops)
-		dramPre.Prefetch = &pf
-		dramPreRep, err := runSim(opt, dramPre, gf())
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", p.Name, err)
-		}
-
-		oramRep, err := runSim(opt, withWarmup(baseORAM(), p.Ops), gf())
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", p.Name, err)
-		}
-		oramPre := withWarmup(baseORAM(), p.Ops)
-		oramPre.Prefetch = &pf
-		oramPreRep, err := runSim(opt, oramPre, gf())
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", p.Name, err)
-		}
-
-		d := speedup(dram, dramPreRep)
-		o := speedup(oramRep, oramPreRep)
-		t.AddRow(p.Name, d, o)
-		sumD += d
-		sumO += o
+		t.AddRow(w.name, speedup(r[0], r[1]), speedup(r[2], r[3]))
 	}
-	t.AddRow("avg", sumD/float64(len(rows)), sumO/float64(len(rows)))
+	t.addAverages(2, nil)
 	t.Notes = append(t.Notes,
 		"dram_pre: speedup of DRAM+prefetcher over DRAM; oram_pre: speedup of ORAM+prefetcher over ORAM")
 	return t, nil

@@ -53,20 +53,12 @@ func fig6a(opt Options) (*Table, error) {
 	}
 	ops := opt.scale(fig67Ops)
 	for _, loc := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		gf := syntheticFactory(ops, loc, 0, opt.Seed)
-		base, err := runSim(opt, withWarmup(z4(baseORAM()), ops), gf())
+		r, err := runEach(opt, ops, syntheticFactory(ops, loc, 0, opt.Seed),
+			z4(baseORAM()), z4(withScheme(baseORAM(), statScheme(2))), z4(withScheme(baseORAM(), dynScheme())))
 		if err != nil {
 			return nil, fmt.Errorf("fig6a loc=%v: %w", loc, err)
 		}
-		stat, err := runSim(opt, withWarmup(z4(withScheme(baseORAM(), statScheme(2))), ops), gf())
-		if err != nil {
-			return nil, err
-		}
-		dyn, err := runSim(opt, withWarmup(z4(withScheme(baseORAM(), dynScheme())), ops), gf())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f%%", loc*100), speedup(base, stat), speedup(base, dyn))
+		t.AddRow(fmt.Sprintf("%.0f%%", loc*100), speedup(r[0], r[1]), speedup(r[0], r[2]))
 	}
 	t.Notes = append(t.Notes, "speedup over baseline ORAM; locality = fraction of data accessed sequentially")
 	return t, nil
@@ -81,12 +73,6 @@ func fig6b(opt Options) (*Table, error) {
 		Title:   "Phase change: speedup and normalized accesses per variant (synthetic, Z=4)",
 		Columns: []string{"speedup", "norm_acc"},
 	}
-	ops := opt.scale(fig67Ops)
-	gf := syntheticFactory(ops, 0.5, ops/8, opt.Seed)
-	base, err := runSim(opt, withWarmup(z4(baseORAM()), ops), gf())
-	if err != nil {
-		return nil, err
-	}
 	variants := []struct {
 		name string
 		sb   superblock.Config
@@ -100,12 +86,17 @@ func fig6b(opt Options) (*Table, error) {
 			DisableBreak: true, CMerge: 1, CBreak: 1, Window: 1000}},
 		{"am_ab", dynScheme()},
 	}
+	cfgs := []sim.Config{z4(baseORAM())}
 	for _, v := range variants {
-		rep, err := runSim(opt, withWarmup(z4(withScheme(baseORAM(), v.sb)), ops), gf())
-		if err != nil {
-			return nil, fmt.Errorf("fig6b %s: %w", v.name, err)
-		}
-		t.AddRow(v.name, speedup(base, rep), normAccesses(base, rep))
+		cfgs = append(cfgs, z4(withScheme(baseORAM(), v.sb)))
+	}
+	ops := opt.scale(fig67Ops)
+	r, err := runEach(opt, ops, syntheticFactory(ops, 0.5, ops/8, opt.Seed), cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("fig6b: %w", err)
+	}
+	for i, v := range variants {
+		t.AddRow(v.name, speedup(r[0], r[i+1]), normAccesses(r[0], r[i+1]))
 	}
 	t.Notes = append(t.Notes,
 		"phase-change synthetic: sequential and random halves swap every ops/8 operations",
@@ -122,26 +113,23 @@ func fig7(opt Options) (*Table, error) {
 		Title:   "Super block size sweep, 100%-locality synthetic (Z=4)",
 		Columns: []string{"stat_speedup", "dyn_speedup", "stat_norm_acc", "dyn_norm_acc"},
 	}
-	ops := opt.scale(fig7Ops)
-	gf := syntheticFactory(ops, 1.0, 0, opt.Seed)
-	base, err := runSim(opt, withWarmup(z4(baseORAM()), ops), gf())
-	if err != nil {
-		return nil, err
+	sizes := []int{2, 4, 8}
+	cfgs := []sim.Config{z4(baseORAM())}
+	for _, size := range sizes {
+		dyn := dynScheme()
+		dyn.MaxSize = size
+		cfgs = append(cfgs, z4(withScheme(baseORAM(), statScheme(size))), z4(withScheme(baseORAM(), dyn)))
 	}
-	for _, size := range []int{2, 4, 8} {
-		stat, err := runSim(opt, withWarmup(z4(withScheme(baseORAM(), statScheme(size))), ops), gf())
-		if err != nil {
-			return nil, fmt.Errorf("fig7 size=%d: %w", size, err)
-		}
-		dynCfg := dynScheme()
-		dynCfg.MaxSize = size
-		dyn, err := runSim(opt, withWarmup(z4(withScheme(baseORAM(), dynCfg)), ops), gf())
-		if err != nil {
-			return nil, err
-		}
+	ops := opt.scale(fig7Ops)
+	r, err := runEach(opt, ops, syntheticFactory(ops, 1.0, 0, opt.Seed), cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("fig7: %w", err)
+	}
+	for i, size := range sizes {
+		stat, dyn := r[2*i+1], r[2*i+2]
 		t.AddRow(fmt.Sprintf("%d", size),
-			speedup(base, stat), speedup(base, dyn),
-			normAccesses(base, stat), normAccesses(base, dyn))
+			speedup(r[0], stat), speedup(r[0], dyn),
+			normAccesses(r[0], stat), normAccesses(r[0], dyn))
 	}
 	t.Notes = append(t.Notes, "sbsize is the static merge granularity / dynamic maximum size")
 	return t, nil

@@ -4,197 +4,85 @@ import (
 	"fmt"
 
 	"proram/internal/sim"
-	"proram/internal/trace"
 )
 
 func init() {
-	register("fig8a", "Speedup and normalized memory accesses of super block schemes on Splash2", fig8a)
-	register("fig8b", "Speedup and normalized memory accesses of super block schemes on SPEC06", fig8b)
-	register("fig8c", "Speedup and normalized memory accesses of super block schemes on DBMS", fig8c)
+	register("fig8a", "Speedup and normalized memory accesses of super block schemes on Splash2",
+		suiteFigure("fig8a", "Super block schemes on Splash2", splash2))
+	register("fig8b", "Speedup and normalized memory accesses of super block schemes on SPEC06",
+		suiteFigure("fig8b", "Super block schemes on SPEC06", spec06))
+	register("fig8c", "Speedup and normalized memory accesses of super block schemes on DBMS",
+		suiteFigure("fig8c", "Super block schemes on DBMS (YCSB, TPCC)", dbms))
+	// fig9 plots the prefetch miss rates of the same four systems per
+	// benchmark; it runs them again rather than sharing fig8's runs.
+	register("fig9a", "Prefetch miss rate on Splash2", missRateFigure("fig9a", "Prefetch miss rate, Splash2", splash2))
+	register("fig9b", "Prefetch miss rate on SPEC06", missRateFigure("fig9b", "Prefetch miss rate, SPEC06", spec06))
 }
 
 // fig8Ops is the full-size operation count for the suite figures.
 const fig8Ops = 800_000
 
-// suiteRow holds one benchmark's fig8 measurements.
-type suiteRow struct {
-	name                string
-	statSpeed, dynSpeed float64
-	statAcc, dynAcc     float64
-	oramOverDRAM        float64
-	statMiss, dynMiss   float64 // fig9 reuses these
-	memoryIntensive     bool
-}
-
-// runSuiteBenchmark measures one workload under DRAM, baseline ORAM, the
-// static scheme and PrORAM, using the standard warmup fraction so the
-// measured region is steady state (caches full, super blocks mature).
-func runSuiteBenchmark(opt Options, name string, ops uint64, gf genFactory, memIntensive bool) (suiteRow, error) {
-	dramRep, err := runSim(opt, withWarmup(baseDRAM(), ops), gf())
-	if err != nil {
-		return suiteRow{}, fmt.Errorf("%s/dram: %w", name, err)
-	}
-	oramRep, err := runSim(opt, withWarmup(baseORAM(), ops), gf())
-	if err != nil {
-		return suiteRow{}, fmt.Errorf("%s/oram: %w", name, err)
-	}
-	statRep, err := runSim(opt, withWarmup(withScheme(baseORAM(), statScheme(2)), ops), gf())
-	if err != nil {
-		return suiteRow{}, fmt.Errorf("%s/stat: %w", name, err)
-	}
-	dynRep, err := runSim(opt, withWarmup(withScheme(baseORAM(), dynScheme()), ops), gf())
-	if err != nil {
-		return suiteRow{}, fmt.Errorf("%s/dyn: %w", name, err)
-	}
-	return suiteRow{
-		name:            name,
-		statSpeed:       speedup(oramRep, statRep),
-		dynSpeed:        speedup(oramRep, dynRep),
-		statAcc:         normAccesses(oramRep, statRep),
-		dynAcc:          normAccesses(oramRep, dynRep),
-		oramOverDRAM:    float64(oramRep.Cycles) / float64(dramRep.Cycles),
-		statMiss:        statRep.PrefetchMissRate(),
-		dynMiss:         dynRep.PrefetchMissRate(),
-		memoryIntensive: memIntensive,
-	}, nil
-}
-
-// suiteFigure assembles a fig8-style table with avg and mem_avg rows.
-func suiteFigure(id, title string, rows []suiteRow) *Table {
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Columns: []string{"stat_speedup", "dyn_speedup", "stat_norm_acc", "dyn_norm_acc", "oram_over_dram"},
-	}
-	var sumS, sumD, sumSA, sumDA float64
-	var memS, memD, memSA, memDA float64
-	memN := 0
-	for _, r := range rows {
-		t.AddRow(r.name, r.statSpeed, r.dynSpeed, r.statAcc, r.dynAcc, r.oramOverDRAM)
-		sumS += r.statSpeed
-		sumD += r.dynSpeed
-		sumSA += r.statAcc
-		sumDA += r.dynAcc
-		if r.memoryIntensive {
-			memS += r.statSpeed
-			memD += r.dynSpeed
-			memSA += r.statAcc
-			memDA += r.dynAcc
-			memN++
+// runSuite measures every workload of a suite under DRAM, baseline ORAM,
+// the static scheme and PrORAM, in that order, using the standard warmup
+// fraction so the measured region is steady state (caches full, super
+// blocks mature).
+func runSuite(opt Options, ws []workload) ([][]sim.Report, error) {
+	reps := make([][]sim.Report, len(ws))
+	for i, w := range ws {
+		r, err := runEach(opt, w.ops, w.gf, baseDRAM(), baseORAM(),
+			withScheme(baseORAM(), statScheme(2)), withScheme(baseORAM(), dynScheme()))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
+		reps[i] = r
 	}
-	n := float64(len(rows))
-	t.AddRow("avg", sumS/n, sumD/n, sumSA/n, sumDA/n, 0)
-	if memN > 0 {
-		m := float64(memN)
-		t.AddRow("mem_avg", memS/m, memD/m, memSA/m, memDA/m, 0)
-	}
-	t.Notes = append(t.Notes,
-		"speedup = T_baselineORAM/T_scheme - 1; norm_acc = scheme ORAM accesses / baseline ORAM accesses",
-		"oram_over_dram classifies memory intensity (paper threshold: 2x)")
-	return t
+	return reps, nil
 }
 
-func splash2Rows(opt Options) ([]suiteRow, error) {
-	var rows []suiteRow
-	for _, p := range trace.Splash2(opt.scale(fig8Ops)) {
-		p.Seed += opt.Seed
-		r, err := runSuiteBenchmark(opt, p.Name, p.Ops, modelFactory(p), trace.Splash2MemoryIntensive(p.Name))
+// suiteFigure builds a fig8-style table with avg and mem_avg rows.
+func suiteFigure(id, title string, suite func(Options) []workload) Runner {
+	return func(opt Options) (*Table, error) {
+		t := &Table{
+			ID:      id,
+			Title:   title,
+			Columns: []string{"stat_speedup", "dyn_speedup", "stat_norm_acc", "dyn_norm_acc", "oram_over_dram"},
+		}
+		ws := suite(opt)
+		reps, err := runSuite(opt, ws)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, r)
+		for i, w := range ws {
+			dram, oram, stat, dyn := reps[i][0], reps[i][1], reps[i][2], reps[i][3]
+			t.AddRow(w.name, speedup(oram, stat), speedup(oram, dyn),
+				normAccesses(oram, stat), normAccesses(oram, dyn),
+				float64(oram.Cycles)/float64(dram.Cycles))
+		}
+		t.addAverages(4, ws)
+		t.Notes = append(t.Notes,
+			"speedup = T_baselineORAM/T_scheme - 1; norm_acc = scheme ORAM accesses / baseline ORAM accesses",
+			"oram_over_dram classifies memory intensity (paper threshold: 2x)")
+		return t, nil
 	}
-	return rows, nil
 }
 
-func spec06Rows(opt Options) ([]suiteRow, error) {
-	var rows []suiteRow
-	for _, p := range trace.SPEC06(opt.scale(fig8Ops)) {
-		p.Seed += opt.Seed
-		r, err := runSuiteBenchmark(opt, p.Name, p.Ops, modelFactory(p), trace.SPEC06MemoryIntensive(p.Name))
+// missRateFigure builds a fig9-style table: the static and dynamic
+// schemes' prefetch miss rates, with an avg row.
+func missRateFigure(id, title string, suite func(Options) []workload) Runner {
+	return func(opt Options) (*Table, error) {
+		t := &Table{ID: id, Title: title, Columns: []string{"stat_miss_rate", "dyn_miss_rate"}}
+		ws := suite(opt)
+		reps, err := runSuite(opt, ws)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-func dbmsRows(opt Options) ([]suiteRow, error) {
-	ycsbCfg := trace.DefaultYCSB(opt.scale(fig8Ops))
-	ycsbCfg.Seed += opt.Seed
-	ycsb, err := runSuiteBenchmark(opt, "YCSB", ycsbCfg.Ops,
-		func() trace.Generator { return trace.NewYCSB(ycsbCfg) }, true)
-	if err != nil {
-		return nil, err
-	}
-	tp := trace.TPCC(opt.scale(fig8Ops))
-	tp.Seed += opt.Seed
-	tpcc, err := runSuiteBenchmark(opt, "TPCC", tp.Ops, modelFactory(tp), false)
-	if err != nil {
-		return nil, err
-	}
-	return []suiteRow{ycsb, tpcc}, nil
-}
-
-func fig8a(opt Options) (*Table, error) {
-	rows, err := splash2Rows(opt)
-	if err != nil {
-		return nil, err
-	}
-	return suiteFigure("fig8a", "Super block schemes on Splash2", rows), nil
-}
-
-func fig8b(opt Options) (*Table, error) {
-	rows, err := spec06Rows(opt)
-	if err != nil {
-		return nil, err
-	}
-	return suiteFigure("fig8b", "Super block schemes on SPEC06", rows), nil
-}
-
-func fig8c(opt Options) (*Table, error) {
-	rows, err := dbmsRows(opt)
-	if err != nil {
-		return nil, err
-	}
-	return suiteFigure("fig8c", "Super block schemes on DBMS (YCSB, TPCC)", rows), nil
-}
-
-// fig9 shares the suite runs: prefetch miss rates of the two schemes.
-func init() {
-	register("fig9a", "Prefetch miss rate on Splash2", func(opt Options) (*Table, error) {
-		rows, err := splash2Rows(opt)
-		if err != nil {
-			return nil, err
-		}
-		return missRateFigure("fig9a", "Prefetch miss rate, Splash2", rows), nil
-	})
-	register("fig9b", "Prefetch miss rate on SPEC06", func(opt Options) (*Table, error) {
-		rows, err := spec06Rows(opt)
-		if err != nil {
-			return nil, err
-		}
-		return missRateFigure("fig9b", "Prefetch miss rate, SPEC06", rows), nil
-	})
-}
-
-func missRateFigure(id, title string, rows []suiteRow) *Table {
-	t := &Table{ID: id, Title: title, Columns: []string{"stat_miss_rate", "dyn_miss_rate"}}
-	var sumS, sumD float64
-	n := 0
-	for _, r := range rows {
 		// The paper drops the two most compute-bound water benchmarks in
 		// Figure 9 (they barely touch ORAM); keep every row here but note it.
-		t.AddRow(r.name, r.statMiss, r.dynMiss)
-		sumS += r.statMiss
-		sumD += r.dynMiss
-		n++
+		for i, w := range ws {
+			t.AddRow(w.name, reps[i][2].PrefetchMissRate(), reps[i][3].PrefetchMissRate())
+		}
+		t.addAverages(2, nil)
+		t.Notes = append(t.Notes, "miss rate = prefetched-but-unused / resolved prefetches")
+		return t, nil
 	}
-	t.AddRow("avg", sumS/float64(n), sumD/float64(n))
-	t.Notes = append(t.Notes, "miss rate = prefetched-but-unused / resolved prefetches")
-	return t
 }
-
-var _ = sim.Report{} // sim types appear in helper signatures

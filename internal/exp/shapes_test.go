@@ -3,44 +3,32 @@ package exp
 import (
 	"math"
 	"slices"
-	"sync"
 	"testing"
 )
 
 // Shape tests assert the qualitative results of each paper figure — who
-// wins, where the crossovers are — at a reduced scale. They are the
+// wins, where the crossovers are — at the paper's size. They are the
 // reproduction's regression net. Run with -short to skip them.
-//
-// The four most expensive figures (6a, 7, 9, 12) live in the sibling
-// test-only package internal/exp/shapes: at full scale the whole suite
-// costs ~11 CPU-minutes, and go test's default 10-minute timeout is
-// charged per test binary, so the suite is split across two binaries.
-
-var (
-	cacheMu    sync.Mutex
-	tableCache = map[string]*Table{}
-)
 
 // shapeScale is 1.0: the shape assertions hold at the paper-size runs
 // (the dynamic scheme needs the full run to mature its super blocks).
-// The whole suite takes ~10 minutes; `go test -short` skips it.
+// With its tests in parallel the suite takes 2.5–3 minutes on two cores;
+// `go test -short` skips it.
 const shapeScale = 1.0
 
-func cached(t *testing.T, id string) *Table {
+// figure regenerates one table for a shape test. No two shape tests ask
+// for the same table, so nothing is shared between them; they run in
+// parallel instead, which keeps every core of the one test binary busy.
+func figure(t *testing.T, id string) *Table {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("figure-shape test skipped in -short mode")
 	}
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if tb, ok := tableCache[id]; ok {
-		return tb
-	}
+	t.Parallel()
 	tb, err := Run(id, Options{Scale: shapeScale})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	tableCache[id] = tb
 	return tb
 }
 
@@ -129,7 +117,7 @@ func TestTableHelpers(t *testing.T) {
 
 // Figure 5: prefetching helps DRAM, not ORAM.
 func TestFig5Shape(t *testing.T) {
-	tb := cached(t, "fig5")
+	tb := figure(t, "fig5")
 	dram := tb.MustCell("avg", "dram_pre")
 	oram := tb.MustCell("avg", "oram_pre")
 	if dram < 0.01 {
@@ -140,13 +128,37 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
+// Figure 6a: the static scheme wins only with locality and loses without;
+// the dynamic scheme tracks the better of baseline and static.
+func TestFig6aShape(t *testing.T) {
+	tb := figure(t, "fig6a")
+	if v := tb.MustCell("0%", "stat"); v > -0.01 {
+		t.Errorf("static at 0%% locality should lose clearly, got %.4f", v)
+	}
+	if v := tb.MustCell("100%", "stat"); v < 0.1 {
+		t.Errorf("static at 100%% locality should win, got %.4f", v)
+	}
+	if v := tb.MustCell("0%", "dyn"); v < -0.05 {
+		t.Errorf("dynamic at 0%% locality lost %.4f, should track baseline", v)
+	}
+	if v := tb.MustCell("100%", "dyn"); v < 0.05 {
+		t.Errorf("dynamic at 100%% locality should win, got %.4f", v)
+	}
+	// Monotone-ish growth for dyn.
+	lo := tb.MustCell("20%", "dyn")
+	hi := tb.MustCell("100%", "dyn")
+	if hi < lo {
+		t.Errorf("dynamic speedup did not grow with locality: %.4f -> %.4f", lo, hi)
+	}
+}
+
 // Figure 6b: under phase change, adaptive merging clearly beats static-
 // threshold merging, and full PrORAM (am_ab) stays close to the best
 // variant. (In the paper the break mechanism also pulls ahead of the
 // static scheme via background-eviction pressure; our simulator's greedy
 // write-back absorbs more of that pressure — see EXPERIMENTS.md.)
 func TestFig6bShape(t *testing.T) {
-	tb := cached(t, "fig6b")
+	tb := figure(t, "fig6b")
 	amab := tb.MustCell("am_ab", "speedup")
 	amnb := tb.MustCell("am_nb", "speedup")
 	smnb := tb.MustCell("sm_nb", "speedup")
@@ -168,11 +180,26 @@ func TestFig6bShape(t *testing.T) {
 	}
 }
 
+// Figure 7: the static scheme degrades as the super block size grows; the
+// dynamic scheme throttles itself and stays no worse than static at 8.
+func TestFig7Shape(t *testing.T) {
+	tb := figure(t, "fig7")
+	s2 := tb.MustCell("2", "stat_speedup")
+	s8 := tb.MustCell("8", "stat_speedup")
+	if s8 >= s2 {
+		t.Errorf("static did not degrade with size: sbsize2 %.4f, sbsize8 %.4f", s2, s8)
+	}
+	d8 := tb.MustCell("8", "dyn_speedup")
+	if d8 < s8 {
+		t.Errorf("dynamic at max size 8 (%.4f) fell below static (%.4f)", d8, s8)
+	}
+}
+
 // Figure 8a: dynamic never collapses, static collapses on bad locality,
 // ocean_c is the biggest dynamic winner, and the dynamic average beats the
 // static average.
 func TestFig8aShape(t *testing.T) {
-	tb := cached(t, "fig8a")
+	tb := figure(t, "fig8a")
 	if v := tb.MustCell("volrend", "stat_speedup"); v > -0.02 {
 		t.Errorf("static on volrend should lose clearly, got %.4f", v)
 	}
@@ -210,7 +237,7 @@ func TestFig8aShape(t *testing.T) {
 
 // Figure 8b/8c: same stability claims on SPEC06 and DBMS.
 func TestFig8bShape(t *testing.T) {
-	tb := cached(t, "fig8b")
+	tb := figure(t, "fig8b")
 	for _, bad := range []string{"sjeng", "astar", "omnet", "mcf"} {
 		if v := tb.MustCell(bad, "stat_speedup"); v > 0 {
 			t.Errorf("static on %s should lose (pointer-chasing), got %.4f", bad, v)
@@ -222,7 +249,7 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestFig8cShape(t *testing.T) {
-	tb := cached(t, "fig8c")
+	tb := figure(t, "fig8c")
 	ycsb := tb.MustCell("YCSB", "dyn_speedup")
 	tpcc := tb.MustCell("TPCC", "dyn_speedup")
 	if ycsb < tpcc {
@@ -236,9 +263,24 @@ func TestFig8cShape(t *testing.T) {
 	}
 }
 
+// Figure 9: the dynamic scheme's prefetch miss rate is below the static
+// scheme's on average.
+func TestFig9Shape(t *testing.T) {
+	for _, id := range []string{"fig9a", "fig9b"} {
+		t.Run(id, func(t *testing.T) {
+			tb := figure(t, id)
+			s := tb.MustCell("avg", "stat_miss_rate")
+			d := tb.MustCell("avg", "dyn_miss_rate")
+			if d >= s {
+				t.Errorf("%s: dynamic miss rate %.4f not below static %.4f", id, d, s)
+			}
+		})
+	}
+}
+
 // Figure 10: coefficients matter little for bad-locality benchmarks.
 func TestFig10Shape(t *testing.T) {
-	tb := cached(t, "fig10")
+	tb := figure(t, "fig10")
 	v1 := tb.MustCell("volrend", "m1b1")
 	v8 := tb.MustCell("volrend", "m8b8")
 	if diff := v1 - v8; diff > 0.05 || diff < -0.05 {
@@ -249,7 +291,7 @@ func TestFig10Shape(t *testing.T) {
 // Figure 11: the dynamic gain on memory-bound work persists across
 // bandwidths, and static stays worse than baseline on volrend everywhere.
 func TestFig11Shape(t *testing.T) {
-	tb := cached(t, "fig11")
+	tb := figure(t, "fig11")
 	for _, bw := range []string{"4", "8", "16"} {
 		o := tb.MustCell("ocean_c/"+bw, "oram")
 		d := tb.MustCell("ocean_c/"+bw, "dyn")
@@ -264,10 +306,26 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
+// Figure 12: a larger stash helps the super block schemes more than the
+// baseline (the baseline is nearly flat).
+func TestFig12Shape(t *testing.T) {
+	tb := figure(t, "fig12")
+	baseSmall := tb.MustCell("ocean_c/25", "oram")
+	baseBig := tb.MustCell("ocean_c/400", "oram")
+	if rel := baseSmall/baseBig - 1; rel > 0.2 {
+		t.Errorf("baseline too stash-sensitive: %.3f", rel)
+	}
+	statSmall := tb.MustCell("ocean_c/25", "stat")
+	statBig := tb.MustCell("ocean_c/400", "stat")
+	if statSmall <= statBig {
+		t.Errorf("static should benefit from a bigger stash: 25 -> %.3f, 400 -> %.3f", statSmall, statBig)
+	}
+}
+
 // Figure 13: Z=3 beats Z=4 for the baseline, and the dynamic scheme keeps
 // its (non-negative) standing at both Z values.
 func TestFig13Shape(t *testing.T) {
-	tb := cached(t, "fig13")
+	tb := figure(t, "fig13")
 	for _, b := range []string{"fft", "ocean_c", "ocean_nc", "volrend"} {
 		z3 := tb.MustCell(b+"/Z3", "oram")
 		z4 := tb.MustCell(b+"/Z4", "oram")
@@ -287,7 +345,7 @@ func TestFig13Shape(t *testing.T) {
 // Figure 14: scheme behaviour is qualitatively stable across cacheline
 // sizes: dyn never collapses; static still hurts volrend at 128/256.
 func TestFig14Shape(t *testing.T) {
-	tb := cached(t, "fig14")
+	tb := figure(t, "fig14")
 	for _, sz := range []string{"64", "128", "256"} {
 		o := tb.MustCell("ocean_c/"+sz, "oram")
 		d := tb.MustCell("ocean_c/"+sz, "dyn")
@@ -316,7 +374,7 @@ func TestFig14Shape(t *testing.T) {
 // (static loses on the low-locality benchmarks, dynamic does not) that is
 // reproduced under periodicity.
 func TestFig15Shape(t *testing.T) {
-	tb := cached(t, "fig15a")
+	tb := figure(t, "fig15a")
 	or := tb.MustCell("avg", "oram")
 	if or < 0 || or > 0.5 {
 		t.Errorf("non-periodic-vs-periodic overhead implausible: %.4f", or)
@@ -340,7 +398,7 @@ func TestFig15Shape(t *testing.T) {
 
 // Ablation: recursion overhead falls monotonically with PLB capacity.
 func TestAblationPLBShape(t *testing.T) {
-	tb := cached(t, "ablation_plb")
+	tb := figure(t, "ablation_plb")
 	prev := 2.0
 	for _, row := range []string{"0", "16", "64", "128", "512"} {
 		v := tb.MustCell(row, "norm_time")
@@ -357,7 +415,7 @@ func TestAblationPLBShape(t *testing.T) {
 // Ablation: adaptive (Equation 1) thresholding beats the static schedule
 // on every tested pattern.
 func TestAblationThresholdShape(t *testing.T) {
-	tb := cached(t, "ablation_threshold")
+	tb := figure(t, "ablation_threshold")
 	for _, row := range []string{"ocean_c", "radix", "phase_synth"} {
 		st := tb.MustCell(row, "static_thresh")
 		ad := tb.MustCell(row, "adaptive_thresh")
@@ -370,7 +428,7 @@ func TestAblationThresholdShape(t *testing.T) {
 // Ablation: the dynamic-Oint ladder trades dummies for bounded leakage,
 // monotonically in the ladder height.
 func TestAblationOintShape(t *testing.T) {
-	tb := cached(t, "ablation_oint")
+	tb := figure(t, "ablation_oint")
 	prevDummies := 1.01
 	prevLeak := -1.0
 	for _, row := range []string{"fixed", "ladder_x4", "ladder_x16", "ladder_x64"} {
@@ -393,7 +451,7 @@ func TestAblationOintShape(t *testing.T) {
 // is no slower than the old default (6) at 32 arrivals per round, and
 // answers sooner at the old default's arrival rate per slot.
 func TestAblationShardShape(t *testing.T) {
-	tb := cached(t, "ablation_shard")
+	tb := figure(t, "ablation_shard")
 	for _, p := range []string{"P=1", "P=8"} {
 		strict := p == "P=8"
 		prev := ""
@@ -429,7 +487,7 @@ func TestAblationShardShape(t *testing.T) {
 // sequential and strided models (the acceptance bar), and packing must
 // raise the row-hit rate over the linear layout.
 func TestAblationDRAMShape(t *testing.T) {
-	tb := cached(t, "ablation_dram")
+	tb := figure(t, "ablation_dram")
 	for _, model := range []string{"sequential", "strided"} {
 		flat := tb.MustCell(model+"/flat", "cycles_per_access")
 		packed := tb.MustCell(model+"/packed", "cycles_per_access")

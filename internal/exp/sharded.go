@@ -35,14 +35,13 @@ func shardBase(parts int, seed uint64) shard.Config {
 	o := oram.DefaultConfig()
 	o.Super = dynScheme()
 	return shard.Config{
-		Partitions:    parts,
-		Blocks:        shardBlocks,
-		BlockBytes:    128,
-		CacheBlocks:   4096,
-		MaxSuperBlock: o.Super.MaxSize,
-		Key:           []byte("proram-bench-key"),
-		Seed:          11 + seed,
-		ORAM:          o,
+		Partitions:  parts,
+		Blocks:      shardBlocks,
+		BlockBytes:  128,
+		CacheBlocks: 4096,
+		Key:         []byte("proram-bench-key"),
+		Seed:        11 + seed,
+		ORAM:        o,
 	}
 }
 

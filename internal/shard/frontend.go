@@ -35,8 +35,9 @@ type Config struct {
 	// across partitions (16 per partition minimum; NewCache refuses a share
 	// below the controller's MaxSuperBlock).
 	CacheBlocks int
-	// MaxSuperBlock bounds the per-partition prefetcher's super block size
-	// and with it the worst-case accesses one request can cost.
+	// MaxSuperBlock is ignored: the client cache takes the bound from
+	// the partition's controller (oram.Controller.MaxSuperBlock). The
+	// field stays because the frozen benchmark names it in a literal.
 	MaxSuperBlock int
 	// Key seals payloads at rest (16/24/32-byte AES key, required).
 	Key []byte
@@ -92,9 +93,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.BlockBytes <= 0 {
 		return c, fmt.Errorf("shard: BlockBytes %d must be positive", c.BlockBytes)
-	}
-	if c.MaxSuperBlock < 1 {
-		c.MaxSuperBlock = 1
 	}
 	if c.RoundSlots == 0 {
 		c.RoundSlots = minRoundSlots

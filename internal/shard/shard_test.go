@@ -31,14 +31,13 @@ func testConfig(parts int) Config {
 	sb.MaxSize = 2
 	o.Super = sb
 	return Config{
-		Partitions:    parts,
-		Blocks:        1 << 12,
-		BlockBytes:    64,
-		CacheBlocks:   64 * parts,
-		MaxSuperBlock: sb.MaxSize,
-		Key:           testKey,
-		Seed:          7,
-		ORAM:          o,
+		Partitions:  parts,
+		Blocks:      1 << 12,
+		BlockBytes:  64,
+		CacheBlocks: 64 * parts,
+		Key:         testKey,
+		Seed:        7,
+		ORAM:        o,
 	}
 }
 

@@ -42,13 +42,6 @@ type ShardedRAM struct {
 // ShardedOptions tunes the concurrent frontend beyond Config, for
 // NewSharded and for SimulateSharded.
 type ShardedOptions struct {
-	// RecordArrivals keeps the admission log that makes the run
-	// replayable (see internal/shard.Replay).
-	RecordArrivals bool
-	// RecordAccesses keeps the canonical global access sequence. A
-	// simulation replays a log it derives from the workload, so both
-	// Record fields mean nothing to SimulateSharded.
-	RecordAccesses bool
 	// Obs enables scheduler metrics and tracing; outputs are finalized by
 	// Close, or before SimulateSharded returns.
 	Obs *ObsConfig
@@ -72,8 +65,6 @@ type shardedOutputs struct {
 func (opt ShardedOptions) lower(scfg *shard.Config) shardedOutputs {
 	out := shardedOutputs{rec: opt.Obs.recorder()}
 	out.aud = opt.Audit.auditor(scfg.Banked == nil, out.rec)
-	scfg.RecordArrivals = opt.RecordArrivals
-	scfg.RecordAccesses = opt.RecordAccesses
 	scfg.Recorder = out.rec
 	scfg.Audit = out.aud
 	if opt.Obs != nil {
@@ -214,16 +205,15 @@ func (s *ShardedRAM) SchedStats() SchedStats {
 func (c Config) shardConfig() shard.Config {
 	o := c.oramConfig()
 	return shard.Config{
-		Partitions:    c.Partitions,
-		RoundSlots:    c.RoundSlots,
-		Blocks:        c.Blocks,
-		BlockBytes:    c.BlockBytes,
-		CacheBlocks:   c.CacheBlocks,
-		MaxSuperBlock: o.Super.MaxSize,
-		Key:           c.sealKey(),
-		Seed:          c.Seed,
-		ORAM:          o,
-		Banked:        c.DRAM.bankedConfig(),
+		Partitions:  c.Partitions,
+		RoundSlots:  c.RoundSlots,
+		Blocks:      c.Blocks,
+		BlockBytes:  c.BlockBytes,
+		CacheBlocks: c.CacheBlocks,
+		Key:         c.sealKey(),
+		Seed:        c.Seed,
+		ORAM:        o,
+		Banked:      c.DRAM.bankedConfig(),
 	}
 }
 
