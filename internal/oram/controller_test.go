@@ -734,17 +734,23 @@ func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkPathAccess times Read on a warm, prefilled controller under the
-// dynamic scheme with super blocks of up to two, over uniformly random
-// indices, at the geometries of three of the repository benchmark's
-// workloads: sim_locality's Table 1 system (1.5M blocks, a 24 MB tree),
-// sim_ycsb_packed's (the same system on the subtree-packed banked device,
-// so each path is also scheduled bucket by bucket) and ram_uniform_rw's
-// RAM (2^16 blocks of 128 B, a 1 MB tree). All keep Z=3, a stash limit of
-// 100 and a PLB of 128. It reports ns per Read and
-// path accesses per Read; with no LLC attached nothing merges, so the
-// number is the path accesses' host time. Run it with
+// dynamic scheme with super blocks of up to two, at the geometries of four
+// of the repository benchmark's workloads: sim_locality's Table 1 system
+// (1.5M blocks, a 24 MB tree), sim_ycsb_packed's (the same system on the
+// subtree-packed banked device, so each path is also scheduled bucket by
+// bucket), and ram_uniform_rw's and ram_scan_ro's RAM (2^16 blocks of
+// 128 B, a 1 MB tree). All keep Z=3, a stash limit of 100 and a PLB of
+// 128. The first three read uniformly random indices with no LLC
+// attached, so nothing merges and the number is the path accesses' host
+// time. ram_scan_ro scans the indices in order through a fakeLLC that
+// holds the last scanLLC indices the scan passed and every block a Read
+// prefetched: super blocks merge, a block its pair brought in is a hit
+// that costs no Read, and the stash runs long enough that background
+// eviction follows most data paths. It reports ns per Read and path
+// accesses per Read. Run it with
 // `go test -run '^$' -bench PathAccess -benchtime 2000x ./internal/oram`.
 func BenchmarkPathAccess(b *testing.B) {
+	const scanLLC = 4096 // the repository benchmark's client cache, in blocks
 	sb := superblock.DefaultConfig()
 	sb.MaxSize = 2
 	table1 := DefaultConfig()
@@ -759,20 +765,41 @@ func BenchmarkPathAccess(b *testing.B) {
 	for _, g := range []struct {
 		name string
 		cfg  Config
-	}{{"sim_locality", table1}, {"sim_ycsb_packed", packed}, {"ram_uniform_rw", ram}} {
+		scan bool
+	}{{"sim_locality", table1, false}, {"sim_ycsb_packed", packed, false}, {"ram_uniform_rw", ram, false}, {"ram_scan_ro", ram, true}} {
 		b.Run(g.name, func(b *testing.B) {
 			c, err := New(g.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			r := rng.New(1)
-			for i := 0; i < 20000; i++ {
-				c.Read(c.lastEnd, r.Uint64n(g.cfg.NumBlocks))
+			read, warm := func() { c.Read(c.lastEnd, r.Uint64n(g.cfg.NumBlocks)) }, 20000
+			if g.scan {
+				n, next, llc := g.cfg.NumBlocks, uint64(0), newFakeLLC()
+				c.SetProber(llc)
+				read = func() {
+					for {
+						i := next
+						next = (next + 1) % n
+						delete(llc.set, (i+n-scanLLC)%n)
+						if !llc.set[i] {
+							llc.add(i)
+							llc.add(c.Read(c.lastEnd, i).Prefetched...)
+							return
+						}
+						c.NotifyPrefetchUse(i)
+					}
+				}
+				// The first pass merges the pairs; the later ones read them.
+				warm = 2 * int(n)
+			}
+			for i := 0; i < warm; i++ {
+				read()
 			}
 			before := c.Stats().PathAccesses
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Read(c.lastEnd, r.Uint64n(g.cfg.NumBlocks))
+				read()
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(c.Stats().PathAccesses-before)/float64(b.N), "paths/op")

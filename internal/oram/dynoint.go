@@ -87,6 +87,3 @@ func (c *Controller) observeScheduled(dummy bool) {
 // OintTransitions returns how many interval transitions occurred — the
 // extension's leakage budget in bits (one bit per transition).
 func (c *Controller) OintTransitions() uint64 { return c.dyn.transitions }
-
-// CurrentOint exposes the interval in force (tests, reporting).
-func (c *Controller) CurrentOint() uint64 { return c.currentOint() }

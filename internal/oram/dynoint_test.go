@@ -34,8 +34,8 @@ func TestDynamicOintGrowsWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.CurrentOint() != 50 {
-		t.Fatalf("initial interval %d", c.CurrentOint())
+	if c.currentOint() != 50 {
+		t.Fatalf("initial interval %d", c.currentOint())
 	}
 	// Requests separated by long idle gaps: the schedule fills with
 	// dummies and the interval should climb the ladder.
@@ -44,8 +44,8 @@ func TestDynamicOintGrowsWhenIdle(t *testing.T) {
 		gap := uint64(40_000)
 		c.Read(c.Stats().LastEnd+gap, r.Uint64n(256))
 	}
-	if c.CurrentOint() <= 50 {
-		t.Fatalf("interval did not grow under idle load: %d", c.CurrentOint())
+	if c.currentOint() <= 50 {
+		t.Fatalf("interval did not grow under idle load: %d", c.currentOint())
 	}
 	if c.OintTransitions() == 0 {
 		t.Fatal("no transitions recorded (leak accounting broken)")
@@ -62,7 +62,7 @@ func TestDynamicOintShrinksUnderLoad(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.Read(c.Stats().LastEnd+40_000, r.Uint64n(256))
 	}
-	grown := c.CurrentOint()
+	grown := c.currentOint()
 	if grown <= 50 {
 		t.Skip("interval never grew; idle phase too short")
 	}
@@ -70,8 +70,8 @@ func TestDynamicOintShrinksUnderLoad(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		c.Read(c.Stats().LastEnd, r.Uint64n(256))
 	}
-	if c.CurrentOint() >= grown {
-		t.Fatalf("interval did not shrink under load: %d (was %d)", c.CurrentOint(), grown)
+	if c.currentOint() >= grown {
+		t.Fatalf("interval did not shrink under load: %d (was %d)", c.currentOint(), grown)
 	}
 }
 
@@ -86,15 +86,15 @@ func TestDynamicOintRespectsLadderBounds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		c.Read(c.Stats().LastEnd+200_000, r.Uint64n(256))
 	}
-	if c.CurrentOint() > cfg.OintMax {
-		t.Fatalf("interval %d exceeded ladder max %d", c.CurrentOint(), cfg.OintMax)
+	if c.currentOint() > cfg.OintMax {
+		t.Fatalf("interval %d exceeded ladder max %d", c.currentOint(), cfg.OintMax)
 	}
 	// Extreme load: must floor at Oint.
 	for i := 0; i < 2000; i++ {
 		c.Read(c.Stats().LastEnd, r.Uint64n(256))
 	}
-	if c.CurrentOint() < cfg.Oint {
-		t.Fatalf("interval %d fell below ladder min %d", c.CurrentOint(), cfg.Oint)
+	if c.currentOint() < cfg.Oint {
+		t.Fatalf("interval %d fell below ladder min %d", c.currentOint(), cfg.Oint)
 	}
 }
 
@@ -164,8 +164,8 @@ func TestStaticOintUnaffectedByExtension(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Read(c.Stats().LastEnd+r.Uint64n(20_000), r.Uint64n(256))
 	}
-	if c.CurrentOint() != 100 || c.OintTransitions() != 0 {
+	if c.currentOint() != 100 || c.OintTransitions() != 0 {
 		t.Fatalf("static schedule drifted: Oint=%d transitions=%d",
-			c.CurrentOint(), c.OintTransitions())
+			c.currentOint(), c.OintTransitions())
 	}
 }

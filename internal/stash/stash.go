@@ -1,7 +1,8 @@
 // Package stash implements the Path ORAM stash: the small trusted memory
 // that temporarily holds blocks between the path-read and write-back
-// phases of an access, plus the greedy leaf-to-root write-back algorithm
-// (step 5 of the protocol).
+// phases of an access. Its write-back (step 5 of the protocol, greedy
+// from the leaf bucket up) is one call to tree.EvictPath, which takes the
+// stashed blocks as they stand.
 //
 // The stash is deliberately deterministic: iteration follows insertion
 // order (never Go map order), so identical access sequences produce
@@ -9,12 +10,12 @@
 //
 // A Path ORAM stash is small by design, so it keeps no index: a lookup
 // scans the stashed blocks, and the write-back, which visits every one of
-// them for its counting sort anyway, drops the placed ones in one pass.
+// them in two passes anyway, writes the placed ones straight into their
+// tree slots and moves the rest forward in place in its second pass.
 package stash
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"proram/internal/mem"
@@ -31,13 +32,6 @@ type Stash struct {
 	limit      int    // configured capacity (soft: triggers background eviction)
 	highWater  int    // max observed size
 	writebacks uint64 // blocks written back to the tree
-	// Reusable buffers of eviction's counting sort: the per-height run
-	// bounds, each block's height, and the blocks sorted by height beside
-	// their positions in order.
-	ends    []int
-	heights []uint8
-	sorted  []tree.Slot
-	pos     []int32
 }
 
 // New returns an empty stash with the given soft capacity limit. It
@@ -144,70 +138,13 @@ func (s *Stash) ForEach(visit func(id mem.BlockID, leaf mem.Leaf)) {
 // accessLeaf, filling buckets from the leaf up (deepest legal bucket
 // first), exactly as in Path ORAM's write-back phase. A block mapped to
 // leaf b may go into the bucket at depth d on the access path iff the two
-// paths share that bucket, i.e. d <= CommonDepth(accessLeaf, b).
+// paths share that bucket, i.e. d <= CommonDepth(accessLeaf, b). Blocks
+// of one height go in stash order, and the blocks left behind keep it.
 //
 // It returns the number of blocks written back.
 func (s *Stash) EvictToPath(t *tree.Tree, accessLeaf mem.Leaf) int {
-	levels := t.Levels()
-	// Counting sort of the blocks by the deepest bucket they may occupy on
-	// this path, as its height above the leaf bucket, so that the walk
-	// below runs up the sorted slice. First each block's height and the
-	// count per height.
-	if cap(s.ends) < levels+1 {
-		s.ends = make([]int, levels+1)
-	}
-	ends := s.ends[:levels+1]
-	clear(ends)
-	n := len(s.order)
-	s.heights = slices.Grow(s.heights[:0], n) // each buffer grows only past the previous peak occupancy
-	s.sorted = slices.Grow(s.sorted[:0], n)
-	s.pos = slices.Grow(s.pos[:0], n)
-	heights, sorted, pos := s.heights[:n], s.sorted[:n], s.pos[:n]
-	for i, e := range s.order {
-		// Two paths part at the highest bit in which their labels differ,
-		// so the bit length of the XOR is the height, above the leaf
-		// bucket, of the deepest bucket they share.
-		h := bits.Len64(uint64(e.Leaf() ^ accessLeaf))
-		if h >= len(ends) {
-			//proram:invariant stashed leaves come from the position map and the tree's labels, which lie in [0, Leaves); a divergence above the root means a corrupt label
-			panic("stash: stashed block mapped outside the tree")
-		}
-		heights[i] = uint8(h)
-		ends[h]++
-	}
-	// Prefix sums turn each count into the start of its height's run, and
-	// the stable scatter advances each start to the run's end.
-	start := 0
-	for h, n := range ends {
-		ends[h] = start
-		start += n
-	}
-	for i, e := range s.order {
-		h := heights[i]
-		sorted[ends[h]] = e
-		pos[ends[h]] = int32(i)
-		ends[h]++
-	}
-
-	// The tree walks the path leaf to root, each bucket taking from the
-	// FIFO of blocks that may go there: what deeper buckets had no room
-	// for, then its own height's run. The FIFO's head only moves forward,
-	// so the placed blocks are sorted[:placed]. Each leaves the zero slot,
-	// the tree's empty one, at its place in order, and one pass from the
-	// first of them squeezes them out without reordering the rest.
-	placed := t.FillPath(accessLeaf, sorted, ends)
-	kept := n
-	for _, p := range pos[:placed] {
-		s.order[p] = 0
-		kept = min(kept, int(p))
-	}
-	for _, e := range s.order[kept:] {
-		if e != 0 {
-			s.order[kept] = e
-			kept++
-		}
-	}
-	s.order = s.order[:kept]
+	var placed int
+	s.order, placed = t.EvictPath(accessLeaf, s.order)
 	s.writebacks += uint64(placed)
 	return placed
 }

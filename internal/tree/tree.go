@@ -91,6 +91,9 @@ type Tree struct {
 	// buckets and placement takes the first free slot.
 	slots []Slot
 	used  uint64 // number of occupied slots, for diagnostics
+	// dest is EvictPath's buffer: the slot each placed block goes to, one
+	// path's worth.
+	dest []int
 	// loaded keeps the reads of Load and of RemovePathSlots' look-ahead
 	// live: it is written and never read.
 	loaded Slot
@@ -109,6 +112,7 @@ func New(levels, z int) *Tree {
 	}
 	t := &Tree{levels: levels, z: z}
 	t.slots = make([]Slot, t.Capacity())
+	t.dest = make([]int, 0, (levels+1)*z)
 	return t
 }
 
@@ -223,7 +227,7 @@ func (t *Tree) RemovePath(leaf mem.Leaf, dst []mem.BlockID) []mem.BlockID {
 // the one its path and any access path through that depth share. It
 // reports false if the bucket is full. The static scheme's prefill places
 // its data blocks with it; every other prefill level uses PlaceAll, and the
-// write-back of a path access uses FillPath.
+// write-back of a path access uses EvictPath.
 func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 	s, ok := Pack(id, leaf)
 	if !ok {
@@ -240,35 +244,79 @@ func (t *Tree) PlaceAt(leaf mem.Leaf, depth int, id mem.BlockID) bool {
 	return true
 }
 
-// FillPath is the write-back phase of a path access (step 5) in one call.
-// It fills the buckets on the path to accessLeaf from the leaf bucket up,
-// first free slot first, with the blocks of sorted in order, each slot
-// copied unchanged. ends holds one entry per bucket level, leaf bucket
-// first: the blocks of sorted[:ends[h]] may go into the bucket h levels
-// above the leaf bucket, so each bucket takes what the buckets below it
-// had no room for before its own run. It returns how many blocks it
-// placed; since the blocks go in order, they are sorted[:placed]. A
-// bucket with nothing to take is not touched.
-func (t *Tree) FillPath(accessLeaf mem.Leaf, sorted []Slot, ends []int) int {
-	node := t.Leaves() + uint64(accessLeaf)
-	head := 0
-	for _, end := range ends {
-		if head < end {
-			bucket := t.bucket(node)
-			for i, s := range bucket {
-				if head == end {
-					break
-				}
-				if s == 0 {
-					bucket[i] = sorted[head]
-					head++
-				}
+// EvictPath is the write-back phase of a path access (step 5) in one call.
+// stash holds the stashed blocks in insertion order. By Path ORAM's greedy
+// rule each bucket on the path to accessLeaf, from the leaf bucket up and
+// first free slot first, takes from the FIFO of blocks that may go there:
+// what the buckets below had no room for, then, in stash order, the blocks
+// whose height above the leaf bucket (the bit length of label XOR
+// accessLeaf) is the bucket's own. The FIFO's head only moves forward, so
+// the placed blocks are a prefix, of some length P, of the blocks ordered
+// by height and then stash order. Height h's run starts at rank start_h,
+// so its first min(n_h, max(0, P − start_h)) blocks are placed, and the
+// slot each rank r < P goes to follows from the height counts and the
+// path's free slots alone. So EvictPath counts the heights in one pass,
+// walks the path once for P and each rank's slot, and in a second pass
+// copies each placed block, unchanged, straight into its slot and moves
+// the others forward in place, keeping their order. It returns those as
+// kept, a prefix of stash, and the number placed. A bucket with nothing
+// to take is not touched.
+func (t *Tree) EvictPath(accessLeaf mem.Leaf, stash []Slot) (kept []Slot, placed int) {
+	// next[h] counts height h's blocks, then holds the rank of its next one.
+	var next [MaxLevels + 1]int
+	for _, s := range stash {
+		h := bits.Len64(uint64(s.Leaf() ^ accessLeaf))
+		if h > t.levels {
+			//proram:invariant stashed leaves come from the position map and the tree's labels, which lie in [0, Leaves); a divergence above the root means a corrupt label
+			panic("tree: stashed block mapped outside the tree")
+		}
+		next[h]++
+	}
+	start := 0
+	for h, n := range next[:t.levels+1] {
+		next[h] = start
+		start += n
+	}
+	// The walk: the bucket at height h may take ranks up to the end of its
+	// own run, and dest lists, rank by rank, the slots the buckets fill.
+	dest := t.dest[:0]
+	node, z := t.Leaves()+uint64(accessLeaf), uint64(t.z)
+	for h := 0; h <= t.levels && len(dest) < len(stash); h++ {
+		end := len(stash)
+		if h < t.levels {
+			end = next[h+1]
+		}
+		if len(dest) < end {
+			base := (node - 1) * z
+			for i := base + uint64(fill(t.slots[base:base+z])); i < base+z && len(dest) < end; i++ {
+				dest = append(dest, int(i))
 			}
 		}
 		node >>= 1
 	}
-	t.used += uint64(head)
-	return head
+	p := len(dest)
+	if p == 0 {
+		return stash, 0
+	}
+	n, left := 0, p
+	for i, s := range stash {
+		h := bits.Len64(uint64(s.Leaf() ^ accessLeaf))
+		// Ranks past p are never placed, so a height's counter stops
+		// there and a kept block writes nothing but its own entry.
+		if r := next[h]; r < p {
+			t.slots[dest[r]] = s
+			next[h]++
+			if left--; left == 0 {
+				n += copy(stash[n:], stash[i+1:])
+				break
+			}
+		} else {
+			stash[n] = s
+			n++
+		}
+	}
+	t.used += uint64(p)
+	return stash[:n], p
 }
 
 // splitBits is how many top bits of a leaf PlaceAll groups its blocks by:

@@ -314,7 +314,7 @@ func TestRemovePathSlots(t *testing.T) {
 	}
 }
 
-// fillAt is the write-back primitive FillPath replaced, kept as its
+// fillAt is the write-back primitive EvictPath replaced, kept as its
 // reference: it places blocks, in order, into the free slots of the one
 // bucket at depth on the path to accessLeaf, first free slot first, and
 // returns how many it placed.
@@ -342,23 +342,26 @@ func randomTree(levels, z int, r *rng.Source) *Tree {
 	return tr
 }
 
-// FillPath leaves every slot of the tree as the per-height FillAt loop it
-// replaced did, and returns the same placed prefix, on random trees and
-// random stashes: stashes small and large, trees shallow and deep, with
-// heights that have no run of their own below and between those that do.
-func TestFillPathMatchesFillAt(t *testing.T) {
+// EvictPath leaves every slot of the tree as the per-height FillAt loop
+// over the blocks sorted by height did, places as many, and keeps the
+// rest in stash order, on random trees and random stashes: stashes small
+// and large, trees shallow and deep, with heights that have no run of
+// their own below and between those that do.
+func TestEvictPathMatchesFillAt(t *testing.T) {
 	r := rng.New(9)
 	for trial := 0; trial < 400; trial++ {
 		levels, z := 1+r.Intn(7), 1+r.Intn(4)
 		seed := r.Uint64()
 		got, want := randomTree(levels, z, rng.New(seed)), randomTree(levels, z, rng.New(seed))
 		accessLeaf := mem.Leaf(r.Uint64n(got.Leaves()))
-		// A stash of fresh blocks at random leaves, in the counting sort
-		// EvictToPath gives FillPath: by height above the leaf bucket.
+		// A stash of fresh blocks at random leaves, and the same blocks
+		// sorted stably by height above the leaf bucket.
+		var stash []Slot
 		runs := make([][]Slot, levels+1)
 		for i := range r.Intn(4 * levels * z) {
 			leaf := mem.Leaf(r.Uint64n(got.Leaves()))
 			s, _ := Pack(mem.MakeID(1, uint64(i)), leaf)
+			stash = append(stash, s)
 			h := levels - got.CommonDepth(accessLeaf, leaf)
 			runs[h] = append(runs[h], s)
 		}
@@ -368,8 +371,6 @@ func TestFillPathMatchesFillAt(t *testing.T) {
 			sorted = append(sorted, run...)
 			ends[h] = len(sorted)
 		}
-
-		placed := got.FillPath(accessLeaf, sorted, ends)
 		head := 0
 		for h, end := range ends {
 			if head == end {
@@ -377,11 +378,22 @@ func TestFillPathMatchesFillAt(t *testing.T) {
 			}
 			head += fillAt(want, accessLeaf, levels-h, sorted[head:end])
 		}
+		var wantKept []Slot
+		for _, s := range stash {
+			if !slices.Contains(sorted[:head], s) {
+				wantKept = append(wantKept, s)
+			}
+		}
+
+		kept, placed := got.EvictPath(accessLeaf, stash)
 		if placed != head {
-			t.Fatalf("trial %d: FillPath placed %d blocks, FillAt %d", trial, placed, head)
+			t.Fatalf("trial %d: EvictPath placed %d blocks, FillAt %d", trial, placed, head)
 		}
 		if !slices.Equal(got.slots, want.slots) || got.Used() != want.Used() {
-			t.Fatalf("trial %d (L=%d Z=%d, leaf %d, ends %v): FillPath left a different tree", trial, levels, z, accessLeaf, ends)
+			t.Fatalf("trial %d (L=%d Z=%d, leaf %d, ends %v): EvictPath left a different tree", trial, levels, z, accessLeaf, ends)
+		}
+		if !slices.Equal(kept, wantKept) {
+			t.Fatalf("trial %d: EvictPath kept %v, want %v", trial, kept, wantKept)
 		}
 	}
 }
@@ -393,29 +405,25 @@ func TestBucketsStayPrefixes(t *testing.T) {
 	tr := New(5, 4)
 	r := rng.New(3)
 	next := uint64(0)
-	ends := make([]int, tr.Levels()+1)
 	for round := 0; round < 300; round++ {
 		leaf := mem.Leaf(r.Uint64n(tr.Leaves()))
 		if r.Intn(3) == 0 {
 			tr.RemovePathSlots(leaf, nil)
 			continue
 		}
+		// The blocks may go into the bucket at a random height or any
+		// above it: their label parts from leaf at that height.
+		label := leaf
+		if lowest := r.Intn(tr.Levels() + 1); lowest > 0 {
+			label ^= 1 << (lowest - 1)
+		}
 		var blocks []Slot
 		for i := 0; i < 1+r.Intn(4); i++ {
-			s, _ := Pack(mem.MakeID(0, next), leaf)
+			s, _ := Pack(mem.MakeID(0, next), label)
 			blocks = append(blocks, s)
 			next++
 		}
-		// The blocks may go into the bucket at a random height or any
-		// above it.
-		lowest := r.Intn(tr.Levels() + 1)
-		for h := range ends {
-			ends[h] = 0
-			if h >= lowest {
-				ends[h] = len(blocks)
-			}
-		}
-		tr.FillPath(leaf, blocks, ends)
+		tr.EvictPath(leaf, blocks)
 	}
 	var bucket uint64
 	slot := 0
