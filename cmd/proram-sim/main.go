@@ -378,7 +378,7 @@ func checkPartitions(set map[string]bool, parts int) error {
 // shardedConfig maps the flags to the sharded frontend's configuration.
 // set names the flags given on the command line: a unified-only one among
 // them is refused rather than silently ignored.
-func shardedConfig(set map[string]bool, parts, slots, z, stash int, scheme proram.Scheme, maxSB int, seed uint64, dram *proram.DRAMConfig) (proram.Config, error) {
+func shardedConfig(set map[string]bool, parts, slots, z, stash int, scheme proram.Scheme, maxSB int, seed uint64, dram proram.DRAMModel) (proram.Config, error) {
 	for _, name := range unifiedOnly {
 		if set[name] {
 			return proram.Config{}, fmt.Errorf("-%s applies to the unified controller only; it has no effect with -partitions > 1", name)
@@ -421,18 +421,17 @@ func runSharded(w proram.Workload, cfg proram.Config, clients int, ob *obsFlags,
 	ac.finish(rep.Audit)
 }
 
-// pickDRAM maps the -dram flag to a public DRAM configuration; nil means
-// the legacy flat channel.
-func pickDRAM(name string) (*proram.DRAMConfig, error) {
+// pickDRAM maps the -dram flag to a DRAM model; flat is Table 1's channel.
+func pickDRAM(name string) (proram.DRAMModel, error) {
 	switch name {
 	case "flat", "":
-		return nil, nil
+		return proram.DRAMFlat, nil
 	case "banked":
-		return &proram.DRAMConfig{Model: proram.DRAMBanked}, nil
+		return proram.DRAMBanked, nil
 	case "packed":
-		return &proram.DRAMConfig{Model: proram.DRAMBankedPacked}, nil
+		return proram.DRAMBankedPacked, nil
 	default:
-		return nil, fmt.Errorf("unknown dram model %q (flat, banked, packed)", name)
+		return 0, fmt.Errorf("unknown dram model %q (flat, banked, packed)", name)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // -z and -stash reach the frontend's configuration, and each flag only the
 // unified controller honours is refused by name instead of dropped.
 func TestShardedConfig(t *testing.T) {
-	dram := &proram.DRAMConfig{Model: proram.DRAMBankedPacked}
+	dram := proram.DRAMBankedPacked
 	cfg, err := shardedConfig(map[string]bool{"z": true, "stash": true, "partitions": true},
 		2, 3, 4, 30, proram.SchemeStatic, 4, 9, dram)
 	if err != nil {
@@ -22,7 +22,7 @@ func TestShardedConfig(t *testing.T) {
 		t.Fatalf("flags lost on the way to the config: %+v", cfg)
 	}
 	for _, name := range unifiedOnly {
-		_, err := shardedConfig(map[string]bool{name: true}, 2, 0, 0, 0, proram.SchemeDynamic, 2, 1, nil)
+		_, err := shardedConfig(map[string]bool{name: true}, 2, 0, 0, 0, proram.SchemeDynamic, 2, 1, proram.DRAMFlat)
 		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 			t.Errorf("-%s with -partitions 2: err = %v, want a refusal naming the flag", name, err)
 		}

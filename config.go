@@ -88,11 +88,12 @@ type Config struct {
 	// whatever it evicts (its dirty victims queue for later slots), so two
 	// slots fit one miss and one write-back. Values above 4096 are refused.
 	RoundSlots int
-	// DRAM selects the memory device behind the ORAM controller(s): nil is
-	// DRAMFlat, one serialized channel; a banked model schedules every tree
-	// bucket individually across channels and banks. Under NewSharded a
-	// banked model is ONE device all partitions contend for.
-	DRAM *DRAMConfig
+	// DRAM selects the memory device behind the ORAM controller(s): the
+	// zero value is DRAMFlat, Table 1's one serialized channel; a banked
+	// model schedules every tree bucket individually on a dual-channel
+	// device of 8 banks per channel (internal/dram/banked). Under
+	// NewSharded a banked model is ONE device all partitions contend for.
+	DRAM DRAMModel
 }
 
 // DRAMModel selects the memory timing model.
@@ -124,63 +125,24 @@ func (m DRAMModel) String() string {
 	}
 }
 
-// DRAMConfig exposes the banked device geometry as public config axes.
-// Zero fields take the dual-channel DDR-style defaults (2 channels of
-// 16 GB/s, 8 banks, 4 KB rows, row-granular channel interleave).
-type DRAMConfig struct {
-	// Model picks flat, banked, or banked with the subtree-packed layout.
-	Model DRAMModel
-	// Channels, Banks, RowBytes and StripeBytes set the device geometry;
-	// BandwidthGBps is the pin bandwidth of ONE channel.
-	Channels      int
-	Banks         int
-	RowBytes      int
-	StripeBytes   int
-	BandwidthGBps float64
-}
-
-// validate rejects unknown models; geometry is checked downstream by
-// banked.Config.Validate.
-func (d *DRAMConfig) validate() error {
-	if d == nil {
+// validate rejects unknown models.
+func (m DRAMModel) validate() error {
+	switch m {
+	case DRAMFlat, DRAMBanked, DRAMBankedPacked:
 		return nil
-	}
-	switch d.Model {
-	case DRAMFlat:
-		return nil
-	case DRAMBanked, DRAMBankedPacked:
-		// Checked here, not only where a device is built: a simulator over
-		// plain DRAM never builds this one but must not accept it either.
-		return d.bankedConfig().Validate()
 	default:
-		return fmt.Errorf("proram: unknown DRAM model %d", int(d.Model))
+		return fmt.Errorf("proram: unknown DRAM model %d", int(m))
 	}
 }
 
-// bankedConfig lowers the public axes to the internal device configuration;
-// nil means the flat model.
-func (d *DRAMConfig) bankedConfig() *banked.Config {
-	if d == nil || d.Model == DRAMFlat {
+// bankedConfig lowers the model to the internal device configuration; nil
+// means the flat model.
+func (m DRAMModel) bankedConfig() *banked.Config {
+	if m == DRAMFlat {
 		return nil
 	}
 	b := banked.DefaultConfig()
-	if d.Channels != 0 {
-		b.Channels = d.Channels
-	}
-	if d.Banks != 0 {
-		b.Banks = d.Banks
-	}
-	if d.RowBytes != 0 {
-		b.RowBytes = d.RowBytes
-	}
-	if d.StripeBytes != 0 {
-		b.StripeBytes = d.StripeBytes
-	}
-	if d.BandwidthGBps != 0 {
-		b.BandwidthGBps = d.BandwidthGBps
-	}
-	b.Layout = banked.LayoutSubtreePacked
-	if d.Model == DRAMBanked {
+	if m == DRAMBanked {
 		b.Layout = banked.LayoutLinear
 	}
 	return &b

@@ -42,9 +42,7 @@ func opsConfig(hdr [4]byte) Config {
 		CacheBlocks:   []int{16, 48}[geom&1],
 		Seed:          uint64(hdr[0]) + 1,
 	}
-	if m := DRAMModel(hdr[2] % 3); m != DRAMFlat {
-		cfg.DRAM = &DRAMConfig{Model: m}
-	}
+	cfg.DRAM = DRAMModel(hdr[2] % 3)
 	return cfg
 }
 
@@ -266,34 +264,15 @@ func (r *fuzzBytes) size(limit int) int { return r.int() % (limit + 1) }
 
 func (r *fuzzBytes) float() float64 { return math.Float64frombits(r.raw()) }
 
-func (r *fuzzBytes) dram() *DRAMConfig {
-	if r.byte()&1 == 0 {
-		return nil
-	}
-	return &DRAMConfig{
-		Model:         DRAMModel(r.int()),
-		Channels:      r.int(),
-		Banks:         r.int(),
-		RowBytes:      r.int(),
-		StripeBytes:   r.int(),
-		BandwidthGBps: r.float(),
-	}
-}
-
 // runConfig builds a Config and a SimConfig out of data — sizes clamped,
 // everything else raw — and demands that each constructor either refuses
 // it or returns a system that survives 200 mixed operations and a Flush
 // (one short workload, for the simulator). Errors are fine; panics and
 // process deaths are what it is looking for, and a bandwidth that is not
-// a number reaching a device (the conversion to a rate is then whatever
-// the platform does).
+// a number reaching the simulator's channel (the conversion to a rate is
+// then whatever the platform does).
 func runConfig(t *testing.T, data []byte) {
 	r := &fuzzBytes{data}
-	accepted := func(ctor string, bandwidth float64) {
-		if math.IsNaN(bandwidth) || math.IsInf(bandwidth, 0) {
-			t.Fatalf("%s accepted BandwidthGBps %v", ctor, bandwidth)
-		}
-	}
 	cfg := Config{
 		Blocks:        uint64(r.size(1024)),
 		BlockBytes:    r.int(),
@@ -305,21 +284,15 @@ func runConfig(t *testing.T, data []byte) {
 		Seed:          r.raw(),
 		Partitions:    r.int(),
 		RoundSlots:    r.int(),
-		DRAM:          r.dram(),
+		DRAM:          DRAMModel(r.byte()),
 	}
 	if n := r.byte() % 4; n > 0 {
 		cfg.Key = make([]byte, []int{0, 16, 32, 5}[n])
 	}
-	var deviceBW float64 // the flat model has no bandwidth of its own
-	if cfg.DRAM != nil && cfg.DRAM.Model != DRAMFlat {
-		deviceBW = cfg.DRAM.BandwidthGBps
-	}
 	if ram, err := New(cfg); err == nil {
-		accepted("New", deviceBW)
 		mixedOps(ram, cfg.Seed)
 	}
 	if s, err := NewSharded(cfg, ShardedOptions{}); err == nil {
-		accepted("NewSharded", deviceBW)
 		mixedOps(s, cfg.Seed)
 		s.Close()
 	}
@@ -344,8 +317,9 @@ func runConfig(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	accepted("NewSimulator", sc.BandwidthGBps)
-	accepted("NewSimulator", deviceBW)
+	if bw := sc.BandwidthGBps; math.IsNaN(bw) || math.IsInf(bw, 0) {
+		t.Fatalf("NewSimulator accepted BandwidthGBps %v", bw)
+	}
 	w, err := Synthetic(SyntheticConfig{
 		Ops:              40 + uint64(r.size(400)),
 		WorkingSetBytes:  4096 + uint64(r.size(1<<18)),
@@ -384,23 +358,19 @@ func mixedOps(d fuzzDevice, seed uint64) {
 
 // FuzzConfig runs runConfig over fuzzer-chosen configurations. The seeds
 // are the defects it was written against and the ones its first probes
-// found: geometry that reached make() and killed the process (a bank
-// count, a bucket size, a block size), a row size that overflowed the
-// channel-stripe period to a division by zero, non-finite bandwidths that
-// passed validation into an implementation-defined uint64 conversion, and
-// a RoundSlots so large that the first round — hence the first Read —
-// never ended. One more is the largest geometry the clamped sizes allow,
-// 1024 blocks in buckets of 64 slots, where every scan of a bucket's
-// occupied prefix can run its full width. (The slot encoding's own limit,
-// 2^32 blocks, lies far past the clamp; TestValidateBoundsTreeDepth and
-// TestOversizedCapacityRefused pin it.)
+// found: geometry that reached make() and killed the process (a bucket
+// size, a block size), a non-finite bandwidth that passed validation into
+// an implementation-defined uint64 conversion, and a RoundSlots so large
+// that the first round — hence the first Read — never ended. One more is
+// the largest geometry the clamped sizes allow, 1024 blocks in buckets of
+// 64 slots, where every scan of a bucket's occupied prefix can run its
+// full width. (The slot encoding's own limit, 2^32 blocks, lies far past
+// the clamp; TestValidateBoundsTreeDepth and TestOversizedCapacityRefused
+// pin it.)
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
 	for _, mutate := range []func(c *Config, simBW *float64){
 		func(c *Config, _ *float64) {},
-		func(c *Config, _ *float64) { c.DRAM.Banks = 1 << 30 },
-		func(c *Config, _ *float64) { c.DRAM.Channels, c.DRAM.RowBytes, c.DRAM.StripeBytes = 4, 1<<62, 1<<62 },
-		func(c *Config, _ *float64) { c.DRAM.BandwidthGBps = math.NaN() },
 		func(c *Config, simBW *float64) { *simBW = math.Inf(1) },
 		func(c *Config, _ *float64) { c.Z = 1 << 30 },
 		func(c *Config, _ *float64) { c.BlockBytes = 1 << 40 },
@@ -412,13 +382,13 @@ func FuzzConfig(f *testing.F) {
 	f.Fuzz(runConfig)
 }
 
-// configSeed encodes, in the order runConfig reads it, a small banked
-// configuration with one mutation applied to it or to the simulator's own
-// BandwidthGBps. Everything after that field is left to the zeros an
-// exhausted input deals.
+// configSeed encodes, in the order runConfig reads it, a small
+// configuration on the packed banked device with one mutation applied to
+// it or to the simulator's own BandwidthGBps. Everything after that field
+// is left to the zeros an exhausted input deals.
 func configSeed(mutate func(*Config, *float64)) []byte {
 	c := Config{Blocks: 200, Scheme: SchemeDynamic, MaxSuperBlock: 2, Seed: 7, Partitions: 2,
-		DRAM: &DRAMConfig{Model: DRAMBankedPacked}}
+		DRAM: DRAMBankedPacked}
 	var simBW float64
 	mutate(&c, &simBW)
 	var b []byte
@@ -441,13 +411,7 @@ func configSeed(mutate func(*Config, *float64)) []byte {
 	raw(c.Seed)
 	put(c.Partitions)
 	put(c.RoundSlots)
-	b = append(b, 1) // DRAM present
-	put(int(c.DRAM.Model))
-	put(c.DRAM.Channels)
-	put(c.DRAM.Banks)
-	put(c.DRAM.RowBytes)
-	put(c.DRAM.StripeBytes)
-	raw(math.Float64bits(c.DRAM.BandwidthGBps))
+	b = append(b, byte(c.DRAM))
 	b = append(b, 0) // Key: derived from Seed
 	put(0)           // Memory
 	b = append(b, 0) // StreamPrefetcher

@@ -55,7 +55,7 @@ func shardedPackedDump(t *testing.T) []byte {
 	cfg.CacheBlocks = 96
 	cfg.Partitions = 3
 	cfg.Seed = 7
-	cfg.DRAM = &proram.DRAMConfig{Model: proram.DRAMBankedPacked}
+	cfg.DRAM = proram.DRAMBankedPacked
 	var out bytes.Buffer
 	s, err := proram.NewSharded(cfg, proram.ShardedOptions{Obs: &proram.ObsConfig{MetricsOut: &out}})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestGoldenMetrics(t *testing.T) {
 		{"sim_oram_packed_periodic_warmup", func(t *testing.T) []byte {
 			return simulatorDump(t, proram.SimConfig{
 				Scheme: proram.SchemeDynamic, MaxSuperBlock: 4, ORAMBlocks: 1 << 15, Seed: 5,
-				DRAM:     &proram.DRAMConfig{Model: proram.DRAMBankedPacked},
+				DRAM:     proram.DRAMBankedPacked,
 				Periodic: true, WarmupOps: 2000, StashBlocks: 4,
 			}, synthetic(t, 8000, 0.6, 4))
 		}},

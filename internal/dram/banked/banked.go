@@ -1,9 +1,7 @@
 package banked
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"proram/internal/obs"
 )
@@ -58,7 +56,7 @@ func (s Stats) RowHitRate() float64 {
 	return float64(s.RowHits) / float64(t)
 }
 
-// AccessRec is one scheduled access in the optional timing log.
+// AccessRec is one scheduled access in the timing log tests turn on.
 type AccessRec struct {
 	Addr    uint64
 	Start   uint64 // issue time handed to the scheduler
@@ -72,102 +70,38 @@ type AccessRec struct {
 // controller owns one, and the sharded frontend arbitrates all partitions
 // onto one at the round barrier.
 type Model struct {
-	cfg          Config
-	rate1024     uint64
-	banksPerChan int
-	busUntil     []uint64 // per channel
-	bankUntil    []uint64 // per global bank (channel-major)
-	openRow      []uint64 // per global bank; rowClosed = none
-	chanBusy     []uint64 // per channel transfer occupancy
-	bankAccesses []uint64 // per global bank
+	busUntil     [channels]uint64
+	bankUntil    [nBanks]uint64 // per global bank (channel-major)
+	openRow      [nBanks]uint64 // rowClosed = none
+	chanBusy     [channels]uint64
+	bankAccesses [nBanks]uint64
 	stats        Stats
 
-	// stripeShift and rowShift are log2 of StripeBytes and RowBytes.
-	stripeShift, rowShift uint
-
-	log []AccessRec // nil unless EnableLog
+	log []AccessRec // the per-access timing log, nil (off) unless a test sets it
 }
 
-// New builds a Model. It panics on an invalid configuration (configuration
-// errors are programming errors; public entry points validate first).
-func New(cfg Config) *Model {
-	if err := cfg.Validate(); err != nil {
-		//proram:invariant configuration errors are programming errors; public entry points run Config.Validate before construction
-		panic(err)
-	}
-	cfg = cfg.normalized()
-	banksPerChan := cfg.Ranks * cfg.Banks
-	nBanks := cfg.Channels * banksPerChan
-	m := &Model{
-		cfg:          cfg,
-		rate1024:     cfg.RatePer1024(),
-		banksPerChan: banksPerChan,
-		stripeShift:  uint(bits.TrailingZeros(uint(cfg.StripeBytes))),
-		rowShift:     uint(bits.TrailingZeros(uint(cfg.RowBytes))),
-		busUntil:     make([]uint64, cfg.Channels),
-		bankUntil:    make([]uint64, nBanks),
-		openRow:      make([]uint64, nBanks),
-		chanBusy:     make([]uint64, cfg.Channels),
-		bankAccesses: make([]uint64, nBanks),
-	}
+// New builds a Model with every bank closed.
+func New() *Model {
+	m := &Model{}
 	for i := range m.openRow {
 		m.openRow[i] = rowClosed
 	}
 	return m
 }
 
-// Config returns the (normalized) configuration the model was built with.
-func (m *Model) Config() Config { return m.cfg }
-
 // Stats returns a copy of the accumulated statistics.
 func (m *Model) Stats() Stats { return m.stats }
 
-// ChannelBusy returns a copy of the per-channel transfer occupancy.
-func (m *Model) ChannelBusy() []uint64 {
-	return append([]uint64(nil), m.chanBusy...)
-}
-
-// EnableLog turns on the per-access timing log (testing/debugging only —
-// it allocates per access).
-func (m *Model) EnableLog() { m.log = make([]AccessRec, 0, 1024) }
-
-// Log returns the recorded timing log.
-func (m *Model) Log() []AccessRec { return m.log }
-
-// LogBytes returns a deterministic fixed-width binary encoding of the
-// timing log, the byte string the determinism test compares.
-func (m *Model) LogBytes() []byte {
-	buf := make([]byte, 0, len(m.log)*26)
-	for _, r := range m.log {
-		buf = binary.LittleEndian.AppendUint64(buf, r.Addr)
-		buf = binary.LittleEndian.AppendUint64(buf, r.Start)
-		buf = binary.LittleEndian.AppendUint64(buf, r.Done)
-		w := byte(0)
-		if r.Write {
-			w = 1
-		}
-		buf = append(buf, w, byte(r.Outcome))
-	}
-	return buf
-}
-
 // decompose splits a physical address into channel, global bank and
-// bank-local row. Stripes of StripeBytes alternate channels; within a
-// channel, consecutive rows interleave across that channel's banks. The
-// stripe and row sizes are powers of two, so they shift and mask; the
-// channel and bank counts need not be, so each costs one division, with
-// its remainder by multiply and subtract.
-func (m *Model) decompose(addr uint64) (ch int, gb int, row uint64) {
-	stripe := addr >> m.stripeShift
-	channels := uint64(m.cfg.Channels)
-	q := stripe / channels
-	ch = int(stripe - q*channels)
-	inChan := q<<m.stripeShift | addr&(1<<m.stripeShift-1)
-	crow := inChan >> m.rowShift
-	bpc := uint64(m.banksPerChan)
-	row = crow / bpc
-	gb = ch*m.banksPerChan + int(crow-row*bpc)
-	return ch, gb, row
+// bank-local row. Rows, which are also the channel stripes, alternate
+// channels; within a channel, consecutive rows interleave across that
+// channel's banks.
+func decompose(addr uint64) (ch int, gb int, row uint64) {
+	stripe := addr >> rowShift
+	ch = int(stripe & (channels - 1))
+	crow := stripe >> chanShift // the row's index within its channel
+	gb = ch*banksPerChan + int(crow&(banksPerChan-1))
+	return ch, gb, crow >> bankShift
 }
 
 // loc is an address together with its decomposition, so that a caller
@@ -177,15 +111,15 @@ type loc struct {
 	ch, gb    int
 }
 
-func (m *Model) locate(addr uint64) loc {
-	ch, gb, row := m.decompose(addr)
+func locate(addr uint64) loc {
+	ch, gb, row := decompose(addr)
 	return loc{addr: addr, row: row, ch: ch, gb: gb}
 }
 
 // transferCycles returns the channel cycles a transfer of the given size
-// occupies: the exact ceiling at the configured rate, and never zero.
-func (m *Model) transferCycles(bytes uint64) uint64 {
-	return max((bytes*1024+m.rate1024-1)/m.rate1024, 1)
+// occupies: the exact ceiling at the channel rate, and never zero.
+func transferCycles(bytes uint64) uint64 {
+	return max((bytes*1024+rate1024-1)/rate1024, 1)
 }
 
 // Access schedules one bucket-granular access issued at time now and
@@ -196,51 +130,43 @@ func (m *Model) transferCycles(bytes uint64) uint64 {
 // flight, so only a row change (miss or conflict) waits for the bank to
 // drain before precharge/activate.
 func (m *Model) Access(now, addr, bytes uint64, write bool) uint64 {
-	return m.access(now, m.locate(addr), bytes, m.transferCycles(bytes), write)
+	return m.access(now, locate(addr), bytes, transferCycles(bytes), write)
 }
 
 // access is Access on a located address whose transfer cycles the caller
 // has computed.
 func (m *Model) access(now uint64, at loc, bytes, transfer uint64, write bool) uint64 {
 	ch, gb, row := at.ch, at.gb, at.row
-	// Hoist the geometry-sized slices; decompose maps every address into
-	// [0, banks) and [0, channels) by construction. bankUntil is indexed
-	// on three paths below, so one pin here saves the compiler two bounds
-	// checks; every other slice's first indexing already proves its later
-	// ones, and a pin would only move that check.
-	openRow, bankUntil, busUntil := m.openRow, m.bankUntil, m.busUntil
-	chanBusy, bankAccesses := m.chanBusy, m.bankAccesses
-	_ = bankUntil[gb]
 	var start uint64
 	var rowLat uint64
 	var outcome Outcome
-	switch openRow[gb] {
+	switch m.openRow[gb] {
 	case row:
 		// Open row: CAS commands pipeline past the in-flight burst.
 		start = now
-		rowLat = m.cfg.TCAS
+		rowLat = tCAS
 		outcome = RowHit
 		m.stats.RowHits++
 	case rowClosed:
-		start = max(now, bankUntil[gb])
-		rowLat = m.cfg.TRCD + m.cfg.TCAS
+		start = max(now, m.bankUntil[gb])
+		rowLat = tRCD + tCAS
 		outcome = RowMiss
 		m.stats.RowMisses++
 	default:
 		// Row change: the bank must drain its burst before precharge.
-		start = max(now, bankUntil[gb])
-		rowLat = m.cfg.TRP + m.cfg.TRCD + m.cfg.TCAS
+		start = max(now, m.bankUntil[gb])
+		rowLat = tRP + tRCD + tCAS
 		outcome = RowConflict
 		m.stats.RowConflicts++
 	}
-	dataStart := max(start+rowLat, busUntil[ch])
+	dataStart := max(start+rowLat, m.busUntil[ch])
 	done := dataStart + transfer
 
-	bankUntil[gb] = done
-	busUntil[ch] = done
-	openRow[gb] = row
-	chanBusy[ch] += transfer
-	bankAccesses[gb]++
+	m.bankUntil[gb] = done
+	m.busUntil[ch] = done
+	m.openRow[gb] = row
+	m.chanBusy[ch] += transfer
+	m.bankAccesses[gb]++
 	m.stats.Accesses++
 	m.stats.BytesMoved += bytes
 	m.stats.BusyCycles += transfer
@@ -283,7 +209,7 @@ func (m *Model) Instrument(rec *obs.Recorder) {
 		d := cur.Sub(prev)
 		hitRate.Record(cycle, d.RowHitRate())
 		if cycle > prevCycle {
-			window := float64(cycle-prevCycle) * float64(m.cfg.Channels)
+			window := float64(cycle-prevCycle) * channels
 			util.Record(cycle, float64(d.BusyCycles)/window)
 		} else {
 			util.Record(cycle, 0)

@@ -1,43 +1,38 @@
 package banked
 
 import (
-	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"proram/internal/dram"
 	"proram/internal/rng"
 )
 
-// testCfg is a small geometry with easy arithmetic: 2 channels × 2 banks,
-// 4 KB rows, 16 B/cycle per channel, tRCD=tCAS=tRP=10.
-func testCfg() Config {
-	return Config{
-		Channels:      2,
-		Ranks:         1,
-		Banks:         2,
-		RowBytes:      4096,
-		StripeBytes:   4096,
-		BandwidthGBps: 16,
-		ClockGHz:      1,
-		TRCD:          10,
-		TCAS:          10,
-		TRP:           10,
-		Layout:        LayoutSubtreePacked,
-	}
-}
-
-// Address helpers for testCfg: stripe = addr/4096 alternates channels;
-// within a channel consecutive 4 KB rows alternate the two banks.
+// Address helpers: stripe = addr/4096 alternates the two channels; within
+// a channel consecutive 4 KB rows interleave across its eight banks, so a
+// bank's next row is 16 rows (64 KB) on.
 const (
 	addrC0B0R0 = 0     // channel 0, bank 0, row 0
 	addrC0B1R0 = 8192  // channel 0, bank 1, row 0
-	addrC1B0R0 = 4096  // channel 1, bank 2, row 0
-	addrC0B0R1 = 16384 // channel 0, bank 0, row 1
+	addrC1B0R0 = 4096  // channel 1, bank 8, row 0
+	addrC0B0R1 = 65536 // channel 0, bank 0, row 1
 )
 
+// Each channel's rate is the flat model's conversion of 16 GB/s at 1 GHz,
+// and the decomposition repeats every 16 banks' worth of rows, the period
+// Shared places partition trees at.
+func TestGeometryConstants(t *testing.T) {
+	r, err := dram.Rate1024(16, 1)
+	if err != nil || r != rate1024 {
+		t.Errorf("rate1024 = %d, dram.Rate1024(16, 1) = %d, %v", rate1024, r, err)
+	}
+	if alignBytes != 64<<10 {
+		t.Errorf("alignBytes = %d, want 64 KiB", alignBytes)
+	}
+}
+
 func TestDecompose(t *testing.T) {
-	m := New(testCfg())
 	cases := []struct {
 		addr   uint64
 		ch, gb int
@@ -45,12 +40,13 @@ func TestDecompose(t *testing.T) {
 	}{
 		{addrC0B0R0, 0, 0, 0},
 		{addrC0B1R0, 0, 1, 0},
-		{addrC1B0R0, 1, 2, 0},
+		{addrC1B0R0, 1, 8, 0},
 		{addrC0B0R1, 0, 0, 1},
 		{addrC0B0R0 + 64, 0, 0, 0},
+		{47*4096 + 100, 1, 15, 2}, // stripe 47: channel 1, its row 23 = bank 7, row 2
 	}
 	for _, c := range cases {
-		ch, gb, row := m.decompose(c.addr)
+		ch, gb, row := decompose(c.addr)
 		if ch != c.ch || gb != c.gb || row != c.row {
 			t.Errorf("decompose(%d) = ch%d gb%d row%d, want ch%d gb%d row%d",
 				c.addr, ch, gb, row, c.ch, c.gb, c.row)
@@ -59,43 +55,28 @@ func TestDecompose(t *testing.T) {
 }
 
 // decomposeByDivision is decompose written with a division per quotient
-// and remainder, the form the shift-and-multiply one must reproduce.
-func decomposeByDivision(cfg Config, addr uint64) (ch int, gb int, row uint64) {
-	stripeBytes, channels := uint64(cfg.StripeBytes), uint64(cfg.Channels)
-	bpc := uint64(cfg.Ranks * cfg.Banks)
-	stripe := addr / stripeBytes
-	ch = int(stripe % channels)
-	inChan := (stripe/channels)*stripeBytes + addr%stripeBytes
-	crow := inChan / uint64(cfg.RowBytes)
-	return ch, ch*int(bpc) + int(crow%bpc), crow / bpc
+// and remainder at the device's geometry, spelled out: 4 KB stripes over
+// 2 channels, and 4 KB rows over each channel's 8 banks.
+func decomposeByDivision(addr uint64) (ch int, gb int, row uint64) {
+	stripe := addr / 4096
+	ch = int(stripe % 2)
+	inChan := (stripe/2)*4096 + addr%4096
+	crow := inChan / 4096
+	return ch, ch*8 + int(crow%8), crow / 8
 }
 
 func TestDecomposeMatchesDivision(t *testing.T) {
-	cases := []struct{ channels, ranks, banks, rowBytes, stripeBytes int }{
-		{2, 1, 8, 4096, 4096},
-		{3, 1, 6, 4096, 4096},
-		{3, 2, 3, 2048, 512},
-		{1, 1, 1, 64, 64},
-		{5, 1, 7, 256, 8192},
-		{64, 4, 6, 1 << 30, 64},
+	r := rng.New(28)
+	addrs := []uint64{0, 1, 63, 64, 4095, 4096, 65535, 65536, 1<<40 + 12345, math.MaxUint64}
+	for range 10000 {
+		addrs = append(addrs, r.Uint64n(1<<36), r.Uint64())
 	}
-	for _, c := range cases {
-		cfg := DefaultConfig()
-		cfg.Channels, cfg.Ranks, cfg.Banks = c.channels, c.ranks, c.banks
-		cfg.RowBytes, cfg.StripeBytes = c.rowBytes, c.stripeBytes
-		m := New(cfg)
-		r := rng.New(uint64(c.channels*100 + c.banks))
-		addrs := []uint64{0, 1, 63, 64, uint64(c.stripeBytes) - 1, uint64(c.stripeBytes), 1<<40 + 12345, math.MaxUint64}
-		for range 2000 {
-			addrs = append(addrs, r.Uint64n(1<<36), r.Uint64())
-		}
-		for _, addr := range addrs {
-			ch, gb, row := m.decompose(addr)
-			wch, wgb, wrow := decomposeByDivision(cfg, addr)
-			if ch != wch || gb != wgb || row != wrow {
-				t.Fatalf("%+v: decompose(%#x) = ch%d gb%d row%d, division gives ch%d gb%d row%d",
-					c, addr, ch, gb, row, wch, wgb, wrow)
-			}
+	for _, addr := range addrs {
+		ch, gb, row := decompose(addr)
+		wch, wgb, wrow := decomposeByDivision(addr)
+		if ch != wch || gb != wgb || row != wrow {
+			t.Fatalf("decompose(%#x) = ch%d gb%d row%d, division gives ch%d gb%d row%d",
+				addr, ch, gb, row, wch, wgb, wrow)
 		}
 	}
 }
@@ -105,43 +86,43 @@ func TestDecomposeMatchesDivision(t *testing.T) {
 // different channels overlaps entirely.
 func TestSameBankVsDifferentBanks(t *testing.T) {
 	// Same bank, different rows: second access waits for the bank AND pays
-	// a row conflict. miss = tRCD+tCAS = 20, transfer = 64/16 = 4.
-	m := New(testCfg())
-	if got := m.Access(0, addrC0B0R0, 64, false); got != 24 {
-		t.Fatalf("first access done = %d, want 24", got)
+	// a row conflict. miss = tRCD+tCAS = 28, transfer = 64/16 = 4.
+	m := New()
+	if got := m.Access(0, addrC0B0R0, 64, false); got != 32 {
+		t.Fatalf("first access done = %d, want 32", got)
 	}
-	// start = bankUntil = 24, conflict = 30, done = 24+30+4 = 58.
-	if got := m.Access(0, addrC0B0R1, 64, false); got != 58 {
-		t.Errorf("same-bank conflict done = %d, want 58", got)
+	// start = bankUntil = 32, conflict = 42, done = 32+42+4 = 78.
+	if got := m.Access(0, addrC0B0R1, 64, false); got != 78 {
+		t.Errorf("same-bank conflict done = %d, want 78", got)
 	}
 
 	// Different banks, same channel: activations overlap, the shared bus
-	// serializes only the transfers: done = max(0+20, bus 24) + 4 = 28.
-	m = New(testCfg())
+	// serializes only the transfers: done = max(0+28, bus 32) + 4 = 36.
+	m = New()
 	m.Access(0, addrC0B0R0, 64, false)
-	if got := m.Access(0, addrC0B1R0, 64, false); got != 28 {
-		t.Errorf("different-bank done = %d, want 28", got)
+	if got := m.Access(0, addrC0B1R0, 64, false); got != 36 {
+		t.Errorf("different-bank done = %d, want 36", got)
 	}
 
-	// Different channels: fully parallel, both finish at 24.
-	m = New(testCfg())
+	// Different channels: fully parallel, both finish at 32.
+	m = New()
 	m.Access(0, addrC0B0R0, 64, false)
-	if got := m.Access(0, addrC1B0R0, 64, false); got != 24 {
-		t.Errorf("different-channel done = %d, want 24", got)
+	if got := m.Access(0, addrC1B0R0, 64, false); got != 32 {
+		t.Errorf("different-channel done = %d, want 32", got)
 	}
 }
 
 // Satellite (b): a row hit pays tCAS only; a conflict pays tRP+tRCD+tCAS.
 func TestRowHitVsConflict(t *testing.T) {
-	m := New(testCfg())
-	m.Access(0, addrC0B0R0, 64, false) // miss, opens row 0, done 24
-	// Hit in the open row, issued after the bank freed: 30+10+4 = 44.
-	if got := m.Access(30, addrC0B0R0+64, 64, false); got != 44 {
-		t.Errorf("row-hit done = %d, want 44", got)
+	m := New()
+	m.Access(0, addrC0B0R0, 64, false) // miss, opens row 0, done 32
+	// Hit in the open row, issued after the bank freed: 40+14+4 = 58.
+	if got := m.Access(40, addrC0B0R0+64, 64, false); got != 58 {
+		t.Errorf("row-hit done = %d, want 58", got)
 	}
-	// Conflict in the same bank: 44+30+4 = 78.
-	if got := m.Access(30, addrC0B0R1, 64, false); got != 78 {
-		t.Errorf("row-conflict done = %d, want 78", got)
+	// Conflict in the same bank: 58+42+4 = 104.
+	if got := m.Access(40, addrC0B0R1, 64, false); got != 104 {
+		t.Errorf("row-conflict done = %d, want 104", got)
 	}
 	st := m.Stats()
 	if st.RowHits != 1 || st.RowMisses != 1 || st.RowConflicts != 1 {
@@ -150,7 +131,7 @@ func TestRowHitVsConflict(t *testing.T) {
 	}
 	// The per-channel occupancy the obs views export sums to the total.
 	var busy uint64
-	for _, b := range m.ChannelBusy() {
+	for _, b := range m.chanBusy {
 		busy += b
 	}
 	if busy != st.BusyCycles || busy != 12 {
@@ -173,7 +154,7 @@ func TestOverlappedPathBeatsBulkTransfer(t *testing.T) {
 	flat := dram.New(dram.DefaultConfig())
 	flatDone := flat.BulkTransfer(0, 2*pathBytes, flat.Config().LatencyCycles+crypto)
 
-	dev, err := NewDevice(testCfg(), levels, z, blockBytes, crypto)
+	dev, err := NewDevice(DefaultConfig(), levels, z, blockBytes, crypto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +173,12 @@ func TestOverlappedPathBeatsBulkTransfer(t *testing.T) {
 // Satellite (d): the same access sequence produces a byte-identical
 // per-access timing log on independently constructed models.
 func TestTimingLogDeterminism(t *testing.T) {
-	run := func() []byte {
-		dev, err := NewDevice(testCfg(), 12, 4, 64, 21)
+	run := func() []AccessRec {
+		dev, err := NewDevice(DefaultConfig(), 12, 4, 64, 21)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev.Model().EnableLog()
+		dev.m.log = []AccessRec{}
 		seed := uint64(0x9e3779b97f4a7c15)
 		now := uint64(0)
 		for i := 0; i < 200; i++ {
@@ -206,13 +187,13 @@ func TestTimingLogDeterminism(t *testing.T) {
 			pt := dev.Path(now, leaf)
 			now = pt.DataReady
 		}
-		return dev.Model().LogBytes()
+		return dev.m.log
 	}
 	a, b := run(), run()
 	if len(a) == 0 {
 		t.Fatal("empty timing log")
 	}
-	if !bytes.Equal(a, b) {
+	if !slices.Equal(a, b) {
 		t.Errorf("timing logs differ: %d vs %d bytes", len(a), len(b))
 	}
 }
@@ -221,18 +202,15 @@ func TestTimingLogDeterminism(t *testing.T) {
 // inside the tree's span, and packs parent/child buckets of one subtree
 // into the same row.
 func TestTreeMapPackedAddresses(t *testing.T) {
-	cfg := testCfg()
-	cfg.RowBytes = 1024
-	cfg.StripeBytes = 1024
-	const levels, z, blockBytes = 6, 4, 64 // 256 B buckets, k=2
-	tm, err := NewTreeMap(cfg, levels, z, blockBytes, 0)
+	const levels, z, blockBytes = 6, 4, 256 // 1 KB buckets in 4 KB rows, k=2
+	tm, err := NewTreeMap(DefaultConfig(), levels, z, blockBytes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.SubtreeDepth() != 2 {
-		t.Fatalf("subtree depth = %d, want 2", tm.SubtreeDepth())
+	if tm.subDepth != 2 {
+		t.Fatalf("subtree depth = %d, want 2", tm.subDepth)
 	}
-	bb := tm.BucketBytes()
+	bb := tm.bucketBytes
 	seen := make(map[uint64]uint64) // start -> node
 	for node := uint64(1); node < 1<<(levels+1); node++ {
 		a := tm.Addr(node)
@@ -250,7 +228,7 @@ func TestTreeMapPackedAddresses(t *testing.T) {
 		seen[a] = node
 	}
 	// Depth-4 node 16 and its children 32,33 form one subtree: same row.
-	row := func(a uint64) uint64 { return a / uint64(cfg.RowBytes) }
+	row := func(a uint64) uint64 { return a / 4096 }
 	if row(tm.Addr(16)) != row(tm.Addr(32)) || row(tm.Addr(16)) != row(tm.Addr(33)) {
 		t.Errorf("subtree {16,32,33} spans rows %d,%d,%d, want one row",
 			row(tm.Addr(16)), row(tm.Addr(32)), row(tm.Addr(33)))
@@ -263,9 +241,7 @@ func TestTreeMapPackedAddresses(t *testing.T) {
 }
 
 func TestTreeMapLinearAddresses(t *testing.T) {
-	cfg := testCfg()
-	cfg.Layout = LayoutLinear
-	tm, err := NewTreeMap(cfg, 8, 4, 64, 0)
+	tm, err := NewTreeMap(Config{Layout: LayoutLinear}, 8, 4, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +254,7 @@ func TestTreeMapLinearAddresses(t *testing.T) {
 }
 
 func TestTreeMapRejectsMisalignedBase(t *testing.T) {
-	if _, err := NewTreeMap(testCfg(), 8, 4, 64, 4096); err == nil {
+	if _, err := NewTreeMap(DefaultConfig(), 8, 4, 64, 4096); err == nil {
 		t.Error("misaligned base accepted")
 	}
 }
@@ -288,9 +264,7 @@ func TestTreeMapRejectsMisalignedBase(t *testing.T) {
 // strictly earlier finish than the linear layout.
 func TestPackedLayoutBeatsLinear(t *testing.T) {
 	run := func(layout Layout) (Stats, uint64) {
-		cfg := testCfg()
-		cfg.Layout = layout
-		dev, err := NewDevice(cfg, 14, 4, 64, 21)
+		dev, err := NewDevice(Config{Layout: layout}, 14, 4, 64, 21)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,15 +291,15 @@ func TestPackedLayoutBeatsLinear(t *testing.T) {
 // refPath is Device.Path as a sequence of Model.Access calls, one per
 // bucket and phase, each decomposing its address afresh.
 func refPath(m *Model, tm *TreeMap, crypto, now, leaf uint64) dram.PathTiming {
-	L := tm.Levels()
+	L := tm.levels
 	leafNode := uint64(1)<<L + leaf
 	var readDone, writeDone uint64
 	for depth := 0; depth <= L; depth++ {
-		readDone = max(readDone, m.Access(now, tm.Addr(leafNode>>(L-depth)), tm.BucketBytes(), false))
+		readDone = max(readDone, m.Access(now, tm.Addr(leafNode>>(L-depth)), tm.bucketBytes, false))
 	}
 	dataReady := readDone + crypto
 	for depth := L; depth >= 0; depth-- {
-		writeDone = max(writeDone, m.Access(dataReady, tm.Addr(leafNode>>(L-depth)), tm.BucketBytes(), true))
+		writeDone = max(writeDone, m.Access(dataReady, tm.Addr(leafNode>>(L-depth)), tm.bucketBytes, true))
 	}
 	return dram.PathTiming{Start: now, ReadDone: readDone, DataReady: dataReady, Done: writeDone}
 }
@@ -333,25 +307,22 @@ func refPath(m *Model, tm *TreeMap, crypto, now, leaf uint64) dram.PathTiming {
 // Device.Path locates each bucket once and computes one transfer time per
 // device; its schedule, its timing log and its statistics must be those
 // of the bucket-by-bucket Model.Access calls it replaces, on either layout,
-// on a geometry whose channel and per-channel bank counts are not powers
-// of two (so decompose divides) and whose bucket transfer rounds up, and
+// on an odd bucket size (216 B, whose transfer rounds 13.5 cycles up) and
 // through a Shared device's CommitRound.
 func TestDevicePathMatchesAccess(t *testing.T) {
-	odd := testCfg()
-	odd.Channels, odd.Ranks, odd.Banks = 3, 2, 3
-	odd.RowBytes, odd.StripeBytes = 2048, 512
-	odd.BandwidthGBps = 12.8
+	packed, linear := DefaultConfig(), Config{Layout: LayoutLinear}
 	type geom struct{ levels, z, blockBytes int }
+	odd := geom{11, 3, 72}
 	cases := []struct {
 		name string
 		cfg  Config
 		g    geom
 	}{
-		{"packed", testCfg(), geom{12, 4, 64}},
-		{"linear", func() Config { c := testCfg(); c.Layout = LayoutLinear; return c }(), geom{12, 4, 64}},
-		{"default", DefaultConfig(), geom{14, 3, 128}},
-		{"odd/packed", odd, geom{11, 3, 72}},
-		{"odd/linear", func() Config { c := odd; c.Layout = LayoutLinear; return c }(), geom{11, 3, 72}},
+		{"packed", packed, geom{12, 4, 64}},
+		{"linear", linear, geom{12, 4, 64}},
+		{"default", packed, geom{14, 3, 128}},
+		{"odd/packed", packed, odd},
+		{"odd/linear", linear, odd},
 	}
 	const crypto, paths = 21, 2000
 	for i, c := range cases {
@@ -364,9 +335,8 @@ func TestDevicePathMatchesAccess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := New(c.cfg)
-			dev.Model().EnableLog()
-			ref.EnableLog()
+			ref := New()
+			dev.m.log, ref.log = []AccessRec{}, []AccessRec{}
 			r := rng.New(uint64(i + 1))
 			var now uint64
 			for range paths {
@@ -377,7 +347,7 @@ func TestDevicePathMatchesAccess(t *testing.T) {
 				}
 				now += r.Uint64n(300) // sometimes behind the last path, sometimes past it
 			}
-			if !bytes.Equal(dev.Model().LogBytes(), ref.LogBytes()) {
+			if !slices.Equal(dev.m.log, ref.log) {
 				t.Error("timing logs differ")
 			}
 			if dev.Model().Stats() != ref.Stats() {
@@ -388,23 +358,22 @@ func TestDevicePathMatchesAccess(t *testing.T) {
 
 	t.Run("shared", func(t *testing.T) {
 		const parts, levels, z, blockBytes = 3, 11, 3, 72
-		sh, err := NewShared(odd, parts, levels, z, blockBytes, crypto)
+		sh, err := NewShared(packed, parts, levels, z, blockBytes, crypto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := New(odd)
+		ref := New()
 		var tms []*TreeMap
 		var base uint64
 		for range parts {
-			tm, err := NewTreeMap(odd, levels, z, blockBytes, base)
+			tm, err := NewTreeMap(packed, levels, z, blockBytes, base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tms = append(tms, tm)
 			base += tm.SpanBytes()
 		}
-		sh.Model().EnableLog()
-		ref.EnableLog()
+		sh.m.log, ref.log = []AccessRec{}, []AccessRec{}
 		r := rng.New(9)
 		var floor uint64
 		for done := 0; done < paths; {
@@ -440,7 +409,7 @@ func TestDevicePathMatchesAccess(t *testing.T) {
 				floor = max(floor, ready[p])
 			}
 		}
-		if !bytes.Equal(sh.Model().LogBytes(), ref.LogBytes()) {
+		if !slices.Equal(sh.m.log, ref.log) {
 			t.Error("timing logs differ")
 		}
 		if sh.Model().Stats() != ref.Stats() {
@@ -458,18 +427,18 @@ func TestSharedCommitRoundDeterminism(t *testing.T) {
 		{},
 		{1000, 1001, 1002, 64},
 	}
-	run := func() ([][]uint64, []uint64, []byte) {
-		s, err := NewShared(testCfg(), 4, 12, 4, 64, 21)
+	run := func() ([][]uint64, []uint64, []AccessRec) {
+		s, err := NewShared(DefaultConfig(), 4, 12, 4, 64, 21)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Model().EnableLog()
+		s.m.log = []AccessRec{}
 		starts, ready := s.CommitRound(100, lanes)
-		return starts, ready, s.Model().LogBytes()
+		return starts, ready, s.m.log
 	}
 	s1, r1, l1 := run()
 	s2, r2, l2 := run()
-	if !bytes.Equal(l1, l2) {
+	if !slices.Equal(l1, l2) {
 		t.Error("shared timing logs differ across identical rounds")
 	}
 	for p := range lanes {
@@ -501,11 +470,10 @@ func TestSharedCommitRoundDeterminism(t *testing.T) {
 }
 
 // Shared partitions contend: the same lanes on a shared device finish no
-// earlier than on private devices, and with ≥2 busy partitions on a
-// 1-channel device, strictly later.
+// earlier than on private devices, and with ≥2 busy partitions, whose
+// paths all cross both channels, strictly later.
 func TestSharedContention(t *testing.T) {
-	cfg := testCfg()
-	cfg.Channels = 1
+	cfg := DefaultConfig()
 	lanes := [][]uint64{{1, 2, 3}, {100, 200, 300}}
 
 	s, err := NewShared(cfg, 2, 12, 4, 64, 21)
@@ -532,7 +500,7 @@ func TestSharedContention(t *testing.T) {
 		}
 	}
 	if sharedReady[0] == soloReady[0] && sharedReady[1] == soloReady[1] {
-		t.Error("two partitions on one channel showed no contention at all")
+		t.Error("two partitions on one device showed no contention at all")
 	}
 }
 
@@ -540,34 +508,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Channels = 0 },
-		func(c *Config) { c.Channels = 65 },
-		func(c *Config) { c.Ranks = 0 },
-		func(c *Config) { c.Banks = 0 },
-		func(c *Config) { c.RowBytes = 100 },
-		func(c *Config) { c.StripeBytes = 96 },
-		func(c *Config) { c.BandwidthGBps = 0 },
-		func(c *Config) { c.ClockGHz = 0 },
-		// NaN survives a `<= 0` test; none of these converts to uint64 portably.
-		func(c *Config) { c.BandwidthGBps = math.NaN() },
-		func(c *Config) { c.BandwidthGBps = math.Inf(1) },
-		func(c *Config) { c.ClockGHz = math.NaN() },
-		func(c *Config) { c.BandwidthGBps = 1e300 },
-		// Geometry New would size slices for: refused by arithmetic.
-		func(c *Config) { c.Banks = 1 << 30 },
-		func(c *Config) { c.Ranks = 1 << 30 },
-		func(c *Config) { c.Channels, c.Ranks, c.Banks = 64, 64, 64 },
-		func(c *Config) { c.RowBytes = 1 << 62 },
-		func(c *Config) { c.StripeBytes = 1 << 40 },
-		func(c *Config) { c.TCAS = 0 },
-		func(c *Config) { c.Layout = Layout(9) },
+	if err := (Config{Layout: LayoutLinear}).Validate(); err != nil {
+		t.Fatalf("linear layout invalid: %v", err)
 	}
-	for i, mut := range bad {
-		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+	for _, l := range []Layout{-1, 2, 9} {
+		if err := (Config{Layout: l}).Validate(); err == nil {
+			t.Errorf("layout %d accepted", l)
 		}
 	}
 }

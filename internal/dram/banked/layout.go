@@ -25,16 +25,15 @@ type TreeMap struct {
 	bucketBytes uint64
 	layout      Layout
 	base        uint64
-	slotBytes   uint64   // bytes per subtree slot / top bucket row (RowBytes multiple)
+	slotBytes   uint64   // bytes per subtree slot / top bucket row (a whole number of rows)
 	subDepth    int      // k: depths per packed subtree
 	layerBase   []uint64 // packed: first slot index of each subtree layer
 	spanBytes   uint64   // total physical span, channel-stripe aligned
 }
 
-// NewTreeMap lays out a tree of the given geometry at physical offset base.
-// base must be aligned to the channel-stripe period (AlignBytes of cfg).
+// NewTreeMap lays out a tree of the given geometry at physical offset base,
+// which must be a multiple of the decomposition's period, alignBytes.
 func NewTreeMap(cfg Config, levels, z, blockBytes int, base uint64) (*TreeMap, error) {
-	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -44,9 +43,8 @@ func NewTreeMap(cfg Config, levels, z, blockBytes int, base uint64) (*TreeMap, e
 	if z < 1 || blockBytes < 8 {
 		return nil, fmt.Errorf("banked: bucket geometry z=%d blockBytes=%d invalid", z, blockBytes)
 	}
-	align := alignBytes(cfg)
-	if base%align != 0 {
-		return nil, fmt.Errorf("banked: base %d not aligned to the %d-byte channel-stripe period", base, align)
+	if base%alignBytes != 0 {
+		return nil, fmt.Errorf("banked: base %d not aligned to the %d-byte channel-stripe period", base, alignBytes)
 	}
 	t := &TreeMap{
 		levels:      levels,
@@ -54,10 +52,9 @@ func NewTreeMap(cfg Config, levels, z, blockBytes int, base uint64) (*TreeMap, e
 		layout:      cfg.Layout,
 		base:        base,
 	}
-	rowBytes := uint64(cfg.RowBytes)
 	if t.layout == LayoutLinear {
 		buckets := (uint64(1) << (levels + 1)) - 1
-		t.spanBytes = roundUp(buckets*t.bucketBytes, align)
+		t.spanBytes = roundUp(buckets*t.bucketBytes, alignBytes)
 		return t, nil
 	}
 	// k: deepest subtree that fits one row (at least 1 even for huge buckets).
@@ -74,19 +71,8 @@ func NewTreeMap(cfg Config, levels, z, blockBytes int, base uint64) (*TreeMap, e
 		t.layerBase[q] = units
 		units += uint64(1) << (q * k)
 	}
-	t.spanBytes = roundUp(units*t.slotBytes, align)
+	t.spanBytes = roundUp(units*t.slotBytes, alignBytes)
 	return t, nil
-}
-
-// alignBytes is the period after which the channel/bank decomposition
-// repeats: partition bases placed at multiples of it see identical striping.
-func alignBytes(cfg Config) uint64 {
-	period := uint64(cfg.StripeBytes) * uint64(cfg.Channels)
-	rowPeriod := uint64(cfg.RowBytes) * uint64(cfg.Channels*cfg.Ranks*cfg.Banks)
-	if rowPeriod > period {
-		period = rowPeriod
-	}
-	return period
 }
 
 func roundUp(v, to uint64) uint64 { return (v + to - 1) / to * to }
@@ -94,15 +80,6 @@ func roundUp(v, to uint64) uint64 { return (v + to - 1) / to * to }
 // SpanBytes returns the physical bytes the tree occupies (alignment
 // included), the offset stride for co-locating several trees.
 func (t *TreeMap) SpanBytes() uint64 { return t.spanBytes }
-
-// SubtreeDepth returns k, the packed-subtree depth (0 for linear layout).
-func (t *TreeMap) SubtreeDepth() int { return t.subDepth }
-
-// Levels returns the tree depth L the map was built for.
-func (t *TreeMap) Levels() int { return t.levels }
-
-// BucketBytes returns the size of one bucket (Z·blockBytes).
-func (t *TreeMap) BucketBytes() uint64 { return t.bucketBytes }
 
 // Addr returns the physical address of the bucket with the given heap node
 // number.
@@ -143,19 +120,19 @@ type Device struct {
 
 var _ dram.Device = (*Device)(nil)
 
-// NewDevice builds a Model from cfg and binds a tree of the given geometry
-// to it at offset 0. crypto is the per-path decrypt pipeline drain charged
-// between the read and write-back phases.
+// NewDevice builds a Model and binds a tree of the given geometry to it at
+// offset 0, laid out as cfg says. crypto is the per-path decrypt pipeline
+// drain charged between the read and write-back phases.
 func NewDevice(cfg Config, levels, z, blockBytes int, crypto uint64) (*Device, error) {
 	tm, err := NewTreeMap(cfg, levels, z, blockBytes, 0)
 	if err != nil {
 		return nil, err
 	}
-	return newDevice(New(cfg), tm, crypto), nil
+	return newDevice(New(), tm, crypto), nil
 }
 
 func newDevice(m *Model, t *TreeMap, crypto uint64) *Device {
-	return &Device{m: m, t: t, crypto: crypto, transfer: m.transferCycles(t.bucketBytes), path: make([]loc, t.levels+1)}
+	return &Device{m: m, t: t, crypto: crypto, transfer: transferCycles(t.bucketBytes), path: make([]loc, t.levels+1)}
 }
 
 // Model exposes the underlying timing model (stats, instrumentation).
@@ -171,7 +148,7 @@ func (d *Device) Path(now uint64, leaf uint64) dram.PathTiming {
 	path, bytes := d.path, d.t.bucketBytes
 	var readDone uint64
 	for depth := range path {
-		path[depth] = d.m.locate(d.t.Addr(leafNode >> (L - depth)))
+		path[depth] = locate(d.t.Addr(leafNode >> (L - depth)))
 		readDone = max(readDone, d.m.access(now, path[depth], bytes, d.transfer, false))
 	}
 	dataReady := readDone + d.crypto
@@ -199,7 +176,7 @@ func NewShared(cfg Config, parts, levels, z, blockBytes int, crypto uint64) (*Sh
 	if parts < 1 {
 		return nil, fmt.Errorf("banked: parts %d must be positive", parts)
 	}
-	m := New(cfg)
+	m := New()
 	s := &Shared{m: m, devs: make([]*Device, parts)}
 	var base uint64
 	for i := range s.devs {

@@ -28,7 +28,7 @@ const (
 // dramVariant is one memory model under test.
 type dramVariant struct {
 	name string
-	cfg  *banked.Config // nil = legacy flat channel
+	cfg  *banked.Config // nil = the flat channel, Table 1's model
 }
 
 // dramVariants returns the three devices every DRAM experiment compares.
@@ -108,7 +108,7 @@ func ablationDRAM(opt Options) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"rows are model/device; flat is the legacy serialized channel (row stats zero)",
+		"rows are model/device; flat is Table 1's serialized channel (row stats zero)",
 		"banked overlaps per-bucket reads across 2 channels; packed additionally co-locates depth-k subtrees in DRAM rows")
 	return t, nil
 }

@@ -258,6 +258,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("bogus scheme accepted")
 	}
 	cfg = DefaultConfig()
+	cfg.DRAM = DRAMModel(3)
+	if _, err := New(cfg); err == nil {
+		t.Fatal("bogus DRAM model accepted")
+	}
+	cfg = DefaultConfig()
 	cfg.Key = []byte("bad")
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bad key accepted")
@@ -298,11 +303,10 @@ func TestOversizedCapacityRefused(t *testing.T) {
 }
 
 // TestUnsurvivableGeometryRefused: field values that would reach an
-// allocation (a bank count, a bucket size, a block size — the process dies
-// in makeslice, which no recover catches), an overflow, or a
-// float-to-integer conversion with no defined result (NaN and ±Inf
-// bandwidth pass a `<= 0` test) are errors naming the field from every
-// constructor.
+// allocation (a bucket size, a block size — the process dies in
+// makeslice, which no recover catches) or a float-to-integer conversion
+// with no defined result (NaN and ±Inf bandwidth pass a `<= 0` test) are
+// errors naming the field from every constructor.
 func TestUnsurvivableGeometryRefused(t *testing.T) {
 	refused := func(ctor, field string, err error) {
 		t.Helper()
@@ -320,23 +324,6 @@ func TestUnsurvivableGeometryRefused(t *testing.T) {
 			s.Close()
 		}
 		refused("NewSharded", field, err)
-	}
-	for _, tc := range []struct {
-		field string
-		d     DRAMConfig
-	}{
-		{"Banks", DRAMConfig{Banks: 1 << 30}},
-		{"Banks", DRAMConfig{Channels: 64, Banks: 1 << 12}},
-		{"RowBytes", DRAMConfig{Channels: 4, RowBytes: 1 << 62, StripeBytes: 1 << 62}}, // the stripe period wrapped to 0: a division by it
-		{"BandwidthGBps", DRAMConfig{BandwidthGBps: math.NaN()}},
-		{"BandwidthGBps", DRAMConfig{BandwidthGBps: math.Inf(1)}},
-		{"BandwidthGBps", DRAMConfig{BandwidthGBps: math.Inf(-1)}},
-		{"BandwidthGBps", DRAMConfig{BandwidthGBps: 1e300}},
-	} {
-		tc.d.Model = DRAMBanked
-		frontends(tc.field, Config{DRAM: &tc.d})
-		_, err := NewSimulator(SimConfig{ORAMBlocks: 64, DRAM: &tc.d})
-		refused("NewSimulator", tc.field, err)
 	}
 	frontends("Z", Config{Z: 1 << 30})
 	_, err := NewSimulator(SimConfig{ORAMBlocks: 64, Z: 1 << 30})

@@ -45,8 +45,9 @@ type SimConfig struct {
 	// BandwidthGBps overrides the 16 GB/s memory channel.
 	BandwidthGBps float64
 	// DRAM selects the device timing model behind the ORAM controller
-	// (ignored for MemoryDRAM); nil is DRAMFlat.
-	DRAM *DRAMConfig
+	// (ignored for MemoryDRAM, but an unknown model is still refused); the
+	// zero value is DRAMFlat, Table 1's channel.
+	DRAM DRAMModel
 	// Periodic enables timing-channel-protected (periodic) accesses with
 	// the public interval Oint (cycles).
 	Periodic bool

@@ -210,6 +210,10 @@ func TestSimulatorMisuseIsAnError(t *testing.T) {
 			_, err := NewSimulator(SimConfig{Memory: Memory(9)})
 			return err
 		}, "proram: unknown memory 9"},
+		{"unknown DRAM model", func() error {
+			_, err := NewSimulator(SimConfig{Memory: MemoryDRAM, DRAM: DRAMModel(3)})
+			return err
+		}, "proram: unknown DRAM model 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.call(); err == nil || err.Error() != tc.want {
