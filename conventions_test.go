@@ -46,10 +46,18 @@ type directive struct {
 //     the file's own top-level constants: the caller threads it;
 //   - a panic outside package main needs //proram:invariant <reason>;
 //   - every //proram: comment is one of those two forms, has a reason and
-//     excuses a site.
+//     excuses a site;
+//   - an exported function or method declared under internal/ is named by
+//     some non-test file other than in its own declaration, or by a test
+//     file of another directory: an export that only its own package's
+//     tests reach belongs unexported.
 func TestSourceConventions(t *testing.T) {
 	fset := token.NewFileSet()
 	files, kinds := 0, make(map[string]int)
+	var exported []*ast.FuncDecl
+	named := make(map[string]bool)            // names non-test files use
+	testNamed := make(map[string][]string)    // name → directories of the test files using it
+	declDir := make(map[*ast.FuncDecl]string) // an exported declaration's directory
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -57,8 +65,18 @@ func TestSourceConventions(t *testing.T) {
 		switch name := d.Name(); {
 		case d.IsDir() && p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")):
 			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_"):
+		case d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_"):
+			return nil
+		}
+		dir := filepath.Dir(p)
+		if strings.HasSuffix(p, "_test.go") {
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for name := range usedNames(f) {
+				testNamed[name] = append(testNamed[name], dir)
+			}
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -66,15 +84,52 @@ func TestSourceConventions(t *testing.T) {
 			return err
 		}
 		files++
-		for _, d := range checkConventions(t, fset, f, strings.HasPrefix(filepath.ToSlash(p), "internal/")) {
+		internal := strings.HasPrefix(filepath.ToSlash(p), "internal/")
+		for _, d := range checkConventions(t, fset, f, internal) {
 			kinds[d.kind]++
+		}
+		for name := range usedNames(f) {
+			named[name] = true
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && internal && fd.Name.IsExported() {
+				exported = append(exported, fd)
+				declDir[fd] = dir
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d files: %d invariants, %d clock allows", files, kinds["invariant"], kinds["allow"])
+	for _, fd := range exported {
+		name := fd.Name.Name
+		if !named[name] && !slices.ContainsFunc(testNamed[name], func(dir string) bool { return dir != declDir[fd] }) {
+			t.Errorf("%s: exported %s is named by no program and no other package's tests: unexport it or delete it",
+				fset.Position(fd.Pos()), name)
+		}
+	}
+	t.Logf("%d files: %d invariants, %d clock allows, %d exported functions under internal/",
+		files, kinds["invariant"], kinds["allow"], len(exported))
+}
+
+// usedNames returns every identifier f names outside the names of its own
+// function declarations.
+func usedNames(f *ast.File) map[string]bool {
+	decl := make(map[*ast.Ident]bool)
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			decl[fd.Name] = true
+		}
+	}
+	names := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !decl[id] {
+			names[id.Name] = true
+		}
+		return true
+	})
+	return names
 }
 
 // checkConventions reports every breach of TestSourceConventions' rules in

@@ -11,8 +11,9 @@
 //   - Simulator: the paper's secure-processor memory-system simulator
 //     (in-order core, L1/LLC, DRAM or Path ORAM with super block
 //     schemes), driven by workload generators. See NewSimulator,
-//     SimConfig and the workload constructors (Synthetic, Splash2,
-//     SPEC06, YCSB, TPCC).
+//     SimConfig and the workload constructors (Synthetic, YCSBWorkload,
+//     TPCCWorkload, and NamedWorkload for any Splash2 or SPEC06
+//     program).
 //
 //   - Experiments: every table and figure of the paper's evaluation,
 //     regenerable with cmd/proram-bench (and bench_test.go).
@@ -45,6 +46,9 @@
 //
 // Any other //proram: comment, a directive without a reason, and a
 // directive that excuses no site on its line or the next fail the test.
+// So does an exported function or method under internal/ that no
+// non-test file and no other directory's tests name: an export that only
+// its own package's tests reach belongs unexported.
 //
 // Four properties are not source questions, because they are measured
 // on the code that runs. Payload independence: the same seeded op stream

@@ -268,10 +268,8 @@ func (r *fuzzBytes) float() float64 { return math.Float64frombits(r.raw()) }
 // everything else raw — and demands that each constructor either refuses
 // it or returns a system that survives 200 mixed operations and a Flush
 // (one short workload, for the simulator). Errors are fine; panics and
-// process deaths are what it is looking for, and a bandwidth that is not
-// a number reaching the simulator's channel (the conversion to a rate is
-// then whatever the platform does).
-func runConfig(t *testing.T, data []byte) {
+// process deaths are what it is looking for.
+func runConfig(_ *testing.T, data []byte) {
 	r := &fuzzBytes{data}
 	cfg := Config{
 		Blocks:        uint64(r.size(1024)),
@@ -302,11 +300,9 @@ func runConfig(t *testing.T, data []byte) {
 		Scheme:           cfg.Scheme,
 		MaxSuperBlock:    cfg.MaxSuperBlock,
 		StreamPrefetcher: r.byte()&1 != 0,
-		CacheLineBytes:   r.int(),
 		ORAMBlocks:       2 + uint64(r.size(4096)), // never 0: the default is the paper's 1.5M blocks
 		Z:                cfg.Z,
 		StashBlocks:      cfg.StashBlocks,
-		BandwidthGBps:    r.float(),
 		DRAM:             cfg.DRAM,
 		Periodic:         r.byte()&1 != 0,
 		Oint:             r.raw(),
@@ -317,14 +313,10 @@ func runConfig(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	if bw := sc.BandwidthGBps; math.IsNaN(bw) || math.IsInf(bw, 0) {
-		t.Fatalf("NewSimulator accepted BandwidthGBps %v", bw)
-	}
 	w, err := Synthetic(SyntheticConfig{
 		Ops:              40 + uint64(r.size(400)),
 		WorkingSetBytes:  4096 + uint64(r.size(1<<18)),
 		LocalityFraction: r.float(),
-		PhaseLen:         r.raw(),
 		WriteFraction:    r.float(),
 		Seed:             cfg.Seed,
 	})
@@ -359,23 +351,23 @@ func mixedOps(d fuzzDevice, seed uint64) {
 // FuzzConfig runs runConfig over fuzzer-chosen configurations. The seeds
 // are the defects it was written against and the ones its first probes
 // found: geometry that reached make() and killed the process (a bucket
-// size, a block size), a non-finite bandwidth that passed validation into
-// an implementation-defined uint64 conversion, and a RoundSlots so large
-// that the first round — hence the first Read — never ended. One more is
-// the largest geometry the clamped sizes allow, 1024 blocks in buckets of
-// 64 slots, where every scan of a bucket's occupied prefix can run its
-// full width. (The slot encoding's own limit, 2^32 blocks, lies far past
-// the clamp; TestValidateBoundsTreeDepth and TestOversizedCapacityRefused
-// pin it.)
+// size, a block size) and a RoundSlots so large that the first round —
+// hence the first Read — never ended. One more is the largest geometry
+// the clamped sizes allow, 1024 blocks in buckets of 64 slots, where every
+// scan of a bucket's occupied prefix can run its full width. (The slot
+// encoding's own limit, 2^32 blocks, lies far past the clamp;
+// TestValidateBoundsTreeDepth and TestOversizedCapacityRefused pin it.)
+// The two committed corpus entries are named for the simulator cache-line
+// size and bandwidth they once set; both are constants now, and the
+// entries keep the rest of their configurations.
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
-	for _, mutate := range []func(c *Config, simBW *float64){
-		func(c *Config, _ *float64) {},
-		func(c *Config, simBW *float64) { *simBW = math.Inf(1) },
-		func(c *Config, _ *float64) { c.Z = 1 << 30 },
-		func(c *Config, _ *float64) { c.BlockBytes = 1 << 40 },
-		func(c *Config, _ *float64) { c.RoundSlots = math.MaxInt },
-		func(c *Config, _ *float64) { c.Blocks, c.Z = 1024, 64 },
+	for _, mutate := range []func(c *Config){
+		func(c *Config) {},
+		func(c *Config) { c.Z = 1 << 30 },
+		func(c *Config) { c.BlockBytes = 1 << 40 },
+		func(c *Config) { c.RoundSlots = math.MaxInt },
+		func(c *Config) { c.Blocks, c.Z = 1024, 64 },
 	} {
 		f.Add(configSeed(mutate))
 	}
@@ -384,13 +376,12 @@ func FuzzConfig(f *testing.F) {
 
 // configSeed encodes, in the order runConfig reads it, a small
 // configuration on the packed banked device with one mutation applied to
-// it or to the simulator's own BandwidthGBps. Everything after that field
-// is left to the zeros an exhausted input deals.
-func configSeed(mutate func(*Config, *float64)) []byte {
+// it. Everything after the simulator's ORAMBlocks is left to the zeros an
+// exhausted input deals.
+func configSeed(mutate func(*Config)) []byte {
 	c := Config{Blocks: 200, Scheme: SchemeDynamic, MaxSuperBlock: 2, Seed: 7, Partitions: 2,
 		DRAM: DRAMBankedPacked}
-	var simBW float64
-	mutate(&c, &simBW)
+	mutate(&c)
 	var b []byte
 	raw := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	put := func(v int) {
@@ -415,8 +406,6 @@ func configSeed(mutate func(*Config, *float64)) []byte {
 	b = append(b, 0) // Key: derived from Seed
 	put(0)           // Memory
 	b = append(b, 0) // StreamPrefetcher
-	put(0)           // CacheLineBytes
 	put(0xEF)        // ORAMBlocks
-	raw(math.Float64bits(simBW))
 	return b
 }

@@ -23,9 +23,8 @@ const (
 // and the decomposition repeats every 16 banks' worth of rows, the period
 // Shared places partition trees at.
 func TestGeometryConstants(t *testing.T) {
-	r, err := dram.Rate1024(16, 1)
-	if err != nil || r != rate1024 {
-		t.Errorf("rate1024 = %d, dram.Rate1024(16, 1) = %d, %v", rate1024, r, err)
+	if r := dram.DefaultConfig().RatePer1024(); r != rate1024 {
+		t.Errorf("rate1024 = %d, the flat channel's RatePer1024 = %d", rate1024, r)
 	}
 	if alignBytes != 64<<10 {
 		t.Errorf("alignBytes = %d, want 64 KiB", alignBytes)

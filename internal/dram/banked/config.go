@@ -41,10 +41,10 @@ const (
 // The device timing, in 1 GHz core cycles.
 const (
 	// rate1024 is one channel's 16 GB/s at 1 GHz in bytes per 1024
-	// cycles, the fixed-point form dram.Rate1024 gives: all transfer
-	// timing is exact integer ceil division, no float enters it. The
-	// aggregate device bandwidth is channels× this, so the second channel
-	// adds real pins to the flat model's one.
+	// cycles, the fixed-point form dram.Config.RatePer1024 gives: all
+	// transfer timing is exact integer ceil division, no float enters it.
+	// The aggregate device bandwidth is channels× this, so the second
+	// channel adds real pins to the flat model's one.
 	rate1024 = 16 * 1024
 	// tRCD is the activate-to-column delay (a row miss adds tRCD+tCAS).
 	tRCD = 14

@@ -11,28 +11,24 @@ package dram
 import "fmt"
 
 // Config describes a DRAM device and the channel connecting it to the chip.
+// The core clock is Table 1's 1 GHz, so the channel moves BandwidthGBps
+// bytes per cycle.
 type Config struct {
 	// LatencyCycles is the flat access latency of one DRAM access
 	// (row activation + column read + transfer of one line), 100 in the paper.
 	LatencyCycles uint64
 	// BandwidthGBps is the pin bandwidth of the memory channel, 16 in the paper.
 	BandwidthGBps float64
-	// ClockGHz is the core clock used to convert bandwidth into bytes/cycle.
-	ClockGHz float64
-	// Banks is the number of banks that can serve independent accesses in
-	// parallel in the insecure baseline. The paper's Graphite DRAM model
-	// exploits bank-level parallelism; 8 is a typical value.
-	Banks int
 }
+
+// banks is the number of page-interleaved banks that serve independent
+// accesses in parallel in the insecure baseline. The paper's Graphite DRAM
+// model exploits bank-level parallelism; 8 is a typical value.
+const banks = 8
 
 // DefaultConfig returns the paper's Table 1 DRAM parameters.
 func DefaultConfig() Config {
-	return Config{
-		LatencyCycles: 100,
-		BandwidthGBps: 16,
-		ClockGHz:      1,
-		Banks:         8,
-	}
+	return Config{LatencyCycles: 100, BandwidthGBps: 16}
 }
 
 // maxRate1024 bounds the fixed-point rate: 2^40 bytes per 1024 cycles is a
@@ -40,26 +36,26 @@ func DefaultConfig() Config {
 // uint64 for any transfer the simulator issues.
 const maxRate1024 = 1 << 40
 
-// Rate1024 converts a channel bandwidth into bytes moved per 1024 cycles,
+// rate1024 converts a channel bandwidth into bytes moved per 1024 cycles,
 // the fixed-point form all transfer timing is computed in. It is the one
 // place a float becomes an integer, at configuration time; every
 // per-access division is pure integer arithmetic, so timing can never
 // drift across platforms. NaN, ±Inf, non-positive inputs and a rate
 // outside [1, 2^40] are errors: converting them to uint64 is
 // implementation-defined.
-func Rate1024(bandwidthGBps, clockGHz float64) (uint64, error) {
-	r := bandwidthGBps/clockGHz*1024 + 0.5
+func rate1024(bandwidthGBps float64) (uint64, error) {
+	r := bandwidthGBps*1024 + 0.5
 	// One conjunction, negated, so that a NaN anywhere fails it.
-	if !(bandwidthGBps > 0 && clockGHz > 0 && r >= 1 && r <= maxRate1024) {
-		return 0, fmt.Errorf("BandwidthGBps %v at ClockGHz %v is not a finite rate of 1 to 2^40 bytes per 1024 cycles", bandwidthGBps, clockGHz)
+	if !(bandwidthGBps > 0 && r >= 1 && r <= maxRate1024) {
+		return 0, fmt.Errorf("BandwidthGBps %v is not a finite rate of 1 to 2^40 bytes per 1024 cycles", bandwidthGBps)
 	}
 	return uint64(r), nil
 }
 
-// RatePer1024 returns the channel rate in the fixed-point form of
-// Rate1024, 0 for a configuration Validate refuses.
+// RatePer1024 returns the channel rate in bytes per 1024 cycles, 0 for a
+// configuration Validate refuses.
 func (c Config) RatePer1024() uint64 {
-	r, _ := Rate1024(c.BandwidthGBps, c.ClockGHz)
+	r, _ := rate1024(c.BandwidthGBps)
 	return r
 }
 
@@ -83,11 +79,8 @@ func (c Config) Validate() error {
 	if c.LatencyCycles == 0 {
 		return fmt.Errorf("dram: LatencyCycles must be positive")
 	}
-	if _, err := Rate1024(c.BandwidthGBps, c.ClockGHz); err != nil {
+	if _, err := rate1024(c.BandwidthGBps); err != nil {
 		return fmt.Errorf("dram: %w", err)
-	}
-	if c.Banks <= 0 {
-		return fmt.Errorf("dram: Banks must be positive, got %d", c.Banks)
 	}
 	return nil
 }
@@ -141,9 +134,9 @@ type Stats struct {
 // with New.
 type Model struct {
 	cfg       Config
-	rate1024  uint64   // bytes per 1024 cycles, fixed-point channel rate
-	bankUntil []uint64 // per-bank next-free time
-	busUntil  uint64   // channel next-free time
+	rate1024  uint64        // bytes per 1024 cycles, fixed-point channel rate
+	bankUntil [banks]uint64 // per-bank next-free time
+	busUntil  uint64        // channel next-free time
 	stats     Stats
 }
 
@@ -155,11 +148,7 @@ func New(cfg Config) *Model {
 		//proram:invariant configuration errors are programming errors; public entry points run Config.Validate before construction
 		panic(err)
 	}
-	return &Model{
-		cfg:       cfg,
-		rate1024:  cfg.RatePer1024(),
-		bankUntil: make([]uint64, cfg.Banks),
-	}
+	return &Model{cfg: cfg, rate1024: cfg.RatePer1024()}
 }
 
 // Config returns the configuration the model was built with.
@@ -178,17 +167,16 @@ func (m *Model) transferCycles(bytes uint64) uint64 {
 // serializes data transfer. It returns the cycle at which the data is
 // available.
 func (m *Model) Access(now, addr, bytes uint64) uint64 {
-	bankUntil := m.bankUntil
-	bank := int((addr / 4096) % uint64(len(bankUntil))) // page-interleaved
+	bank := (addr / 4096) % banks // page-interleaved
 	transfer := m.transferCycles(bytes)
 
-	start := max(now, bankUntil[bank])
+	start := max(now, m.bankUntil[bank])
 	// The channel must be free for the transfer portion at the end of the
 	// access; approximate by serializing transfers on the bus.
 	busStart := max(start+m.cfg.LatencyCycles-transfer, m.busUntil)
 	done := busStart + transfer
 
-	bankUntil[bank] = done
+	m.bankUntil[bank] = done
 	m.busUntil = busStart + transfer
 	m.stats.Accesses++
 	m.stats.BytesMoved += bytes
@@ -205,9 +193,8 @@ func (m *Model) BulkTransfer(now, bytes, extraLatency uint64) uint64 {
 	start := max(now, m.busUntil)
 	// A bulk transfer owns every bank and the channel until done.
 	done := start + extraLatency + transfer
-	bankUntil := m.bankUntil
-	for i := range bankUntil {
-		bankUntil[i] = done
+	for i := range m.bankUntil {
+		m.bankUntil[i] = done
 	}
 	m.busUntil = done
 	m.stats.BulkTransfers++

@@ -72,36 +72,6 @@ func (t *Table) AddRow(label string, cells ...float64) {
 	t.Rows = append(t.Rows, Row{Label: label, Cells: cells})
 }
 
-// Cell returns the value at (rowLabel, column); ok is false if absent.
-func (t *Table) Cell(rowLabel, column string) (float64, bool) {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return 0, false
-	}
-	for _, r := range t.Rows {
-		if r.Label == rowLabel {
-			return r.Cells[ci], true
-		}
-	}
-	return 0, false
-}
-
-// MustCell is Cell that panics when the coordinate is missing (harness
-// programming error).
-func (t *Table) MustCell(rowLabel, column string) float64 {
-	v, ok := t.Cell(rowLabel, column)
-	if !ok {
-		//proram:invariant Must-prefixed accessor, documented to panic when the harness asks for a cell it never produced
-		panic(fmt.Sprintf("exp: %s has no cell (%q, %q)", t.ID, rowLabel, column))
-	}
-	return v
-}
-
 // Format renders the table as aligned text.
 func (t *Table) Format() string {
 	var b strings.Builder

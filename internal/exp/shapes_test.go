@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -30,6 +31,36 @@ func figure(t *testing.T, id string) *Table {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return tb
+}
+
+// Cell returns the value at (rowLabel, column); ok is false if absent.
+func (t *Table) Cell(rowLabel, column string) (float64, bool) {
+	ci := -1
+	for i, c := range t.Columns {
+		if c == column {
+			ci = i
+		}
+	}
+	if ci < 0 {
+		return 0, false
+	}
+	for _, r := range t.Rows {
+		if r.Label == rowLabel {
+			return r.Cells[ci], true
+		}
+	}
+	return 0, false
+}
+
+// MustCell is Cell that panics when the coordinate is missing: a shape
+// test asking for a cell its figure never produced. Both live with the
+// tests, the only code that reads a table back.
+func (t *Table) MustCell(rowLabel, column string) float64 {
+	v, ok := t.Cell(rowLabel, column)
+	if !ok {
+		panic(fmt.Sprintf("exp: %s has no cell (%q, %q)", t.ID, rowLabel, column))
+	}
+	return v
 }
 
 // TestRegistryComplete also holds IDs' order: the registry is a map, and

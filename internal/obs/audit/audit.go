@@ -233,9 +233,6 @@ func (a *Auditor) Bind(parts int, leaves uint64, roundSlots int) error {
 	return nil
 }
 
-// Bound reports whether Bind has run.
-func (a *Auditor) Bound() bool { return a != nil && a.bound }
-
 // Accesses feeds one contiguous chunk of one partition's physical access
 // stream — one round's trace in the sharded frontend, the whole recorded
 // trace in the unified simulator. Gap labeling for the timing test only
@@ -372,9 +369,6 @@ func (a *Auditor) finishFlushRound() {
 		}
 	}
 }
-
-// Failed reports whether any online check has latched a failure.
-func (a *Auditor) Failed() bool { return a != nil && a.failed }
 
 // onlineMargin is the extra factor a chi-square statistic must exceed
 // its critical value by before an *online* look latches a failure. The

@@ -113,7 +113,7 @@ func TestBiasedLeavesFlagged(t *testing.T) {
 	if !found {
 		t.Errorf("no leaf_uniformity finding in %v", rep.Findings)
 	}
-	if !a.Failed() {
+	if !a.failed {
 		t.Error("online check did not latch")
 	}
 }
@@ -243,7 +243,7 @@ func TestRoundShapeViolationFlagged(t *testing.T) {
 	if v := rep.Violations("round_shape"); v != 1 {
 		t.Errorf("round_shape violations = %d, want 1", v)
 	}
-	if !a.Failed() {
+	if !a.failed {
 		t.Error("shape violation did not latch immediately")
 	}
 }
@@ -353,15 +353,12 @@ func TestBindValidation(t *testing.T) {
 	if err := a.Bind(3, 64, 4); err == nil {
 		t.Error("conflicting rebind accepted")
 	}
-	if a.Report(); !a.Bound() {
-		t.Error("Bound() false after Bind")
+	if a.Report(); !a.bound {
+		t.Error("not bound after Bind")
 	}
 	var nilA *Auditor
 	nilA.Accesses(0, nil)
 	nilA.RoundShape(0, 0, ShapeDemand, 1)
-	if nilA.Failed() || nilA.Bound() {
-		t.Error("nil auditor not inert")
-	}
 	if rep := nilA.Report(); rep.Pass != false || len(rep.Tests) != 0 {
 		t.Error("nil auditor report not empty")
 	}
@@ -436,14 +433,14 @@ func TestOnlineMarginSuppressesTransients(t *testing.T) {
 		t.Fatal("transient excursion did not exceed crit; test is vacuous")
 	}
 	a.onlineCheck()
-	if a.Failed() {
+	if a.failed {
 		t.Fatalf("online look latched a sub-margin excursion: %s", a.firstFailure)
 	}
 
 	// delta=600 -> chi2 = 720: far over margin, must latch.
 	b := mk(600)
 	b.onlineCheck()
-	if !b.Failed() {
+	if !b.failed {
 		t.Fatal("online look missed a leak-sized excursion")
 	}
 }

@@ -227,15 +227,6 @@ func (r *Recorder) Flight(reason string, cycle uint64) {
 	r.ring.dump(r.flightOut)
 }
 
-// FlightEvents returns a copy of the ring contents, oldest first (tests,
-// tooling).
-func (r *Recorder) FlightEvents() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.ring.Events()
-}
-
 // WriteMetrics writes the deterministic metrics dump: every counter,
 // gauge and histogram in registration order, then every time series in
 // creation order. Same seed and flags → byte-identical output.

@@ -69,13 +69,11 @@ type Config struct {
 	// DynamicOint enables the §2.5 extension: the interval adapts within
 	// the public ladder [Oint, OintMax] by doubling/halving at epoch
 	// boundaries, trading a bounded timing leak (one bit per transition,
-	// see Controller.OintTransitions) for fewer dummy accesses.
+	// counted in Stats.OintTransitions) for fewer dummy accesses. Each
+	// decision closes an epoch of 64 scheduled accesses.
 	DynamicOint bool
 	// OintMax caps the adaptive interval (default 16×Oint).
 	OintMax uint64
-	// OintEpoch is the number of scheduled accesses per adaptation
-	// decision (default 64).
-	OintEpoch int
 
 	// Super selects and parameterizes the super block scheme.
 	Super superblock.Config

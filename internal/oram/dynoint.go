@@ -19,12 +19,14 @@ type dynOint struct {
 	cur     uint64 // current interval
 	min     uint64
 	max     uint64
-	epoch   int // accesses per decision
 
 	epochAccesses int
 	epochDummies  int
 	transitions   uint64
 }
+
+// ointEpoch is the number of scheduled accesses per adaptation decision.
+const ointEpoch = 64
 
 // initDynOint configures the ladder from the controller config.
 func (c *Controller) initDynOint() {
@@ -36,11 +38,7 @@ func (c *Controller) initDynOint() {
 	if max < min {
 		max = min * 16
 	}
-	epoch := c.cfg.OintEpoch
-	if epoch <= 0 {
-		epoch = 64
-	}
-	c.dyn = dynOint{enabled: true, cur: min, min: min, max: max, epoch: epoch}
+	c.dyn = dynOint{enabled: true, cur: min, min: min, max: max}
 }
 
 // currentOint returns the interval in force.
@@ -61,7 +59,7 @@ func (c *Controller) observeScheduled(dummy bool) {
 	if dummy {
 		c.dyn.epochDummies++
 	}
-	if c.dyn.epochAccesses < c.dyn.epoch {
+	if c.dyn.epochAccesses < ointEpoch {
 		return
 	}
 	frac := float64(c.dyn.epochDummies) / float64(c.dyn.epochAccesses)
@@ -83,7 +81,3 @@ func (c *Controller) observeScheduled(dummy bool) {
 	c.dyn.epochAccesses = 0
 	c.dyn.epochDummies = 0
 }
-
-// OintTransitions returns how many interval transitions occurred — the
-// extension's leakage budget in bits (one bit per transition).
-func (c *Controller) OintTransitions() uint64 { return c.dyn.transitions }

@@ -12,7 +12,6 @@ func dynOintConfig() Config {
 	cfg.Oint = 50
 	cfg.DynamicOint = true
 	cfg.OintMax = 800
-	cfg.OintEpoch = 16
 	return cfg
 }
 
@@ -47,7 +46,7 @@ func TestDynamicOintGrowsWhenIdle(t *testing.T) {
 	if c.currentOint() <= 50 {
 		t.Fatalf("interval did not grow under idle load: %d", c.currentOint())
 	}
-	if c.OintTransitions() == 0 {
+	if c.dyn.transitions == 0 {
 		t.Fatal("no transitions recorded (leak accounting broken)")
 	}
 }
@@ -164,8 +163,8 @@ func TestStaticOintUnaffectedByExtension(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Read(c.Stats().LastEnd+r.Uint64n(20_000), r.Uint64n(256))
 	}
-	if c.currentOint() != 100 || c.OintTransitions() != 0 {
+	if c.currentOint() != 100 || c.dyn.transitions != 0 {
 		t.Fatalf("static schedule drifted: Oint=%d transitions=%d",
-			c.currentOint(), c.OintTransitions())
+			c.currentOint(), c.dyn.transitions)
 	}
 }

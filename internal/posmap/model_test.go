@@ -58,14 +58,14 @@ func observe(t *testing.T, step int, h *Hierarchy, c child) modelEntry {
 	t.Helper()
 	pi, slot := h.Parent(c.level, c.index)
 	pb := h.Block(c.level+1, pi)
-	fanout := uint64(h.Fanout())
+	fanout := uint64(h.cfg.Fanout)
 	children := min(fanout, h.Count(c.level)-pi*fanout)
 	if uint64(len(pb.Entries)) != children || cap(pb.Entries) != len(pb.Entries) {
 		t.Fatalf("step %d: block (%d,%d) views %d entries (cap %d), want %d",
 			step, c.level+1, pi, len(pb.Entries), cap(pb.Entries), children)
 	}
-	if pb.ID() != mem.MakeID(c.level+1, pi) {
-		t.Fatalf("step %d: block (%d,%d) has ID %v", step, c.level+1, pi, pb.ID())
+	if pb.Level != c.level+1 || pb.Index != pi {
+		t.Fatalf("step %d: block (%d,%d) is block (%d,%d)", step, c.level+1, pi, pb.Level, pb.Index)
 	}
 	e := h.EntryFor(c.level, c.index)
 	if e != &pb.Entries[slot] {
@@ -75,7 +75,7 @@ func observe(t *testing.T, step int, h *Hierarchy, c child) modelEntry {
 		leaf:     e.Label(),
 		size:     e.Size(),
 		prefetch: e.Prefetch,
-		merge:    pb.MergeCounter(slot),
+		merge:    pb.Entries[slot].merge,
 		brk:      pb.BreakCounter(slot),
 	}
 }

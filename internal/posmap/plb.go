@@ -40,9 +40,6 @@ func NewPLB(capacity int) *PLB {
 	}
 }
 
-// Capacity returns the configured size in blocks.
-func (p *PLB) Capacity() int { return p.capacity }
-
 // Len returns the number of cached blocks.
 func (p *PLB) Len() int { return p.lru.Len() }
 
@@ -96,12 +93,3 @@ func (p *PLB) Insert(id mem.BlockID) (victim mem.BlockID, ok bool) {
 // Hits and Misses expose the lookup statistics.
 func (p *PLB) Hits() uint64   { return p.hits }
 func (p *PLB) Misses() uint64 { return p.misses }
-
-// HitRate returns hits/(hits+misses), or 0 when no lookups happened.
-func (p *PLB) HitRate() float64 {
-	total := p.hits + p.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(total)
-}

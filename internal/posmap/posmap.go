@@ -130,13 +130,6 @@ type Block struct {
 	Entries []Entry
 }
 
-// ID returns the block's ORAM identity.
-func (b Block) ID() mem.BlockID { return mem.MakeID(b.Level, b.Index) }
-
-// MergeCounter returns the merge counter for the pair whose lower half
-// starts at offset o.
-func (b Block) MergeCounter(o int) uint8 { return b.Entries[o].merge }
-
 // AddMergeCounter adjusts the merge counter at offset o by delta with
 // saturation at [0, 255], as in the paper's footnote 1.
 func (b Block) AddMergeCounter(o int, delta int) uint8 {
@@ -202,9 +195,6 @@ func (h *Hierarchy) Depth() int { return len(h.levels) - 1 }
 // Count returns the number of blocks at the given hierarchy level
 // (level 0 = data blocks).
 func (h *Hierarchy) Count(level int) uint64 { return h.levels[level].count }
-
-// Fanout returns the configured entries-per-block.
-func (h *Hierarchy) Fanout() int { return h.cfg.Fanout }
 
 // Block returns the position-map block at the given level (>= 1) and index.
 func (h *Hierarchy) Block(level int, index uint64) Block {

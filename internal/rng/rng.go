@@ -8,6 +8,8 @@
 // constructions by Blackman and Vigna.
 package rng
 
+import "math"
+
 // Source is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct one with New.
 type Source struct {
@@ -139,7 +141,7 @@ func NewZipf(src *Source, n uint64, theta float64) *Zipf {
 	z.zetan = zetaStatic(n, theta)
 	z.zeta2 = zetaStatic(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - powFloat(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
 
@@ -153,22 +155,16 @@ func zetaStatic(n uint64, theta float64) float64 {
 		m = exactCap
 	}
 	for i := uint64(1); i <= m; i++ {
-		sum += 1.0 / powFloat(float64(i), theta)
+		sum += 1.0 / math.Pow(float64(i), theta)
 	}
 	if n > m {
 		// Integral approximation of sum_{m+1..n} x^-theta.
 		a := float64(m) + 0.5
 		b := float64(n) + 0.5
-		sum += (powFloat(b, 1-theta) - powFloat(a, 1-theta)) / (1 - theta)
+		sum += (math.Pow(b, 1-theta) - math.Pow(a, 1-theta)) / (1 - theta)
 	}
 	return sum
 }
-
-// powFloat is a minimal x^y for x > 0 implemented with exp/log via the
-// math-free identity is not available in stdlib-free form; we simply use a
-// repeated-squaring/log-free approximation. Since the stdlib is allowed,
-// this indirection exists only to keep the dependency explicit.
-func powFloat(x, y float64) float64 { return mathPow(x, y) }
 
 // Next draws the next Zipf-distributed value in [0, n). Rank 0 is the most
 // popular item.
@@ -178,10 +174,10 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+powFloat(0.5, z.theta) {
+	if uz < 1.0+math.Pow(0.5, z.theta) {
 		return 1
 	}
-	v := uint64(float64(z.n) * powFloat(z.eta*u-z.eta+1, z.alpha))
+	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 	if v >= z.n {
 		v = z.n - 1
 	}

@@ -399,14 +399,6 @@ func (f *Frontend) Arrivals() []Arrival {
 	return append([]Arrival(nil), f.arrivals...)
 }
 
-// AccessLog returns the recorded global access sequence. Call it after
-// Close (or between rounds); the returned log is the live one, not a copy.
-func (f *Frontend) AccessLog() *Log {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.log
-}
-
 // dispatch is the round-forming loop: snapshot the queues into a round
 // whenever work is pending, run flushes when asked, exit when closed and
 // drained. Pending work always goes before a waiting flush, never by

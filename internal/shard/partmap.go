@@ -6,22 +6,22 @@ import (
 )
 
 // PartitionMap routes global block indices to partitions: a seeded keyed
-// hash spreads blocks over Groups indirection groups, and group g lives on
-// partition g mod P, so every partition starts with an equal share of the
-// address space. Routing is deterministic in (seed, index), and Lookup is
-// oblivious: a hash, a mask and two multiplications, with no table load,
-// division or branch, so neither timing nor the memory trace of the map
-// depends on the index.
+// hash spreads blocks over a power-of-two count of indirection groups, and
+// group g lives on partition g mod P, so every partition starts with an
+// equal share of the address space. Routing is deterministic in (seed,
+// index), and Lookup is oblivious: a hash, a mask and two multiplications,
+// with no table load, division or branch, so neither timing nor the memory
+// trace of the map depends on the index.
 type PartitionMap struct {
 	partitions uint64
 	seed       uint64
-	mask       uint64 // Groups-1
+	mask       uint64 // groups-1
 	fastmod    uint64 // ⌈2^64/partitions⌉ mod 2^64, Lemire's fastmod constant
 }
 
 // maxPartitions bounds the partition count; with the default of 8 groups
-// per partition it keeps Groups at most 2^19, far inside the 2^32 over
-// which fastmod is exact.
+// per partition it keeps the group count at most 2^19, far inside the
+// 2^32 over which fastmod is exact.
 const maxPartitions = 1 << 16
 
 // NewPartitionMap builds a map over the given partition count. groups is
@@ -52,9 +52,6 @@ func NewPartitionMap(partitions, groups int, seed uint64) (*PartitionMap, error)
 	p := uint64(partitions)
 	return &PartitionMap{partitions: p, seed: seed, mask: uint64(g - 1), fastmod: ^uint64(0)/p + 1}, nil
 }
-
-// Groups returns the number of indirection groups.
-func (m *PartitionMap) Groups() int { return int(m.mask + 1) }
 
 // mix is a splitmix64-style keyed finalizer: a 64-bit permutation of
 // index under the key. Distinct seeds give effectively independent

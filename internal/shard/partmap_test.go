@@ -12,8 +12,8 @@ func TestPartitionMapDeterministicAndInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Groups() < 64 || m.Groups()&(m.Groups()-1) != 0 {
-		t.Fatalf("groups = %d, want a power of two >= 64", m.Groups())
+	if groups := m.mask + 1; groups < 64 || groups&(groups-1) != 0 {
+		t.Fatalf("groups = %d, want a power of two >= 64", groups)
 	}
 	m2, _ := NewPartitionMap(8, 0, 42)
 	for i := uint64(0); i < 4096; i++ {
@@ -70,12 +70,13 @@ func TestLookupMatchesTableScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("P=%d groups=%d: %v", parts, groups, err)
 			}
-			table := make([]uint16, m.Groups())
+			table := make([]uint16, m.mask+1)
 			for i := range table {
 				table[i] = uint16(i % parts)
 			}
-			// The scan costs Groups steps per index: sample fewer indices
-			// at large Groups so the whole test stays well under a second.
+			// The scan costs one step per group and index: sample fewer
+			// indices at many groups so the whole test stays well under a
+			// second.
 			n := min(4096, max(8, (1<<21)/len(table)))
 			for i := 0; i < n; i++ {
 				idx := uint64(i) * 0x9e3779b97f4a7c15

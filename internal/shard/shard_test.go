@@ -79,7 +79,7 @@ func runLive(t *testing.T, cfg Config, clients, ops int) ([]Arrival, *Log) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return arrivals, f.AccessLog()
+	return arrivals, f.log
 }
 
 // TestReplayByteIdentity is the acceptance-criteria test: with 8

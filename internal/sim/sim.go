@@ -471,15 +471,5 @@ func (m *memSystem) prefetchUnused(idx uint64) {
 // unresolved prefetches are accounted for.
 func (m *memSystem) finish(end uint64) {
 	writebacks, prefetchEvicted := m.hier.Flush()
-	for _, wb := range writebacks {
-		m.rep.MemWrites++
-		if m.cfg.Tech == TechDRAM {
-			m.dram.Access(end, wb*uint64(m.cfg.BlockBytes), uint64(m.cfg.BlockBytes))
-		} else {
-			m.ctrl.Write(end, wb)
-		}
-	}
-	for _, pe := range prefetchEvicted {
-		m.prefetchUnused(pe)
-	}
+	m.applyOutcome(cache.AccessOutcome{Writebacks: writebacks, PrefetchEvicted: prefetchEvicted}, end)
 }

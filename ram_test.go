@@ -2,7 +2,6 @@ package proram
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -304,9 +303,8 @@ func TestOversizedCapacityRefused(t *testing.T) {
 
 // TestUnsurvivableGeometryRefused: field values that would reach an
 // allocation (a bucket size, a block size — the process dies in
-// makeslice, which no recover catches) or a float-to-integer conversion
-// with no defined result (NaN and ±Inf bandwidth pass a `<= 0` test) are
-// errors naming the field from every constructor.
+// makeslice, which no recover catches) are errors naming the field from
+// every constructor.
 func TestUnsurvivableGeometryRefused(t *testing.T) {
 	refused := func(ctor, field string, err error) {
 		t.Helper()
@@ -328,16 +326,8 @@ func TestUnsurvivableGeometryRefused(t *testing.T) {
 	frontends("Z", Config{Z: 1 << 30})
 	_, err := NewSimulator(SimConfig{ORAMBlocks: 64, Z: 1 << 30})
 	refused("NewSimulator", "Z", err)
-	// (The simulator's block size is its cache line, and the cache geometry
-	// has always refused a line the LLC cannot hold.)
+	// (The simulator's block size is its fixed 128-byte cache line.)
 	frontends("BlockBytes", Config{BlockBytes: 1 << 40})
-	// The simulator's own channel, under both memories.
-	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
-		for _, m := range []Memory{MemoryORAM, MemoryDRAM} {
-			_, err := NewSimulator(SimConfig{Memory: m, ORAMBlocks: 64, BandwidthGBps: bw})
-			refused(fmt.Sprintf("NewSimulator(Memory %d, BandwidthGBps %v)", m, bw), "BandwidthGBps", err)
-		}
-	}
 }
 
 // TestHugeCacheIsLazy: the client cache allocates its lines as blocks

@@ -24,7 +24,8 @@ const (
 )
 
 // SimConfig describes a simulated secure-processor memory system. Zero
-// values mean the paper's Table 1 defaults.
+// values mean the paper's Table 1 defaults; its 128-byte cache lines (the
+// ORAM block size) and 16 GB/s channel at a 1 GHz core are fixed.
 type SimConfig struct {
 	// Memory picks DRAM or ORAM.
 	Memory Memory
@@ -35,15 +36,11 @@ type SimConfig struct {
 	// StreamPrefetcher enables the traditional stream prefetcher of §5.2
 	// (mutually exclusive with a super block Scheme).
 	StreamPrefetcher bool
-	// CacheLineBytes is the cacheline/ORAM-block size (default 128).
-	CacheLineBytes int
 	// ORAMBlocks is the ORAM capacity in blocks (default ~1.5M = 192 MB).
 	ORAMBlocks uint64
 	// Z and StashBlocks override Table 1's 3 and 100.
 	Z           int
 	StashBlocks int
-	// BandwidthGBps overrides the 16 GB/s memory channel.
-	BandwidthGBps float64
 	// DRAM selects the device timing model behind the ORAM controller
 	// (ignored for MemoryDRAM, but an unknown model is still refused); the
 	// zero value is DRAMFlat, Table 1's channel.
@@ -90,11 +87,6 @@ func NewSimulator(c SimConfig) (*Simulator, error) {
 		return nil, err
 	}
 	cfg := sim.DefaultConfig(tech)
-	if c.CacheLineBytes != 0 {
-		cfg.BlockBytes = c.CacheLineBytes
-		cfg.Hier.L1.LineBytes = c.CacheLineBytes
-		cfg.Hier.L2.LineBytes = c.CacheLineBytes
-	}
 	if c.ORAMBlocks != 0 {
 		cfg.ORAM.NumBlocks = c.ORAMBlocks
 	}
@@ -103,9 +95,6 @@ func NewSimulator(c SimConfig) (*Simulator, error) {
 	}
 	if c.StashBlocks != 0 {
 		cfg.ORAM.StashLimit = c.StashBlocks
-	}
-	if c.BandwidthGBps != 0 {
-		cfg.DRAM.BandwidthGBps = c.BandwidthGBps
 	}
 	if c.Seed != 0 {
 		cfg.ORAM.Seed = c.Seed
@@ -166,7 +155,7 @@ type Result struct {
 }
 
 // Run executes one workload and returns the measurements. A workload that
-// addresses memory beyond the ORAM's ORAMBlocks × CacheLineBytes is an
+// addresses memory beyond the ORAM's ORAMBlocks 128-byte blocks is an
 // error (SimulateSharded folds addresses onto its capacity instead).
 func (s *Simulator) Run(w Workload) (Result, error) {
 	gen, err := w.generator()
@@ -251,7 +240,6 @@ type SyntheticConfig struct {
 	Ops              uint64
 	WorkingSetBytes  uint64
 	LocalityFraction float64 // fraction of data accessed sequentially
-	PhaseLen         uint64  // swap sequential/random halves every PhaseLen ops
 	WriteFraction    float64
 	Seed             uint64
 }
@@ -265,7 +253,6 @@ func Synthetic(c SyntheticConfig) (Workload, error) {
 		RunLen:           32,
 		Gap:              6,
 		WriteFraction:    c.WriteFraction,
-		PhaseLen:         c.PhaseLen,
 		Seed:             c.Seed + 1,
 	}
 	if tc.WorkingSetBytes == 0 {
@@ -284,22 +271,20 @@ func Synthetic(c SyntheticConfig) (Workload, error) {
 	}, nil
 }
 
-// Splash2Workloads returns the modeled Splash2 suite (Figure 8a order).
-func Splash2Workloads(ops uint64) []Workload {
+// splash2Workloads returns the modeled Splash2 suite (Figure 8a order).
+func splash2Workloads(ops uint64) []Workload {
 	var out []Workload
 	for _, p := range trace.Splash2(ops) {
-		p := p
 		out = append(out, Workload{Name: p.Name, Ops: p.Ops,
 			factory: func() trace.Generator { return trace.NewModel(p) }})
 	}
 	return out
 }
 
-// SPEC06Workloads returns the modeled SPEC06 suite (Figure 8b order).
-func SPEC06Workloads(ops uint64) []Workload {
+// spec06Workloads returns the modeled SPEC06 suite (Figure 8b order).
+func spec06Workloads(ops uint64) []Workload {
 	var out []Workload
 	for _, p := range trace.SPEC06(ops) {
-		p := p
 		out = append(out, Workload{Name: p.Name, Ops: p.Ops,
 			factory: func() trace.Generator { return trace.NewModel(p) }})
 	}
@@ -331,7 +316,7 @@ func NamedWorkload(name string, ops uint64) (Workload, error) {
 		return TPCCWorkload(ops), nil
 	}
 	names := []string{"ycsb", "tpcc"}
-	for _, w := range append(Splash2Workloads(ops), SPEC06Workloads(ops)...) {
+	for _, w := range append(splash2Workloads(ops), spec06Workloads(ops)...) {
 		if w.Name == name {
 			return w, nil
 		}

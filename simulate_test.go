@@ -91,8 +91,8 @@ func TestSimulatorKnobs(t *testing.T) {
 		{Memory: MemoryORAM, Scheme: SchemeStatic, MaxSuperBlock: 4},
 		{Memory: MemoryORAM, Z: 4, StashBlocks: 50},
 		{Memory: MemoryORAM, Periodic: true, Oint: 64},
-		{Memory: MemoryDRAM, StreamPrefetcher: true, BandwidthGBps: 8},
-		{Memory: MemoryORAM, CacheLineBytes: 64, ORAMBlocks: 1 << 16, WarmupOps: 500},
+		{Memory: MemoryDRAM, StreamPrefetcher: true},
+		{Memory: MemoryORAM, ORAMBlocks: 1 << 16, WarmupOps: 500},
 	}
 	w, err := Synthetic(SyntheticConfig{Ops: 4000, LocalityFraction: 0.7, Seed: 3})
 	if err != nil {
@@ -114,11 +114,11 @@ func TestSimulatorKnobs(t *testing.T) {
 }
 
 func TestWorkloadConstructors(t *testing.T) {
-	if got := len(Splash2Workloads(1000)); got != 14 {
-		t.Fatalf("Splash2Workloads = %d", got)
+	if got := len(splash2Workloads(1000)); got != 14 {
+		t.Fatalf("splash2Workloads = %d", got)
 	}
-	if got := len(SPEC06Workloads(1000)); got != 10 {
-		t.Fatalf("SPEC06Workloads = %d", got)
+	if got := len(spec06Workloads(1000)); got != 10 {
+		t.Fatalf("spec06Workloads = %d", got)
 	}
 	for _, w := range []Workload{YCSBWorkload(1000), TPCCWorkload(1000)} {
 		if w.Name == "" || w.Ops != 1000 {
@@ -154,7 +154,7 @@ func TestWorkloadConstructors(t *testing.T) {
 // synthetic, and rejects an unknown one with an error naming the valid ones.
 func TestNamedWorkload(t *testing.T) {
 	want := map[string]string{"ycsb": "YCSB", "tpcc": "TPCC"}
-	for _, w := range append(Splash2Workloads(1000), SPEC06Workloads(1000)...) {
+	for _, w := range append(splash2Workloads(1000), spec06Workloads(1000)...) {
 		want[w.Name] = w.Name
 	}
 	if len(want) != 2+14+10 {
