@@ -311,3 +311,64 @@ func TestHierarchyValidate(t *testing.T) {
 		t.Fatal("zero hit latency accepted")
 	}
 }
+
+// TestHierarchyDoesNotAllocate: once its buffers have grown, the hierarchy
+// hands back victims without allocating. Every Fill below evicts a dirty
+// LLC line, every FillPrefetch an unused prefetch, and every Access hits
+// the LLC and evicts a dirty L1 line, so each call fills or consults an
+// outcome list.
+func TestHierarchyDoesNotAllocate(t *testing.T) {
+	cfg := HierarchyConfig{
+		L1:          Config{SizeBytes: 256, Ways: 2, LineBytes: 128},  // 1 set
+		L2:          Config{SizeBytes: 1024, Ways: 2, LineBytes: 128}, // 4 sets
+		L1HitCycles: 1,
+		L2HitCycles: 10,
+	}
+	h, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var filled, prefetched uint64
+	fill := func() {
+		// Set 0 of the LLC: the line it evicts was filled dirty.
+		if out := h.Fill(4*filled, true); filled >= 2 && len(out.Writebacks) == 0 {
+			t.Fatalf("Fill(%d) evicted no dirty line", 4*filled)
+		}
+		filled++
+	}
+	prefetch := func() {
+		// Set 1: the line it evicts was prefetched and never used.
+		if out := h.FillPrefetch(4*prefetched + 1); prefetched >= 2 && len(out.PrefetchEvicted) == 0 {
+			t.Fatalf("FillPrefetch(%d) evicted no unused prefetch", 4*prefetched+1)
+		}
+		prefetched++
+	}
+	// Sets 2 and 3 hold four lines, L1 two: cycling through the four
+	// misses L1, hits the LLC and evicts a written L1 line.
+	for _, i := range []uint64{2, 3, 6, 7} {
+		h.Fill(i, true)
+	}
+	cycle := []uint64{2, 3, 6, 7}
+	var k int
+	access := func() {
+		if out := h.Access(cycle[k%4], true); out.HitLevel != 2 {
+			t.Fatalf("Access(%d) hit level %d, want 2", cycle[k%4], out.HitLevel)
+		}
+		k++
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{{"Fill", fill}, {"FillPrefetch", prefetch}, {"Access", access}} {
+		// AllocsPerRun rounds down, so each run makes 16 calls: one
+		// allocation in every other call still reads as 8.
+		batch := func() {
+			for range 16 {
+				c.f()
+			}
+		}
+		if avg := testing.AllocsPerRun(100, batch); avg != 0 {
+			t.Errorf("16 calls of %s allocate %.0f times", c.name, avg)
+		}
+	}
+}

@@ -39,7 +39,10 @@ func (c HierarchyConfig) Validate() error {
 	return nil
 }
 
-// AccessOutcome reports what one core access or fill did.
+// AccessOutcome reports what one core access or fill did. Its two lists
+// are the Hierarchy's own buffers: they hold until the next Access, Fill
+// or FillPrefetch on the same Hierarchy, which overwrites them, so a
+// caller finishes with one outcome before it makes the next call.
 type AccessOutcome struct {
 	// HitLevel is 1 (L1 hit), 2 (LLC hit) or 0 (miss — memory needed).
 	HitLevel int
@@ -63,6 +66,11 @@ type Hierarchy struct {
 	cfg HierarchyConfig
 	l1  *Cache
 	l2  *Cache
+	// writebacks and prefetchEvicted back every AccessOutcome's lists;
+	// each call truncates and refills them, so a warm hierarchy allocates
+	// nothing.
+	writebacks      []uint64
+	prefetchEvicted []uint64
 }
 
 // NewHierarchy builds an empty hierarchy.
@@ -91,35 +99,47 @@ func (h *Hierarchy) Access(index uint64, write bool) AccessOutcome {
 	if hit, _ := h.l1.Access(index, write); hit {
 		return AccessOutcome{HitLevel: 1, Latency: h.cfg.L1HitCycles}
 	}
-	out := AccessOutcome{}
-	if hit, firstUse := h.l2.Access(index, write); hit {
-		out.HitLevel = 2
-		out.Latency = h.cfg.L1HitCycles + h.cfg.L2HitCycles
-		out.PrefetchFirstUse = firstUse
-		h.fillL1(index, false, &out)
-		return out
+	hit, firstUse := h.l2.Access(index, write)
+	if !hit {
+		return AccessOutcome{HitLevel: 0}
 	}
-	out.HitLevel = 0
-	return out
+	out := h.outcome()
+	out.HitLevel = 2
+	out.Latency = h.cfg.L1HitCycles + h.cfg.L2HitCycles
+	out.PrefetchFirstUse = firstUse
+	h.fillL1(index, false, &out)
+	return h.keep(out)
 }
 
 // Fill installs a block fetched from memory after a miss, into both levels.
 func (h *Hierarchy) Fill(index uint64, write bool) AccessOutcome {
-	out := AccessOutcome{}
+	out := h.outcome()
 	h.insertL2(index, write, false, &out)
 	h.fillL1(index, write, &out)
-	return out
+	return h.keep(out)
 }
 
 // FillPrefetch installs a prefetched block into the LLC only (paper §3.2:
 // "the other blocks are prefetched and put into the LLC").
 func (h *Hierarchy) FillPrefetch(index uint64) AccessOutcome {
-	out := AccessOutcome{}
 	if h.l2.Probe(index) {
 		// Already cached: nothing to do; the prefetch was redundant.
-		return out
+		return AccessOutcome{}
 	}
+	out := h.outcome()
 	h.insertL2(index, false, true, &out)
+	return h.keep(out)
+}
+
+// outcome starts an outcome whose lists are the hierarchy's buffers,
+// emptied.
+func (h *Hierarchy) outcome() AccessOutcome {
+	return AccessOutcome{Writebacks: h.writebacks[:0], PrefetchEvicted: h.prefetchEvicted[:0]}
+}
+
+// keep takes back the buffers out's appends may have grown.
+func (h *Hierarchy) keep(out AccessOutcome) AccessOutcome {
+	h.writebacks, h.prefetchEvicted = out.Writebacks, out.PrefetchEvicted
 	return out
 }
 

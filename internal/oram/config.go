@@ -128,6 +128,10 @@ const (
 	maxBlockBytes = 1 << 16
 )
 
+// maxPLBBlocks bounds the PLB, whose slab and index New allocates in full
+// and whose links are int32. The paper's PLB holds 128 blocks.
+const maxPLBBlocks = 1 << 20
+
 // posMap returns the position-map hierarchy's configuration.
 func (c Config) posMap() posmap.Config {
 	return posmap.Config{NumBlocks: c.NumBlocks, Fanout: c.Fanout, OnChipMax: c.OnChipEntries}
@@ -154,8 +158,8 @@ func (c Config) Validate() error {
 	if c.OnChipEntries < 1 {
 		return fmt.Errorf("oram: OnChipEntries must be positive")
 	}
-	if c.PLBBlocks < 0 {
-		return fmt.Errorf("oram: PLBBlocks %d must be >= 0", c.PLBBlocks)
+	if c.PLBBlocks < 0 || c.PLBBlocks > maxPLBBlocks {
+		return fmt.Errorf("oram: PLBBlocks %d out of range [0,%d]", c.PLBBlocks, maxPLBBlocks)
 	}
 	// Refused here, by arithmetic, before New sizes anything for it: a tree
 	// slot names at most tree.MaxBlocks data blocks. That also bounds the

@@ -68,6 +68,9 @@ type Controller struct {
 	winStart    uint64
 
 	chain []uint64 // recursion-index buffer, one entry per hierarchy level
+	// prefetched backs Result.Prefetched. Only a Read appends to it, so it
+	// holds until the next Read.
+	prefetched []uint64
 }
 
 // New builds a controller. The tree is sized to hold the data blocks plus

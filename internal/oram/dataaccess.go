@@ -14,7 +14,8 @@ import (
 // (Algorithm 1) run while everything is on-chip, and the non-demand
 // members are returned as prefetches.
 //
-// It returns the completion cycle and the prefetched sibling indices.
+// It returns the completion cycle and the prefetched sibling indices, in
+// the controller's prefetched buffer (nil when there are none).
 func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []uint64) {
 	fanout := uint64(c.cfg.Fanout)
 	// Resolve the schedule first: periodic catch-up dummies must run
@@ -64,7 +65,7 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 		kind = KindWriteback
 	}
 
-	var prefetched []uint64
+	prefetched := c.prefetched[:0]
 	done := c.rawPathAccess(start, readLeaf, kind, func() {
 		// Gather: every member is now on-chip (path read moved tree
 		// residents to the stash; the rest were already stashed), and a
@@ -126,11 +127,15 @@ func (c *Controller) dataAccess(ready uint64, index uint64, wb bool) (uint64, []
 			c.hitBits.clear(gi)
 			c.stats.PrefetchIssued++
 			c.winIssued++
-			// The result escapes to the caller, and install/evict re-enters
-			// Write while it is held, so the slice cannot be pooled.
 			prefetched = append(prefetched, gi)
 		}
 	})
+	if len(prefetched) == 0 {
+		// A write-back appends nothing, so the buffer a Read returned
+		// earlier keeps its contents.
+		return done, nil
+	}
+	c.prefetched = prefetched
 	return done, prefetched
 }
 

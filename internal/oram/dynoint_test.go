@@ -63,7 +63,7 @@ func TestDynamicOintShrinksUnderLoad(t *testing.T) {
 	}
 	grown := c.currentOint()
 	if grown <= 50 {
-		t.Skip("interval never grew; idle phase too short")
+		t.Fatalf("interval did not grow in the idle phase: %d", grown)
 	}
 	// Back-to-back demand: the interval must fall back toward the floor.
 	for i := 0; i < 400; i++ {

@@ -143,7 +143,10 @@ type Result struct {
 	// subsequent requests).
 	Done uint64
 	// Prefetched lists data-block indices returned to the LLC beyond the
-	// demand block (super block siblings), in ascending order.
+	// demand block (super block siblings), in ascending order, or is nil
+	// when there are none. It is the Controller's buffer: the next Read
+	// overwrites it. A Write never touches it, so a caller may write back
+	// the victims its installs evict while it iterates the list.
 	Prefetched []uint64
 	// PathCount is the number of path accesses this request triggered
 	// (recursion + data + background evictions).

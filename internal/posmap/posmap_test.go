@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"proram/internal/mem"
+	"proram/internal/rng"
 )
 
 func mustNew(t *testing.T, cfg Config) *Hierarchy {
@@ -282,4 +283,75 @@ func TestPLBReinsertDoesNotGrow(t *testing.T) {
 	if victim, ok := p.Insert(mem.MakeID(1, 2)); !ok || victim != b {
 		t.Fatalf("eviction after re-insert = %v ok=%v, want b", victim, ok)
 	}
+}
+
+// TestPLBDoesNotAllocate: a PLB sizes every array in NewPLB, so 100k
+// inserts at capacity, each evicting the least recently used block, and the
+// lookups between them allocate nothing.
+func TestPLBDoesNotAllocate(t *testing.T) {
+	const capacity = 128
+	p := NewPLB(capacity)
+	r := rng.New(1)
+	id := func() mem.BlockID { return mem.MakeID(1+int(r.Uint64n(3)), r.Uint64n(1<<20)) }
+	for p.Len() < capacity {
+		p.Insert(id())
+	}
+	evicted := 0
+	avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100_000; i++ {
+			p.Lookup(id())
+			if _, ok := p.Insert(id()); ok {
+				evicted++
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("100k inserts at capacity allocate %.0f times", avg)
+	}
+	if evicted < 100_000 || p.Len() != capacity {
+		t.Fatalf("%d evictions over two runs of 100k inserts, Len %d", evicted, p.Len())
+	}
+}
+
+// BenchmarkPLB times the PLB's three paths at the default capacity of 128:
+// a hit, a miss, and an insert that evicts the least recently used block.
+func BenchmarkPLB(b *testing.B) {
+	const capacity = 128
+	full := func() *PLB {
+		p := NewPLB(capacity)
+		for i := range uint64(capacity) {
+			p.Insert(mem.MakeID(1, i))
+		}
+		return p
+	}
+	b.Run("hit", func(b *testing.B) {
+		p := full()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if !p.Lookup(mem.MakeID(1, uint64(i%capacity))) {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		p := full()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if p.Lookup(mem.MakeID(2, uint64(i))) {
+				b.Fatal("hit")
+			}
+		}
+	})
+	b.Run("insert_evict", func(b *testing.B) {
+		p := full()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range uint64(b.N) {
+			if _, ok := p.Insert(mem.MakeID(1, capacity+i)); !ok {
+				b.Fatal("no victim")
+			}
+		}
+	})
 }

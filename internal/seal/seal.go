@@ -81,10 +81,14 @@ func SealedSize(n int) int { return IVSize + n }
 
 // Seal encrypts plaintext under a fresh nonce and returns iv||ct, appended
 // to dst. It draws the nonce before it touches dst, so a failed seal
-// leaves dst's contents as they were.
+// leaves dst's contents as they were. dst grows at most once, to fit the
+// whole sealed block.
 func (s *Sealer) Seal(dst, plaintext []byte) ([]byte, error) {
 	if _, err := io.ReadFull(s.nonce, s.iv[:NonceSize]); err != nil {
 		return nil, fmt.Errorf("seal: reading nonce: %w", err)
+	}
+	if n := SealedSize(len(plaintext)); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
 	dst = append(dst, s.iv[:]...)
 	return append(dst, s.ctr(s.iv[:NonceSize], plaintext)...), nil

@@ -222,7 +222,8 @@ func TestOpenRejectsBadCounter(t *testing.T) {
 }
 
 // TestSealOpenDoNotAllocate: Seal into a buffer with room and Open into a
-// sized dst allocate nothing once the Sealer's buffer has grown.
+// sized dst allocate nothing once the Sealer's buffer has grown, and a
+// first seal, into nil, allocates only the sealed block.
 func TestSealOpenDoNotAllocate(t *testing.T) {
 	for _, n := range benchSizes {
 		s, err := New(testKey, rng.NewReader(1))
@@ -238,6 +239,14 @@ func TestSealOpenDoNotAllocate(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(1000, seal); avg != 0 {
 			t.Errorf("%d B: Seal allocates %.2f times per call", n, avg)
+		}
+		first := func() {
+			if _, err = s.Seal(nil, plain); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(1000, first); avg != 1 {
+			t.Errorf("%d B: Seal into nil allocates %.2f times per call, want 1", n, avg)
 		}
 		open := func() {
 			if plain, err = s.Open(plain[:0], sealed); err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"proram/internal/cpu"
 	"proram/internal/oram"
 	"proram/internal/prefetch"
 	"proram/internal/superblock"
@@ -359,3 +360,41 @@ func BenchmarkPrORAM(b *testing.B) {
 }
 
 var _ = oram.Stats{} // keep the import for white-box assertions above
+
+// TestSteadyStateRunDoesNotAllocate: the Table 1 system under the dynamic
+// scheme, once warm, runs memory operations without allocating. Every
+// buffer a miss hands along (the LLC's victim lists, the controller's
+// prefetch list, the PLB's slots) belongs to the component that fills it.
+func TestSteadyStateRunDoesNotAllocate(t *testing.T) {
+	cfg := DefaultConfig(TechORAM)
+	cfg.ORAM.Super = superblock.DefaultConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := synth(1<<20, 0.5, 1)
+	now := cpu.Run(trace.Take(g, 50_000), s.mem, 0).Cycles
+	const n = 2000
+	run := func() {
+		for range n {
+			op, ok := g.Next()
+			if !ok {
+				t.Fatal("trace ran out")
+			}
+			now = s.mem.Access(now+uint64(op.Gap), op.Addr, op.Write)
+		}
+	}
+	before := s.mem.snapshot()
+	if avg := testing.AllocsPerRun(5, run); avg != 0 {
+		t.Errorf("%d memory operations allocate %.0f times", n, avg)
+	}
+	d := s.mem.snapshot()
+	if d.MemWrites == before.MemWrites || d.ORAM.PrefetchIssued == before.ORAM.PrefetchIssued ||
+		d.ORAM.Merges == 0 || d.ORAM.PLBHits == before.ORAM.PLBHits {
+		t.Fatalf("the measured operations skipped a hand-off: write-backs %d, prefetches %d, merges %d, PLB hits %d",
+			d.MemWrites-before.MemWrites, d.ORAM.PrefetchIssued-before.ORAM.PrefetchIssued, d.ORAM.Merges, d.ORAM.PLBHits-before.ORAM.PLBHits)
+	}
+	if err := s.ORAM().CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -60,15 +60,18 @@ func (s *Stash) Writebacks() uint64 { return s.writebacks }
 func (s *Stash) OverLimit() bool { return len(s.order) > s.limit }
 
 // find returns the position of id in order, or -1 if id is not stashed
-// (an id no slot can hold never is).
+// (an id no slot can hold never is). It scans from the newest entry back:
+// codes are unique, so the direction does not change the answer, and the
+// blocks the controller looks up were mostly just read off the path, so
+// they sit at the tail.
 func (s *Stash) find(id mem.BlockID) int {
 	packed, ok := tree.Pack(id, 0)
 	if !ok {
 		return -1
 	}
 	code := packed.Code()
-	for i, e := range s.order {
-		if e.Code() == code {
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if s.order[i].Code() == code {
 			return i
 		}
 	}
