@@ -92,8 +92,15 @@ func TestOnMissIntoReusedBufferDoesNotAllocate(t *testing.T) {
 		}
 		next++
 	}
-	if avg := testing.AllocsPerRun(1000, miss); avg != 0 {
-		t.Fatalf("OnMiss allocates %.2f times per call", avg)
+	// AllocsPerRun rounds down, so each run makes 16 calls: an allocation
+	// on every 16th call still reads as one per run.
+	batch := func() {
+		for range 16 {
+			miss()
+		}
+	}
+	if avg := testing.AllocsPerRun(100, batch); avg != 0 {
+		t.Fatalf("16 calls of three misses each allocate %.0f times", avg)
 	}
 	if p.Issued() == 0 {
 		t.Fatal("no stream confirmed; the prefetch-issuing branch went unmeasured")

@@ -22,9 +22,11 @@
 // # Scheduling and obliviousness
 //
 // Requests from any number of goroutines enter per-partition FIFO queues.
-// A single dispatcher forms scheduling rounds: each round, every partition
-// executes exactly RoundSlots full recursive ORAM accesses — one demand
-// access per missing request, then, up to the fixed count, write-backs of
+// A single dispatcher forms scheduling rounds, runs partition 0's share of
+// each round itself and hands every other partition's to that partition's
+// worker goroutine. Each round, every partition executes exactly
+// RoundSlots full recursive ORAM accesses — one demand access per missing
+// request, then, up to the fixed count, write-backs of
 // the dirty lines those misses evicted into the cache's victim queue and
 // dummy accesses (reads of uniformly random local blocks) once the queue
 // is empty. Requests whose block already sits in the partition's

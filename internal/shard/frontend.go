@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -118,7 +119,8 @@ func (c Config) normalize() (Config, error) {
 }
 
 // Frontend is the partitioned ORAM: concurrent-safe Read/Write served by
-// per-partition worker goroutines under a single round-forming dispatcher.
+// a single round-forming dispatcher, which runs partition 0's rounds
+// itself, and one worker goroutine for each other partition.
 type Frontend struct {
 	cfg   Config
 	pmap  *PartitionMap
@@ -128,7 +130,7 @@ type Frontend struct {
 	dev *banked.Shared
 
 	// results is the shared round barrier: every worker reports here and
-	// the round driver collects exactly one result per partition.
+	// the round driver collects exactly one result per worker.
 	results chan roundResult
 
 	mu           sync.Mutex
@@ -158,9 +160,9 @@ type Frontend struct {
 
 // requests recycles requests with their reply channels and payload
 // buffers. Read and Write put theirs back once the reply is in: answer is
-// a request's last use on the worker side, and the round driver reads no
-// request a worker has answered (snapshotLocked clears the spent take
-// slices without reading them). The pool is package-level because the
+// a request's last use by the partition that serves it, and nothing reads
+// an answered request again (snapshotLocked clears the spent take slices
+// without reading them). The pool is package-level because the
 // runtime keeps every pool with cached items reachable until two
 // collections have passed: a pool inside Frontend would keep a closed
 // frontend, its trees and its caches on the heap that long.
@@ -192,7 +194,7 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 		cfg:     cfg,
 		pmap:    pmap,
 		parts:   make([]*partition, cfg.Partitions),
-		results: make(chan roundResult, cfg.Partitions),
+		results: make(chan roundResult, cfg.Partitions-1),
 		queues:  make([][]*request, cfg.Partitions),
 		take:    make([][]*request, cfg.Partitions),
 		byPart:  make([]roundResult, cfg.Partitions),
@@ -244,13 +246,17 @@ func build(cfg Config, manual bool) (*Frontend, error) {
 			store:       NewStore(ctrl, sealer, cfg.BlockBytes),
 			dummyRnd:    rng.New(mix(seedP, 3)),
 			local:       make(map[uint64]uint64),
-			work:        make(chan roundWork, 1), // the driver's send never waits for a spinning worker
-			results:     f.results,
 		}
 		if p.cache, err = NewCache(p.store, cacheBlocks, func() { p.mark(p.padding) }); err != nil {
 			return nil, fmt.Errorf("shard: partition %d: %w", i, err)
 		}
 		f.parts[i] = p
+	}
+	// Partition 0 belongs to the round driver, which runs its rounds on its
+	// own goroutine; every other partition gets a worker.
+	for _, p := range f.parts[1:] {
+		p.work = make(chan roundWork, 1) // the driver's send never waits for a spinning worker
+		p.results = f.results
 		go p.run()
 	}
 	if cfg.Audit != nil {
@@ -402,7 +408,11 @@ func (f *Frontend) Arrivals() []Arrival {
 // dispatch is the round-forming loop: snapshot the queues into a round
 // whenever work is pending, run flushes when asked, exit when closed and
 // drained. Pending work always goes before a waiting flush, never by
-// scheduling; TestFlushRunsBehindQueuedRequests holds that order.
+// scheduling; TestFlushRunsBehindQueuedRequests holds that order. After
+// each demand round it yields once, so the clients the round answered can
+// enqueue their next requests before the next snapshot: without the
+// yield the driver snapshots at once and those clients miss the round.
+// The yield changes when the driver runs, never what a round does.
 func (f *Frontend) dispatch() {
 	defer close(f.done)
 	for {
@@ -414,6 +424,7 @@ func (f *Frontend) dispatch() {
 			round := f.snapshotLocked()
 			f.mu.Unlock()
 			f.runRound(round)
+			runtime.Gosched()
 			continue
 		}
 		waiters := f.flushWaiters
@@ -468,10 +479,9 @@ func (f *Frontend) clockFloor() uint64 {
 // flight (dispatcher or replay driver).
 func (f *Frontend) runRound(round uint64) {
 	floor := f.clockFloor()
-	for i, p := range f.parts {
-		p.work <- roundWork{kind: roundDemand, round: round, start: floor, reqs: f.take[i]}
-	}
-	f.commit(round, roundDemand, floor, f.collect())
+	f.commit(round, roundDemand, floor, f.runParts(func(i int) roundWork {
+		return roundWork{kind: roundDemand, round: round, start: floor, reqs: f.take[i]}
+	}))
 }
 
 // runFlush executes one flush round: every partition writes its dirty
@@ -483,10 +493,9 @@ func (f *Frontend) runFlush() error {
 	f.nextRound++
 	f.mu.Unlock()
 	floor := f.clockFloor()
-	for _, p := range f.parts {
-		p.work <- roundWork{kind: roundFlush, round: round, start: floor}
-	}
-	flushed := f.collect()
+	flushed := f.runParts(func(int) roundWork {
+		return roundWork{kind: roundFlush, round: round, start: floor}
+	})
 	f.commit(round, roundFlush, floor, flushed)
 	longest := 0
 	failures := 0
@@ -497,23 +506,42 @@ func (f *Frontend) runFlush() error {
 		failures += r.errors
 	}
 	floor = f.clockFloor()
-	for i, p := range f.parts {
-		p.work <- roundWork{kind: roundPad, round: round, start: floor, padTo: longest - flushed[i].real}
-	}
-	// flushed has been read for the last time: collect reuses it.
-	f.commit(round, roundPad, floor, f.collect())
+	// runParts reads flushed for the last time before its collect reuses it.
+	f.commit(round, roundPad, floor, f.runParts(func(i int) roundWork {
+		return roundWork{kind: roundPad, round: round, start: floor, padTo: longest - flushed[i].real}
+	}))
 	if failures > 0 {
 		return fmt.Errorf("shard: flush failed to write back %d blocks", failures)
 	}
 	return nil
 }
 
-// collect gathers one result per partition from the shared barrier
-// channel, in partition order regardless of completion order. The slice is
-// the frontend's scratch: it is good until the next collect.
-func (f *Frontend) collect() []roundResult {
-	for range f.parts {
-		// Results arrive in completion order; one per partition per round,
+// runParts runs one round on every partition, work(i) being partition i's
+// share: it hands each worker its work, runs partition 0's round on the
+// driver's own goroutine and collects. If partition 0's round answered a
+// client, a live driver yields before it collects: the reply readied the
+// client on this goroutine's P, where it would otherwise wait out the
+// collect and the commit.
+func (f *Frontend) runParts(work func(i int) roundWork) []roundResult {
+	for i := 1; i < len(f.parts); i++ {
+		f.parts[i].work <- work(i)
+	}
+	w := work(0)
+	own := f.parts[0].execRound(w)
+	if !f.manual && len(own.leftovers) < len(w.reqs) {
+		runtime.Gosched()
+	}
+	return f.collect(own)
+}
+
+// collect gathers the round's results in partition order: own, the
+// driver's partition 0, and one per worker from the shared barrier
+// channel, regardless of completion order. The slice is the frontend's
+// scratch: it is good until the next collect.
+func (f *Frontend) collect(own roundResult) []roundResult {
+	f.byPart[0] = own
+	for range f.parts[1:] {
+		// Results arrive in completion order; one per worker per round,
 		// and byPart reindexes them by partition, so that order never
 		// escapes. The Replay byte-identity tests and FuzzReplay hold this
 		// line: stored in arrival order, live runs stop matching replays.
@@ -649,9 +677,9 @@ func (f *Frontend) computeStats(kind roundKind, leftovers int) Stats {
 	return s
 }
 
-// stopWorkers closes the work channels and lets the workers exit.
+// stopWorkers closes the workers' channels and lets them exit.
 func (f *Frontend) stopWorkers() {
-	for _, p := range f.parts {
+	for _, p := range f.parts[1:] {
 		close(p.work)
 	}
 }

@@ -72,10 +72,11 @@ type roundResult struct {
 }
 
 // partition is one independent Path ORAM shard plus its worker state.
-// Everything below is owned by the worker goroutine while a round is in
-// flight; the dispatcher may read counters and the store clock only
-// between rounds (the round barrier's channel operations order the
-// accesses).
+// Everything below is owned by the goroutine that runs its rounds while a
+// round is in flight: its worker, or for partition 0 the round driver
+// itself. The driver may read another partition's counters and store
+// clock only between rounds (the round barrier's channel operations order
+// the accesses).
 type partition struct {
 	id          int
 	localBlocks uint64
@@ -94,7 +95,7 @@ type partition struct {
 	nextLocal uint64
 
 	// spare is the trace buffer the previous round's result carried. The
-	// driver is done with it once it sends the next round, so the
+	// driver is done with it once it starts the next round, so the
 	// controller records into it after this round's hand-off.
 	spare    []oram.TraceEvent
 	curMarks []slotMark // marks of the round in flight (markSlots only)
@@ -104,6 +105,8 @@ type partition struct {
 	// they obey); computeStats fills in the rest.
 	st PartitionStats
 
+	// work and results connect a worker to the round driver; both are nil
+	// on partition 0, whose rounds the driver runs itself.
 	work    chan roundWork
 	results chan<- roundResult
 }

@@ -516,9 +516,10 @@ func TestLifecycleUnderLoad(t *testing.T) {
 
 // TestIdleWorkersPark: a worker spins for a bounded number of yields after
 // each round, then must block in its work receive. After a burst of
-// concurrent requests stops, every partition worker reaches that receive
-// (polled on goroutine dumps, not slept on), and Close still returns. A
-// spin without its bound never parks and fails here.
+// concurrent requests stops, every partition worker (P - 1 of them: the
+// round driver runs partition 0 itself) reaches that receive (polled on
+// goroutine dumps, not slept on), and Close still returns. A spin without
+// its bound never parks and fails here.
 func TestIdleWorkersPark(t *testing.T) {
 	cfg := testConfig(4)
 	f, err := New(cfg)
@@ -543,7 +544,7 @@ func TestIdleWorkersPark(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		parked, busy := workerStates()
-		if parked >= cfg.Partitions && busy == 0 {
+		if parked >= cfg.Partitions-1 && busy == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -560,16 +561,7 @@ func TestIdleWorkersPark(t *testing.T) {
 // channel receive (the work receive is run's only one) and those in any
 // other state.
 func workerStates() (parked, busy int) {
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+	for _, g := range goroutines() {
 		if !bytes.Contains(g, []byte("proram/internal/shard.(*partition).run(")) {
 			continue
 		}
@@ -580,6 +572,78 @@ func workerStates() (parked, busy int) {
 		}
 	}
 	return parked, busy
+}
+
+// goroutines returns the dump of every live goroutine, one entry each.
+func goroutines() [][]byte {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Split(buf[:n], []byte("\n\n"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestDriverRunsPartitionZero: the round driver runs partition 0's rounds
+// on its own goroutine, so a frontend starts a worker goroutine for each
+// other partition only: none at P = 1, three at P = 4, live and in replay
+// mode. Stopping the frontend ends them all. The workers counted are the
+// goroutines that shard.build started on this test's goroutine, started
+// or still waiting to run, so other tests' frontends do not count.
+func TestDriverRunsPartitionZero(t *testing.T) {
+	self, _, _ := bytes.Cut(goroutines()[0], []byte(" ["))
+	createdHere := []byte("\ncreated by proram/internal/shard.build in " + string(self) + "\n")
+	workers := func() int {
+		n := 0
+		for _, g := range goroutines() {
+			if bytes.Contains(g, createdHere) {
+				n++
+			}
+		}
+		return n
+	}
+	gone := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); workers() > 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d worker goroutines still running after the frontend stopped", what, workers())
+			}
+		}
+	}
+	for _, parts := range []int{1, 4} {
+		cfg := testConfig(parts)
+		live, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 16; i++ {
+			if err := live.Write(i, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := live.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := workers(); got != parts-1 {
+			t.Errorf("live frontend with %d partitions runs %d worker goroutines, want %d", parts, got, parts-1)
+		}
+		if err := live.Close(); err != nil {
+			t.Fatal(err)
+		}
+		gone(fmt.Sprintf("live, %d partitions", parts))
+
+		replay, err := build(cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := workers(); got != parts-1 {
+			t.Errorf("replay frontend with %d partitions runs %d worker goroutines, want %d", parts, got, parts-1)
+		}
+		replay.stopWorkers()
+		gone(fmt.Sprintf("replay, %d partitions", parts))
+	}
 }
 
 // TestStoreRoundtrip covers the shared seal-and-write-back helper: data
@@ -646,7 +710,8 @@ func TestStoreRoundtrip(t *testing.T) {
 }
 
 // TestSteadyStateDoesNotAllocate measures the frontend's per-slot work on
-// a warmed partition: a pad slot's dummy access, the request router's
+// a warmed partition of a one-partition replay-mode frontend, which has
+// no worker goroutine (the round driver owns partition 0): a pad slot's dummy access, the request router's
 // partition lookup and the merge algorithm's client-cache probe allocate
 // nothing. The dummies run before the cache holds any line, so no super
 // block merges and Read has no prefetch slice to return. Then the client
@@ -663,8 +728,8 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		p.dummyAccess()
 	}
-	if avg := testing.AllocsPerRun(1000, p.dummyAccess); avg != 0 {
-		t.Errorf("dummyAccess allocates %.2f times per call", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(p.dummyAccess)); avg != 0 {
+		t.Errorf("16 dummyAccess calls allocate %.0f times", avg)
 	}
 
 	var index uint64
@@ -672,8 +737,8 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 		f.pmap.Lookup(index)
 		index += 0x9e3779b97f4a7c15
 	}
-	if avg := testing.AllocsPerRun(1000, lookup); avg != 0 {
-		t.Errorf("PartitionMap.Lookup allocates %.2f times per call", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(lookup)); avg != 0 {
+		t.Errorf("16 PartitionMap.Lookup calls allocate %.0f times", avg)
 	}
 
 	for i := uint64(0); i < 32; i++ {
@@ -686,8 +751,8 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 		p.cache.Present(probe % 64) // half resident, half not
 		probe++
 	}
-	if avg := testing.AllocsPerRun(1000, present); avg != 0 {
-		t.Errorf("Cache.Present allocates %.2f times per call", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(present)); avg != 0 {
+		t.Errorf("16 Cache.Present calls allocate %.0f times", avg)
 	}
 
 	// A warmed, full cache of 64 lines over 1024 blocks, no prefetch: a miss
@@ -704,17 +769,17 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	for range 4096 {
 		miss()
 	}
-	if avg := testing.AllocsPerRun(1000, miss); avg != 0 {
-		t.Errorf("Cache.Fetch allocates %.2f times per miss", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(miss)); avg != 0 {
+		t.Errorf("16 Cache.Fetch misses allocate %.0f times", avg)
 	}
 	line, _ := c.Lookup((next - 1) % 1024)
 	hit := func() { c.Lookup((next - 1) % 1024) }
-	if avg := testing.AllocsPerRun(1000, hit); avg != 0 {
-		t.Errorf("Cache.Lookup allocates %.2f times per hit", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(hit)); avg != 0 {
+		t.Errorf("16 Cache.Lookup hits allocate %.0f times", avg)
 	}
 	payload := []byte("payload")
-	if avg := testing.AllocsPerRun(1000, func() { line.Set(payload) }); avg != 0 {
-		t.Errorf("Line.Set allocates %.2f times per call", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(func() { line.Set(payload) })); avg != 0 {
+		t.Errorf("16 Line.Set calls allocate %.0f times", avg)
 	}
 
 	// Misses with a write over blocks 0..127, each evicting a dirty line
@@ -759,8 +824,20 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 		openMiss()
 		drainAll(t, c) // the dirty lines the first misses evict
 	}
-	if avg := testing.AllocsPerRun(1000, openMiss); avg != 0 {
-		t.Errorf("Cache.Fetch allocates %.2f times per miss on a sealed block", avg)
+	if avg := testing.AllocsPerRun(100, sixteen(openMiss)); avg != 0 {
+		t.Errorf("16 Cache.Fetch misses on sealed blocks allocate %.0f times", avg)
+	}
+}
+
+// sixteen returns a function that calls f 16 times. AllocsPerRun divides
+// a run's allocations by the run count and rounds down, so with one call
+// per run an allocation made on every 16th call reads as 0; with 16 calls
+// per run it reads as 1.
+func sixteen(f func()) func() {
+	return func() {
+		for range 16 {
+			f()
+		}
 	}
 }
 
