@@ -108,14 +108,6 @@ func (r *Recorder) BeginProcess(label string) int {
 	return r.pid
 }
 
-// Pid returns the current process id (0 on a nil Recorder).
-func (r *Recorder) Pid() int {
-	if r == nil {
-		return 0
-	}
-	return r.pid
-}
-
 // metricPrefix namespaces registrations of processes after the first so
 // back-to-back systems sharing one Recorder keep distinct metrics.
 func (r *Recorder) metricPrefix() string {

@@ -42,9 +42,6 @@ func NewTracer(w io.Writer) *Tracer {
 	return t
 }
 
-// Events returns how many events have been written.
-func (t *Tracer) Events() uint64 { return t.events }
-
 // Meta emits a process_name metadata record for pid.
 func (t *Tracer) Meta(pid int, name string) {
 	b := t.buf[:0]

@@ -382,6 +382,9 @@ func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 			break
 		}
 	}
+	if startLvl > 1 {
+		c.loadChain(startLvl)
+	}
 	for l := startLvl - 1; l >= 1; l-- {
 		c.accessPosMapBlock(now, mem.MakeID(l, chain[l]))
 	}
@@ -402,6 +405,21 @@ func (c *Controller) access(now uint64, index uint64, wb bool) Result {
 		Done:       done,
 		Prefetched: prefetched,
 		PathCount:  int(c.stats.PathAccesses - pathsBefore),
+	}
+}
+
+// loadChain loads, ahead of the first, every path the access is about to
+// read below startLvl: each position-map level's and the data block's. The
+// position map is trusted state and a level's label changes only at that
+// level's own access, so the leaves are known now, and the tree's cache
+// misses for the whole chain overlap instead of each path waiting out its
+// own (DESIGN §3). It only reads: a never-touched block, whose access reads
+// a decoy path drawn then, is skipped.
+func (c *Controller) loadChain(startLvl int) {
+	for l := startLvl - 1; l >= 0; l-- {
+		if leaf := c.leafOf(mem.MakeID(l, c.chain[l])); leaf != mem.NoLeaf {
+			c.tr.Load(c.tr.Levels()+1, leaf)
+		}
 	}
 }
 

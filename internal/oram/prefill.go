@@ -77,7 +77,8 @@ func (c *Controller) prefill() {
 // size, group by group. A group needs its size in free slots along one
 // path, so it retries a few leaves before falling back to the stash; that
 // choice reads the tree the previous groups filled, which is why groups
-// are not batched. Each candidate path is loaded before it is counted.
+// are not batched. Each candidate path's bottom three buckets, which hold
+// most of its free slots, are loaded before it is counted.
 func (c *Controller) prefillStatic(size int) {
 	fanout := uint64(c.cfg.Fanout)
 	for pbIdx := uint64(0); pbIdx < c.pm.Count(1); pbIdx++ {
@@ -90,7 +91,7 @@ func (c *Controller) prefillStatic(size int) {
 			leaf := c.randLeaf()
 			for try := 0; n > 1 && try < 8; try++ {
 				cand := c.randLeaf()
-				c.tr.Load(cand)
+				c.tr.Load(3, cand)
 				if c.pathHolds(cand, n) {
 					leaf = cand
 					break

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // none is the null line number: the end of a list, an empty queue or free
@@ -65,14 +66,20 @@ var errVictimsFull = errors.New("shard: victim queue cannot take another miss's 
 // plaintext in slab, which grow together by one line per install that
 // finds the free list empty and never shrink. The cache never holds more
 // than capacity+victimCap() lines, so that is also the most the slices
-// reach; an unused capacity costs nothing.
+// reach; an unused capacity costs nothing. The index from block to line is
+// an open-addressed table of line numbers (Fibonacci hashing, linear
+// probing and backward-shift deletion, as in posmap.PLB). It doubles
+// whenever the lines reach half its size, so it grows with the lines,
+// never with the capacity, and a probe stays short.
 type Cache struct {
 	store      *Store
 	capacity   int
 	maxSuper   int // the controller's MaxSuperBlock: the most installs one Fetch makes
 	blockBytes int
 	onAccess   func()
-	index      map[uint64]int32 // block index -> line number of every resident block
+	index      []int32 // line number of every resident block by table slot, or none
+	shift      uint    // 64 - log2(len(index)): a hash's top bits pick its slot
+	indexed    int     // resident lines: the table's entries
 	lines      []line
 	slab       []byte // plaintext: line n owns slab[n*blockBytes:(n+1)*blockBytes]
 	// head..tail is the order list of every resident line: the cached
@@ -102,7 +109,6 @@ func NewCache(store *Store, capacity int, onAccess func()) (*Cache, error) {
 		maxSuper:   sb,
 		blockBytes: store.BlockBytes(),
 		onAccess:   onAccess,
-		index:      make(map[uint64]int32),
 		head:       none,
 		tail:       none,
 		queue:      none,
@@ -128,18 +134,15 @@ func (c *Cache) canFetch() bool { return c.victimCap()-c.queued >= c.maxSuper }
 // Present implements oram.CacheProber, letting the merge algorithm probe
 // for co-resident blocks. A queued victim is resident: it is the block's
 // current copy, still held on the client.
-func (c *Cache) Present(index uint64) bool {
-	_, ok := c.index[index]
-	return ok
-}
+func (c *Cache) Present(index uint64) bool { return c.find(index) != none }
 
 // Lookup returns the cached line of index; ok is false on a miss. A hit
 // costs no ORAM access: it refreshes the line's LRU position — taking it
 // back out of the victim queue if it was there — and reports the first use
 // of a prefetched line to the controller.
 func (c *Cache) Lookup(index uint64) (Line, bool) {
-	n, ok := c.index[index]
-	if !ok {
+	n := c.find(index)
+	if n == none {
 		return Line{}, false
 	}
 	c.touch(n)
@@ -173,7 +176,7 @@ func (c *Cache) Fetch(index uint64) (Line, error) {
 		demand = Line{c, n}
 	}
 	for _, p := range res.Prefetched {
-		if n, ok := c.index[p]; ok {
+		if n := c.find(p); n != none {
 			if c.lines[n].queued {
 				c.touch(n)
 			}
@@ -195,7 +198,7 @@ func (c *Cache) install(index uint64, prefetched bool) (int32, error) {
 		return none, err
 	}
 	c.lines[n] = line{index: index, prefetched: prefetched}
-	c.index[index] = n
+	c.insert(n)
 	c.link(n, none, c.head)
 	c.evict()
 	return n, nil
@@ -211,7 +214,71 @@ func (c *Cache) alloc() int32 {
 	}
 	c.lines = append(c.lines, line{})
 	c.slab = append(c.slab, make([]byte, c.blockBytes)...)
+	if 2*len(c.lines) > len(c.index) {
+		c.grow()
+	}
 	return int32(len(c.lines) - 1)
+}
+
+// grow doubles the index table (to 8 slots at first) and reinserts every
+// resident line.
+func (c *Cache) grow() {
+	old := c.index
+	logSize := max(bits.Len(uint(len(old))), 3)
+	c.index = make([]int32, 1<<logSize)
+	for i := range c.index {
+		c.index[i] = none
+	}
+	c.shift = 64 - uint(logSize)
+	for _, n := range old {
+		if n != none {
+			c.index[c.slot(c.lines[n].index)] = n
+		}
+	}
+}
+
+// home is block index x's first table slot (Fibonacci hashing).
+func (c *Cache) home(x uint64) int { return int(x * 0x9e3779b97f4a7c15 >> c.shift) }
+
+// slot returns the table slot that holds block x's line, or the empty slot
+// that ends its probe sequence.
+func (c *Cache) slot(x uint64) int {
+	mask := len(c.index) - 1
+	i := c.home(x)
+	for c.index[i] != none && c.lines[c.index[i]].index != x {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns the line of block x, or none.
+func (c *Cache) find(x uint64) int32 {
+	if c.indexed == 0 {
+		return none
+	}
+	return c.index[c.slot(x)]
+}
+
+// insert indexes line n under its block, which no resident line holds.
+func (c *Cache) insert(n int32) {
+	c.index[c.slot(c.lines[n].index)] = n
+	c.indexed++
+}
+
+// unindex empties table slot i and moves back every later entry of its
+// probe run that may not stay behind the hole (backward-shift deletion),
+// so no tombstone ever lengthens a probe.
+func (c *Cache) unindex(i int) {
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j] != none; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-c.home(c.lines[c.index[j]].index))&mask >= (j-i)&mask {
+			c.index[i], i = c.index[j], j
+		}
+	}
+	c.index[i] = none
+	c.indexed--
 }
 
 // release puts an unlinked, unindexed line on the free list.
@@ -276,7 +343,7 @@ func (c *Cache) touch(n int32) {
 // evict trims the LRU to capacity from its tail: a clean victim is
 // dropped, a dirty one becomes the victim queue's newest line.
 func (c *Cache) evict() {
-	for len(c.index)-c.queued > c.capacity {
+	for c.indexed-c.queued > c.capacity {
 		n := c.tail
 		if c.queue != none {
 			n = c.lines[c.queue].prev
@@ -298,7 +365,7 @@ func (c *Cache) evict() {
 // drop takes a resident line out of the cache and frees it.
 func (c *Cache) drop(n int32) {
 	c.unlink(n)
-	delete(c.index, c.lines[n].index)
+	c.unindex(c.slot(c.lines[n].index))
 	c.release(n)
 }
 

@@ -113,8 +113,9 @@ func lists(c *Cache) (lru, queue []uint64) {
 
 // checkLines checks the slab's bookkeeping: the order list's links are
 // symmetric and end at head and tail, every line number is in exactly one
-// of the order list (LRU or queue) and the free list, the index maps each
-// resident block to its line, and the lines stay within their bound.
+// of the order list (LRU or queue) and the free list, the index table finds
+// each resident block at its own line and no freed line, its count and its
+// entries equal the lines resident, and the lines stay within their bound.
 func checkLines(t *testing.T, step int, c *Cache) {
 	t.Helper()
 	seen := make([]string, len(c.lines))
@@ -134,8 +135,8 @@ func checkLines(t *testing.T, step int, c *Cache) {
 		if c.lines[n].prev != prev {
 			t.Fatalf("step %d: line %d links back to %d, follows %d", step, n, c.lines[n].prev, prev)
 		}
-		if i, ok := c.index[c.lines[n].index]; !ok || i != n {
-			t.Fatalf("step %d: line %d holds block %d, indexed at %d (%v)", step, n, c.lines[n].index, i, ok)
+		if i := c.find(c.lines[n].index); i != n {
+			t.Fatalf("step %d: line %d holds block %d, found at line %d", step, n, c.lines[n].index, i)
 		}
 	}
 	if c.tail != prev {
@@ -143,15 +144,95 @@ func checkLines(t *testing.T, step int, c *Cache) {
 	}
 	for n := c.free; n != none; n = c.lines[n].next {
 		mark(n, "free list")
+		if i := c.find(c.lines[n].index); i == n {
+			t.Fatalf("step %d: freed line %d is found for block %d", step, n, c.lines[n].index)
+		}
 	}
 	if slices.Contains(seen, "") {
 		t.Fatalf("step %d: line %d is in no list", step, slices.Index(seen, ""))
 	}
-	if len(c.index) != resident {
-		t.Fatalf("step %d: %d blocks indexed, %d lines resident", step, len(c.index), resident)
+	entries := 0
+	for _, n := range c.index {
+		if n != none {
+			entries++
+		}
+	}
+	if c.indexed != resident || entries != resident || len(c.index) < 2*len(c.lines) {
+		t.Fatalf("step %d: %d blocks indexed in %d of %d table slots, %d lines resident of %d",
+			step, c.indexed, entries, len(c.index), resident, len(c.lines))
 	}
 	if limit := c.capacity + c.victimCap(); len(c.lines) > limit || len(c.slab) != len(c.lines)*c.blockBytes {
 		t.Fatalf("step %d: %d lines and %d slab bytes, at most %d lines of %d bytes", step, len(c.lines), len(c.slab), limit, c.blockBytes)
+	}
+}
+
+// TestCacheIndexChurn drives the index table through four doublings
+// against a map, dropping random lines between inserts. Every other block
+// inserted has its home in the table's last two slots, so probe runs wrap
+// around the table's end and backward-shift deletion moves entries across
+// it; the test counts the drops whose probe run wraps and wants some. After
+// every step each indexed block is found at its line, no dropped block is
+// found, and the table's count and entries equal the map's.
+func TestCacheIndexChurn(t *testing.T) {
+	c := newTestCache(t, 4, superblock.Config{Scheme: superblock.None, MaxSize: 1}, nil)
+	r := rng.New(17)
+	model := map[uint64]int32{}
+	var keys, dropped []uint64 // the model's keys in insertion order, and those dropped since
+	wraps := 0
+	for step := 0; len(c.index) < 128; step++ {
+		if len(keys) > 0 && r.Uint64n(20) < 9 {
+			k := int(r.Uint64n(uint64(len(keys))))
+			x := keys[k]
+			keys = slices.Delete(keys, k, k+1)
+			n := model[x]
+			delete(model, x)
+			i, mask := c.slot(x), len(c.index)-1
+			for j := i; c.index[j] != none; j = (j + 1) & mask {
+				if j == mask && c.index[0] != none {
+					wraps++
+					break
+				}
+			}
+			c.unindex(i)
+			c.release(n)
+			dropped = append(dropped, x)
+		} else {
+			x := r.Uint64n(1 << 40)
+			for step%2 == 0 && len(c.index) > 0 && c.home(x) < len(c.index)-2 {
+				x = r.Uint64n(1 << 40)
+			}
+			if _, ok := model[x]; ok {
+				continue
+			}
+			n := c.alloc()
+			c.lines[n] = line{index: x}
+			c.insert(n)
+			model[x] = n
+			keys = append(keys, x)
+			dropped = slices.DeleteFunc(dropped, func(y uint64) bool { return y == x })
+		}
+		for _, x := range keys {
+			if n := c.find(x); n != model[x] {
+				t.Fatalf("step %d: block %d found at line %d, model %d", step, x, n, model[x])
+			}
+		}
+		for _, x := range dropped {
+			if n := c.find(x); n != none {
+				t.Fatalf("step %d: dropped block %d found at line %d", step, x, n)
+			}
+		}
+		entries := 0
+		for _, n := range c.index {
+			if n != none {
+				entries++
+			}
+		}
+		if c.indexed != len(model) || entries != len(model) {
+			t.Fatalf("step %d: count %d, %d table entries, model %d", step, c.indexed, entries, len(model))
+		}
+	}
+	if wraps < 10 {
+		t.Fatalf("only %d drops had a probe run wrapping around the table's end", wraps)
 	}
 }
 
@@ -166,13 +247,13 @@ func checkCache(t *testing.T, step int, c *Cache, m *cacheModel, hooked int) {
 	if !slices.Equal(lru, m.lru) || !slices.Equal(queue, m.queue) {
 		t.Fatalf("step %d: LRU %v queue %v, model LRU %v queue %v", step, lru, queue, m.lru, m.queue)
 	}
-	if len(c.index) != len(lru)+len(queue) || c.queued != len(queue) {
+	if c.indexed != len(lru)+len(queue) || c.queued != len(queue) {
 		t.Fatalf("step %d: %d indexed lines and %d counted queued, %d in the LRU and %d queued",
-			step, len(c.index), c.queued, len(lru), len(queue))
+			step, c.indexed, c.queued, len(lru), len(queue))
 	}
 	for _, l := range [][]uint64{lru, queue} {
 		for _, x := range l {
-			line := c.lines[c.index[x]]
+			line := c.lines[c.find(x)]
 			inQueue := slices.Contains(queue, x)
 			if slices.Contains(lru, x) && inQueue {
 				t.Fatalf("step %d: block %d is in the LRU and the queue", step, x)
@@ -188,7 +269,7 @@ func checkCache(t *testing.T, step int, c *Cache, m *cacheModel, hooked int) {
 	}
 	for x := uint64(0); x < modelBlocks; x++ {
 		var got []byte
-		if n, ok := c.index[x]; ok {
+		if n := c.find(x); n != none {
 			got = c.payload(n)
 		} else {
 			var err error

@@ -93,8 +93,8 @@ func TestCacheStrictLRU(t *testing.T) {
 		if c.Present(victim) {
 			t.Fatalf("insert %d did not evict block %d", i, victim)
 		}
-		if lru, queue := lists(c); len(lru) != 4 || len(queue) != 0 || len(c.index) != 4 {
-			t.Fatalf("cache holds %d+%d/%d lines, capacity 4", len(lru), len(queue), len(c.index))
+		if lru, queue := lists(c); len(lru) != 4 || len(queue) != 0 || c.indexed != 4 {
+			t.Fatalf("cache holds %d+%d/%d lines, capacity 4", len(lru), len(queue), c.indexed)
 		}
 	}
 }

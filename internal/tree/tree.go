@@ -91,11 +91,11 @@ type Tree struct {
 	// buckets and placement takes the first free slot.
 	slots []Slot
 	used  uint64 // number of occupied slots, for diagnostics
-	// dest is EvictPath's buffer: the slot each placed block goes to, one
-	// path's worth.
-	dest []int
-	// loaded keeps the reads of Load and of RemovePathSlots' look-ahead
-	// live: it is written and never read.
+	// path is one path's worth of scratch words: RemovePathSlots reads the
+	// path's slots into it, and EvictPath lists in it, as slot numbers, the
+	// slot each placed block goes to.
+	path []Slot
+	// loaded keeps Load's reads live: it is written and never read.
 	loaded Slot
 }
 
@@ -112,7 +112,7 @@ func New(levels, z int) *Tree {
 	}
 	t := &Tree{levels: levels, z: z}
 	t.slots = make([]Slot, t.Capacity())
-	t.dest = make([]int, 0, (levels+1)*z)
+	t.path = make([]Slot, (levels+1)*z)
 	return t
 }
 
@@ -178,32 +178,33 @@ func (t *Tree) BucketCount(node uint64) int { return fill(t.bucket(node)) }
 // extended slice. This is the read phase of a Path ORAM access (step 2):
 // all real blocks move to the stash, and their labels come with them, so
 // the controller looks up no position-map entry per block.
+//
+// The read does not branch on what it reads: after loading the whole path
+// (Load), it copies each bucket's Z slots whole into a path's worth of
+// scratch, clears them, and advances by the bucket's occupied count. The
+// occupied slots are a prefix of the bucket, so the next bucket's copy
+// overwrites the empty ones. One append then moves what was read onto
+// dst, which grows only as far as the blocks it takes need.
 func (t *Tree) RemovePathSlots(leaf mem.Leaf, dst []Slot) []Slot {
-	leafNode := t.Leaves() + uint64(leaf)
-	// Load every bucket's first slot ahead of the scan: the scan branches
-	// on what it reads, these loads do not, so the path's cache misses
-	// overlap (DESIGN §3 has the measurement).
-	z := uint64(t.z)
-	var acc Slot
+	t.Load(t.levels+1, leaf)
+	z, out := t.z, t.path
+	leafNode, w := t.Leaves()+uint64(leaf), 0
 	for depth := 0; depth <= t.levels; depth++ {
-		acc ^= t.slots[(leafNode>>uint(t.levels-depth)-1)*z]
-	}
-	t.loaded = acc
-	n := len(dst)
-	for depth := 0; depth <= t.levels; depth++ {
-		// A bucket holds a word or three: a loop moves them for less than
-		// append's memmove would.
 		bucket := t.bucket(leafNode >> uint(t.levels-depth))
+		// A bucket holds a word or three: a loop moves them for less than
+		// copy's memmove would.
+		o, k := out[w:w+z], 0
 		for i, s := range bucket {
-			if s == 0 {
-				break
-			}
-			dst = append(dst, s)
+			o[i] = s
 			bucket[i] = 0
+			if s != 0 {
+				k++
+			}
 		}
+		w += k
 	}
-	t.used -= uint64(len(dst) - n)
-	return dst
+	t.used -= uint64(w)
+	return append(dst, out[:w]...)
 }
 
 // RemovePath is RemovePathSlots for callers that track labels themselves:
@@ -279,7 +280,7 @@ func (t *Tree) EvictPath(accessLeaf mem.Leaf, stash []Slot) (kept []Slot, placed
 	}
 	// The walk: the bucket at height h may take ranks up to the end of its
 	// own run, and dest lists, rank by rank, the slots the buckets fill.
-	dest := t.dest[:0]
+	dest := t.path[:0]
 	node, z := t.Leaves()+uint64(accessLeaf), uint64(t.z)
 	for h := 0; h <= t.levels && len(dest) < len(stash); h++ {
 		end := len(stash)
@@ -289,7 +290,7 @@ func (t *Tree) EvictPath(accessLeaf mem.Leaf, stash []Slot) (kept []Slot, placed
 		if len(dest) < end {
 			base := (node - 1) * z
 			for i := base + uint64(fill(t.slots[base:base+z])); i < base+z && len(dest) < end; i++ {
-				dest = append(dest, int(i))
+				dest = append(dest, Slot(i))
 			}
 		}
 		node >>= 1
@@ -398,21 +399,27 @@ func (t *Tree) placeUp(s Slot, node uint64, n int) bool {
 	return false
 }
 
-// Load reads, for every path in leaves, the leaf bucket and the two
-// buckets above it, and changes nothing. The static scheme's prefill loads
-// each candidate path of a super block group before it counts the path's
-// free slots: that count branches on what it reads, so it would wait out
-// each cache miss in turn, while these loads decide nothing and keep the
-// misses in flight together. Each bucket's first and last slot are read,
-// since a bucket of several slots may straddle a cache line.
-func (t *Tree) Load(leaves ...mem.Leaf) {
+// Load reads, for every path in leaves, the given number of buckets from
+// the leaf bucket up (at most the whole path), and changes nothing. A scan
+// that branches on what it reads waits out each cache miss in turn; these
+// loads decide nothing, so the misses of every bucket of every path given
+// are in flight together. Each bucket's first and last slot are read,
+// since a bucket of several slots may straddle a cache line. The read
+// phase loads its whole path, the controller loads every path of a
+// recursive access's chain before the first (DESIGN §3), and the static
+// scheme's prefill loads the bottom three buckets of each candidate path
+// before it counts the path's free slots.
+func (t *Tree) Load(buckets int, leaves ...mem.Leaf) {
 	z, slots := uint64(t.z), t.slots
+	buckets = min(buckets, t.levels+1)
 	var acc Slot
 	for _, leaf := range leaves {
 		node := t.Leaves() + uint64(leaf)
-		// A one-level tree has no grandparent; the root stands in.
-		b0, b1, b2 := (node-1)*z, (node>>1-1)*z, (max(node>>2, 1)-1)*z
-		acc ^= slots[b0] ^ slots[b0+z-1] ^ slots[b1] ^ slots[b1+z-1] ^ slots[b2] ^ slots[b2+z-1]
+		for range buckets {
+			b := (node - 1) * z
+			acc ^= slots[b] ^ slots[b+z-1]
+			node >>= 1
+		}
 	}
 	t.loaded = acc
 }

@@ -314,6 +314,105 @@ func TestRemovePathSlots(t *testing.T) {
 	}
 }
 
+// removePathRef is the read phase RemovePathSlots replaced, kept as its
+// reference: it scans each bucket on the path, root first, moves its slots
+// to dst and stops at the bucket's first empty slot.
+func removePathRef(t *Tree, leaf mem.Leaf, dst []Slot) []Slot {
+	n := len(dst)
+	for depth := 0; depth <= t.levels; depth++ {
+		bucket := t.bucket(t.NodeAt(leaf, depth))
+		for i, s := range bucket {
+			if s == 0 {
+				break
+			}
+			dst = append(dst, s)
+			bucket[i] = 0
+		}
+	}
+	t.used -= uint64(len(dst) - n)
+	return dst
+}
+
+// poison marks dst's spare capacity, so a read that returned a slot past
+// what it moved would show it.
+const poison = ^Slot(0)
+
+// checkRemovePath reads paths of a random tree of the given geometry with
+// RemovePathSlots and with its reference, on an equal copy, into a dst of
+// head slots and spare more capacity, poisoned. Each read must return the
+// head and then the reference's slots, slot for slot, empty every bucket on
+// the path, and lower Used by the slots it moved; both trees stay equal.
+// The last read repeats a path already read, which moves nothing.
+func checkRemovePath(t *testing.T, levels, z int, seed uint64, head, spare int) {
+	t.Helper()
+	got, want := randomTree(levels, z, rng.New(seed)), randomTree(levels, z, rng.New(seed))
+	r := rng.New(seed + 1)
+	var leaf mem.Leaf
+	for read := range 4 {
+		if read < 3 {
+			leaf = mem.Leaf(r.Uint64n(got.Leaves()))
+		}
+		dst := make([]Slot, head, head+spare)
+		for i := range dst {
+			dst[i] = Slot(i + 1)
+		}
+		full := dst[:cap(dst)]
+		for i := head; i < len(full); i++ {
+			full[i] = poison
+		}
+		used := got.Used()
+		out := got.RemovePathSlots(leaf, dst)
+		ref := removePathRef(want, leaf, slices.Clone(dst))
+		if !slices.Equal(out, ref) {
+			t.Fatalf("L %d Z %d seed %d head %d spare %d, read %d of leaf %d: got %v, reference %v",
+				levels, z, seed, head, spare, read, leaf, out, ref)
+		}
+		for depth := 0; depth <= levels; depth++ {
+			if n := got.BucketCount(got.NodeAt(leaf, depth)); n != 0 {
+				t.Fatalf("L %d Z %d seed %d: bucket at depth %d of leaf %d holds %d blocks after its read",
+					levels, z, seed, depth, leaf, n)
+			}
+		}
+		if moved := uint64(len(out) - head); got.Used() != used-moved || got.Used() != want.Used() {
+			t.Fatalf("L %d Z %d seed %d: Used %d after moving %d of %d, reference %d",
+				levels, z, seed, got.Used(), moved, used, want.Used())
+		}
+		if !slices.Equal(got.slots, want.slots) {
+			t.Fatalf("L %d Z %d seed %d: the trees differ after reading leaf %d", levels, z, seed, leaf)
+		}
+	}
+}
+
+// RemovePathSlots moves what the break-on-empty scan moved, in its order,
+// on random trees of 1 to 12 levels and buckets of 1 to 5 slots, into a
+// dst with no spare capacity, some, and enough for a whole path.
+func TestRemovePathSlotsMatchesReference(t *testing.T) {
+	for levels := 1; levels <= 12; levels++ {
+		for z := 1; z <= 5; z++ {
+			path := (levels + 1) * z
+			for _, head := range []int{0, 3} {
+				for _, spare := range []int{0, 1, path / 2, path, path + 7} {
+					checkRemovePath(t, levels, z, uint64(levels*100+z*10+head), head, spare)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRemovePathSlots is the same check over fuzzer-chosen geometries,
+// trees, head lengths and spare capacities; the seeds hold one case per
+// geometry.
+func FuzzRemovePathSlots(f *testing.F) {
+	for levels := uint8(1); levels <= 12; levels++ {
+		for z := uint8(1); z <= 5; z++ {
+			f.Add(levels, z, uint64(levels)*16+uint64(z), uint8(z), uint8(levels))
+		}
+	}
+	f.Fuzz(func(t *testing.T, levels, z uint8, seed uint64, head, spare uint8) {
+		checkRemovePath(t, 1+int(levels%12), 1+int(z%5), seed, int(head%16), int(spare))
+	})
+}
+
 // fillAt is the write-back primitive EvictPath replaced, kept as its
 // reference: it places blocks, in order, into the free slots of the one
 // bucket at depth on the path to accessLeaf, first free slot first, and
@@ -448,8 +547,9 @@ func TestBucketsStayPrefixes(t *testing.T) {
 	}
 }
 
-// Load reads every leaf of every geometry, down to a one-level tree with no
-// grandparent and single-slot buckets, and changes nothing.
+// Load reads every leaf of every geometry, down to a one-level tree and
+// single-slot buckets, for every bucket count from none to more than a path
+// holds, and changes nothing.
 func TestLoadChangesNothing(t *testing.T) {
 	for _, g := range []struct{ levels, z int }{{1, 1}, {1, 3}, {2, 1}, {4, 3}} {
 		tr := New(g.levels, g.z)
@@ -467,8 +567,10 @@ func TestLoadChangesNothing(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = mem.Leaf(i)
 		}
-		tr.Load(leaves...)
-		tr.Load()
+		for buckets := range g.levels + 3 {
+			tr.Load(buckets, leaves...)
+			tr.Load(buckets)
+		}
 		if tr.Used() != used || !slices.Equal(tr.slots, before) {
 			t.Errorf("levels %d z %d: Load changed the tree", g.levels, g.z)
 		}
